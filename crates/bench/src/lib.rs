@@ -1,7 +1,7 @@
 //! # hetero-bench
 //!
-//! The benchmark harness of the `hetero-hpc` reproduction. Each paper
-//! artifact has a dedicated bench target that regenerates it:
+//! The paper-artifact regenerators of the `hetero-hpc` reproduction. Each
+//! paper artifact has a dedicated bench target that regenerates it:
 //!
 //! | target                  | artifact                                   |
 //! |-------------------------|--------------------------------------------|
@@ -11,15 +11,13 @@
 //! | `fig6_rd_cost`          | Figure 6 (RD per-iteration cost)           |
 //! | `fig7_ns_cost`          | Figure 7 (NS per-iteration cost)           |
 //! | `table1_capabilities`   | Table I + Section VI provisioning effort   |
+//! | `table3_resilience`     | Table III (spot-with-restart vs on-demand) |
 //! | `ablations`             | design-choice ablations (DESIGN.md Section 6) |
-//! | `micro_kernels`         | criterion: real numerical kernel throughput |
-//! | `micro_comm`            | criterion: simulator engine throughput     |
 //!
 //! Run everything with `cargo bench --workspace`. The figure/table targets
 //! print the paper-style rows to stdout and write machine-readable copies
-//! under `target/paper-artifacts/`.
-
-pub mod gate;
+//! under `target/paper-artifacts/`. Host-time measurement lives in the
+//! standalone `benchmark/` package (`BENCHMARK.json`), not here.
 
 /// Writes an artifact file under `target/paper-artifacts/`, creating the
 /// directory as needed. Returns the path written.

@@ -23,7 +23,9 @@ use std::sync::Arc;
 /// Which engine to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Fidelity {
-    /// Real distributed numerics on OS threads (verifiable, small scale).
+    /// Real distributed numerics, one simulated rank per coroutine on the
+    /// cooperative scheduler by default (see [`RunRequest::engine`]);
+    /// verifiable against the exact solution.
     Numerical,
     /// Analytic replay (paper scale).
     Modeled,

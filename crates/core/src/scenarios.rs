@@ -2,7 +2,8 @@
 //! evaluation.
 
 use crate::apps::App;
-use crate::recovery::{execute_resilient, ResilienceSpec};
+use crate::prep::PreparedScenario;
+use crate::recovery::{execute_resilient_with_prep, ResilienceSpec};
 use crate::run::{execute, Fidelity, RunOutcome, RunRequest};
 use hetero_fault::ResiliencePolicy;
 use hetero_linalg::SolverVariant;
@@ -10,9 +11,10 @@ use hetero_platform::limits::LimitViolation;
 use hetero_platform::provision::{environment_of, plan, ProvisionPlan};
 use hetero_platform::spot::{acquire_fleet, FleetAllocation, FleetStrategy};
 use hetero_platform::{catalog, PlatformSpec};
-use hetero_simmpi::{ClusterTopology, EngineKind};
+use hetero_simmpi::ClusterTopology;
 use hetero_trace::TraceSpec;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Shared knobs for the scenario sweeps.
 #[derive(Debug, Clone)]
@@ -67,6 +69,19 @@ impl ScenarioOptions {
     /// The rank ladder `k^3`.
     pub fn ladder(&self) -> Vec<usize> {
         (1..=self.max_k).map(|k| k * k * k).collect()
+    }
+
+    /// The run request of one sweep cell: this sweep's mesh size, seed,
+    /// discard, and engine selection over [`RunRequest::new`]'s platform
+    /// defaults. Untraced — [`ScenarioOptions::trace`] applies to the
+    /// weak-scaling cells only, which set it themselves.
+    pub fn request(&self, platform: &PlatformSpec, app: App, ranks: usize) -> RunRequest {
+        RunRequest {
+            seed: self.seed,
+            discard: self.discard,
+            fidelity: self.fidelity,
+            ..RunRequest::new(platform.clone(), app, ranks, self.per_rank_axis)
+        }
     }
 }
 
@@ -130,22 +145,8 @@ fn weak_scaling(app_for: impl Fn(usize) -> App, opts: &ScenarioOptions) -> WeakS
                 App::Ns(_) => "NS",
             };
             let req = RunRequest {
-                platform: platform.clone(),
-                app,
-                ranks,
-                per_rank_axis: opts.per_rank_axis,
-                seed: opts.seed,
-                discard: opts.discard,
-                threads_per_rank: 1,
-                engine: EngineKind::default(),
-                sched_workers: 0,
-                fidelity: opts.fidelity,
-                solver_variant: None,
-                kernel_backend: None,
-                topology_override: None,
-                cost_override: None,
-                resilience: None,
                 trace: opts.trace,
+                ..opts.request(platform, app, ranks)
             };
             cells.push((platform.key.clone(), execute(&req)));
         }
@@ -192,24 +193,7 @@ pub fn table2(opts: &ScenarioOptions) -> Vec<Table2Row> {
     let mut rows = Vec::new();
     for ranks in opts.ladder() {
         let nodes = ec2.nodes_for(ranks);
-        let base = RunRequest {
-            platform: ec2.clone(),
-            app: App::paper_rd(opts.steps),
-            ranks,
-            per_rank_axis: opts.per_rank_axis,
-            seed: opts.seed,
-            discard: opts.discard,
-            threads_per_rank: 1,
-            engine: EngineKind::default(),
-            sched_workers: 0,
-            fidelity: opts.fidelity,
-            solver_variant: None,
-            kernel_backend: None,
-            topology_override: None,
-            cost_override: None,
-            resilience: None,
-            trace: None,
-        };
+        let base = opts.request(&ec2, App::paper_rd(opts.steps), ranks);
         let full = execute(&base).expect("EC2 runs the whole ladder");
 
         let fleet = acquire_fleet(
@@ -493,19 +477,27 @@ impl Table3Row {
     }
 }
 
-fn resilience_cell(
+/// One seed-averaged campaign cell: `base` run through
+/// [`execute_resilient_with_prep`] under `spec` once per seed (seed `s` of
+/// the cell is `base.seed + 7919 s`), the campaign statistics summed in
+/// seed order and divided by the seed count. Table III and the plan
+/// executor's campaign stages both call this, so they share one f64
+/// accumulation order. `prep` pins a prepared scenario across the seeds
+/// (`None` resolves one per run; the bytes are the same either way).
+pub fn campaign_cell(
     base: &RunRequest,
     spec: &ResilienceSpec,
-    opts: &ResilienceOptions,
-) -> Table3Cell {
+    seeds: usize,
+    prep: Option<&Arc<PreparedScenario>>,
+) -> Result<Table3Cell, LimitViolation> {
     let mut cell = Table3Cell::default();
-    for s in 0..opts.seeds {
+    for s in 0..seeds {
         let req = RunRequest {
             seed: base.seed.wrapping_add(s as u64 * 7919),
             resilience: Some(spec.clone()),
             ..base.clone()
         };
-        let out = execute_resilient(&req).expect("the caller stays within EC2 limits");
+        let out = execute_resilient_with_prep(&req, prep.cloned())?;
         cell.expected_seconds += out.stats.total_seconds;
         cell.expected_dollars += out.stats.total_dollars;
         cell.completion_rate += f64::from(out.stats.completed);
@@ -513,14 +505,14 @@ fn resilience_cell(
         cell.mean_lost_work += out.stats.lost_work_seconds;
         cell.mean_checkpoint_seconds += out.stats.checkpoint_seconds;
     }
-    let n = opts.seeds.max(1) as f64;
+    let n = seeds.max(1) as f64;
     cell.expected_seconds /= n;
     cell.expected_dollars /= n;
     cell.completion_rate /= n;
     cell.mean_attempts /= n;
     cell.mean_lost_work /= n;
     cell.mean_checkpoint_seconds /= n;
-    cell
+    Ok(cell)
 }
 
 /// **Table III** (extension): expected time/cost of the RD application on
@@ -530,31 +522,20 @@ pub fn table3(opts: &ResilienceOptions) -> Vec<Table3Row> {
     let mut rows = Vec::new();
     for ranks in opts.base.ladder() {
         let nodes = ec2.nodes_for(ranks);
-        let base = RunRequest {
-            platform: ec2.clone(),
-            app: App::paper_rd(opts.base.steps),
-            ranks,
-            per_rank_axis: opts.base.per_rank_axis,
-            seed: opts.base.seed,
-            discard: opts.base.discard,
-            threads_per_rank: 1,
-            engine: EngineKind::default(),
-            sched_workers: 0,
-            fidelity: opts.base.fidelity,
-            solver_variant: None,
-            kernel_backend: None,
-            topology_override: None,
-            cost_override: None,
-            resilience: None,
-            trace: None,
-        };
+        let base = opts
+            .base
+            .request(&ec2, App::paper_rd(opts.base.steps), ranks);
         // On-demand: only hardware crashes, no checkpoints (a crash restarts
         // the run from scratch, like the paper's unprotected LifeV jobs).
         let od_spec = ResilienceSpec {
             policy: ResiliencePolicy::restart(0, opts.max_restarts),
             ..ResilienceSpec::on_demand(&ec2)
         };
-        let on_demand = resilience_cell(&base, &od_spec, opts);
+        let cell = |spec: &ResilienceSpec| {
+            campaign_cell(&base, spec, opts.seeds, None)
+                .expect("the caller stays within EC2 limits")
+        };
+        let on_demand = cell(&od_spec);
         let spot = opts
             .cadences
             .iter()
@@ -565,7 +546,7 @@ pub fn table3(opts: &ResilienceOptions) -> Vec<Table3Row> {
                     cadence,
                     opts.max_restarts,
                 );
-                (cadence, resilience_cell(&base, &spec, opts))
+                (cadence, cell(&spec))
             })
             .collect();
         rows.push(Table3Row {

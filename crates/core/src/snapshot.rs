@@ -141,7 +141,8 @@ pub struct FieldDelta {
 /// header. `apply` onto that base reproduces the full snapshot bitwise, so
 /// a chain `base, d1, d2, ...` replayed in order restores exactly the
 /// state a monolithic checkpoint would have stored — at a fraction of the
-/// serialization cost (see `bench_snapshot`'s `checkpoint_incremental`).
+/// serialization cost (EXPERIMENTS.md "Kernel floor" records the last
+/// measurement).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SnapshotDelta {
     /// Application name (matches the base).

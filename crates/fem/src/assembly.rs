@@ -261,7 +261,7 @@ impl MatrixAssembly {
     /// over the same maps: the first [`Self::assemble`] call takes the
     /// cached numeric path directly, skipping the symbolic build. The wire
     /// traffic and the simulated compute charge of the cached path are
-    /// identical to a first call (see [`Self::assemble_cached`]), so
+    /// identical to a first call (see `assemble_cached`), so
     /// preloading never changes a simulated clock — only host time.
     pub fn with_structure(charged_ops: usize, structure: Arc<AssemblyStructure>) -> Self {
         MatrixAssembly {

@@ -21,21 +21,15 @@
 //! solver phases acquire platform-dependent simulated durations while
 //! computing real, verifiable numbers.
 //!
-//! The `simd` cargo feature swaps the [`sell`] chunk kernel for stable
-//! `core::arch` intrinsics (SSE2 / NEON); results are bitwise identical
-//! either way, so the feature is purely a host-speed knob. It is also the
-//! only unsafe code in the crate: without it the whole crate forbids
-//! `unsafe`, with it `unsafe` is denied everywhere except the intrinsics
-//! module, which carries a scoped allow and per-call safety arguments.
+//! CSR is the only sparse format: every Krylov iteration, preconditioner
+//! build, and assembly refresh runs on it.
 
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csr;
 pub mod distmat;
 pub mod precond;
-pub mod sell;
 pub mod solver;
 pub mod vector;
 pub mod work_costs;
@@ -43,7 +37,6 @@ pub mod work_costs;
 pub use csr::{CsrMatrix, SparsityPattern, TripletBuilder};
 pub use distmat::DistMatrix;
 pub use precond::{IluZero, Jacobi, Preconditioner, Ssor};
-pub use sell::{BlockedCsr, SellCs};
 pub use solver::{
     bicgstab, bicgstab_with_workspace, cg, cg_pipelined, gmres, gmres_with_workspace,
     KernelBackend, SolveOptions, SolveStats, SolverVariant, SolverWorkspace,

@@ -338,7 +338,7 @@ impl DistVector {
 /// corresponding `a.dot(b, comm)`.
 ///
 /// The local partials are computed in one pass over the data: for each
-/// [`REDUCE_CHUNK`] range, every pair's chunk partial is accumulated while
+/// `REDUCE_CHUNK` range, every pair's chunk partial is accumulated while
 /// the range is hot in cache — pipelined solvers pass the same vector in
 /// several pairs, and the per-pair sweep of the old implementation reloaded
 /// it from memory k times. Each pair's partial still sums its chunk

@@ -4,7 +4,7 @@
 use hetero_linalg::csr::TripletBuilder;
 use hetero_linalg::precond::{Identity, IluZero, Jacobi, Ssor};
 use hetero_linalg::solver::{bicgstab, cg, gmres, SolveOptions, SolverVariant};
-use hetero_linalg::{BlockedCsr, DistMatrix, DistVector, ExchangePlan, SellCs};
+use hetero_linalg::{DistMatrix, DistVector, ExchangePlan};
 use hetero_simmpi::{run_spmd, ClusterTopology, ComputeModel, NetworkModel, SpmdConfig};
 use proptest::prelude::*;
 
@@ -156,55 +156,6 @@ fn banded_spmv_both_ways(case: &BandedCase, threads: usize) -> (Vec<f64>, Vec<f6
         overlapped.extend(r.value.1);
     }
     (blocking, overlapped)
-}
-
-/// Builds rank `rank`'s local CSR block and local input vector (owned
-/// entries then ghosts) for a banded case — the same construction
-/// `banded_spmv_both_ways` performs inside the simulator, minus the
-/// communicator, so format-conversion tests can run on realistic
-/// partitioned rectangular blocks without spinning up ranks.
-fn banded_local_block(case: &BandedCase, rank: usize) -> (hetero_linalg::CsrMatrix, Vec<f64>) {
-    let (_, bw, sizes, band, xv) = case;
-    let bw = *bw;
-    let first: usize = sizes[..rank].iter().sum();
-    let n_per = sizes[rank];
-    let n_global: usize = sizes.iter().sum();
-    let entry = |i: usize, j: usize| -> f64 {
-        if i == j {
-            let off: f64 = (i.saturating_sub(bw)..(i + bw + 1).min(n_global))
-                .filter(|&c| c != i)
-                .map(|c| band[i * BAND_STRIDE + (c + BAND_CENTER - i)].abs())
-                .sum();
-            off + 1.0
-        } else {
-            band[i * BAND_STRIDE + (j + BAND_CENTER - i)]
-        }
-    };
-    let mut ghosts = Vec::new();
-    for g in first.saturating_sub(bw)..first {
-        ghosts.push(g);
-    }
-    for g in first + n_per..(first + n_per + bw).min(n_global) {
-        ghosts.push(g);
-    }
-    let n_local = n_per + ghosts.len();
-    let local_of = |g: usize| -> usize {
-        if (first..first + n_per).contains(&g) {
-            g - first
-        } else {
-            n_per + ghosts.iter().position(|&x| x == g).unwrap()
-        }
-    };
-    let mut bld = TripletBuilder::new(n_per, n_local);
-    for r in 0..n_per {
-        let g = first + r;
-        for j in g.saturating_sub(bw)..(g + bw + 1).min(n_global) {
-            bld.add(r, local_of(j), entry(g, j));
-        }
-    }
-    let mut x_local = xv[first..first + n_per].to_vec();
-    x_local.extend(ghosts.iter().map(|&g| xv[g]));
-    (bld.build(), x_local)
 }
 
 fn dense_to_dist(a: &[Vec<f64>]) -> DistMatrix {
@@ -374,35 +325,6 @@ proptest! {
             prop_assert_eq!(b.to_bits(), o.to_bits(), "overlapped vs blocking");
             prop_assert_eq!(b.to_bits(), b_mt.to_bits(), "blocking across threads");
             prop_assert_eq!(o.to_bits(), o_mt.to_bits(), "overlapped across threads");
-        }
-    }
-
-    /// SELL-C-σ and blocked-CSR SpMV are bitwise-identical to scalar CSR
-    /// SpMV on every rank-local block of random banded partitions, across
-    /// chunk heights C ∈ {4, 8} and sorting windows σ.
-    #[test]
-    fn sell_and_blocked_spmv_match_csr_bitwise(
-        case in banded_partition(),
-        sigma in 1usize..32,
-    ) {
-        for rank in 0..case.0 {
-            let (a, x) = banded_local_block(&case, rank);
-            let mut want = vec![0.0f64; a.num_rows()];
-            a.spmv(&x, &mut want);
-            for c in [4usize, 8] {
-                let sell = SellCs::from_csr(&a, c, sigma);
-                let mut got = vec![f64::NAN; a.num_rows()];
-                sell.spmv(&x, &mut got);
-                for (w, g) in want.iter().zip(&got) {
-                    prop_assert_eq!(w.to_bits(), g.to_bits(), "C={}, sigma={}", c, sigma);
-                }
-            }
-            let blk = BlockedCsr::from_csr(&a);
-            let mut got = vec![f64::NAN; a.num_rows()];
-            blk.spmv(&x, &mut got);
-            for (w, g) in want.iter().zip(&got) {
-                prop_assert_eq!(w.to_bits(), g.to_bits(), "blocked CSR");
-            }
         }
     }
 

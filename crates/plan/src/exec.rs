@@ -25,17 +25,17 @@ use crate::schema::{
 use hetero_fault::ResiliencePolicy;
 use hetero_hpc::canon::{canonical_request, sha256_hex};
 use hetero_hpc::prep::{scenario_for, PreparedScenario};
-use hetero_hpc::recovery::{execute_resilient_with_prep, ResilienceSpec};
+use hetero_hpc::recovery::ResilienceSpec;
 use hetero_hpc::report::{render_solver_variants, render_table3, render_weak_scaling};
 use hetero_hpc::run::{execute_with_prep, RunOutcome, RunRequest};
 use hetero_hpc::scenarios::{
-    uncapped_cell, Cell, SolverVariantRow, Table3Cell, Table3Row, WeakScalingRow, WeakScalingTable,
+    campaign_cell, uncapped_cell, Cell, SolverVariantRow, Table3Cell, Table3Row, WeakScalingRow,
+    WeakScalingTable,
 };
 use hetero_hpc::App;
 use hetero_partition::block::near_cubic_factors;
 use hetero_platform::catalog;
 use hetero_platform::limits::LimitViolation;
-use hetero_simmpi::EngineKind;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::cmp::Reverse;
@@ -368,8 +368,9 @@ fn coord_str(rp: &ResolvedPlan, i: usize, axis: Axis) -> Result<&str, ExecError>
 }
 
 /// Builds the run request (and mode) of a run instance — the single place
-/// that maps plan coordinates onto the `core::run` request the legacy
-/// scenario sweeps build, field for field.
+/// that maps plan coordinates onto a `core::run` request, through the same
+/// [`ScenarioOptions::request`](hetero_hpc::scenarios::ScenarioOptions::request)
+/// the legacy scenario sweeps build theirs with.
 fn run_setup(rp: &ResolvedPlan, i: usize) -> Result<RunSetup, ExecError> {
     let inst = &rp.instances[i];
     let stage = &rp.plan.stages[inst.stage];
@@ -428,25 +429,13 @@ fn run_setup(rp: &ResolvedPlan, i: usize) -> Result<RunSetup, ExecError> {
 
     let uncapped = matches!(mode, RunMode::Uncapped);
     let req = RunRequest {
-        platform: platform.clone(),
-        app,
-        ranks,
-        per_rank_axis: opts.per_rank_axis,
-        seed: opts.seed,
-        discard: opts.discard,
-        threads_per_rank: 1,
-        engine: EngineKind::default(),
-        sched_workers: 0,
-        fidelity: opts.fidelity,
         solver_variant: if uncapped { None } else { variant },
         kernel_backend: if uncapped { None } else { backend },
-        topology_override: None,
-        cost_override: None,
         resilience: match &mode {
             RunMode::Campaign { spec, .. } => Some(spec.clone()),
             _ => None,
         },
-        trace: None,
+        ..opts.scenario().request(&platform, app, ranks)
     };
     Ok(RunSetup { req, mode })
 }
@@ -580,35 +569,10 @@ fn compute_artifact(
                     Ok(json!({ "phases": value_of(&inst.id, &phases)? }))
                 }
                 RunMode::Campaign { spec, seeds } => {
-                    // The seed-averaged campaign cell, accumulated in the
-                    // exact field order of `core::scenarios`' private
-                    // `resilience_cell` — the pinning tests hold the f64
-                    // streams byte-identical.
-                    let mut cell = Table3Cell::default();
-                    for s in 0..seeds {
-                        let req = RunRequest {
-                            seed: setup.req.seed.wrapping_add(s as u64 * 7919),
-                            resilience: Some(spec.clone()),
-                            ..setup.req.clone()
-                        };
-                        let out = match execute_resilient_with_prep(&req, prep.cloned()) {
-                            Ok(out) => out,
-                            Err(e) => return fail(&inst.id, format!("campaign infeasible: {e}")),
-                        };
-                        cell.expected_seconds += out.stats.total_seconds;
-                        cell.expected_dollars += out.stats.total_dollars;
-                        cell.completion_rate += f64::from(out.stats.completed);
-                        cell.mean_attempts += out.stats.attempts as f64;
-                        cell.mean_lost_work += out.stats.lost_work_seconds;
-                        cell.mean_checkpoint_seconds += out.stats.checkpoint_seconds;
-                    }
-                    let n = seeds.max(1) as f64;
-                    cell.expected_seconds /= n;
-                    cell.expected_dollars /= n;
-                    cell.completion_rate /= n;
-                    cell.mean_attempts /= n;
-                    cell.mean_lost_work /= n;
-                    cell.mean_checkpoint_seconds /= n;
+                    let cell = match campaign_cell(&setup.req, &spec, seeds, prep) {
+                        Ok(cell) => cell,
+                        Err(e) => return fail(&inst.id, format!("campaign infeasible: {e}")),
+                    };
                     Ok(json!({ "cell": value_of(&inst.id, &cell)? }))
                 }
             }

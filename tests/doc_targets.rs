@@ -1,0 +1,71 @@
+//! Every `--bench <name>`, `--example <name>`, and `--test <name>` the
+//! docs and CI spell out names a target whose source file exists, so a
+//! deleted or renamed target cannot leave a stale command line behind.
+
+use std::path::Path;
+
+const DOCS: [&str; 5] = [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+    ".github/workflows/ci.yml",
+];
+
+/// A cargo target flag and the directory its targets live in — under the
+/// workspace root (`examples/`, `tests/`) or under any `crates/*/`.
+const FLAGS: [(&str, &str); 3] = [
+    ("--bench", "benches"),
+    ("--example", "examples"),
+    ("--test", "tests"),
+];
+
+/// The target names following `flag` in `text`. A flag counts only when
+/// whitespace follows it (so `--test-threads` and `--examples` do not),
+/// and a placeholder such as `<name>` yields no name.
+fn referenced<'a>(text: &'a str, flag: &'a str) -> impl Iterator<Item = &'a str> {
+    text.match_indices(flag).filter_map(move |(at, _)| {
+        let rest = &text[at + flag.len()..];
+        if !rest.starts_with(char::is_whitespace) {
+            return None;
+        }
+        let rest = rest.trim_start();
+        let end = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        (end > 0).then(|| &rest[..end])
+    })
+}
+
+fn target_exists(root: &Path, dir: &str, name: &str) -> bool {
+    let file = format!("{name}.rs");
+    root.join(dir).join(&file).is_file()
+        || std::fs::read_dir(root.join("crates"))
+            .expect("crates/ is readable")
+            .filter_map(Result::ok)
+            .any(|krate| krate.path().join(dir).join(&file).is_file())
+}
+
+#[test]
+fn documented_targets_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut seen = [0usize; FLAGS.len()];
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc))
+            .unwrap_or_else(|e| panic!("{doc} is readable: {e}"));
+        for (&(flag, dir), seen) in FLAGS.iter().zip(&mut seen) {
+            for name in referenced(&text, flag) {
+                *seen += 1;
+                if !target_exists(&root, dir, name) {
+                    missing.push(format!("{doc}: `{flag} {name}` has no {dir}/{name}.rs"));
+                }
+            }
+        }
+    }
+    // A scanner that matches nothing would pass vacuously.
+    for (&(flag, _), seen) in FLAGS.iter().zip(seen) {
+        assert!(seen > 0, "the scan found no `{flag} <name>` at all");
+    }
+    assert!(missing.is_empty(), "stale targets:\n{}", missing.join("\n"));
+}
