@@ -127,16 +127,16 @@ pub fn prep_key(req: &RunRequest) -> String {
 /// that differ only in those share one preparation. The golden fixtures
 /// in `tests/prep_keys.rs` pin both the bytes and the exclusions.
 pub fn prep_canonical(req: &RunRequest) -> String {
-    let f = hetero_partition::block::near_cubic_factors(req.ranks);
+    let (f, cells) = crate::modeled::weak_scaling_grid(req.ranks, req.per_rank_axis);
     let mut c = Canon::new();
     c.s("schema", PREP_KEY_SCHEMA);
     c.group("mesh", |c| {
         // The generator: a unit cube of uniform hex cells, weak-scaled as
         // `near_cubic_factors(ranks) * per_rank_axis` per axis.
         c.lit("generator", "unit-cube-hex");
-        c.u("cells_x", (f.0 * req.per_rank_axis) as u64);
-        c.u("cells_y", (f.1 * req.per_rank_axis) as u64);
-        c.u("cells_z", (f.2 * req.per_rank_axis) as u64);
+        c.u("cells_x", cells.0 as u64);
+        c.u("cells_y", cells.1 as u64);
+        c.u("cells_z", cells.2 as u64);
     });
     c.group("discretization", |c| match &req.app {
         App::Rd(cfg) => {

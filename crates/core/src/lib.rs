@@ -55,6 +55,7 @@
 #![warn(missing_docs)]
 
 pub mod apps;
+mod attempt;
 pub mod canon;
 pub mod expense;
 pub mod modeled;

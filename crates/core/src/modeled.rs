@@ -41,7 +41,6 @@ pub struct ModeledRun {
 }
 
 /// Mirror of one rank's view of the partition, in closed form.
-#[derive(Clone)]
 struct Spaces {
     cells: usize,
     /// For each element order used: (neighbors with shared-node counts,
@@ -51,7 +50,6 @@ struct Spaces {
     n_axis: usize,
 }
 
-#[derive(Clone)]
 struct SpaceInfo {
     neighbors: Vec<(usize, usize)>,
     n_owned: f64,
@@ -388,57 +386,57 @@ fn ns_step(r: &mut Replay, s: &Spaces, cfg: &NsConfig) -> PhaseTimes {
     }
 }
 
+/// The weak-scaling sizing of [`run_modeled`] as `(factors, cells)`, with
+/// `cells = near_cubic_factors(ranks) * per_rank_axis` per axis — the one
+/// place the harness forms that product.
+pub(crate) fn weak_scaling_grid(
+    ranks: usize,
+    per_rank_axis: usize,
+) -> ((usize, usize, usize), (usize, usize, usize)) {
+    let f = hetero_partition::block::near_cubic_factors(ranks);
+    (
+        f,
+        (
+            f.0 * per_rank_axis,
+            f.1 * per_rank_axis,
+            f.2 * per_rank_axis,
+        ),
+    )
+}
+
 /// The platform-independent setup of a modeled run: the block layout's
 /// critical rank and its closed-form space views. A pure function of
 /// `(ranks, cells, primary element order)` — platform, seed, solver
 /// variant, and every host-only knob are irrelevant — so one prep serves
 /// every instance of a sweep that shares the mesh and rank count.
-#[derive(Clone)]
-pub struct ModeledPrep {
+pub(crate) struct ModeledPrep {
     ranks: usize,
-    cells: (usize, usize, usize),
     q: usize,
     rank: usize,
     spaces: Spaces,
 }
 
-/// Builds the modeled setup for the weak-scaling sizing used by
-/// [`run_modeled`]: `cells = near_cubic_factors(ranks) * per_rank_axis`.
-/// `q` is the primary element order's degree (`app.primary_order().q()`).
-pub fn prepare_modeled(ranks: usize, per_rank_axis: usize, q: usize) -> ModeledPrep {
-    assert!(ranks > 0 && per_rank_axis > 0);
-    let factors = hetero_partition::block::near_cubic_factors(ranks);
-    let cells = (
-        factors.0 * per_rank_axis,
-        factors.1 * per_rank_axis,
-        factors.2 * per_rank_axis,
-    );
-    let (rank, spaces) = modeled_setup(ranks, cells, q);
-    ModeledPrep {
-        ranks,
-        cells,
-        q,
-        rank,
-        spaces,
+impl ModeledPrep {
+    /// Critical rank + its space views for a `(ranks, cells, q)` partition;
+    /// `q` is the primary element order's degree
+    /// (`app.primary_order().q()`).
+    pub(crate) fn new(ranks: usize, cells: (usize, usize, usize), q: usize) -> Self {
+        // Panics when an axis has more blocks than cells.
+        let layout = BlockLayout::new(cells, hetero_partition::block::near_cubic_factors(ranks));
+        let rank = critical_rank(&layout, q);
+        let spaces = Spaces {
+            cells: layout.cells_in_rank(rank),
+            q1: space_info(&layout, rank, ElementOrder::Q1, ranks),
+            q2: space_info(&layout, rank, ElementOrder::Q2, ranks),
+            n_axis: cells.0.max(cells.1).max(cells.2),
+        };
+        ModeledPrep {
+            ranks,
+            q,
+            rank,
+            spaces,
+        }
     }
-}
-
-/// Critical rank + its space views for a `(ranks, cells, q)` partition.
-fn modeled_setup(ranks: usize, cells: (usize, usize, usize), q: usize) -> (usize, Spaces) {
-    let factors = hetero_partition::block::near_cubic_factors(ranks);
-    assert!(
-        factors.0 <= cells.0 && factors.1 <= cells.1 && factors.2 <= cells.2,
-        "more ranks than the mesh can host"
-    );
-    let layout = BlockLayout::new(cells, factors);
-    let rank = critical_rank(&layout, q);
-    let spaces = Spaces {
-        cells: layout.cells_in_rank(rank),
-        q1: space_info(&layout, rank, ElementOrder::Q1, ranks),
-        q2: space_info(&layout, rank, ElementOrder::Q2, ranks),
-        n_axis: cells.0.max(cells.1).max(cells.2),
-    };
-    (rank, spaces)
 }
 
 /// Runs the modeled engine under the paper's weak-scaling sizing:
@@ -453,32 +451,8 @@ pub fn run_modeled(
     compute: ComputeModel,
     seed: u64,
 ) -> ModeledRun {
-    run_modeled_prepared(app, ranks, per_rank_axis, topo, net, compute, seed, None)
-}
-
-/// [`run_modeled`] with an optional prepared setup. A matching prep skips
-/// the layout walk and space derivation; the replay itself — the only part
-/// that touches platform, seed, or solver knobs — runs identically either
-/// way, so the result is bitwise identical to a fresh setup.
-#[allow(clippy::too_many_arguments)]
-pub fn run_modeled_prepared(
-    app: &App,
-    ranks: usize,
-    per_rank_axis: usize,
-    topo: &ClusterTopology,
-    net: &NetworkModel,
-    compute: ComputeModel,
-    seed: u64,
-    prep: Option<&ModeledPrep>,
-) -> ModeledRun {
-    assert!(per_rank_axis > 0);
-    let factors = hetero_partition::block::near_cubic_factors(ranks);
-    let cells = (
-        factors.0 * per_rank_axis,
-        factors.1 * per_rank_axis,
-        factors.2 * per_rank_axis,
-    );
-    run_modeled_sized_prepared(app, ranks, cells, topo, net, compute, seed, prep)
+    let cells = weak_scaling_grid(ranks, per_rank_axis).1;
+    run_modeled_sized(app, ranks, cells, topo, net, compute, seed)
 }
 
 /// Runs the modeled engine on an explicit global mesh — used for strong
@@ -494,34 +468,24 @@ pub fn run_modeled_sized(
     compute: ComputeModel,
     seed: u64,
 ) -> ModeledRun {
-    run_modeled_sized_prepared(app, ranks, cells, topo, net, compute, seed, None)
+    let prep = ModeledPrep::new(ranks, cells, app.primary_order().q());
+    run_modeled_prepared(app, &prep, topo, net, compute, seed)
 }
 
-/// [`run_modeled_sized`] with an optional prepared setup (see
-/// [`run_modeled_prepared`]). A prep built for a different
-/// `(ranks, cells, q)` is ignored and the setup is rebuilt fresh.
-#[allow(clippy::too_many_arguments)]
-pub fn run_modeled_sized_prepared(
+/// The replay itself — the only part of a modeled run that touches
+/// platform, seed, or solver knobs — on a setup built once per scenario.
+/// `prep` must have been built for `app`'s primary element order; core
+/// guarantees it by keying scenarios on the discretization.
+pub(crate) fn run_modeled_prepared(
     app: &App,
-    ranks: usize,
-    cells: (usize, usize, usize),
+    prep: &ModeledPrep,
     topo: &ClusterTopology,
     net: &NetworkModel,
     compute: ComputeModel,
     seed: u64,
-    prep: Option<&ModeledPrep>,
 ) -> ModeledRun {
-    assert!(ranks > 0);
-    let order = app.primary_order();
-    let built;
-    let (rank, spaces): (usize, &Spaces) = match prep {
-        Some(p) if p.ranks == ranks && p.cells == cells && p.q == order.q() => (p.rank, &p.spaces),
-        _ => {
-            built = modeled_setup(ranks, cells, order.q());
-            (built.0, &built.1)
-        }
-    };
-    let spaces = spaces.clone();
+    debug_assert_eq!(prep.q, app.primary_order().q());
+    let (ranks, rank, spaces) = (prep.ranks, prep.rank, &prep.spaces);
     let env = VirtualEnv {
         net: net.clone(),
         compute,
@@ -545,8 +509,8 @@ pub fn run_modeled_sized_prepared(
     for i in 0..steps {
         let before = replay.recv_bytes;
         let times = match app {
-            App::Rd(cfg) => rd_step(&mut replay, &spaces, cfg),
-            App::Ns(cfg) => ns_step(&mut replay, &spaces, cfg),
+            App::Rd(cfg) => rd_step(&mut replay, spaces, cfg),
+            App::Ns(cfg) => ns_step(&mut replay, spaces, cfg),
         };
         if i == 0 {
             bytes_first_iter = replay.recv_bytes - before;

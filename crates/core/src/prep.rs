@@ -35,19 +35,19 @@
 //! [`hetero_fem::assembly::MatrixAssembly::with_structure`]) or memoizes
 //! the result of a pure function — so reports are byte-identical to
 //! fresh-setup execution at every worker-pool size and thread count.
-//! Disabling sharing ([`disable_sharing_scoped`] or
-//! `HETERO_PREP_SHARE=0`) can therefore only lose speed, never change a
-//! result.
+//! Disabling sharing ([`disable_sharing_scoped`]) can therefore only lose
+//! speed, never change a result: every run still gets a scenario, just a
+//! private one that is built for it, counted nowhere, and dropped with it.
 
 use crate::canon::{canonical_request, prep_key};
-use crate::modeled::{prepare_modeled, ModeledPrep, ModeledRun};
+use crate::modeled::{weak_scaling_grid, ModeledPrep, ModeledRun};
 use crate::recovery::ResilienceSpec;
 use crate::run::{Fidelity, RunRequest};
 use hetero_fault::{FaultModel, ResiliencePolicy};
 use hetero_fem::ns::NsPrep;
 use hetero_fem::rd::RdPrep;
 use hetero_mesh::StructuredHexMesh;
-use hetero_partition::block::{near_cubic_factors, BlockLayout};
+use hetero_partition::block::BlockLayout;
 use hetero_platform::spot::{FleetAllocation, FleetStrategy};
 use hetero_simmpi::EngineKind;
 use std::collections::{HashMap, VecDeque};
@@ -72,12 +72,15 @@ pub(crate) struct NumGeometry {
     pub(crate) assignment: Arc<Vec<usize>>,
 }
 
-/// Per-rank FEM setup artifacts, harvested from the first numerical run.
-#[derive(Clone)]
-pub(crate) enum RankPreps {
-    Rd(Arc<Vec<RdPrep>>),
-    Ns(Arc<Vec<NsPrep>>),
+/// One rank's FEM setup artifacts, tagged by app.
+pub(crate) enum RankPrep {
+    Rd(RdPrep),
+    Ns(NsPrep),
 }
+
+/// Every rank's [`RankPrep`], indexed by rank: harvested from the first
+/// completed numerical run of a scenario.
+pub(crate) type RankPreps = Arc<Vec<RankPrep>>;
 
 /// The memoized failure-free reference profile of a resilient run: the
 /// one-step traffic probe, the first-attempt fleet, and the full
@@ -115,14 +118,18 @@ pub struct PreparedScenario {
 }
 
 impl PreparedScenario {
-    /// Builds the scenario for `req`: the modeled prep eagerly, everything
-    /// else on demand.
-    fn build(req: &RunRequest) -> Self {
+    /// Builds the scenario for `req` (whose sub-key is `key`): the modeled
+    /// prep eagerly, everything else on demand.
+    fn build(req: &RunRequest, key: String) -> Self {
         PreparedScenario {
-            key: prep_key(req),
+            key,
             ranks: req.ranks,
             per_rank_axis: req.per_rank_axis,
-            modeled: prepare_modeled(req.ranks, req.per_rank_axis, req.app.primary_order().q()),
+            modeled: ModeledPrep::new(
+                req.ranks,
+                weak_scaling_grid(req.ranks, req.per_rank_axis).1,
+                req.app.primary_order().q(),
+            ),
             geometry: OnceLock::new(),
             rank_preps: Mutex::new(None),
             ff: Mutex::new(FfMemo {
@@ -146,12 +153,7 @@ impl PreparedScenario {
     /// The shared mesh + partition assignment, built on first use.
     pub(crate) fn geometry(&self) -> Arc<NumGeometry> {
         Arc::clone(self.geometry.get_or_init(|| {
-            let factors = near_cubic_factors(self.ranks);
-            let cells = (
-                factors.0 * self.per_rank_axis,
-                factors.1 * self.per_rank_axis,
-                factors.2 * self.per_rank_axis,
-            );
+            let (factors, cells) = weak_scaling_grid(self.ranks, self.per_rank_axis);
             let mesh = StructuredHexMesh::new(
                 cells.0,
                 cells.1,
@@ -266,9 +268,8 @@ pub(crate) fn ff_memo_key(req: &RunRequest, strategy: FleetStrategy) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// The process-wide scenario cache and its kill switch.
+// The process-wide scenario cache and its scoped off lane.
 
-static ENV_ENABLED: OnceLock<bool> = OnceLock::new();
 static DISABLE_DEPTH: AtomicUsize = AtomicUsize::new(0);
 static CACHE: OnceLock<Mutex<Vec<Arc<PreparedScenario>>>> = OnceLock::new();
 static CACHE_BUILDS: AtomicU64 = AtomicU64::new(0);
@@ -280,11 +281,9 @@ fn cache() -> &'static Mutex<Vec<Arc<PreparedScenario>>> {
 }
 
 /// Whether prepared-scenario sharing is active: on by default, off while
-/// any [`disable_sharing_scoped`] guard lives or when the process was
-/// started with `HETERO_PREP_SHARE=0`.
+/// any [`disable_sharing_scoped`] guard lives.
 pub fn sharing_enabled() -> bool {
-    *ENV_ENABLED.get_or_init(|| std::env::var("HETERO_PREP_SHARE").as_deref() != Ok("0"))
-        && DISABLE_DEPTH.load(Ordering::Relaxed) == 0
+    DISABLE_DEPTH.load(Ordering::Relaxed) == 0
 }
 
 /// An RAII guard that disables sharing process-wide while it lives (the
@@ -322,39 +321,43 @@ pub fn clear_cache() {
 /// The shared scenario for `req`, from the process-wide LRU — building
 /// and inserting it on a miss. Returns `None` when sharing is disabled.
 pub fn scenario_for(req: &RunRequest) -> Option<Arc<PreparedScenario>> {
-    if !sharing_enabled() {
-        return None;
-    }
-    let key = prep_key(req);
+    sharing_enabled().then(|| lookup(req, prep_key(req)))
+}
+
+/// The LRU's scenario under `key` (that of `req`): a counted hit, or a
+/// counted build inserted at the front.
+fn lookup(req: &RunRequest, key: String) -> Arc<PreparedScenario> {
     let mut lru = cache().lock().expect("scenario cache lock");
     if let Some(pos) = lru.iter().position(|s| s.key == key) {
         let hit = lru.remove(pos);
         lru.insert(0, Arc::clone(&hit));
         CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return Some(hit);
+        return hit;
     }
-    let built = Arc::new(PreparedScenario::build(req));
+    let built = Arc::new(PreparedScenario::build(req, key));
     lru.insert(0, Arc::clone(&built));
     lru.truncate(SCENARIO_CACHE_CAP);
     CACHE_BUILDS.fetch_add(1, Ordering::Relaxed);
-    Some(built)
+    built
 }
 
-/// Resolves the scenario an execute path should use: the caller's pinned
-/// `Arc` when it matches `req`'s sub-key, the LRU otherwise, `None` when
-/// sharing is disabled.
+/// Resolves the scenario an execute path runs on — every run gets one.
+/// With sharing on: the caller's pinned `Arc` when it matches `req`'s
+/// sub-key, the LRU otherwise. With sharing off: a private scenario built
+/// for this call, which touches neither the LRU nor the counters.
 pub(crate) fn resolve(
     req: &RunRequest,
     explicit: Option<Arc<PreparedScenario>>,
-) -> Option<Arc<PreparedScenario>> {
+) -> Arc<PreparedScenario> {
+    let key = prep_key(req);
     if !sharing_enabled() {
-        return None;
+        return Arc::new(PreparedScenario::build(req, key));
     }
-    if let Some(p) = explicit {
-        if p.key == prep_key(req) {
+    match explicit {
+        Some(p) if p.key == key => {
             CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            return Some(p);
+            p
         }
+        _ => lookup(req, key),
     }
-    scenario_for(req)
 }

@@ -2,14 +2,15 @@
 //! resume loop, in deterministic virtual time.
 //!
 //! [`execute_resilient`] wraps the two engines of [`crate::run`] with the
-//! fault subsystem of [`hetero_fault`]:
+//! fault subsystem of [`hetero_fault`] (the numerical attempt itself is
+//! `crate::attempt`'s, shared with the plain path):
 //!
 //! * each attempt acquires a fleet via [`acquire_fleet`] (restart **with
 //!   re-acquisition**: a revoked spot fleet is re-bid from scratch under a
 //!   fresh attempt seed),
 //! * a [`FaultTimeline`] sampled for the attempt is lowered to the
 //!   engine-level [`hetero_simmpi::FaultPlan`] and injected into the
-//!   threaded engine, which surfaces the first node loss as a
+//!   SPMD engine, which surfaces the first node loss as a
 //!   [`hetero_simmpi::RankFailed`] error instead of a deadlock,
 //! * the numerical path checkpoints through [`Snapshot`] at the policy's
 //!   cadence (rank 0 writes to a simulated shared filesystem that survives
@@ -23,28 +24,23 @@
 //! a byte-identical [`RecoveryStats`] on any host at any thread count.
 
 use crate::apps::App;
-use crate::modeled::{run_modeled_prepared, ModeledRun};
-use crate::prep::{ff_memo_key, FfProfile, PreparedScenario, RankPreps};
-use crate::run::{
-    resolve_fidelity, synthesize_phase_trace, Fidelity, RunOutcome, RunRequest, Verification,
-};
+use crate::attempt::{outcome, run_attempt, Measured};
+use crate::modeled::{run_modeled_prepared, weak_scaling_grid, ModeledRun};
+use crate::prep::{ff_memo_key, FfProfile, PreparedScenario};
+use crate::run::{resolve_fidelity, Fidelity, RunOutcome, RunRequest};
 use crate::snapshot::{Snapshot, SnapshotDelta};
 use hetero_fault::{
     replay_campaign_observed, AttemptEnv, CampaignEvent, CrashProcess, FaultKind, FaultModel,
     FaultTimeline, RecoveryStats, ResiliencePolicy, SpotMarket,
 };
 use hetero_fem::element::ElementOrder;
-use hetero_fem::ns::{solve_ns_prepared, NsPrep, NsResume, NsStepView};
-use hetero_fem::phase::{summarize, PhaseTimes};
-use hetero_fem::rd::{solve_rd_prepared, RdPrep, RdResume, RdStepView};
-use hetero_mesh::{DistributedMesh, StructuredHexMesh};
-use hetero_partition::block::near_cubic_factors;
-use hetero_partition::BlockLayout;
+use hetero_fem::ns::{NsConfig, NsResume, NsStepView};
+use hetero_fem::rd::{RdConfig, RdResume, RdStepView};
 use hetero_platform::limits::LimitViolation;
 use hetero_platform::spot::{acquire_fleet, FleetAllocation, FleetStrategy};
 use hetero_platform::PlatformSpec;
 use hetero_simmpi::rng::splitmix64;
-use hetero_simmpi::{run_spmd_opts, EngineOpts, SimComm, SpmdConfig};
+use hetero_simmpi::{ClusterTopology, SimComm, SpmdConfig};
 use hetero_trace::{EventKind, Trace};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::{Arc, Mutex};
@@ -178,10 +174,9 @@ pub fn attempt_seed(seed: u64, attempt: usize) -> u64 {
 }
 
 fn global_dofs(order: ElementOrder, ranks: usize, per_rank_axis: usize) -> f64 {
-    let f = near_cubic_factors(ranks);
+    let (_, n) = weak_scaling_grid(ranks, per_rank_axis);
     let q = order.q();
-    ((q * f.0 * per_rank_axis + 1) * (q * f.1 * per_rank_axis + 1) * (q * f.2 * per_rank_axis + 1))
-        as f64
+    ((q * n.0 + 1) * (q * n.1 + 1) * (q * n.2 + 1)) as f64
 }
 
 /// Bytes one durable checkpoint of `app`'s full resume state occupies (the
@@ -224,22 +219,14 @@ pub fn execute_resilient(req: &RunRequest) -> Result<ResilienceOutcome, LimitVio
 /// checkpoint-cadence sweep replays it once per
 /// `(platform, ranks, seed, strategy, app)` combination. The per-call
 /// derived quantities (`ckpt_seconds`, `horizon`, the limit checks) are
-/// always recomputed from the request, so outcomes are byte-identical to
-/// the fresh path.
+/// always recomputed from the request, so outcomes are byte-identical
+/// whichever scenario serves them.
 pub fn execute_resilient_with_prep(
     req: &RunRequest,
     prep: Option<Arc<PreparedScenario>>,
 ) -> Result<ResilienceOutcome, LimitViolation> {
-    // Fold the solver-variant and kernel-backend overrides into the app
-    // config (as `execute` does) so every attempt and probe sees the same
-    // schedule and operator path.
-    let req = &RunRequest {
-        app: req.resolved_app(),
-        solver_variant: None,
-        kernel_backend: None,
-        ..req.clone()
-    };
-    let prep = crate::prep::resolve(req, prep);
+    let req = &req.normalized();
+    let scen = crate::prep::resolve(req, prep);
     let spec = req
         .resilience
         .clone()
@@ -253,47 +240,25 @@ pub fn execute_resilient_with_prep(
     let nodes = probe_topo.num_nodes();
     let od_rate = on_demand_node_hour(&req.platform);
 
-    // The failure-free reference profile: memoized in the scenario when
-    // one is active, computed fresh otherwise. Either way the values are
-    // those of the closed-form modeled replays below.
-    let compute_profile = || {
-        let probe = run_modeled_prepared(
-            &req.app.with_steps(1),
-            req.ranks,
-            req.per_rank_axis,
-            &probe_topo,
-            &req.platform.network,
-            req.platform.compute,
-            req.seed,
-            prep.as_deref().map(|p| p.modeled()),
-        );
+    // The failure-free reference profile, memoized in the scenario: the
+    // values of the closed-form modeled replays below.
+    let profile = scen.ff_profile_or_compute(&ff_memo_key(req, spec.strategy), || {
+        let modeled = |app: &App, topo: &ClusterTopology| {
+            run_modeled_prepared(
+                app,
+                scen.modeled(),
+                topo,
+                &req.platform.network,
+                req.platform.compute,
+                req.seed,
+            )
+        };
+        let probe = modeled(&req.app.with_steps(1), &probe_topo);
         let fleet0 = acquire_fleet(nodes, spec.strategy, od_rate, attempt_seed(req.seed, 0));
-        let ff = run_modeled_prepared(
-            &req.app,
-            req.ranks,
-            req.per_rank_axis,
-            &fleet0.topology(req.platform.cores_per_node),
-            &req.platform.network,
-            req.platform.compute,
-            req.seed,
-            prep.as_deref().map(|p| p.modeled()),
-        );
+        let ff = modeled(&req.app, &fleet0.topology(req.platform.cores_per_node));
         FfProfile { probe, fleet0, ff }
-    };
-    enum Profile {
-        Shared(Arc<FfProfile>),
-        Fresh(FfProfile),
-    }
-    let profile = match &prep {
-        Some(scen) => Profile::Shared(
-            scen.ff_profile_or_compute(&ff_memo_key(req, spec.strategy), compute_profile),
-        ),
-        None => Profile::Fresh(compute_profile()),
-    };
-    let (probe, fleet0, ff) = match &profile {
-        Profile::Shared(p) => (&p.probe, &p.fleet0, &p.ff),
-        Profile::Fresh(p) => (&p.probe, &p.fleet0, &p.ff),
-    };
+    });
+    let FfProfile { probe, fleet0, ff } = profile.as_ref();
     req.platform
         .check_limits(req.ranks, probe.bytes_per_iteration)?;
 
@@ -305,11 +270,9 @@ pub fn execute_resilient_with_prep(
     let ff_total: f64 = ff.iterations.iter().map(|p| p.total).sum();
     let horizon = 4.0 * (ff_total + req.app.steps() as f64 * ckpt_seconds) + 7200.0;
 
-    match resolve_fidelity(req) {
-        Fidelity::Numerical => {
-            run_resilient_numerical(req, &spec, nodes, horizon, od_rate, prep.as_deref())
-        }
-        Fidelity::Modeled | Fidelity::Auto => Ok(run_resilient_modeled(
+    Ok(match resolve_fidelity(req) {
+        Fidelity::Numerical => run_resilient_numerical(req, &spec, nodes, horizon, od_rate, &scen),
+        Fidelity::Modeled | Fidelity::Auto => run_resilient_modeled(
             req,
             &spec,
             nodes,
@@ -318,8 +281,8 @@ pub fn execute_resilient_with_prep(
             ckpt_seconds,
             ff,
             fleet0,
-        )),
-    }
+        ),
+    })
 }
 
 fn attempt_wait(req: &RunRequest, nodes: usize, attempt: usize) -> f64 {
@@ -394,22 +357,9 @@ fn run_resilient_modeled(
         t
     });
 
-    let phases = summarize(&ff.iterations, req.discard.min(ff.iterations.len() - 1))
-        .expect("modeled run produced no measurable iterations");
-    let outcome = stats.completed.then(|| RunOutcome {
-        platform: req.platform.key.clone(),
-        app: req.app.name(),
-        ranks: req.ranks,
-        nodes,
-        fidelity: Fidelity::Modeled,
-        phases,
-        cost_per_iteration: fleet0.cost(phases.total),
-        queue_wait_seconds: req.platform.queue_wait(req.ranks, req.seed),
-        krylov_iters: ff.krylov_iters as f64,
-        verification: None,
-        bytes_per_iteration: ff.bytes_per_iteration,
-        trace: traced.then(|| synthesize_phase_trace(&ff.iterations)),
-    });
+    let outcome = stats
+        .completed
+        .then(|| outcome(req, nodes, Measured::modeled(req, ff), |t| fleet0.cost(t)));
     ResilienceOutcome {
         outcome,
         stats,
@@ -503,69 +453,137 @@ struct CheckpointStore {
     attempt_ckpt_clock: f64,
 }
 
-enum ResumeState {
-    Fresh,
+/// The solver state an attempt resumes from.
+pub(crate) enum ResumeState {
     Rd(RdResume),
     Ns(NsResume),
 }
 
-fn build_resume(app: &App, store: &Mutex<CheckpointStore>) -> ResumeState {
-    let guard = store.lock().expect("checkpoint store never poisoned");
-    // Incremental mode restores from the serialized base-plus-deltas log —
-    // exactly what the shared filesystem durably holds — not from the
-    // in-memory materialization.
-    let replayed: Option<(usize, Snapshot)> = if guard.incremental_log.is_empty() {
-        None
-    } else {
-        let mut it = guard.incremental_log.iter();
-        let mut acc =
-            Snapshot::from_json(it.next().expect("non-empty log")).expect("base checkpoint parses");
-        for rec in it {
-            let delta = SnapshotDelta::from_json(rec).expect("delta record parses");
-            acc = delta.apply(&acc);
-        }
-        Some((acc.step, acc))
-    };
-    let Some((step, snap)) = replayed.as_ref().or(guard.latest.as_ref()) else {
-        return ResumeState::Fresh;
-    };
-    let dense = |name: &str| -> Vec<f64> {
-        snap.field(name)
-            .unwrap_or_else(|| panic!("checkpoint missing field {name}"))
-            .values
-            .clone()
-    };
-    match app {
-        App::Rd(c) => ResumeState::Rd(RdResume {
-            start_step: *step,
-            history: (0..c.bdf.steps())
-                .map(|j| dense(&format!("h{j}")))
-                .collect(),
-        }),
-        App::Ns(c) => ResumeState::Ns(NsResume {
-            start_step: *step,
-            hist: (0..c.bdf.steps())
-                .map(|j| [0, 1, 2].map(|k| dense(&format!("v{j}_{k}"))))
-                .collect(),
-            pressure: dense("p"),
-        }),
-    }
-}
-
-/// Setup artifacts one rank hands back for the scenario cache, tagged by
-/// app (mirrors `run::run_numerical`'s local equivalent).
-enum NumPrepOut {
-    Rd(RdPrep),
-    Ns(NsPrep),
-}
-
-struct RankOut {
-    iterations: Vec<PhaseTimes>,
-    kiters: f64,
-    linf: f64,
-    l2: f64,
+/// A campaign's checkpoint hook: the store plus the policy that decides
+/// when to write to it and what a write costs. `crate::attempt` calls
+/// [`Checkpointer::rd_step`] / [`Checkpointer::ns_step`] after every step
+/// of every rank.
+pub(crate) struct Checkpointer {
+    store: Mutex<CheckpointStore>,
+    policy: ResiliencePolicy,
+    incremental: bool,
+    total_steps: usize,
+    /// Virtual seconds one durable write charges every rank.
+    io_seconds: f64,
+    /// Bytes of the dense state (recorded in the trace).
     bytes: f64,
-    prep: Option<NumPrepOut>,
+}
+
+impl Checkpointer {
+    fn store(&self) -> std::sync::MutexGuard<'_, CheckpointStore> {
+        self.store.lock().expect("checkpoint store never poisoned")
+    }
+
+    /// The state the next attempt resumes from: `None` before the first
+    /// durable checkpoint.
+    fn resume_state(&self, app: &App) -> Option<ResumeState> {
+        let guard = self.store();
+        // Incremental mode restores from the serialized base-plus-deltas
+        // log — exactly what the shared filesystem durably holds — not from
+        // the in-memory materialization.
+        let replayed: Option<(usize, Snapshot)> = if guard.incremental_log.is_empty() {
+            None
+        } else {
+            let mut it = guard.incremental_log.iter();
+            let mut acc = Snapshot::from_json(it.next().expect("non-empty log"))
+                .expect("base checkpoint parses");
+            for rec in it {
+                let delta = SnapshotDelta::from_json(rec).expect("delta record parses");
+                acc = delta.apply(&acc);
+            }
+            Some((acc.step, acc))
+        };
+        let (step, snap) = replayed.as_ref().or(guard.latest.as_ref())?;
+        let dense = |name: &str| -> Vec<f64> {
+            snap.field(name)
+                .unwrap_or_else(|| panic!("checkpoint missing field {name}"))
+                .values
+                .clone()
+        };
+        Some(match app {
+            App::Rd(c) => ResumeState::Rd(RdResume {
+                start_step: *step,
+                history: (0..c.bdf.steps())
+                    .map(|j| dense(&format!("h{j}")))
+                    .collect(),
+            }),
+            App::Ns(c) => ResumeState::Ns(NsResume {
+                start_step: *step,
+                hist: (0..c.bdf.steps())
+                    .map(|j| [0, 1, 2].map(|k| dense(&format!("v{j}_{k}"))))
+                    .collect(),
+                pressure: dense("p"),
+            }),
+        })
+    }
+
+    /// The RD step hook: checkpoints the BDF history when the policy says
+    /// one is due.
+    pub(crate) fn rd_step(&self, c: &RdConfig, view: &RdStepView<'_>, comm: &mut SimComm) {
+        if !self.policy.checkpoint_due(view.step, self.total_steps) {
+            return;
+        }
+        let t = c.t0 + view.step as f64 * c.dt;
+        let mut snap = Snapshot::new("RD", t, view.step);
+        for (j, v) in view.history.iter().enumerate() {
+            snap.capture(&format!("h{j}"), view.dm, v, comm);
+        }
+        self.commit(view.step, snap, comm);
+    }
+
+    /// The NS step hook: velocity history and pressure.
+    pub(crate) fn ns_step(&self, c: &NsConfig, view: &NsStepView<'_>, comm: &mut SimComm) {
+        if !self.policy.checkpoint_due(view.step, self.total_steps) {
+            return;
+        }
+        let t = c.t0 + view.step as f64 * c.dt;
+        let mut snap = Snapshot::new("NS", t, view.step);
+        for (j, comps) in view.hist.iter().enumerate() {
+            for (k, v) in comps.iter().enumerate() {
+                snap.capture(&format!("v{j}_{k}"), view.vmap, v, comm);
+            }
+        }
+        snap.capture("p", view.pmap, view.pressure, comm);
+        self.commit(view.step, snap, comm);
+    }
+
+    /// Charges the durable write to every rank's virtual clock and commits
+    /// it on rank 0. A rank felled *during* the charge unwinds before the
+    /// commit, so an interrupted checkpoint is never durable.
+    ///
+    /// In incremental mode the first commit serializes the full snapshot
+    /// and every later one appends only a [`SnapshotDelta`] record; the
+    /// simulated store bandwidth charge is unchanged (the model prices the
+    /// dense state either way), so both modes produce byte-identical
+    /// reports while the host-side serialization work shrinks to the dirty
+    /// blocks.
+    fn commit(&self, step: usize, snap: Snapshot, comm: &mut SimComm) {
+        comm.advance(self.io_seconds);
+        if comm.rank() == 0 {
+            let mut s = self.store();
+            if self.incremental {
+                match &s.latest {
+                    None => s.incremental_log.push(snap.to_json()),
+                    Some((_, base)) => {
+                        let delta = SnapshotDelta::diff(base, &snap);
+                        s.incremental_log.push(delta.to_json());
+                    }
+                }
+            }
+            s.latest = Some((step, snap));
+            s.writes += 1;
+            s.attempt_ckpt_clock = comm.clock();
+            comm.trace_instant(EventKind::Checkpoint {
+                step: step as u32,
+                bytes: self.bytes,
+            });
+        }
+    }
 }
 
 fn run_resilient_numerical(
@@ -574,58 +592,23 @@ fn run_resilient_numerical(
     nodes: usize,
     horizon: f64,
     od_rate: f64,
-    prep: Option<&PreparedScenario>,
-) -> Result<ResilienceOutcome, LimitViolation> {
-    let (mesh, assignment) = match prep {
-        Some(p) => {
-            let g = p.geometry();
-            (g.mesh.clone(), Arc::clone(&g.assignment))
-        }
-        None => {
-            let factors = near_cubic_factors(req.ranks);
-            let cells = (
-                factors.0 * req.per_rank_axis,
-                factors.1 * req.per_rank_axis,
-                factors.2 * req.per_rank_axis,
-            );
-            let mesh = StructuredHexMesh::new(
-                cells.0,
-                cells.1,
-                cells.2,
-                hetero_mesh::Point3::ZERO,
-                hetero_mesh::Point3::splat(1.0),
-            );
-            let layout = BlockLayout::new(cells, factors);
-            (mesh, Arc::new(layout.assignment()))
-        }
+    scen: &PreparedScenario,
+) -> ResilienceOutcome {
+    let bytes = state_bytes(&req.app, req.ranks, req.per_rank_axis);
+    let ckpt = Checkpointer {
+        store: Mutex::default(),
+        policy: spec.policy,
+        incremental: spec.incremental_checkpoints,
+        total_steps: req.app.steps(),
+        io_seconds: bytes / spec.policy.io_bandwidth,
+        bytes,
     };
-    // Rank-level setup (DofMap + symbolic assembly structure) from the
-    // scenario when a prior run populated it; the completed attempt of this
-    // campaign harvests it otherwise. Felled attempts never harvest — only
-    // the attempt whose results become the outcome does.
-    let rank_preps: Option<RankPreps> = prep.and_then(|p| p.rank_preps());
-    let harvest = prep.is_some() && rank_preps.is_none();
-    let total_steps = req.app.steps();
-    let io_seconds = state_bytes(&req.app, req.ranks, req.per_rank_axis) / spec.policy.io_bandwidth;
     let max_restarts = spec.policy.max_restarts();
-    let ranks = req.ranks;
 
-    let store: Arc<Mutex<CheckpointStore>> = Arc::default();
     let mut stats = RecoveryStats::default();
     let mut first_spot = 0usize;
-    let mut final_run: Option<(Vec<hetero_simmpi::RankResult<RankOut>>, FleetAllocation)> = None;
-    let ckpt_bytes = state_bytes(&req.app, req.ranks, req.per_rank_axis);
+    let mut completed: Option<RunOutcome> = None;
     let mut campaign: Option<Trace> = req.trace.map(|_| Trace::default());
-    let mut final_trace: Option<Trace> = None;
-
-    // One logical pool shared by all ranks; `install` binds the thread
-    // count on each rank's own OS thread (see `run::run_numerical`).
-    let pool = Arc::new(
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(req.threads_per_rank.max(1))
-            .build()
-            .expect("the vendored pool builder cannot fail"),
-    );
 
     loop {
         let attempt = stats.attempts;
@@ -654,165 +637,31 @@ fn run_resilient_numerical(
         }
         stats.attempts += 1;
         stats.wait_seconds += wait;
-        store
-            .lock()
-            .expect("checkpoint store never poisoned")
-            .attempt_ckpt_clock = 0.0;
+        ckpt.store().attempt_ckpt_clock = 0.0;
 
-        let resume = Arc::new(build_resume(&req.app, &store));
+        let resume = ckpt.resume_state(&req.app);
         let cfg = SpmdConfig {
-            size: ranks,
+            size: req.ranks,
             topo: fleet.topology(req.platform.cores_per_node),
             net: req.platform.network.clone(),
             compute: req.platform.compute,
             seed: aseed,
         };
-
-        let app = req.app.clone();
-        let mesh_c = mesh.clone();
-        let asg = Arc::clone(&assignment);
-        let store_c = Arc::clone(&store);
-        let resume_c = Arc::clone(&resume);
-        let pool_c = Arc::clone(&pool);
-        let policy = spec.policy;
-        let incremental = spec.incremental_checkpoints;
-        let rank_preps_c = rank_preps.clone();
-
-        let body = move |comm: &mut SimComm| {
-            pool_c.install(|| {
-                let dmesh =
-                    DistributedMesh::new(mesh_c.clone(), Arc::clone(&asg), comm.rank(), ranks);
-                match &app {
-                    App::Rd(c) => {
-                        let checkpoint = |view: &RdStepView<'_>, comm: &mut SimComm| {
-                            let t = c.t0 + view.step as f64 * c.dt;
-                            let mut snap = Snapshot::new("RD", t, view.step);
-                            for (j, v) in view.history.iter().enumerate() {
-                                snap.capture(&format!("h{j}"), view.dm, v, comm);
-                            }
-                            commit(
-                                &store_c,
-                                io_seconds,
-                                ckpt_bytes,
-                                view.step,
-                                snap,
-                                incremental,
-                                comm,
-                            );
-                        };
-                        let mut obs = |view: &RdStepView<'_>, comm: &mut SimComm| {
-                            if policy.checkpoint_due(view.step, total_steps) {
-                                checkpoint(view, comm);
-                            }
-                        };
-                        let rd_resume = match resume_c.as_ref() {
-                            ResumeState::Rd(r) => Some(r),
-                            _ => None,
-                        };
-                        let rp = match &rank_preps_c {
-                            Some(RankPreps::Rd(v)) => Some(&v[comm.rank()]),
-                            _ => None,
-                        };
-                        let (r, built) =
-                            solve_rd_prepared(&dmesh, c, rd_resume, Some(&mut obs), rp, comm);
-                        RankOut {
-                            iterations: r.iterations,
-                            kiters: r.krylov_iters.iter().sum::<usize>() as f64
-                                / r.krylov_iters.len() as f64,
-                            linf: r.linf_error,
-                            l2: r.l2_error,
-                            bytes: comm.stats().bytes_received,
-                            prep: harvest.then_some(NumPrepOut::Rd(built)),
-                        }
-                    }
-                    App::Ns(c) => {
-                        let checkpoint = |view: &NsStepView<'_>, comm: &mut SimComm| {
-                            let t = c.t0 + view.step as f64 * c.dt;
-                            let mut snap = Snapshot::new("NS", t, view.step);
-                            for (j, comps) in view.hist.iter().enumerate() {
-                                for (k, v) in comps.iter().enumerate() {
-                                    snap.capture(&format!("v{j}_{k}"), view.vmap, v, comm);
-                                }
-                            }
-                            snap.capture("p", view.pmap, view.pressure, comm);
-                            commit(
-                                &store_c,
-                                io_seconds,
-                                ckpt_bytes,
-                                view.step,
-                                snap,
-                                incremental,
-                                comm,
-                            );
-                        };
-                        let mut obs = |view: &NsStepView<'_>, comm: &mut SimComm| {
-                            if policy.checkpoint_due(view.step, total_steps) {
-                                checkpoint(view, comm);
-                            }
-                        };
-                        let ns_resume = match resume_c.as_ref() {
-                            ResumeState::Ns(r) => Some(r),
-                            _ => None,
-                        };
-                        let rp = match &rank_preps_c {
-                            Some(RankPreps::Ns(v)) => Some(&v[comm.rank()]),
-                            _ => None,
-                        };
-                        let (r, built) =
-                            solve_ns_prepared(&dmesh, c, ns_resume, Some(&mut obs), rp, comm);
-                        let total_k: usize =
-                            r.vel_iters.iter().sum::<usize>() + r.p_iters.iter().sum::<usize>();
-                        RankOut {
-                            iterations: r.iterations,
-                            kiters: total_k as f64 / r.vel_iters.len() as f64,
-                            linf: r.vel_linf_error,
-                            l2: r.vel_l2_error,
-                            bytes: comm.stats().bytes_received,
-                            prep: harvest.then_some(NumPrepOut::Ns(built)),
-                        }
-                    }
-                }
-            })
-        };
-        // A felled attempt's per-rank spans describe work the rollback
-        // discards, so its trace is dropped; only the completed attempt's
-        // trace is kept, and felled attempts contribute campaign-level
-        // incident events alone.
-        let opts = EngineOpts {
-            engine: req.engine,
-            workers: req.sched_workers,
-            ..EngineOpts::default()
-        };
-        let (result, attempt_trace) = run_spmd_opts(cfg, opts, timeline.to_plan(), req.trace, body);
-
-        match result {
-            Ok(mut results) => {
-                if harvest {
-                    if let Some(scen) = prep {
-                        // Engines return results in rank order already; the
-                        // sort is a no-op safeguard for the indexed harvest.
-                        results.sort_by_key(|r| r.rank);
-                        let mut rds = Vec::new();
-                        let mut nss = Vec::new();
-                        for r in &mut results {
-                            match r.value.prep.take() {
-                                Some(NumPrepOut::Rd(p)) => rds.push(p),
-                                Some(NumPrepOut::Ns(p)) => nss.push(p),
-                                None => {}
-                            }
-                        }
-                        if rds.len() == ranks {
-                            scen.store_rank_preps(RankPreps::Rd(Arc::new(rds)));
-                        } else if nss.len() == ranks {
-                            scen.store_rank_preps(RankPreps::Ns(Arc::new(nss)));
-                        }
-                    }
-                }
-                let run_t = results.iter().map(|r| r.clock).fold(0.0, f64::max);
+        // Felled attempts contribute campaign-level incident events alone;
+        // only the completed attempt's own trace is kept.
+        match run_attempt(
+            req,
+            cfg,
+            timeline.to_plan(),
+            resume.as_ref(),
+            Some(&ckpt),
+            scen,
+        ) {
+            Ok((measured, run_t)) => {
                 stats.total_seconds += wait + run_t;
                 stats.total_dollars += fleet.hourly_cost() * run_t / 3600.0;
                 stats.completed = true;
-                if let (Some(c), Some(t)) = (campaign.as_mut(), &attempt_trace) {
+                if let (Some(c), Some(t)) = (campaign.as_mut(), &measured.trace) {
                     let mut shifted = t.clone();
                     shifted.shift(start_abs);
                     c.merge(shifted);
@@ -824,13 +673,12 @@ fn run_resilient_numerical(
                         },
                     );
                 }
-                final_trace = attempt_trace;
-                final_run = Some((results, fleet));
+                completed = Some(outcome(req, nodes, measured, |t| fleet.cost(t)));
                 break;
             }
             Err(failed) => {
                 let (ckpt_clock, ckpt_step) = {
-                    let s = store.lock().expect("checkpoint store never poisoned");
+                    let s = ckpt.store();
                     (
                         s.attempt_ckpt_clock,
                         s.latest.as_ref().map_or(0, |(step, _)| *step),
@@ -874,11 +722,8 @@ fn run_resilient_numerical(
         }
     }
 
-    {
-        let s = store.lock().expect("checkpoint store never poisoned");
-        stats.checkpoints_written = s.writes;
-        stats.checkpoint_seconds = s.writes as f64 * io_seconds;
-    }
+    stats.checkpoints_written = ckpt.store().writes;
+    stats.checkpoint_seconds = stats.checkpoints_written as f64 * ckpt.io_seconds;
     let run_seconds = stats.total_seconds - stats.wait_seconds - stats.backoff_seconds;
     stats.compute_seconds = run_seconds - stats.lost_work_seconds - stats.checkpoint_seconds;
     if let Some(c) = campaign.as_mut() {
@@ -886,81 +731,11 @@ fn run_resilient_numerical(
         c.sort();
     }
 
-    let outcome = final_run.map(|(results, fleet)| {
-        let steps_run = results[0].value.iterations.len();
-        let mut per_iter = vec![PhaseTimes::default(); steps_run];
-        for r in &results {
-            for (acc, &t) in per_iter.iter_mut().zip(&r.value.iterations) {
-                *acc = acc.max(t);
-            }
-        }
-        let phases = summarize(&per_iter, req.discard.min(steps_run.saturating_sub(1)))
-            .expect("final attempt ran at least one step");
-        RunOutcome {
-            platform: req.platform.key.clone(),
-            app: req.app.name(),
-            ranks,
-            nodes,
-            fidelity: Fidelity::Numerical,
-            phases,
-            cost_per_iteration: fleet.cost(phases.total),
-            queue_wait_seconds: req.platform.queue_wait(req.ranks, req.seed),
-            krylov_iters: results[0].value.kiters,
-            verification: Some(Verification {
-                linf: results[0].value.linf,
-                l2: results[0].value.l2,
-            }),
-            bytes_per_iteration: results.iter().map(|r| r.value.bytes).sum::<f64>()
-                / steps_run as f64,
-            trace: final_trace,
-        }
-    });
-
-    Ok(ResilienceOutcome {
-        outcome,
+    ResilienceOutcome {
+        outcome: completed,
         stats,
         first_attempt_spot_nodes: first_spot,
         trace: campaign,
-    })
-}
-
-/// Charges the durable write to every rank's virtual clock and commits it
-/// on rank 0. A rank felled *during* the charge unwinds before the commit,
-/// so an interrupted checkpoint is never durable.
-///
-/// In incremental mode the first commit serializes the full snapshot and
-/// every later one appends only a [`SnapshotDelta`] record; the simulated
-/// store bandwidth charge is unchanged (the model prices the dense state
-/// either way), so both modes produce byte-identical reports while the
-/// host-side serialization work shrinks to the dirty blocks.
-fn commit(
-    store: &Mutex<CheckpointStore>,
-    io_seconds: f64,
-    bytes: f64,
-    step: usize,
-    snap: Snapshot,
-    incremental: bool,
-    comm: &mut SimComm,
-) {
-    comm.advance(io_seconds);
-    if comm.rank() == 0 {
-        let mut s = store.lock().expect("checkpoint store never poisoned");
-        if incremental {
-            match &s.latest {
-                None => s.incremental_log.push(snap.to_json()),
-                Some((_, base)) => {
-                    let delta = SnapshotDelta::diff(base, &snap);
-                    s.incremental_log.push(delta.to_json());
-                }
-            }
-        }
-        s.latest = Some((step, snap));
-        s.writes += 1;
-        s.attempt_ckpt_clock = comm.clock();
-        comm.trace_instant(EventKind::Checkpoint {
-            step: step as u32,
-            bytes,
-        });
     }
 }
 
@@ -1010,18 +785,26 @@ mod tests {
 
     #[test]
     fn fault_free_resilient_run_matches_plain_execute_accuracy() {
-        let mut req = small_spot_req(3, 1, 1e9, 0.0);
-        // An epoch of 1e9 s never revokes within the horizon.
-        let out = execute_resilient(&req).unwrap();
-        assert!(out.stats.completed);
-        assert_eq!(out.stats.attempts, 1);
-        assert_eq!(out.stats.faults_injected, 0);
-        assert!(out.stats.checkpoints_written >= 1);
-        let v = out.outcome.unwrap().verification.unwrap();
-        req.resilience = None;
-        let plain = crate::run::execute(&req).unwrap().verification.unwrap();
-        assert_eq!(v.linf, plain.linf, "checkpointing must not change numerics");
-        assert_eq!(v.l2, plain.l2);
+        for app in [App::paper_rd(3), App::paper_ns(3)] {
+            // An epoch of 1e9 s never revokes within the horizon.
+            let mut req = RunRequest {
+                app,
+                ..small_spot_req(3, 1, 1e9, 0.0)
+            };
+            let out = execute_resilient(&req).unwrap();
+            assert!(out.stats.completed);
+            assert_eq!(out.stats.attempts, 1);
+            assert_eq!(out.stats.faults_injected, 0);
+            assert!(out.stats.checkpoints_written >= 1);
+            let resilient = out.outcome.unwrap();
+            let v = resilient.verification.unwrap();
+            req.resilience = None;
+            let plain = crate::run::execute(&req).unwrap();
+            let pv = plain.verification.unwrap();
+            assert_eq!(v.linf, pv.linf, "checkpointing must not change numerics");
+            assert_eq!(v.l2, pv.l2);
+            assert_eq!(resilient.krylov_iters, plain.krylov_iters);
+        }
     }
 
     #[test]

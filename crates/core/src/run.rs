@@ -1,21 +1,15 @@
 //! The unified run executor: one request, either engine, one outcome shape.
 
 use crate::apps::App;
+use crate::attempt::{outcome, run_attempt, Measured};
 use crate::modeled::run_modeled_prepared;
-use crate::prep::{PreparedScenario, RankPreps};
+use crate::prep::PreparedScenario;
 use crate::recovery::ResilienceSpec;
-use hetero_fem::ns::{solve_ns_prepared, NsPrep};
-use hetero_fem::phase::{summarize, PhaseTimes};
-use hetero_fem::rd::{solve_rd_prepared, RdPrep};
+use hetero_fem::phase::PhaseTimes;
 use hetero_linalg::{KernelBackend, SolverVariant};
-use hetero_mesh::{DistributedMesh, StructuredHexMesh};
-use hetero_partition::block::near_cubic_factors;
-use hetero_partition::BlockLayout;
 use hetero_platform::limits::LimitViolation;
 use hetero_platform::{CostModel, PlatformSpec};
-use hetero_simmpi::{
-    run_spmd_opts, ClusterTopology, EngineKind, EngineOpts, FaultPlan, SpmdConfig,
-};
+use hetero_simmpi::{ClusterTopology, EngineKind, FaultPlan, SpmdConfig};
 use hetero_trace::{EventKind, Phase as TracePhase, Trace, TraceEvent, TraceSpec};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
@@ -118,6 +112,19 @@ impl RunRequest {
             cost_override: None,
             resilience: None,
             trace: None,
+        }
+    }
+
+    /// The request both executors run: the solver-variant and
+    /// kernel-backend overrides folded into the app config, so every
+    /// engine, attempt and probe sees them through the ordinary
+    /// `SolveOptions` path.
+    pub(crate) fn normalized(&self) -> RunRequest {
+        RunRequest {
+            app: self.resolved_app(),
+            solver_variant: None,
+            kernel_backend: None,
+            ..self.clone()
         }
     }
 
@@ -261,31 +268,24 @@ pub(crate) fn resolve_fidelity(req: &RunRequest) -> Fidelity {
 ///
 /// # Errors
 /// Returns the paper's observed failure modes: capacity exhaustion (puma
-/// above 125 of the ladder), launcher failure (ellipse above 512), adapter
+/// above 125 of the ladder, or a [`RunRequest::topology_override`] with
+/// fewer cores than ranks), launcher failure (ellipse above 512), adapter
 /// volume cap (lagrange above 343).
 pub fn execute(req: &RunRequest) -> Result<RunOutcome, LimitViolation> {
     execute_with_prep(req, None)
 }
 
-/// [`execute`] with an optional pinned [`PreparedScenario`]. With `None`
-/// the process-wide scenario cache is consulted (a no-op while sharing is
-/// disabled — see [`crate::prep`]); a pinned scenario whose sub-key does
-/// not match `req` falls back to the cache. Reports are byte-identical to
-/// the fresh-setup path either way.
+/// [`execute`] with an optional pinned [`PreparedScenario`]. With `None`,
+/// or a pinned scenario whose sub-key does not match `req`, the run takes
+/// its scenario from the process-wide cache (a private one while sharing
+/// is disabled — see [`crate::prep`]). Reports are byte-identical
+/// whichever scenario serves them.
 pub fn execute_with_prep(
     req: &RunRequest,
     prep: Option<Arc<PreparedScenario>>,
 ) -> Result<RunOutcome, LimitViolation> {
-    // Normalize the solver-variant and kernel-backend overrides into the
-    // app config so both engines see them through the ordinary
-    // SolveOptions path.
-    let req = &RunRequest {
-        app: req.resolved_app(),
-        solver_variant: None,
-        kernel_backend: None,
-        ..req.clone()
-    };
-    let prep = crate::prep::resolve(req, prep);
+    let req = &req.normalized();
+    let scen = crate::prep::resolve(req, prep);
     // Capacity and launcher limits are independent of traffic: check them
     // before even building the topology (an oversubscribed topology cannot
     // be constructed).
@@ -294,76 +294,48 @@ pub fn execute_with_prep(
         .topology_override
         .clone()
         .unwrap_or_else(|| req.platform.topology(req.ranks));
-    assert!(
-        topo.total_cores() >= req.ranks,
-        "override topology too small"
-    );
+    if topo.total_cores() < req.ranks {
+        return Err(LimitViolation::InsufficientCapacity {
+            requested: req.ranks,
+            available: topo.total_cores(),
+        });
+    }
 
     // Traffic estimate from a one-step modeled probe (cheap, closed form).
-    let probe = run_modeled_prepared(
-        &req.app.with_steps(1),
-        req.ranks,
-        req.per_rank_axis,
-        &topo,
-        &req.platform.network,
-        req.platform.compute,
-        req.seed,
-        prep.as_deref().map(|p| p.modeled()),
-    );
+    let modeled = |app: &App| {
+        run_modeled_prepared(
+            app,
+            scen.modeled(),
+            &topo,
+            &req.platform.network,
+            req.platform.compute,
+            req.seed,
+        )
+    };
+    let probe = modeled(&req.app.with_steps(1));
     req.platform
         .check_limits(req.ranks, probe.bytes_per_iteration)?;
 
-    let fidelity = resolve_fidelity(req);
-    let cost_model = req
-        .cost_override
-        .clone()
-        .unwrap_or_else(|| req.platform.cost.clone());
     let nodes = topo.nodes_for_ranks(req.ranks);
-    let queue_wait_seconds = req.platform.queue_wait(req.ranks, req.seed);
-
-    let (phases, krylov_iters, verification, bytes_per_iteration, trace) = match fidelity {
-        Fidelity::Numerical => run_numerical(req, topo, prep.as_deref())?,
-        Fidelity::Modeled | Fidelity::Auto => {
-            let m = run_modeled_prepared(
-                &req.app,
-                req.ranks,
-                req.per_rank_axis,
-                &topo,
-                &req.platform.network,
-                req.platform.compute,
-                req.seed,
-                prep.as_deref().map(|p| p.modeled()),
-            );
-            let phases = summarize(&m.iterations, req.discard)
-                .expect("modeled run produced no measurable iterations");
-            let trace = req.trace.map(|_| synthesize_phase_trace(&m.iterations));
-            (
-                phases,
-                m.krylov_iters as f64,
-                None,
-                m.bytes_per_iteration,
-                trace,
-            )
+    let measured = match resolve_fidelity(req) {
+        Fidelity::Numerical => {
+            let cfg = SpmdConfig {
+                size: req.ranks,
+                topo,
+                net: req.platform.network.clone(),
+                compute: req.platform.compute,
+                seed: req.seed,
+            };
+            run_attempt(req, cfg, FaultPlan::none(), None, None, &scen)
+                .expect("a trivial fault plan cannot fail a rank")
+                .0
         }
+        Fidelity::Modeled | Fidelity::Auto => Measured::modeled(req, &modeled(&req.app)),
     };
-
-    Ok(RunOutcome {
-        platform: req.platform.key.clone(),
-        app: match &req.app {
-            App::Rd(_) => "RD",
-            App::Ns(_) => "NS",
-        },
-        ranks: req.ranks,
-        nodes,
-        fidelity,
-        phases,
-        cost_per_iteration: cost_model.cost(req.ranks, phases.total),
-        queue_wait_seconds,
-        krylov_iters,
-        verification,
-        bytes_per_iteration,
-        trace,
-    })
+    let cost_model = req.cost_override.as_ref().unwrap_or(&req.platform.cost);
+    Ok(outcome(req, nodes, measured, |seconds| {
+        cost_model.cost(req.ranks, seconds)
+    }))
 }
 
 /// The trace the modeled engine implies: rank-0 phase spans per step with
@@ -413,166 +385,6 @@ pub(crate) fn synthesize_phase_trace(iterations: &[PhaseTimes]) -> Trace {
     trace
 }
 
-type NumericalResult = (PhaseTimes, f64, Option<Verification>, f64, Option<Trace>);
-
-fn run_numerical(
-    req: &RunRequest,
-    topo: ClusterTopology,
-    prep: Option<&PreparedScenario>,
-) -> Result<NumericalResult, LimitViolation> {
-    // Mesh + partition assignment: shared from the scenario when present
-    // (both are pure functions of the prep sub-key), rebuilt otherwise.
-    let (mesh, assignment) = match prep {
-        Some(p) => {
-            let g = p.geometry();
-            (g.mesh.clone(), Arc::clone(&g.assignment))
-        }
-        None => {
-            let factors = near_cubic_factors(req.ranks);
-            let cells = (
-                factors.0 * req.per_rank_axis,
-                factors.1 * req.per_rank_axis,
-                factors.2 * req.per_rank_axis,
-            );
-            let mesh = StructuredHexMesh::new(
-                cells.0,
-                cells.1,
-                cells.2,
-                hetero_mesh::Point3::ZERO,
-                hetero_mesh::Point3::splat(1.0),
-            );
-            let layout = BlockLayout::new(cells, factors);
-            (mesh, Arc::new(layout.assignment()))
-        }
-    };
-    let ranks = req.ranks;
-    let app = req.app.clone();
-    let cfg = SpmdConfig {
-        size: ranks,
-        topo,
-        net: req.platform.network.clone(),
-        compute: req.platform.compute,
-        seed: req.seed,
-    };
-
-    // Per-rank FEM setup: reused from the scenario's harvest when a prior
-    // numerical run stored it; otherwise this run harvests its own
-    // (resolved once, so every rank of this run agrees).
-    let rank_preps: Option<RankPreps> = prep.and_then(|p| p.rank_preps());
-    let harvest = prep.is_some() && rank_preps.is_none();
-
-    enum PrepOut {
-        Rd(RdPrep),
-        Ns(NsPrep),
-    }
-
-    struct RankOut {
-        iterations: Vec<PhaseTimes>,
-        kiters: f64,
-        linf: f64,
-        l2: f64,
-        bytes: f64,
-        prep: Option<PrepOut>,
-    }
-
-    // One logical pool shared by all ranks; `install` binds the thread
-    // count on each rank's own OS thread, so it must run inside the rank
-    // closure.
-    let pool = Arc::new(
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(req.threads_per_rank.max(1))
-            .build()
-            .expect("the vendored pool builder cannot fail"),
-    );
-
-    let body = move |comm: &mut hetero_simmpi::SimComm| {
-        pool.install(|| {
-            let dmesh =
-                DistributedMesh::new(mesh.clone(), Arc::clone(&assignment), comm.rank(), ranks);
-            match &app {
-                App::Rd(c) => {
-                    let rp = match &rank_preps {
-                        Some(RankPreps::Rd(v)) => Some(&v[comm.rank()]),
-                        _ => None,
-                    };
-                    let (r, built) = solve_rd_prepared(&dmesh, c, None, None, rp, comm);
-                    RankOut {
-                        iterations: r.iterations,
-                        kiters: r.krylov_iters.iter().sum::<usize>() as f64
-                            / r.krylov_iters.len() as f64,
-                        linf: r.linf_error,
-                        l2: r.l2_error,
-                        bytes: comm.stats().bytes_received,
-                        prep: harvest.then_some(PrepOut::Rd(built)),
-                    }
-                }
-                App::Ns(c) => {
-                    let rp = match &rank_preps {
-                        Some(RankPreps::Ns(v)) => Some(&v[comm.rank()]),
-                        _ => None,
-                    };
-                    let (r, built) = solve_ns_prepared(&dmesh, c, None, None, rp, comm);
-                    let total_k: usize =
-                        r.vel_iters.iter().sum::<usize>() + r.p_iters.iter().sum::<usize>();
-                    RankOut {
-                        iterations: r.iterations,
-                        kiters: total_k as f64 / r.vel_iters.len() as f64,
-                        linf: r.vel_linf_error,
-                        l2: r.vel_l2_error,
-                        bytes: comm.stats().bytes_received,
-                        prep: harvest.then_some(PrepOut::Ns(built)),
-                    }
-                }
-            }
-        })
-    };
-    let opts = EngineOpts {
-        engine: req.engine,
-        workers: req.sched_workers,
-        ..EngineOpts::default()
-    };
-    let (res, trace) = run_spmd_opts(cfg, opts, FaultPlan::none(), req.trace, body);
-    let mut results = res.expect("a trivial fault plan cannot fail a rank");
-
-    // Seed the scenario with this run's harvested per-rank setup.
-    if harvest {
-        if let Some(scen) = prep {
-            results.sort_by_key(|r| r.rank);
-            let mut rds = Vec::with_capacity(results.len());
-            let mut nss = Vec::with_capacity(results.len());
-            for r in &mut results {
-                match r.value.prep.take() {
-                    Some(PrepOut::Rd(p)) => rds.push(p),
-                    Some(PrepOut::Ns(p)) => nss.push(p),
-                    None => {}
-                }
-            }
-            if rds.len() == results.len() {
-                scen.store_rank_preps(RankPreps::Rd(Arc::new(rds)));
-            } else if nss.len() == results.len() {
-                scen.store_rank_preps(RankPreps::Ns(Arc::new(nss)));
-            }
-        }
-    }
-
-    // Critical-rank reduction: per-iteration max across ranks.
-    let steps = results[0].value.iterations.len();
-    let mut per_iter = vec![PhaseTimes::default(); steps];
-    for r in &results {
-        for (acc, &t) in per_iter.iter_mut().zip(&r.value.iterations) {
-            *acc = acc.max(t);
-        }
-    }
-    let phases = summarize(&per_iter, req.discard).expect("no measurable iterations");
-    let kiters = results[0].value.kiters;
-    let verification = Some(Verification {
-        linf: results[0].value.linf,
-        l2: results[0].value.l2,
-    });
-    let bytes: f64 = results.iter().map(|r| r.value.bytes).sum::<f64>() / steps as f64;
-    Ok((phases, kiters, verification, bytes, trace))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,6 +421,36 @@ mod tests {
             execute(&req),
             Err(LimitViolation::InsufficientCapacity { .. })
         ));
+    }
+
+    #[test]
+    fn undersized_topology_override_is_a_capacity_violation() {
+        let req = RunRequest {
+            topology_override: Some(ClusterTopology::uniform(1, 4)),
+            ..RunRequest::new(catalog::puma(), App::paper_rd(2), 8, 3)
+        };
+        assert_eq!(
+            execute(&req).unwrap_err(),
+            LimitViolation::InsufficientCapacity {
+                requested: 8,
+                available: 4
+            }
+        );
+    }
+
+    #[test]
+    fn discard_beyond_the_run_keeps_the_last_iteration() {
+        for (fidelity, ranks, axis) in [(Fidelity::Numerical, 8, 3), (Fidelity::Modeled, 64, 20)] {
+            let run = |discard| {
+                let req = RunRequest {
+                    discard,
+                    fidelity,
+                    ..RunRequest::new(catalog::puma(), App::paper_rd(2), ranks, axis)
+                };
+                format!("{:?}", execute(&req).unwrap())
+            };
+            assert_eq!(run(5), run(1), "{fidelity:?}");
+        }
     }
 
     #[test]

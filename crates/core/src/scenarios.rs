@@ -342,8 +342,7 @@ pub fn strong_scaling(
         {
             break; // adapter volume limit
         }
-        let phases = hetero_fem::phase::summarize(&run.iterations, opts.discard)
-            .expect("strong-scaling run produced iterations");
+        let phases = crate::attempt::reduce(&run.iterations, opts.discard);
         let t1 = *t1.get_or_insert(phases.total);
         let speedup = t1 / phases.total;
         out.push(StrongScalingPoint {
@@ -584,8 +583,7 @@ pub fn uncapped_cell(
         platform.compute,
         opts.seed,
     );
-    hetero_fem::phase::summarize(&m.iterations, opts.discard)
-        .expect("the modeled engine keeps at least one iteration past the discard")
+    crate::attempt::reduce(&m.iterations, opts.discard)
 }
 
 /// One row of the solver-schedule comparison table (the "Communication

@@ -314,7 +314,7 @@ pub fn instance_keys(rp: &ResolvedPlan) -> Result<Vec<String>, ExecError> {
 /// failure-free profile per memo key) serves the whole sweep regardless of
 /// worker count or completion order. Pinning the `Arc`s here also keeps a
 /// wide sweep immune to the process-wide LRU's bound. Returns all-`None`
-/// when sharing is disabled (`HETERO_PREP_SHARE=0`) — reports are
+/// while a `prep::disable_sharing_scoped` guard is live — reports are
 /// byte-identical either way; only the setup work repeats.
 fn prep_scenarios(rp: &ResolvedPlan) -> Vec<Option<Arc<PreparedScenario>>> {
     let mut by_key: HashMap<String, Arc<PreparedScenario>> = HashMap::new();
@@ -894,4 +894,51 @@ fn solver_variant_rows(
         }
     }
     Ok(rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `discard` is plan input: past the last step it must reach core's
+    /// clamping reducer on every run mode, never a panic.
+    #[test]
+    fn a_plan_that_discards_more_than_it_steps_executes() {
+        let rp = crate::load_str(
+            r#"
+[plan]
+name = "over-discard"
+description = "Discards more warm-up iterations than the run has steps"
+
+[options]
+per_rank_axis = 3
+max_k = 2
+steps = 2
+discard = 5
+fidelity = "auto"
+
+[[stage]]
+name = "plain"
+kind = "run"
+app = "rd"
+
+[stage.sweep]
+ranks = "ladder"
+platform = ["puma"]
+
+[[stage]]
+name = "what-if"
+kind = "run"
+app = "rd"
+uncapped = true
+
+[stage.sweep]
+ranks = [27]
+platform = ["puma"]
+"#,
+        )
+        .expect("the plan is valid");
+        let out = execute_plan(&rp, &ExecOptions::default()).expect("the plan executes");
+        assert_eq!(out.results.len(), 3);
+    }
 }

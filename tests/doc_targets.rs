@@ -1,8 +1,11 @@
 //! Every `--bench <name>`, `--example <name>`, and `--test <name>` the
 //! docs and CI spell out names a target whose source file exists, so a
 //! deleted or renamed target cannot leave a stale command line behind.
+//! The same files, plus the library sources, are scanned for environment
+//! switches: behaviour is chosen by a request, a plan, or a scoped guard,
+//! never by a variable no type or test matrix shows.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 5] = [
     "README.md",
@@ -68,4 +71,67 @@ fn documented_targets_exist() {
         assert!(seen > 0, "the scan found no `{flag} <name>` at all");
     }
     assert!(missing.is_empty(), "stale targets:\n{}", missing.join("\n"));
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{} is readable: {e}", dir.display()))
+        .filter_map(Result::ok)
+    {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The `HETERO_<NAME>` tokens in `text`.
+fn switch_tokens(text: &str) -> impl Iterator<Item = &str> {
+    const PREFIX: &str = "HETERO_";
+    text.match_indices(PREFIX).filter_map(move |(at, _)| {
+        let rest = &text[at..];
+        let end = rest
+            .find(|c: char| !(c.is_ascii_uppercase() || c == '_'))
+            .unwrap_or(rest.len());
+        (end > PREFIX.len()).then(|| &rest[..end])
+    })
+}
+
+#[test]
+fn no_environment_switches() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut sources = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .filter_map(Result::ok)
+    {
+        rust_sources(&krate.path().join("src"), &mut sources);
+    }
+    assert!(!sources.is_empty(), "the scan found no library source");
+
+    let mut found = Vec::new();
+    for path in sources {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{} is readable: {e}", path.display()));
+        for (n, line) in text.lines().enumerate() {
+            if line.contains("env::var") {
+                found.push(format!(
+                    "{}:{}: reads the environment",
+                    path.display(),
+                    n + 1
+                ));
+            }
+        }
+    }
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc))
+            .unwrap_or_else(|e| panic!("{doc} is readable: {e}"));
+        for token in switch_tokens(&text) {
+            found.push(format!("{doc}: documents the switch `{token}`"));
+        }
+    }
+    assert!(found.is_empty(), "hidden switches:\n{}", found.join("\n"));
 }

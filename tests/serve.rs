@@ -8,7 +8,6 @@ use hetero_hpc::recovery::execute_resilient;
 use hetero_hpc::{execute, App, Fidelity, ResilienceSpec, RunRequest, TraceSpec};
 use hetero_platform::catalog;
 use hetero_serve::{JobOutcome, ServeConfig, ServeError, ServeHandle};
-use hetero_simmpi::ClusterTopology;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -226,10 +225,10 @@ fn corrupted_artifact_is_quarantined_and_reexecuted() {
 fn panicking_job_fails_alone_service_survives() {
     let dir = tdir("panic");
     let serve = ServeHandle::open(ServeConfig::new(&dir)).unwrap();
-    // An override topology too small for the rank count trips an assert
-    // inside the engine — a stand-in for any engine bug.
+    // A zero-step app trips the solver's `steps > 0` assert on every rank
+    // — a stand-in for any engine bug.
     let poison = RunRequest {
-        topology_override: Some(ClusterTopology::uniform(1, 2)),
+        app: App::smoke_rd(0),
         ..rd_req(31)
     };
     let err = serve.submit_wait(&poison).unwrap_err();
