@@ -27,10 +27,11 @@ use crate::element::ElementOrder;
 use crate::profile;
 use crate::quadrature::{GaussRule3d, ShapeTable};
 use hetero_linalg::csr::{SparsityPattern, TripletBuilder};
-use hetero_linalg::{DistMatrix, DistVector};
+use hetero_linalg::precond::OwnedBlockSymbolic;
+use hetero_linalg::{DistMatrix, DistVector, KernelBackend};
 use hetero_mesh::Point3;
 use hetero_simmpi::{Payload, SimComm};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const TAG_MAT_IDX: u64 = 9_600;
 const TAG_MAT_VAL: u64 = 9_601;
@@ -220,6 +221,27 @@ pub struct AssemblyStructure {
     /// Per plan-neighbour received-value counts.
     recv_counts: Vec<usize>,
     ncells: usize,
+    /// The preconditioners' symbolic analysis of this pattern's owned
+    /// block, built on first use (never, for Jacobi or unpreconditioned
+    /// runs) and then shared by every step and every run instance.
+    owned_block: OnceLock<Arc<OwnedBlockSymbolic>>,
+}
+
+impl AssemblyStructure {
+    /// The SSOR / ILU(0) symbolic analysis of every matrix built from this
+    /// structure, computed from the sparsity pattern on first call and kept
+    /// here — so every later step, every assembly sharing the structure,
+    /// and (through the prepared-scenario cache) every later run instance
+    /// only refactorizes numerically.
+    ///
+    /// # Panics
+    /// Panics if the pattern has a row without a stored diagonal.
+    pub fn owned_block_symbolic(&self) -> Arc<OwnedBlockSymbolic> {
+        Arc::clone(
+            self.owned_block
+                .get_or_init(|| Arc::new(OwnedBlockSymbolic::from_pattern(&self.pattern))),
+        )
+    }
 }
 
 /// A reusable distributed matrix assembly (Trilinos' `FECrsMatrix` reuse
@@ -239,7 +261,9 @@ pub struct MatrixAssembly {
     structure: Option<Arc<AssemblyStructure>>,
     /// The live operator of the in-place path ([`Self::assemble_in_place`]):
     /// kept across steps so refreshes reuse its value buffer, exchange plan,
-    /// and interior/boundary row split instead of rebuilding them.
+    /// and interior/boundary row split instead of rebuilding them. Under
+    /// [`Self::assemble_step`]'s `Assembled` backend, the current step's
+    /// freshly built operator.
     retained: Option<DistMatrix>,
     /// Reusable triplet-value staging for the in-place path.
     tvals: Vec<f64>,
@@ -383,6 +407,7 @@ impl MatrixAssembly {
             send_idx,
             recv_counts,
             ncells,
+            owned_block: OnceLock::new(),
         }));
         DistMatrix::rectangular(triplets.build(), col_map.plan().clone(), col_map.n_owned())
     }
@@ -440,6 +465,41 @@ impl MatrixAssembly {
             s.pattern.numeric(&tvals),
             col_map.plan().clone(),
             col_map.n_owned(),
+        )
+    }
+
+    /// One time step's operator under `backend`: `Assembled` builds a
+    /// fresh matrix through the cached pattern ([`Self::assemble`]),
+    /// `MatrixFree` refreshes the retained one ([`Self::assemble_in_place`])
+    /// — bitwise the same matrix, wire traffic, and charges either way.
+    /// The operator stays with this assembly until the next call; it comes
+    /// back together with the shared structure, so the caller can constrain
+    /// and solve with the one while a preconditioner takes its cached
+    /// symbolic analysis from the other.
+    pub fn assemble_step<F>(
+        &mut self,
+        backend: KernelBackend,
+        row_map: &DofMap,
+        col_map: &DofMap,
+        comm: &mut SimComm,
+        cell_matrix: F,
+    ) -> (&mut DistMatrix, &AssemblyStructure)
+    where
+        F: Fn(usize, &mut [f64]) + Sync,
+    {
+        match backend {
+            KernelBackend::MatrixFree => {
+                self.assemble_in_place(row_map, col_map, comm, cell_matrix);
+            }
+            KernelBackend::Assembled => {
+                // Drop the previous step's operator before building anew.
+                self.retained = None;
+                self.retained = Some(self.assemble(row_map, col_map, comm, cell_matrix));
+            }
+        }
+        (
+            self.retained.as_mut().expect("operator assembled above"),
+            self.structure.as_deref().expect("structure cached above"),
         )
     }
 

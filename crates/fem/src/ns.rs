@@ -33,9 +33,9 @@ use crate::phase::{PhaseRecorder, PhaseTimes};
 use crate::quadrature::{GaussRule3d, ShapeTable};
 use crate::rd::PrecondKind;
 use hetero_linalg::solver::{
-    bicgstab_with_workspace, cg, gmres_with_workspace, KernelBackend, SolveOptions, SolverWorkspace,
+    bicgstab_with_workspace, cg, gmres_with_workspace, SolveOptions, SolverWorkspace,
 };
-use hetero_linalg::{DistMatrix, DistVector};
+use hetero_linalg::DistVector;
 use hetero_mesh::DistributedMesh;
 use hetero_simmpi::SimComm;
 use hetero_trace::{EventKind, Phase as TracePhase};
@@ -197,6 +197,53 @@ pub struct NsPrep {
     pub pv: Arc<AssemblyStructure>,
 }
 
+/// Nodes of the largest supported element (Q2).
+const MAX_NPE: usize = 27;
+
+/// Adds one cell's convection block, `out[a][b] += rho * int (w . grad
+/// phi_b) phi_a`, row-major `npe x npe`, for the advecting field `w` (one
+/// vector of local nodal values per component) on the cell with local DoFs
+/// `dofs`.
+///
+/// `w . grad phi_b` does not depend on the test function `a`, so it is
+/// evaluated once per quadrature point rather than once per `(a, b)` pair.
+/// Every entry still accumulates `(rho * w_q * phi_a) * (w . grad phi_b)`
+/// over the quadrature points in order — the expression tree of the plain
+/// `q, a, b` triple loop, hence its bits.
+fn add_convection(
+    out: &mut [f64],
+    tab: &ShapeTable,
+    vol: f64,
+    rho: f64,
+    dofs: &[usize],
+    w: &[Vec<f64>; 3],
+) {
+    let npe = tab.npe;
+    assert!(npe <= MAX_NPE && dofs.len() == npe && out.len() == npe * npe);
+    let mut wg = [0.0f64; MAX_NPE];
+    let wg = &mut wg[..npe];
+    for (qi, &weight) in tab.weights.iter().enumerate() {
+        let wq = weight * vol;
+        let shapes = tab.shapes_at(qi);
+        // w at this quadrature point.
+        let mut wvec = [0.0f64; 3];
+        for (&dof, &s) in dofs.iter().zip(shapes) {
+            wvec[0] += w[0][dof] * s;
+            wvec[1] += w[1][dof] * s;
+            wvec[2] += w[2][dof] * s;
+        }
+        for (g, gb) in wg.iter_mut().zip(tab.grads_at(qi)) {
+            *g = wvec[0] * gb[0] + wvec[1] * gb[1] + wvec[2] * gb[2];
+        }
+        for (row, &sa) in out.chunks_exact_mut(npe).zip(shapes) {
+            let coeff = rho * wq * sa;
+            for (o, &g) in row.iter_mut().zip(wg.iter()) {
+                *o += coeff * g;
+            }
+        }
+    }
+}
+
 /// Runs the NS application. Collective over all ranks of `comm`.
 pub fn solve_ns(dmesh: &DistributedMesh, cfg: &NsConfig, comm: &mut SimComm) -> NsReport {
     solve_ns_with(dmesh, cfg, None, None, comm)
@@ -244,8 +291,6 @@ pub fn solve_ns_prepared(
     let h = dmesh.mesh().cell_size();
     let kern_v = scalar_kernels(cfg.vel_order, h);
     let kern_p = scalar_kernels(cfg.p_order, h);
-    let npe_v = cfg.vel_order.nodes_per_element();
-    let _npe_p = cfg.p_order.nodes_per_element();
 
     // Constant operators, assembled once. Each space pair shares one
     // symbolic structure, so the three gradients (and divergences) reuse
@@ -283,7 +328,6 @@ pub fn solve_ns_prepared(
 
     // Quadrature tables for the convection kernel.
     let rule = GaussRule3d::new(cfg.vel_order.quadrature_points_per_axis());
-    let nq = rule.len();
     let tab_v = ShapeTable::new(cfg.vel_order, &rule, h);
     let vol = h.x * h.y * h.z;
 
@@ -390,53 +434,16 @@ pub fn solve_ns_prepared(
             {
                 *o = m_coeff * m + cfg.mu * k;
             }
-            // Convection: C[a][b] += rho * int (w . grad phi_b) phi_a.
-            let dofs = vmap.cell_dofs(i);
-            for qi in 0..nq {
-                let wq = rule.weights[qi] * vol;
-                // w at this quadrature point.
-                let mut wvec = [0.0f64; 3];
-                for (a, &dof) in dofs.iter().enumerate() {
-                    let s = tab_v.shape(qi, a);
-                    wvec[0] += w[0][dof] * s;
-                    wvec[1] += w[1][dof] * s;
-                    wvec[2] += w[2][dof] * s;
-                }
-                for a in 0..npe_v {
-                    let sa = tab_v.shape(qi, a);
-                    let coeff = cfg.rho * wq * sa;
-                    for b in 0..npe_v {
-                        let gb = tab_v.grad(qi, b);
-                        out[a * npe_v + b] +=
-                            coeff * (wvec[0] * gb[0] + wvec[1] * gb[1] + wvec[2] * gb[2]);
-                    }
-                }
-            }
+            add_convection(out, &tab_v, vol, cfg.rho, vmap.cell_dofs(i), &w);
         };
-        let mut a_v_owned;
-        let a_v: &mut DistMatrix = match cfg.solve_vel.backend {
-            KernelBackend::MatrixFree => {
-                momentum_asm.assemble_in_place(&vmap, &vmap, comm, momentum_cell)
-            }
-            KernelBackend::Assembled => {
-                a_v_owned = momentum_asm.assemble(&vmap, &vmap, comm, momentum_cell);
-                &mut a_v_owned
-            }
-        };
+        let (a_v, vv) =
+            momentum_asm.assemble_step(cfg.solve_vel.backend, &vmap, &vmap, comm, momentum_cell);
 
         // Pressure Laplacian (assembled per step, as a general-coefficient
         // code would; values are constant here).
         let pressure_cell = |_i: usize, out: &mut [f64]| out.copy_from_slice(&kern_p.stiffness);
-        let mut l_p_owned;
-        let l_p: &mut DistMatrix = match cfg.solve_p.backend {
-            KernelBackend::MatrixFree => {
-                pressure_asm.assemble_in_place(&pmap, &pmap, comm, pressure_cell)
-            }
-            KernelBackend::Assembled => {
-                l_p_owned = pressure_asm.assemble(&pmap, &pmap, comm, pressure_cell);
-                &mut l_p_owned
-            }
-        };
+        let (l_p, pp) =
+            pressure_asm.assemble_step(cfg.solve_p.backend, &pmap, &pmap, comm, pressure_cell);
 
         // Momentum right-hand sides.
         let mut rhs: Vec<DistVector> = Vec::with_capacity(3);
@@ -493,7 +500,7 @@ pub fn solve_ns_prepared(
 
         // -- Preconditioner (iiia) -------------------------------------------
         let seg = rec.mark();
-        let pre_v = cfg.precond_vel.build(&*a_v, comm);
+        let pre_v = cfg.precond_vel.build(&*a_v, vv, comm);
         rec.end_precond(comm.clock());
         comm.trace_span(
             seg,
@@ -558,7 +565,7 @@ pub fn solve_ns_prepared(
             }
             constrain_system(&mut *l_p, &mut rhs_p, &mask, &values, comm);
         }
-        let pre_p = cfg.precond_p.build(&*l_p, comm);
+        let pre_p = cfg.precond_p.build(&*l_p, pp, comm);
         let mut phi = pmap.new_vector();
         let stats_p = cg(&*l_p, &rhs_p, &mut phi, pre_p.as_ref(), cfg.solve_p, comm);
         assert!(
@@ -711,6 +718,56 @@ mod tests {
         .into_iter()
         .map(|r| r.value)
         .collect()
+    }
+
+    #[test]
+    fn hoisted_convection_matches_the_triple_loop_bitwise() {
+        // The reference is the kernel as it was: `w . grad phi_b`
+        // recomputed for every `(a, b)` pair of every quadrature point.
+        let h = hetero_mesh::Point3::new(0.5, 0.25, 0.2);
+        let (vol, rho) = (h.x * h.y * h.z, 1.3);
+        for order in [ElementOrder::Q1, ElementOrder::Q2] {
+            let npe = order.nodes_per_element();
+            let rule = GaussRule3d::new(order.quadrature_points_per_axis());
+            let tab = ShapeTable::new(order, &rule, h);
+            // A scattered cell in a larger local space, random field values.
+            let dofs: Vec<usize> = (0..npe).map(|a| (7 * a + 3) % (2 * npe)).collect();
+            let mut state = 0x2012u64;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+            };
+            let w: [Vec<f64>; 3] = std::array::from_fn(|_| (0..2 * npe).map(|_| next()).collect());
+            let start: Vec<f64> = (0..npe * npe).map(|_| next()).collect();
+
+            let mut naive = start.clone();
+            for qi in 0..rule.len() {
+                let wq = rule.weights[qi] * vol;
+                let mut wvec = [0.0f64; 3];
+                for (a, &dof) in dofs.iter().enumerate() {
+                    let s = tab.shape(qi, a);
+                    wvec[0] += w[0][dof] * s;
+                    wvec[1] += w[1][dof] * s;
+                    wvec[2] += w[2][dof] * s;
+                }
+                for a in 0..npe {
+                    let coeff = rho * wq * tab.shape(qi, a);
+                    for b in 0..npe {
+                        let gb = tab.grad(qi, b);
+                        naive[a * npe + b] +=
+                            coeff * (wvec[0] * gb[0] + wvec[1] * gb[1] + wvec[2] * gb[2]);
+                    }
+                }
+            }
+
+            let mut hoisted = start;
+            add_convection(&mut hoisted, &tab, vol, rho, &dofs, &w);
+            for (i, (x, y)) in hoisted.iter().zip(&naive).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{order:?} entry {i}");
+            }
+        }
     }
 
     #[test]

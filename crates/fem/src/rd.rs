@@ -20,7 +20,7 @@ use crate::element::ElementOrder;
 use crate::exact::RdExact;
 use crate::phase::{PhaseRecorder, PhaseTimes};
 use hetero_linalg::precond::{Identity, IluZero, Jacobi, Preconditioner, Ssor};
-use hetero_linalg::solver::{cg, KernelBackend, SolveOptions};
+use hetero_linalg::solver::{cg, SolveOptions};
 use hetero_linalg::{DistMatrix, DistVector};
 use hetero_mesh::DistributedMesh;
 use hetero_simmpi::SimComm;
@@ -42,13 +42,29 @@ pub enum PrecondKind {
 }
 
 impl PrecondKind {
-    /// Builds the preconditioner for `a`, charging setup cost.
-    pub fn build(self, a: &DistMatrix, comm: &mut SimComm) -> Box<dyn Preconditioner> {
+    /// Builds the preconditioner for `a`, a matrix assembled through
+    /// `structure`, charging setup cost. SSOR and ILU(0) take their
+    /// symbolic analysis from the structure (built on first use, then
+    /// shared) and only refactorize numerically.
+    pub fn build(
+        self,
+        a: &DistMatrix,
+        structure: &AssemblyStructure,
+        comm: &mut SimComm,
+    ) -> Box<dyn Preconditioner> {
         match self {
             PrecondKind::None => Box::new(Identity),
             PrecondKind::Jacobi => Box::new(Jacobi::new(a, comm)),
-            PrecondKind::Ssor => Box::new(Ssor::new(a, comm)),
-            PrecondKind::Ilu0 => Box::new(IluZero::new(a, comm)),
+            PrecondKind::Ssor => Box::new(Ssor::with_symbolic(
+                structure.owned_block_symbolic(),
+                a,
+                comm,
+            )),
+            PrecondKind::Ilu0 => Box::new(IluZero::with_symbolic(
+                structure.owned_block_symbolic(),
+                a,
+                comm,
+            )),
         }
     }
 }
@@ -259,14 +275,7 @@ pub fn solve_rd_prepared(
                 *o = m_coeff * m + k_coeff * k;
             }
         };
-        let mut assembled;
-        let a: &mut DistMatrix = match cfg.solve.backend {
-            KernelBackend::MatrixFree => system_asm.assemble_in_place(&dm, &dm, comm, cell),
-            KernelBackend::Assembled => {
-                assembled = system_asm.assemble(&dm, &dm, comm, cell);
-                &mut assembled
-            }
-        };
+        let (a, structure) = system_asm.assemble_step(cfg.solve.backend, &dm, &dm, comm, cell);
         // w = sum_j c_j u^{n-j} / dt, combined over owned + ghost slots so
         // the mass SpMV sees consistent data.
         let mut w = dm.new_vector();
@@ -300,7 +309,7 @@ pub fn solve_rd_prepared(
 
         // -- Preconditioner (iiia).
         let seg = rec.mark();
-        let precond = cfg.precond.build(&*a, comm);
+        let precond = cfg.precond.build(&*a, structure, comm);
         rec.end_precond(comm.clock());
         comm.trace_span(
             seg,

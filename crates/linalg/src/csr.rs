@@ -9,6 +9,8 @@
 //! [`TripletBuilder::build`] bitwise: the scatter accumulates duplicate
 //! coordinates in exactly the sorted order `build` would sum them.
 
+use std::sync::Arc;
+
 /// Minimum row count before [`CsrMatrix::spmv`] fans out across the
 /// intra-rank thread pool. Row results are independent of the split, so
 /// this threshold affects speed only, never values.
@@ -160,8 +162,8 @@ impl TripletBuilder {
         SparsityPattern {
             num_rows: self.num_rows,
             num_cols: self.num_cols,
-            row_ptr,
-            col_idx,
+            row_ptr: row_ptr.into(),
+            col_idx: col_idx.into(),
             perm,
             slot,
         }
@@ -175,8 +177,11 @@ impl TripletBuilder {
 pub struct SparsityPattern {
     num_rows: usize,
     num_cols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    /// `Arc`'d so the preconditioners' symbolic analysis of this pattern
+    /// ([`crate::precond::OwnedBlockSymbolic`]) shares the arrays instead
+    /// of copying them.
+    row_ptr: Arc<[usize]>,
+    col_idx: Arc<[usize]>,
     /// Sorted position -> original triplet index.
     perm: Vec<usize>,
     /// Sorted position -> CSR slot (nondecreasing; duplicates share slots).
@@ -209,6 +214,12 @@ impl SparsityPattern {
         self.perm.len()
     }
 
+    /// The shared CSR structure arrays `(row_ptr, col_idx)`.
+    #[inline]
+    pub(crate) fn structure(&self) -> (&Arc<[usize]>, &Arc<[usize]>) {
+        (&self.row_ptr, &self.col_idx)
+    }
+
     /// Numeric phase: scatters `triplet_values` (one value per original
     /// triplet, in insertion order) into the frozen pattern. Bitwise
     /// identical to rebuilding via [`TripletBuilder::build`] with the same
@@ -223,8 +234,8 @@ impl SparsityPattern {
         CsrMatrix {
             num_rows: self.num_rows,
             num_cols: self.num_cols,
-            row_ptr: self.row_ptr.clone(),
-            col_idx: self.col_idx.clone(),
+            row_ptr: self.row_ptr.to_vec(),
+            col_idx: self.col_idx.to_vec(),
             values,
         }
     }
@@ -285,6 +296,18 @@ impl CsrMatrix {
     #[inline]
     pub fn nnz(&self) -> usize {
         self.values.len()
+    }
+
+    /// The CSR structure arrays `(row_ptr, col_idx)`.
+    #[inline]
+    pub(crate) fn structure(&self) -> (&[usize], &[usize]) {
+        (&self.row_ptr, &self.col_idx)
+    }
+
+    /// All stored values, in row-major slot order.
+    #[inline]
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
     }
 
     /// The `(columns, values)` of row `r`.
