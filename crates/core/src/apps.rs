@@ -3,7 +3,7 @@
 use hetero_fem::element::ElementOrder;
 use hetero_fem::ns::NsConfig;
 use hetero_fem::rd::{PrecondKind, RdConfig};
-use hetero_linalg::{KernelBackend, SolverVariant};
+use hetero_linalg::SolverVariant;
 use serde::{Deserialize, Serialize};
 
 /// One of the paper's applications with its configuration.
@@ -101,32 +101,6 @@ impl App {
         match self {
             App::Rd(c) => c.solve.variant,
             App::Ns(c) => c.solve_vel.variant,
-        }
-    }
-
-    /// Returns a copy with every per-step operator switched to `backend`
-    /// (RD: the system matrix; NS: momentum and pressure operators alike).
-    pub fn with_kernel_backend(&self, backend: KernelBackend) -> App {
-        match self {
-            App::Rd(c) => {
-                let mut c = c.clone();
-                c.solve.backend = backend;
-                App::Rd(c)
-            }
-            App::Ns(c) => {
-                let mut c = c.clone();
-                c.solve_vel.backend = backend;
-                c.solve_p.backend = backend;
-                App::Ns(c)
-            }
-        }
-    }
-
-    /// The kernel backend of the primary per-step operator.
-    pub fn kernel_backend(&self) -> KernelBackend {
-        match self {
-            App::Rd(c) => c.solve.backend,
-            App::Ns(c) => c.solve_vel.backend,
         }
     }
 }

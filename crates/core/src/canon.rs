@@ -23,6 +23,15 @@
 //! included. Over-inclusion merely costs a spurious cache miss;
 //! under-inclusion would alias distinct outcomes under one key, so when in
 //! doubt a field goes in.
+//!
+//! Generation `v2` of the schema exists because `v1` broke the host-only
+//! rule above: it hashed a per-step operator backend and a checkpoint
+//! serialization mode, two switches that produced byte-identical reports
+//! by construction. Both options are gone from the code (the steppers
+//! always refresh a retained operator in place; the simulated checkpoint
+//! store keeps one in-memory snapshot), and their three members left the
+//! canonical text together with the tag bump. `v1` artifacts on disk are
+//! never looked up again: they are neither read nor quarantined.
 
 use crate::apps::App;
 use crate::recovery::ResilienceSpec;
@@ -34,7 +43,7 @@ use hetero_fem::bdf::BdfOrder;
 use hetero_fem::element::ElementOrder;
 use hetero_fem::ns::{MomentumSolver, NsConfig};
 use hetero_fem::rd::{PrecondKind, RdConfig};
-use hetero_linalg::{KernelBackend, SolveOptions, SolverVariant};
+use hetero_linalg::{SolveOptions, SolverVariant};
 use hetero_platform::cost::{Billing, CostModel};
 use hetero_platform::limits::ExecutionLimits;
 use hetero_platform::scheduler::{QueueModel, SchedulerKind};
@@ -45,7 +54,7 @@ use hetero_simmpi::{ClusterTopology, ComputeModel, NetworkModel};
 
 /// Version tag of the canonical key schema. Doubles as the prefix of every
 /// key string, so a key names the schema that produced it.
-pub const KEY_SCHEMA: &str = "hetero-serve/key/v1";
+pub const KEY_SCHEMA: &str = "hetero-serve/key/v2";
 
 /// The content-addressed cache key of a request: the schema tag followed
 /// by the SHA-256 of [`canonical_request`]'s bytes.
@@ -79,10 +88,6 @@ pub fn canonical_request(req: &RunRequest) -> String {
     match req.solver_variant {
         None => c.none("solver_variant"),
         Some(v) => c.lit("solver_variant", solver_variant_name(v)),
-    }
-    match req.kernel_backend {
-        None => c.none("kernel_backend"),
-        Some(b) => c.lit("kernel_backend", kernel_backend_name(b)),
     }
     c.opt(
         "topology_override",
@@ -120,9 +125,9 @@ pub fn prep_key(req: &RunRequest) -> String {
 /// symbolic assembly structures, modeled space views) are pure functions
 /// of the mesh spec, the discretization's element orders, the rank count,
 /// and the block-partition factors — nothing else. The encoding therefore
-/// *deliberately excludes* the platform, the seed, the solver variant and
-/// kernel backend, the checkpoint cadence and every other resilience
-/// knob, the time-stepping parameters, and all host-only knobs
+/// *deliberately excludes* the platform, the seed, the solver variant,
+/// the checkpoint cadence and every other resilience knob, the
+/// time-stepping parameters, and all host-only knobs
 /// (`threads_per_rank`, `engine`, `sched_workers`, `trace`): instances
 /// that differ only in those share one preparation. The golden fixtures
 /// in `tests/prep_keys.rs` pin both the bytes and the exclusions.
@@ -233,8 +238,8 @@ pub fn sha256_hex(data: &[u8]) -> String {
 
 /// The canonical-text writer. Scalar kinds carry a one-letter type tag so
 /// no two value spaces can collide (`i:` integer, `f:` IEEE-754 bits,
-/// `b:` bool, `s:` length-prefixed string, `e:` enum variant, `-` absent);
-/// nested records sit in `name={...};` groups.
+/// `s:` length-prefixed string, `e:` enum variant, `-` absent); nested
+/// records sit in `name={...};` groups.
 struct Canon {
     buf: String,
 }
@@ -257,10 +262,6 @@ impl Canon {
         // precision to decimal formatting.
         self.buf
             .push_str(&format!("{name}=f:{:016x};", v.to_bits()));
-    }
-
-    fn b(&mut self, name: &str, v: bool) {
-        self.buf.push_str(&format!("{name}=b:{};", u8::from(v)));
     }
 
     fn s(&mut self, name: &str, v: &str) {
@@ -345,19 +346,11 @@ fn solver_variant_name(v: SolverVariant) -> &'static str {
     }
 }
 
-fn kernel_backend_name(b: KernelBackend) -> &'static str {
-    match b {
-        KernelBackend::Assembled => "assembled",
-        KernelBackend::MatrixFree => "matrix-free",
-    }
-}
-
 fn canon_solve(c: &mut Canon, s: &SolveOptions) {
     c.f("rel_tol", s.rel_tol);
     c.f("abs_tol", s.abs_tol);
     c.u("max_iters", s.max_iters as u64);
     c.lit("variant", solver_variant_name(s.variant));
-    c.lit("backend", kernel_backend_name(s.backend));
 }
 
 fn canon_rd(c: &mut Canon, cfg: &RdConfig) {
@@ -547,7 +540,6 @@ fn canon_resilience(c: &mut Canon, r: &ResilienceSpec) {
     c.group("policy", |c| canon_policy(c, &r.policy));
     c.group("faults", |c| canon_faults(c, &r.faults));
     canon_strategy(c, r.strategy);
-    c.b("incremental_checkpoints", r.incremental_checkpoints);
 }
 
 #[cfg(test)]
@@ -578,7 +570,7 @@ mod tests {
         let a = request_key(&req);
         let b = request_key(&req.clone());
         assert_eq!(a, b);
-        assert!(a.starts_with("hetero-serve/key/v1/"));
+        assert!(a.starts_with("hetero-serve/key/v2/"));
         assert_eq!(a.len(), KEY_SCHEMA.len() + 1 + 64);
     }
 

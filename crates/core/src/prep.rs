@@ -2,8 +2,8 @@
 //! platform-independent setup work of a campaign sweep (DESIGN.md §13).
 //!
 //! A sweep re-runs the same FEM problem across platforms, solver variants,
-//! kernel backends, checkpoint cadences, and seeds. All of those knobs
-//! leave the *setup* untouched: the generated mesh, the block partition
+//! checkpoint cadences, and seeds. All of those knobs leave the *setup*
+//! untouched: the generated mesh, the block partition
 //! and its ghost plans, the DoF maps, the symbolic assembly structures,
 //! and the modeled engine's closed-form space views are pure functions of
 //! `(mesh spec, discretization, ranks, partition params)` — exactly the
@@ -260,7 +260,6 @@ pub(crate) fn ff_memo_key(req: &RunRequest, strategy: FleetStrategy) -> String {
             policy: ResiliencePolicy::fail_fast(),
             faults: FaultModel::none(),
             strategy,
-            incremental_checkpoints: false,
         }),
         ..req.clone()
     };

@@ -28,7 +28,7 @@ use crate::attempt::{outcome, run_attempt, Measured};
 use crate::modeled::{run_modeled_prepared, weak_scaling_grid, ModeledRun};
 use crate::prep::{ff_memo_key, FfProfile, PreparedScenario};
 use crate::run::{resolve_fidelity, Fidelity, RunOutcome, RunRequest};
-use crate::snapshot::{Snapshot, SnapshotDelta};
+use crate::snapshot::Snapshot;
 use hetero_fault::{
     replay_campaign_observed, AttemptEnv, CampaignEvent, CrashProcess, FaultKind, FaultModel,
     FaultTimeline, RecoveryStats, ResiliencePolicy, SpotMarket,
@@ -55,13 +55,6 @@ pub struct ResilienceSpec {
     pub faults: FaultModel,
     /// How each attempt's fleet is acquired.
     pub strategy: FleetStrategy,
-    /// Incremental dirty-block checkpoints: after the first full snapshot,
-    /// each commit serializes only a [`SnapshotDelta`] against the last
-    /// committed state, and restarts replay the base-plus-deltas chain from
-    /// the serialized log. The restored state is bitwise identical to the
-    /// monolithic path (so every report stays byte-identical too); only the
-    /// host-side serialization cost shrinks.
-    pub incremental_checkpoints: bool,
 }
 
 impl ResilienceSpec {
@@ -78,7 +71,6 @@ impl ResilienceSpec {
                 degradation: None,
             },
             strategy: FleetStrategy::OnDemandSingleGroup,
-            incremental_checkpoints: false,
         }
     }
 
@@ -100,15 +92,7 @@ impl ResilienceSpec {
                 degradation: None,
             },
             strategy: FleetStrategy::SpotMix { groups: 4, max_bid },
-            incremental_checkpoints: false,
         }
-    }
-
-    /// Switches the checkpoint path to incremental dirty-block deltas.
-    #[must_use]
-    pub fn with_incremental_checkpoints(mut self) -> Self {
-        self.incremental_checkpoints = true;
-        self
     }
 }
 
@@ -437,16 +421,13 @@ fn push_time_accounts(trace: &mut Trace, stats: &RecoveryStats) {
 
 /// The simulated shared filesystem: rank 0's durable checkpoint writes
 /// survive the attempt that made them (the role the paper's HDF5 files on
-/// shared storage play for LifeV restarts).
+/// shared storage play for LifeV restarts). Nothing is serialized: the
+/// store holds the snapshot in memory and the write is a modeled I/O
+/// charge on the virtual clocks.
 #[derive(Default)]
 struct CheckpointStore {
-    /// Last durable checkpoint, materialized (the base the next
-    /// incremental diff is taken against).
+    /// Last durable checkpoint.
     latest: Option<(usize, Snapshot)>,
-    /// The serialized artifacts the shared filesystem holds in incremental
-    /// mode: the full base followed by one delta record per later commit.
-    /// Restarts replay this log; empty in monolithic mode.
-    incremental_log: Vec<String>,
     writes: usize,
     /// Rank 0's virtual clock right after the last durable write of the
     /// *current* attempt (0 when the attempt has written nothing yet).
@@ -466,7 +447,6 @@ pub(crate) enum ResumeState {
 pub(crate) struct Checkpointer {
     store: Mutex<CheckpointStore>,
     policy: ResiliencePolicy,
-    incremental: bool,
     total_steps: usize,
     /// Virtual seconds one durable write charges every rank.
     io_seconds: f64,
@@ -483,22 +463,7 @@ impl Checkpointer {
     /// durable checkpoint.
     fn resume_state(&self, app: &App) -> Option<ResumeState> {
         let guard = self.store();
-        // Incremental mode restores from the serialized base-plus-deltas
-        // log — exactly what the shared filesystem durably holds — not from
-        // the in-memory materialization.
-        let replayed: Option<(usize, Snapshot)> = if guard.incremental_log.is_empty() {
-            None
-        } else {
-            let mut it = guard.incremental_log.iter();
-            let mut acc = Snapshot::from_json(it.next().expect("non-empty log"))
-                .expect("base checkpoint parses");
-            for rec in it {
-                let delta = SnapshotDelta::from_json(rec).expect("delta record parses");
-                acc = delta.apply(&acc);
-            }
-            Some((acc.step, acc))
-        };
-        let (step, snap) = replayed.as_ref().or(guard.latest.as_ref())?;
+        let (step, snap) = guard.latest.as_ref()?;
         let dense = |name: &str| -> Vec<f64> {
             snap.field(name)
                 .unwrap_or_else(|| panic!("checkpoint missing field {name}"))
@@ -555,26 +520,10 @@ impl Checkpointer {
     /// Charges the durable write to every rank's virtual clock and commits
     /// it on rank 0. A rank felled *during* the charge unwinds before the
     /// commit, so an interrupted checkpoint is never durable.
-    ///
-    /// In incremental mode the first commit serializes the full snapshot
-    /// and every later one appends only a [`SnapshotDelta`] record; the
-    /// simulated store bandwidth charge is unchanged (the model prices the
-    /// dense state either way), so both modes produce byte-identical
-    /// reports while the host-side serialization work shrinks to the dirty
-    /// blocks.
     fn commit(&self, step: usize, snap: Snapshot, comm: &mut SimComm) {
         comm.advance(self.io_seconds);
         if comm.rank() == 0 {
             let mut s = self.store();
-            if self.incremental {
-                match &s.latest {
-                    None => s.incremental_log.push(snap.to_json()),
-                    Some((_, base)) => {
-                        let delta = SnapshotDelta::diff(base, &snap);
-                        s.incremental_log.push(delta.to_json());
-                    }
-                }
-            }
             s.latest = Some((step, snap));
             s.writes += 1;
             s.attempt_ckpt_clock = comm.clock();
@@ -598,7 +547,6 @@ fn run_resilient_numerical(
     let ckpt = Checkpointer {
         store: Mutex::default(),
         policy: spec.policy,
-        incremental: spec.incremental_checkpoints,
         total_steps: req.app.steps(),
         io_seconds: bytes / spec.policy.io_bandwidth,
         bytes,
@@ -774,7 +722,6 @@ mod tests {
                 groups: 2,
                 max_bid: 1.0,
             },
-            incremental_checkpoints: false,
         };
         RunRequest {
             fidelity: Fidelity::Numerical,
@@ -835,56 +782,6 @@ mod tests {
             ff.linf
         );
         assert!((v.l2 - ff.l2).abs() <= 1e-12, "{} vs {}", v.l2, ff.l2);
-    }
-
-    #[test]
-    fn incremental_checkpoints_restore_bitwise_under_fault_injection() {
-        // Same nasty market as `revoked_run_recovers_with_exact_accuracy`,
-        // but every durable write after the first is a dirty-block delta
-        // and every restart replays the serialized base-plus-deltas chain.
-        // The campaign must be byte-identical to the monolithic store.
-        let mono = small_spot_req(6, 1, 0.012, 0.35);
-        let mut incr = mono.clone();
-        if let Some(spec) = &mut incr.resilience {
-            spec.incremental_checkpoints = true;
-        }
-        let a = execute_resilient(&mono).unwrap();
-        let b = execute_resilient(&incr).unwrap();
-        assert!(
-            b.stats.faults_injected >= 1,
-            "market never fired: {:?}",
-            b.stats
-        );
-        assert!(
-            b.stats.checkpoints_written >= 2,
-            "need at least one delta after the base: {:?}",
-            b.stats
-        );
-        assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats));
-        assert_eq!(
-            format!("{:?}", a.outcome),
-            format!("{:?}", b.outcome),
-            "delta-chain restore must not change a byte of the outcome"
-        );
-    }
-
-    #[test]
-    fn incremental_checkpoints_restore_ns_bitwise() {
-        // The four-field NS state (3 velocity components x BDF levels +
-        // pressure) through the delta chain, against the monolithic store.
-        let spec = |incremental: bool| {
-            let mut s = small_spot_req(4, 1, 0.03, 0.4);
-            s.app = App::paper_ns(4);
-            if let Some(r) = &mut s.resilience {
-                r.incremental_checkpoints = incremental;
-            }
-            s
-        };
-        let a = execute_resilient(&spec(false)).unwrap();
-        let b = execute_resilient(&spec(true)).unwrap();
-        assert!(b.stats.checkpoints_written >= 2, "{:?}", b.stats);
-        assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats));
-        assert_eq!(format!("{:?}", a.outcome), format!("{:?}", b.outcome));
     }
 
     #[test]

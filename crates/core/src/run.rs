@@ -6,7 +6,7 @@ use crate::modeled::run_modeled_prepared;
 use crate::prep::PreparedScenario;
 use crate::recovery::ResilienceSpec;
 use hetero_fem::phase::PhaseTimes;
-use hetero_linalg::{KernelBackend, SolverVariant};
+use hetero_linalg::SolverVariant;
 use hetero_platform::limits::LimitViolation;
 use hetero_platform::{CostModel, PlatformSpec};
 use hetero_simmpi::{ClusterTopology, EngineKind, FaultPlan, SpmdConfig};
@@ -68,14 +68,6 @@ pub struct RunRequest {
     /// app's own [`hetero_linalg::SolveOptions`] say — the default blocking
     /// schedule unless the config was built otherwise.
     pub solver_variant: Option<SolverVariant>,
-    /// Overrides the per-step operator backend of **every** assembled
-    /// system in the app (see [`KernelBackend`]). `None` keeps whatever the
-    /// app's own [`hetero_linalg::SolveOptions`] say — the default
-    /// assemble-from-scratch path unless the config was built otherwise.
-    /// Both backends produce bitwise-identical reports; `MatrixFree`
-    /// refreshes a retained operator in place and skips the per-step
-    /// matrix construction on the host.
-    pub kernel_backend: Option<KernelBackend>,
     /// Replaces the platform's default topology (placement-group fleets).
     pub topology_override: Option<ClusterTopology>,
     /// Replaces the platform's cost model (spot pricing).
@@ -107,7 +99,6 @@ impl RunRequest {
             sched_workers: 0,
             fidelity: Fidelity::Auto,
             solver_variant: None,
-            kernel_backend: None,
             topology_override: None,
             cost_override: None,
             resilience: None,
@@ -115,30 +106,23 @@ impl RunRequest {
         }
     }
 
-    /// The request both executors run: the solver-variant and
-    /// kernel-backend overrides folded into the app config, so every
-    /// engine, attempt and probe sees them through the ordinary
-    /// `SolveOptions` path.
+    /// The request both executors run: the solver-variant override folded
+    /// into the app config, so every engine, attempt and probe sees it
+    /// through the ordinary `SolveOptions` path.
     pub(crate) fn normalized(&self) -> RunRequest {
         RunRequest {
             app: self.resolved_app(),
             solver_variant: None,
-            kernel_backend: None,
             ..self.clone()
         }
     }
 
-    /// The app with [`RunRequest::solver_variant`] and
-    /// [`RunRequest::kernel_backend`] applied (identity when both are
-    /// `None`).
+    /// The app with [`RunRequest::solver_variant`] applied (identity when
+    /// it is `None`).
     pub fn resolved_app(&self) -> App {
-        let app = match self.solver_variant {
+        match self.solver_variant {
             Some(v) => self.app.with_solver_variant(v),
             None => self.app.clone(),
-        };
-        match self.kernel_backend {
-            Some(b) => app.with_kernel_backend(b),
-            None => app,
         }
     }
 }

@@ -115,140 +115,6 @@ impl Snapshot {
     }
 }
 
-/// Dirty-block granularity of [`SnapshotDelta`]: values per block.
-///
-/// Small enough that a localized update (a few boundary dofs, one BDF
-/// level) touches few blocks; large enough that the per-block index
-/// overhead stays negligible against 256 x 8 bytes of payload.
-pub const DELTA_BLOCK: usize = 256;
-
-/// One field's dirty blocks relative to the base snapshot: block index plus
-/// the block's values as raw IEEE-754 bit patterns. Bit patterns — not
-/// floats — so the wire form is exact by construction and serializes
-/// through fast integer formatting instead of shortest-roundtrip float
-/// printing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FieldDelta {
-    /// Field name, matching the base snapshot's field.
-    pub name: String,
-    /// Dirty blocks: `(block_index, bits)` with `bits.len() <= DELTA_BLOCK`
-    /// (the final block of a field may be short).
-    pub blocks: Vec<(usize, Vec<u64>)>,
-}
-
-/// An incremental checkpoint: only the [`DELTA_BLOCK`]-sized blocks whose
-/// bit patterns changed since the last committed snapshot, plus the new
-/// header. `apply` onto that base reproduces the full snapshot bitwise, so
-/// a chain `base, d1, d2, ...` replayed in order restores exactly the
-/// state a monolithic checkpoint would have stored — at a fraction of the
-/// serialization cost (EXPERIMENTS.md "Kernel floor" records the last
-/// measurement).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SnapshotDelta {
-    /// Application name (matches the base).
-    pub app: String,
-    /// Simulation time of the new state.
-    pub time: f64,
-    /// Time-step index of the new state.
-    pub step: usize,
-    /// Time-step index of the base snapshot this delta applies to.
-    pub base_step: usize,
-    /// Per-field dirty blocks, in the base's field order.
-    pub fields: Vec<FieldDelta>,
-}
-
-impl SnapshotDelta {
-    /// Diffs `next` against `base`. Both snapshots must capture the same
-    /// fields (name, order, and size): a checkpoint cadence always writes
-    /// the same state set, so a shape change means the caller should have
-    /// written a fresh full base instead.
-    pub fn diff(base: &Snapshot, next: &Snapshot) -> SnapshotDelta {
-        assert_eq!(base.app, next.app, "delta across applications");
-        assert_eq!(
-            base.fields.len(),
-            next.fields.len(),
-            "delta across different field sets"
-        );
-        let fields = base
-            .fields
-            .iter()
-            .zip(&next.fields)
-            .map(|(bf, nf)| {
-                assert_eq!(bf.name, nf.name, "field order changed under the delta");
-                assert_eq!(
-                    bf.n_global, nf.n_global,
-                    "field size changed under the delta"
-                );
-                let blocks = bf
-                    .values
-                    .chunks(DELTA_BLOCK)
-                    .zip(nf.values.chunks(DELTA_BLOCK))
-                    .enumerate()
-                    .filter(|(_, (b, n))| {
-                        b.iter()
-                            .zip(n.iter())
-                            .any(|(x, y)| x.to_bits() != y.to_bits())
-                    })
-                    .map(|(i, (_, n))| (i, n.iter().map(|x| x.to_bits()).collect()))
-                    .collect();
-                FieldDelta {
-                    name: nf.name.clone(),
-                    blocks,
-                }
-            })
-            .collect();
-        SnapshotDelta {
-            app: next.app.clone(),
-            time: next.time,
-            step: next.step,
-            base_step: base.step,
-            fields,
-        }
-    }
-
-    /// Applies the delta onto its base, reproducing the full snapshot the
-    /// diff was taken against — bitwise.
-    pub fn apply(&self, base: &Snapshot) -> Snapshot {
-        assert_eq!(base.app, self.app, "delta across applications");
-        assert_eq!(base.step, self.base_step, "delta applied to the wrong base");
-        let mut out = base.clone();
-        out.time = self.time;
-        out.step = self.step;
-        assert_eq!(out.fields.len(), self.fields.len(), "field set mismatch");
-        for (f, d) in out.fields.iter_mut().zip(&self.fields) {
-            assert_eq!(f.name, d.name, "field order mismatch");
-            for (bi, bits) in &d.blocks {
-                let start = bi * DELTA_BLOCK;
-                let dst = &mut f.values[start..start + bits.len()];
-                for (v, &b) in dst.iter_mut().zip(bits) {
-                    *v = f64::from_bits(b);
-                }
-            }
-        }
-        out
-    }
-
-    /// Total dirty blocks across all fields.
-    pub fn num_dirty_blocks(&self) -> usize {
-        self.fields.iter().map(|f| f.blocks.len()).sum()
-    }
-
-    /// Serializes to the on-disk format (compact JSON of integer bit
-    /// patterns — the cheap-to-format delta record appended after the
-    /// full base).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("delta serializes")
-    }
-
-    /// Parses the on-disk format.
-    ///
-    /// # Errors
-    /// Returns the underlying JSON error on malformed input.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,78 +195,6 @@ mod tests {
     #[test]
     fn malformed_json_is_an_error() {
         assert!(Snapshot::from_json("{not json").is_err());
-    }
-
-    fn synthetic_snapshot(step: usize, n: usize, f: impl Fn(usize) -> f64) -> Snapshot {
-        let mut s = Snapshot::new("RD", step as f64 * 0.25, step);
-        s.fields.push(FieldSnapshot {
-            name: "u".into(),
-            n_global: n,
-            values: (0..n).map(&f).collect(),
-        });
-        s.fields.push(FieldSnapshot {
-            name: "w".into(),
-            n_global: n,
-            values: (0..n).map(|i| f(i) - 3.0).collect(),
-        });
-        s
-    }
-
-    #[test]
-    fn delta_apply_reproduces_the_next_snapshot_bitwise() {
-        // Spans multiple blocks including a short tail block; perturb a few
-        // scattered values, among them a sign flip on zero.
-        let n = 3 * DELTA_BLOCK + 17;
-        let base = synthetic_snapshot(4, n, |i| (i as f64 * 0.37).sin());
-        let mut next = synthetic_snapshot(5, n, |i| (i as f64 * 0.37).sin());
-        next.fields[0].values[3] = -0.0;
-        next.fields[0].values[2 * DELTA_BLOCK + 1] *= 1.0000001;
-        next.fields[1].values[n - 1] = f64::MIN_POSITIVE / 2.0; // subnormal
-        let delta = SnapshotDelta::diff(&base, &next);
-        // Only the touched blocks travel: 2 in "u", 1 in "w".
-        assert_eq!(delta.fields[0].blocks.len(), 2);
-        assert_eq!(delta.fields[1].blocks.len(), 1);
-        let restored = delta.apply(&base);
-        assert_eq!(restored.step, 5);
-        for (rf, nf) in restored.fields.iter().zip(&next.fields) {
-            for (a, b) in rf.values.iter().zip(&nf.values) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn delta_json_roundtrip_is_lossless() {
-        let n = DELTA_BLOCK + 5;
-        let base = synthetic_snapshot(0, n, |i| i as f64);
-        let next = synthetic_snapshot(1, n, |i| i as f64 + 0.125);
-        let delta = SnapshotDelta::diff(&base, &next);
-        let parsed = SnapshotDelta::from_json(&delta.to_json()).unwrap();
-        assert_eq!(parsed, delta);
-        let via_disk = parsed.apply(&base);
-        assert_eq!(via_disk, next);
-    }
-
-    #[test]
-    fn identical_snapshots_produce_an_empty_delta() {
-        let base = synthetic_snapshot(2, 100, |i| 1.0 / (i + 1) as f64);
-        let next = Snapshot {
-            step: 3,
-            ..base.clone()
-        };
-        let delta = SnapshotDelta::diff(&base, &next);
-        assert_eq!(delta.num_dirty_blocks(), 0);
-        assert_eq!(delta.apply(&base).step, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong base")]
-    fn delta_refuses_the_wrong_base() {
-        let base = synthetic_snapshot(2, 10, |i| i as f64);
-        let next = synthetic_snapshot(3, 10, |i| i as f64 + 1.0);
-        let delta = SnapshotDelta::diff(&base, &next);
-        let other = synthetic_snapshot(7, 10, |i| i as f64);
-        let _ = delta.apply(&other);
     }
 
     #[test]

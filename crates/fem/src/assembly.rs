@@ -28,7 +28,7 @@ use crate::profile;
 use crate::quadrature::{GaussRule3d, ShapeTable};
 use hetero_linalg::csr::{SparsityPattern, TripletBuilder};
 use hetero_linalg::precond::OwnedBlockSymbolic;
-use hetero_linalg::{DistMatrix, DistVector, KernelBackend};
+use hetero_linalg::{DistMatrix, DistVector};
 use hetero_mesh::Point3;
 use hetero_simmpi::{Payload, SimComm};
 use std::sync::{Arc, OnceLock};
@@ -242,6 +242,60 @@ impl AssemblyStructure {
                 .get_or_init(|| Arc::new(OwnedBlockSymbolic::from_pattern(&self.pattern))),
         )
     }
+
+    /// The numeric half of every assembly after the first: concatenates the
+    /// chunks' owned-row values in cell order, ships each neighbour its
+    /// remote values and appends the values received — the triplet order
+    /// the pattern's scatter expects. The same index batches are still
+    /// shipped alongside the values, so the wire traffic — and hence the
+    /// simulated assembly time — matches the first call exactly.
+    fn gather_values(
+        &self,
+        row_map: &DofMap,
+        comm: &mut SimComm,
+        chunks: Vec<MatChunk>,
+    ) -> Vec<f64> {
+        assert_eq!(
+            self.ncells,
+            row_map.num_cells(),
+            "cached assembly reused with a different mesh partition"
+        );
+        let neighbors = &row_map.plan().neighbors;
+        let mut tvals = Vec::with_capacity(self.pattern.num_triplets());
+        let mut send_vals: Vec<Vec<f64>> = vec![Vec::new(); neighbors.len()];
+        for mut ch in chunks {
+            tvals.append(&mut ch.vals);
+            for (dst, src) in send_vals.iter_mut().zip(&mut ch.remote_vals) {
+                dst.append(src);
+            }
+        }
+        for ((&nb, idx), vals) in neighbors.iter().zip(&self.send_idx).zip(send_vals) {
+            comm.send(nb, TAG_MAT_IDX, Payload::Usize(idx.clone()));
+            comm.send(nb, TAG_MAT_VAL, Payload::F64(vals));
+        }
+        for (&nb, &count) in neighbors.iter().zip(&self.recv_counts) {
+            let idx = comm.recv_usize(nb, TAG_MAT_IDX);
+            let vals = comm.recv_f64(nb, TAG_MAT_VAL);
+            assert_eq!(idx.len(), 2 * vals.len());
+            assert_eq!(
+                vals.len(),
+                count,
+                "cached assembly structure changed between calls"
+            );
+            tvals.extend_from_slice(&vals);
+        }
+        assert_eq!(tvals.len(), self.pattern.num_triplets());
+        tvals
+    }
+
+    /// A newly allocated operator holding the gathered `tvals`.
+    fn fresh_matrix(&self, col_map: &DofMap, tvals: &[f64]) -> DistMatrix {
+        DistMatrix::rectangular(
+            self.pattern.numeric(tvals),
+            col_map.plan().clone(),
+            col_map.n_owned(),
+        )
+    }
 }
 
 /// A reusable distributed matrix assembly (Trilinos' `FECrsMatrix` reuse
@@ -259,14 +313,10 @@ impl AssemblyStructure {
 pub struct MatrixAssembly {
     charged_ops: usize,
     structure: Option<Arc<AssemblyStructure>>,
-    /// The live operator of the in-place path ([`Self::assemble_in_place`]):
+    /// The live operator of the per-step path ([`Self::assemble_in_place`]):
     /// kept across steps so refreshes reuse its value buffer, exchange plan,
-    /// and interior/boundary row split instead of rebuilding them. Under
-    /// [`Self::assemble_step`]'s `Assembled` backend, the current step's
-    /// freshly built operator.
+    /// and interior/boundary row split instead of rebuilding them.
     retained: Option<DistMatrix>,
-    /// Reusable triplet-value staging for the in-place path.
-    tvals: Vec<f64>,
 }
 
 impl MatrixAssembly {
@@ -277,22 +327,19 @@ impl MatrixAssembly {
             charged_ops,
             structure: None,
             retained: None,
-            tvals: Vec::new(),
         }
     }
 
     /// An assembly preloaded with a structure built by an earlier assembly
-    /// over the same maps: the first [`Self::assemble`] call takes the
-    /// cached numeric path directly, skipping the symbolic build. The wire
-    /// traffic and the simulated compute charge of the cached path are
-    /// identical to a first call (see `assemble_cached`), so
-    /// preloading never changes a simulated clock — only host time.
+    /// over the same maps: the first assemble call takes the cached numeric
+    /// path directly, skipping the symbolic build. The wire traffic and the
+    /// simulated compute charge of the cached path are identical to a first
+    /// call (see `AssemblyStructure::gather_values`), so preloading never
+    /// changes a simulated clock — only host time.
     pub fn with_structure(charged_ops: usize, structure: Arc<AssemblyStructure>) -> Self {
         MatrixAssembly {
-            charged_ops,
             structure: Some(structure),
-            retained: None,
-            tvals: Vec::new(),
+            ..MatrixAssembly::new(charged_ops)
         }
     }
 
@@ -307,13 +354,16 @@ impl MatrixAssembly {
         self.structure.clone()
     }
 
-    /// Assembles a distributed matrix: `cell_matrix(i, out)` fills the
-    /// `npe_row x npe_col` local matrix of the `i`-th owned cell
+    /// Assembles a fresh distributed matrix: `cell_matrix(i, out)` fills
+    /// the `npe_row x npe_col` local matrix of the `i`-th owned cell
     /// (row-major). Collective: all ranks must call with consistent
     /// closures. Off-rank row contributions are shipped to their owners.
     ///
-    /// Every call must use the same maps (same mesh partition); the
-    /// structure cached by the first call is reused afterwards.
+    /// This is the one-shot builder (mass, gradient and divergence
+    /// operators); a time stepper's per-step operator goes through
+    /// [`Self::assemble_in_place`] instead. Every call must use the same
+    /// maps (same mesh partition); the structure cached by the first call
+    /// is reused afterwards.
     pub fn assemble<F>(
         &mut self,
         row_map: &DofMap,
@@ -324,27 +374,43 @@ impl MatrixAssembly {
     where
         F: Fn(usize, &mut [f64]) + Sync,
     {
-        let rank = comm.rank();
+        let chunks = self.integrate(row_map, col_map, comm, &cell_matrix);
+        match &self.structure {
+            None => self.assemble_first(row_map, col_map, comm, chunks),
+            Some(s) => s.fresh_matrix(col_map, &s.gather_values(row_map, comm, chunks)),
+        }
+    }
+
+    /// The cell walk both builders share: integrates every owned cell
+    /// (recording coordinates only while no structure is cached yet) and
+    /// charges the quadrature + scatter cost of the cells integrated.
+    fn integrate<F>(
+        &self,
+        row_map: &DofMap,
+        col_map: &DofMap,
+        comm: &mut SimComm,
+        cell_matrix: &F,
+    ) -> Vec<MatChunk>
+    where
+        F: Fn(usize, &mut [f64]) + Sync,
+    {
         assert_eq!(
             row_map.num_cells(),
             col_map.num_cells(),
             "maps must share the mesh partition"
         );
-        let ncells = row_map.num_cells();
-        let first = self.structure.is_none();
-        let chunks = integrate_matrix_chunks(row_map, col_map, rank, first, &cell_matrix);
-
-        // Charge quadrature + scatter cost for the cells integrated.
+        let chunks = integrate_matrix_chunks(
+            row_map,
+            col_map,
+            comm.rank(),
+            self.structure.is_none(),
+            cell_matrix,
+        );
         comm.compute(
             profile::assembly_matrix_work(row_map.order(), col_map.order(), self.charged_ops)
-                * ncells as f64,
+                * row_map.num_cells() as f64,
         );
-
-        if first {
-            self.assemble_first(row_map, col_map, comm, chunks)
-        } else {
-            self.assemble_cached(row_map, col_map, comm, chunks)
-        }
+        chunks
     }
 
     /// First call: full symbolic + numeric build, caching the structure.
@@ -412,73 +478,13 @@ impl MatrixAssembly {
         DistMatrix::rectangular(triplets.build(), col_map.plan().clone(), col_map.n_owned())
     }
 
-    /// Later calls: numeric-only scatter through the cached pattern. The
-    /// same index batches are still shipped alongside the values, so the
-    /// wire traffic — and hence the simulated assembly time — matches the
-    /// first call exactly.
-    fn assemble_cached(
-        &self,
-        row_map: &DofMap,
-        col_map: &DofMap,
-        comm: &mut SimComm,
-        chunks: Vec<MatChunk>,
-    ) -> DistMatrix {
-        let s = self
-            .structure
-            .as_ref()
-            .expect("structure cached by the first call");
-        assert_eq!(
-            s.ncells,
-            row_map.num_cells(),
-            "cached assembly reused with a different mesh partition"
-        );
-        let neighbors = &row_map.plan().neighbors;
-        let mut tvals: Vec<f64> = Vec::with_capacity(s.pattern.num_triplets());
-        let mut send_vals: Vec<Vec<f64>> = vec![Vec::new(); neighbors.len()];
-        for mut ch in chunks {
-            tvals.append(&mut ch.vals);
-            for (dst, src) in send_vals.iter_mut().zip(&mut ch.remote_vals) {
-                dst.append(src);
-            }
-        }
-        for (i, &nb) in neighbors.iter().enumerate() {
-            comm.send(nb, TAG_MAT_IDX, Payload::Usize(s.send_idx[i].clone()));
-            comm.send(
-                nb,
-                TAG_MAT_VAL,
-                Payload::F64(std::mem::take(&mut send_vals[i])),
-            );
-        }
-        for (i, &nb) in neighbors.iter().enumerate() {
-            let idx = comm.recv_usize(nb, TAG_MAT_IDX);
-            let vals = comm.recv_f64(nb, TAG_MAT_VAL);
-            assert_eq!(idx.len(), 2 * vals.len());
-            assert_eq!(
-                vals.len(),
-                s.recv_counts[i],
-                "cached assembly structure changed between calls"
-            );
-            tvals.extend_from_slice(&vals);
-        }
-        assert_eq!(tvals.len(), s.pattern.num_triplets());
-        DistMatrix::rectangular(
-            s.pattern.numeric(&tvals),
-            col_map.plan().clone(),
-            col_map.n_owned(),
-        )
-    }
-
-    /// One time step's operator under `backend`: `Assembled` builds a
-    /// fresh matrix through the cached pattern ([`Self::assemble`]),
-    /// `MatrixFree` refreshes the retained one ([`Self::assemble_in_place`])
-    /// — bitwise the same matrix, wire traffic, and charges either way.
-    /// The operator stays with this assembly until the next call; it comes
-    /// back together with the shared structure, so the caller can constrain
-    /// and solve with the one while a preconditioner takes its cached
-    /// symbolic analysis from the other.
+    /// One time step's operator, refreshed in place
+    /// ([`Self::assemble_in_place`]). The operator stays with this assembly
+    /// until the next call; it comes back together with the shared
+    /// structure, so the caller can constrain and solve with the one while
+    /// a preconditioner takes its cached symbolic analysis from the other.
     pub fn assemble_step<F>(
         &mut self,
-        backend: KernelBackend,
         row_map: &DofMap,
         col_map: &DofMap,
         comm: &mut SimComm,
@@ -487,35 +493,26 @@ impl MatrixAssembly {
     where
         F: Fn(usize, &mut [f64]) + Sync,
     {
-        match backend {
-            KernelBackend::MatrixFree => {
-                self.assemble_in_place(row_map, col_map, comm, cell_matrix);
-            }
-            KernelBackend::Assembled => {
-                // Drop the previous step's operator before building anew.
-                self.retained = None;
-                self.retained = Some(self.assemble(row_map, col_map, comm, cell_matrix));
-            }
-        }
+        self.assemble_in_place(row_map, col_map, comm, cell_matrix);
         (
             self.retained.as_mut().expect("operator assembled above"),
             self.structure.as_deref().expect("structure cached above"),
         )
     }
 
-    /// The quadrature-fused `KernelBackend::MatrixFree` path: assembles
-    /// into a matrix *retained across calls*, so solve-heavy steps skip
-    /// the global CSR rebuild entirely — no value-array allocation, no
-    /// pattern `row_ptr`/`col_idx` clones, no exchange-plan clone, no
-    /// interior/boundary row rescan. Per-cell local matrices flow from the
-    /// chunked integration straight into the live value buffer through the
-    /// frozen sorted scatter ([`SparsityPattern::numeric_into`]).
+    /// The per-step path: assembles into a matrix *retained across calls*,
+    /// so solve-heavy steps skip the global CSR rebuild entirely — no
+    /// value-array allocation, no pattern `row_ptr`/`col_idx` clones, no
+    /// exchange-plan clone, no interior/boundary row rescan. Per-cell local
+    /// matrices flow from the chunked integration straight into the live
+    /// value buffer through the frozen sorted scatter
+    /// ([`SparsityPattern::numeric_into`]).
     ///
     /// The cell chunking, the per-neighbour wire traffic, and the charged
     /// quadrature work are exactly those of [`Self::assemble`], and the
     /// scatter accumulates in the same sorted order, so the refreshed
-    /// operator — and every simulated clock — is bitwise identical to the
-    /// assembled path at any thread count. Callers may constrain the
+    /// operator — and every simulated clock — is bitwise identical to a
+    /// fresh build at any thread count. Callers may constrain the
     /// returned matrix freely (Dirichlet row/column surgery); the next
     /// refresh overwrites every stored value.
     pub fn assemble_in_place<F>(
@@ -528,74 +525,18 @@ impl MatrixAssembly {
     where
         F: Fn(usize, &mut [f64]) + Sync,
     {
-        let rank = comm.rank();
-        assert_eq!(
-            row_map.num_cells(),
-            col_map.num_cells(),
-            "maps must share the mesh partition"
-        );
-        let ncells = row_map.num_cells();
-        let symbolic = self.structure.is_none();
-        let chunks = integrate_matrix_chunks(row_map, col_map, rank, symbolic, &cell_matrix);
-
-        comm.compute(
-            profile::assembly_matrix_work(row_map.order(), col_map.order(), self.charged_ops)
-                * ncells as f64,
-        );
-
-        if symbolic {
-            let m = self.assemble_first(row_map, col_map, comm, chunks);
-            self.retained = Some(m);
-        } else if self.retained.is_none() {
-            // Structure preloaded (shared from another assembly over the
-            // same maps) but no live operator yet: take the cached numeric
-            // path — traffic-identical to a first build — and retain it.
-            let m = self.assemble_cached(row_map, col_map, comm, chunks);
-            self.retained = Some(m);
-        } else {
-            let s = self
-                .structure
-                .as_ref()
-                .expect("structure cached by the first call");
-            assert_eq!(
-                s.ncells,
-                row_map.num_cells(),
-                "cached assembly reused with a different mesh partition"
-            );
-            let neighbors = &row_map.plan().neighbors;
-            self.tvals.clear();
-            let mut send_vals: Vec<Vec<f64>> = vec![Vec::new(); neighbors.len()];
-            for mut ch in chunks {
-                self.tvals.append(&mut ch.vals);
-                for (dst, src) in send_vals.iter_mut().zip(&mut ch.remote_vals) {
-                    dst.append(src);
+        let chunks = self.integrate(row_map, col_map, comm, &cell_matrix);
+        match self.structure.as_deref() {
+            None => self.retained = Some(self.assemble_first(row_map, col_map, comm, chunks)),
+            Some(s) => {
+                let tvals = s.gather_values(row_map, comm, chunks);
+                match &mut self.retained {
+                    Some(m) => s.pattern.numeric_into(&tvals, m.local_mut().values_mut()),
+                    // Structure preloaded (shared from another assembly
+                    // over the same maps) but no live operator yet.
+                    None => self.retained = Some(s.fresh_matrix(col_map, &tvals)),
                 }
             }
-            for (i, &nb) in neighbors.iter().enumerate() {
-                comm.send(nb, TAG_MAT_IDX, Payload::Usize(s.send_idx[i].clone()));
-                comm.send(
-                    nb,
-                    TAG_MAT_VAL,
-                    Payload::F64(std::mem::take(&mut send_vals[i])),
-                );
-            }
-            for (i, &nb) in neighbors.iter().enumerate() {
-                let idx = comm.recv_usize(nb, TAG_MAT_IDX);
-                let vals = comm.recv_f64(nb, TAG_MAT_VAL);
-                assert_eq!(idx.len(), 2 * vals.len());
-                assert_eq!(
-                    vals.len(),
-                    s.recv_counts[i],
-                    "cached assembly structure changed between calls"
-                );
-                self.tvals.extend_from_slice(&vals);
-            }
-            let m = self
-                .retained
-                .as_mut()
-                .expect("retained operator exists after the first call");
-            s.pattern
-                .numeric_into(&self.tvals, m.local_mut().values_mut());
         }
         self.retained
             .as_mut()
@@ -1045,7 +986,7 @@ mod tests {
 
     #[test]
     fn in_place_assembly_matches_from_scratch_bitwise() {
-        // The matrix-free refresh path must reproduce a from-scratch build
+        // The per-step refresh path must reproduce a from-scratch build
         // exactly on every step, including the structural first one.
         let order = ElementOrder::Q1;
         run_fem(3, 2, order, move |dm, comm| {

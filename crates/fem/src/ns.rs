@@ -436,14 +436,12 @@ pub fn solve_ns_prepared(
             }
             add_convection(out, &tab_v, vol, cfg.rho, vmap.cell_dofs(i), &w);
         };
-        let (a_v, vv) =
-            momentum_asm.assemble_step(cfg.solve_vel.backend, &vmap, &vmap, comm, momentum_cell);
+        let (a_v, vv) = momentum_asm.assemble_step(&vmap, &vmap, comm, momentum_cell);
 
         // Pressure Laplacian (assembled per step, as a general-coefficient
         // code would; values are constant here).
         let pressure_cell = |_i: usize, out: &mut [f64]| out.copy_from_slice(&kern_p.stiffness);
-        let (l_p, pp) =
-            pressure_asm.assemble_step(cfg.solve_p.backend, &pmap, &pmap, comm, pressure_cell);
+        let (l_p, pp) = pressure_asm.assemble_step(&pmap, &pmap, comm, pressure_cell);
 
         // Momentum right-hand sides.
         let mut rhs: Vec<DistVector> = Vec::with_capacity(3);

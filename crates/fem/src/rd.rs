@@ -264,10 +264,8 @@ pub fn solve_rd_prepared(
         let t = cfg.t0 + step as f64 * cfg.dt;
         let mut rec = PhaseRecorder::start(comm.clock());
 
-        // -- Assembly (ii): system matrix, history term, source, BCs.
-        // `MatrixFree` refreshes a retained operator in place (identical
-        // wire traffic, work charges, and bits — see `assemble_in_place`);
-        // `Assembled` rebuilds a fresh one through the cached pattern.
+        // -- Assembly (ii): system matrix, history term, source, BCs. The
+        // retained operator is refreshed in place (see `assemble_in_place`).
         let m_coeff = alpha / cfg.dt + ex.reaction(t);
         let k_coeff = ex.diffusion(t);
         let cell = |_i: usize, out: &mut [f64]| {
@@ -275,7 +273,7 @@ pub fn solve_rd_prepared(
                 *o = m_coeff * m + k_coeff * k;
             }
         };
-        let (a, structure) = system_asm.assemble_step(cfg.solve.backend, &dm, &dm, comm, cell);
+        let (a, structure) = system_asm.assemble_step(&dm, &dm, comm, cell);
         // w = sum_j c_j u^{n-j} / dt, combined over owned + ghost slots so
         // the mass SpMV sees consistent data.
         let mut w = dm.new_vector();

@@ -38,7 +38,7 @@ pub use csr::{CsrMatrix, SparsityPattern, TripletBuilder};
 pub use distmat::DistMatrix;
 pub use precond::{IluZero, Jacobi, Preconditioner, Ssor};
 pub use solver::{
-    bicgstab, bicgstab_with_workspace, cg, cg_pipelined, gmres, gmres_with_workspace,
-    KernelBackend, SolveOptions, SolveStats, SolverVariant, SolverWorkspace,
+    bicgstab, bicgstab_with_workspace, cg, cg_pipelined, gmres, gmres_with_workspace, SolveOptions,
+    SolveStats, SolverVariant, SolverWorkspace,
 };
 pub use vector::{fused_dots, DistVector, ExchangePlan};

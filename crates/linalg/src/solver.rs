@@ -35,27 +35,6 @@ pub enum SolverVariant {
     Pipelined,
 }
 
-/// How the time steppers produce the operator a solve applies — the
-/// host-side sibling of [`SolverVariant`]'s communication knob.
-///
-/// Both backends produce bitwise-identical matrices, solves, and virtual
-/// clocks; `MatrixFree` only removes per-step host allocation and
-/// structure-rescan cost (see `MatrixAssembly::assemble_in_place` in
-/// `hetero-fem` and DESIGN.md §10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum KernelBackend {
-    /// Rebuild a fresh CSR operator every solve-heavy step via the cached
-    /// symbolic structure — the baseline path.
-    #[default]
-    Assembled,
-    /// Quadrature-fused refresh of a retained operator: per-cell local
-    /// matrices are scattered straight into the live CSR value buffer in
-    /// the frozen sorted order, skipping the global rebuild (value
-    /// allocation, pattern clones, exchange-plan clone, and the
-    /// interior/boundary row rescan) entirely.
-    MatrixFree,
-}
-
 /// Convergence controls.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SolveOptions {
@@ -67,8 +46,6 @@ pub struct SolveOptions {
     pub max_iters: usize,
     /// Communication schedule.
     pub variant: SolverVariant,
-    /// Operator-production path for the owning time stepper.
-    pub backend: KernelBackend,
 }
 
 impl Default for SolveOptions {
@@ -78,7 +55,6 @@ impl Default for SolveOptions {
             abs_tol: 1e-14,
             max_iters: 500,
             variant: SolverVariant::default(),
-            backend: KernelBackend::default(),
         }
     }
 }

@@ -9,7 +9,7 @@ const HALO_TAG: u64 = 9_000;
 
 /// Fixed reduction chunk length. Dot products always sum per-chunk partials
 /// in chunk order — at any thread count, including one — so the result is a
-/// function of the data alone, never of `RAYON_NUM_THREADS`.
+/// function of the data alone, never of the installed pool size.
 const REDUCE_CHUNK: usize = 1024;
 
 /// Minimum owned length before element-wise updates (axpy, xpby, scale) fan

@@ -19,8 +19,8 @@
 
 use crate::resolver::ResolvedPlan;
 use crate::schema::{
-    parse_backend, parse_variant, AppKind, Axis, CompareTemplate, Coord, PolicyKind,
-    ReportTemplate, StageDef, StageKind,
+    parse_variant, AppKind, Axis, CompareTemplate, Coord, PolicyKind, ReportTemplate, StageDef,
+    StageKind,
 };
 use hetero_fault::ResiliencePolicy;
 use hetero_hpc::canon::{canonical_request, sha256_hex};
@@ -388,19 +388,12 @@ fn run_setup(rp: &ResolvedPlan, i: usize) -> Result<RunSetup, ExecError> {
         Some(Coord::Str(s)) => Some(parse_variant(s).expect("validated at extraction")),
         _ => None,
     };
-    let backend = match inst.coord(Axis::Backend) {
-        Some(Coord::Str(s)) => Some(parse_backend(s).expect("validated at extraction")),
-        _ => None,
-    };
 
     let mode = if stage.uncapped {
-        // The what-if path folds the overrides into the app config itself
+        // The what-if path folds the override into the app config itself
         // (it drives the modeled engine directly, not `execute`).
         if let Some(v) = variant {
             app = app.with_solver_variant(v);
-        }
-        if let Some(b) = backend {
-            app = app.with_kernel_backend(b);
         }
         RunMode::Uncapped
     } else if let Some(policy) = stage.policy {
@@ -430,7 +423,6 @@ fn run_setup(rp: &ResolvedPlan, i: usize) -> Result<RunSetup, ExecError> {
     let uncapped = matches!(mode, RunMode::Uncapped);
     let req = RunRequest {
         solver_variant: if uncapped { None } else { variant },
-        kernel_backend: if uncapped { None } else { backend },
         resilience: match &mode {
             RunMode::Campaign { spec, .. } => Some(spec.clone()),
             _ => None,

@@ -6,8 +6,8 @@
 //! The paper's core claim is that one simulation harness can target
 //! heterogeneous platforms by swapping configuration. This crate extends
 //! that stance to the experiment campaigns themselves: a plan file
-//! declares platforms × apps × solver variants × kernel backends ×
-//! resilience policies × sweep axes plus stage dependencies
+//! declares platforms × apps × solver variants × resilience policies ×
+//! sweep axes plus stage dependencies
 //! (partition → run → compare → report), and the harness resolves and
 //! executes it — a new sweep is a ~20-line TOML diff, not new Rust.
 //!

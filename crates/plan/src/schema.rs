@@ -12,7 +12,7 @@
 use crate::toml::{Span, Spanned, Table, TomlError, Value};
 use hetero_hpc::run::Fidelity;
 use hetero_hpc::scenarios::ScenarioOptions;
-use hetero_linalg::{KernelBackend, SolverVariant};
+use hetero_linalg::SolverVariant;
 use hetero_platform::catalog;
 
 fn err<T>(span: Span, msg: impl Into<String>) -> Result<T, TomlError> {
@@ -167,8 +167,6 @@ pub enum Axis {
     Platform,
     /// Solver communication schedule.
     Variant,
-    /// Per-step operator backend.
-    Backend,
     /// Checkpoint cadence (fault campaigns).
     Cadence,
 }
@@ -180,7 +178,6 @@ impl Axis {
             Axis::Ranks => "ranks",
             Axis::Platform => "platform",
             Axis::Variant => "variant",
-            Axis::Backend => "backend",
             Axis::Cadence => "cadence",
         }
     }
@@ -190,7 +187,6 @@ impl Axis {
             "ranks" => Some(Axis::Ranks),
             "platform" => Some(Axis::Platform),
             "variant" => Some(Axis::Variant),
-            "backend" => Some(Axis::Backend),
             "cadence" => Some(Axis::Cadence),
             _ => None,
         }
@@ -202,7 +198,7 @@ impl Axis {
 pub enum Coord {
     /// An integer axis value (`ranks`, `cadence`).
     Int(u64),
-    /// A string axis value (`platform`, `variant`, `backend`).
+    /// A string axis value (`platform`, `variant`).
     Str(String),
 }
 
@@ -517,7 +513,6 @@ const STAGE_KEYS: &[&str] = &[
     "platform",
     "ranks",
     "variant",
-    "backend",
     "cadence",
     "sweep",
     "expect",
@@ -686,7 +681,7 @@ fn extract_stage(
                     return err(
                         *span,
                         format!(
-                            "unknown sweep axis `{key}` in {context} (expected one of: backend, cadence, platform, ranks, variant)"
+                            "unknown sweep axis `{key}` in {context} (expected one of: cadence, platform, ranks, variant)"
                         ),
                     )
                 }
@@ -695,13 +690,7 @@ fn extract_stage(
             sweep.push(AxisValues { axis, values });
         }
     }
-    for axis in [
-        Axis::Ranks,
-        Axis::Platform,
-        Axis::Variant,
-        Axis::Backend,
-        Axis::Cadence,
-    ] {
+    for axis in [Axis::Ranks, Axis::Platform, Axis::Variant, Axis::Cadence] {
         if let Some((span, v)) = t.get_with_span(axis.key()) {
             if sweep.iter().any(|a| a.axis == axis) {
                 return err(
@@ -830,14 +819,6 @@ fn validate_axis(axis: Axis, values: Vec<(Coord, Span)>) -> Result<Vec<Coord>, T
                     ),
                 })?;
             }
-            (Axis::Backend, Coord::Str(s)) => {
-                parse_backend(s).ok_or(TomlError {
-                    span,
-                    msg: format!(
-                        "unknown kernel backend `{s}` (expected one of: assembled, matrix-free)"
-                    ),
-                })?;
-            }
             _ => {}
         }
         if out.contains(&value) {
@@ -857,15 +838,6 @@ pub fn parse_variant(s: &str) -> Option<SolverVariant> {
         "blocking" => Some(SolverVariant::Blocking),
         "overlapped" => Some(SolverVariant::Overlapped),
         "pipelined" => Some(SolverVariant::Pipelined),
-        _ => None,
-    }
-}
-
-/// Parses a kernel-backend axis value.
-pub fn parse_backend(s: &str) -> Option<KernelBackend> {
-    match s {
-        "assembled" => Some(KernelBackend::Assembled),
-        "matrix-free" => Some(KernelBackend::MatrixFree),
         _ => None,
     }
 }
@@ -908,21 +880,61 @@ ranks = [1, 8]
         assert_eq!(s.sweep[1].values, vec![Coord::Str("ec2".into())]);
     }
 
+    /// The span of `e` points at `key` inside `doc`.
+    fn assert_span_points_at(doc: &str, e: &TomlError, key: &str) {
+        let line = doc
+            .lines()
+            .nth(e.span.line - 1)
+            .expect("span line in bounds");
+        assert!(line[e.span.col - 1..].starts_with(key), "{e}: `{line}`");
+    }
+
     #[test]
     fn unknown_key_is_rejected_with_span_and_candidates() {
-        let doc = MINIMAL.replace("app = \"rd\"", "ap = \"rd\"");
-        let e = plan(&doc).unwrap_err();
-        assert!(e.msg.contains("unknown key `ap` in [[stage]]"), "{e}");
-        assert!(e.msg.contains("expected one of:"), "{e}");
-        assert_eq!(e.span.line, 9);
-        assert_eq!(e.span.col, 1);
+        // A typo, and the retired `backend` axis fixed on a stage.
+        for (replacement, key) in [
+            ("ap = \"rd\"", "ap"),
+            ("app = \"rd\"\nbackend = \"matrix-free\"", "backend"),
+        ] {
+            let doc = MINIMAL.replace("app = \"rd\"", replacement);
+            let e = plan(&doc).unwrap_err();
+            assert!(
+                e.msg.contains(&format!("unknown key `{key}` in [[stage]]")),
+                "{e}"
+            );
+            let (_, candidates) = e.msg.split_once("expected one of:").expect("candidates");
+            assert!(
+                candidates.contains("platform, ranks, variant, cadence"),
+                "{e}"
+            );
+            assert!(!candidates.contains("backend"), "{e}");
+            assert_span_points_at(&doc, &e, key);
+        }
     }
 
     #[test]
     fn unknown_sweep_axis_is_rejected() {
-        let doc = MINIMAL.replace("ranks = [1, 8]", "rankz = [1, 8]");
-        let e = plan(&doc).unwrap_err();
-        assert!(e.msg.contains("unknown sweep axis `rankz`"), "{e}");
+        // A typo, and the retired `backend` axis swept.
+        for (replacement, key) in [
+            ("rankz = [1, 8]", "rankz"),
+            (
+                "ranks = [1, 8]\nbackend = [\"assembled\", \"matrix-free\"]",
+                "backend",
+            ),
+        ] {
+            let doc = MINIMAL.replace("ranks = [1, 8]", replacement);
+            let e = plan(&doc).unwrap_err();
+            assert!(
+                e.msg.contains(&format!("unknown sweep axis `{key}`")),
+                "{e}"
+            );
+            assert!(
+                e.msg
+                    .ends_with("(expected one of: cadence, platform, ranks, variant)"),
+                "{e}"
+            );
+            assert_span_points_at(&doc, &e, key);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {"schema":"hetero-serve/artifact/v1",
-//!  "key":"hetero-serve/key/v1/<hex>",
+//!  "key":"hetero-serve/key/v2/<hex>",
 //!  "content_hash":"<sha256 of the outcome text>",
 //!  "outcome":"<compact JSON, embedded as a string>"}
 //! ```

@@ -143,17 +143,16 @@ struct QueuedJob {
 /// service-level analogue of the paper's "same platform, same size"
 /// sweep columns). Besides the platform/size coordinates this folds in
 /// the `hetero-prep/key/v1` sub-key — so every job of a batch shares one
-/// [`PreparedScenario`] resolution — and the solver-variant/kernel-backend
-/// overrides, which the prep key deliberately excludes: two jobs differing
-/// only in operator path must not claim-group as interchangeable work.
-fn batch_shape(req: &RunRequest) -> (String, String, usize, usize, String, String) {
+/// [`PreparedScenario`] resolution — and the solver-variant override,
+/// which the prep key deliberately excludes: two jobs differing only in
+/// communication schedule must not claim-group as interchangeable work.
+fn batch_shape(req: &RunRequest) -> (String, String, usize, usize, String) {
     (
         prep_key(req),
         req.platform.key.clone(),
         req.ranks,
         req.per_rank_axis,
         format!("{:?}", req.solver_variant),
-        format!("{:?}", req.kernel_backend),
     )
 }
 
@@ -207,9 +206,13 @@ impl ServeHandle {
         let mut inflight: HashMap<String, Vec<JobId>> = HashMap::new();
         let mut done = HashMap::new();
         let mut recovered = Vec::new();
-        for PendingJob { id, key, request } in pending {
+        for PendingJob { id, request, .. } in pending {
             metrics.add("serve.recovered.replayed", 1.0);
             recovered.push(id);
+            // Re-derive the key instead of trusting the journaled one: a
+            // record written under a retired key schema must neither look
+            // up nor store into that generation.
+            let key = request_key(&request);
             // The crash may have hit between artifact and ack: complete
             // from cache without re-executing.
             match cache.get(&key) {
@@ -530,7 +533,7 @@ mod tests {
     use super::batch_shape;
     use hetero_hpc::canon::prep_key;
     use hetero_hpc::{App, RunRequest};
-    use hetero_linalg::{KernelBackend, SolverVariant};
+    use hetero_linalg::SolverVariant;
     use hetero_platform::catalog;
 
     fn base() -> RunRequest {
@@ -560,24 +563,17 @@ mod tests {
         }
     }
 
-    /// The operator-path overrides the prep key deliberately excludes
-    /// must still split batches: `solver_variant` and `kernel_backend`
-    /// change what a worker executes, so jobs differing only there are
-    /// not interchangeable claim-group members.
+    /// The override the prep key deliberately excludes must still split
+    /// batches: `solver_variant` changes what a worker executes, so jobs
+    /// differing only there are not interchangeable claim-group members.
     #[test]
-    fn solver_variant_and_kernel_backend_split_batches() {
+    fn solver_variant_splits_batches() {
         let plain = batch_shape(&base());
         let variant = batch_shape(&RunRequest {
             solver_variant: Some(SolverVariant::Pipelined),
             ..base()
         });
-        let backend = batch_shape(&RunRequest {
-            kernel_backend: Some(KernelBackend::MatrixFree),
-            ..base()
-        });
         assert_ne!(plain, variant, "solver_variant must be in the batch shape");
-        assert_ne!(plain, backend, "kernel_backend must be in the batch shape");
-        assert_ne!(variant, backend);
     }
 
     /// The first shape coordinate is exactly the `hetero-prep/key/v1`

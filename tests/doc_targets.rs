@@ -110,6 +110,9 @@ fn no_environment_switches() {
     {
         rust_sources(&krate.path().join("src"), &mut sources);
     }
+    // The vendored thread pool is the one dependency whose behaviour a
+    // run's thread count goes through.
+    rust_sources(&root.join("vendor/rayon/src"), &mut sources);
     assert!(!sources.is_empty(), "the scan found no library source");
 
     let mut found = Vec::new();

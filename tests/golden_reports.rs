@@ -1,26 +1,38 @@
 //! Checked-in golden reports: the value-level pin *across* commits.
 //!
 //! Every other byte-identity suite compares two runs of one commit
-//! (threads, engines, workers, cache states, kernel backends), so a change
-//! that moved every number consistently would pass them all. These
-//! constants are `canon::sha256_hex` of the serialized [`RunOutcome`] as
-//! computed at commit `3799a23`, before the preconditioners got their
-//! symbolic/numeric split: any drift in a factor, a solution, a Krylov
-//! count, a virtual clock or a charged byte changes a digest.
+//! (threads, engines, workers, cache states), so a change that moved every
+//! number consistently would pass them all. These constants are
+//! `canon::sha256_hex` of serialized outcomes: any drift in a factor, a
+//! solution, a Krylov count, a virtual clock or a charged byte changes a
+//! digest.
+//!
+//! * [`GOLDEN`]: the failure-free [`RunOutcome`] of four `(platform, app)`
+//!   pairs, computed at commit `3799a23`, before the preconditioners got
+//!   their symbolic/numeric split. At `dc1f663` each held under both the
+//!   from-scratch and the in-place per-step operator path; only the latter
+//!   exists since.
+//! * [`GOLDEN_CAMPAIGN`]: one fault-injected RD campaign that restarts from
+//!   a checkpoint, computed at commit `dc1f663` — where all four
+//!   combinations of per-step operator path (from-scratch, in-place) and
+//!   checkpoint store (monolithic, delta log) produced this one digest —
+//!   before both forks were resolved to one path each.
 //!
 //! To re-pin after an *intended* model change, run
 //! `cargo test --test golden_reports -- --nocapture`, copy the printed
 //! digests — and say in CHANGES.md why the numbers moved.
+//!
+//! [`RunOutcome`]: hetero_hpc::run::RunOutcome
 
+use hetero_fault::{FaultModel, SpotMarket};
 use hetero_hpc::apps::App;
 use hetero_hpc::canon;
+use hetero_hpc::recovery::{execute_resilient, ResilienceSpec};
 use hetero_hpc::run::{execute, Fidelity, RunRequest};
-use hetero_linalg::KernelBackend;
 use hetero_platform::catalog;
+use hetero_trace::{EventKind, TraceSpec};
 
-/// `(platform, app, sha256 of the report JSON)`. The report does not echo
-/// the kernel backend, so one digest pins a `(platform, app)` pair under
-/// both backends — eight runs, and the backend identity across commits.
+/// `(platform, app, sha256 of the report JSON)`.
 const GOLDEN: [(&str, &str, &str); 4] = [
     (
         "puma",
@@ -44,7 +56,12 @@ const GOLDEN: [(&str, &str, &str); 4] = [
     ),
 ];
 
-fn digest(platform: &str, app: &str, backend: KernelBackend) -> String {
+/// SHA-256 of the serialized [`hetero_hpc::recovery::ResilienceOutcome`]
+/// (the final `RunOutcome` JSON plus the campaign's `RecoveryStats`) of
+/// [`campaign_request`].
+const GOLDEN_CAMPAIGN: &str = "f2a5e53dafee2bf848d73df01e2dc07733a2fa0bee07b48ad2c1d286f77711ea";
+
+fn digest(platform: &str, app: &str) -> String {
     let platform = catalog::by_key(platform).expect("catalog platform");
     let app = match app {
         "RD" => App::paper_rd(3),
@@ -53,7 +70,6 @@ fn digest(platform: &str, app: &str, backend: KernelBackend) -> String {
     let req = RunRequest {
         fidelity: Fidelity::Numerical,
         seed: 2012,
-        kernel_backend: Some(backend),
         ..RunRequest::new(platform, app, 8, 3)
     };
     let outcome = execute(&req).expect("golden run executes");
@@ -65,12 +81,10 @@ fn digest(platform: &str, app: &str, backend: KernelBackend) -> String {
 fn reports_match_the_checked_in_digests() {
     let mut drifted = Vec::new();
     for &(platform, app, want) in &GOLDEN {
-        for backend in [KernelBackend::Assembled, KernelBackend::MatrixFree] {
-            let got = digest(platform, app, backend);
-            println!("{platform} {app} {backend:?}: {got}");
-            if got != want {
-                drifted.push(format!("{platform}/{app}/{backend:?}: {got} != {want}"));
-            }
+        let got = digest(platform, app);
+        println!("{platform} {app}: {got}");
+        if got != want {
+            drifted.push(format!("{platform}/{app}: {got} != {want}"));
         }
     }
     assert!(
@@ -78,4 +92,55 @@ fn reports_match_the_checked_in_digests() {
         "reports drifted from the golden digests:\n{}",
         drifted.join("\n")
     );
+}
+
+/// The `faulty_rd_request` shape of `tests/determinism.rs`: an RD run on an
+/// EC2 spot fleet under a market compressed enough to revoke nodes inside
+/// the tiny virtual duration of an 8-rank run, checkpointing every step.
+/// The trace is requested only to prove the rollbacks below; it never
+/// reaches the serialized outcome.
+fn campaign_request() -> RunRequest {
+    let ec2 = catalog::ec2();
+    let mut spec = ResilienceSpec::spot_with_restart(&ec2, 1.0, 1, 50);
+    spec.faults = FaultModel {
+        crashes: None,
+        spot: Some(SpotMarket {
+            epoch_seconds: 0.012,
+            spike_probability: 0.35,
+            ..SpotMarket::ec2_like(1.0)
+        }),
+        degradation: None,
+    };
+    RunRequest {
+        fidelity: Fidelity::Numerical,
+        seed: 2012,
+        resilience: Some(spec),
+        trace: Some(TraceSpec::phases()),
+        ..RunRequest::new(ec2, App::paper_rd(6), 8, 3)
+    }
+}
+
+#[test]
+fn resumed_campaign_matches_the_checked_in_digest() {
+    let out = execute_resilient(&campaign_request()).expect("campaign executes");
+    // The pin is only worth having if the run really resumed from durable
+    // state: at least one rollback must land on a checkpointed step.
+    let resumed_from: Vec<u32> = out
+        .trace
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter_map(|e| match e.kind {
+            EventKind::Rollback { to_step, .. } => Some(to_step),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        resumed_from.iter().any(|&s| s > 0),
+        "no restart from a checkpoint: rollbacks {resumed_from:?}, {:?}",
+        out.stats
+    );
+    let json = serde_json::to_string(&out).expect("campaign outcome serializes");
+    let got = canon::sha256_hex(json.as_bytes());
+    println!("campaign: {got}");
+    assert_eq!(got, GOLDEN_CAMPAIGN, "{:?}", out.stats);
 }

