@@ -155,7 +155,6 @@ pub(crate) fn run_attempt(
     let opts = EngineOpts {
         engine: req.engine,
         workers: req.sched_workers,
-        ..EngineOpts::default()
     };
     // A felled attempt's per-rank spans describe work the rollback
     // discards, so its trace is dropped with it.

@@ -30,7 +30,12 @@
 //!   1000-rank configurations that cannot be executed numerically on one
 //!   host. `tests/model_validation.rs` pins the two engines together at
 //!   small scale.
-
+//!
+//! Reuse across runs is content-addressed: [`canon`] derives the keys,
+//! [`store`] is the one on-disk artifact store (`hetero-serve`'s result
+//! cache and `hetero-plan`'s stage cache are typed views of it), and
+//! [`prep`] shares set-up work in memory.
+//!
 //! # Quick example
 //!
 //! ```
@@ -65,6 +70,7 @@ pub mod report;
 pub mod run;
 pub mod scenarios;
 pub mod snapshot;
+pub mod store;
 
 pub use apps::App;
 pub use prep::PreparedScenario;

@@ -14,8 +14,7 @@
 //!   corner connectivity;
 //! * [`DistributedMesh`] — the view a single rank holds after partitioning:
 //!   owned cells, neighbouring ranks, and shared-interface footprints;
-//! * [`weak`] — sizing helpers for the paper's weak-scaling ladder
-//!   (`p = k^3` ranks, global mesh `(20k)^3`).
+//! * [`quality::load_imbalance`] — the paper's load-balance criterion.
 //!
 //! Element *order* (Q1 trilinear vs Q2 triquadratic) is a property of the FEM
 //! discretization, not of the geometry, so degree-of-freedom lattices live in
@@ -28,7 +27,6 @@ pub mod distributed;
 pub mod hex;
 pub mod point;
 pub mod quality;
-pub mod weak;
 
 pub use distributed::DistributedMesh;
 pub use hex::{BoundaryFace, StructuredHexMesh};

@@ -1,21 +1,8 @@
-//! Mesh and partition quality metrics.
+//! Partition quality: the paper's load-balance criterion.
 //!
-//! The paper's load-balance criterion is "the number of mesh elements
-//! assigned to each process"; communication load is driven by the interface
-//! surface between parts. These metrics quantify both and are used by the
-//! partitioner tests and the modeled execution engine.
-
-use crate::hex::StructuredHexMesh;
-use crate::point::Index3;
-
-/// Aspect ratio of the mesh cells: longest edge over shortest edge.
-/// 1.0 for perfectly cubic cells.
-pub fn cell_aspect_ratio(mesh: &StructuredHexMesh) -> f64 {
-    let s = mesh.cell_size();
-    let max = s.x.max(s.y).max(s.z);
-    let min = s.x.min(s.y).min(s.z);
-    max / min
-}
+//! "The load is measured as the number of mesh elements assigned to each
+//! process" — this is the one quality measure the partitioner tests hold
+//! every partitioner to.
 
 /// Load imbalance of a cell-to-part assignment: `max_load / mean_load`.
 /// 1.0 is perfect balance. Parts with no cells are still counted.
@@ -34,57 +21,9 @@ pub fn load_imbalance(assignment: &[usize], num_parts: usize) -> f64 {
     }
 }
 
-/// Number of cell faces whose two adjacent cells belong to different parts
-/// (the edge cut of the dual graph, each cut face counted once).
-pub fn interface_faces(mesh: &StructuredHexMesh, assignment: &[usize]) -> usize {
-    assert_eq!(assignment.len(), mesh.num_cells());
-    let dims = mesh.cell_dims();
-    let mut cut = 0;
-    for cell in mesh.cells() {
-        let me = assignment[mesh.cell_id(cell)];
-        // Count only the +x/+y/+z neighbours so each face is seen once.
-        let ups = [
-            (cell.i + 1 < dims.0).then(|| Index3::new(cell.i + 1, cell.j, cell.k)),
-            (cell.j + 1 < dims.1).then(|| Index3::new(cell.i, cell.j + 1, cell.k)),
-            (cell.k + 1 < dims.2).then(|| Index3::new(cell.i, cell.j, cell.k + 1)),
-        ];
-        for n in ups.into_iter().flatten() {
-            if assignment[mesh.cell_id(n)] != me {
-                cut += 1;
-            }
-        }
-    }
-    cut
-}
-
-/// The interface surface (in cell faces) of an ideal cubic block partition
-/// of an `n^3` mesh into `k^3` blocks: `3 (k - 1) n^2`.
-///
-/// Any partition of the same mesh into `k^3` equal parts has at least this
-/// order of cut; the partitioner tests compare against it.
-pub fn ideal_block_cut(n: usize, k: usize) -> usize {
-    assert!(
-        k > 0 && n.is_multiple_of(k),
-        "block partition requires k | n"
-    );
-    3 * (k - 1) * n * n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::Point3;
-
-    #[test]
-    fn aspect_ratio_unit_cube_is_one() {
-        assert_eq!(cell_aspect_ratio(&StructuredHexMesh::unit_cube(7)), 1.0);
-    }
-
-    #[test]
-    fn aspect_ratio_stretched() {
-        let m = StructuredHexMesh::new(1, 1, 4, Point3::ZERO, Point3::splat(1.0));
-        assert!((cell_aspect_ratio(&m) - 4.0).abs() < 1e-12);
-    }
 
     #[test]
     fn perfect_balance() {
@@ -102,34 +41,5 @@ mod tests {
     fn empty_part_counts_in_imbalance() {
         let asg = vec![0, 0, 0, 0];
         assert_eq!(load_imbalance(&asg, 2), 2.0);
-    }
-
-    #[test]
-    fn slab_cut_matches_closed_form() {
-        let n = 4;
-        let mesh = StructuredHexMesh::unit_cube(n);
-        // 2 slabs along x: cut plane has n^2 faces.
-        let asg: Vec<usize> = mesh.cells().map(|c| usize::from(c.i >= n / 2)).collect();
-        assert_eq!(interface_faces(&mesh, &asg), n * n);
-    }
-
-    #[test]
-    fn block_cut_matches_ideal() {
-        let n = 4;
-        let k = 2;
-        let mesh = StructuredHexMesh::unit_cube(n);
-        let b = n / k;
-        let asg: Vec<usize> = mesh
-            .cells()
-            .map(|c| (c.i / b) + k * ((c.j / b) + k * (c.k / b)))
-            .collect();
-        assert_eq!(interface_faces(&mesh, &asg), ideal_block_cut(n, k));
-    }
-
-    #[test]
-    fn uniform_assignment_has_zero_cut() {
-        let mesh = StructuredHexMesh::unit_cube(3);
-        let asg = vec![0usize; mesh.num_cells()];
-        assert_eq!(interface_faces(&mesh, &asg), 0);
     }
 }

@@ -14,27 +14,22 @@
 //!   weak-scaling experiments (the paper's `k^3`-rank runs decompose the cube
 //!   into `k^3` sub-cubes) and the only layout the modeled execution engine
 //!   needs at 1000 ranks;
-//! * [`RcbPartitioner`] — recursive coordinate bisection over cell centroids;
-//! * [`GreedyPartitioner`] — greedy graph growing on the dual graph;
-//! * [`refine::kl_refine`] — Kernighan–Lin/FM boundary refinement reducing
-//!   edge cut under a balance constraint (the "multilevel refinement" role).
+//! * [`RcbPartitioner`] — recursive coordinate bisection over cell
+//!   centroids, the geometry-only alternative a checkpoint is restarted onto
+//!   to show snapshots are partition-independent.
 //!
-//! Quality is measured with [`hetero_mesh::quality`] plus the dual-graph
-//! metrics in [`metrics`].
+//! Load balance — the paper's criterion — is measured with
+//! [`hetero_mesh::quality::load_imbalance`]. There is no dual-graph
+//! partitioner: every run decomposes the paper's cube structurally, so a
+//! graph-growing/refinement stack would have no caller.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod graph;
-pub mod greedy;
-pub mod metrics;
 pub mod rcb;
-pub mod refine;
 
 pub use block::{BlockLayout, BlockPartitioner};
-pub use graph::DualGraph;
-pub use greedy::GreedyPartitioner;
 pub use rcb::RcbPartitioner;
 
 use hetero_mesh::StructuredHexMesh;

@@ -3,10 +3,7 @@
 use hetero_mesh::quality::load_imbalance;
 use hetero_mesh::StructuredHexMesh;
 use hetero_partition::block::near_cubic_factors;
-use hetero_partition::refine::kl_refine;
-use hetero_partition::{
-    BlockLayout, BlockPartitioner, DualGraph, GreedyPartitioner, Partitioner, RcbPartitioner,
-};
+use hetero_partition::{BlockLayout, BlockPartitioner, Partitioner, RcbPartitioner};
 use proptest::prelude::*;
 
 fn mesh_and_parts() -> impl Strategy<Value = (usize, usize)> {
@@ -33,11 +30,8 @@ proptest! {
     #[test]
     fn every_partitioner_is_valid_and_bounded((n, p) in mesh_and_parts()) {
         let mesh = StructuredHexMesh::unit_cube(n);
-        let partitioners: Vec<Box<dyn Partitioner>> = vec![
-            Box::new(BlockPartitioner),
-            Box::new(RcbPartitioner),
-            Box::new(GreedyPartitioner),
-        ];
+        let partitioners: Vec<Box<dyn Partitioner>> =
+            vec![Box::new(BlockPartitioner), Box::new(RcbPartitioner)];
         for part in partitioners {
             // Block layouts need the part grid to fit the cell grid.
             if part.name() == "block" {
@@ -59,31 +53,6 @@ proptest! {
         let a = RcbPartitioner.partition(&mesh, p);
         let b = RcbPartitioner.partition(&mesh, p);
         prop_assert_eq!(a, b);
-        let a = GreedyPartitioner.partition(&mesh, p);
-        let b = GreedyPartitioner.partition(&mesh, p);
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn kl_refine_never_worsens_cut_or_validity(
-        (n, p) in mesh_and_parts(),
-        salt in 0usize..50,
-        max_imb in 1usize..4,
-    ) {
-        let mesh = StructuredHexMesh::unit_cube(n);
-        let g = DualGraph::from_mesh(&mesh);
-        // Arbitrary (often bad) starting assignment covering all parts.
-        let mut asg: Vec<usize> =
-            (0..mesh.num_cells()).map(|c| (c * 7 + salt) % p).collect();
-        for (part, slot) in asg.iter_mut().enumerate().take(p) {
-            *slot = part; // guarantee non-empty parts
-        }
-        let before_cut = g.edge_cut(&asg);
-        let tol = 1.0 + max_imb as f64 * 0.25;
-        let stats = kl_refine(&g, &mut asg, p, tol, 6);
-        prop_assert!(stats.cut_after <= before_cut);
-        prop_assert_eq!(stats.cut_after, g.edge_cut(&asg));
-        check_valid(&asg, mesh.num_cells(), p)?;
     }
 
     #[test]

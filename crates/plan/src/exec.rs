@@ -13,9 +13,11 @@
 //! [canonical request text](hetero_hpc::canon::canonical_request) under the
 //! versioned [`STAGE_SCHEMA`] tag, and report/compare keys hash their
 //! template plus their dependencies' keys — so a cached report is valid
-//! exactly when every transitive input is unchanged. Cache entries that
-//! fail to parse or carry a stale schema/key are quarantined by
-//! re-execution (and overwritten), never trusted and never fatal.
+//! exactly when every transitive input is unchanged. The cache directory is
+//! a [`hetero_hpc::store::ArtifactStore`] — the store `hetero-serve` keeps
+//! its results in — holding each artifact as compact JSON text: an entry
+//! that fails the store's verification (or is not JSON) is moved to
+//! `quarantine/`, re-executed and rewritten, never trusted and never fatal.
 
 use crate::resolver::ResolvedPlan;
 use crate::schema::{
@@ -32,6 +34,7 @@ use hetero_hpc::scenarios::{
     campaign_cell, uncapped_cell, Cell, SolverVariantRow, Table3Cell, Table3Row, WeakScalingRow,
     WeakScalingTable,
 };
+use hetero_hpc::store::{ArtifactStore, Lookup};
 use hetero_hpc::App;
 use hetero_partition::block::near_cubic_factors;
 use hetero_platform::catalog;
@@ -40,12 +43,12 @@ use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Version tag of the stage-artifact key schema and cache envelope. Bump it
-/// to retire a cache generation explicitly (see `core::canon`'s argument:
-/// a stale key must miss, never alias).
+/// Version tag of the stage-artifact key schema. Bump it to retire a cache
+/// generation explicitly (see `core::canon`'s argument: a stale key must
+/// miss, never alias).
 pub const STAGE_SCHEMA: &str = "hetero-plan/stage/v1";
 
 /// An execution failure, attributed to a stage instance.
@@ -111,14 +114,18 @@ pub struct PlanOutcome {
 pub fn execute_plan(rp: &ResolvedPlan, opts: &ExecOptions) -> Result<PlanOutcome, ExecError> {
     let keys = instance_keys(rp)?;
     let preps = prep_scenarios(rp);
-    if let Some(dir) = &opts.cache_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            return fail(
-                "<cache>",
-                format!("cannot create cache dir {}: {e}", dir.display()),
-            );
-        }
-    }
+    let cache = match &opts.cache_dir {
+        Some(dir) => match ArtifactStore::open(dir) {
+            Ok(store) => Some(store),
+            Err(e) => {
+                return fail(
+                    "<cache>",
+                    format!("cannot create cache dir {}: {e}", dir.display()),
+                )
+            }
+        },
+        None => None,
+    };
 
     let n = rp.instances.len();
     let mut rdeps: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -183,7 +190,14 @@ pub fn execute_plan(rp: &ResolvedPlan, opts: &ExecOptions) -> Result<PlanOutcome
                     (idx, deps)
                 };
 
-                let out = run_instance(rp, idx, &keys[idx], &deps, opts, preps[idx].as_ref());
+                let out = run_instance(
+                    rp,
+                    idx,
+                    &keys[idx],
+                    &deps,
+                    cache.as_ref(),
+                    preps[idx].as_ref(),
+                );
 
                 let mut st = state.lock().expect("executor state poisoned");
                 match out {
@@ -441,87 +455,44 @@ fn run_instance(
     i: usize,
     key: &str,
     deps: &[(usize, Arc<StageResult>)],
-    opts: &ExecOptions,
+    cache: Option<&ArtifactStore>,
     prep: Option<&Arc<PreparedScenario>>,
 ) -> Result<StageResult, ExecError> {
     let id = rp.instances[i].id.clone();
-    if let Some(dir) = &opts.cache_dir {
-        if let Some(artifact) = load_cached(dir, key) {
-            return Ok(StageResult {
-                id,
-                key: key.to_string(),
-                cached: true,
-                artifact,
-            });
+    let hit = cache.and_then(|store| match get_artifact(store, key) {
+        Lookup::Hit(artifact) => Some(artifact),
+        Lookup::Miss | Lookup::Quarantined => None,
+    });
+    let cached = hit.is_some();
+    let artifact = match hit {
+        Some(artifact) => artifact,
+        None => {
+            let artifact = compute_artifact(rp, i, deps, prep)?;
+            if let Some(store) = cache {
+                if let Err(e) = put_artifact(store, key, &artifact) {
+                    return fail(&id, format!("cache write failed: {e}"));
+                }
+            }
+            artifact
         }
-    }
-    let artifact = compute_artifact(rp, i, deps, prep)?;
-    if let Some(dir) = &opts.cache_dir {
-        store_cached(dir, key, &id, &artifact, i)?;
-    }
+    };
     Ok(StageResult {
         id,
         key: key.to_string(),
-        cached: false,
+        cached,
         artifact,
     })
 }
 
-fn cache_path(dir: &Path, key: &str) -> PathBuf {
-    let hash = key.rsplit('/').next().expect("key has a hash suffix");
-    dir.join(format!("{hash}.json"))
+/// The `Value`-typed view of the store: an artifact is its compact JSON
+/// text.
+fn get_artifact(store: &ArtifactStore, key: &str) -> Lookup<Value> {
+    store.get(key, |text| serde_json::from_str(text).ok())
 }
 
-/// Loads an artifact if — and only if — the envelope parses and matches
-/// the schema and key. Anything else is a miss: the entry is quarantined
-/// by re-execution and overwritten, never trusted and never fatal.
-fn load_cached(dir: &Path, key: &str) -> Option<Value> {
-    let text = std::fs::read_to_string(cache_path(dir, key)).ok()?;
-    let envelope: Value = serde_json::from_str(&text).ok()?;
-    if envelope.get("schema").and_then(|v| v.as_str()) != Some(STAGE_SCHEMA) {
-        return None;
-    }
-    if envelope.get("key").and_then(|v| v.as_str()) != Some(key) {
-        return None;
-    }
-    envelope.get("artifact").cloned()
-}
-
-fn store_cached(
-    dir: &Path,
-    key: &str,
-    id: &str,
-    artifact: &Value,
-    i: usize,
-) -> Result<(), ExecError> {
-    let envelope = json!({
-        "schema": STAGE_SCHEMA,
-        "key": key,
-        "id": id,
-        "artifact": artifact.clone(),
-    });
-    let text = match serde_json::to_string_pretty(&envelope) {
-        Ok(t) => t,
-        Err(e) => return fail(id, format!("artifact serialization failed: {e}")),
-    };
-    // Atomic publish: a concurrent reader sees the old entry or the new
-    // one, never a torn write. The temp name is per-instance, so two
-    // workers never collide.
-    let tmp = dir.join(format!(
-        ".tmp-{i}-{}",
-        cache_path(dir, key)
-            .file_name()
-            .and_then(|n| n.to_str())
-            .expect("hash file name")
-    ));
-    let path = cache_path(dir, key);
-    if let Err(e) = std::fs::write(&tmp, text) {
-        return fail(id, format!("cache write failed: {e}"));
-    }
-    if let Err(e) = std::fs::rename(&tmp, &path) {
-        return fail(id, format!("cache publish failed: {e}"));
-    }
-    Ok(())
+fn put_artifact(store: &ArtifactStore, key: &str, artifact: &Value) -> std::io::Result<()> {
+    let text = serde_json::to_string(artifact).expect("a Value serializes infallibly");
+    store.put(key, &text)
 }
 
 fn compute_artifact(
@@ -891,6 +862,34 @@ fn solver_variant_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The stage-artifact view adds nothing to the store's rules: a key
+    /// that is not `<tag>/<64 hex>` never reaches the filesystem, and a
+    /// body whose hash verifies but which is not JSON is quarantined once.
+    #[test]
+    fn the_artifact_view_rejects_bad_keys_and_quarantines_undecodable_bodies() {
+        let dir =
+            std::env::temp_dir().join(format!("hetero-plan-exec-view-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).expect("scratch dir");
+        let artifact = json!({ "text": "a report" });
+
+        let hex63 = format!("{STAGE_SCHEMA}/{}", "a".repeat(63));
+        let dotted = format!("{STAGE_SCHEMA}/{}.{}", "a".repeat(32), "a".repeat(31));
+        for key in ["../x", "", hex63.as_str(), dotted.as_str()] {
+            assert!(matches!(get_artifact(&store, key), Lookup::Miss), "{key:?}");
+            let err = put_artifact(&store, key, &artifact).expect_err(key);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{key:?}");
+        }
+
+        let key = format!("{STAGE_SCHEMA}/{}", "a".repeat(64));
+        put_artifact(&store, &key, &artifact).expect("publish");
+        assert!(matches!(get_artifact(&store, &key), Lookup::Hit(a) if a == artifact));
+        store.put(&key, "not json {").expect("publish");
+        assert!(matches!(get_artifact(&store, &key), Lookup::Quarantined));
+        assert!(matches!(get_artifact(&store, &key), Lookup::Miss));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     /// `discard` is plan input: past the last step it must reach core's
     /// clamping reducer on every run mode, never a panic.

@@ -18,7 +18,7 @@
 //! | parse        | [`toml::parse`]        | span-tracking TOML subset parser |
 //! | schema       | [`schema::extract`]    | typed plan, unknown keys rejected with spans |
 //! | resolve      | [`resolver::resolve`]  | sweep expansion + deterministic DAG |
-//! | execute      | [`exec::execute_plan`] | parallel execution + artifact cache |
+//! | execute      | [`exec::execute_plan`] | parallel execution + stage cache in a [`hetero_hpc::store`] |
 //!
 //! Checked-in plans live under `plans/` at the repo root; the `plan_run`
 //! example executes one and the `plan_lint` example validates all of them.

@@ -1,6 +1,6 @@
 //! Artifact-cache behavior: a second run is served entirely from the cache
 //! byte-identically, worker count never changes the outcome, and corrupt or
-//! stale entries are quarantined by re-execution instead of being trusted.
+//! stale entries are quarantined and re-executed instead of being trusted.
 
 use hetero_plan::exec::{execute_plan, instance_keys, ExecOptions, PlanOutcome};
 use hetero_plan::load_str;
@@ -119,17 +119,40 @@ fn corrupt_and_stale_entries_are_quarantined_by_re_execution() {
         r#"{"schema":"hetero-plan/stage/v0","key":"old","id":"figure","artifact":{}}"#,
     )
     .expect("stale entry");
+    // Previous envelope generation: what the parent commit's executor wrote
+    // — its own schema tag, no content hash — under the *current* key.
+    let parent = idx_of("partition[");
+    std::fs::write(
+        path_of(parent),
+        format!(
+            r#"{{"schema":"hetero-plan/stage/v1","key":"{}","id":"{}","artifact":{}}}"#,
+            keys[parent],
+            rp.instances[parent].id,
+            serde_json::to_string(&first.results[parent].artifact).expect("artifact serializes"),
+        ),
+    )
+    .expect("parent-generation entry");
 
     let second = execute_plan(&rp, &opts).expect("second run");
+    let rewritten = [corrupt, stale, parent];
     for (i, r) in second.results.iter().enumerate() {
-        let expect_cached = i != corrupt && i != stale;
+        let expect_cached = !rewritten.contains(&i);
         assert_eq!(
             r.cached, expect_cached,
             "instance `{}` cached={} (want {})",
             r.id, r.cached, expect_cached
         );
     }
-    // Quarantined entries are recomputed to the same bytes and overwritten.
+    // Quarantined entries are kept aside, recomputed to the same bytes and
+    // rewritten.
+    for i in rewritten {
+        let name = path_of(i).file_name().expect("file name").to_owned();
+        assert!(
+            dir.join("quarantine").join(name).is_file(),
+            "`{}` was not quarantined",
+            rp.instances[i].id
+        );
+    }
     assert_eq!(first.reports, second.reports);
     assert_eq!(artifacts_of(&first), artifacts_of(&second));
     let third = execute_plan(&rp, &opts).expect("third run");

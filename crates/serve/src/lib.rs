@@ -21,12 +21,13 @@
 //!   isolation (a panicking job fails *that job*, not the service) and
 //!   graceful drain on shutdown;
 //! * a **content-addressed result cache** ([`cache`]): outcomes are stored
-//!   under the canonical key of [`hetero_hpc::canon`] as compact-JSON
-//!   artifacts written via temp-file + atomic rename, each carrying its
-//!   own content hash. Because every engine in the workspace is a pure
+//!   under the canonical key of [`hetero_hpc::canon`] in the workspace's
+//!   one artifact store, [`hetero_hpc::store`] — compact-JSON artifacts
+//!   published by temp-file + atomic rename, each carrying the hash of its
+//!   own content. Because every engine in the workspace is a pure
 //!   function of the request, a cache hit returns a byte-identical
-//!   outcome at microsecond latency; artifacts whose stored hash does not
-//!   match their content are quarantined, never served and never fatal.
+//!   outcome at microsecond latency; artifacts that fail verification are
+//!   quarantined, never served and never fatal.
 //!
 //! Duplicate submissions coalesce: concurrent requests for the same key
 //! share one in-flight execution, and queued requests for the same

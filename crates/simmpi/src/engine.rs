@@ -29,7 +29,7 @@ pub const MAX_REAL_RANKS: usize = 131_072;
 /// spends a real OS thread (and its stack) per rank.
 pub const MAX_THREAD_RANKS: usize = 4096;
 
-/// Default coroutine stack size. Stacks are heap allocations the OS commits
+/// Coroutine stack size of every rank. Stacks are heap allocations the OS commits
 /// lazily, so idle ranks cost address space, not resident memory.
 pub const DEFAULT_TASK_STACK_BYTES: usize = 1 << 20;
 
@@ -52,7 +52,7 @@ pub enum EngineKind {
 }
 
 /// Engine selection and tuning for one SPMD run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineOpts {
     /// Engine choice. [`EngineKind::Cooperative`] falls back to threads on
     /// targets where [`COOPERATIVE_SUPPORTED`] is false.
@@ -60,19 +60,6 @@ pub struct EngineOpts {
     /// Cooperative worker-pool size; 0 picks the host parallelism. Results
     /// are byte-identical at any value. Ignored by the thread engine.
     pub workers: usize,
-    /// Per-rank coroutine stack size in bytes; 0 picks
-    /// [`DEFAULT_TASK_STACK_BYTES`]. Ignored by the thread engine.
-    pub stack_bytes: usize,
-}
-
-impl Default for EngineOpts {
-    fn default() -> Self {
-        EngineOpts {
-            engine: EngineKind::default(),
-            workers: 0,
-            stack_bytes: DEFAULT_TASK_STACK_BYTES,
-        }
-    }
 }
 
 impl EngineOpts {
@@ -81,7 +68,6 @@ impl EngineOpts {
         EngineOpts {
             engine: EngineKind::Cooperative,
             workers,
-            ..Self::default()
         }
     }
 
@@ -363,11 +349,6 @@ where
         trace,
         Some(scheduler.clone()),
     );
-    let stack_bytes = if opts.stack_bytes == 0 {
-        DEFAULT_TASK_STACK_BYTES
-    } else {
-        opts.stack_bytes
-    };
     let workers = resolve_workers(opts.workers, size);
 
     let slots: Vec<Mutex<Option<RankOutcome<T>>>> = (0..size).map(|_| Mutex::new(None)).collect();
@@ -394,7 +375,11 @@ where
             });
             // Erasure is sound: every task runs to completion inside the
             // scope below, which the borrows of `f`/`slots`/`shared` outlive.
-            sched::TaskCtl::new(rank, stack_bytes, sched::erase_task_lifetime(body))
+            sched::TaskCtl::new(
+                rank,
+                DEFAULT_TASK_STACK_BYTES,
+                sched::erase_task_lifetime(body),
+            )
         })
         .collect();
     let table = sched::TaskTable::new(&mut tasks);

@@ -3,7 +3,9 @@
 //! deleted or renamed target cannot leave a stale command line behind.
 //! The same files, plus the library sources, are scanned for environment
 //! switches: behaviour is chosen by a request, a plan, or a scoped guard,
-//! never by a variable no type or test matrix shows.
+//! never by a variable no type or test matrix shows. The library sources
+//! are also held to one artifact store: publishing by rename and content
+//! hashing happen in `core::store` and nowhere else.
 
 use std::path::{Path, PathBuf};
 
@@ -100,9 +102,8 @@ fn switch_tokens(text: &str) -> impl Iterator<Item = &str> {
     })
 }
 
-#[test]
-fn no_environment_switches() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+/// Every `.rs` file under `crates/*/src`.
+fn library_sources(root: &Path) -> Vec<PathBuf> {
     let mut sources = Vec::new();
     for krate in std::fs::read_dir(root.join("crates"))
         .expect("crates/ is readable")
@@ -110,6 +111,13 @@ fn no_environment_switches() {
     {
         rust_sources(&krate.path().join("src"), &mut sources);
     }
+    sources
+}
+
+#[test]
+fn no_environment_switches() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut sources = library_sources(&root);
     // The vendored thread pool is the one dependency whose behaviour a
     // run's thread count goes through.
     rust_sources(&root.join("vendor/rayon/src"), &mut sources);
@@ -137,4 +145,40 @@ fn no_environment_switches() {
         }
     }
     assert!(found.is_empty(), "hidden switches:\n{}", found.join("\n"));
+}
+
+/// A second publish or verify routine cannot reappear unnoticed: under
+/// `crates/*/src`, files are renamed into place only by the artifact store
+/// and by the journal's compaction, and only the store knows the envelope's
+/// hash member.
+#[test]
+fn one_artifact_store() {
+    const ALLOWED: [(&str, &[&str]); 2] = [
+        (
+            "fs::rename",
+            &["crates/core/src/store.rs", "crates/serve/src/journal.rs"],
+        ),
+        ("content_hash", &["crates/core/src/store.rs"]),
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut seen = [0usize; ALLOWED.len()];
+    let mut found = Vec::new();
+    for path in library_sources(&root) {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{} is readable: {e}", path.display()));
+        for (&(needle, allowed), seen) in ALLOWED.iter().zip(&mut seen) {
+            if !text.contains(needle) {
+                continue;
+            }
+            *seen += 1;
+            if !allowed.iter().any(|file| path.ends_with(file)) {
+                found.push(format!("{}: mentions `{needle}`", path.display()));
+            }
+        }
+    }
+    // A scanner that matches nothing would pass vacuously.
+    for (&(needle, allowed), seen) in ALLOWED.iter().zip(seen) {
+        assert_eq!(seen, allowed.len(), "files mentioning `{needle}`");
+    }
+    assert!(found.is_empty(), "a second store:\n{}", found.join("\n"));
 }

@@ -7,7 +7,7 @@ use hetero_fault::{FaultModel, SpotMarket};
 use hetero_hpc::recovery::execute_resilient;
 use hetero_hpc::{execute, App, Fidelity, ResilienceSpec, RunRequest, TraceSpec};
 use hetero_platform::catalog;
-use hetero_serve::{JobOutcome, ServeConfig, ServeError, ServeHandle};
+use hetero_serve::{JobOutcome, ResultCache, ServeConfig, ServeError, ServeHandle};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -259,6 +259,38 @@ fn limit_violations_are_served_and_cached() {
     assert_eq!(outcome_bytes(&cold), outcome_bytes(&hot));
     assert_eq!(serve.metrics().counter("serve.cache.hits"), 1.0);
     serve.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The envelope generation did not move when the cache became a view of
+/// `hetero_hpc::store`: an artifact the parent commit's `ResultCache::store`
+/// wrote (copied from disk byte for byte — puma refusing 216 ranks) is
+/// served without an execution, and storing the same outcome today
+/// reproduces its bytes.
+#[test]
+fn an_artifact_written_by_the_parent_commit_is_a_hit() {
+    const PARENT_ARTIFACT: &str = r#"{"schema":"hetero-serve/artifact/v1","key":"hetero-serve/key/v2/0c1bb145c039f4dfe09b4b83d295e8491bec29a785f90ff986dad3ad2394a064","content_hash":"611433774f4c19b50fbb9c4e6d5f9839968d6a1136269f2a92739afbf22eea4b","outcome":"{\"Rejected\":{\"InsufficientCapacity\":{\"requested\":216,\"available\":128}}}"}"#;
+    let dir = tdir("parent-artifact");
+    let req = RunRequest::new(catalog::puma(), App::paper_rd(2), 216, 20);
+    let key = hetero_hpc::canon::request_key(&req);
+    let artifact = dir
+        .join("cache")
+        .join(format!("{}.json", key.rsplit('/').next().unwrap()));
+    fs::create_dir_all(dir.join("cache")).unwrap();
+    fs::write(&artifact, PARENT_ARTIFACT).unwrap();
+
+    let serve = ServeHandle::open(ServeConfig::new(&dir)).unwrap();
+    let hot = serve.submit_wait(&req).unwrap();
+    assert!(matches!(hot.as_ref(), JobOutcome::Rejected(_)));
+    let m = serve.metrics();
+    assert_eq!(m.counter("serve.cache.hits"), 1.0);
+    assert_eq!(m.counter("serve.batch.jobs"), 0.0, "nothing executed");
+    serve.shutdown();
+
+    fs::remove_file(&artifact).unwrap();
+    let mut cache = ResultCache::open(&dir.join("cache")).unwrap();
+    cache.store(&key, &hot).unwrap();
+    assert_eq!(fs::read_to_string(&artifact).unwrap(), PARENT_ARTIFACT);
     let _ = fs::remove_dir_all(&dir);
 }
 
