@@ -7,7 +7,7 @@ use crate::stats::CommStats;
 use crate::topology::ClusterTopology;
 use crate::work::{ComputeModel, Work};
 use hetero_trace::{EventKind, RankTracer, TraceDetail, TraceSink};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -80,12 +80,114 @@ struct Envelope {
     /// Per-(src, dst) sequence number, keys the jitter hash.
     seq: u64,
     src: usize,
+    tag: u64,
 }
 
+/// A map from peer rank to `V`, stored as a vector sorted by rank and
+/// binary-searched.
+///
+/// A rank talks to a small, fixed set of peers (≤ 26 halo neighbours plus
+/// its tree and dissemination partners), so the map is a kilobyte or two of
+/// contiguous memory, a lookup is a handful of compares with no hashing,
+/// and no key is ever removed. Sorted rather than insertion-ordered because
+/// a gather root has `size - 1` peers, where a linear scan per message
+/// would make every gather quadratic; a new peer's insert shifts the
+/// entries above it, which each peer costs once per job.
+struct PeerMap<V> {
+    entries: Vec<(usize, V)>,
+}
+
+impl<V> Default for PeerMap<V> {
+    fn default() -> Self {
+        PeerMap {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<V> PeerMap<V> {
+    fn position(&self, peer: usize) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&peer, |e| e.0)
+    }
+
+    fn get(&self, peer: usize) -> Option<&V> {
+        self.position(peer).ok().map(|i| &self.entries[i].1)
+    }
+
+    fn get_mut(&mut self, peer: usize) -> Option<&mut V> {
+        self.position(peer).ok().map(|i| &mut self.entries[i].1)
+    }
+
+    /// The value for `peer`, inserted as `V::default()` on first use.
+    fn get_or_default(&mut self, peer: usize) -> &mut V
+    where
+        V: Default,
+    {
+        let i = match self.position(peer) {
+            Ok(i) => i,
+            Err(i) => {
+                self.entries.insert(i, (peer, V::default()));
+                i
+            }
+        };
+        &mut self.entries[i].1
+    }
+}
+
+/// The messages queued at one rank: one FIFO *lane* per source, holding
+/// that source's undelivered envelopes of every tag in send order.
+///
+/// Matching is per-`(src, tag)` FIFO, as MPI requires: [`Lanes::pop`] takes
+/// the first envelope from `src` that carries `tag`. Envelopes of one
+/// `(src, tag)` sit in a lane in the order they were sent, so they are
+/// received in that order, and an envelope of another tag ahead of them is
+/// skipped, not consumed. In every exchange the applications and the
+/// collectives produce, the match is the lane's front.
+///
+/// Keying the queues by `(src, tag)` instead gives the same matching but a
+/// queue per tag ever seen, and every collective draws a fresh tag: the
+/// structure then grows with a rank's step count. A lane is created on a
+/// source's first message and reused from then on, so a mailbox is bounded
+/// by the rank's peer count.
+#[derive(Default)]
+struct Lanes {
+    by_src: PeerMap<VecDeque<Envelope>>,
+}
+
+impl Lanes {
+    fn push(&mut self, env: Envelope) {
+        self.by_src.get_or_default(env.src).push_back(env);
+    }
+
+    /// Removes and returns the oldest queued envelope from `(src, tag)`.
+    fn pop(&mut self, src: usize, tag: u64) -> Option<Envelope> {
+        let lane = self.by_src.get_mut(src)?;
+        let at = lane.iter().position(|env| env.tag == tag)?;
+        lane.remove(at)
+    }
+
+    fn has_queued(&self, src: usize, tag: u64) -> bool {
+        self.by_src
+            .get(src)
+            .is_some_and(|lane| lane.iter().any(|env| env.tag == tag))
+    }
+}
+
+/// One rank's receive side, shared by both engines: the lanes under a
+/// lock (senders are other ranks, possibly on other workers), and the
+/// condvar the thread engine's receivers park on.
 #[derive(Default)]
 struct Mailbox {
-    queues: Mutex<HashMap<(usize, u64), VecDeque<Envelope>>>,
+    lanes: Mutex<Lanes>,
     cv: Condvar,
+}
+
+impl Mailbox {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lanes> {
+        self.lanes
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 }
 
 /// State shared by all ranks of one SPMD job.
@@ -160,10 +262,7 @@ impl SharedComm {
     pub(crate) fn mark_terminated(&self, rank: usize) {
         self.terminated[rank].store(true, Ordering::SeqCst);
         for m in &self.mailboxes {
-            let _guard = m
-                .queues
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let _guard = m.lock();
             m.cv.notify_all();
         }
     }
@@ -186,11 +285,7 @@ impl SharedComm {
     /// order scheduler → mailbox is only ever taken in this direction —
     /// senders release the mailbox lock before touching the scheduler).
     pub(crate) fn has_queued(&self, dst: usize, src: usize, tag: u64) -> bool {
-        let queues = self.mailboxes[dst]
-            .queues
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        queues.get(&(src, tag)).is_some_and(|q| !q.is_empty())
+        self.mailboxes[dst].lock().has_queued(src, tag)
     }
 }
 
@@ -203,8 +298,9 @@ pub struct SimComm {
     clock: f64,
     /// Per-destination sequence counters, allocated on first use: a rank
     /// typically talks to O(1) neighbours, and a dense `Vec` would cost
-    /// O(size²) across the job (ruinous at 10⁴–10⁵ ranks).
-    send_seq: HashMap<usize, u64>,
+    /// O(size²) across the job (ruinous at 10⁴–10⁵ ranks). Read and bumped
+    /// on every send, hence a [`PeerMap`] and not a hash map.
+    send_seq: PeerMap<u64>,
     stats: CommStats,
     pub(crate) coll_epoch: u64,
     /// This rank's topology node and its scheduled death time (cached from
@@ -229,7 +325,7 @@ impl SimComm {
             rank,
             shared,
             clock: 0.0,
-            send_seq: HashMap::new(),
+            send_seq: PeerMap::default(),
             stats: CommStats::default(),
             coll_epoch: 0,
             node,
@@ -341,7 +437,7 @@ impl SimComm {
         modeled_bytes: f64,
     ) {
         assert!(dst < self.shared.size, "destination rank out of range");
-        let counter = self.send_seq.entry(dst).or_insert(0);
+        let counter = self.send_seq.get_or_default(dst);
         let seq = *counter;
         *counter += 1;
 
@@ -368,15 +464,10 @@ impl SimComm {
             depart: self.clock,
             seq,
             src: self.rank,
+            tag,
         };
         let mailbox = &self.shared.mailboxes[dst];
-        {
-            let mut queues = mailbox
-                .queues
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            queues.entry((self.rank, tag)).or_default().push_back(env);
-        }
+        mailbox.lock().push(env);
         // Wake the receiver *after* releasing the mailbox lock: under the
         // cooperative engine this takes the scheduler lock, and the only
         // permitted nesting is scheduler → mailbox (worker side), never the
@@ -408,11 +499,8 @@ impl SimComm {
     fn coop_block_for_envelope(&mut self, src: usize, tag: u64) -> Envelope {
         loop {
             {
-                let mut queues = self.shared.mailboxes[self.rank]
-                    .queues
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if let Some(env) = queues.get_mut(&(src, tag)).and_then(|q| q.pop_front()) {
+                let mut lanes = self.shared.mailboxes[self.rank].lock();
+                if let Some(env) = lanes.pop(src, tag) {
                     return env;
                 }
                 // Unwind only when the *sender* is provably gone: whether a
@@ -444,15 +532,10 @@ impl SimComm {
     /// Thread-engine blocking: a condvar wait on this rank's mailbox.
     fn thread_block_for_envelope(&mut self, src: usize, tag: u64) -> Envelope {
         let mailbox = &self.shared.mailboxes[self.rank];
-        let mut queues = mailbox
-            .queues
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut lanes = mailbox.lock();
         loop {
-            if let Some(q) = queues.get_mut(&(src, tag)) {
-                if let Some(env) = q.pop_front() {
-                    return env;
-                }
+            if let Some(env) = lanes.pop(src, tag) {
+                return env;
             }
             // Unwind only when the *sender* is provably gone: whether a
             // message is ever sent is a pure function of virtual time
@@ -464,7 +547,7 @@ impl SimComm {
                 // The terminated store is ordered after all of src's
                 // sends; one last look under the lock catches a final
                 // message that raced the flag.
-                if let Some(env) = queues.get_mut(&(src, tag)).and_then(|q| q.pop_front()) {
+                if let Some(env) = lanes.pop(src, tag) {
                     return env;
                 }
                 panic!(
@@ -472,9 +555,9 @@ impl SimComm {
                     self.rank
                 );
             }
-            queues = mailbox
+            lanes = mailbox
                 .cv
-                .wait(queues)
+                .wait(lanes)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
@@ -802,6 +885,85 @@ mod tests {
             }
         });
         assert_eq!(results[1].value, 12.0);
+    }
+
+    /// `(lane count, largest lane capacity)` of the calling rank's mailbox.
+    fn lane_shape(comm: &SimComm) -> (usize, usize) {
+        let lanes = comm.shared.mailboxes[comm.rank()].lock();
+        let lanes = &lanes.by_src.entries;
+        (
+            lanes.len(),
+            lanes.iter().map(|(_, q)| q.capacity()).max().unwrap_or(0),
+        )
+    }
+
+    #[test]
+    fn distinct_collective_tags_reuse_one_lane() {
+        // Every barrier draws a fresh collective tag; on two ranks each one
+        // is a single message from the one peer. The mailbox must not keep
+        // anything per tag.
+        let results = run_spmd(cfg(2), |comm| {
+            for _ in 0..10_000 {
+                comm.barrier();
+            }
+            lane_shape(comm)
+        });
+        for r in &results {
+            let (lanes, capacity) = r.value;
+            assert_eq!(lanes, 1);
+            assert!(capacity <= 8, "lane capacity grew to {capacity}");
+        }
+    }
+
+    #[test]
+    fn interleaved_tags_on_one_source_are_each_fifo() {
+        let env = |tag: u64, seq: u64| Envelope {
+            payload: Payload::Usize(vec![seq as usize]),
+            modeled_bytes: HEADER_BYTES,
+            depart: 0.0,
+            seq,
+            src: 3,
+            tag,
+        };
+        let mut lanes = Lanes::default();
+        for (tag, seq) in [(1, 0), (2, 1), (1, 2), (2, 3)] {
+            lanes.push(env(tag, seq));
+        }
+        assert!(lanes.has_queued(3, 1) && lanes.has_queued(3, 2));
+        assert!(!lanes.has_queued(3, 7) && !lanes.has_queued(4, 1));
+        // Drain in the opposite order to the sends: tag 2 first.
+        let mut seqs = |tag: u64| -> Vec<u64> {
+            std::iter::from_fn(|| lanes.pop(3, tag))
+                .map(|e| e.seq)
+                .collect()
+        };
+        assert_eq!(seqs(2), [1, 3]);
+        assert_eq!(seqs(1), [0, 2]);
+        assert!(!lanes.has_queued(3, 1) && !lanes.has_queued(3, 2));
+    }
+
+    #[test]
+    fn gather_posted_in_reverse_rank_order_is_rank_ordered() {
+        // A token walks down from the last rank, so the root's lanes are
+        // created in descending source order: every insert lands at the
+        // front of the sorted vector.
+        const TOKEN: u64 = 11;
+        let size = 64;
+        let results = run_spmd(cfg(size), move |comm| {
+            let rank = comm.rank();
+            if rank > 0 && rank < size - 1 {
+                let _ = comm.recv(rank + 1, TOKEN);
+            }
+            let gathered = comm.gather(0, &[rank as f64]);
+            if rank > 1 {
+                comm.send(rank - 1, TOKEN, Payload::Empty);
+            }
+            gathered.map(|g| (g, lane_shape(comm).0))
+        });
+        let (gathered, lanes) = results[0].value.as_ref().expect("root gets the data");
+        let expect: Vec<Vec<f64>> = (0..size).map(|r| vec![r as f64]).collect();
+        assert_eq!(gathered, &expect);
+        assert_eq!(*lanes, size - 1);
     }
 
     #[test]

@@ -29,8 +29,12 @@ pub const MAX_REAL_RANKS: usize = 131_072;
 /// spends a real OS thread (and its stack) per rank.
 pub const MAX_THREAD_RANKS: usize = 4096;
 
-/// Coroutine stack size of every rank. Stacks are heap allocations the OS commits
-/// lazily, so idle ranks cost address space, not resident memory.
+/// Coroutine stack size of every rank. This is address space: a job's
+/// stacks are mapped together when it starts and unmapped when it returns
+/// (see `sched::context`), so a rank is resident only for the pages of its
+/// stack it touches — typically three or four — and only while its job
+/// runs. A rank that needs more than this aborts the process at its next
+/// yield (canary check), it does not fault.
 pub const DEFAULT_TASK_STACK_BYTES: usize = 1 << 20;
 
 /// Whether this build can run the cooperative engine (the context switch is
@@ -352,8 +356,11 @@ where
     let workers = resolve_workers(opts.workers, size);
 
     let slots: Vec<Mutex<Option<RankOutcome<T>>>> = (0..size).map(|_| Mutex::new(None)).collect();
-    let mut tasks: Vec<Box<sched::TaskCtl>> = (0..size)
-        .map(|rank| {
+    let stacks = sched::context::job_stacks(size, DEFAULT_TASK_STACK_BYTES);
+    let mut tasks: Vec<Box<sched::TaskCtl>> = stacks
+        .into_iter()
+        .enumerate()
+        .map(|(rank, stack)| {
             let shared = shared.clone();
             let f = &f;
             let slot = &slots[rank];
@@ -375,11 +382,7 @@ where
             });
             // Erasure is sound: every task runs to completion inside the
             // scope below, which the borrows of `f`/`slots`/`shared` outlive.
-            sched::TaskCtl::new(
-                rank,
-                DEFAULT_TASK_STACK_BYTES,
-                sched::erase_task_lifetime(body),
-            )
+            sched::TaskCtl::new(rank, stack, sched::erase_task_lifetime(body))
         })
         .collect();
     let table = sched::TaskTable::new(&mut tasks);

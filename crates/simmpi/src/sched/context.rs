@@ -1,21 +1,53 @@
-//! Stackful-coroutine primitives: heap-allocated task stacks and the
+//! Stackful-coroutine primitives: the task stacks of a job and the
 //! register-level context switch the M:N scheduler is built on.
 //!
-//! This is the only module in the crate that needs `unsafe`. The surface is
-//! three tiny things:
+//! Together with the scheduler above it, this is the only code in the
+//! crate that needs `unsafe`. The surface is three small things:
 //!
 //! * [`Context`] — the callee-saved register file of a suspended execution
 //!   (stack pointer included). A context is only ever *entered* by the
 //!   matching [`ctx_swap`], which first saves the current execution into
 //!   another `Context`, so control flow forms a strict hand-off chain.
-//! * [`TaskStack`] — a 16-byte-aligned heap allocation used as a coroutine
-//!   stack, with a canary pattern at the low end that [`TaskStack::canary_ok`]
-//!   checks after every hand-off (a cheap heuristic for overflow, since heap
-//!   stacks have no guard page).
+//! * [`job_stacks`] / [`TaskStack`] — the stack slab of one job (below).
 //! * [`init_context`] — builds the initial `Context` of a not-yet-started
 //!   task: the first swap into it "returns" into a tiny assembly trampoline
 //!   that calls [`hetero_simmpi_task_entry`](super::hetero_simmpi_task_entry)
 //!   with the task's control block.
+//!
+//! # The stack slab
+//!
+//! A job's stacks are allocated together, when the job starts, in chunks
+//! of up to [`STACKS_PER_CHUNK`] stacks laid back to back. Each
+//! [`TaskStack`] holds a reference count on its chunk, so a chunk is owned
+//! jointly by the tasks running on it and is freed when the last of them is
+//! dropped — when the job returns, since the engine keeps every task until
+//! then. Nothing outlives the job: there is no pool and nothing to retain
+//! or trim.
+//!
+//! The chunking is about what "freed" means. A stack allocated on its own
+//! is mapped and unmapped by glibc only until the first one is freed: that
+//! raises the allocator's mmap threshold past the stack size, every later
+//! job's stacks are cut from the `brk` heap, and the holes they leave are
+//! refilled by small allocations, so the next job's stacks land on fresh
+//! pages and the resident set climbs with every job a process runs
+//! (measured at 512 ranks: +18 MB per job, 82 → 436 MB over thirty jobs
+//! and still rising, against a flat 82 MB with chunks). A full chunk is
+//! larger than the threshold can grow, so it is a mapping of its own: a
+//! rank's stack costs the pages it touches (its canary page and the few
+//! frames at the top) and only while the job runs. A last chunk of fewer
+//! than 32 stacks — the only chunk of a small job — may still come from
+//! the heap; it is then one hole of the same size every time, not a
+//! scatter of them.
+//!
+//! There is no guard page. Overflow is caught by a canary at the low end
+//! of each stack, checked by the worker after every hand-off
+//! ([`TaskStack::canary_ok`]); an overflowing rank writes into the top of
+//! its lower neighbour's stack (or off the chunk) first, and the process
+//! aborts at its next yield. A `PROT_NONE` page per stack would make that a
+//! fault at the first bad write, but it splits every stack into a mapping
+//! of its own — two VMAs per rank — and `vm.max_map_count` defaults to
+//! 65 530: the 32 768-rank soak would need 65 536, and
+//! [`MAX_REAL_RANKS`](crate::engine::MAX_REAL_RANKS) four times that.
 //!
 //! Only the System-V-flavoured targets the workspace actually runs on are
 //! supported (`x86_64` and `aarch64` on non-Windows). The engine checks
@@ -36,6 +68,7 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{alloc, dealloc, Layout};
+use std::sync::Arc;
 
 /// Number of saved registers in a [`Context`].
 #[cfg(target_arch = "x86_64")]
@@ -204,55 +237,97 @@ const CANARY_BYTES: usize = 64;
 /// The canary fill byte.
 const CANARY_FILL: u8 = 0x5A;
 
-/// A heap allocation used as a coroutine stack.
-///
-/// Allocated with 16-byte alignment (both supported ABIs require it) and a
-/// size rounded up to 16. Large allocations are lazily committed by the OS,
-/// so tens of thousands of mostly-idle stacks cost virtual address space,
-/// not resident memory.
-pub(crate) struct TaskStack {
+/// Most stacks carved from one allocation. A full chunk of
+/// [`DEFAULT_TASK_STACK_BYTES`](crate::engine::DEFAULT_TASK_STACK_BYTES)
+/// stacks is 64 MiB — above the 32 MiB ceiling of glibc's adaptive mmap
+/// threshold, so it is a mapping of its own however many jobs the process
+/// has run — while one allocation for a whole 32 768-rank job (32 GiB)
+/// would be refused by heuristic overcommit.
+const STACKS_PER_CHUNK: usize = 64;
+
+/// One allocation holding up to [`STACKS_PER_CHUNK`] equal stacks back to
+/// back; freed when the last [`TaskStack`] carved from it is dropped.
+struct StackChunk {
     base: *mut u8,
     layout: Layout,
 }
 
-// The stack is only written through the coroutine that runs on it, and the
-// scheduler serializes access; the owning container just needs to move
-// between worker threads.
-unsafe impl Send for TaskStack {}
+// A chunk is only an address range to allocate and free: all access to the
+// bytes goes through the `TaskStack`s carved from it, each a disjoint
+// sub-range written by one coroutine at a time (see `TaskStack`).
+unsafe impl Send for StackChunk {}
+unsafe impl Sync for StackChunk {}
+
+impl Drop for StackChunk {
+    fn drop(&mut self) {
+        // SAFETY: base/layout came from `alloc` in `job_stacks`, and no
+        // `TaskStack` into the chunk is left (each holds an `Arc` of it).
+        unsafe { dealloc(self.base, self.layout) };
+    }
+}
+
+/// A coroutine stack: one 16-byte-aligned slot (both supported ABIs require
+/// that alignment) of a job's stack slab.
+///
+/// The stacks of a job are carved from shared chunks by [`job_stacks`] and
+/// keep their chunk alive; see the module docs for what that buys.
+pub(crate) struct TaskStack {
+    chunk: Arc<StackChunk>,
+    /// Byte offset of this stack's low end inside the chunk.
+    offset: usize,
+    bytes: usize,
+}
 
 impl TaskStack {
-    /// Allocates a stack of at least `bytes` bytes and plants the canary.
-    pub(crate) fn new(bytes: usize) -> Self {
-        let size = bytes.max(4096).next_multiple_of(16);
-        let layout = Layout::from_size_align(size, 16).expect("valid stack layout");
-        // SAFETY: layout has non-zero size.
-        let base = unsafe { alloc(layout) };
-        assert!(!base.is_null(), "task stack allocation failed");
-        // SAFETY: base..base+CANARY_BYTES is inside the fresh allocation.
-        unsafe { std::ptr::write_bytes(base, CANARY_FILL, CANARY_BYTES) };
-        TaskStack { base, layout }
+    fn base(&self) -> *mut u8 {
+        // SAFETY: `offset + bytes` is within the chunk's allocation by
+        // construction in `job_stacks`.
+        unsafe { self.chunk.base.add(self.offset) }
     }
 
     /// One past the highest usable address; 16-byte aligned.
     pub(crate) fn top(&self) -> usize {
-        self.base as usize + self.layout.size()
+        self.base() as usize + self.bytes
     }
 
     /// Whether the low-end canary is intact. A dead canary means the task
-    /// overflowed its stack into the canary region (and possibly beyond).
+    /// overflowed its stack into the canary region (and possibly beyond,
+    /// into the top of the neighbouring slot or off the chunk).
     pub(crate) fn canary_ok(&self) -> bool {
-        // SAFETY: the canary region is inside the live allocation.
-        unsafe { std::slice::from_raw_parts(self.base, CANARY_BYTES) }
+        // SAFETY: the canary region is inside this stack's slot of the live
+        // chunk.
+        unsafe { std::slice::from_raw_parts(self.base(), CANARY_BYTES) }
             .iter()
             .all(|&b| b == CANARY_FILL)
     }
 }
 
-impl Drop for TaskStack {
-    fn drop(&mut self) {
-        // SAFETY: base/layout came from `alloc` in `new`.
-        unsafe { dealloc(self.base, self.layout) };
+/// Allocates the stack slab of one job: `count` stacks of at least `bytes`
+/// bytes each, in chunks of at most [`STACKS_PER_CHUNK`], with the canary
+/// planted in every stack.
+pub(crate) fn job_stacks(count: usize, bytes: usize) -> Vec<TaskStack> {
+    let bytes = bytes.max(4096).next_multiple_of(16);
+    let mut stacks = Vec::with_capacity(count);
+    while stacks.len() < count {
+        let in_chunk = (count - stacks.len()).min(STACKS_PER_CHUNK);
+        let layout = Layout::from_size_align(in_chunk * bytes, 16).expect("valid stack layout");
+        // SAFETY: layout has non-zero size.
+        let base = unsafe { alloc(layout) };
+        assert!(!base.is_null(), "task stack allocation failed");
+        let chunk = Arc::new(StackChunk { base, layout });
+        for slot in 0..in_chunk {
+            let stack = TaskStack {
+                chunk: chunk.clone(),
+                offset: slot * bytes,
+                bytes,
+            };
+            // SAFETY: the first CANARY_BYTES of the slot are inside the
+            // fresh allocation and nothing else refers to them yet.
+            unsafe { std::ptr::write_bytes(stack.base(), CANARY_FILL, CANARY_BYTES) };
+            stacks.push(stack);
+        }
     }
+    stacks
 }
 
 /// Builds the initial context of a fresh task on `stack`: the first swap

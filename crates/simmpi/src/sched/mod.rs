@@ -1,7 +1,8 @@
 //! M:N cooperative rank scheduler: simulated ranks as stackful coroutines
 //! multiplexed onto a fixed worker pool.
 //!
-//! Each rank is a [`TaskCtl`]: a heap stack plus a saved register context.
+//! Each rank is a [`TaskCtl`]: a stack from the job's slab plus a saved
+//! register context.
 //! Workers pull ranks off a run queue ordered by the minimum
 //! `(virtual_time, rank)` key and resume them with a context switch; a rank
 //! runs until it blocks in `recv`/`wait_all` (the only points where the
@@ -116,13 +117,13 @@ pub(crate) struct TaskCtl {
 unsafe impl Send for TaskCtl {}
 
 impl TaskCtl {
-    /// Builds a not-yet-started task whose first resume runs `entry`.
+    /// Builds a not-yet-started task whose first resume runs `entry` on
+    /// `stack`.
     pub(crate) fn new(
         rank: usize,
-        stack_bytes: usize,
+        stack: TaskStack,
         entry: Box<dyn FnOnce() + Send + 'static>,
     ) -> Box<TaskCtl> {
-        let stack = TaskStack::new(stack_bytes);
         let mut ctl = Box::new(TaskCtl {
             rank,
             ctx: Context::new(),

@@ -282,6 +282,137 @@ proptest! {
     }
 }
 
+// ---- the mailbox against the structure it replaced ----
+
+/// One step of a script rank 0 runs against its own mailbox, with ranks
+/// `1..=MAIL_SOURCES` as the senders.
+#[derive(Debug, Clone, Copy)]
+enum MailOp {
+    /// `src` posts a message under `tag`, and rank 0 waits for the source's
+    /// acknowledgement — which queues behind the message in the same lane —
+    /// so the message is in the mailbox before the next step.
+    Push { src: usize, tag: u64 },
+    /// Rank 0 receives the oldest queued `(src, tag)` message. Dropped from
+    /// the script when the reference has none queued (it would deadlock).
+    Pop { src: usize, tag: u64 },
+    /// `src` is asked to post under `tag` and rank 0 receives from
+    /// `(src, tag)` at once: the receive usually finds nothing queued yet
+    /// and parks, which under the cooperative engine goes through the
+    /// scheduler's `has_queued` re-check and the sender's wake.
+    PostAndPop { src: usize, tag: u64 },
+}
+
+const MAIL_SOURCES: usize = 6;
+const MAIL_TAGS: u64 = 5;
+const MAIL_CMD: u64 = 100;
+const MAIL_ACK: u64 = 101;
+
+fn mail_op_strategy() -> impl Strategy<Value = MailOp> {
+    // Two in five steps post, two in five receive, one in five does both.
+    (0u8..5, 1usize..=MAIL_SOURCES, 0u64..MAIL_TAGS).prop_map(|(kind, src, tag)| match kind {
+        0 | 1 => MailOp::Push { src, tag },
+        2 | 3 => MailOp::Pop { src, tag },
+        _ => MailOp::PostAndPop { src, tag },
+    })
+}
+
+/// Runs `ops` on the mailbox the simulator had before per-source lanes — a
+/// FIFO per `(src, tag)` key — and returns the script that can complete
+/// (pops of an empty queue dropped, then every queue drained in key order)
+/// with the value each of its receives must return. A message's value is
+/// the index of the step that posted it.
+fn reference_mailbox(ops: &[MailOp]) -> (Vec<MailOp>, Vec<usize>) {
+    use std::collections::{HashMap, VecDeque};
+    let mut queues: HashMap<(usize, u64), VecDeque<usize>> = HashMap::new();
+    let mut script = Vec::new();
+    let mut received = Vec::new();
+    for &op in ops {
+        let posted = script.len();
+        match op {
+            MailOp::Push { src, tag } => queues.entry((src, tag)).or_default().push_back(posted),
+            MailOp::Pop { src, tag } => {
+                match queues.get_mut(&(src, tag)).and_then(VecDeque::pop_front) {
+                    Some(v) => received.push(v),
+                    None => continue,
+                }
+            }
+            MailOp::PostAndPop { src, tag } => {
+                let q = queues.entry((src, tag)).or_default();
+                q.push_back(posted);
+                received.push(q.pop_front().expect("just pushed"));
+            }
+        }
+        script.push(op);
+    }
+    let mut left: Vec<_> = queues.into_iter().collect();
+    left.sort_by_key(|&(key, _)| key);
+    for ((src, tag), q) in left {
+        for v in q {
+            script.push(MailOp::Pop { src, tag });
+            received.push(v);
+        }
+    }
+    (script, received)
+}
+
+/// Rank 0 runs `script` (returning what it received, in order); the other
+/// ranks post what rank 0 commands until told to stop.
+fn run_mail_script(script: &[MailOp], comm: &mut SimComm) -> Vec<usize> {
+    if comm.rank() != 0 {
+        while let Payload::Usize(cmd) = comm.recv(0, MAIL_CMD) {
+            comm.send(0, cmd[0] as u64, Payload::Usize(vec![cmd[1]]));
+            if cmd[2] == 1 {
+                comm.send(0, MAIL_ACK, Payload::Empty);
+            }
+        }
+        return Vec::new();
+    }
+    let mut received = Vec::new();
+    for (step, &op) in script.iter().enumerate() {
+        match op {
+            MailOp::Push { src, tag } => {
+                comm.send(src, MAIL_CMD, Payload::Usize(vec![tag as usize, step, 1]));
+                let _ = comm.recv(src, MAIL_ACK);
+            }
+            MailOp::Pop { src, tag } => received.push(comm.recv_usize(src, tag)[0]),
+            MailOp::PostAndPop { src, tag } => {
+                comm.send(src, MAIL_CMD, Payload::Usize(vec![tag as usize, step, 0]));
+                received.push(comm.recv_usize(src, tag)[0]);
+            }
+        }
+    }
+    for src in 1..comm.size() {
+        comm.send(src, MAIL_CMD, Payload::Empty);
+    }
+    received
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random post/receive sequences over 6 sources and 5 tags deliver the
+    /// same messages in the same order as a FIFO per `(src, tag)`, on both
+    /// engines.
+    #[test]
+    fn mailbox_matches_a_fifo_per_source_and_tag(
+        ops in prop::collection::vec(mail_op_strategy(), 1..80),
+    ) {
+        let (script, expected) = reference_mailbox(&ops);
+        for opts in [EngineOpts::threads(), EngineOpts::cooperative(1), EngineOpts::cooperative(3)] {
+            let script = script.clone();
+            let (res, _) = run_spmd_opts(
+                cfg(MAIL_SOURCES + 1, 5),
+                opts,
+                FaultPlan::none(),
+                None,
+                move |comm| run_mail_script(&script, comm),
+            );
+            let res = res.expect("no faults planned");
+            prop_assert_eq!(&res[0].value, &expected, "{:?} diverged", opts);
+        }
+    }
+}
+
 #[test]
 fn random_program_agrees_across_pools_past_the_thread_ceiling() {
     // The same property at a rank count the thread engine refuses
