@@ -2,22 +2,27 @@
 //! "Request lifecycle"): the numerical attempt, the critical-rank
 //! reduction with its discard rule, and the [`RunOutcome`] constructor.
 //!
-//! [`crate::run::execute`] is one failure-free attempt;
-//! [`crate::recovery::execute_resilient`] is as many attempts as its
-//! restart budget allows, each under a sampled fault plan. Both hand what
-//! the engine measured to [`outcome`], so a plain and a fault-injected
-//! report can only differ where their inputs do.
+//! [`crate::run::execute`] is one failure-free attempt ([`run_plain`]),
+//! priced from a recorded work tape when the scenario holds one for the
+//! app; [`crate::recovery::execute_resilient`] is as many attempts as its
+//! restart budget allows, each under a sampled fault plan. All of them
+//! reduce through [`critical_rank`] and hand what was measured to
+//! [`outcome`], so a plain, a tape-priced and a fault-injected report can
+//! only differ where their inputs do.
 
 use crate::apps::App;
 use crate::modeled::ModeledRun;
-use crate::prep::{PreparedScenario, RankPrep};
+use crate::prep::{tape_key, PreparedScenario, RankPrep, RecordedRun};
 use crate::recovery::{Checkpointer, ResumeState};
 use crate::run::{synthesize_phase_trace, Fidelity, RunOutcome, RunRequest, Verification};
 use hetero_fem::ns::{solve_ns_prepared, NsStepView};
-use hetero_fem::phase::{summarize, PhaseTimes};
+use hetero_fem::phase::{summarize, PhaseRecorder, PhaseTimes};
 use hetero_fem::rd::{solve_rd_prepared, RdStepView};
 use hetero_mesh::DistributedMesh;
-use hetero_simmpi::{run_spmd_opts, EngineOpts, FaultPlan, RankFailed, SimComm, SpmdConfig};
+use hetero_simmpi::{
+    run_spmd_opts, run_spmd_recorded, tape, EngineOpts, FaultPlan, RankFailed, SimComm, SpmdConfig,
+    WorkTape,
+};
 use hetero_trace::Trace;
 use std::sync::Arc;
 
@@ -48,14 +53,31 @@ impl Measured {
     }
 }
 
-/// What one rank hands back from its run of the application.
-struct RankOut {
-    iterations: Vec<PhaseTimes>,
+/// The outputs of one rank's run that no platform changes: Krylov
+/// iterations per step, exact-solution errors, modeled bytes received.
+#[derive(Clone, Copy)]
+pub(crate) struct RankNumerics {
     kiters: f64,
     linf: f64,
     l2: f64,
     bytes: f64,
+}
+
+/// What one rank hands back from its run of the application.
+struct RankOut {
+    iterations: Vec<PhaseTimes>,
+    numerics: RankNumerics,
     prep: RankPrep,
+}
+
+/// What one execution of every rank produced.
+struct Executed {
+    iterations: Vec<Vec<PhaseTimes>>,
+    numerics: Vec<RankNumerics>,
+    /// The latest rank's final clock.
+    run_seconds: f64,
+    trace: Option<Trace>,
+    tape: Option<WorkTape>,
 }
 
 /// Runs the application numerically once: every rank of `cfg` builds its
@@ -74,6 +96,59 @@ pub(crate) fn run_attempt(
     checkpoint: Option<&Checkpointer>,
     scen: &PreparedScenario,
 ) -> Result<(Measured, f64), RankFailed> {
+    let run = execute_ranks(req, cfg, faults, resume, checkpoint, scen, None)?;
+    let seconds = run.run_seconds;
+    Ok((
+        critical_rank(req, &run.iterations, &run.numerics, run.trace),
+        seconds,
+    ))
+}
+
+/// The numerical run of a plain `execute`: failure-free, from the initial
+/// condition, no checkpoints. When the scenario already holds a recorded
+/// run of this app, it is priced on `cfg` from the tape; otherwise the
+/// ranks execute, and an untraced run on a shared scenario records its
+/// tape for the next platform. A traced run always executes.
+pub(crate) fn run_plain(req: &RunRequest, cfg: SpmdConfig, scen: &PreparedScenario) -> Measured {
+    let budget = scen.tape_budget().filter(|_| req.trace.is_none());
+    let key = budget.map(|_| tape_key(req));
+    if let Some(run) = key.as_deref().and_then(|k| scen.recorded_run(k)) {
+        let iterations: Vec<Vec<PhaseTimes>> = tape::evaluate(&run.tape, &cfg)
+            .iter()
+            .map(|rank| PhaseRecorder::replay(&rank.marks))
+            .collect();
+        return critical_rank(req, &iterations, &run.numerics, None);
+    }
+    let run = execute_ranks(req, cfg, FaultPlan::none(), None, None, scen, budget)
+        .expect("a trivial fault plan cannot fail a rank");
+    if let Some(key) = key {
+        let recorded = run
+            .tape
+            .map(|tape| RecordedRun::new(tape, run.numerics.clone()));
+        scen.store_recorded_run(key, recorded);
+    }
+    critical_rank(req, &run.iterations, &run.numerics, run.trace)
+}
+
+/// Executes every rank of the application once (see [`run_attempt`]),
+/// recording the job's work tape within `tape_budget` bytes when given
+/// one — which only a failure-free, unresumed, uncheckpointed, untraced
+/// run may ask for.
+///
+/// A run that recorded its tape does not leave its rank preparations in
+/// the scenario: later plain runs of its app are priced from the tape, so
+/// holding both would only cost memory, resident through every later job.
+/// The next run that has to execute — traced, resilient, another app on
+/// the same mesh — stores its own.
+fn execute_ranks(
+    req: &RunRequest,
+    cfg: SpmdConfig,
+    faults: FaultPlan,
+    resume: Option<&ResumeState>,
+    checkpoint: Option<&Checkpointer>,
+    scen: &PreparedScenario,
+    tape_budget: Option<usize>,
+) -> Result<Executed, RankFailed> {
     let geo = scen.geometry();
     // Resolved once, so every rank of this attempt agrees.
     let rank_preps = scen.rank_preps();
@@ -115,11 +190,13 @@ pub(crate) fn run_attempt(
                     let (r, built) = solve_rd_prepared(&dmesh, c, resume, Some(&mut obs), rp, comm);
                     RankOut {
                         iterations: r.iterations,
-                        kiters: r.krylov_iters.iter().sum::<usize>() as f64
-                            / r.krylov_iters.len() as f64,
-                        linf: r.linf_error,
-                        l2: r.l2_error,
-                        bytes: comm.stats().bytes_received,
+                        numerics: RankNumerics {
+                            kiters: r.krylov_iters.iter().sum::<usize>() as f64
+                                / r.krylov_iters.len() as f64,
+                            linf: r.linf_error,
+                            l2: r.l2_error,
+                            bytes: comm.stats().bytes_received,
+                        },
                         prep: RankPrep::Rd(built),
                     }
                 }
@@ -142,10 +219,12 @@ pub(crate) fn run_attempt(
                         r.vel_iters.iter().sum::<usize>() + r.p_iters.iter().sum::<usize>();
                     RankOut {
                         iterations: r.iterations,
-                        kiters: total_k as f64 / r.vel_iters.len() as f64,
-                        linf: r.vel_linf_error,
-                        l2: r.vel_l2_error,
-                        bytes: comm.stats().bytes_received,
+                        numerics: RankNumerics {
+                            kiters: total_k as f64 / r.vel_iters.len() as f64,
+                            linf: r.vel_linf_error,
+                            l2: r.vel_l2_error,
+                            bytes: comm.stats().bytes_received,
+                        },
                         prep: RankPrep::Ns(built),
                     }
                 }
@@ -158,37 +237,69 @@ pub(crate) fn run_attempt(
     };
     // A felled attempt's per-rank spans describe work the rollback
     // discards, so its trace is dropped with it.
-    let (result, trace) = run_spmd_opts(cfg, opts, faults, req.trace, body);
-    let results = result?;
+    let (results, trace, tape) = match tape_budget {
+        None => {
+            let (result, trace) = run_spmd_opts(cfg, opts, faults, req.trace, body);
+            (result?, trace, None)
+        }
+        Some(bytes) => {
+            let (results, tape) = run_spmd_recorded(cfg, opts, bytes, body);
+            (results, None, tape)
+        }
+    };
 
-    // Critical-rank reduction: per-iteration max across ranks. A resumed
-    // attempt reports only the steps it executed itself.
-    let steps = results[0].value.iterations.len();
-    let mut iterations = vec![PhaseTimes::default(); steps];
-    for r in &results {
-        for (acc, &t) in iterations.iter_mut().zip(&r.value.iterations) {
+    // The engines return results in rank order.
+    let run_seconds = results.iter().map(|r| r.clock).fold(0.0, f64::max);
+    let mut preps = Vec::with_capacity(results.len());
+    let (iterations, numerics) = results
+        .into_iter()
+        .map(|r| {
+            preps.push(r.value.prep);
+            (r.value.iterations, r.value.numerics)
+        })
+        .unzip();
+    if rank_preps.is_none() && tape.is_none() {
+        scen.store_rank_preps(Arc::new(preps));
+    }
+    Ok(Executed {
+        iterations,
+        numerics,
+        run_seconds,
+        trace,
+        tape,
+    })
+}
+
+/// The critical-rank reduction of a numerical run, one code for executed
+/// and tape-priced runs alike: the per-iteration max across ranks (in rank
+/// order), rank 0's Krylov count and errors, and the bytes every rank
+/// received per step. A resumed attempt reports only the steps it executed
+/// itself.
+fn critical_rank(
+    req: &RunRequest,
+    iterations: &[Vec<PhaseTimes>],
+    numerics: &[RankNumerics],
+    trace: Option<Trace>,
+) -> Measured {
+    let steps = iterations[0].len();
+    let mut critical = vec![PhaseTimes::default(); steps];
+    for rank in iterations {
+        for (acc, &t) in critical.iter_mut().zip(rank) {
             *acc = acc.max(t);
         }
     }
-    let measured = Measured {
+    let first = numerics[0];
+    Measured {
         fidelity: Fidelity::Numerical,
-        phases: reduce(&iterations, req.discard),
-        krylov_iters: results[0].value.kiters,
+        phases: reduce(&critical, req.discard),
+        krylov_iters: first.kiters,
         verification: Some(Verification {
-            linf: results[0].value.linf,
-            l2: results[0].value.l2,
+            linf: first.linf,
+            l2: first.l2,
         }),
-        bytes_per_iteration: results.iter().map(|r| r.value.bytes).sum::<f64>() / steps as f64,
+        bytes_per_iteration: numerics.iter().map(|n| n.bytes).sum::<f64>() / steps as f64,
         trace,
-    };
-    let run_seconds = results.iter().map(|r| r.clock).fold(0.0, f64::max);
-    if rank_preps.is_none() {
-        // The engines return results in rank order.
-        scen.store_rank_preps(Arc::new(
-            results.into_iter().map(|r| r.value.prep).collect(),
-        ));
     }
-    Ok((measured, run_seconds))
 }
 
 /// The paper's reduction under the one discard rule: drop the first

@@ -165,6 +165,17 @@ pub fn prep_canonical(req: &RunRequest) -> String {
     c.finish()
 }
 
+/// The canonical text of an application alone — discretization, time
+/// stepping, step count and every solver option — in the encoding of
+/// [`canonical_request`]'s `app` group. It keys in-memory reuse only
+/// (`crate::prep`'s recorded runs) and is never hashed into a persisted
+/// key.
+pub(crate) fn canonical_app(app: &App) -> String {
+    let mut c = Canon::new();
+    c.group("app", |c| canon_app(c, app));
+    c.finish()
+}
+
 /// Lowercase-hex SHA-256 (FIPS 180-4) of `data`. Hand-rolled because the
 /// build environment vendors no crypto crate; the test battery pins the
 /// standard test vectors.

@@ -11,7 +11,7 @@
 //! [`PreparedScenario`] bundles those artifacts immutably behind `Arc`s so
 //! every instance that shares the sub-key shares one preparation.
 //!
-//! Two levels of reuse hang off the bundle:
+//! Three levels of reuse hang off the bundle:
 //!
 //! * **Setup artifacts** (this module's reason to exist): the modeled
 //!   prep is built eagerly (closed form, tiny); the numerical geometry
@@ -19,8 +19,18 @@
 //!   per-cell assignment vector is large at high rank counts and the
 //!   numerical engine only runs below the auto-fidelity caps; the
 //!   per-rank FEM artifacts (DoF maps + assembly structures) are
-//!   harvested from the first numerical run of the scenario — there is no
-//!   throwaway preparation pass.
+//!   harvested from the first numerical run of the scenario that executes
+//!   without recording a work tape — there is no throwaway preparation
+//!   pass.
+//! * **Recorded runs** (numerics once, platforms many): the first plain
+//!   numerical run of an app also records every rank's work tape
+//!   ([`hetero_simmpi::tape`]) and the numerical outputs no platform
+//!   changes. A later plain run of the same app on any platform, topology,
+//!   cost model or seed is priced from the tape instead of executed. The
+//!   key is the app's canonical text (`tape_key`); a job's tape is bounded
+//!   by `TAPE_BYTES_CAP`, and a scenario keeps at most `FF_MEMO_CAP` of
+//!   them. Traced, fault-injected, resuming and checkpointing runs always
+//!   execute.
 //! * **A fast-forward profile memo** for [`crate::recovery`]: the
 //!   failure-free reference replay `(probe, fleet0, ff)` is a pure
 //!   function of the request minus its cadence/policy/host knobs, so
@@ -32,14 +42,17 @@
 //! **Determinism.** Every shared artifact is immutable and every reuse
 //! path replays the collective protocol of the fresh build bit-for-bit
 //! (see [`hetero_fem::DofMap::replay_build`] and
-//! [`hetero_fem::assembly::MatrixAssembly::with_structure`]) or memoizes
-//! the result of a pure function — so reports are byte-identical to
-//! fresh-setup execution at every worker-pool size and thread count.
+//! [`hetero_fem::assembly::MatrixAssembly::with_structure`]), prices the
+//! recorded charges through the engine's own clock arithmetic, or
+//! memoizes the result of a pure function — so reports are byte-identical
+//! to fresh-setup execution at every worker-pool size and thread count.
 //! Disabling sharing ([`disable_sharing_scoped`]) can therefore only lose
 //! speed, never change a result: every run still gets a scenario, just a
-//! private one that is built for it, counted nowhere, and dropped with it.
+//! private one that is built for it, counted nowhere, records nothing,
+//! and is dropped with it.
 
-use crate::canon::{canonical_request, prep_key};
+use crate::attempt::RankNumerics;
+use crate::canon::{canonical_app, canonical_request, prep_key};
 use crate::modeled::{weak_scaling_grid, ModeledPrep, ModeledRun};
 use crate::recovery::ResilienceSpec;
 use crate::run::{Fidelity, RunRequest};
@@ -49,10 +62,10 @@ use hetero_fem::rd::RdPrep;
 use hetero_mesh::StructuredHexMesh;
 use hetero_partition::block::BlockLayout;
 use hetero_platform::spot::{FleetAllocation, FleetStrategy};
-use hetero_simmpi::EngineKind;
+use hetero_simmpi::{EngineKind, WorkTape};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Bound on the process-wide scenario LRU. Scenarios at numerical sizes
 /// hold the partition assignment and per-rank DoF maps, so the cache is
@@ -61,8 +74,16 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 const SCENARIO_CACHE_CAP: usize = 8;
 
 /// Bound on the per-scenario fast-forward profile memo (distinct
-/// `(platform, seed, strategy, app)` combinations per scenario).
+/// `(platform, seed, strategy, app)` combinations per scenario), and on
+/// the recorded runs a scenario keeps (distinct apps).
 const FF_MEMO_CAP: usize = 64;
+
+/// Bound on the work tape one numerical job records, split evenly across
+/// its ranks. An 8-rank job records ≈ 0.5 MB (RD, Q2, 4³ cells per rank, 4
+/// steps) or ≈ 2.5 MB (NS, 5³ cells, 5 steps: 312 kB of a rank's 512 kB
+/// share); at 512 ranks a share is 8 kB, which the set-up alone outgrows,
+/// so such a job gives up its tape early and keeps none.
+const TAPE_BYTES_CAP: usize = 4 << 20;
 
 /// The mesh and partition assignment shared by every numerical run of one
 /// scenario. Built lazily: the per-cell assignment vector is proportional
@@ -79,7 +100,7 @@ pub(crate) enum RankPrep {
 }
 
 /// Every rank's [`RankPrep`], indexed by rank: harvested from the first
-/// completed numerical run of a scenario.
+/// completed numerical run of a scenario that recorded no work tape.
 pub(crate) type RankPreps = Arc<Vec<RankPrep>>;
 
 /// The memoized failure-free reference profile of a resilient run: the
@@ -104,27 +125,73 @@ struct FfMemo {
     order: VecDeque<String>,
 }
 
+/// One completed plain run of a scenario's app, kept to price the same
+/// app on other platforms: every rank's work tape, and the numerical
+/// outputs no platform changes.
+pub(crate) struct RecordedRun {
+    pub(crate) tape: WorkTape,
+    pub(crate) numerics: Vec<RankNumerics>,
+}
+
+impl RecordedRun {
+    pub(crate) fn new(tape: WorkTape, numerics: Vec<RankNumerics>) -> Self {
+        let run = RecordedRun { tape, numerics };
+        TAPE_BYTES_HELD.fetch_add(run.bytes(), Ordering::Relaxed);
+        run
+    }
+
+    fn bytes(&self) -> u64 {
+        (self.tape.bytes() + self.numerics.len() * std::mem::size_of::<RankNumerics>()) as u64
+    }
+}
+
+impl Drop for RecordedRun {
+    fn drop(&mut self) {
+        TAPE_BYTES_HELD.fetch_sub(self.bytes(), Ordering::Relaxed);
+    }
+}
+
+/// A scenario's recorded runs by [`tape_key`], FIFO-evicted.
+#[derive(Default)]
+struct RecordedRuns {
+    runs: HashMap<String, Arc<RecordedRun>>,
+    order: VecDeque<String>,
+}
+
 /// An immutable, `Arc`-shared bundle of the platform-independent setup
 /// artifacts of one scenario, keyed by [`crate::canon::prep_key`].
 pub struct PreparedScenario {
     key: String,
     ranks: usize,
     per_rank_axis: usize,
+    /// Whether the scenario is shared through the cache. A private one
+    /// (the off lane) records no runs: nothing could ever reuse them.
+    shared: bool,
     modeled: ModeledPrep,
     geometry: OnceLock<Arc<NumGeometry>>,
     rank_preps: Mutex<Option<RankPreps>>,
+    recorded: Mutex<RecordedRuns>,
     ff: Mutex<FfMemo>,
     ff_cv: Condvar,
+}
+
+/// Locks `m`, recovering the guard if a panic poisoned it. Whatever can
+/// panic (a scenario build) runs before its holder changes anything, and
+/// each change is a plain insert or removal, so a panicking holder leaves
+/// the value consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl PreparedScenario {
     /// Builds the scenario for `req` (whose sub-key is `key`): the modeled
     /// prep eagerly, everything else on demand.
-    fn build(req: &RunRequest, key: String) -> Self {
+    fn build(req: &RunRequest, key: String, shared: bool) -> Self {
         PreparedScenario {
             key,
             ranks: req.ranks,
             per_rank_axis: req.per_rank_axis,
+            shared,
             modeled: ModeledPrep::new(
                 req.ranks,
                 weak_scaling_grid(req.ranks, req.per_rank_axis).1,
@@ -132,6 +199,7 @@ impl PreparedScenario {
             ),
             geometry: OnceLock::new(),
             rank_preps: Mutex::new(None),
+            recorded: Mutex::default(),
             ff: Mutex::new(FfMemo {
                 slots: HashMap::new(),
                 order: VecDeque::new(),
@@ -172,17 +240,54 @@ impl PreparedScenario {
     /// The harvested per-rank FEM artifacts, if a numerical run of this
     /// scenario has completed.
     pub(crate) fn rank_preps(&self) -> Option<RankPreps> {
-        self.rank_preps.lock().expect("rank_preps lock").clone()
+        lock(&self.rank_preps).clone()
     }
 
     /// Stores per-rank artifacts harvested by the first numerical run.
     /// Later stores are dropped: artifacts are pure functions of the
     /// scenario, so any complete harvest is as good as any other.
     pub(crate) fn store_rank_preps(&self, preps: RankPreps) {
-        let mut slot = self.rank_preps.lock().expect("rank_preps lock");
+        let mut slot = lock(&self.rank_preps);
         if slot.is_none() {
             *slot = Some(preps);
         }
+    }
+
+    /// The byte budget a plain run of this scenario records its work tape
+    /// within, or `None` when the scenario is private.
+    pub(crate) fn tape_budget(&self) -> Option<usize> {
+        self.shared.then_some(TAPE_BYTES_CAP)
+    }
+
+    /// The recorded run under `key`, if any; a hit counts as served.
+    pub(crate) fn recorded_run(&self, key: &str) -> Option<Arc<RecordedRun>> {
+        let run = lock(&self.recorded).runs.get(key).cloned();
+        if run.is_some() {
+            TAPES_SERVED.fetch_add(1, Ordering::Relaxed);
+        }
+        run
+    }
+
+    /// Keeps what a recording run left under `key`: its run, or, when the
+    /// job gave its tape up, nothing but the count. The first run stored
+    /// under a key stays; beyond `FF_MEMO_CAP` keys the oldest goes.
+    pub(crate) fn store_recorded_run(&self, key: String, run: Option<RecordedRun>) {
+        let Some(run) = run else {
+            TAPES_ABANDONED.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        TAPES_RECORDED.fetch_add(1, Ordering::Relaxed);
+        let mut memo = lock(&self.recorded);
+        if memo.runs.contains_key(&key) {
+            return;
+        }
+        while memo.order.len() >= FF_MEMO_CAP {
+            if let Some(old) = memo.order.pop_front() {
+                memo.runs.remove(&old);
+            }
+        }
+        memo.order.push_back(key.clone());
+        memo.runs.insert(key, Arc::new(run));
     }
 
     /// Returns the memoized fast-forward profile for `memo_key`, computing
@@ -266,6 +371,18 @@ pub(crate) fn ff_memo_key(req: &RunRequest, strategy: FleetStrategy) -> String {
     canonical_request(&normalized)
 }
 
+/// The key of a scenario's recorded runs, by the same discipline as
+/// [`ff_memo_key`]: everything the work tape depends on beyond the
+/// scenario's own `hetero-prep/key/v1` key (mesh, discretization, ranks,
+/// partition) — the app's canonical text with its solver options (the
+/// request's solver-variant override already folded in) and step count.
+/// Left out, because the tape is priced against them rather than recorded
+/// under them: platform, topology and cost overrides, seed, discard, and
+/// the host-only knobs.
+pub(crate) fn tape_key(req: &RunRequest) -> String {
+    canonical_app(&req.app)
+}
+
 // ---------------------------------------------------------------------------
 // The process-wide scenario cache and its scoped off lane.
 
@@ -274,6 +391,10 @@ static CACHE: OnceLock<Mutex<Vec<Arc<PreparedScenario>>>> = OnceLock::new();
 static CACHE_BUILDS: AtomicU64 = AtomicU64::new(0);
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_FF_HITS: AtomicU64 = AtomicU64::new(0);
+static TAPES_RECORDED: AtomicU64 = AtomicU64::new(0);
+static TAPES_SERVED: AtomicU64 = AtomicU64::new(0);
+static TAPES_ABANDONED: AtomicU64 = AtomicU64::new(0);
+static TAPE_BYTES_HELD: AtomicU64 = AtomicU64::new(0);
 
 fn cache() -> &'static Mutex<Vec<Arc<PreparedScenario>>> {
     CACHE.get_or_init(|| Mutex::new(Vec::new()))
@@ -312,9 +433,32 @@ pub fn cache_stats() -> (u64, u64, u64) {
     )
 }
 
+/// Work-tape counters of this process (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TapeStats {
+    /// Numerical jobs that recorded a whole tape.
+    pub recorded: u64,
+    /// Plain runs priced from a recorded tape instead of executed.
+    pub served: u64,
+    /// Recording jobs that gave their tape up (a rank outgrew its share).
+    pub abandoned: u64,
+    /// Bytes of recorded runs alive now.
+    pub bytes_held: u64,
+}
+
+/// The process's [`TapeStats`].
+pub fn tape_stats() -> TapeStats {
+    TapeStats {
+        recorded: TAPES_RECORDED.load(Ordering::Relaxed),
+        served: TAPES_SERVED.load(Ordering::Relaxed),
+        abandoned: TAPES_ABANDONED.load(Ordering::Relaxed),
+        bytes_held: TAPE_BYTES_HELD.load(Ordering::Relaxed),
+    }
+}
+
 /// Empties the scenario cache (tests and cold-path benches).
 pub fn clear_cache() {
-    cache().lock().expect("scenario cache lock").clear();
+    lock(cache()).clear();
 }
 
 /// The shared scenario for `req`, from the process-wide LRU — building
@@ -325,15 +469,19 @@ pub fn scenario_for(req: &RunRequest) -> Option<Arc<PreparedScenario>> {
 
 /// The LRU's scenario under `key` (that of `req`): a counted hit, or a
 /// counted build inserted at the front.
+///
+/// A build that panics (a malformed request) leaves the lock poisoned but
+/// the list untouched — it is only changed after a build returns — so the
+/// next caller recovers the guard and carries on.
 fn lookup(req: &RunRequest, key: String) -> Arc<PreparedScenario> {
-    let mut lru = cache().lock().expect("scenario cache lock");
+    let mut lru = lock(cache());
     if let Some(pos) = lru.iter().position(|s| s.key == key) {
         let hit = lru.remove(pos);
         lru.insert(0, Arc::clone(&hit));
         CACHE_HITS.fetch_add(1, Ordering::Relaxed);
         return hit;
     }
-    let built = Arc::new(PreparedScenario::build(req, key));
+    let built = Arc::new(PreparedScenario::build(req, key, true));
     lru.insert(0, Arc::clone(&built));
     lru.truncate(SCENARIO_CACHE_CAP);
     CACHE_BUILDS.fetch_add(1, Ordering::Relaxed);
@@ -350,7 +498,7 @@ pub(crate) fn resolve(
 ) -> Arc<PreparedScenario> {
     let key = prep_key(req);
     if !sharing_enabled() {
-        return Arc::new(PreparedScenario::build(req, key));
+        return Arc::new(PreparedScenario::build(req, key, false));
     }
     match explicit {
         Some(p) if p.key == key => {

@@ -1,7 +1,7 @@
 //! The unified run executor: one request, either engine, one outcome shape.
 
 use crate::apps::App;
-use crate::attempt::{outcome, run_attempt, Measured};
+use crate::attempt::{outcome, run_plain, Measured};
 use crate::modeled::run_modeled_prepared;
 use crate::prep::PreparedScenario;
 use crate::recovery::ResilienceSpec;
@@ -9,7 +9,7 @@ use hetero_fem::phase::PhaseTimes;
 use hetero_linalg::SolverVariant;
 use hetero_platform::limits::LimitViolation;
 use hetero_platform::{CostModel, PlatformSpec};
-use hetero_simmpi::{ClusterTopology, EngineKind, FaultPlan, SpmdConfig};
+use hetero_simmpi::{ClusterTopology, EngineKind, SpmdConfig};
 use hetero_trace::{EventKind, Phase as TracePhase, Trace, TraceEvent, TraceSpec};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
@@ -310,9 +310,7 @@ pub fn execute_with_prep(
                 compute: req.platform.compute,
                 seed: req.seed,
             };
-            run_attempt(req, cfg, FaultPlan::none(), None, None, &scen)
-                .expect("a trivial fault plan cannot fail a rank")
-                .0
+            run_plain(req, cfg, &scen)
         }
         Fidelity::Modeled | Fidelity::Auto => Measured::modeled(req, &modeled(&req.app)),
     };

@@ -402,7 +402,7 @@ pub fn solve_ns_prepared(
 
     for step in (start_step + 1)..=cfg.steps {
         let t = cfg.t0 + step as f64 * cfg.dt;
-        let mut rec = PhaseRecorder::start(comm.clock());
+        let mut rec = PhaseRecorder::start(comm.phase_mark());
 
         // -- Assembly (ii) --------------------------------------------------
         // Extrapolated advecting field w (all local slots valid: histories
@@ -487,7 +487,7 @@ pub fn solve_ns_prepared(
             );
         }
         let seg = rec.mark();
-        rec.end_assembly(comm.clock());
+        rec.end_assembly(comm.phase_mark());
         comm.trace_span(
             seg,
             EventKind::Phase {
@@ -499,7 +499,7 @@ pub fn solve_ns_prepared(
         // -- Preconditioner (iiia) -------------------------------------------
         let seg = rec.mark();
         let pre_v = cfg.precond_vel.build(&*a_v, vv, comm);
-        rec.end_precond(comm.clock());
+        rec.end_precond(comm.phase_mark());
         comm.trace_span(
             seg,
             EventKind::Phase {
@@ -601,7 +601,7 @@ pub fn solve_ns_prepared(
         pressure.axpy(1.0, &phi, comm);
         pressure.update_ghosts(pmap.plan(), comm);
         let seg = rec.mark();
-        rec.end_solve(comm.clock());
+        rec.end_solve(comm.phase_mark());
         comm.trace_span(
             seg,
             EventKind::Phase {
@@ -623,7 +623,7 @@ pub fn solve_ns_prepared(
         for (h, u) in hist[0].iter_mut().zip(&ustar) {
             h.copy_from(u, comm);
         }
-        iterations.push(rec.finish(comm.clock()));
+        iterations.push(rec.finish(comm.phase_mark()));
         comm.trace_span(
             seg,
             EventKind::Phase {

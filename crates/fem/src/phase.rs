@@ -110,6 +110,29 @@ impl PhaseRecorder {
     pub fn mark(&self) -> f64 {
         self.last
     }
+
+    /// Rebuilds a run's per-iteration phase times from the clock readings
+    /// its steppers took through `SimComm::phase_mark`, five per step in
+    /// the order every stepper takes them: [`Self::start`],
+    /// [`Self::end_assembly`], [`Self::end_precond`], [`Self::end_solve`],
+    /// [`Self::finish`]. The same methods on the same clocks give the
+    /// same times, bitwise.
+    ///
+    /// # Panics
+    /// Panics if `marks` is not a whole number of steps.
+    pub fn replay(marks: &[f64]) -> Vec<PhaseTimes> {
+        assert_eq!(marks.len() % 5, 0, "five phase marks per step");
+        marks
+            .chunks_exact(5)
+            .map(|m| {
+                let mut rec = PhaseRecorder::start(m[0]);
+                rec.end_assembly(m[1]);
+                rec.end_precond(m[2]);
+                rec.end_solve(m[3]);
+                rec.finish(m[4])
+            })
+            .collect()
+    }
 }
 
 /// The paper's reduction: drop the first `discard` iterations, average the

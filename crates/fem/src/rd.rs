@@ -262,7 +262,7 @@ pub fn solve_rd_prepared(
 
     for step in (start_step + 1)..=cfg.steps {
         let t = cfg.t0 + step as f64 * cfg.dt;
-        let mut rec = PhaseRecorder::start(comm.clock());
+        let mut rec = PhaseRecorder::start(comm.phase_mark());
 
         // -- Assembly (ii): system matrix, history term, source, BCs. The
         // retained operator is refreshed in place (see `assemble_in_place`).
@@ -296,7 +296,7 @@ pub fn solve_rd_prepared(
         b.axpy(1.0, &source, comm);
         apply_dirichlet(&mut *a, &mut b, &dm, |p| ex.u(p, t), comm);
         let seg = rec.mark();
-        rec.end_assembly(comm.clock());
+        rec.end_assembly(comm.phase_mark());
         comm.trace_span(
             seg,
             EventKind::Phase {
@@ -308,7 +308,7 @@ pub fn solve_rd_prepared(
         // -- Preconditioner (iiia).
         let seg = rec.mark();
         let precond = cfg.precond.build(&*a, structure, comm);
-        rec.end_precond(comm.clock());
+        rec.end_precond(comm.phase_mark());
         comm.trace_span(
             seg,
             EventKind::Phase {
@@ -326,7 +326,7 @@ pub fn solve_rd_prepared(
         );
         krylov_iters.push(stats.iterations);
         let seg = rec.mark();
-        rec.end_solve(comm.clock());
+        rec.end_solve(comm.phase_mark());
         comm.trace_span(
             seg,
             EventKind::Phase {
@@ -344,7 +344,7 @@ pub fn solve_rd_prepared(
         u.update_ghosts(dm.plan(), comm);
         history.rotate_right(1);
         history[0].copy_from(&u, comm);
-        iterations.push(rec.finish(comm.clock()));
+        iterations.push(rec.finish(comm.phase_mark()));
         comm.trace_span(
             seg,
             EventKind::Phase {

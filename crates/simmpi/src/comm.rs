@@ -1,9 +1,11 @@
 //! The per-rank communicator: typed point-to-point messaging with virtual
 //! clocks.
 
+use crate::engine::SpmdConfig;
 use crate::fault::{FaultPanic, FaultPlan, RankFailed};
 use crate::network::{MsgContext, NetworkModel};
 use crate::stats::CommStats;
+use crate::tape::{Op, RankTape, Recorder, TapeSlots};
 use crate::topology::ClusterTopology;
 use crate::work::{ComputeModel, Work};
 use hetero_trace::{EventKind, RankTracer, TraceDetail, TraceSink};
@@ -68,6 +70,8 @@ pub struct RecvRequest {
     tag: u64,
     /// This rank's virtual clock when the receive was posted.
     posted: f64,
+    /// The post's index on the rank's work tape (0 when not recording).
+    post: u32,
 }
 
 struct Envelope {
@@ -93,7 +97,7 @@ struct Envelope {
 /// a gather root has `size - 1` peers, where a linear scan per message
 /// would make every gather quadratic; a new peer's insert shifts the
 /// entries above it, which each peer costs once per job.
-struct PeerMap<V> {
+pub(crate) struct PeerMap<V> {
     entries: Vec<(usize, V)>,
 }
 
@@ -110,7 +114,7 @@ impl<V> PeerMap<V> {
         self.entries.binary_search_by_key(&peer, |e| e.0)
     }
 
-    fn get(&self, peer: usize) -> Option<&V> {
+    pub(crate) fn get(&self, peer: usize) -> Option<&V> {
         self.position(peer).ok().map(|i| &self.entries[i].1)
     }
 
@@ -119,7 +123,7 @@ impl<V> PeerMap<V> {
     }
 
     /// The value for `peer`, inserted as `V::default()` on first use.
-    fn get_or_default(&mut self, peer: usize) -> &mut V
+    pub(crate) fn get_or_default(&mut self, peer: usize) -> &mut V
     where
         V: Default,
     {
@@ -190,8 +194,12 @@ impl Mailbox {
     }
 }
 
-/// State shared by all ranks of one SPMD job.
-pub(crate) struct SharedComm {
+/// The static pricing model of one job: everything a charge reads besides
+/// the rank's own clock. The clock arithmetic of every charge lives here
+/// and in [`Transfer`], as pure functions that [`SimComm`] and
+/// [`crate::tape::evaluate`] both call, so a clock priced from a work tape
+/// is the executed clock bitwise by construction.
+pub(crate) struct JobModel {
     pub(crate) size: usize,
     pub(crate) topo: ClusterTopology,
     pub(crate) net: NetworkModel,
@@ -199,6 +207,119 @@ pub(crate) struct SharedComm {
     pub(crate) seed: u64,
     pub(crate) nodes_active: usize,
     pub(crate) faults: FaultPlan,
+}
+
+impl JobModel {
+    pub(crate) fn new(config: SpmdConfig, faults: FaultPlan) -> Self {
+        let SpmdConfig {
+            size,
+            topo,
+            net,
+            compute,
+            seed,
+        } = config;
+        assert!(size > 0, "job must have at least one rank");
+        assert!(
+            size <= topo.total_cores(),
+            "job of {size} ranks exceeds cluster capacity {}",
+            topo.total_cores()
+        );
+        let nodes_active = topo.nodes_for_ranks(size);
+        JobModel {
+            size,
+            topo,
+            net,
+            compute,
+            seed,
+            nodes_active,
+            faults,
+        }
+    }
+
+    /// Clock advance of a compute charge: the roofline time of `work`.
+    #[inline]
+    pub(crate) fn compute_cost(&self, work: Work) -> f64 {
+        self.compute.time(work)
+    }
+
+    /// Clock advance of a send of `modeled_bytes`: the fixed overhead plus
+    /// copying into the transport. The sender's clock after it is the
+    /// message's departure time.
+    #[inline]
+    pub(crate) fn send_cost(&self, modeled_bytes: f64) -> f64 {
+        SEND_OVERHEAD + modeled_bytes / self.net.intra_bw
+    }
+
+    /// Prices the transfer of the `seq`-th message from `src` to `dst`
+    /// (the per-pair sequence number keys the jitter hash) from the network
+    /// model and the fault plan's degradation windows.
+    pub(crate) fn transfer(
+        &self,
+        src: usize,
+        dst: usize,
+        seq: u64,
+        modeled_bytes: f64,
+        depart: f64,
+    ) -> Transfer {
+        let topo = &self.topo;
+        // Both endpoints' NICs are shared by their node-mates; the busier
+        // side bounds the transfer.
+        let sharers = topo
+            .ranks_on_node(topo.node_of_rank(src), self.size)
+            .max(topo.ranks_on_node(topo.node_of_rank(dst), self.size));
+        let ctx = MsgContext {
+            bytes: modeled_bytes,
+            same_node: topo.same_node(src, dst),
+            same_group: topo.same_group(src, dst),
+            nic_sharers: sharers,
+            nodes_active: self.nodes_active,
+            jitter_key: (self.seed, src as u64, dst as u64, seq),
+        };
+        let (latency, drain) = self.net.transfer_cost(ctx);
+        // Transient degradation windows stretch the wire portion of the
+        // transfer; keyed to the deterministic departure time so both ends
+        // of the exchange agree on whether the window applied.
+        let slow = self.faults.slow_factor(depart);
+        Transfer {
+            latency,
+            drain,
+            slow,
+        }
+    }
+}
+
+/// The priced transfer of one delivered message.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Transfer {
+    latency: f64,
+    drain: f64,
+    slow: f64,
+}
+
+impl Transfer {
+    /// The receiver's clock after a blocking receive at `clock` of a
+    /// message that departed at `depart`: the first byte arrives after the
+    /// latency (overlapping with other in-flight messages); the payload
+    /// then drains serially through this rank's NIC share.
+    #[inline]
+    pub(crate) fn recv(&self, clock: f64, depart: f64) -> f64 {
+        clock.max(depart + self.latency * self.slow) + self.drain * self.slow + RECV_OVERHEAD
+    }
+
+    /// `(clock, avail)` after waiting at `clock` on a receive posted at
+    /// `posted`: the message is fully transferred at `avail`, and the
+    /// waiter stalls only for what compute since the post did not cover.
+    /// See [`SimComm::wait_all`].
+    #[inline]
+    pub(crate) fn wait(&self, clock: f64, posted: f64, depart: f64) -> (f64, f64) {
+        let avail = posted.max(depart + self.latency * self.slow) + self.drain * self.slow;
+        (clock.max(avail) + RECV_OVERHEAD, avail)
+    }
+}
+
+/// State shared by all ranks of one SPMD job.
+pub(crate) struct SharedComm {
+    pub(crate) model: JobModel,
     /// Trace sink all ranks drain into; `None` disables recording (each
     /// rank then holds no tracer at all).
     pub(crate) trace: Option<Arc<TraceSink>>,
@@ -206,6 +327,9 @@ pub(crate) struct SharedComm {
     /// `None` under the thread engine. Selects how blocking receives park
     /// (coroutine yield vs condvar wait) and how senders wake them.
     pub(crate) coop: Option<Arc<crate::sched::Scheduler>>,
+    /// Work-tape recording; `None` (the default) records nothing, so every
+    /// rank then holds no recorder at all.
+    pub(crate) tapes: Option<TapeSlots>,
     mailboxes: Vec<Mailbox>,
     /// One flag per rank, raised when that rank has exited (clean return,
     /// injected fault, or panic). A receiver blocked on a message unwinds
@@ -217,36 +341,21 @@ pub(crate) struct SharedComm {
 }
 
 impl SharedComm {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        size: usize,
-        topo: ClusterTopology,
-        net: NetworkModel,
-        compute: ComputeModel,
-        seed: u64,
+        config: SpmdConfig,
         faults: FaultPlan,
         trace: Option<Arc<TraceSink>>,
         coop: Option<Arc<crate::sched::Scheduler>>,
+        tapes: Option<TapeSlots>,
     ) -> Arc<Self> {
-        assert!(size > 0, "job must have at least one rank");
-        assert!(
-            size <= topo.total_cores(),
-            "job of {size} ranks exceeds cluster capacity {}",
-            topo.total_cores()
-        );
-        let nodes_active = topo.nodes_for_ranks(size);
-        let mailboxes = (0..size).map(|_| Mailbox::default()).collect();
-        let terminated = (0..size).map(|_| AtomicBool::new(false)).collect();
+        let model = JobModel::new(config, faults);
+        let mailboxes = (0..model.size).map(|_| Mailbox::default()).collect();
+        let terminated = (0..model.size).map(|_| AtomicBool::new(false)).collect();
         Arc::new(SharedComm {
-            size,
-            topo,
-            net,
-            compute,
-            seed,
-            nodes_active,
-            faults,
+            model,
             trace,
             coop,
+            tapes,
             mailboxes,
             terminated,
         })
@@ -310,17 +419,21 @@ pub struct SimComm {
     /// Trace recording handle; `None` when tracing is disabled, so the
     /// disabled fast path is a single `Option` discriminant test.
     tracer: Option<RankTracer>,
+    /// Work-tape recorder; like the tracer, `None` unless the job records,
+    /// and dropped for good once this rank outgrows its share.
+    tape: Option<Recorder>,
 }
 
 impl SimComm {
     pub(crate) fn new(rank: usize, shared: Arc<SharedComm>) -> Self {
-        assert!(rank < shared.size);
-        let node = shared.topo.node_of_rank(rank);
-        let down_at = shared.faults.down_time(node);
+        assert!(rank < shared.model.size);
+        let node = shared.model.topo.node_of_rank(rank);
+        let down_at = shared.model.faults.down_time(node);
         let tracer = shared
             .trace
             .as_ref()
             .map(|sink| RankTracer::new(rank as u32, sink.clone()));
+        let tape = shared.tapes.as_ref().map(TapeSlots::recorder);
         SimComm {
             rank,
             shared,
@@ -331,6 +444,26 @@ impl SimComm {
             node,
             down_at,
             tracer,
+            tape,
+        }
+    }
+
+    /// Appends `op` to this rank's work tape, if it records one. A rank
+    /// that outgrows its share gives up: the job then keeps no tape.
+    #[inline]
+    fn record(&mut self, op: Op) {
+        if let Some(t) = self.tape.as_mut() {
+            if !t.push(op) {
+                self.tape = None;
+            }
+        }
+    }
+
+    /// Hands this rank's finished work tape to the job. Called by the
+    /// engine once the rank body has returned.
+    pub(crate) fn finish_tape(&mut self) {
+        if let (Some(t), Some(slots)) = (self.tape.take(), &self.shared.tapes) {
+            slots.store(self.rank, RankTape::from(t));
         }
     }
 
@@ -358,12 +491,22 @@ impl SimComm {
     /// Number of ranks in the job.
     #[inline]
     pub fn size(&self) -> usize {
-        self.shared.size
+        self.shared.model.size
     }
 
     /// Current virtual time in seconds.
     #[inline]
     pub fn clock(&self) -> f64 {
+        self.clock
+    }
+
+    /// The current virtual time, read as a phase boundary: the one clock
+    /// read an application makes that a work tape replays (as a `Mark`).
+    /// Phase timings must come from here, not from [`Self::clock`], for
+    /// a run priced from its tape to report them.
+    #[inline]
+    pub fn phase_mark(&mut self) -> f64 {
+        self.record(Op::Mark);
         self.clock
     }
 
@@ -376,42 +519,51 @@ impl SimComm {
     /// The cluster topology this job runs on.
     #[inline]
     pub fn topology(&self) -> &ClusterTopology {
-        &self.shared.topo
+        &self.shared.model.topo
     }
 
     /// The network model in force.
     #[inline]
     pub fn network(&self) -> &NetworkModel {
-        &self.shared.net
+        &self.shared.model.net
     }
 
     /// The compute model in force.
     #[inline]
     pub fn compute_model(&self) -> &ComputeModel {
-        &self.shared.compute
+        &self.shared.model.compute
     }
 
     /// Nodes occupied by this job.
     #[inline]
     pub fn nodes_active(&self) -> usize {
-        self.shared.nodes_active
+        self.shared.model.nodes_active
     }
 
     /// Advances the virtual clock by the roofline time of `work` and records
     /// the counters. This is how application kernels charge their cost.
     pub fn compute(&mut self, work: Work) {
-        let dt = self.shared.compute.time(work);
+        let dt = self.shared.model.compute_cost(work);
         self.clock += dt;
         self.stats.flops += work.flops;
         self.stats.mem_bytes += work.bytes;
         self.stats.compute_time += dt;
+        if let Some(t) = self.tape.as_mut() {
+            if !t.compute(work) {
+                self.tape = None;
+            }
+        }
         self.maybe_fail();
     }
 
     /// Advances the virtual clock by `seconds` without attributing work
-    /// (queue waits, provisioning delays injected by the harness).
+    /// (queue waits, provisioning delays injected by the harness). A work
+    /// tape has no such charge, so a recording rank gives up its tape.
     pub fn advance(&mut self, seconds: f64) {
         assert!(seconds >= 0.0, "cannot rewind the clock");
+        if let Some(t) = self.tape.take() {
+            t.abandon();
+        }
         self.clock += seconds;
         self.stats.other_time += seconds;
         self.maybe_fail();
@@ -436,7 +588,10 @@ impl SimComm {
         payload: Payload,
         modeled_bytes: f64,
     ) {
-        assert!(dst < self.shared.size, "destination rank out of range");
+        assert!(
+            dst < self.shared.model.size,
+            "destination rank out of range"
+        );
         let counter = self.send_seq.get_or_default(dst);
         let seq = *counter;
         *counter += 1;
@@ -445,12 +600,15 @@ impl SimComm {
         // off a lost node. Check before the clock moves past the send.
         self.maybe_fail();
 
-        // Sender-side cost: fixed overhead plus copying into the transport.
-        let pack = modeled_bytes / self.shared.net.intra_bw;
-        self.clock += SEND_OVERHEAD + pack;
-        self.stats.comm_time += SEND_OVERHEAD + pack;
+        let cost = self.shared.model.send_cost(modeled_bytes);
+        self.clock += cost;
+        self.stats.comm_time += cost;
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += modeled_bytes;
+        self.record(Op::Send {
+            dst: dst as u32,
+            bytes: modeled_bytes,
+        });
         if self.trace_detail() == Some(TraceDetail::Messages) {
             self.trace_instant(EventKind::SendMsg {
                 peer: dst as u32,
@@ -562,54 +720,44 @@ impl SimComm {
         }
     }
 
-    /// Prices the transfer of a delivered envelope: `(latency, drain, slow)`
-    /// from the network model and the fault plan's degradation windows.
-    fn transfer_terms(&mut self, env: &Envelope) -> (f64, f64, f64) {
-        let topo = &self.shared.topo;
-        let src = env.src;
-        let same_node = topo.same_node(src, self.rank);
-        let same_group = topo.same_group(src, self.rank);
-        // Both endpoints' NICs are shared by their node-mates; the busier
-        // side bounds the transfer.
-        let sharers = topo
-            .ranks_on_node(topo.node_of_rank(src), self.shared.size)
-            .max(topo.ranks_on_node(topo.node_of_rank(self.rank), self.shared.size));
-        let ctx = MsgContext {
-            bytes: env.modeled_bytes,
-            same_node,
-            same_group,
-            nic_sharers: sharers,
-            nodes_active: self.shared.nodes_active,
-            jitter_key: (self.shared.seed, src as u64, self.rank as u64, env.seq),
-        };
-        let (latency, drain) = self.shared.net.transfer_cost(ctx);
-        // Transient degradation windows stretch the wire portion of the
-        // transfer; keyed to the deterministic departure time so both ends
-        // of the exchange agree on whether the window applied.
-        let slow = self.shared.faults.slow_factor(env.depart);
-        (latency, drain, slow)
+    /// Prices the transfer of a delivered envelope.
+    fn transfer(&self, env: &Envelope) -> Transfer {
+        self.shared
+            .model
+            .transfer(env.src, self.rank, env.seq, env.modeled_bytes, env.depart)
+    }
+
+    /// The tape op of receiving `env`: its source and per-pair sequence
+    /// number name the matched send; `post` is the index of the posted
+    /// receive it completes, if any. (A sequence number past `u32` means
+    /// the sender recorded more sends than any share holds, so the job
+    /// keeps no tape and the truncation is never read.)
+    #[inline]
+    fn record_delivery(&mut self, env: &Envelope, post: Option<u32>) {
+        let (src, seq) = (env.src as u32, env.seq as u32);
+        self.record(match post {
+            None => Op::Recv { src, seq },
+            Some(post) => Op::Wait { src, seq, post },
+        });
     }
 
     /// Receives the next message from `src` with `tag`, blocking the host
     /// thread until it arrives. The virtual clock advances to the message's
     /// modeled arrival time (if later than now) plus a receive overhead.
     pub fn recv(&mut self, src: usize, tag: u64) -> Payload {
-        assert!(src < self.shared.size, "source rank out of range");
+        assert!(src < self.shared.model.size, "source rank out of range");
         // A rank whose node is already down must not block on a mailbox it
         // will never drain.
         self.maybe_fail();
         let env = self.block_for_envelope(src, tag);
         debug_assert_eq!(env.src, src);
 
-        // The first byte arrives after the latency (overlapping with other
-        // in-flight messages); the payload then drains serially through this
-        // rank's NIC share.
-        let (latency, drain, slow) = self.transfer_terms(&env);
         let before = self.clock;
-        self.clock = self.clock.max(env.depart + latency * slow) + drain * slow + RECV_OVERHEAD;
+        self.clock = self.transfer(&env).recv(self.clock, env.depart);
         self.stats.comm_time += self.clock - before;
         self.stats.msgs_received += 1;
         self.stats.bytes_received += env.modeled_bytes;
+        self.record_delivery(&env, None);
         if self.trace_detail() == Some(TraceDetail::Messages) {
             self.trace_span(
                 before,
@@ -663,12 +811,15 @@ impl SimComm {
     /// compute the rank charges, until the matching [`Self::wait_all`] /
     /// [`Self::wait`] completes it.
     pub fn irecv(&mut self, src: usize, tag: u64) -> RecvRequest {
-        assert!(src < self.shared.size, "source rank out of range");
+        assert!(src < self.shared.model.size, "source rank out of range");
         self.maybe_fail();
+        let post = self.tape.as_ref().map_or(0, Recorder::posts);
+        self.record(Op::Post);
         RecvRequest {
             src,
             tag,
             posted: self.clock,
+            post,
         }
     }
 
@@ -707,10 +858,10 @@ impl SimComm {
         for req in reqs {
             let env = self.block_for_envelope(req.src, req.tag);
             debug_assert_eq!(env.src, req.src);
-            let (latency, drain, slow) = self.transfer_terms(&env);
-            let avail = req.posted.max(env.depart + latency * slow) + drain * slow;
             let before = self.clock;
-            self.clock = self.clock.max(avail) + RECV_OVERHEAD;
+            let avail;
+            (self.clock, avail) = self.transfer(&env).wait(self.clock, req.posted, env.depart);
+            self.record_delivery(&env, Some(req.post));
             // Wire time from departure to full arrival, split into the part
             // that stalled the waiter (exposed) and the part that ran under
             // compute or earlier waits (hidden).

@@ -14,6 +14,7 @@ use crate::fault::{FaultPanic, FaultPlan, RankFailed};
 use crate::network::NetworkModel;
 use crate::sched;
 use crate::stats::CommStats;
+use crate::tape::{TapeSlots, WorkTape};
 use crate::topology::ClusterTopology;
 use crate::work::ComputeModel;
 use hetero_trace::{Trace, TraceSink, TraceSpec};
@@ -226,7 +227,7 @@ where
     T: Send,
     F: Fn(&mut SimComm) -> T + Send + Sync,
 {
-    run_spmd_inner(config, EngineOpts::default(), faults, None, f)
+    run_spmd_inner(config, EngineOpts::default(), faults, None, None, f).0
 }
 
 /// Runs `f` like [`run_spmd_with_faults`] with trace recording attached:
@@ -283,30 +284,95 @@ where
     match trace {
         Some(spec) => {
             let sink = TraceSink::new(spec);
-            let result = run_spmd_inner(config, opts, faults, Some(sink.clone()), f);
+            let (result, _) = run_spmd_inner(config, opts, faults, Some(sink.clone()), None, f);
             (result, Some(sink.finish()))
         }
-        None => (run_spmd_inner(config, opts, faults, None, f), None),
+        None => (run_spmd_inner(config, opts, faults, None, None, f).0, None),
     }
 }
 
+/// Runs `f` like [`run_spmd`] under the chosen engine, and records every
+/// rank's work tape ([`crate::tape`]) within `tape_bytes` for the whole
+/// job, split evenly across ranks. The tape comes back only if every rank's
+/// fit in its share; recording never changes a result.
+///
+/// # Panics
+/// As [`run_spmd`].
+pub fn run_spmd_recorded<T, F>(
+    config: SpmdConfig,
+    opts: EngineOpts,
+    tape_bytes: usize,
+    f: F,
+) -> (Vec<RankResult<T>>, Option<WorkTape>)
+where
+    T: Send,
+    F: Fn(&mut SimComm) -> T + Send + Sync,
+{
+    let (result, tape) = run_spmd_inner(config, opts, FaultPlan::none(), None, Some(tape_bytes), f);
+    (
+        result.expect("a trivial fault plan cannot fail a rank"),
+        tape,
+    )
+}
+
+/// Every entry point's engine dispatch. `tape_bytes` is the job's
+/// work-tape budget; `None` records nothing.
 fn run_spmd_inner<T, F>(
     config: SpmdConfig,
     opts: EngineOpts,
     faults: FaultPlan,
     trace: Option<Arc<TraceSink>>,
+    tape_bytes: Option<usize>,
     f: F,
-) -> Result<Vec<RankResult<T>>, RankFailed>
+) -> (Result<Vec<RankResult<T>>, RankFailed>, Option<WorkTape>)
 where
     T: Send,
     F: Fn(&mut SimComm) -> T + Send + Sync,
 {
     silence_fault_unwinds();
+    let tapes = tape_bytes.map(|bytes| TapeSlots::new(config.size, bytes));
     let cooperative = opts.engine == EngineKind::Cooperative && COOPERATIVE_SUPPORTED;
-    if cooperative {
-        run_cooperative(config, opts, faults, trace, f)
+    let shared = if cooperative {
+        assert!(
+            config.size <= MAX_REAL_RANKS,
+            "{} ranks exceed the cooperative engine limit ({MAX_REAL_RANKS}); use hetero_simmpi::modeled",
+            config.size
+        );
+        let scheduler = sched::Scheduler::new(config.size);
+        SharedComm::new(config, faults, trace, Some(scheduler), tapes)
     } else {
-        run_threads(config, faults, trace, f)
+        assert!(
+            config.size <= MAX_THREAD_RANKS,
+            "{} ranks exceed the thread engine limit ({MAX_THREAD_RANKS}); use the cooperative engine",
+            config.size
+        );
+        SharedComm::new(config, faults, trace, None, tapes)
+    };
+    let result = match &shared.coop {
+        Some(scheduler) => run_cooperative(&shared, scheduler, opts, f),
+        None => run_threads(&shared, f),
+    };
+    let tape = match (&result, &shared.tapes) {
+        (Ok(_), Some(slots)) => slots.take(),
+        _ => None,
+    };
+    (result, tape)
+}
+
+/// What a rank body's return (or unwind) means for the job. A rank that
+/// returned hands its work tape, if it recorded one, to the job.
+fn rank_outcome<T>(rank: usize, comm: &mut SimComm, out: std::thread::Result<T>) -> RankOutcome<T> {
+    match out {
+        Ok(value) => {
+            comm.finish_tape();
+            RankOutcome::Ok(RankResult {
+                rank,
+                value,
+                clock: comm.clock(),
+                stats: *comm.stats(),
+            })
+        }
+        Err(payload) => outcome_of_unwind(payload),
     }
 }
 
@@ -326,33 +392,16 @@ fn resolve_workers(requested: usize, size: usize) -> usize {
 
 /// The M:N engine: ranks as stackful coroutines on a fixed worker pool.
 fn run_cooperative<T, F>(
-    config: SpmdConfig,
+    shared: &Arc<SharedComm>,
+    scheduler: &sched::Scheduler,
     opts: EngineOpts,
-    faults: FaultPlan,
-    trace: Option<Arc<TraceSink>>,
     f: F,
 ) -> Result<Vec<RankResult<T>>, RankFailed>
 where
     T: Send,
     F: Fn(&mut SimComm) -> T + Send + Sync,
 {
-    assert!(
-        config.size <= MAX_REAL_RANKS,
-        "{} ranks exceed the cooperative engine limit ({MAX_REAL_RANKS}); use hetero_simmpi::modeled",
-        config.size
-    );
-    let size = config.size;
-    let scheduler = sched::Scheduler::new(size);
-    let shared = SharedComm::new(
-        size,
-        config.topo,
-        config.net,
-        config.compute,
-        config.seed,
-        faults,
-        trace,
-        Some(scheduler.clone()),
-    );
+    let size = shared.model.size;
     let workers = resolve_workers(opts.workers, size);
 
     let slots: Vec<Mutex<Option<RankOutcome<T>>>> = (0..size).map(|_| Mutex::new(None)).collect();
@@ -367,15 +416,7 @@ where
             let body: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                 let mut comm = SimComm::new(rank, shared);
                 let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
-                let outcome = match out {
-                    Ok(value) => RankOutcome::Ok(RankResult {
-                        rank,
-                        value,
-                        clock: comm.clock(),
-                        stats: *comm.stats(),
-                    }),
-                    Err(payload) => outcome_of_unwind(payload),
-                };
+                let outcome = rank_outcome(rank, &mut comm, out);
                 *slot
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
@@ -389,14 +430,12 @@ where
 
     std::thread::scope(|scope| {
         for _ in 1..workers {
-            let scheduler = &scheduler;
-            let shared = &shared;
             let table = &table;
             scope.spawn(move || scheduler.worker_loop(shared, table));
         }
         // The calling thread is worker 0: a single-worker run spawns no
         // threads at all.
-        scheduler.worker_loop(&shared, &table);
+        scheduler.worker_loop(shared, &table);
     });
     drop(table);
 
@@ -426,51 +465,22 @@ where
 }
 
 /// The legacy engine: one OS thread per rank, condvar-blocked mailboxes.
-fn run_threads<T, F>(
-    config: SpmdConfig,
-    faults: FaultPlan,
-    trace: Option<Arc<TraceSink>>,
-    f: F,
-) -> Result<Vec<RankResult<T>>, RankFailed>
+fn run_threads<T, F>(shared: &Arc<SharedComm>, f: F) -> Result<Vec<RankResult<T>>, RankFailed>
 where
     T: Send,
     F: Fn(&mut SimComm) -> T + Send + Sync,
 {
-    assert!(
-        config.size <= MAX_THREAD_RANKS,
-        "{} ranks exceed the thread engine limit ({MAX_THREAD_RANKS}); use the cooperative engine",
-        config.size
-    );
-    let shared = SharedComm::new(
-        config.size,
-        config.topo,
-        config.net,
-        config.compute,
-        config.seed,
-        faults,
-        trace,
-        None,
-    );
-
-    let mut slots: Vec<Option<RankOutcome<T>>> = (0..config.size).map(|_| None).collect();
+    let size = shared.model.size;
+    let mut slots: Vec<Option<RankOutcome<T>>> = (0..size).map(|_| None).collect();
 
     std::thread::scope(|scope| {
-        let shared = &shared;
         let f = &f;
-        let handles: Vec<_> = (0..config.size)
+        let handles: Vec<_> = (0..size)
             .map(|rank| {
                 scope.spawn(move || {
                     let mut comm = SimComm::new(rank, shared.clone());
                     let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
-                    let outcome = match out {
-                        Ok(value) => RankOutcome::Ok(RankResult {
-                            rank,
-                            value,
-                            clock: comm.clock(),
-                            stats: *comm.stats(),
-                        }),
-                        Err(payload) => outcome_of_unwind(payload),
-                    };
+                    let outcome = rank_outcome(rank, &mut comm, out);
                     // Whatever the exit reason, tell blocked receivers this
                     // rank will send nothing more. Failure then cascades
                     // only along real wait-for dependencies, keeping every

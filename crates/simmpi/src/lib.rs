@@ -32,7 +32,8 @@
 //!
 //! For configurations too large to execute numerically (the paper's
 //! 1000-rank runs) the same cost formulas are evaluated analytically; see
-//! [`modeled`].
+//! [`modeled`]. A run that has executed once can be priced again on other
+//! platforms from its recorded charges without re-executing; see [`tape`].
 //!
 //! Runs can optionally record a deterministic, virtual-clock-stamped trace
 //! (phases, collectives, point-to-point traffic) through
@@ -53,18 +54,20 @@ pub mod network;
 pub mod rng;
 pub(crate) mod sched;
 pub mod stats;
+pub mod tape;
 pub mod topology;
 pub mod work;
 
 pub use comm::{Payload, RecvRequest, SendRequest, SimComm};
 pub use engine::{
-    run_spmd, run_spmd_opts, run_spmd_traced, run_spmd_with_faults, EngineKind, EngineOpts,
-    RankResult, SpmdConfig, COOPERATIVE_SUPPORTED, DEFAULT_TASK_STACK_BYTES, MAX_REAL_RANKS,
-    MAX_THREAD_RANKS,
+    run_spmd, run_spmd_opts, run_spmd_recorded, run_spmd_traced, run_spmd_with_faults, EngineKind,
+    EngineOpts, RankResult, SpmdConfig, COOPERATIVE_SUPPORTED, DEFAULT_TASK_STACK_BYTES,
+    MAX_REAL_RANKS, MAX_THREAD_RANKS,
 };
 pub use fault::{FaultPlan, RankFailed, SlowWindow};
 pub use hetero_trace::{Trace, TraceDetail, TraceSpec};
 pub use network::{MsgContext, NetworkModel};
 pub use stats::CommStats;
+pub use tape::WorkTape;
 pub use topology::ClusterTopology;
 pub use work::{ComputeModel, Work};

@@ -4,8 +4,9 @@
 
 use hetero_fault::{FaultModel, SpotMarket};
 use hetero_hpc::apps::App;
+use hetero_hpc::prep;
 use hetero_hpc::recovery::{execute_resilient, ResilienceSpec};
-use hetero_hpc::run::{execute, Fidelity, RunRequest};
+use hetero_hpc::run::{execute, Fidelity, RunOutcome, RunRequest};
 use hetero_hpc::scenarios::{table2, ScenarioOptions};
 use hetero_platform::catalog;
 
@@ -32,6 +33,18 @@ fn faulty_rd_request(seed: u64, threads_per_rank: usize) -> RunRequest {
     }
 }
 
+/// Executes `req` with prepared-scenario sharing off. A plain numerical
+/// run on a shared scenario can be priced from the work tape of an earlier
+/// run of the same app, which would compare a tape with itself; here every
+/// run executes, under the engine, pool and thread count it names.
+fn execute_direct(req: &RunRequest) -> RunOutcome {
+    let _off = prep::disable_sharing_scoped();
+    let served = prep::tape_stats().served;
+    let out = execute(req).unwrap();
+    assert_eq!(prep::tape_stats().served, served, "a tape served the run");
+    out
+}
+
 #[test]
 fn numerical_engine_is_deterministic_across_runs() {
     // 27 OS threads race on real mailboxes, but virtual time and numerics
@@ -40,8 +53,8 @@ fn numerical_engine_is_deterministic_across_runs() {
         fidelity: Fidelity::Numerical,
         ..RunRequest::new(catalog::ec2(), App::paper_rd(3), 27, 3)
     };
-    let a = execute(&req).unwrap();
-    let b = execute(&req).unwrap();
+    let a = execute_direct(&req);
+    let b = execute_direct(&req);
     assert_eq!(a.phases, b.phases);
     assert_eq!(a.cost_per_iteration, b.cost_per_iteration);
     assert_eq!(a.verification.unwrap().l2, b.verification.unwrap().l2);
@@ -60,7 +73,7 @@ fn report_is_bitwise_identical_across_intra_rank_thread_counts() {
             threads_per_rank: threads,
             ..RunRequest::new(catalog::ec2(), App::paper_rd(3), 8, 3)
         };
-        format!("{:?}", execute(&req).unwrap())
+        format!("{:?}", execute_direct(&req))
     };
     let serial = run(1);
     let parallel = run(4);
@@ -77,7 +90,7 @@ fn ns_report_is_bitwise_identical_across_thread_counts() {
             threads_per_rank: threads,
             ..RunRequest::new(catalog::ec2(), App::paper_ns(2), 8, 3)
         };
-        format!("{:?}", execute(&req).unwrap())
+        format!("{:?}", execute_direct(&req))
     };
     assert_eq!(run(1), run(4));
 }

@@ -11,7 +11,8 @@
 //!   pairs, computed at commit `3799a23`, before the preconditioners got
 //!   their symbolic/numeric split. At `dc1f663` each held under both the
 //!   from-scratch and the in-place per-step operator path; only the latter
-//!   exists since.
+//!   exists since. Each is checked twice: executed directly, and priced
+//!   from the work tape another platform's run of the same app recorded.
 //! * [`GOLDEN_CAMPAIGN`]: one fault-injected RD campaign that restarts from
 //!   a checkpoint, computed at commit `dc1f663` — where all four
 //!   combinations of per-step operator path (from-scratch, in-place) and
@@ -26,9 +27,9 @@
 
 use hetero_fault::{FaultModel, SpotMarket};
 use hetero_hpc::apps::App;
-use hetero_hpc::canon;
 use hetero_hpc::recovery::{execute_resilient, ResilienceSpec};
 use hetero_hpc::run::{execute, Fidelity, RunRequest};
+use hetero_hpc::{canon, prep};
 use hetero_platform::catalog;
 use hetero_trace::{EventKind, TraceSpec};
 
@@ -61,18 +62,21 @@ const GOLDEN: [(&str, &str, &str); 4] = [
 /// [`campaign_request`].
 const GOLDEN_CAMPAIGN: &str = "f2a5e53dafee2bf848d73df01e2dc07733a2fa0bee07b48ad2c1d286f77711ea";
 
-fn digest(platform: &str, app: &str) -> String {
+fn golden_request(platform: &str, app: &str) -> RunRequest {
     let platform = catalog::by_key(platform).expect("catalog platform");
     let app = match app {
         "RD" => App::paper_rd(3),
         _ => App::paper_ns(3),
     };
-    let req = RunRequest {
+    RunRequest {
         fidelity: Fidelity::Numerical,
         seed: 2012,
         ..RunRequest::new(platform, app, 8, 3)
-    };
-    let outcome = execute(&req).expect("golden run executes");
+    }
+}
+
+fn digest(req: &RunRequest) -> String {
+    let outcome = execute(req).expect("golden run executes");
     let json = serde_json::to_string(&outcome).expect("outcome serializes");
     canon::sha256_hex(json.as_bytes())
 }
@@ -81,10 +85,28 @@ fn digest(platform: &str, app: &str) -> String {
 fn reports_match_the_checked_in_digests() {
     let mut drifted = Vec::new();
     for &(platform, app, want) in &GOLDEN {
-        let got = digest(platform, app);
-        println!("{platform} {app}: {got}");
-        if got != want {
-            drifted.push(format!("{platform}/{app}: {got} != {want}"));
+        let req = golden_request(platform, app);
+        let direct = {
+            let _off = prep::disable_sharing_scoped();
+            digest(&req)
+        };
+        // Record the app's tape on a platform that is not the pinned one,
+        // then price the pinned request from it.
+        let other = if platform == "puma" {
+            "lagrange"
+        } else {
+            "puma"
+        };
+        prep::clear_cache();
+        digest(&golden_request(other, app));
+        let served_before = prep::tape_stats().served;
+        let served = digest(&req);
+        assert_eq!(prep::tape_stats().served, served_before + 1);
+        println!("{platform} {app}: {direct} (direct), {served} (tape)");
+        for (path, got) in [("direct", direct), ("tape", served)] {
+            if got != want {
+                drifted.push(format!("{platform}/{app} {path}: {got} != {want}"));
+            }
         }
     }
     assert!(

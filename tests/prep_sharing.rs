@@ -2,22 +2,24 @@
 //!
 //! The cache (`hetero_hpc::prep`) shares the platform-independent setup —
 //! mesh, partition, ghost plans, DoF maps, symbolic assembly structures,
-//! modeled space views, harvested per-rank numerical preparations —
-//! across every run with the same `hetero-prep/key/v1` key. These tests
-//! drive the same requests three ways (sharing disabled, cold cache,
-//! warm cache) across both SPMD engines, intra-rank thread counts 1 and
-//! 4, and the fault-injected resilient path, and require the serialized
-//! outcome to be byte-identical everywhere. The golden key fixtures live
-//! in `tests/prep_keys.rs`; the plan-executor and serve layers add their
-//! own batteries on top.
+//! modeled space views, harvested per-rank numerical preparations, and
+//! recorded work tapes — across every run with the same
+//! `hetero-prep/key/v1` key. These tests drive the same requests five ways
+//! (sharing disabled, cold cache, cold and warm preparations executing,
+//! warm cache served from the tape) across both SPMD engines, intra-rank
+//! thread counts 1 and 4, and the fault-injected resilient path, and
+//! require the serialized outcome to be byte-identical everywhere. The golden key fixtures live
+//! in `tests/prep_keys.rs`, the tape battery in `tests/work_tapes.rs`; the
+//! plan-executor and serve layers add their own batteries on top.
 
 use hetero_fault::{FaultModel, SpotMarket};
 use hetero_hpc::apps::App;
 use hetero_hpc::prep;
 use hetero_hpc::recovery::{execute_resilient, ResilienceSpec};
-use hetero_hpc::run::{execute, Fidelity, RunRequest};
+use hetero_hpc::run::{execute, Fidelity, RunOutcome, RunRequest};
 use hetero_platform::catalog;
 use hetero_simmpi::EngineKind;
+use hetero_trace::TraceSpec;
 use std::sync::Mutex;
 
 /// The scenario cache, its counters, and the disable switch are
@@ -70,18 +72,43 @@ fn faulty_rd_request(seed: u64, threads_per_rank: usize) -> RunRequest {
     }
 }
 
-/// Executes `req` three ways — sharing disabled, cold cache, warm cache
-/// (rank preparations harvested by the cold run) — and returns the three
-/// serialized outcomes.
-fn three_ways(req: &RunRequest) -> [String; 3] {
+fn json(out: RunOutcome) -> String {
+    serde_json::to_string(&out).expect("outcome serializes")
+}
+
+/// Executes `req` five ways and returns the serialized outcomes (the
+/// `serde_json` bytes, which leave a trace out):
+///
+/// * sharing disabled, so the run executes under the engine and thread
+///   count it names and no tape is recorded or served;
+/// * cold cache, which executes too and records the app's work tape (and
+///   so keeps no rank preparations);
+/// * traced, twice: a traced run is never priced from a tape, so the
+///   first executes and harvests the rank preparations, the second
+///   executes on them;
+/// * warm cache, priced from the cold run's tape.
+fn five_ways(req: &RunRequest) -> [String; 5] {
     let fresh = {
         let _off = prep::disable_sharing_scoped();
-        format!("{:?}", execute(req).unwrap())
+        let before = prep::tape_stats();
+        let out = json(execute(req).unwrap());
+        assert_eq!(prep::tape_stats(), before, "the off lane uses no tape");
+        out
     };
     prep::clear_cache();
-    let cold = format!("{:?}", execute(req).unwrap());
-    let warm = format!("{:?}", execute(req).unwrap());
-    [fresh, cold, warm]
+    let before = prep::tape_stats();
+    let cold = json(execute(req).unwrap());
+    assert_eq!(prep::tape_stats().recorded, before.recorded + 1);
+    let traced = RunRequest {
+        trace: Some(TraceSpec::phases()),
+        ..req.clone()
+    };
+    let harvesting = json(execute(&traced).unwrap());
+    let prepared = json(execute(&traced).unwrap());
+    assert_eq!(prep::tape_stats().served, before.served);
+    let served = json(execute(req).unwrap());
+    assert_eq!(prep::tape_stats().served, before.served + 1);
+    [fresh, cold, harvesting, prepared, served]
 }
 
 #[test]
@@ -92,7 +119,7 @@ fn rd_reports_are_byte_identical_shared_vs_fresh() {
     let mut reports = Vec::new();
     for engine in [EngineKind::Cooperative, EngineKind::Threads] {
         for threads in [1, 4] {
-            reports.extend(three_ways(&rd_req(engine, threads)));
+            reports.extend(five_ways(&rd_req(engine, threads)));
         }
     }
     for (i, r) in reports.iter().enumerate() {
@@ -105,7 +132,7 @@ fn ns_reports_are_byte_identical_shared_vs_fresh() {
     let _g = lock();
     let mut reports = Vec::new();
     for threads in [1, 4] {
-        reports.extend(three_ways(&ns_req(threads)));
+        reports.extend(five_ways(&ns_req(threads)));
     }
     for (i, r) in reports.iter().enumerate() {
         assert_eq!(r, &reports[0], "report {i} diverged");
@@ -156,14 +183,30 @@ fn seed_sweep_builds_one_scenario_and_hits_thereafter() {
     assert_eq!(hits1 - hits0, 3, "every later seed reuses it");
 }
 
-/// With sharing disabled nothing is built, looked up, or counted.
+/// With sharing disabled nothing is built, looked up, recorded, or counted.
 #[test]
 fn disabled_sharing_touches_no_cache() {
     let _g = lock();
     let _off = prep::disable_sharing_scoped();
     assert!(!prep::sharing_enabled());
     assert!(prep::scenario_for(&rd_req(EngineKind::default(), 1)).is_none());
-    let before = prep::cache_stats();
+    let before = (prep::cache_stats(), prep::tape_stats());
     execute(&rd_req(EngineKind::default(), 1)).unwrap();
-    assert_eq!(prep::cache_stats(), before);
+    execute(&rd_req(EngineKind::default(), 1)).unwrap();
+    assert_eq!((prep::cache_stats(), prep::tape_stats()), before);
+}
+
+/// A request that panics while its scenario is built (a zero per-rank
+/// axis has no cells to split) must not take the cache down with it: the
+/// next job still runs.
+#[test]
+fn a_panicking_build_does_not_poison_later_jobs() {
+    let _g = lock();
+    let bad = RunRequest {
+        per_rank_axis: 0,
+        ..rd_req(EngineKind::default(), 1)
+    };
+    let panicked = std::panic::catch_unwind(|| execute(&bad));
+    assert!(panicked.is_err(), "the zero axis was supposed to panic");
+    execute(&rd_req(EngineKind::default(), 1)).expect("the cache survives the panic");
 }

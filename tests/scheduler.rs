@@ -9,6 +9,7 @@
 
 use hetero_fault::{FaultModel, SpotMarket};
 use hetero_hpc::apps::App;
+use hetero_hpc::prep;
 use hetero_hpc::recovery::{execute_resilient, ResilienceSpec};
 use hetero_hpc::run::{execute, Fidelity, RunRequest};
 use hetero_platform::limits::ExecutionLimits;
@@ -30,26 +31,37 @@ fn big_ec2(ranks: usize) -> PlatformSpec {
     p
 }
 
+/// The serialized report of `req`, executed with prepared-scenario sharing
+/// off. A plain numerical run on a shared scenario can be priced from the
+/// work tape of an earlier run of the same app, which would compare one
+/// engine's tape with itself; here every run executes on the engine and
+/// pool it names.
+fn direct_report(req: &RunRequest) -> String {
+    let _off = prep::disable_sharing_scoped();
+    let served = prep::tape_stats().served;
+    let report = format!("{:?}", execute(req).unwrap());
+    assert_eq!(prep::tape_stats().served, served, "a tape served the run");
+    report
+}
+
 /// The serialized report of a numerical RD run under the given engine.
 fn rd_report(ranks: usize, steps: usize, engine: EngineKind, workers: usize) -> String {
-    let req = RunRequest {
+    direct_report(&RunRequest {
         fidelity: Fidelity::Numerical,
         engine,
         sched_workers: workers,
         ..RunRequest::new(catalog::ec2(), App::paper_rd(steps), ranks, 3)
-    };
-    format!("{:?}", execute(&req).unwrap())
+    })
 }
 
 /// The serialized report of a numerical NS run under the given engine.
 fn ns_report(ranks: usize, steps: usize, engine: EngineKind, workers: usize) -> String {
-    let req = RunRequest {
+    direct_report(&RunRequest {
         fidelity: Fidelity::Numerical,
         engine,
         sched_workers: workers,
         ..RunRequest::new(catalog::ec2(), App::paper_ns(steps), ranks, 3)
-    };
-    format!("{:?}", execute(&req).unwrap())
+    })
 }
 
 #[test]
@@ -157,13 +169,12 @@ fn big_rd_run_at_8192_ranks_is_pool_independent() {
     // cooperative engine, and its serialized report is byte-identical
     // whether one worker or four drive the coroutines.
     let run = |workers: usize| -> String {
-        let req = RunRequest {
+        direct_report(&RunRequest {
             fidelity: Fidelity::Numerical,
             engine: EngineKind::Cooperative,
             sched_workers: workers,
             ..RunRequest::new(big_ec2(8192), App::paper_rd(1), 8192, 2)
-        };
-        format!("{:?}", execute(&req).unwrap())
+        })
     };
     assert_eq!(run(1), run(4));
 }
