@@ -11,14 +11,15 @@
 //! only differ where their inputs do.
 
 use crate::apps::App;
-use crate::modeled::ModeledRun;
-use crate::prep::{tape_key, PreparedScenario, RankPrep, RecordedRun};
+use crate::modeled::{weak_scaling_grid, ModeledRun};
+use crate::prep::{tape_key, PreparedScenario, RecordedRun};
 use crate::recovery::{Checkpointer, ResumeState};
 use crate::run::{synthesize_phase_trace, Fidelity, RunOutcome, RunRequest, Verification};
-use hetero_fem::ns::{solve_ns_prepared, NsStepView};
+use hetero_fem::ns::{solve_ns_with, NsStepView};
 use hetero_fem::phase::{summarize, PhaseRecorder, PhaseTimes};
-use hetero_fem::rd::{solve_rd_prepared, RdStepView};
-use hetero_mesh::DistributedMesh;
+use hetero_fem::rd::{solve_rd_with, RdStepView};
+use hetero_mesh::{DistributedMesh, Point3, StructuredHexMesh};
+use hetero_partition::block::BlockLayout;
 use hetero_simmpi::{
     run_spmd_opts, run_spmd_recorded, tape, EngineOpts, FaultPlan, RankFailed, SimComm, SpmdConfig,
     WorkTape,
@@ -67,7 +68,6 @@ pub(crate) struct RankNumerics {
 struct RankOut {
     iterations: Vec<PhaseTimes>,
     numerics: RankNumerics,
-    prep: RankPrep,
 }
 
 /// What one execution of every rank produced.
@@ -81,22 +81,18 @@ struct Executed {
 }
 
 /// Runs the application numerically once: every rank of `cfg` builds its
-/// mesh view from `scen`'s shared geometry and steps RD or NS from
-/// `resume` (or the initial condition), calling `checkpoint` after each
-/// step. Returns the critical-rank measurement and the attempt's virtual
-/// duration, or the first node loss `faults` inflicted.
-///
-/// Per-rank FEM setup comes from `scen` when an earlier run left it there;
-/// otherwise a completed attempt stores its own — a felled one never does.
+/// own set-up on the attempt's mesh and steps RD or NS from `resume` (or
+/// the initial condition), calling `checkpoint` after each step. Returns
+/// the critical-rank measurement and the attempt's virtual duration, or
+/// the first node loss `faults` inflicted.
 pub(crate) fn run_attempt(
     req: &RunRequest,
     cfg: SpmdConfig,
     faults: FaultPlan,
     resume: Option<&ResumeState>,
     checkpoint: Option<&Checkpointer>,
-    scen: &PreparedScenario,
 ) -> Result<(Measured, f64), RankFailed> {
-    let run = execute_ranks(req, cfg, faults, resume, checkpoint, scen, None)?;
+    let run = execute_ranks(req, cfg, faults, resume, checkpoint, None)?;
     let seconds = run.run_seconds;
     Ok((
         critical_rank(req, &run.iterations, &run.numerics, run.trace),
@@ -119,7 +115,7 @@ pub(crate) fn run_plain(req: &RunRequest, cfg: SpmdConfig, scen: &PreparedScenar
             .collect();
         return critical_rank(req, &iterations, &run.numerics, None);
     }
-    let run = execute_ranks(req, cfg, FaultPlan::none(), None, None, scen, budget)
+    let run = execute_ranks(req, cfg, FaultPlan::none(), None, None, budget)
         .expect("a trivial fault plan cannot fail a rank");
     if let Some(key) = key {
         let recorded = run
@@ -134,25 +130,18 @@ pub(crate) fn run_plain(req: &RunRequest, cfg: SpmdConfig, scen: &PreparedScenar
 /// recording the job's work tape within `tape_budget` bytes when given
 /// one — which only a failure-free, unresumed, uncheckpointed, untraced
 /// run may ask for.
-///
-/// A run that recorded its tape does not leave its rank preparations in
-/// the scenario: later plain runs of its app are priced from the tape, so
-/// holding both would only cost memory, resident through every later job.
-/// The next run that has to execute — traced, resilient, another app on
-/// the same mesh — stores its own.
 fn execute_ranks(
     req: &RunRequest,
     cfg: SpmdConfig,
     faults: FaultPlan,
     resume: Option<&ResumeState>,
     checkpoint: Option<&Checkpointer>,
-    scen: &PreparedScenario,
     tape_budget: Option<usize>,
 ) -> Result<Executed, RankFailed> {
-    let geo = scen.geometry();
-    // Resolved once, so every rank of this attempt agrees.
-    let rank_preps = scen.rank_preps();
-    let rank_prep = |rank: usize| rank_preps.as_ref().map(|v| &v[rank]);
+    // The attempt's mesh and block assignment, shared by its ranks.
+    let (factors, cells) = weak_scaling_grid(req.ranks, req.per_rank_axis);
+    let mesh = StructuredHexMesh::new(cells.0, cells.1, cells.2, Point3::ZERO, Point3::splat(1.0));
+    let assignment = Arc::new(BlockLayout::new(cells, factors).assignment());
 
     // One logical pool shared by all ranks; `install` binds the thread
     // count on the calling thread — the scheduler worker running the rank's
@@ -167,8 +156,8 @@ fn execute_ranks(
     let body = |comm: &mut SimComm| {
         pool.install(|| {
             let dmesh = DistributedMesh::new(
-                geo.mesh.clone(),
-                Arc::clone(&geo.assignment),
+                mesh.clone(),
+                Arc::clone(&assignment),
                 comm.rank(),
                 req.ranks,
             );
@@ -183,11 +172,7 @@ fn execute_ranks(
                         Some(ResumeState::Rd(r)) => Some(r),
                         _ => None,
                     };
-                    let rp = match rank_prep(comm.rank()) {
-                        Some(RankPrep::Rd(p)) => Some(p),
-                        _ => None,
-                    };
-                    let (r, built) = solve_rd_prepared(&dmesh, c, resume, Some(&mut obs), rp, comm);
+                    let r = solve_rd_with(&dmesh, c, resume, Some(&mut obs), comm);
                     RankOut {
                         iterations: r.iterations,
                         numerics: RankNumerics {
@@ -197,7 +182,6 @@ fn execute_ranks(
                             l2: r.l2_error,
                             bytes: comm.stats().bytes_received,
                         },
-                        prep: RankPrep::Rd(built),
                     }
                 }
                 App::Ns(c) => {
@@ -210,11 +194,7 @@ fn execute_ranks(
                         Some(ResumeState::Ns(r)) => Some(r),
                         _ => None,
                     };
-                    let rp = match rank_prep(comm.rank()) {
-                        Some(RankPrep::Ns(p)) => Some(p),
-                        _ => None,
-                    };
-                    let (r, built) = solve_ns_prepared(&dmesh, c, resume, Some(&mut obs), rp, comm);
+                    let r = solve_ns_with(&dmesh, c, resume, Some(&mut obs), comm);
                     let total_k: usize =
                         r.vel_iters.iter().sum::<usize>() + r.p_iters.iter().sum::<usize>();
                     RankOut {
@@ -225,7 +205,6 @@ fn execute_ranks(
                             l2: r.vel_l2_error,
                             bytes: comm.stats().bytes_received,
                         },
-                        prep: RankPrep::Ns(built),
                     }
                 }
             }
@@ -250,17 +229,10 @@ fn execute_ranks(
 
     // The engines return results in rank order.
     let run_seconds = results.iter().map(|r| r.clock).fold(0.0, f64::max);
-    let mut preps = Vec::with_capacity(results.len());
     let (iterations, numerics) = results
         .into_iter()
-        .map(|r| {
-            preps.push(r.value.prep);
-            (r.value.iterations, r.value.numerics)
-        })
+        .map(|r| (r.value.iterations, r.value.numerics))
         .unzip();
-    if rank_preps.is_none() && tape.is_none() {
-        scen.store_rank_preps(Arc::new(preps));
-    }
     Ok(Executed {
         iterations,
         numerics,

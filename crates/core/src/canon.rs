@@ -109,8 +109,8 @@ pub fn canonical_request(req: &RunRequest) -> String {
 /// `crate::prep`). Like [`KEY_SCHEMA`], it prefixes every key it produces.
 pub const PREP_KEY_SCHEMA: &str = "hetero-prep/key/v1";
 
-/// The content-addressed key of a request's platform-independent setup:
-/// the schema tag followed by the SHA-256 of [`prep_canonical`]'s bytes.
+/// The content-addressed key of a request's prepared scenario: the
+/// schema tag followed by the SHA-256 of [`prep_canonical`]'s bytes.
 pub fn prep_key(req: &RunRequest) -> String {
     format!(
         "{PREP_KEY_SCHEMA}/{}",
@@ -121,13 +121,15 @@ pub fn prep_key(req: &RunRequest) -> String {
 /// The canonical text of a request's *setup inputs* under
 /// [`PREP_KEY_SCHEMA`] — the exact bytes [`prep_key`] hashes.
 ///
-/// The prepared artifacts (mesh, partition, ghost plans, DoF maps,
-/// symbolic assembly structures, modeled space views) are pure functions
-/// of the mesh spec, the discretization's element orders, the rank count,
-/// and the block-partition factors — nothing else. The encoding therefore
-/// *deliberately excludes* the platform, the seed, the solver variant,
-/// the checkpoint cadence and every other resilience knob, the
-/// time-stepping parameters, and all host-only knobs
+/// The key guards what a [`crate::prep::PreparedScenario`] holds: the
+/// modeled space views, pure functions of the mesh spec, the
+/// discretization's element orders, the rank count, and the
+/// block-partition factors — nothing else; and the recorded runs and
+/// fast-forward profiles, which depend on those inputs plus what their own
+/// in-scenario keys add (`prep::tape_key`, `prep::ff_memo_key`). The
+/// encoding therefore *deliberately excludes* the platform, the seed, the
+/// solver variant, the checkpoint cadence and every other resilience knob,
+/// the time-stepping parameters, and all host-only knobs
 /// (`threads_per_rank`, `engine`, `sched_workers`, `trace`): instances
 /// that differ only in those share one preparation. The golden fixtures
 /// in `tests/prep_keys.rs` pin both the bytes and the exclusions.

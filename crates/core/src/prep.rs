@@ -1,27 +1,20 @@
-//! The prepared-scenario cache: cross-instance sharing of the
-//! platform-independent setup work of a campaign sweep (DESIGN.md §13).
+//! The prepared-scenario cache: what prices a run of a campaign sweep
+//! without executing it, shared across the sweep's instances (DESIGN.md
+//! §13).
 //!
 //! A sweep re-runs the same FEM problem across platforms, solver variants,
-//! checkpoint cadences, and seeds. All of those knobs leave the *setup*
-//! untouched: the generated mesh, the block partition
-//! and its ghost plans, the DoF maps, the symbolic assembly structures,
-//! and the modeled engine's closed-form space views are pure functions of
-//! `(mesh spec, discretization, ranks, partition params)` — exactly the
-//! inputs hashed by [`crate::canon::prep_key`] (`hetero-prep/key/v1`). A
-//! [`PreparedScenario`] bundles those artifacts immutably behind `Arc`s so
-//! every instance that shares the sub-key shares one preparation.
+//! checkpoint cadences, and seeds. None of those knobs changes the
+//! scenario — `(mesh spec, discretization, ranks, partition params)`, the
+//! inputs hashed by [`crate::canon::prep_key`] (`hetero-prep/key/v1`) — so
+//! every instance that shares the sub-key shares one [`PreparedScenario`].
+//! A run that executes builds its own set-up (mesh, partition, DoF maps,
+//! assembly structures) each time; the scenario only holds what lets a run
+//! skip executing.
 //!
 //! Three levels of reuse hang off the bundle:
 //!
-//! * **Setup artifacts** (this module's reason to exist): the modeled
-//!   prep is built eagerly (closed form, tiny); the numerical geometry
-//!   (mesh + partition assignment) is built lazily because the
-//!   per-cell assignment vector is large at high rank counts and the
-//!   numerical engine only runs below the auto-fidelity caps; the
-//!   per-rank FEM artifacts (DoF maps + assembly structures) are
-//!   harvested from the first numerical run of the scenario that executes
-//!   without recording a work tape — there is no throwaway preparation
-//!   pass.
+//! * **Modeled views**: the modeled engine's closed-form space views,
+//!   built eagerly with the scenario (closed form, tiny).
 //! * **Recorded runs** (numerics once, platforms many): the first plain
 //!   numerical run of an app also records every rank's work tape
 //!   ([`hetero_simmpi::tape`]) and the numerical outputs no platform
@@ -39,13 +32,10 @@
 //!   is the canonical text of the request with those knobs normalized
 //!   out; see `ff_memo_key`.
 //!
-//! **Determinism.** Every shared artifact is immutable and every reuse
-//! path replays the collective protocol of the fresh build bit-for-bit
-//! (see [`hetero_fem::DofMap::replay_build`] and
-//! [`hetero_fem::assembly::MatrixAssembly::with_structure`]), prices the
-//! recorded charges through the engine's own clock arithmetic, or
-//! memoizes the result of a pure function — so reports are byte-identical
-//! to fresh-setup execution at every worker-pool size and thread count.
+//! **Determinism.** Every shared artifact is immutable, and every reuse
+//! path either prices the recorded charges through the engine's own clock
+//! arithmetic or memoizes the result of a pure function — so reports are
+//! byte-identical to execution at every worker-pool size and thread count.
 //! Disabling sharing ([`disable_sharing_scoped`]) can therefore only lose
 //! speed, never change a result: every run still gets a scenario, just a
 //! private one that is built for it, counted nowhere, records nothing,
@@ -57,18 +47,14 @@ use crate::modeled::{weak_scaling_grid, ModeledPrep, ModeledRun};
 use crate::recovery::ResilienceSpec;
 use crate::run::{Fidelity, RunRequest};
 use hetero_fault::{FaultModel, ResiliencePolicy};
-use hetero_fem::ns::NsPrep;
-use hetero_fem::rd::RdPrep;
-use hetero_mesh::StructuredHexMesh;
-use hetero_partition::block::BlockLayout;
 use hetero_platform::spot::{FleetAllocation, FleetStrategy};
 use hetero_simmpi::{EngineKind, WorkTape};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Bound on the process-wide scenario LRU. Scenarios at numerical sizes
-/// hold the partition assignment and per-rank DoF maps, so the cache is
+/// Bound on the process-wide scenario LRU. A scenario at numerical size
+/// holds recorded runs of up to `TAPE_BYTES_CAP` each, so the cache is
 /// kept small; a sweep touches few distinct `(mesh, ranks)` rungs at a
 /// time and re-preparing on eviction is always correct.
 const SCENARIO_CACHE_CAP: usize = 8;
@@ -84,24 +70,6 @@ const FF_MEMO_CAP: usize = 64;
 /// share); at 512 ranks a share is 8 kB, which the set-up alone outgrows,
 /// so such a job gives up its tape early and keeps none.
 const TAPE_BYTES_CAP: usize = 4 << 20;
-
-/// The mesh and partition assignment shared by every numerical run of one
-/// scenario. Built lazily: the per-cell assignment vector is proportional
-/// to the global cell count.
-pub(crate) struct NumGeometry {
-    pub(crate) mesh: StructuredHexMesh,
-    pub(crate) assignment: Arc<Vec<usize>>,
-}
-
-/// One rank's FEM setup artifacts, tagged by app.
-pub(crate) enum RankPrep {
-    Rd(RdPrep),
-    Ns(NsPrep),
-}
-
-/// Every rank's [`RankPrep`], indexed by rank: harvested from the first
-/// completed numerical run of a scenario that recorded no work tape.
-pub(crate) type RankPreps = Arc<Vec<RankPrep>>;
 
 /// The memoized failure-free reference profile of a resilient run: the
 /// one-step traffic probe, the first-attempt fleet, and the full
@@ -158,18 +126,15 @@ struct RecordedRuns {
     order: VecDeque<String>,
 }
 
-/// An immutable, `Arc`-shared bundle of the platform-independent setup
-/// artifacts of one scenario, keyed by [`crate::canon::prep_key`].
+/// An `Arc`-shared bundle of what prices a run of one scenario without
+/// executing it — the modeled views, the recorded runs and the ff-profile
+/// memo — keyed by [`crate::canon::prep_key`].
 pub struct PreparedScenario {
     key: String,
-    ranks: usize,
-    per_rank_axis: usize,
     /// Whether the scenario is shared through the cache. A private one
     /// (the off lane) records no runs: nothing could ever reuse them.
     shared: bool,
     modeled: ModeledPrep,
-    geometry: OnceLock<Arc<NumGeometry>>,
-    rank_preps: Mutex<Option<RankPreps>>,
     recorded: Mutex<RecordedRuns>,
     ff: Mutex<FfMemo>,
     ff_cv: Condvar,
@@ -185,20 +150,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 impl PreparedScenario {
     /// Builds the scenario for `req` (whose sub-key is `key`): the modeled
-    /// prep eagerly, everything else on demand.
+    /// views now, recorded runs and ff profiles as runs leave them.
     fn build(req: &RunRequest, key: String, shared: bool) -> Self {
         PreparedScenario {
             key,
-            ranks: req.ranks,
-            per_rank_axis: req.per_rank_axis,
             shared,
             modeled: ModeledPrep::new(
                 req.ranks,
                 weak_scaling_grid(req.ranks, req.per_rank_axis).1,
                 req.app.primary_order().q(),
             ),
-            geometry: OnceLock::new(),
-            rank_preps: Mutex::new(None),
             recorded: Mutex::default(),
             ff: Mutex::new(FfMemo {
                 slots: HashMap::new(),
@@ -216,41 +177,6 @@ impl PreparedScenario {
     /// The modeled engine's prepared setup.
     pub(crate) fn modeled(&self) -> &ModeledPrep {
         &self.modeled
-    }
-
-    /// The shared mesh + partition assignment, built on first use.
-    pub(crate) fn geometry(&self) -> Arc<NumGeometry> {
-        Arc::clone(self.geometry.get_or_init(|| {
-            let (factors, cells) = weak_scaling_grid(self.ranks, self.per_rank_axis);
-            let mesh = StructuredHexMesh::new(
-                cells.0,
-                cells.1,
-                cells.2,
-                hetero_mesh::Point3::ZERO,
-                hetero_mesh::Point3::splat(1.0),
-            );
-            let layout = BlockLayout::new(cells, factors);
-            Arc::new(NumGeometry {
-                mesh,
-                assignment: Arc::new(layout.assignment()),
-            })
-        }))
-    }
-
-    /// The harvested per-rank FEM artifacts, if a numerical run of this
-    /// scenario has completed.
-    pub(crate) fn rank_preps(&self) -> Option<RankPreps> {
-        lock(&self.rank_preps).clone()
-    }
-
-    /// Stores per-rank artifacts harvested by the first numerical run.
-    /// Later stores are dropped: artifacts are pure functions of the
-    /// scenario, so any complete harvest is as good as any other.
-    pub(crate) fn store_rank_preps(&self, preps: RankPreps) {
-        let mut slot = lock(&self.rank_preps);
-        if slot.is_none() {
-            *slot = Some(preps);
-        }
     }
 
     /// The byte budget a plain run of this scenario records its work tape

@@ -195,7 +195,7 @@ pub fn execute_resilient(req: &RunRequest) -> Result<ResilienceOutcome, LimitVio
 }
 
 /// [`execute_resilient`] with an optional pinned
-/// [`crate::prep::PreparedScenario`]. Beyond the setup artifacts shared
+/// [`crate::prep::PreparedScenario`]. Beyond the modeled views shared
 /// with [`crate::run::execute_with_prep`], the resilient path memoizes its
 /// failure-free reference profile `(probe, fleet0, ff)` in the scenario:
 /// the profile is a pure function of the request minus its
@@ -255,7 +255,7 @@ pub fn execute_resilient_with_prep(
     let horizon = 4.0 * (ff_total + req.app.steps() as f64 * ckpt_seconds) + 7200.0;
 
     Ok(match resolve_fidelity(req) {
-        Fidelity::Numerical => run_resilient_numerical(req, &spec, nodes, horizon, od_rate, &scen),
+        Fidelity::Numerical => run_resilient_numerical(req, &spec, nodes, horizon, od_rate),
         Fidelity::Modeled | Fidelity::Auto => run_resilient_modeled(
             req,
             &spec,
@@ -541,7 +541,6 @@ fn run_resilient_numerical(
     nodes: usize,
     horizon: f64,
     od_rate: f64,
-    scen: &PreparedScenario,
 ) -> ResilienceOutcome {
     let bytes = state_bytes(&req.app, req.ranks, req.per_rank_axis);
     let ckpt = Checkpointer {
@@ -597,14 +596,7 @@ fn run_resilient_numerical(
         };
         // Felled attempts contribute campaign-level incident events alone;
         // only the completed attempt's own trace is kept.
-        match run_attempt(
-            req,
-            cfg,
-            timeline.to_plan(),
-            resume.as_ref(),
-            Some(&ckpt),
-            scen,
-        ) {
+        match run_attempt(req, cfg, timeline.to_plan(), resume.as_ref(), Some(&ckpt)) {
             Ok((measured, run_t)) => {
                 stats.total_seconds += wait + run_t;
                 stats.total_dollars += fleet.hourly_cost() * run_t / 3600.0;

@@ -211,9 +211,8 @@ where
 /// pattern (with its triplet scatter permutation) plus the structural
 /// index batches shipped to each neighbour.
 ///
-/// Immutable once built, so it can be `Arc`-shared across assemblies of
-/// the same `(row_map, col_map)` pair — and, through the prepared-scenario
-/// cache in `core`, across run instances that share a mesh partition.
+/// Immutable once built, so it can be `Arc`-shared across the assemblies
+/// and steps of one run that use the same `(row_map, col_map)` pair.
 pub struct AssemblyStructure {
     pattern: SparsityPattern,
     /// Per plan-neighbour `(global row, global col)` pairs sent each call.
@@ -223,16 +222,15 @@ pub struct AssemblyStructure {
     ncells: usize,
     /// The preconditioners' symbolic analysis of this pattern's owned
     /// block, built on first use (never, for Jacobi or unpreconditioned
-    /// runs) and then shared by every step and every run instance.
+    /// runs) and then shared by every step of the run.
     owned_block: OnceLock<Arc<OwnedBlockSymbolic>>,
 }
 
 impl AssemblyStructure {
     /// The SSOR / ILU(0) symbolic analysis of every matrix built from this
     /// structure, computed from the sparsity pattern on first call and kept
-    /// here — so every later step, every assembly sharing the structure,
-    /// and (through the prepared-scenario cache) every later run instance
-    /// only refactorizes numerically.
+    /// here — so every later step and every assembly sharing the structure
+    /// within the run only refactorizes numerically.
     ///
     /// # Panics
     /// Panics if the pattern has a row without a stored diagonal.
@@ -343,11 +341,6 @@ impl MatrixAssembly {
         }
     }
 
-    /// Whether the symbolic structure has been built yet.
-    pub fn has_structure(&self) -> bool {
-        self.structure.is_some()
-    }
-
     /// The symbolic structure, shareable with other assemblies over the
     /// same maps (`None` before the first assemble call).
     pub fn shared_structure(&self) -> Option<Arc<AssemblyStructure>> {
@@ -419,20 +412,13 @@ impl MatrixAssembly {
         row_map: &DofMap,
         col_map: &DofMap,
         comm: &mut SimComm,
-        chunks: Vec<MatChunk>,
+        mut chunks: Vec<MatChunk>,
     ) -> DistMatrix {
-        let nr = row_map.order().nodes_per_element();
-        let nc = col_map.order().nodes_per_element();
         let ncells = row_map.num_cells();
         let neighbors = &row_map.plan().neighbors;
-        let mut triplets =
-            TripletBuilder::with_capacity(row_map.n_owned(), col_map.n_local(), ncells * nr * nc);
         let mut send_idx: Vec<Vec<usize>> = vec![Vec::new(); neighbors.len()];
         let mut send_vals: Vec<Vec<f64>> = vec![Vec::new(); neighbors.len()];
-        for mut ch in chunks {
-            for (&(r, c), &v) in ch.coords.iter().zip(&ch.vals) {
-                triplets.add(r, c, v);
-            }
+        for ch in &mut chunks {
             for nb in 0..neighbors.len() {
                 send_idx[nb].append(&mut ch.remote_idx[nb]);
                 send_vals[nb].append(&mut ch.remote_vals[nb]);
@@ -449,10 +435,29 @@ impl MatrixAssembly {
                 Payload::F64(std::mem::take(&mut send_vals[i])),
             );
         }
+        let received: Vec<(Vec<usize>, Vec<f64>)> = neighbors
+            .iter()
+            .map(|&nb| {
+                let idx = comm.recv_usize(nb, TAG_MAT_IDX);
+                (idx, comm.recv_f64(nb, TAG_MAT_VAL))
+            })
+            .collect();
+
+        // Owned-row triplets in cell order, then the received ones in
+        // neighbour order. The triplet buffer is sized for both up front:
+        // an estimate exceeded by the received triplets would double a
+        // multi-megabyte buffer on every symbolic assembly.
+        let total = chunks.iter().map(|ch| ch.vals.len()).sum::<usize>()
+            + received.iter().map(|(_, vals)| vals.len()).sum::<usize>();
+        let mut triplets =
+            TripletBuilder::with_capacity(row_map.n_owned(), col_map.n_local(), total);
+        for ch in chunks {
+            for (&(r, c), &v) in ch.coords.iter().zip(&ch.vals) {
+                triplets.add(r, c, v);
+            }
+        }
         let mut recv_counts = Vec::with_capacity(neighbors.len());
-        for &nb in neighbors {
-            let idx = comm.recv_usize(nb, TAG_MAT_IDX);
-            let vals = comm.recv_f64(nb, TAG_MAT_VAL);
+        for (idx, vals) in received {
             assert_eq!(idx.len(), 2 * vals.len());
             recv_counts.push(vals.len());
             for (pair, &v) in idx.chunks_exact(2).zip(&vals) {
@@ -968,7 +973,7 @@ mod tests {
                     *o = 3.0 * m + 0.5 * k;
                 }
             });
-            assert!(asm.has_structure());
+            assert!(asm.shared_structure().is_some());
             let cell = |_i: usize, out: &mut [f64]| {
                 for (o, (m, k)) in out.iter_mut().zip(kern.mass.iter().zip(&kern.stiffness)) {
                     *o = 7.25 * m - 1.5 * k;

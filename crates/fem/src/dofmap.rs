@@ -18,7 +18,6 @@ use hetero_mesh::distributed::cells_touching_node;
 use hetero_mesh::{DistributedMesh, Index3, Point3};
 use hetero_simmpi::{Payload, SimComm, Work};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
 
 /// Tag used by the one-time ghost-request protocol.
 const TAG_DOF_REQUEST: u64 = 9_500;
@@ -209,61 +208,6 @@ impl DofMap {
             coords,
             plan,
         }
-    }
-
-    /// Replays the collective side of [`Self::build`] against `comm` and
-    /// returns the prepared map unchanged.
-    ///
-    /// A `DofMap` is a pure function of `(mesh, partition, order, rank)`,
-    /// so a map built by an earlier run of the same scenario can be reused
-    /// wholesale — but the build's request protocol (allgather of target
-    /// owners, wanted-list sends/receives, setup compute charge) is part of
-    /// the simulated clock and must still be driven. This method re-issues
-    /// exactly those collective operations, reconstructed from the stored
-    /// plan:
-    ///
-    /// * targets = plan neighbours with a non-empty receive list, ascending
-    ///   (fresh build: `requests.keys()` of a `BTreeMap`);
-    /// * the wanted-list sent to each owner is `recv_indices` mapped back
-    ///   through `global_ids` (ghost ids ascend, preserving order);
-    /// * requesters are recomputed from the live allgather exactly as the
-    ///   fresh path does.
-    ///
-    /// Virtual time and wire traffic are therefore bit-identical to a
-    /// fresh build; only the host-side construction (steps 1–4, which
-    /// perform no communication) is skipped.
-    pub fn replay_build(prepared: &Arc<DofMap>, comm: &mut SimComm) -> Arc<DofMap> {
-        let dm = prepared.as_ref();
-        let rank = comm.rank();
-        assert_eq!(dm.rank, rank, "prepared DofMap replayed on a wrong rank");
-
-        let mut my_targets: Vec<usize> = Vec::new();
-        let mut wanted_lists: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, &nb) in dm.plan.neighbors.iter().enumerate() {
-            let recv = &dm.plan.recv_indices[i];
-            if !recv.is_empty() {
-                my_targets.push(nb);
-                wanted_lists.push((nb, recv.iter().map(|&l| dm.global_ids[l]).collect()));
-            }
-        }
-        let all_targets = comm.allgather_usize(&my_targets);
-        let requesters: Vec<usize> = all_targets
-            .iter()
-            .enumerate()
-            .filter(|&(r, targets)| r != rank && targets.contains(&rank))
-            .map(|(r, _)| r)
-            .collect();
-        for (owner, wanted) in wanted_lists {
-            comm.send(owner, TAG_DOF_REQUEST, Payload::Usize(wanted));
-        }
-        for &req in &requesters {
-            let _ = comm.recv_usize(req, TAG_DOF_REQUEST);
-        }
-        comm.compute(Work::new(
-            20.0 * dm.global_ids.len() as f64,
-            64.0 * dm.global_ids.len() as f64,
-        ));
-        Arc::clone(prepared)
     }
 
     /// Element order of this space.

@@ -23,7 +23,7 @@
 
 use crate::assembly::{
     assemble_vector, constrain_system, constrain_system_multi, gradient_kernel, scalar_kernels,
-    AssemblyStructure, MatrixAssembly,
+    MatrixAssembly,
 };
 use crate::bdf::BdfOrder;
 use crate::dofmap::DofMap;
@@ -40,7 +40,6 @@ use hetero_mesh::DistributedMesh;
 use hetero_simmpi::SimComm;
 use hetero_trace::{EventKind, Phase as TracePhase};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Krylov method used for the nonsymmetric momentum systems — the choice an
 /// AztecOO user makes in the paper's stack.
@@ -176,27 +175,6 @@ pub struct NsStepView<'a> {
 /// Per-step callback for checkpointing hooks.
 pub type NsObserver<'a> = &'a mut dyn FnMut(&NsStepView<'_>, &mut SimComm);
 
-/// The platform-independent setup artifacts of one NS rank: the velocity
-/// and pressure DoF maps plus the four symbolic assembly structures
-/// (velocity–velocity, pressure–pressure, and the two mixed-space
-/// gradient/divergence pairs). Immutable and `Arc`-shared; see
-/// `core::prep`.
-#[derive(Clone)]
-pub struct NsPrep {
-    /// Velocity-space DoF map.
-    pub vmap: Arc<DofMap>,
-    /// Pressure-space DoF map.
-    pub pmap: Arc<DofMap>,
-    /// Structure of `(vmap, vmap)` assemblies (mass, momentum).
-    pub vv: Arc<AssemblyStructure>,
-    /// Structure of `(pmap, pmap)` assemblies (pressure Poisson).
-    pub pp: Arc<AssemblyStructure>,
-    /// Structure of `(vmap, pmap)` assemblies (the three gradients).
-    pub vp: Arc<AssemblyStructure>,
-    /// Structure of `(pmap, vmap)` assemblies (the three divergences).
-    pub pv: Arc<AssemblyStructure>,
-}
-
 /// Nodes of the largest supported element (Q2).
 const MAX_NPE: usize = 27;
 
@@ -256,38 +234,13 @@ pub fn solve_ns_with(
     dmesh: &DistributedMesh,
     cfg: &NsConfig,
     resume: Option<&NsResume>,
-    observer: Option<NsObserver<'_>>,
+    mut observer: Option<NsObserver<'_>>,
     comm: &mut SimComm,
 ) -> NsReport {
-    solve_ns_prepared(dmesh, cfg, resume, observer, None, comm).0
-}
-
-/// [`solve_ns_with`] with optional prepared setup artifacts. With
-/// `prep = Some(..)` both DoF maps are reused via [`DofMap::replay_build`]
-/// and every assembly starts from its shared symbolic structure; virtual
-/// time, wire traffic, and every computed value are bitwise identical to
-/// the fresh path. Always returns the rank's [`NsPrep`] (cheap `Arc`
-/// clones) so first runs can seed the prepared-scenario cache.
-pub fn solve_ns_prepared(
-    dmesh: &DistributedMesh,
-    cfg: &NsConfig,
-    resume: Option<&NsResume>,
-    mut observer: Option<NsObserver<'_>>,
-    prep: Option<&NsPrep>,
-    comm: &mut SimComm,
-) -> (NsReport, NsPrep) {
     assert!(cfg.dt > 0.0 && cfg.steps > 0 && cfg.rho > 0.0 && cfg.mu > 0.0);
     let es = cfg.exact();
-    let (vmap, pmap) = match prep {
-        Some(p) => (
-            DofMap::replay_build(&p.vmap, comm),
-            DofMap::replay_build(&p.pmap, comm),
-        ),
-        None => (
-            Arc::new(DofMap::build(dmesh, cfg.vel_order, comm)),
-            Arc::new(DofMap::build(dmesh, cfg.p_order, comm)),
-        ),
-    };
+    let vmap = DofMap::build(dmesh, cfg.vel_order, comm);
+    let pmap = DofMap::build(dmesh, cfg.p_order, comm);
     let h = dmesh.mesh().cell_size();
     let kern_v = scalar_kernels(cfg.vel_order, h);
     let kern_p = scalar_kernels(cfg.p_order, h);
@@ -296,27 +249,18 @@ pub fn solve_ns_prepared(
     // symbolic structure, so the three gradients (and divergences) reuse
     // the structure of their first assembly — cached calls are
     // traffic-identical and bitwise-pinned, see `MatrixAssembly`.
-    let mut mass_asm = match prep {
-        Some(p) => MatrixAssembly::with_structure(1, Arc::clone(&p.vv)),
-        None => MatrixAssembly::new(1),
-    };
+    let mut mass_asm = MatrixAssembly::new(1);
     let mass_v = mass_asm.assemble(&vmap, &vmap, comm, |_i, out| {
         out.copy_from_slice(&kern_v.mass)
     });
-    let mut grad_asm = match prep {
-        Some(p) => MatrixAssembly::with_structure(1, Arc::clone(&p.vp)),
-        None => MatrixAssembly::new(1),
-    };
+    let mut grad_asm = MatrixAssembly::new(1);
     let grad: Vec<_> = (0..3)
         .map(|d| {
             let gk = gradient_kernel(cfg.vel_order, cfg.p_order, d, h);
             grad_asm.assemble(&vmap, &pmap, comm, |_i, out| out.copy_from_slice(&gk))
         })
         .collect();
-    let mut div_asm = match prep {
-        Some(p) => MatrixAssembly::with_structure(1, Arc::clone(&p.pv)),
-        None => MatrixAssembly::new(1),
-    };
+    let mut div_asm = MatrixAssembly::new(1);
     let div: Vec<_> = (0..3)
         .map(|d| {
             let dk = gradient_kernel(cfg.p_order, cfg.vel_order, d, h);
@@ -387,15 +331,12 @@ pub fn solve_ns_prepared(
     // Both per-step operators keep a fixed sparsity structure: cache the
     // symbolic phase and only re-scatter values each step. The momentum
     // structure is the velocity mass matrix's (same maps, full dense
-    // blocks); the pressure structure comes from the prep when present.
-    let mut momentum_asm = match mass_asm.shared_structure() {
-        Some(s) => MatrixAssembly::with_structure(8, s),
-        None => MatrixAssembly::new(8),
-    };
-    let mut pressure_asm = match prep {
-        Some(p) => MatrixAssembly::with_structure(1, Arc::clone(&p.pp)),
-        None => MatrixAssembly::new(1),
-    };
+    // blocks).
+    let mut momentum_asm = MatrixAssembly::with_structure(
+        8,
+        mass_asm.shared_structure().expect("mass assembled above"),
+    );
+    let mut pressure_asm = MatrixAssembly::new(1);
     // Solver scratch shared by the three momentum solves of every step:
     // after the first step no solver vector is allocated again.
     let mut solver_ws = SolverWorkspace::new();
@@ -662,30 +603,15 @@ pub fn solve_ns_prepared(
         vel_l2_sq += l2 * l2;
     }
 
-    let harvest = NsPrep {
-        vv: mass_asm
-            .shared_structure()
-            .expect("mass assembly ran above"),
-        pp: pressure_asm
-            .shared_structure()
-            .expect("pressure assembly ran each step"),
-        vp: grad_asm.shared_structure().expect("gradients assembled"),
-        pv: div_asm.shared_structure().expect("divergences assembled"),
-        vmap: Arc::clone(&vmap),
-        pmap: Arc::clone(&pmap),
-    };
-    (
-        NsReport {
-            iterations,
-            vel_iters,
-            p_iters,
-            vel_linf_error,
-            vel_l2_error: vel_l2_sq.sqrt(),
-            n_global_vel_dofs: vmap.n_global(),
-            n_global_p_dofs: pmap.n_global(),
-        },
-        harvest,
-    )
+    NsReport {
+        iterations,
+        vel_iters,
+        p_iters,
+        vel_linf_error,
+        vel_l2_error: vel_l2_sq.sqrt(),
+        n_global_vel_dofs: vmap.n_global(),
+        n_global_p_dofs: pmap.n_global(),
+    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,6 @@ use hetero_mesh::DistributedMesh;
 use hetero_simmpi::SimComm;
 use hetero_trace::{EventKind, Phase as TracePhase};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Preconditioner selector for the applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -150,18 +149,6 @@ pub struct RdStepView<'a> {
 /// provided communicator, keeping virtual time consistent.
 pub type RdObserver<'a> = &'a mut dyn FnMut(&RdStepView<'_>, &mut SimComm);
 
-/// The platform-independent setup artifacts of one RD rank: the DoF map
-/// and the shared symbolic assembly structure (mass and system matrices
-/// use the same maps and full dense element blocks, hence one structure).
-/// Immutable and `Arc`-shared; see `core::prep`.
-#[derive(Clone)]
-pub struct RdPrep {
-    /// The rank's DoF map.
-    pub dm: Arc<DofMap>,
-    /// Symbolic structure of every `(dm, dm)` assembly of this rank.
-    pub structure: Arc<AssemblyStructure>,
-}
-
 /// Runs the RD application. Collective over all ranks of `comm`.
 pub fn solve_rd(dmesh: &DistributedMesh, cfg: &RdConfig, comm: &mut SimComm) -> RdReport {
     solve_rd_with(dmesh, cfg, None, None, comm)
@@ -174,46 +161,23 @@ pub fn solve_rd_with(
     dmesh: &DistributedMesh,
     cfg: &RdConfig,
     resume: Option<&RdResume>,
-    observer: Option<RdObserver<'_>>,
+    mut observer: Option<RdObserver<'_>>,
     comm: &mut SimComm,
 ) -> RdReport {
-    solve_rd_prepared(dmesh, cfg, resume, observer, None, comm).0
-}
-
-/// [`solve_rd_with`] with optional prepared setup artifacts. With
-/// `prep = Some(..)` the DoF map is reused via [`DofMap::replay_build`]
-/// and both assemblies start from the shared symbolic structure; virtual
-/// time, wire traffic, and every computed value are bitwise identical to
-/// the fresh path. Always returns the rank's [`RdPrep`] (cheap `Arc`
-/// clones) so first runs can seed the prepared-scenario cache.
-pub fn solve_rd_prepared(
-    dmesh: &DistributedMesh,
-    cfg: &RdConfig,
-    resume: Option<&RdResume>,
-    mut observer: Option<RdObserver<'_>>,
-    prep: Option<&RdPrep>,
-    comm: &mut SimComm,
-) -> (RdReport, RdPrep) {
     assert!(cfg.t0 > 0.0 && cfg.dt > 0.0 && cfg.steps > 0);
     assert!(
         cfg.t0 - cfg.bdf.steps() as f64 * cfg.dt > 0.0,
         "history times must stay positive"
     );
     let ex = RdExact;
-    let dm = match prep {
-        Some(p) => DofMap::replay_build(&p.dm, comm),
-        None => Arc::new(DofMap::build(dmesh, cfg.order, comm)),
-    };
+    let dm = DofMap::build(dmesh, cfg.order, comm);
     let h = dmesh.mesh().cell_size();
     let kern = scalar_kernels(cfg.order, h);
     let npe = cfg.order.nodes_per_element();
 
     // The mass matrix is time-independent: assembled once, used to apply the
     // BDF history term each step.
-    let mut mass_asm = match prep {
-        Some(p) => MatrixAssembly::with_structure(1, Arc::clone(&p.structure)),
-        None => MatrixAssembly::new(1),
-    };
+    let mut mass_asm = MatrixAssembly::new(1);
     let mass = mass_asm.assemble(&dm, &dm, comm, |_i, out| out.copy_from_slice(&kern.mass));
 
     // BDF history (u^{n-1}, u^{n-2}, ...): seeded from the exact solution,
@@ -255,10 +219,10 @@ pub fn solve_rd_prepared(
     // The system matrix changes values every step but never structure:
     // cache the sparsity pattern + scatter permutation across steps. The
     // structure is the mass matrix's (same maps, full dense blocks).
-    let mut system_asm = match mass_asm.shared_structure() {
-        Some(s) => MatrixAssembly::with_structure(2, s),
-        None => MatrixAssembly::new(2),
-    };
+    let mut system_asm = MatrixAssembly::with_structure(
+        2,
+        mass_asm.shared_structure().expect("mass assembled above"),
+    );
 
     for step in (start_step + 1)..=cfg.steps {
         let t = cfg.t0 + step as f64 * cfg.dt;
@@ -375,20 +339,13 @@ pub fn solve_rd_prepared(
     let linf_error = dm.nodal_linf_error(&history[0], |p| ex.u(p, t_final), comm);
     let l2_error = dm.nodal_l2_error(&history[0], |p| ex.u(p, t_final), comm);
 
-    let structure = mass_asm
-        .shared_structure()
-        .expect("mass assembly ran above");
-    let n_global_dofs = dm.n_global();
-    (
-        RdReport {
-            iterations,
-            krylov_iters,
-            linf_error,
-            l2_error,
-            n_global_dofs,
-        },
-        RdPrep { dm, structure },
-    )
+    RdReport {
+        iterations,
+        krylov_iters,
+        linf_error,
+        l2_error,
+        n_global_dofs: dm.n_global(),
+    }
 }
 
 #[cfg(test)]

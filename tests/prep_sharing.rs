@@ -1,16 +1,17 @@
 //! Prepared-scenario sharing must be invisible in every report byte.
 //!
-//! The cache (`hetero_hpc::prep`) shares the platform-independent setup —
-//! mesh, partition, ghost plans, DoF maps, symbolic assembly structures,
-//! modeled space views, harvested per-rank numerical preparations, and
-//! recorded work tapes — across every run with the same
-//! `hetero-prep/key/v1` key. These tests drive the same requests five ways
-//! (sharing disabled, cold cache, cold and warm preparations executing,
-//! warm cache served from the tape) across both SPMD engines, intra-rank
-//! thread counts 1 and 4, and the fault-injected resilient path, and
-//! require the serialized outcome to be byte-identical everywhere. The golden key fixtures live
-//! in `tests/prep_keys.rs`, the tape battery in `tests/work_tapes.rs`; the
-//! plan-executor and serve layers add their own batteries on top.
+//! The cache (`hetero_hpc::prep`) shares what prices a run without
+//! executing it — modeled space views, recorded work tapes, and the
+//! fast-forward profile memo — across every run with the same
+//! `hetero-prep/key/v1` key; a run that executes builds its own set-up.
+//! These tests drive the same requests four ways (sharing disabled, cold
+//! cache recording the tape, a traced run that executes, warm cache served
+//! from the tape) across both SPMD engines and intra-rank thread counts 1
+//! and 4, run fault-injected RD and NS campaigns with sharing on and off,
+//! and require the serialized outcome to be byte-identical everywhere. The
+//! golden key fixtures live in `tests/prep_keys.rs`, the tape battery in
+//! `tests/work_tapes.rs`; the plan-executor and serve layers add their own
+//! batteries on top.
 
 use hetero_fault::{FaultModel, SpotMarket};
 use hetero_hpc::apps::App;
@@ -49,9 +50,10 @@ fn ns_req(threads_per_rank: usize) -> RunRequest {
     }
 }
 
-/// The fault-injected fixture of `tests/determinism.rs`: an EC2 spot
-/// market compressed enough to revoke nodes inside the run.
-fn faulty_rd_request(seed: u64, threads_per_rank: usize) -> RunRequest {
+/// The fault-injected fixture of `tests/determinism.rs` and
+/// `tests/resilience.rs`: an EC2 spot market compressed enough to revoke
+/// nodes inside the run.
+fn faulty_request(app: App, seed: u64, threads_per_rank: usize) -> RunRequest {
     let ec2 = catalog::ec2();
     let mut spec = ResilienceSpec::spot_with_restart(&ec2, 1.0, 1, 50);
     spec.faults = FaultModel {
@@ -68,7 +70,7 @@ fn faulty_rd_request(seed: u64, threads_per_rank: usize) -> RunRequest {
         threads_per_rank,
         seed,
         resilience: Some(spec),
-        ..RunRequest::new(ec2, App::paper_rd(6), 8, 3)
+        ..RunRequest::new(ec2, app, 8, 3)
     }
 }
 
@@ -76,18 +78,16 @@ fn json(out: RunOutcome) -> String {
     serde_json::to_string(&out).expect("outcome serializes")
 }
 
-/// Executes `req` five ways and returns the serialized outcomes (the
+/// Executes `req` four ways and returns the serialized outcomes (the
 /// `serde_json` bytes, which leave a trace out):
 ///
 /// * sharing disabled, so the run executes under the engine and thread
 ///   count it names and no tape is recorded or served;
-/// * cold cache, which executes too and records the app's work tape (and
-///   so keeps no rank preparations);
-/// * traced, twice: a traced run is never priced from a tape, so the
-///   first executes and harvests the rank preparations, the second
-///   executes on them;
+/// * cold cache, which executes too and records the app's work tape;
+/// * traced on the warm scenario: a traced run is never priced from a
+///   tape, so it executes;
 /// * warm cache, priced from the cold run's tape.
-fn five_ways(req: &RunRequest) -> [String; 5] {
+fn four_ways(req: &RunRequest) -> [String; 4] {
     let fresh = {
         let _off = prep::disable_sharing_scoped();
         let before = prep::tape_stats();
@@ -103,12 +103,11 @@ fn five_ways(req: &RunRequest) -> [String; 5] {
         trace: Some(TraceSpec::phases()),
         ..req.clone()
     };
-    let harvesting = json(execute(&traced).unwrap());
-    let prepared = json(execute(&traced).unwrap());
+    let traced = json(execute(&traced).unwrap());
     assert_eq!(prep::tape_stats().served, before.served);
     let served = json(execute(req).unwrap());
     assert_eq!(prep::tape_stats().served, before.served + 1);
-    [fresh, cold, harvesting, prepared, served]
+    [fresh, cold, traced, served]
 }
 
 #[test]
@@ -119,7 +118,7 @@ fn rd_reports_are_byte_identical_shared_vs_fresh() {
     let mut reports = Vec::new();
     for engine in [EngineKind::Cooperative, EngineKind::Threads] {
         for threads in [1, 4] {
-            reports.extend(five_ways(&rd_req(engine, threads)));
+            reports.extend(four_ways(&rd_req(engine, threads)));
         }
     }
     for (i, r) in reports.iter().enumerate() {
@@ -132,36 +131,45 @@ fn ns_reports_are_byte_identical_shared_vs_fresh() {
     let _g = lock();
     let mut reports = Vec::new();
     for threads in [1, 4] {
-        reports.extend(five_ways(&ns_req(threads)));
+        reports.extend(four_ways(&ns_req(threads)));
     }
     for (i, r) in reports.iter().enumerate() {
         assert_eq!(r, &reports[0], "report {i} diverged");
     }
 }
 
+/// RD at the determinism fixture's seed 7, NS at the resilience fixture's
+/// seed 97: both markets revoke nodes mid-run.
 #[test]
 fn fault_injected_resilient_reports_are_byte_identical_shared_vs_fresh() {
     let _g = lock();
-    let mut reports = Vec::new();
-    for threads in [1, 4] {
-        let req = faulty_rd_request(7, threads);
-        let fresh = {
-            let _off = prep::disable_sharing_scoped();
-            let out = execute_resilient(&req).unwrap();
-            assert!(
-                out.stats.faults_injected >= 1,
-                "market never fired: {:?}",
-                out.stats
+    for (app, seed) in [(App::paper_rd(6), 7), (App::paper_ns(4), 97)] {
+        let mut reports = Vec::new();
+        for threads in [1, 4] {
+            let req = faulty_request(app.clone(), seed, threads);
+            let fresh = {
+                let _off = prep::disable_sharing_scoped();
+                let out = execute_resilient(&req).unwrap();
+                assert!(
+                    out.stats.faults_injected >= 1,
+                    "market never fired: {:?}",
+                    out.stats
+                );
+                format!("{out:?}")
+            };
+            prep::clear_cache();
+            let cold = format!("{:?}", execute_resilient(&req).unwrap());
+            let warm = format!("{:?}", execute_resilient(&req).unwrap());
+            reports.extend([fresh, cold, warm]);
+        }
+        for (i, r) in reports.iter().enumerate() {
+            assert_eq!(
+                r,
+                &reports[0],
+                "{} resilient report {i} diverged",
+                app.name()
             );
-            format!("{out:?}")
-        };
-        prep::clear_cache();
-        let cold = format!("{:?}", execute_resilient(&req).unwrap());
-        let warm = format!("{:?}", execute_resilient(&req).unwrap());
-        reports.extend([fresh, cold, warm]);
-    }
-    for (i, r) in reports.iter().enumerate() {
-        assert_eq!(r, &reports[0], "resilient report {i} diverged");
+        }
     }
 }
 
