@@ -121,7 +121,7 @@ pub(crate) fn run_plain(req: &RunRequest, cfg: SpmdConfig, scen: &PreparedScenar
         let recorded = run
             .tape
             .map(|tape| RecordedRun::new(tape, run.numerics.clone()));
-        scen.store_recorded_run(key, recorded);
+        scen.store_recorded_run(&key, recorded);
     }
     critical_rank(req, &run.iterations, &run.numerics, run.trace)
 }

@@ -74,10 +74,8 @@ pub mod store;
 
 pub use apps::App;
 pub use prep::PreparedScenario;
-pub use recovery::{
-    execute_resilient, execute_resilient_with_prep, ResilienceOutcome, ResilienceSpec,
-};
-pub use run::{execute, execute_with_prep, Fidelity, RunOutcome, RunRequest};
+pub use recovery::{execute_resilient, ResilienceOutcome, ResilienceSpec};
+pub use run::{execute, Fidelity, RunOutcome, RunRequest};
 // The tracing vocabulary, re-exported so harness users can request and
 // consume traces without naming `hetero-trace` directly.
 pub use hetero_trace::{Trace, TraceDetail, TraceEvent, TraceSpec};

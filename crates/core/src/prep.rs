@@ -32,6 +32,11 @@
 //!   is the canonical text of the request with those knobs normalized
 //!   out; see `ff_memo_key`.
 //!
+//! The process-wide LRU is the only way a run gets a shared scenario. A
+//! sweep that varies platform, seed or cadence inside each rank count (as
+//! every checked-in plan does) meets each scenario in one contiguous run of
+//! instances, so the LRU's bound never evicts one the sweep still needs.
+//!
 //! **Determinism.** Every shared artifact is immutable, and every reuse
 //! path either prices the recorded charges through the engine's own clock
 //! arithmetic or memoizes the result of a pure function — so reports are
@@ -49,9 +54,9 @@ use crate::run::{Fidelity, RunRequest};
 use hetero_fault::{FaultModel, ResiliencePolicy};
 use hetero_platform::spot::{FleetAllocation, FleetStrategy};
 use hetero_simmpi::{EngineKind, WorkTape};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Bound on the process-wide scenario LRU. A scenario at numerical size
 /// holds recorded runs of up to `TAPE_BYTES_CAP` each, so the cache is
@@ -81,16 +86,35 @@ pub(crate) struct FfProfile {
     pub(crate) ff: ModeledRun,
 }
 
-enum FfSlot {
-    /// Another thread is computing this profile; wait on the condvar.
-    InProgress,
-    Ready(Arc<FfProfile>),
-}
+/// A scenario's bounded memo, in insertion order: the first value stored
+/// under a key stays, and beyond `FF_MEMO_CAP` keys the oldest goes.
+struct Memo<V>(VecDeque<(String, Arc<V>)>);
 
-struct FfMemo {
-    slots: HashMap<String, FfSlot>,
-    /// Ready keys in insertion order, for FIFO eviction.
-    order: VecDeque<String>,
+impl<V> Memo<V> {
+    fn new() -> Mutex<Self> {
+        Mutex::new(Memo(VecDeque::new()))
+    }
+
+    fn get(&self, key: &str) -> Option<Arc<V>> {
+        self.0
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| Arc::clone(v))
+    }
+
+    /// Stores `value` under `key` unless a value is there already, and
+    /// returns the one kept.
+    fn insert(&mut self, key: &str, value: V) -> Arc<V> {
+        if let Some(kept) = self.get(key) {
+            return kept;
+        }
+        if self.0.len() >= FF_MEMO_CAP {
+            self.0.pop_front();
+        }
+        let value = Arc::new(value);
+        self.0.push_back((key.to_string(), Arc::clone(&value)));
+        value
+    }
 }
 
 /// One completed plain run of a scenario's app, kept to price the same
@@ -119,13 +143,6 @@ impl Drop for RecordedRun {
     }
 }
 
-/// A scenario's recorded runs by [`tape_key`], FIFO-evicted.
-#[derive(Default)]
-struct RecordedRuns {
-    runs: HashMap<String, Arc<RecordedRun>>,
-    order: VecDeque<String>,
-}
-
 /// An `Arc`-shared bundle of what prices a run of one scenario without
 /// executing it — the modeled views, the recorded runs and the ff-profile
 /// memo — keyed by [`crate::canon::prep_key`].
@@ -135,9 +152,10 @@ pub struct PreparedScenario {
     /// (the off lane) records no runs: nothing could ever reuse them.
     shared: bool,
     modeled: ModeledPrep,
-    recorded: Mutex<RecordedRuns>,
-    ff: Mutex<FfMemo>,
-    ff_cv: Condvar,
+    /// Recorded runs by [`tape_key`].
+    recorded: Mutex<Memo<RecordedRun>>,
+    /// Fast-forward profiles by [`ff_memo_key`].
+    ff: Mutex<Memo<FfProfile>>,
 }
 
 /// Locks `m`, recovering the guard if a panic poisoned it. Whatever can
@@ -160,18 +178,9 @@ impl PreparedScenario {
                 weak_scaling_grid(req.ranks, req.per_rank_axis).1,
                 req.app.primary_order().q(),
             ),
-            recorded: Mutex::default(),
-            ff: Mutex::new(FfMemo {
-                slots: HashMap::new(),
-                order: VecDeque::new(),
-            }),
-            ff_cv: Condvar::new(),
+            recorded: Memo::new(),
+            ff: Memo::new(),
         }
-    }
-
-    /// The `hetero-prep/key/v1` sub-key this scenario was built for.
-    pub fn key(&self) -> &str {
-        &self.key
     }
 
     /// The modeled engine's prepared setup.
@@ -187,7 +196,7 @@ impl PreparedScenario {
 
     /// The recorded run under `key`, if any; a hit counts as served.
     pub(crate) fn recorded_run(&self, key: &str) -> Option<Arc<RecordedRun>> {
-        let run = lock(&self.recorded).runs.get(key).cloned();
+        let run = lock(&self.recorded).get(key);
         if run.is_some() {
             TAPES_SERVED.fetch_add(1, Ordering::Relaxed);
         }
@@ -195,80 +204,31 @@ impl PreparedScenario {
     }
 
     /// Keeps what a recording run left under `key`: its run, or, when the
-    /// job gave its tape up, nothing but the count. The first run stored
-    /// under a key stays; beyond `FF_MEMO_CAP` keys the oldest goes.
-    pub(crate) fn store_recorded_run(&self, key: String, run: Option<RecordedRun>) {
+    /// job gave its tape up, nothing but the count.
+    pub(crate) fn store_recorded_run(&self, key: &str, run: Option<RecordedRun>) {
         let Some(run) = run else {
             TAPES_ABANDONED.fetch_add(1, Ordering::Relaxed);
             return;
         };
         TAPES_RECORDED.fetch_add(1, Ordering::Relaxed);
-        let mut memo = lock(&self.recorded);
-        if memo.runs.contains_key(&key) {
-            return;
-        }
-        while memo.order.len() >= FF_MEMO_CAP {
-            if let Some(old) = memo.order.pop_front() {
-                memo.runs.remove(&old);
-            }
-        }
-        memo.order.push_back(key.clone());
-        memo.runs.insert(key, Arc::new(run));
+        lock(&self.recorded).insert(key, run);
     }
 
     /// Returns the memoized fast-forward profile for `memo_key`, computing
-    /// it with `compute` on first use. Concurrent callers with the same
-    /// key block until the first finishes, so a worker pool never computes
-    /// one profile twice.
+    /// it with `compute` on a miss. Nothing waits on a profile in flight:
+    /// two concurrent misses both compute it, and the memo keeps the first
+    /// of two byte-identical results.
     pub(crate) fn ff_profile_or_compute(
         &self,
         memo_key: &str,
         compute: impl FnOnce() -> FfProfile,
     ) -> Arc<FfProfile> {
-        let mut memo = self.ff.lock().expect("ff memo lock");
-        loop {
-            match memo.slots.get(memo_key) {
-                Some(FfSlot::Ready(p)) => {
-                    CACHE_FF_HITS.fetch_add(1, Ordering::Relaxed);
-                    return Arc::clone(p);
-                }
-                Some(FfSlot::InProgress) => {
-                    memo = self.ff_cv.wait(memo).expect("ff memo lock");
-                }
-                None => break,
-            }
+        if let Some(profile) = lock(&self.ff).get(memo_key) {
+            CACHE_FF_HITS.fetch_add(1, Ordering::Relaxed);
+            return profile;
         }
-        memo.slots.insert(memo_key.to_string(), FfSlot::InProgress);
-        drop(memo);
-
-        // Remove the in-progress marker if `compute` panics, so waiters
-        // retry instead of deadlocking.
-        struct Unwind<'a>(&'a PreparedScenario, &'a str, bool);
-        impl Drop for Unwind<'_> {
-            fn drop(&mut self) {
-                if !self.2 {
-                    let mut memo = self.0.ff.lock().expect("ff memo lock");
-                    memo.slots.remove(self.1);
-                    self.0.ff_cv.notify_all();
-                }
-            }
-        }
-        let mut guard = Unwind(self, memo_key, false);
-        let profile = Arc::new(compute());
-        guard.2 = true;
-
-        let mut memo = self.ff.lock().expect("ff memo lock");
-        while memo.order.len() >= FF_MEMO_CAP {
-            if let Some(old) = memo.order.pop_front() {
-                memo.slots.remove(&old);
-            }
-        }
-        memo.order.push_back(memo_key.to_string());
-        memo.slots
-            .insert(memo_key.to_string(), FfSlot::Ready(Arc::clone(&profile)));
-        drop(memo);
-        self.ff_cv.notify_all();
-        profile
+        let profile = compute();
+        lock(&self.ff).insert(memo_key, profile)
     }
 }
 
@@ -415,22 +375,9 @@ fn lookup(req: &RunRequest, key: String) -> Arc<PreparedScenario> {
 }
 
 /// Resolves the scenario an execute path runs on — every run gets one.
-/// With sharing on: the caller's pinned `Arc` when it matches `req`'s
-/// sub-key, the LRU otherwise. With sharing off: a private scenario built
+/// With sharing on: the LRU's. With sharing off: a private scenario built
 /// for this call, which touches neither the LRU nor the counters.
-pub(crate) fn resolve(
-    req: &RunRequest,
-    explicit: Option<Arc<PreparedScenario>>,
-) -> Arc<PreparedScenario> {
-    let key = prep_key(req);
-    if !sharing_enabled() {
-        return Arc::new(PreparedScenario::build(req, key, false));
-    }
-    match explicit {
-        Some(p) if p.key == key => {
-            CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            p
-        }
-        _ => lookup(req, key),
-    }
+pub(crate) fn resolve(req: &RunRequest) -> Arc<PreparedScenario> {
+    scenario_for(req)
+        .unwrap_or_else(|| Arc::new(PreparedScenario::build(req, prep_key(req), false)))
 }

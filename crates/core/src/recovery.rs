@@ -26,7 +26,7 @@
 use crate::apps::App;
 use crate::attempt::{outcome, run_attempt, Measured};
 use crate::modeled::{run_modeled_prepared, weak_scaling_grid, ModeledRun};
-use crate::prep::{ff_memo_key, FfProfile, PreparedScenario};
+use crate::prep::{ff_memo_key, FfProfile};
 use crate::run::{resolve_fidelity, Fidelity, RunOutcome, RunRequest};
 use crate::snapshot::Snapshot;
 use hetero_fault::{
@@ -43,7 +43,7 @@ use hetero_simmpi::rng::splitmix64;
 use hetero_simmpi::{ClusterTopology, SimComm, SpmdConfig};
 use hetero_trace::{EventKind, Trace};
 use serde::{Deserialize, Serialize, Value};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// How a run acquires its fleet, what can go wrong, and what it does about
 /// it. Attached to [`RunRequest::resilience`].
@@ -190,14 +190,10 @@ fn on_demand_node_hour(platform: &PlatformSpec) -> f64 {
 /// size (e.g. `ellipse` above 512 ranks) is a [`LimitViolation`]
 /// immediately — bounded backoff never retries a structurally impossible
 /// launch.
-pub fn execute_resilient(req: &RunRequest) -> Result<ResilienceOutcome, LimitViolation> {
-    execute_resilient_with_prep(req, None)
-}
-
-/// [`execute_resilient`] with an optional pinned
-/// [`crate::prep::PreparedScenario`]. Beyond the modeled views shared
-/// with [`crate::run::execute_with_prep`], the resilient path memoizes its
-/// failure-free reference profile `(probe, fleet0, ff)` in the scenario:
+///
+/// Beyond the modeled views shared with [`crate::run::execute`], the
+/// resilient path memoizes its failure-free reference profile
+/// `(probe, fleet0, ff)` in the run's [`crate::prep::PreparedScenario`]:
 /// the profile is a pure function of the request minus its
 /// cadence/policy/host knobs (see `prep::ff_memo_key`), so a
 /// checkpoint-cadence sweep replays it once per
@@ -205,12 +201,9 @@ pub fn execute_resilient(req: &RunRequest) -> Result<ResilienceOutcome, LimitVio
 /// derived quantities (`ckpt_seconds`, `horizon`, the limit checks) are
 /// always recomputed from the request, so outcomes are byte-identical
 /// whichever scenario serves them.
-pub fn execute_resilient_with_prep(
-    req: &RunRequest,
-    prep: Option<Arc<PreparedScenario>>,
-) -> Result<ResilienceOutcome, LimitViolation> {
+pub fn execute_resilient(req: &RunRequest) -> Result<ResilienceOutcome, LimitViolation> {
     let req = &req.normalized();
-    let scen = crate::prep::resolve(req, prep);
+    let scen = crate::prep::resolve(req);
     let spec = req
         .resilience
         .clone()

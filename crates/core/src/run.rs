@@ -3,7 +3,6 @@
 use crate::apps::App;
 use crate::attempt::{outcome, run_plain, Measured};
 use crate::modeled::run_modeled_prepared;
-use crate::prep::PreparedScenario;
 use crate::recovery::ResilienceSpec;
 use hetero_fem::phase::PhaseTimes;
 use hetero_linalg::SolverVariant;
@@ -12,7 +11,6 @@ use hetero_platform::{CostModel, PlatformSpec};
 use hetero_simmpi::{ClusterTopology, EngineKind, SpmdConfig};
 use hetero_trace::{EventKind, Phase as TracePhase, Trace, TraceEvent, TraceSpec};
 use serde::{Deserialize, Serialize, Value};
-use std::sync::Arc;
 
 /// Which engine to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -255,21 +253,13 @@ pub(crate) fn resolve_fidelity(req: &RunRequest) -> Fidelity {
 /// above 125 of the ladder, or a [`RunRequest::topology_override`] with
 /// fewer cores than ranks), launcher failure (ellipse above 512), adapter
 /// volume cap (lagrange above 343).
+///
+/// The run takes its scenario from the process-wide cache (a private one
+/// while sharing is disabled — see [`crate::prep`]). Reports are
+/// byte-identical whichever scenario serves them.
 pub fn execute(req: &RunRequest) -> Result<RunOutcome, LimitViolation> {
-    execute_with_prep(req, None)
-}
-
-/// [`execute`] with an optional pinned [`PreparedScenario`]. With `None`,
-/// or a pinned scenario whose sub-key does not match `req`, the run takes
-/// its scenario from the process-wide cache (a private one while sharing
-/// is disabled — see [`crate::prep`]). Reports are byte-identical
-/// whichever scenario serves them.
-pub fn execute_with_prep(
-    req: &RunRequest,
-    prep: Option<Arc<PreparedScenario>>,
-) -> Result<RunOutcome, LimitViolation> {
     let req = &req.normalized();
-    let scen = crate::prep::resolve(req, prep);
+    let scen = crate::prep::resolve(req);
     // Capacity and launcher limits are independent of traffic: check them
     // before even building the topology (an oversubscribed topology cannot
     // be constructed).

@@ -2,8 +2,7 @@
 //! evaluation.
 
 use crate::apps::App;
-use crate::prep::PreparedScenario;
-use crate::recovery::{execute_resilient_with_prep, ResilienceSpec};
+use crate::recovery::{execute_resilient, ResilienceSpec};
 use crate::run::{execute, Fidelity, RunOutcome, RunRequest};
 use hetero_fault::ResiliencePolicy;
 use hetero_linalg::SolverVariant;
@@ -14,7 +13,6 @@ use hetero_platform::{catalog, PlatformSpec};
 use hetero_simmpi::ClusterTopology;
 use hetero_trace::TraceSpec;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Shared knobs for the scenario sweeps.
 #[derive(Debug, Clone)]
@@ -477,17 +475,15 @@ impl Table3Row {
 }
 
 /// One seed-averaged campaign cell: `base` run through
-/// [`execute_resilient_with_prep`] under `spec` once per seed (seed `s` of
-/// the cell is `base.seed + 7919 s`), the campaign statistics summed in
-/// seed order and divided by the seed count. Table III and the plan
-/// executor's campaign stages both call this, so they share one f64
-/// accumulation order. `prep` pins a prepared scenario across the seeds
-/// (`None` resolves one per run; the bytes are the same either way).
+/// [`execute_resilient`] under `spec` once per seed (seed `s` of the cell
+/// is `base.seed + 7919 s`), the campaign statistics summed in seed order
+/// and divided by the seed count. Table III and the plan executor's
+/// campaign stages both call this, so they share one f64 accumulation
+/// order.
 pub fn campaign_cell(
     base: &RunRequest,
     spec: &ResilienceSpec,
     seeds: usize,
-    prep: Option<&Arc<PreparedScenario>>,
 ) -> Result<Table3Cell, LimitViolation> {
     let mut cell = Table3Cell::default();
     for s in 0..seeds {
@@ -496,7 +492,7 @@ pub fn campaign_cell(
             resilience: Some(spec.clone()),
             ..base.clone()
         };
-        let out = execute_resilient_with_prep(&req, prep.cloned())?;
+        let out = execute_resilient(&req)?;
         cell.expected_seconds += out.stats.total_seconds;
         cell.expected_dollars += out.stats.total_dollars;
         cell.completion_rate += f64::from(out.stats.completed);
@@ -531,8 +527,7 @@ pub fn table3(opts: &ResilienceOptions) -> Vec<Table3Row> {
             ..ResilienceSpec::on_demand(&ec2)
         };
         let cell = |spec: &ResilienceSpec| {
-            campaign_cell(&base, spec, opts.seeds, None)
-                .expect("the caller stays within EC2 limits")
+            campaign_cell(&base, spec, opts.seeds).expect("the caller stays within EC2 limits")
         };
         let on_demand = cell(&od_spec);
         let spot = opts

@@ -7,6 +7,10 @@
 //! through the same [`hetero_hpc::execute`]/[`hetero_hpc::execute_resilient`]
 //! paths as the legacy
 //! `core::scenarios` sweeps; the pinning tests hold the two byte-identical.
+//! Each run gets its prepared scenario from `hetero_hpc::prep`'s
+//! process-wide cache; since instances expand with the first declared axis
+//! outermost, a `ranks`-first sweep reaches each scenario in one contiguous
+//! run of instances.
 //!
 //! Artifacts are cached under a content-addressed key derived from the
 //! existing `core::canon` machinery: each run instance's key hashes the
@@ -26,10 +30,9 @@ use crate::schema::{
 };
 use hetero_fault::ResiliencePolicy;
 use hetero_hpc::canon::{canonical_request, sha256_hex};
-use hetero_hpc::prep::{scenario_for, PreparedScenario};
 use hetero_hpc::recovery::ResilienceSpec;
 use hetero_hpc::report::{render_solver_variants, render_table3, render_weak_scaling};
-use hetero_hpc::run::{execute_with_prep, RunOutcome, RunRequest};
+use hetero_hpc::run::{execute, RunOutcome, RunRequest};
 use hetero_hpc::scenarios::{
     campaign_cell, uncapped_cell, Cell, SolverVariantRow, Table3Cell, Table3Row, WeakScalingRow,
     WeakScalingTable,
@@ -42,7 +45,7 @@ use hetero_platform::limits::LimitViolation;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -113,7 +116,6 @@ pub struct PlanOutcome {
 /// a malformed stage wiring, or a cache-write I/O failure).
 pub fn execute_plan(rp: &ResolvedPlan, opts: &ExecOptions) -> Result<PlanOutcome, ExecError> {
     let keys = instance_keys(rp)?;
-    let preps = prep_scenarios(rp);
     let cache = match &opts.cache_dir {
         Some(dir) => match ArtifactStore::open(dir) {
             Ok(store) => Some(store),
@@ -190,14 +192,7 @@ pub fn execute_plan(rp: &ResolvedPlan, opts: &ExecOptions) -> Result<PlanOutcome
                     (idx, deps)
                 };
 
-                let out = run_instance(
-                    rp,
-                    idx,
-                    &keys[idx],
-                    &deps,
-                    cache.as_ref(),
-                    preps[idx].as_ref(),
-                );
+                let out = run_instance(rp, idx, &keys[idx], &deps, cache.as_ref());
 
                 let mut st = state.lock().expect("executor state poisoned");
                 match out {
@@ -319,35 +314,6 @@ pub fn instance_keys(rp: &ResolvedPlan) -> Result<Vec<String>, ExecError> {
 }
 
 // ---------------------------------------------------------------------------
-// Prepared-scenario resolution
-// ---------------------------------------------------------------------------
-
-/// Resolves every run instance's prepared scenario *before* the workers
-/// start: instances whose requests share a `hetero-prep/key/v1` sub-key get
-/// the same pinned [`PreparedScenario`], so one preparation (and one
-/// failure-free profile per memo key) serves the whole sweep regardless of
-/// worker count or completion order. Pinning the `Arc`s here also keeps a
-/// wide sweep immune to the process-wide LRU's bound. Returns all-`None`
-/// while a `prep::disable_sharing_scoped` guard is live — reports are
-/// byte-identical either way; only the setup work repeats.
-fn prep_scenarios(rp: &ResolvedPlan) -> Vec<Option<Arc<PreparedScenario>>> {
-    let mut by_key: HashMap<String, Arc<PreparedScenario>> = HashMap::new();
-    rp.instances
-        .iter()
-        .enumerate()
-        .map(|(i, inst)| {
-            let stage = &rp.plan.stages[inst.stage];
-            if stage.kind != StageKind::Run || stage.uncapped {
-                return None;
-            }
-            let setup = run_setup(rp, i).ok()?;
-            let scen = scenario_for(&setup.req)?;
-            Some(by_key.entry(scen.key().to_string()).or_insert(scen).clone())
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
 // Request construction
 // ---------------------------------------------------------------------------
 
@@ -456,7 +422,6 @@ fn run_instance(
     key: &str,
     deps: &[(usize, Arc<StageResult>)],
     cache: Option<&ArtifactStore>,
-    prep: Option<&Arc<PreparedScenario>>,
 ) -> Result<StageResult, ExecError> {
     let id = rp.instances[i].id.clone();
     let hit = cache.and_then(|store| match get_artifact(store, key) {
@@ -467,7 +432,7 @@ fn run_instance(
     let artifact = match hit {
         Some(artifact) => artifact,
         None => {
-            let artifact = compute_artifact(rp, i, deps, prep)?;
+            let artifact = compute_artifact(rp, i, deps)?;
             if let Some(store) = cache {
                 if let Err(e) = put_artifact(store, key, &artifact) {
                     return fail(&id, format!("cache write failed: {e}"));
@@ -499,7 +464,6 @@ fn compute_artifact(
     rp: &ResolvedPlan,
     i: usize,
     deps: &[(usize, Arc<StageResult>)],
-    prep: Option<&Arc<PreparedScenario>>,
 ) -> Result<Value, ExecError> {
     let inst = &rp.instances[i];
     let stage = &rp.plan.stages[inst.stage];
@@ -518,7 +482,7 @@ fn compute_artifact(
         StageKind::Run => {
             let setup = run_setup(rp, i)?;
             match setup.mode {
-                RunMode::Plain => Ok(match execute_with_prep(&setup.req, prep.cloned()) {
+                RunMode::Plain => Ok(match execute(&setup.req) {
                     Ok(out) => json!({ "ok": value_of(&inst.id, &out)? }),
                     Err(e) => json!({ "infeasible": value_of(&inst.id, &e)? }),
                 }),
@@ -532,7 +496,7 @@ fn compute_artifact(
                     Ok(json!({ "phases": value_of(&inst.id, &phases)? }))
                 }
                 RunMode::Campaign { spec, seeds } => {
-                    let cell = match campaign_cell(&setup.req, &spec, seeds, prep) {
+                    let cell = match campaign_cell(&setup.req, &spec, seeds) {
                         Ok(cell) => cell,
                         Err(e) => return fail(&inst.id, format!("campaign infeasible: {e}")),
                     };

@@ -30,8 +30,7 @@
 //!   quarantined, never served and never fatal.
 //!
 //! Duplicate submissions coalesce: concurrent requests for the same key
-//! share one in-flight execution, and queued requests for the same
-//! (platform, ranks, mesh) shape batch onto one worker dispatch.
+//! share one in-flight execution.
 //!
 //! ```no_run
 //! use hetero_hpc::{App, RunRequest};

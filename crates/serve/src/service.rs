@@ -1,5 +1,5 @@
-//! The service: submission front door, dedup/batch scheduler, worker
-//! pool, and the transactional completion protocol.
+//! The service: submission front door, dedup scheduler, worker pool, and
+//! the transactional completion protocol.
 //!
 //! ## Life of a submission
 //!
@@ -12,9 +12,9 @@
 //! 3. on a miss the job is **journaled** (`submit` record, durable before
 //!    the job is visible to workers), then either **coalesced** onto an
 //!    already-in-flight execution of the same key or enqueued;
-//! 4. a worker claims the queue head plus any queued jobs of the same
-//!    *batch shape* — same platform key, rank count, and per-rank mesh —
-//!    up to `batch_max`, and executes them back to back;
+//! 4. a worker claims the queue head and executes it; the run takes its
+//!    prepared scenario from `hetero_hpc::prep`'s process-wide cache, like
+//!    any other caller's;
 //! 5. completion is transactional, in this order: write the cache
 //!    artifact (temp file + atomic rename), then append `ack` records for
 //!    every coalesced submission, then wake waiters. A crash between
@@ -28,11 +28,8 @@
 
 use crate::cache::{CacheLookup, ResultCache};
 use crate::journal::{Journal, PendingJob};
-use hetero_hpc::canon::prep_key;
 use hetero_hpc::canon::request_key;
-use hetero_hpc::prep::{scenario_for, PreparedScenario};
-use hetero_hpc::recovery::execute_resilient_with_prep;
-use hetero_hpc::{execute_with_prep, ResilienceOutcome, RunOutcome, RunRequest};
+use hetero_hpc::{execute, execute_resilient, ResilienceOutcome, RunOutcome, RunRequest};
 use hetero_platform::limits::LimitViolation;
 use hetero_trace::MetricsRegistry;
 use serde::{Deserialize, Serialize};
@@ -95,18 +92,16 @@ pub struct ServeConfig {
     /// the tests and demo value latency, a production deployment of the
     /// simulation service would turn it on.
     pub fsync: bool,
-    /// Upper bound on jobs dispatched to one worker as a batch.
-    pub batch_max: usize,
 }
 
 impl ServeConfig {
-    /// A config with 2 workers, batching up to 4, no fsync.
+    /// A config with 2 workers, each claiming one job at a time, and no
+    /// fsync.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         ServeConfig {
             dir: dir.into(),
             workers: 2,
             fsync: false,
-            batch_max: 4,
         }
     }
 
@@ -114,13 +109,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Replaces the batch bound.
-    #[must_use]
-    pub fn with_batch_max(mut self, batch_max: usize) -> Self {
-        self.batch_max = batch_max.max(1);
         self
     }
 
@@ -136,24 +124,6 @@ impl ServeConfig {
 struct QueuedJob {
     key: String,
     request: RunRequest,
-}
-
-/// The batch shape: queued jobs agreeing on every coordinate ride to a
-/// worker together (one dispatch, shared scheduling overhead — the
-/// service-level analogue of the paper's "same platform, same size"
-/// sweep columns). Besides the platform/size coordinates this folds in
-/// the `hetero-prep/key/v1` sub-key — so every job of a batch shares one
-/// [`PreparedScenario`] resolution — and the solver-variant override,
-/// which the prep key deliberately excludes: two jobs differing only in
-/// communication schedule must not claim-group as interchangeable work.
-fn batch_shape(req: &RunRequest) -> (String, String, usize, usize, String) {
-    (
-        prep_key(req),
-        req.platform.key.clone(),
-        req.ranks,
-        req.per_rank_axis,
-        format!("{:?}", req.solver_variant),
-    )
 }
 
 struct State {
@@ -259,8 +229,7 @@ impl ServeHandle {
         let workers = (0..config.workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let batch_max = config.batch_max.max(1);
-                std::thread::spawn(move || worker_loop(&shared, batch_max))
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
 
@@ -394,7 +363,7 @@ impl ServeHandle {
 
     /// Simulated crash for recovery testing: stops accepting, abandons
     /// the queue (journaled-but-unexecuted jobs stay pending on disk),
-    /// and joins the workers after their current batch. Pending work is
+    /// and joins the workers after their current job. Pending work is
     /// completed by the next [`ServeHandle::open`] on the same directory.
     pub fn kill(mut self) {
         self.stop(true);
@@ -425,21 +394,16 @@ impl Drop for ServeHandle {
     }
 }
 
-/// Executes one request, catching panics. Pure: no service state touched
-/// (the optional prepared scenario is immutable shared setup — outputs are
-/// byte-identical with or without it).
-fn run_one(
-    request: &RunRequest,
-    prep: Option<Arc<PreparedScenario>>,
-) -> Result<JobOutcome, String> {
+/// Executes one request, catching panics. Pure: no service state touched.
+fn run_one(request: &RunRequest) -> Result<JobOutcome, String> {
     catch_unwind(AssertUnwindSafe(|| {
         if request.resilience.is_some() {
-            match execute_resilient_with_prep(request, prep) {
+            match execute_resilient(request) {
                 Ok(out) => JobOutcome::Resilient(out),
                 Err(limit) => JobOutcome::Rejected(limit),
             }
         } else {
-            match execute_with_prep(request, prep) {
+            match execute(request) {
                 Ok(out) => JobOutcome::Completed(out),
                 Err(limit) => JobOutcome::Rejected(limit),
             }
@@ -454,139 +418,60 @@ fn run_one(
     })
 }
 
-fn worker_loop(shared: &Shared, batch_max: usize) {
+fn worker_loop(shared: &Shared) {
     loop {
-        // Claim a batch: the queue head plus queued jobs of its shape.
-        let batch = {
+        let QueuedJob { key, request } = {
             let mut st = shared.state.lock().expect("serve state poisoned");
             loop {
                 if st.abandoned || (st.draining && st.queue.is_empty()) {
                     return;
                 }
-                if let Some(head) = st.queue.pop_front() {
-                    let shape = batch_shape(&head.request);
-                    let mut batch = vec![head];
-                    let mut rest = VecDeque::new();
-                    while let Some(job) = st.queue.pop_front() {
-                        if batch.len() < batch_max && batch_shape(&job.request) == shape {
-                            batch.push(job);
-                        } else {
-                            rest.push_back(job);
-                        }
-                    }
-                    st.queue = rest;
+                if let Some(job) = st.queue.pop_front() {
+                    // Both counters count executed jobs; their names
+                    // predate single-job claims.
                     st.metrics.add("serve.batch.executions", 1.0);
-                    st.metrics.add("serve.batch.jobs", batch.len() as f64);
-                    break batch;
+                    st.metrics.add("serve.batch.jobs", 1.0);
+                    break job;
                 }
                 st = shared.work.wait(st).expect("serve state poisoned");
             }
         };
 
-        // One prepared-scenario resolution per batch: every job in the
-        // batch shares the same prep key by construction, so the whole
-        // batch reuses one setup. `None` when sharing is disabled.
-        let prep = batch.first().and_then(|job| scenario_for(&job.request));
-        for QueuedJob { key, request } in batch {
-            // Execute outside the lock: jobs are the slow part.
-            let result = run_one(&request, prep.clone());
+        // Execute outside the lock: jobs are the slow part.
+        let result = run_one(&request);
 
-            let mut st = shared.state.lock().expect("serve state poisoned");
-            let waiters = st.inflight.remove(&key).unwrap_or_default();
-            match result {
-                Ok(outcome) => {
-                    // Transactional order — artifact first, acks second:
-                    // a crash in between replays into a cache hit.
-                    if let Err(e) = st.cache.store(&key, &outcome) {
-                        let err = ServeError::Io(e.to_string());
-                        for id in &waiters {
-                            let _ = st.journal.append_fail(*id, &e.to_string());
-                            st.done.insert(*id, Err(err.clone()));
-                            st.metrics.add("serve.jobs.failed", 1.0);
-                        }
-                    } else {
-                        let shared_outcome = Arc::new(outcome);
-                        for id in &waiters {
-                            let _ = st.journal.append_ack(*id);
-                            st.done.insert(*id, Ok(Arc::clone(&shared_outcome)));
-                            st.metrics.add("serve.jobs.completed", 1.0);
-                        }
-                    }
-                }
-                Err(panic_msg) => {
+        let mut st = shared.state.lock().expect("serve state poisoned");
+        let waiters = st.inflight.remove(&key).unwrap_or_default();
+        match result {
+            Ok(outcome) => {
+                // Transactional order — artifact first, acks second: a
+                // crash in between replays into a cache hit.
+                if let Err(e) = st.cache.store(&key, &outcome) {
+                    let err = ServeError::Io(e.to_string());
                     for id in &waiters {
-                        let _ = st.journal.append_fail(*id, &panic_msg);
-                        st.done
-                            .insert(*id, Err(ServeError::JobPanicked(panic_msg.clone())));
+                        let _ = st.journal.append_fail(*id, &e.to_string());
+                        st.done.insert(*id, Err(err.clone()));
                         st.metrics.add("serve.jobs.failed", 1.0);
+                    }
+                } else {
+                    let shared_outcome = Arc::new(outcome);
+                    for id in &waiters {
+                        let _ = st.journal.append_ack(*id);
+                        st.done.insert(*id, Ok(Arc::clone(&shared_outcome)));
+                        st.metrics.add("serve.jobs.completed", 1.0);
                     }
                 }
             }
-            drop(st);
-            shared.completion.notify_all();
+            Err(panic_msg) => {
+                for id in &waiters {
+                    let _ = st.journal.append_fail(*id, &panic_msg);
+                    st.done
+                        .insert(*id, Err(ServeError::JobPanicked(panic_msg.clone())));
+                    st.metrics.add("serve.jobs.failed", 1.0);
+                }
+            }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::batch_shape;
-    use hetero_hpc::canon::prep_key;
-    use hetero_hpc::{App, RunRequest};
-    use hetero_linalg::SolverVariant;
-    use hetero_platform::catalog;
-
-    fn base() -> RunRequest {
-        RunRequest::new(catalog::puma(), App::smoke_rd(2), 8, 3)
-    }
-
-    /// Host-side execution knobs never split a batch: two jobs that
-    /// compute the same report must be claimable together.
-    #[test]
-    fn host_knobs_and_seed_do_not_split_batches() {
-        let shape = batch_shape(&base());
-        for req in [
-            RunRequest {
-                seed: 999,
-                ..base()
-            },
-            RunRequest {
-                threads_per_rank: 4,
-                ..base()
-            },
-            RunRequest {
-                sched_workers: 2,
-                ..base()
-            },
-        ] {
-            assert_eq!(batch_shape(&req), shape);
-        }
-    }
-
-    /// The override the prep key deliberately excludes must still split
-    /// batches: `solver_variant` changes what a worker executes, so jobs
-    /// differing only there are not interchangeable claim-group members.
-    #[test]
-    fn solver_variant_splits_batches() {
-        let plain = batch_shape(&base());
-        let variant = batch_shape(&RunRequest {
-            solver_variant: Some(SolverVariant::Pipelined),
-            ..base()
-        });
-        assert_ne!(plain, variant, "solver_variant must be in the batch shape");
-    }
-
-    /// The first shape coordinate is exactly the `hetero-prep/key/v1`
-    /// key, so every job of a batch shares one `PreparedScenario`.
-    #[test]
-    fn batch_shape_leads_with_prep_key() {
-        let req = base();
-        assert_eq!(batch_shape(&req).0, prep_key(&req));
-        // Size coordinates change the prep key and the shape together.
-        let wider = RunRequest {
-            ranks: 16,
-            ..base()
-        };
-        assert_ne!(batch_shape(&wider).0, batch_shape(&req).0);
+        drop(st);
+        shared.completion.notify_all();
     }
 }

@@ -8,7 +8,9 @@
 //! cache recording the tape, a traced run that executes, warm cache served
 //! from the tape) across both SPMD engines and intra-rank thread counts 1
 //! and 4, run fault-injected RD and NS campaigns with sharing on and off,
-//! and require the serialized outcome to be byte-identical everywhere. The
+//! and require the serialized outcome to be byte-identical everywhere. Two
+//! modeled sweeps pin the locality the process-wide cache relies on: a
+//! `ranks`-outer ladder wider than the cache, and a cadence sweep. The
 //! golden key fixtures live in `tests/prep_keys.rs`, the tape battery in
 //! `tests/work_tapes.rs`; the plan-executor and serve layers add their own
 //! batteries on top.
@@ -18,6 +20,7 @@ use hetero_hpc::apps::App;
 use hetero_hpc::prep;
 use hetero_hpc::recovery::{execute_resilient, ResilienceSpec};
 use hetero_hpc::run::{execute, Fidelity, RunOutcome, RunRequest};
+use hetero_hpc::scenarios::ScenarioOptions;
 use hetero_platform::catalog;
 use hetero_simmpi::EngineKind;
 use hetero_trace::TraceSpec;
@@ -189,6 +192,71 @@ fn seed_sweep_builds_one_scenario_and_hits_thereafter() {
     let (builds1, hits1, _) = prep::cache_stats();
     assert_eq!(builds1 - builds0, 1, "one build for the whole sweep");
     assert_eq!(hits1 - hits0, 3, "every later seed reuses it");
+}
+
+/// A modeled sweep wider than the scenario cache (10 rungs against its
+/// bound of 8), `ranks` outermost as every checked-in plan declares it,
+/// meets each scenario in one contiguous run: one build per rung, a hit
+/// for each of its other platforms, and the outcomes of the off lane.
+#[test]
+fn ranks_outer_sweep_wider_than_the_cache_builds_each_rung_once() {
+    let _g = lock();
+    let opts = ScenarioOptions::paper();
+    let platforms = catalog::all_platforms();
+    let sweep = || {
+        let mut outcomes = Vec::new();
+        for ranks in opts.ladder() {
+            for platform in &platforms {
+                let req = opts.request(platform, App::paper_rd(opts.steps), ranks);
+                outcomes.push(match execute(&req) {
+                    Ok(out) => json(out),
+                    Err(limit) => format!("{limit:?}"),
+                });
+            }
+        }
+        outcomes
+    };
+    let fresh = {
+        let _off = prep::disable_sharing_scoped();
+        sweep()
+    };
+    prep::clear_cache();
+    let (builds0, hits0, _) = prep::cache_stats();
+    let shared = sweep();
+    let (builds1, hits1, _) = prep::cache_stats();
+    assert_eq!(shared, fresh);
+    let rungs = opts.ladder().len() as u64;
+    assert_eq!(builds1 - builds0, rungs, "one build per rung");
+    assert_eq!(hits1 - hits0, rungs * (platforms.len() as u64 - 1));
+}
+
+/// A checkpoint-cadence sweep at one rung replays each seed's failure-free
+/// profile once: every later cadence of that seed hits the memo, and the
+/// campaigns are those of the off lane.
+#[test]
+fn cadence_sweep_computes_each_seeds_profile_once() {
+    let _g = lock();
+    let opts = ScenarioOptions::paper();
+    let ec2 = catalog::ec2();
+    let cadences = [1, 2, 4, 8];
+    let campaign = |seed: u64, cadence: usize| {
+        let req = RunRequest {
+            seed,
+            resilience: Some(ResilienceSpec::spot_with_restart(&ec2, 1.0, cadence, 8)),
+            ..opts.request(&ec2, App::paper_rd(opts.steps), 64)
+        };
+        format!("{:?}", execute_resilient(&req).unwrap())
+    };
+    prep::clear_cache();
+    for seed in [2012, 7919, 31] {
+        let (_, _, before) = prep::cache_stats();
+        let shared: Vec<String> = cadences.iter().map(|&c| campaign(seed, c)).collect();
+        let (_, _, after) = prep::cache_stats();
+        assert_eq!(after - before, cadences.len() as u64 - 1, "seed {seed}");
+        let _off = prep::disable_sharing_scoped();
+        let fresh: Vec<String> = cadences.iter().map(|&c| campaign(seed, c)).collect();
+        assert_eq!(shared, fresh, "seed {seed}");
+    }
 }
 
 /// With sharing disabled nothing is built, looked up, recorded, or counted.

@@ -101,6 +101,11 @@ fn concurrent_submit_storm_executes_each_unique_key_once() {
     // cache hit or coalesced onto the in-flight execution.
     let m = serve.metrics();
     assert_eq!(m.counter("serve.batch.jobs"), UNIQUE as f64, "executions");
+    assert_eq!(
+        m.counter("serve.batch.executions"),
+        UNIQUE as f64,
+        "every claim is one job"
+    );
     assert_eq!(m.counter("serve.jobs.submitted"), (THREADS * UNIQUE) as f64);
     assert_eq!(
         m.counter("serve.cache.hits") + m.counter("serve.dedup.coalesced"),
@@ -294,13 +299,12 @@ fn an_artifact_written_by_the_parent_commit_is_a_hit() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Jobs differing only in the solver-variant override are
-/// adjacent in the queue but must not be treated as interchangeable by
-/// the claim-grouping worker (the shape pin itself lives in the
-/// `batch_shape` unit tests): every override still computes its own
-/// report, byte-identical to a fresh direct execution.
+/// Jobs differing only in the solver-variant override share a prepared
+/// scenario (the `hetero-prep/key/v1` key leaves the override out) but not
+/// a result: every override still computes its own report, byte-identical
+/// to a fresh direct execution.
 #[test]
-fn operator_path_overrides_stay_distinct_through_batching() {
+fn solver_variant_overrides_stay_distinct() {
     use hetero_linalg::SolverVariant;
 
     let dir = tdir("overrides");

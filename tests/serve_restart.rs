@@ -109,8 +109,7 @@ fn kill_and_restart_loses_nothing_and_repeats_nothing() {
     let reqs: Vec<RunRequest> = (60..63).map(rd_req).collect();
 
     let submitted: Vec<u64> = {
-        let serve =
-            ServeHandle::open(ServeConfig::new(&dir).with_workers(1).with_batch_max(1)).unwrap();
+        let serve = ServeHandle::open(ServeConfig::new(&dir).with_workers(1)).unwrap();
         let ids = reqs.iter().map(|r| serve.submit(r).unwrap()).collect();
         // Kill immediately: the worker may be anywhere from "not started"
         // to "all three done". Every window must recover.
@@ -157,8 +156,7 @@ fn double_crash_still_converges() {
     let dir = tdir("double");
     let reqs: Vec<RunRequest> = (70..74).map(rd_req).collect();
     {
-        let serve =
-            ServeHandle::open(ServeConfig::new(&dir).with_workers(1).with_batch_max(1)).unwrap();
+        let serve = ServeHandle::open(ServeConfig::new(&dir).with_workers(1)).unwrap();
         for r in &reqs {
             serve.submit(r).unwrap();
         }
@@ -166,7 +164,7 @@ fn double_crash_still_converges() {
     }
     {
         // Second session crashes too, immediately.
-        ServeHandle::open(ServeConfig::new(&dir).with_workers(1).with_batch_max(1))
+        ServeHandle::open(ServeConfig::new(&dir).with_workers(1))
             .unwrap()
             .kill();
     }
