@@ -1,10 +1,11 @@
 //! Prepared-scenario sharing through the plan executor: every report of
 //! the checked-in smoke plans must be byte-identical with sharing on or
-//! off, at one worker or four. The executor resolves every instance's
-//! `hetero-prep/key/v1` key up front and hands same-key instances one
-//! shared [`hetero_hpc::PreparedScenario`]; these tests are the proof
-//! that the sharing — and the worker-pool scheduling around it — never
-//! reaches the bytes. The core-level battery is `tests/prep_sharing.rs`.
+//! off, at one worker or four. Each instance the executor runs gets its
+//! [`hetero_hpc::PreparedScenario`] from the process-wide cache, keyed by
+//! `hetero-prep/key/v1`, so same-key instances share one; these tests are
+//! the proof that the sharing — and the worker-pool scheduling around it —
+//! never reaches the bytes. The core-level battery is
+//! `tests/prep_sharing.rs`.
 
 use hetero_hpc::prep;
 use hetero_plan::exec::{execute_plan, ExecOptions, PlanOutcome};

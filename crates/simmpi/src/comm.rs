@@ -4,6 +4,7 @@
 use crate::engine::SpmdConfig;
 use crate::fault::{FaultPanic, FaultPlan, RankFailed};
 use crate::network::{MsgContext, NetworkModel};
+use crate::rendezvous::{Arrival, Fate, Kind, Rendezvous, Yield};
 use crate::stats::CommStats;
 use crate::tape::{Op, RankTape, Recorder, TapeSlots};
 use crate::topology::ClusterTopology;
@@ -206,6 +207,9 @@ pub(crate) struct JobModel {
     pub(crate) compute: ComputeModel,
     pub(crate) seed: u64,
     pub(crate) nodes_active: usize,
+    /// `net.fabric_contention(nodes_active)`, which every inter-node
+    /// transfer of the job multiplies by.
+    contention: f64,
     pub(crate) faults: FaultPlan,
 }
 
@@ -228,6 +232,7 @@ impl JobModel {
         JobModel {
             size,
             topo,
+            contention: net.fabric_contention(nodes_active),
             net,
             compute,
             seed,
@@ -262,20 +267,21 @@ impl JobModel {
         depart: f64,
     ) -> Transfer {
         let topo = &self.topo;
+        let (src_node, dst_node) = (topo.node_of_rank(src), topo.node_of_rank(dst));
         // Both endpoints' NICs are shared by their node-mates; the busier
         // side bounds the transfer.
         let sharers = topo
-            .ranks_on_node(topo.node_of_rank(src), self.size)
-            .max(topo.ranks_on_node(topo.node_of_rank(dst), self.size));
+            .ranks_on_node(src_node, self.size)
+            .max(topo.ranks_on_node(dst_node, self.size));
         let ctx = MsgContext {
             bytes: modeled_bytes,
-            same_node: topo.same_node(src, dst),
-            same_group: topo.same_group(src, dst),
+            same_node: src_node == dst_node,
+            same_group: topo.group_of_node(src_node) == topo.group_of_node(dst_node),
             nic_sharers: sharers,
             nodes_active: self.nodes_active,
             jitter_key: (self.seed, src as u64, dst as u64, seq),
         };
-        let (latency, drain) = self.net.transfer_cost(ctx);
+        let (latency, drain) = self.net.transfer_cost_under(ctx, self.contention);
         // Transient degradation windows stretch the wire portion of the
         // transfer; keyed to the deterministic departure time so both ends
         // of the exchange agree on whether the window applied.
@@ -331,6 +337,8 @@ pub(crate) struct SharedComm {
     /// rank then holds no recorder at all.
     pub(crate) tapes: Option<TapeSlots>,
     mailboxes: Vec<Mailbox>,
+    /// Where the symmetric collectives meet (see [`crate::rendezvous`]).
+    pub(crate) rendezvous: Rendezvous,
     /// One flag per rank, raised when that rank has exited (clean return,
     /// injected fault, or panic). A receiver blocked on a message unwinds
     /// only once its *sender* is gone — a virtual-time-determined
@@ -351,17 +359,20 @@ impl SharedComm {
         let model = JobModel::new(config, faults);
         let mailboxes = (0..model.size).map(|_| Mailbox::default()).collect();
         let terminated = (0..model.size).map(|_| AtomicBool::new(false)).collect();
+        let rendezvous = Rendezvous::new();
         Arc::new(SharedComm {
             model,
             trace,
             coop,
             tapes,
             mailboxes,
+            rendezvous,
             terminated,
         })
     }
 
-    /// Records that `rank`'s thread has exited (for any reason) and wakes
+    /// Records that `rank`'s thread has exited (for any reason), completes
+    /// an open collective it was the last rank missing from, and wakes
     /// every blocked receiver so those waiting on this rank can re-check.
     /// All of the rank's sends happen-before this store, so a receiver that
     /// observes the flag and still finds its queue empty knows the message
@@ -370,18 +381,21 @@ impl SharedComm {
     /// scheduler wake (see [`Self::mark_terminated_quiet`]).
     pub(crate) fn mark_terminated(&self, rank: usize) {
         self.terminated[rank].store(true, Ordering::SeqCst);
+        self.rank_gone();
         for m in &self.mailboxes {
             let _guard = m.lock();
             m.cv.notify_all();
         }
     }
 
-    /// Raises `rank`'s termination flag without any condvar traffic. The
+    /// Raises `rank`'s termination flag (completing an open collective it
+    /// was the last rank missing from) without any condvar traffic. The
     /// cooperative worker calls this *before* waking the dead rank's
     /// waiters through the scheduler, so a woken receiver that still finds
     /// its queue empty can safely conclude the message will never come.
     pub(crate) fn mark_terminated_quiet(&self, rank: usize) {
         self.terminated[rank].store(true, Ordering::SeqCst);
+        self.rank_gone();
     }
 
     pub(crate) fn rank_terminated(&self, rank: usize) -> bool {
@@ -398,57 +412,35 @@ impl SharedComm {
     }
 }
 
-/// One rank's handle on the simulated job: point-to-point messaging, virtual
-/// clock, and work accounting. Not shareable across threads; each rank owns
-/// exactly one.
-pub struct SimComm {
-    rank: usize,
-    shared: Arc<SharedComm>,
-    clock: f64,
+/// The half of one rank's communicator that charges move: its virtual
+/// clock, counters, per-destination sequence numbers, tracer and work-tape
+/// recorder.
+///
+/// A rank's own sends, receives and computes charge it through the methods
+/// below. While the rank is parked in a collective it lends its ledger to
+/// the rendezvous, whose evaluator charges the collective's hops to it
+/// through the same methods, so a hop costs, counts, records and traces
+/// exactly what a message of the rank's own would.
+#[derive(Default)]
+pub(crate) struct Ledger {
+    pub(crate) clock: f64,
+    pub(crate) stats: CommStats,
     /// Per-destination sequence counters, allocated on first use: a rank
     /// typically talks to O(1) neighbours, and a dense `Vec` would cost
     /// O(size²) across the job (ruinous at 10⁴–10⁵ ranks). Read and bumped
     /// on every send, hence a [`PeerMap`] and not a hash map.
     send_seq: PeerMap<u64>,
-    stats: CommStats,
-    pub(crate) coll_epoch: u64,
-    /// This rank's topology node and its scheduled death time (cached from
-    /// the shared fault plan; `INFINITY` means the node survives).
-    node: usize,
-    down_at: f64,
     /// Trace recording handle; `None` when tracing is disabled, so the
-    /// disabled fast path is a single `Option` discriminant test.
-    tracer: Option<RankTracer>,
+    /// disabled fast path is a single `Option` discriminant test. Boxed,
+    /// like the recorder, so lending the ledger moves a few words.
+    tracer: Option<Box<RankTracer>>,
     /// Work-tape recorder; like the tracer, `None` unless the job records,
     /// and dropped for good once this rank outgrows its share.
-    tape: Option<Recorder>,
+    tape: Option<Box<Recorder>>,
 }
 
-impl SimComm {
-    pub(crate) fn new(rank: usize, shared: Arc<SharedComm>) -> Self {
-        assert!(rank < shared.model.size);
-        let node = shared.model.topo.node_of_rank(rank);
-        let down_at = shared.model.faults.down_time(node);
-        let tracer = shared
-            .trace
-            .as_ref()
-            .map(|sink| RankTracer::new(rank as u32, sink.clone()));
-        let tape = shared.tapes.as_ref().map(TapeSlots::recorder);
-        SimComm {
-            rank,
-            shared,
-            clock: 0.0,
-            send_seq: PeerMap::default(),
-            stats: CommStats::default(),
-            coll_epoch: 0,
-            node,
-            down_at,
-            tracer,
-            tape,
-        }
-    }
-
-    /// Appends `op` to this rank's work tape, if it records one. A rank
+impl Ledger {
+    /// Appends `op` to the rank's work tape, if it records one. A rank
     /// that outgrows its share gives up: the job then keeps no tape.
     #[inline]
     fn record(&mut self, op: Op) {
@@ -459,11 +451,169 @@ impl SimComm {
         }
     }
 
+    /// Charges the roofline time of `work`.
+    pub(crate) fn compute(&mut self, model: &JobModel, work: Work) {
+        let dt = model.compute_cost(work);
+        self.clock += dt;
+        self.stats.flops += work.flops;
+        self.stats.mem_bytes += work.bytes;
+        self.stats.compute_time += dt;
+        if let Some(t) = self.tape.as_mut() {
+            if !t.compute(work) {
+                self.tape = None;
+            }
+        }
+    }
+
+    /// Charges a send of `modeled_bytes` to `dst` and returns the message's
+    /// per-pair sequence number. The clock after it is the message's
+    /// departure time.
+    pub(crate) fn send(&mut self, model: &JobModel, dst: usize, modeled_bytes: f64) -> u64 {
+        let counter = self.send_seq.get_or_default(dst);
+        let seq = *counter;
+        *counter += 1;
+        let cost = model.send_cost(modeled_bytes);
+        self.clock += cost;
+        self.stats.comm_time += cost;
+        self.stats.msgs_sent += 1;
+        self.stats.bytes_sent += modeled_bytes;
+        self.record(Op::Send {
+            dst: dst as u32,
+            bytes: modeled_bytes,
+        });
+        if self.trace_detail() == Some(TraceDetail::Messages) {
+            self.trace_instant(EventKind::SendMsg {
+                peer: dst as u32,
+                bytes: modeled_bytes,
+            });
+        }
+        seq
+    }
+
+    /// Charges rank `me`'s blocking receive of the `seq`-th message from
+    /// `src`: `modeled_bytes` that departed at `depart`. (A sequence number
+    /// past `u32` means the sender recorded more sends than any share
+    /// holds, so the job keeps no tape and the truncation is never read.)
+    pub(crate) fn recv(
+        &mut self,
+        model: &JobModel,
+        me: usize,
+        src: usize,
+        seq: u64,
+        modeled_bytes: f64,
+        depart: f64,
+    ) {
+        let before = self.clock;
+        self.clock = model
+            .transfer(src, me, seq, modeled_bytes, depart)
+            .recv(self.clock, depart);
+        self.stats.comm_time += self.clock - before;
+        self.stats.msgs_received += 1;
+        self.stats.bytes_received += modeled_bytes;
+        self.record(Op::Recv {
+            src: src as u32,
+            seq: seq as u32,
+        });
+        if self.trace_detail() == Some(TraceDetail::Messages) {
+            self.trace_span(
+                before,
+                EventKind::RecvMsg {
+                    peer: src as u32,
+                    bytes: modeled_bytes,
+                },
+            );
+        }
+    }
+
+    #[inline]
+    fn trace_detail(&self) -> Option<TraceDetail> {
+        self.tracer.as_ref().map(|t| t.detail())
+    }
+
+    #[inline]
+    fn trace_span(&mut self, start: f64, kind: EventKind) {
+        if let Some(t) = self.tracer.as_mut() {
+            let dur = self.clock - start;
+            t.record(start, dur, kind);
+        }
+    }
+
+    #[inline]
+    fn trace_instant(&mut self, kind: EventKind) {
+        if let Some(t) = self.tracer.as_mut() {
+            t.record(self.clock, 0.0, kind);
+        }
+    }
+
+    /// Records a collective span if the detail level covers collectives.
+    /// `start_clock`/`start_bytes` are the clock and `bytes_sent` counter
+    /// captured on entry to the operation.
+    #[inline]
+    pub(crate) fn trace_collective(
+        &mut self,
+        op: &'static str,
+        start_clock: f64,
+        start_bytes: f64,
+    ) {
+        if let Some(t) = self.tracer.as_mut() {
+            if t.detail() >= TraceDetail::Collectives {
+                let bytes = self.stats.bytes_sent - start_bytes;
+                let dur = self.clock - start_clock;
+                t.record(start_clock, dur, EventKind::Collective { op, bytes });
+            }
+        }
+    }
+
+    /// Drains the staging buffer into the shared sink.
+    pub(crate) fn flush_trace(&mut self) {
+        if let Some(t) = self.tracer.as_mut() {
+            t.flush();
+        }
+    }
+}
+
+/// One rank's handle on the simulated job: point-to-point messaging, virtual
+/// clock, and work accounting. Not shareable across threads; each rank owns
+/// exactly one.
+pub struct SimComm {
+    rank: usize,
+    shared: Arc<SharedComm>,
+    ledger: Ledger,
+    coll_epoch: u64,
+    /// This rank's topology node and its scheduled death time (cached from
+    /// the shared fault plan; `INFINITY` means the node survives).
+    node: usize,
+    down_at: f64,
+}
+
+impl SimComm {
+    pub(crate) fn new(rank: usize, shared: Arc<SharedComm>) -> Self {
+        assert!(rank < shared.model.size);
+        let node = shared.model.topo.node_of_rank(rank);
+        let down_at = shared.model.faults.down_time(node);
+        let ledger = Ledger {
+            tracer: shared
+                .trace
+                .as_ref()
+                .map(|sink| Box::new(RankTracer::new(rank as u32, sink.clone()))),
+            tape: shared.tapes.as_ref().map(|t| Box::new(t.recorder())),
+            ..Ledger::default()
+        };
+        SimComm {
+            rank,
+            shared,
+            ledger,
+            coll_epoch: 0,
+            node,
+            down_at,
+        }
+    }
+
     /// Hands this rank's finished work tape to the job. Called by the
     /// engine once the rank body has returned.
     pub(crate) fn finish_tape(&mut self) {
-        if let (Some(t), Some(slots)) = (self.tape.take(), &self.shared.tapes) {
-            slots.store(self.rank, RankTape::from(t));
+        if let (Some(t), Some(slots)) = (self.ledger.tape.take(), &self.shared.tapes) {
+            slots.store(self.rank, RankTape::from(*t));
         }
     }
 
@@ -474,7 +624,7 @@ impl SimComm {
     /// clock itself is deterministic.
     #[inline]
     pub(crate) fn maybe_fail(&self) {
-        if self.clock >= self.down_at {
+        if self.ledger.clock >= self.down_at {
             std::panic::panic_any(FaultPanic(RankFailed {
                 node: self.node,
                 at: self.down_at,
@@ -497,7 +647,7 @@ impl SimComm {
     /// Current virtual time in seconds.
     #[inline]
     pub fn clock(&self) -> f64 {
-        self.clock
+        self.ledger.clock
     }
 
     /// The current virtual time, read as a phase boundary: the one clock
@@ -506,14 +656,14 @@ impl SimComm {
     /// a run priced from its tape to report them.
     #[inline]
     pub fn phase_mark(&mut self) -> f64 {
-        self.record(Op::Mark);
-        self.clock
+        self.ledger.record(Op::Mark);
+        self.ledger.clock
     }
 
     /// Accumulated counters.
     #[inline]
     pub fn stats(&self) -> &CommStats {
-        &self.stats
+        &self.ledger.stats
     }
 
     /// The cluster topology this job runs on.
@@ -543,16 +693,7 @@ impl SimComm {
     /// Advances the virtual clock by the roofline time of `work` and records
     /// the counters. This is how application kernels charge their cost.
     pub fn compute(&mut self, work: Work) {
-        let dt = self.shared.model.compute_cost(work);
-        self.clock += dt;
-        self.stats.flops += work.flops;
-        self.stats.mem_bytes += work.bytes;
-        self.stats.compute_time += dt;
-        if let Some(t) = self.tape.as_mut() {
-            if !t.compute(work) {
-                self.tape = None;
-            }
-        }
+        self.ledger.compute(&self.shared.model, work);
         self.maybe_fail();
     }
 
@@ -561,11 +702,11 @@ impl SimComm {
     /// tape has no such charge, so a recording rank gives up its tape.
     pub fn advance(&mut self, seconds: f64) {
         assert!(seconds >= 0.0, "cannot rewind the clock");
-        if let Some(t) = self.tape.take() {
+        if let Some(t) = self.ledger.tape.take() {
             t.abandon();
         }
-        self.clock += seconds;
-        self.stats.other_time += seconds;
+        self.ledger.clock += seconds;
+        self.ledger.stats.other_time += seconds;
         self.maybe_fail();
     }
 
@@ -592,34 +733,15 @@ impl SimComm {
             dst < self.shared.model.size,
             "destination rank out of range"
         );
-        let counter = self.send_seq.get_or_default(dst);
-        let seq = *counter;
-        *counter += 1;
-
         // A dead sender must not enqueue: the message would teleport data
         // off a lost node. Check before the clock moves past the send.
         self.maybe_fail();
-
-        let cost = self.shared.model.send_cost(modeled_bytes);
-        self.clock += cost;
-        self.stats.comm_time += cost;
-        self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += modeled_bytes;
-        self.record(Op::Send {
-            dst: dst as u32,
-            bytes: modeled_bytes,
-        });
-        if self.trace_detail() == Some(TraceDetail::Messages) {
-            self.trace_instant(EventKind::SendMsg {
-                peer: dst as u32,
-                bytes: modeled_bytes,
-            });
-        }
+        let seq = self.ledger.send(&self.shared.model, dst, modeled_bytes);
 
         let env = Envelope {
             payload,
             modeled_bytes,
-            depart: self.clock,
+            depart: self.ledger.clock,
             seq,
             src: self.rank,
             tag,
@@ -677,7 +799,7 @@ impl SimComm {
             }
             // Lock released before yielding; the worker-side registration
             // re-check closes the window between the look and the park.
-            match crate::sched::yield_blocked(src, tag, self.clock) {
+            match crate::sched::yield_blocked(src, tag, self.ledger.clock) {
                 crate::sched::Verdict::Retry => continue,
                 crate::sched::Verdict::Deadlock => panic!(
                     "job poisoned: deadlock victim rank {} blocked on recv({src}, {tag})",
@@ -720,27 +842,6 @@ impl SimComm {
         }
     }
 
-    /// Prices the transfer of a delivered envelope.
-    fn transfer(&self, env: &Envelope) -> Transfer {
-        self.shared
-            .model
-            .transfer(env.src, self.rank, env.seq, env.modeled_bytes, env.depart)
-    }
-
-    /// The tape op of receiving `env`: its source and per-pair sequence
-    /// number name the matched send; `post` is the index of the posted
-    /// receive it completes, if any. (A sequence number past `u32` means
-    /// the sender recorded more sends than any share holds, so the job
-    /// keeps no tape and the truncation is never read.)
-    #[inline]
-    fn record_delivery(&mut self, env: &Envelope, post: Option<u32>) {
-        let (src, seq) = (env.src as u32, env.seq as u32);
-        self.record(match post {
-            None => Op::Recv { src, seq },
-            Some(post) => Op::Wait { src, seq, post },
-        });
-    }
-
     /// Receives the next message from `src` with `tag`, blocking the host
     /// thread until it arrives. The virtual clock advances to the message's
     /// modeled arrival time (if later than now) plus a receive overhead.
@@ -751,22 +852,14 @@ impl SimComm {
         self.maybe_fail();
         let env = self.block_for_envelope(src, tag);
         debug_assert_eq!(env.src, src);
-
-        let before = self.clock;
-        self.clock = self.transfer(&env).recv(self.clock, env.depart);
-        self.stats.comm_time += self.clock - before;
-        self.stats.msgs_received += 1;
-        self.stats.bytes_received += env.modeled_bytes;
-        self.record_delivery(&env, None);
-        if self.trace_detail() == Some(TraceDetail::Messages) {
-            self.trace_span(
-                before,
-                EventKind::RecvMsg {
-                    peer: src as u32,
-                    bytes: env.modeled_bytes,
-                },
-            );
-        }
+        self.ledger.recv(
+            &self.shared.model,
+            self.rank,
+            src,
+            env.seq,
+            env.modeled_bytes,
+            env.depart,
+        );
         self.maybe_fail();
         env.payload
     }
@@ -813,12 +906,12 @@ impl SimComm {
     pub fn irecv(&mut self, src: usize, tag: u64) -> RecvRequest {
         assert!(src < self.shared.model.size, "source rank out of range");
         self.maybe_fail();
-        let post = self.tape.as_ref().map_or(0, Recorder::posts);
-        self.record(Op::Post);
+        let post = self.ledger.tape.as_ref().map_or(0, |t| t.posts());
+        self.ledger.record(Op::Post);
         RecvRequest {
             src,
             tag,
-            posted: self.clock,
+            posted: self.ledger.clock,
             post,
         }
     }
@@ -858,10 +951,19 @@ impl SimComm {
         for req in reqs {
             let env = self.block_for_envelope(req.src, req.tag);
             debug_assert_eq!(env.src, req.src);
-            let before = self.clock;
+            let ledger = &mut self.ledger;
+            let before = ledger.clock;
             let avail;
-            (self.clock, avail) = self.transfer(&env).wait(self.clock, req.posted, env.depart);
-            self.record_delivery(&env, Some(req.post));
+            (ledger.clock, avail) = self
+                .shared
+                .model
+                .transfer(env.src, self.rank, env.seq, env.modeled_bytes, env.depart)
+                .wait(before, req.posted, env.depart);
+            ledger.record(Op::Wait {
+                src: env.src as u32,
+                seq: env.seq as u32,
+                post: req.post,
+            });
             // Wire time from departure to full arrival, split into the part
             // that stalled the waiter (exposed) and the part that ran under
             // compute or earlier waits (hidden).
@@ -869,11 +971,11 @@ impl SimComm {
             let stall = (avail - before).max(0.0);
             exposed += stall;
             hidden += (wire - stall).max(0.0);
-            self.stats.comm_time += self.clock - before;
-            self.stats.msgs_received += 1;
-            self.stats.bytes_received += env.modeled_bytes;
-            if self.trace_detail() == Some(TraceDetail::Messages) {
-                self.trace_span(
+            ledger.stats.comm_time += ledger.clock - before;
+            ledger.stats.msgs_received += 1;
+            ledger.stats.bytes_received += env.modeled_bytes;
+            if ledger.trace_detail() == Some(TraceDetail::Messages) {
+                ledger.trace_span(
                     before,
                     EventKind::RecvMsg {
                         peer: req.src as u32,
@@ -904,40 +1006,55 @@ impl SimComm {
         e
     }
 
+    /// Enters the symmetric collective `kind` with `data`: lends this
+    /// rank's ledger to the job's rendezvous until the collective has been
+    /// evaluated, then leaves with its result, or with the fault or poison
+    /// the collective's hops met (see [`crate::rendezvous`]).
+    pub(crate) fn join_collective(&mut self, kind: Kind, data: Payload) -> Yield {
+        let epoch = self.coll_epoch;
+        self.coll_epoch += kind.epochs(self.size());
+        let arrival = Arrival {
+            kind,
+            epoch,
+            data,
+            ledger: std::mem::take(&mut self.ledger),
+        };
+        let release = self.shared.rendezvous(self.rank, arrival);
+        self.ledger = release.ledger;
+        match release.outcome {
+            Ok(out) => out,
+            Err(Fate::Fault(failed)) => std::panic::panic_any(FaultPanic(failed)),
+            Err(Fate::Panic(msg)) => panic!("{msg}"),
+        }
+    }
+
     /// Whether a trace sink is attached to this run.
     #[inline]
     pub fn trace_enabled(&self) -> bool {
-        self.tracer.is_some()
+        self.ledger.tracer.is_some()
     }
 
     /// Recording granularity, when tracing is enabled.
     #[inline]
     pub fn trace_detail(&self) -> Option<TraceDetail> {
-        self.tracer.as_ref().map(RankTracer::detail)
+        self.ledger.trace_detail()
     }
 
     /// Records a span from virtual time `start` to the current clock.
     /// No-op (one branch) when tracing is disabled.
     #[inline]
     pub fn trace_span(&mut self, start: f64, kind: EventKind) {
-        if let Some(t) = self.tracer.as_mut() {
-            let dur = self.clock - start;
-            t.record(start, dur, kind);
-        }
+        self.ledger.trace_span(start, kind);
     }
 
     /// Records an instant event at the current clock. No-op (one branch)
     /// when tracing is disabled.
     #[inline]
     pub fn trace_instant(&mut self, kind: EventKind) {
-        if let Some(t) = self.tracer.as_mut() {
-            t.record(self.clock, 0.0, kind);
-        }
+        self.ledger.trace_instant(kind);
     }
 
-    /// Records a collective span if the detail level covers collectives.
-    /// `start_clock`/`start_bytes` are the clock and `bytes_sent` counter
-    /// captured on entry to the operation.
+    /// Records a collective span; see [`Ledger::trace_collective`].
     #[inline]
     pub(crate) fn trace_collective(
         &mut self,
@@ -945,22 +1062,15 @@ impl SimComm {
         start_clock: f64,
         start_bytes: f64,
     ) {
-        if let Some(t) = self.tracer.as_mut() {
-            if t.detail() >= TraceDetail::Collectives {
-                let bytes = self.stats.bytes_sent - start_bytes;
-                let dur = self.clock - start_clock;
-                t.record(start_clock, dur, EventKind::Collective { op, bytes });
-            }
-        }
+        self.ledger.trace_collective(op, start_clock, start_bytes);
     }
 
-    /// Drains this rank's staging buffer into the shared sink. Called at
-    /// barriers; the buffer also drains on overflow and when the rank's
+    /// Drains this rank's staging buffer into the shared sink, as the
+    /// barrier does; the buffer also drains on overflow and when the rank's
     /// communicator is dropped (normal exit *and* fault/poison unwinds).
+    #[cfg(test)]
     pub(crate) fn flush_trace(&mut self) {
-        if let Some(t) = self.tracer.as_mut() {
-            t.flush();
-        }
+        self.ledger.flush_trace();
     }
 }
 
@@ -1050,12 +1160,12 @@ mod tests {
 
     #[test]
     fn distinct_collective_tags_reuse_one_lane() {
-        // Every barrier draws a fresh collective tag; on two ranks each one
-        // is a single message from the one peer. The mailbox must not keep
-        // anything per tag.
+        // Every broadcast draws a fresh collective tag; on two ranks each
+        // one is a single message from the one peer. The mailbox must not
+        // keep anything per tag.
         let results = run_spmd(cfg(2), |comm| {
-            for _ in 0..10_000 {
-                comm.barrier();
+            for i in 0..10_000 {
+                comm.bcast(i % 2, Vec::new());
             }
             lane_shape(comm)
         });

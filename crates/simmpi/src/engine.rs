@@ -317,7 +317,7 @@ where
 
 /// Every entry point's engine dispatch. `tape_bytes` is the job's
 /// work-tape budget; `None` records nothing.
-fn run_spmd_inner<T, F>(
+pub(crate) fn run_spmd_inner<T, F>(
     config: SpmdConfig,
     opts: EngineOpts,
     faults: FaultPlan,

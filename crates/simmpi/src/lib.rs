@@ -20,9 +20,12 @@
 //!   ([`work::ComputeModel`]); messages advance it through a latency /
 //!   bandwidth / NIC-sharing / fabric-contention / jitter model
 //!   ([`network::NetworkModel`]).
-//! * Collectives ([`collectives`]) are built from modeled point-to-point
-//!   messages (binomial trees, dissemination barrier), so their cost emerges
-//!   from the same network parameters the paper varies.
+//! * Collectives ([`collectives`]) are priced as modeled point-to-point
+//!   messages (binomial trees, dissemination barrier, ring), so their cost
+//!   emerges from the same network parameters the paper varies. The
+//!   symmetric ones (allreduce, barrier, all-gather) run as one rendezvous
+//!   per call: the ranks park, and one evaluator charges every hop of the
+//!   tree to them exactly as the messages would have.
 //!
 //! Simulated time is **deterministic**: it depends only on the program's
 //! communication structure, the platform parameters, and an experiment seed
@@ -51,6 +54,7 @@ pub mod engine;
 pub mod fault;
 pub mod modeled;
 pub mod network;
+mod rendezvous;
 pub mod rng;
 pub(crate) mod sched;
 pub mod stats;

@@ -86,6 +86,14 @@ impl NetworkModel {
     /// retransmits) at least as much as throughput loss — the mechanism
     /// behind the steep large-scale degradation in the paper's Figures 4/5.
     pub fn transfer_cost(&self, ctx: MsgContext) -> (f64, f64) {
+        self.transfer_cost_under(ctx, self.fabric_contention(ctx.nodes_active))
+    }
+
+    /// [`Self::transfer_cost`] with the fabric contention of
+    /// `ctx.nodes_active` already worked out, for a caller that prices many
+    /// messages of one job.
+    #[inline]
+    pub(crate) fn transfer_cost_under(&self, ctx: MsgContext, contention: f64) -> (f64, f64) {
         if ctx.same_node {
             return (self.latency_intra, ctx.bytes / self.intra_bw);
         }
@@ -99,8 +107,7 @@ impl NetworkModel {
             bw *= self.cross_group_bw_mult;
         }
         let (seed, src, dst, seq) = ctx.jitter_key;
-        let scale = self.fabric_contention(ctx.nodes_active)
-            * jitter_factor(seed, src, dst, seq, self.jitter_sigma);
+        let scale = contention * jitter_factor(seed, src, dst, seq, self.jitter_sigma);
         (lat * scale, ctx.bytes / bw * scale)
     }
 

@@ -5,8 +5,9 @@
 //! register context.
 //! Workers pull ranks off a run queue ordered by the minimum
 //! `(virtual_time, rank)` key and resume them with a context switch; a rank
-//! runs until it blocks in `recv`/`wait_all` (the only points where the
-//! virtual clock must wait for a peer), then switches back to the worker.
+//! runs until it blocks in `recv`/`wait_all` or parks in a symmetric
+//! collective (the only points where the virtual clock must wait for a
+//! peer), then switches back to the worker.
 //!
 //! # Yield protocol (how the lost-wakeup race is impossible)
 //!
@@ -20,6 +21,12 @@
 //! happen under the one mutex, and the registration re-checks the mailbox,
 //! no message can slip between "queue was empty" and "now I'm asleep".
 //!
+//! A rank entering a collective that others have yet to reach parks the
+//! same way (`Pending::Park`): the registration re-checks the collective's
+//! number against the rendezvous generation, and the rank that completes
+//! the collective advances the generation before it wakes the `Parked`
+//! ranks under one lock (see `crate::rendezvous`).
+//!
 //! # Determinism
 //!
 //! Results never depend on scheduling order in the first place: virtual
@@ -32,8 +39,8 @@
 //!
 //! # Deadlock
 //!
-//! A cyclic wait (every unfinished rank blocked, nothing runnable or
-//! running) is *detected structurally*: the last worker to register a block
+//! A cyclic wait (every unfinished rank blocked or parked, nothing runnable
+//! or running) is *detected structurally*: the last worker to register a block
 //! observes the condition, records a deterministic report naming the
 //! blocked ranks in rank order, and resumes every blocked rank with
 //! [`Verdict::Deadlock`]. Each victim unwinds through the normal poison
@@ -58,6 +65,13 @@ enum Pending {
     /// Sleep until a message from `(src, tag)` can be received (subject to
     /// the worker's registration re-check).
     Block { src: usize, tag: u64, clock: f64 },
+    /// Sleep until the collective `op` the rank entered is evaluated
+    /// (subject to the worker's registration re-check).
+    Park {
+        op: &'static str,
+        clock: f64,
+        generation: u64,
+    },
     /// The task's body returned (or unwound and was caught); never resumed.
     Finished,
 }
@@ -65,7 +79,8 @@ enum Pending {
 /// Why a blocked task was resumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Verdict {
-    /// Re-check the mailbox: a message arrived or the sender terminated.
+    /// Re-check the mailbox (a message arrived or the sender terminated),
+    /// or the rendezvous (the collective was evaluated).
     Retry,
     /// The job is deadlocked; unwind via the poison path.
     Deadlock,
@@ -80,6 +95,13 @@ enum Status {
     Running,
     /// Asleep waiting on `(src, tag)`; `key` is the frozen clock sort key.
     Blocked { src: usize, tag: u64, key: u64 },
+    /// Asleep in the collective `op`, the job's collective number
+    /// `generation`, until it is evaluated.
+    Parked {
+        op: &'static str,
+        key: u64,
+        generation: u64,
+    },
     /// Done; will never run again.
     Finished,
 }
@@ -210,6 +232,21 @@ unsafe extern "C" fn hetero_simmpi_task_entry(ctl: *mut TaskCtl) -> ! {
 /// Task-side block: parks the current coroutine until the scheduler wakes
 /// it, returning why. Must be called with no mailbox lock held.
 pub(crate) fn yield_blocked(src: usize, tag: u64, clock: f64) -> Verdict {
+    suspend(Pending::Block { src, tag, clock })
+}
+
+/// Task-side park in the collective `op`: suspends the current coroutine
+/// until the rendezvous releases it, returning why. Must be called with no
+/// rendezvous lock held.
+pub(crate) fn yield_parked(op: &'static str, clock: f64, generation: u64) -> Verdict {
+    suspend(Pending::Park {
+        op,
+        clock,
+        generation,
+    })
+}
+
+fn suspend(pending: Pending) -> Verdict {
     let ctl = CURRENT.with(Cell::get);
     assert!(
         !ctl.is_null(),
@@ -218,7 +255,7 @@ pub(crate) fn yield_blocked(src: usize, tag: u64, clock: f64) -> Verdict {
     // SAFETY: `ctl` is the task running on this thread; its worker is
     // suspended in ctx_swap and resumes exactly once we switch back.
     unsafe {
-        (*ctl).pending = Some(Pending::Block { src, tag, clock });
+        (*ctl).pending = Some(pending);
         ctx_swap(&mut (*ctl).ctx, (*ctl).ret);
         (*ctl).verdict
     }
@@ -302,6 +339,33 @@ impl Scheduler {
         }
     }
 
+    /// Requeues every rank `Parked` in collective `generation`. Called by
+    /// the rank (or worker) that evaluated it, after advancing the
+    /// rendezvous generation and with no rendezvous lock held; a rank not
+    /// yet registered as parked sees the generation at registration
+    /// instead.
+    pub(crate) fn wake_parked(&self, generation: u64) {
+        let mut s = self.lock();
+        let mut woke = false;
+        for rank in 0..self.size {
+            if let Status::Parked {
+                key, generation: g, ..
+            } = s.status[rank]
+            {
+                if g <= generation {
+                    s.status[rank] = Status::Runnable;
+                    s.verdicts[rank] = Verdict::Retry;
+                    s.run_queue.push(Reverse((key, rank)));
+                    woke = true;
+                }
+            }
+        }
+        drop(s);
+        if woke {
+            self.cv.notify_all();
+        }
+    }
+
     /// Requeues every rank blocked on `dead` so it can observe the
     /// termination flag (raised before this call) and unwind or drain the
     /// final racing message. Runs under the scheduler mutex the caller
@@ -329,12 +393,15 @@ impl Scheduler {
         {
             return;
         }
-        let blocked: Vec<(usize, usize, u64)> = s
+        let blocked: Vec<(usize, String)> = s
             .status
             .iter()
             .enumerate()
             .filter_map(|(r, st)| match *st {
-                Status::Blocked { src, tag, .. } => Some((r, src, tag)),
+                Status::Blocked { src, tag, .. } => {
+                    Some((r, format!("recv(src={src}, tag={tag})")))
+                }
+                Status::Parked { op, .. } => Some((r, op.to_string())),
                 _ => None,
             })
             .collect();
@@ -345,8 +412,8 @@ impl Scheduler {
             "job deadlocked: {} rank(s) blocked with nothing runnable:",
             blocked.len()
         );
-        for (r, src, tag) in blocked.iter().take(8) {
-            report.push_str(&format!(" rank {r} waits on recv(src={src}, tag={tag});"));
+        for (r, wait) in blocked.iter().take(8) {
+            report.push_str(&format!(" rank {r} waits on {wait};"));
         }
         if blocked.len() > 8 {
             report.push_str(&format!(" … and {} more", blocked.len() - 8));
@@ -354,8 +421,8 @@ impl Scheduler {
         s.deadlock = Some(report);
         // Stale `waiters` entries are harmless: every wake re-checks that
         // the rank is still `Blocked` before touching it.
-        for (r, _, _) in blocked {
-            if let Status::Blocked { key, .. } = s.status[r] {
+        for (r, _) in blocked {
+            if let Status::Blocked { key, .. } | Status::Parked { key, .. } = s.status[r] {
                 s.status[r] = Status::Runnable;
                 s.verdicts[r] = Verdict::Deadlock;
                 s.run_queue.push(Reverse((key, r)));
@@ -436,6 +503,35 @@ impl Scheduler {
                     } else {
                         s.status[rank] = Status::Blocked { src, tag, key };
                         s.waiters[src].push(rank);
+                        self.check_deadlock_locked(&mut s);
+                    }
+                }
+                Pending::Park {
+                    op,
+                    clock,
+                    generation,
+                } => {
+                    let key = clock_key(clock);
+                    let mut s = self.lock();
+                    s.running -= 1;
+                    // Registration re-check: the collective may have been
+                    // evaluated (or a deadlock declared) since the park.
+                    if s.deadlock.is_some() || shared.rendezvous.is_released(generation) {
+                        s.verdicts[rank] = if s.deadlock.is_some() {
+                            Verdict::Deadlock
+                        } else {
+                            Verdict::Retry
+                        };
+                        s.status[rank] = Status::Runnable;
+                        s.run_queue.push(Reverse((key, rank)));
+                        drop(s);
+                        self.cv.notify_one();
+                    } else {
+                        s.status[rank] = Status::Parked {
+                            op,
+                            key,
+                            generation,
+                        };
                         self.check_deadlock_locked(&mut s);
                     }
                 }

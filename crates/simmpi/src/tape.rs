@@ -8,7 +8,11 @@
 //!   time, never on what else is in flight);
 //! * matching is exact per-`(src, tag)` FIFO, so which send a receive
 //!   matches is fixed by the program, not by host scheduling;
-//! * collectives are point-to-point trees whose shape ignores the topology;
+//! * collectives are priced as point-to-point trees whose shape ignores
+//!   the topology; the symmetric ones are evaluated in one rendezvous
+//!   (`crate::rendezvous`), which records every hop on the tape as the
+//!   `Send`/`Recv` the message would have, so a tape cannot tell them
+//!   from messages;
 //! * application control flow never reads the clock, except through
 //!   [`SimComm::phase_mark`](crate::SimComm::phase_mark).
 //!

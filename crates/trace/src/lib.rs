@@ -25,13 +25,17 @@
 //! - [`rollup`]: [`PhaseRollup`] — reduces phase spans back to the
 //!   paper's per-iteration assembly/precond/solve/total numbers with the
 //!   report pipeline's exact operation order.
+//! - [`diff`]: [`first_divergence`] — where two JSONL exports first
+//!   differ, with the event's rank, virtual time and context.
 
+pub mod diff;
 pub mod event;
 pub mod export;
 pub mod metrics;
 pub mod rollup;
 pub mod sink;
 
+pub use diff::{first_divergence, Divergence};
 pub use event::{cmp_events, EventKind, Phase, TraceEvent, CAMPAIGN_RANK};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use rollup::{rollup as phase_rollup, PhaseRollup};

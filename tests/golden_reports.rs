@@ -19,6 +19,17 @@
 //!   checkpoint store (monolithic, delta log) produced this one digest —
 //!   before both forks were resolved to one path each.
 //!
+//! * [`GOLDEN_TRACES`]: SHA-256 of the message-level JSONL trace of two
+//!   runs, computed at commit `95b3ab7`, when the symmetric collectives
+//!   were still point-to-point trees: a 27-rank job (non-power-of-two
+//!   trees), checked on both engines, and [`campaign_request`] traced at
+//!   message detail. Every send, receive and collective span of every rank
+//!   is in them, so they pin *where* virtual time went, not only the
+//!   totals. On a mismatch the test prints the first divergence between
+//!   the engines, if they disagree, and writes each export under
+//!   `target/golden-traces/` for `examples/trace_diff.rs` to compare with
+//!   an export from a commit that passes.
+//!
 //! To re-pin after an *intended* model change, run
 //! `cargo test --test golden_reports -- --nocapture`, copy the printed
 //! digests — and say in CHANGES.md why the numbers moved.
@@ -31,7 +42,8 @@ use hetero_hpc::recovery::{execute_resilient, ResilienceSpec};
 use hetero_hpc::run::{execute, Fidelity, RunRequest};
 use hetero_hpc::{canon, prep};
 use hetero_platform::catalog;
-use hetero_trace::{EventKind, TraceSpec};
+use hetero_simmpi::EngineKind;
+use hetero_trace::{first_divergence, EventKind, TraceSpec};
 
 /// `(platform, app, sha256 of the report JSON)`.
 const GOLDEN: [(&str, &str, &str); 4] = [
@@ -165,4 +177,84 @@ fn resumed_campaign_matches_the_checked_in_digest() {
     let got = canon::sha256_hex(json.as_bytes());
     println!("campaign: {got}");
     assert_eq!(got, GOLDEN_CAMPAIGN, "{:?}", out.stats);
+}
+
+/// `(run, sha256 of its TraceSpec::messages() JSONL export)`.
+const GOLDEN_TRACES: [(&str, &str); 2] = [
+    (
+        "rd27",
+        "d3c005df8854034e4e72c2865730a5e30f6f16567d5e2fc2541acdfdcadcc68d",
+    ),
+    (
+        "campaign",
+        "f6927c94a53e0319366500226cc998a9098bf25166c5e7f8f92056a5a9020e59",
+    ),
+];
+
+/// Two steps of RD on 27 ranks of EC2 (3 x 3 x 3 blocks of 2^3 cells):
+/// every tree in it has a non-power-of-two rank count.
+fn rd27_request(engine: EngineKind) -> RunRequest {
+    RunRequest {
+        fidelity: Fidelity::Numerical,
+        seed: 2012,
+        engine,
+        trace: Some(TraceSpec::messages()),
+        ..RunRequest::new(catalog::ec2(), App::paper_rd(2), 27, 2)
+    }
+}
+
+/// Checks `jsonl` against the golden digest of `run`; on a mismatch,
+/// writes the export where `examples/trace_diff.rs` can compare it and
+/// returns the failure.
+fn check_trace(run: &str, jsonl: &str) -> Result<(), String> {
+    let want = GOLDEN_TRACES
+        .iter()
+        .find(|(name, _)| *name == run)
+        .expect("a pinned run")
+        .1;
+    let got = canon::sha256_hex(jsonl.as_bytes());
+    println!("{run}: {got}");
+    if got == want {
+        return Ok(());
+    }
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/golden-traces");
+    let path = dir.join(format!("{run}.jsonl"));
+    let written = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, jsonl));
+    Err(format!(
+        "{run} trace drifted: {got} != {want}; export {} ({written:?})",
+        path.display()
+    ))
+}
+
+#[test]
+fn message_traces_match_the_checked_in_digests() {
+    let trace = |engine| {
+        execute(&rd27_request(engine))
+            .expect("traced run executes")
+            .trace
+            .expect("a traced run returns its trace")
+            .jsonl()
+    };
+    let coop = trace(EngineKind::Cooperative);
+    let threads = trace(EngineKind::Threads);
+    if let Some(d) = first_divergence(&coop, &threads) {
+        println!("cooperative (a) vs thread (b) engine: {d}");
+    }
+    let campaign = execute_resilient(&RunRequest {
+        trace: Some(TraceSpec::messages()),
+        ..campaign_request()
+    })
+    .expect("campaign executes")
+    .trace
+    .expect("a traced campaign returns its trace")
+    .jsonl();
+    let failures: Vec<String> = [
+        check_trace("rd27", &coop),
+        check_trace("rd27", &threads).map_err(|e| format!("thread engine: {e}")),
+        check_trace("campaign", &campaign),
+    ]
+    .into_iter()
+    .filter_map(Result::err)
+    .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

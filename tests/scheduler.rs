@@ -177,6 +177,26 @@ fn big_rd_run_at_8192_ranks_is_pool_independent() {
         })
     };
     assert_eq!(run(1), run(4));
+    // The set-up footprint must stay near-linear in ranks. While every rank
+    // kept its own copy of the DoF map's all-gathered target lists it grew
+    // ~4x per doubling, and this rung ran a 16 GB host out of memory. The
+    // budget is twice the 7882 MiB this test peaks at (release build,
+    // 2-core Linux host; the first job alone peaks at 5.2 GiB).
+    #[cfg(target_os = "linux")]
+    {
+        let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+        let peak_kib: u64 = status
+            .lines()
+            .find_map(|l| l.strip_prefix("VmHWM:"))
+            .and_then(|v| v.split_whitespace().next()?.parse().ok())
+            .expect("a VmHWM line in kB");
+        let budget_kib = (2 * 7882) << 10;
+        eprintln!("VmHWM after both 8192-rank jobs: {peak_kib} kB");
+        assert!(
+            peak_kib < budget_kib,
+            "peak RSS {peak_kib} kB exceeds {budget_kib} kB at 8192 ranks"
+        );
+    }
 }
 
 #[test]
