@@ -12,7 +12,14 @@
 //! The replayed rank is the partition's **critical rank** (largest
 //! halo footprint), matching the paper's "total maximal iteration time"
 //! reduction. `tests/model_validation.rs` checks the replay against the
-//! threaded numerical engine at small scale.
+//! numerical engine at small scale.
+//!
+//! Every step sends the same messages, so a replay prices each space's
+//! halo and shipping lists once for its topology, with their byte sums
+//! ([`VirtualRank::price`]), and each exchange then charges only the
+//! messages' jitter. The traffic a replay reports is a function of the
+//! neighbour lists and the app alone, so its first step is the traffic
+//! probe the platform limits are checked against.
 
 use hetero_fem::element::ElementOrder;
 use hetero_fem::ns::NsConfig;
@@ -21,7 +28,7 @@ use hetero_fem::profile;
 use hetero_fem::rd::RdConfig;
 use hetero_linalg::SolverVariant;
 use hetero_partition::BlockLayout;
-use hetero_simmpi::modeled::{VirtualEnv, VirtualMsg, VirtualRank};
+use hetero_simmpi::modeled::{PricedMsgs, VirtualEnv, VirtualMsg, VirtualRank};
 use hetero_simmpi::{ClusterTopology, ComputeModel, NetworkModel, Work};
 
 use crate::apps::App;
@@ -91,56 +98,103 @@ fn critical_rank(layout: &BlockLayout, q: usize) -> usize {
     best.0
 }
 
-/// The replay context: a virtual rank plus topology-aware message builders.
+/// A message list of the replay, priced once, with its payload bytes
+/// summed in list order.
+struct Exchange {
+    msgs: PricedMsgs,
+    bytes: f64,
+}
+
+/// A space as one replay exchanges over it: the closed-form sizes of the
+/// critical rank's share, and its message lists priced once for the
+/// replay's topology.
+struct PricedSpace {
+    n_owned: f64,
+    nnz: f64,
+    boundary_nnz: f64,
+    /// A ghost update: every neighbour sends its shared values.
+    halo: Exchange,
+    /// Owner shipping of assembled matrix entries, 24 bytes per element
+    /// node per shared interface node.
+    ship_matrix: Exchange,
+    /// Owner shipping of the assembled right-hand side (RD), 16 bytes per
+    /// shared interface node.
+    ship_rhs: Exchange,
+}
+
+/// Both spaces of a replay, priced.
+struct PricedSpaces {
+    cells: usize,
+    n_axis: usize,
+    q1: PricedSpace,
+    q2: PricedSpace,
+}
+
+/// Prices the message lists of one space for the virtual rank `v`, which
+/// replays `rank` placed on `topo`.
+fn price_space(
+    v: &VirtualRank,
+    topo: &ClusterTopology,
+    rank: usize,
+    info: &SpaceInfo,
+    order: ElementOrder,
+) -> PricedSpace {
+    let exchange = |bytes: &dyn Fn(usize, usize) -> f64| {
+        let msgs: Vec<VirtualMsg> = info
+            .neighbors
+            .iter()
+            .map(|&(peer, shared)| VirtualMsg {
+                peer,
+                bytes: bytes(peer, shared),
+                same_node: topo.same_node(peer, rank),
+                same_group: topo.same_group(peer, rank),
+            })
+            .collect();
+        Exchange {
+            bytes: msgs.iter().map(|m| m.bytes).sum::<f64>(),
+            msgs: v.price(msgs),
+        }
+    };
+    // Upper-coordinate neighbours ship `entry_bytes` per shared interface
+    // node to this rank (the ownership rule hands interfaces to the lower
+    // block); the others send 64 bytes.
+    let ship = |entry_bytes: f64| {
+        exchange(&|peer, shared| {
+            if peer > rank {
+                shared as f64 * entry_bytes
+            } else {
+                64.0
+            }
+        })
+    };
+    PricedSpace {
+        n_owned: info.n_owned,
+        nnz: info.nnz,
+        boundary_nnz: info.boundary_nnz,
+        halo: exchange(&|_, shared| shared as f64 * 8.0),
+        ship_matrix: ship(24.0 * order.nodes_per_element() as f64),
+        ship_rhs: ship(16.0),
+    }
+}
+
+/// The replay context: a virtual rank plus its traffic count.
 struct Replay {
     v: VirtualRank,
-    topo: ClusterTopology,
-    rank: usize,
     size: usize,
     /// Total bytes this rank received (proxy for fabric traffic).
     recv_bytes: f64,
 }
 
 impl Replay {
-    fn msgs(&self, neighbors: &[(usize, usize)], bytes_per_node: f64) -> Vec<VirtualMsg> {
-        neighbors
-            .iter()
-            .map(|&(peer, shared)| VirtualMsg {
-                peer,
-                bytes: shared as f64 * bytes_per_node,
-                same_node: self.topo.same_node(peer, self.rank),
-                same_group: self.topo.same_group(peer, self.rank),
-            })
-            .collect()
+    /// A blocking exchange of one priced list.
+    fn exchange(&mut self, x: &Exchange) {
+        self.recv_bytes += x.bytes;
+        self.v.halo_exchange(&x.msgs);
     }
 
-    /// A ghost update on a space: every neighbour sends its shared values.
-    fn halo(&mut self, info: &SpaceInfo) {
-        let msgs = self.msgs(&info.neighbors, 8.0);
-        self.recv_bytes += msgs.iter().map(|m| m.bytes).sum::<f64>();
-        self.v.halo_exchange(&msgs);
-    }
-
-    /// Owner-shipping of assembled contributions: upper-coordinate
-    /// neighbours ship `entry_bytes` per shared interface node to this rank
-    /// (the ownership rule hands interfaces to the lower block).
-    fn ship(&mut self, info: &SpaceInfo, entry_bytes: f64) {
-        let msgs: Vec<VirtualMsg> = info
-            .neighbors
-            .iter()
-            .map(|&(peer, shared)| VirtualMsg {
-                peer,
-                bytes: if peer > self.rank {
-                    shared as f64 * entry_bytes
-                } else {
-                    64.0
-                },
-                same_node: self.topo.same_node(peer, self.rank),
-                same_group: self.topo.same_group(peer, self.rank),
-            })
-            .collect();
-        self.recv_bytes += msgs.iter().map(|m| m.bytes).sum::<f64>();
-        self.v.halo_exchange(&msgs);
+    /// A ghost update on a space.
+    fn halo(&mut self, space: &PricedSpace) {
+        self.exchange(&space.halo);
     }
 
     fn allreduce(&mut self, n: usize) {
@@ -154,19 +208,18 @@ impl Replay {
         self.v.compute(Work::new(2.0 * n, 24.0 * n));
     }
 
-    fn spmv(&mut self, info: &SpaceInfo) {
+    fn spmv(&mut self, info: &PricedSpace) {
         self.halo(info);
         self.v.compute(Work::new(2.0 * info.nnz, 20.0 * info.nnz));
     }
 
     /// An overlapped SpMV: the halo transfer progresses while the interior
     /// rows compute; only the boundary rows serialize behind the wait.
-    fn spmv_overlapped(&mut self, info: &SpaceInfo) {
-        let msgs = self.msgs(&info.neighbors, 8.0);
-        self.recv_bytes += msgs.iter().map(|m| m.bytes).sum::<f64>();
+    fn spmv_overlapped(&mut self, info: &PricedSpace) {
+        self.recv_bytes += info.halo.bytes;
         let interior = info.nnz - info.boundary_nnz;
         self.v
-            .halo_exchange_overlapped(&msgs, Work::new(2.0 * interior, 20.0 * interior));
+            .halo_exchange_overlapped(&info.halo.msgs, Work::new(2.0 * interior, 20.0 * interior));
         self.v
             .compute(Work::new(2.0 * info.boundary_nnz, 20.0 * info.boundary_nnz));
     }
@@ -180,7 +233,7 @@ impl Replay {
 /// iterations) under the given communication schedule, mirroring the
 /// per-iteration collective sequence of `hetero_linalg::solver::cg` /
 /// `cg_pipelined`.
-fn replay_cg(r: &mut Replay, info: &SpaceInfo, iters: usize, variant: SolverVariant) {
+fn replay_cg(r: &mut Replay, info: &PricedSpace, iters: usize, variant: SolverVariant) {
     match variant {
         SolverVariant::Blocking => {
             // Initial residual: spmv + norm + precond + dot.
@@ -229,7 +282,7 @@ fn replay_cg(r: &mut Replay, info: &SpaceInfo, iters: usize, variant: SolverVari
 }
 
 /// Replays one RD time step; returns its phase times.
-fn rd_step(r: &mut Replay, s: &Spaces, cfg: &RdConfig) -> PhaseTimes {
+fn rd_step(r: &mut Replay, s: &PricedSpaces, cfg: &RdConfig) -> PhaseTimes {
     let order = cfg.order;
     let info = if order == ElementOrder::Q2 {
         &s.q2
@@ -241,11 +294,11 @@ fn rd_step(r: &mut Replay, s: &Spaces, cfg: &RdConfig) -> PhaseTimes {
 
     // Assembly (ii): operator, history term, source, Dirichlet.
     r.v.compute(profile::assembly_matrix_work(order, order, 2) * cells);
-    r.ship(info, 24.0 * order.nodes_per_element() as f64);
+    r.exchange(&info.ship_matrix);
     r.axpy(2.0 * info.n_owned); // history combination
     r.spmv(info); // mass * history
     r.v.compute(profile::assembly_vector_work(order) * cells);
-    r.ship(info, 16.0);
+    r.exchange(&info.ship_rhs);
     r.axpy(info.n_owned); // b += source
     r.v.compute(Work::new(2.0 * info.nnz, 40.0 * info.nnz)); // constrain
     let t_assembly = r.v.clock();
@@ -273,7 +326,7 @@ fn rd_step(r: &mut Replay, s: &Spaces, cfg: &RdConfig) -> PhaseTimes {
 }
 
 /// Replays one NS time step.
-fn ns_step(r: &mut Replay, s: &Spaces, cfg: &NsConfig) -> PhaseTimes {
+fn ns_step(r: &mut Replay, s: &PricedSpaces, cfg: &NsConfig) -> PhaseTimes {
     let v_info = &s.q2;
     let p_info = &s.q1;
     let cells = s.cells as f64;
@@ -288,9 +341,9 @@ fn ns_step(r: &mut Replay, s: &Spaces, cfg: &NsConfig) -> PhaseTimes {
                                   // 8 operator terms: the monolithic vector-system assembly cost charged
                                   // by `hetero_fem::ns` (must stay in lockstep with it).
     r.v.compute(profile::assembly_matrix_work(ElementOrder::Q2, ElementOrder::Q2, 8) * cells);
-    r.ship(v_info, 24.0 * 27.0);
+    r.exchange(&v_info.ship_matrix);
     r.v.compute(profile::assembly_matrix_work(ElementOrder::Q1, ElementOrder::Q1, 1) * cells);
-    r.ship(p_info, 24.0 * 8.0);
+    r.exchange(&p_info.ship_matrix);
     for _ in 0..3 {
         r.axpy(2.0 * v_info.n_owned); // history combination
         r.spmv(v_info); // mass * history
@@ -495,10 +548,15 @@ pub(crate) fn run_modeled_prepared(
         rank,
         seed,
     };
+    let v = VirtualRank::new(env);
+    let spaces = PricedSpaces {
+        cells: spaces.cells,
+        n_axis: spaces.n_axis,
+        q1: price_space(&v, topo, rank, &spaces.q1, ElementOrder::Q1),
+        q2: price_space(&v, topo, rank, &spaces.q2, ElementOrder::Q2),
+    };
     let mut replay = Replay {
-        v: VirtualRank::new(env),
-        topo: topo.clone(),
-        rank,
+        v,
         size: ranks,
         recv_bytes: 0.0,
     };
@@ -509,8 +567,8 @@ pub(crate) fn run_modeled_prepared(
     for i in 0..steps {
         let before = replay.recv_bytes;
         let times = match app {
-            App::Rd(cfg) => rd_step(&mut replay, spaces, cfg),
-            App::Ns(cfg) => ns_step(&mut replay, spaces, cfg),
+            App::Rd(cfg) => rd_step(&mut replay, &spaces, cfg),
+            App::Ns(cfg) => ns_step(&mut replay, &spaces, cfg),
         };
         if i == 0 {
             bytes_first_iter = replay.recv_bytes - before;
@@ -538,6 +596,7 @@ pub(crate) fn run_modeled_prepared(
 mod tests {
     use super::*;
     use hetero_platform::catalog;
+    use hetero_platform::spot::{acquire_fleet, FleetStrategy};
 
     fn run_on(platform: &hetero_platform::PlatformSpec, app: &App, ranks: usize) -> ModeledRun {
         let topo = platform.topology(ranks);
@@ -595,6 +654,37 @@ mod tests {
         // The whole point of the modeled engine: paper-scale in milliseconds.
         let r = run_on(&catalog::ec2(), &App::paper_rd(2), 1000);
         assert!(r.iterations[0].total > 0.0);
+    }
+
+    #[test]
+    fn a_one_step_probe_carries_the_full_runs_traffic() {
+        // Bytes per iteration depend on the neighbour lists and the app
+        // only: not on the steps, the topology, or the seed.
+        let ec2 = catalog::ec2();
+        let ranks = 64;
+        let on_demand = ec2.topology(ranks);
+        let strategy = FleetStrategy::SpotMix {
+            groups: 4,
+            max_bid: 1.0,
+        };
+        for app in [App::paper_rd(3), App::paper_ns(2)] {
+            let bytes = |app: &App, topo: &ClusterTopology, seed: u64| {
+                let run = run_modeled(app, ranks, 20, topo, &ec2.network, ec2.compute, seed);
+                run.bytes_per_iteration
+            };
+            let probe = bytes(&app.with_steps(1), &on_demand, 2012);
+            assert!(probe > 0.0);
+            for seed in [2012, 7919] {
+                let fleet = acquire_fleet(on_demand.num_nodes(), strategy, 2.4, seed)
+                    .topology(ec2.cores_per_node);
+                for topo in [&on_demand, &fleet] {
+                    for steps in [1, app.steps()] {
+                        let got = bytes(&app.with_steps(steps), topo, seed);
+                        assert_eq!(got.to_bits(), probe.to_bits(), "{} seed {seed}", app.name());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   them. Traced, fault-injected, resuming and checkpointing runs always
 //!   execute.
 //! * **A fast-forward profile memo** for [`crate::recovery`]: the
-//!   failure-free reference replay `(probe, fleet0, ff)` is a pure
+//!   failure-free reference replay `(fleet0, ff)` is a pure
 //!   function of the request minus its cadence/policy/host knobs, so
 //!   cadence sweeps (Table III) reuse one replay per
 //!   `(platform, ranks, seed, strategy, app)` combination. The memo key
@@ -77,11 +77,10 @@ const FF_MEMO_CAP: usize = 64;
 const TAPE_BYTES_CAP: usize = 4 << 20;
 
 /// The memoized failure-free reference profile of a resilient run: the
-/// one-step traffic probe, the first-attempt fleet, and the full
-/// fast-forward replay. All three are pure functions of the inputs hashed
-/// by [`ff_memo_key`].
+/// first-attempt fleet and the full fast-forward replay, whose first step
+/// also serves as the traffic estimate. Both are pure functions of the
+/// inputs hashed by [`ff_memo_key`].
 pub(crate) struct FfProfile {
-    pub(crate) probe: ModeledRun,
     pub(crate) fleet0: FleetAllocation,
     pub(crate) ff: ModeledRun,
 }

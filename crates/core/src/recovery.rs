@@ -193,7 +193,7 @@ fn on_demand_node_hour(platform: &PlatformSpec) -> f64 {
 ///
 /// Beyond the modeled views shared with [`crate::run::execute`], the
 /// resilient path memoizes its failure-free reference profile
-/// `(probe, fleet0, ff)` in the run's [`crate::prep::PreparedScenario`]:
+/// `(fleet0, ff)` in the run's [`crate::prep::PreparedScenario`]:
 /// the profile is a pure function of the request minus its
 /// cadence/policy/host knobs (see `prep::ff_memo_key`), so a
 /// checkpoint-cadence sweep replays it once per
@@ -202,6 +202,7 @@ fn on_demand_node_hour(platform: &PlatformSpec) -> f64 {
 /// always recomputed from the request, so outcomes are byte-identical
 /// whichever scenario serves them.
 pub fn execute_resilient(req: &RunRequest) -> Result<ResilienceOutcome, LimitViolation> {
+    crate::run::check_not_degenerate(req)?;
     let req = &req.normalized();
     let scen = crate::prep::resolve(req);
     let spec = req
@@ -209,12 +210,11 @@ pub fn execute_resilient(req: &RunRequest) -> Result<ResilienceOutcome, LimitVio
         .clone()
         .unwrap_or_else(|| ResilienceSpec::on_demand(&req.platform));
 
-    // Capacity/launcher limits first, then the traffic probe — identical to
-    // `execute`, and deliberately ahead of any acquisition: a launcher
-    // failure is not a fault to retry.
+    // Capacity/launcher limits first, then the traffic estimate — as in
+    // `execute`, and deliberately ahead of any attempt: a launcher failure
+    // is not a fault to retry.
     req.platform.check_limits(req.ranks, 0.0)?;
-    let probe_topo = req.platform.topology(req.ranks);
-    let nodes = probe_topo.num_nodes();
+    let nodes = req.platform.topology(req.ranks).num_nodes();
     let od_rate = on_demand_node_hour(&req.platform);
 
     // The failure-free reference profile, memoized in the scenario: the
@@ -230,14 +230,15 @@ pub fn execute_resilient(req: &RunRequest) -> Result<ResilienceOutcome, LimitVio
                 req.seed,
             )
         };
-        let probe = modeled(&req.app.with_steps(1), &probe_topo);
         let fleet0 = acquire_fleet(nodes, spec.strategy, od_rate, attempt_seed(req.seed, 0));
         let ff = modeled(&req.app, &fleet0.topology(req.platform.cores_per_node));
-        FfProfile { probe, fleet0, ff }
+        FfProfile { fleet0, ff }
     });
-    let FfProfile { probe, fleet0, ff } = profile.as_ref();
+    let FfProfile { fleet0, ff } = profile.as_ref();
+    // A replay's traffic depends on the neighbour lists and the app only,
+    // not on the fleet it ran on: the failure-free replay is the probe.
     req.platform
-        .check_limits(req.ranks, probe.bytes_per_iteration)?;
+        .check_limits(req.ranks, ff.bytes_per_iteration)?;
 
     let ckpt_seconds =
         state_bytes(&req.app, req.ranks, req.per_rank_axis) / spec.policy.io_bandwidth;

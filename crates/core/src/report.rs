@@ -53,6 +53,9 @@ pub fn render_weak_scaling(table: &WeakScalingTable) -> String {
                         hetero_platform::limits::LimitViolation::AdapterVolumeExceeded {
                             ..
                         } => "— (IB volume limit)",
+                        hetero_platform::limits::LimitViolation::DegenerateRequest { .. } => {
+                            "— (empty request)"
+                        }
                     };
                     out.push_str(&format!(" {reason:^37} |"));
                 }

@@ -246,18 +246,38 @@ pub(crate) fn resolve_fidelity(req: &RunRequest) -> Fidelity {
     }
 }
 
+/// Rejects a request for zero ranks, zero cells along a rank's axis, or
+/// zero time steps: none of them describes a run, so both executors turn
+/// them away before anything is built for them.
+pub(crate) fn check_not_degenerate(req: &RunRequest) -> Result<(), LimitViolation> {
+    for (field, n) in [
+        ("ranks", req.ranks),
+        ("per_rank_axis", req.per_rank_axis),
+        ("steps", req.app.steps()),
+    ] {
+        if n == 0 {
+            return Err(LimitViolation::DegenerateRequest {
+                field: field.to_string(),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Executes a run, enforcing the platform's limits first.
 ///
 /// # Errors
 /// Returns the paper's observed failure modes: capacity exhaustion (puma
 /// above 125 of the ladder, or a [`RunRequest::topology_override`] with
 /// fewer cores than ranks), launcher failure (ellipse above 512), adapter
-/// volume cap (lagrange above 343).
+/// volume cap (lagrange above 343). A request for zero ranks, cells per
+/// rank axis or steps is a [`LimitViolation::DegenerateRequest`].
 ///
 /// The run takes its scenario from the process-wide cache (a private one
 /// while sharing is disabled — see [`crate::prep`]). Reports are
 /// byte-identical whichever scenario serves them.
 pub fn execute(req: &RunRequest) -> Result<RunOutcome, LimitViolation> {
+    check_not_degenerate(req)?;
     let req = &req.normalized();
     let scen = crate::prep::resolve(req);
     // Capacity and launcher limits are independent of traffic: check them
@@ -275,7 +295,6 @@ pub fn execute(req: &RunRequest) -> Result<RunOutcome, LimitViolation> {
         });
     }
 
-    // Traffic estimate from a one-step modeled probe (cheap, closed form).
     let modeled = |app: &App| {
         run_modeled_prepared(
             app,
@@ -286,13 +305,14 @@ pub fn execute(req: &RunRequest) -> Result<RunOutcome, LimitViolation> {
             req.seed,
         )
     };
-    let probe = modeled(&req.app.with_steps(1));
-    req.platform
-        .check_limits(req.ranks, probe.bytes_per_iteration)?;
-
     let nodes = topo.nodes_for_ranks(req.ranks);
     let measured = match resolve_fidelity(req) {
         Fidelity::Numerical => {
+            // Traffic estimate from a one-step modeled probe (cheap, closed
+            // form).
+            let probe = modeled(&req.app.with_steps(1));
+            req.platform
+                .check_limits(req.ranks, probe.bytes_per_iteration)?;
             let cfg = SpmdConfig {
                 size: req.ranks,
                 topo,
@@ -302,7 +322,14 @@ pub fn execute(req: &RunRequest) -> Result<RunOutcome, LimitViolation> {
             };
             run_plain(req, cfg, &scen)
         }
-        Fidelity::Modeled | Fidelity::Auto => Measured::modeled(req, &modeled(&req.app)),
+        Fidelity::Modeled | Fidelity::Auto => {
+            // A replay's traffic is a function of the neighbour lists and
+            // the app alone, so its first step is the probe.
+            let run = modeled(&req.app);
+            req.platform
+                .check_limits(req.ranks, run.bytes_per_iteration)?;
+            Measured::modeled(req, &run)
+        }
     };
     let cost_model = req.cost_override.as_ref().unwrap_or(&req.platform.cost);
     Ok(outcome(req, nodes, measured, |seconds| {

@@ -34,6 +34,12 @@ pub enum LimitViolation {
         /// Configured cap.
         cap: f64,
     },
+    /// The request asks for none of something every run needs at least
+    /// one of: ranks, cells along a rank's axis, or time steps.
+    DegenerateRequest {
+        /// The request field that is zero.
+        field: String,
+    },
 }
 
 impl std::fmt::Display for LimitViolation {
@@ -56,6 +62,9 @@ impl std::fmt::Display for LimitViolation {
                 f,
                 "estimated {estimated:.2e} B/node/iter exceeds the adapter volume cap {cap:.2e}"
             ),
+            LimitViolation::DegenerateRequest { field } => {
+                write!(f, "{field} is 0, but a run needs at least one")
+            }
         }
     }
 }

@@ -4,15 +4,25 @@
 //! paper's 1000-rank, 200^3-element runs — a [`VirtualRank`] replays the
 //! *cost* of the communication/computation sequence a real rank would
 //! execute, using the same [`NetworkModel`]/[`ComputeModel`] and the same
-//! per-message overhead constants as the threaded engine. The integration
-//! test `model_validation` checks the two engines agree at small scale.
+//! per-message overhead constants as the numerical engine
+//! ([`crate::SimComm`]). The integration test `model_validation` checks the
+//! two engines agree at small scale.
 //!
 //! The virtual rank represents the *critical* rank of a bulk-synchronous
 //! application: peers are assumed to reach each phase at the same virtual
 //! time (exact under perfect weak scaling, slightly pessimistic otherwise).
+//!
+//! A replay sends the same messages step after step, so a message list is
+//! priced once ([`VirtualRank::price`]) into [`Link`]s — send charge,
+//! unscaled latency and drain, the endpoints' jitter-hash prefix — and the
+//! job's fabric contention is worked out once per rank. Each replayed
+//! message then pays only its sequence number's jitter, through
+//! [`NetworkModel::link_cost`], the arithmetic the numerical engine prices
+//! its messages with.
 
 use crate::comm::{HEADER_BYTES, RECV_OVERHEAD, SEND_OVERHEAD};
-use crate::network::{MsgContext, NetworkModel};
+use crate::network::{Link, NetworkModel};
+use crate::rng::hash_prefix;
 use crate::work::{ComputeModel, Work};
 
 /// Smallest `d` with `2^d >= n`.
@@ -54,12 +64,34 @@ pub struct VirtualEnv {
     pub seed: u64,
 }
 
+/// One message of a [`PricedMsgs`] list.
+#[derive(Debug, Clone, Copy)]
+struct PricedMsg {
+    /// The sender's clock advance: fixed overhead plus packing.
+    send: f64,
+    link: Link,
+}
+
+/// A message list priced once for one virtual rank by
+/// [`VirtualRank::price`]; exchanging it charges each message's jitter
+/// only.
+#[derive(Debug, Clone)]
+pub struct PricedMsgs {
+    msgs: Vec<PricedMsg>,
+}
+
 /// Cost-only replay of one rank's execution.
 #[derive(Debug, Clone)]
 pub struct VirtualRank {
     env: VirtualEnv,
+    /// `env.net.fabric_contention(env.nodes_active)`.
+    contention: f64,
+    /// Jitter-hash prefix of the collectives' modeled partner, `rank ^ 1`.
+    collective_prefix: u64,
     clock: f64,
     seq: u64,
+    /// An overlapped exchange's arrival times, kept between exchanges.
+    avails: Vec<f64>,
 }
 
 impl VirtualRank {
@@ -67,9 +99,12 @@ impl VirtualRank {
     pub fn new(env: VirtualEnv) -> Self {
         assert!(env.size > 0 && env.rank < env.size);
         VirtualRank {
+            contention: env.net.fabric_contention(env.nodes_active),
+            collective_prefix: hash_prefix(env.seed, (env.rank ^ 1) as u64, env.rank as u64),
             env,
             clock: 0.0,
             seq: 0,
+            avails: Vec::new(),
         }
     }
 
@@ -84,94 +119,125 @@ impl VirtualRank {
         self.clock += self.env.compute.time(work);
     }
 
-    fn transfer(
-        &mut self,
-        bytes: f64,
-        same_node: bool,
-        same_group: bool,
-        peer: usize,
-    ) -> (f64, f64) {
-        let ctx = MsgContext {
-            bytes: bytes + HEADER_BYTES,
-            same_node,
-            same_group,
-            nic_sharers: self.env.nic_sharers,
-            nodes_active: self.env.nodes_active,
-            jitter_key: (self.env.seed, peer as u64, self.env.rank as u64, self.seq),
-        };
+    /// Prices a message list for this rank: each message's send charge
+    /// and its [`Link`] from the peer.
+    pub fn price(&self, msgs: impl IntoIterator<Item = VirtualMsg>) -> PricedMsgs {
+        let env = &self.env;
+        let msgs = msgs
+            .into_iter()
+            .map(|m| {
+                let bytes = m.bytes + HEADER_BYTES;
+                PricedMsg {
+                    send: SEND_OVERHEAD + bytes / env.net.intra_bw,
+                    link: env.net.link(
+                        bytes,
+                        m.same_node,
+                        m.same_group,
+                        env.nic_sharers,
+                        hash_prefix(env.seed, m.peer as u64, env.rank as u64),
+                    ),
+                }
+            })
+            .collect();
+        PricedMsgs { msgs }
+    }
+
+    /// `(latency, drain)` of the next message over `link`.
+    #[inline]
+    fn transfer(&mut self, link: &Link) -> (f64, f64) {
+        let cost = self.env.net.link_cost(link, self.seq, self.contention);
         self.seq += 1;
-        self.env.net.transfer_cost(ctx)
+        cost
     }
 
     /// Charges a neighbour halo exchange: post all sends, then drain all
     /// receives (the overlap pattern the FEM ghost update uses). Peers are
     /// assumed to start the exchange at the same virtual time.
-    pub fn halo_exchange(&mut self, msgs: &[VirtualMsg]) {
-        if msgs.is_empty() {
+    pub fn halo_exchange(&mut self, msgs: &PricedMsgs) {
+        if msgs.msgs.is_empty() {
             return;
         }
         // Sends: fixed overhead + packing, serialized on the CPU.
-        for m in msgs {
-            self.clock += SEND_OVERHEAD + (m.bytes + HEADER_BYTES) / self.env.net.intra_bw;
+        for m in &msgs.msgs {
+            self.clock += m.send;
         }
         let depart = self.clock;
         // Receives, mirroring `SimComm::recv`: each message becomes
         // available after its latency (peers posted at ~the same time, so
         // latencies overlap), then drains serially through this rank's NIC.
-        for m in msgs {
-            let (latency, drain) = self.transfer(m.bytes, m.same_node, m.same_group, m.peer);
+        for m in &msgs.msgs {
+            let (latency, drain) = self.transfer(&m.link);
             self.clock = self.clock.max(depart + latency) + drain + RECV_OVERHEAD;
         }
     }
 
     /// Charges a halo exchange whose transfers overlap with `interior`
-    /// compute, mirroring the threaded engine's post/compute/`wait_all`
+    /// compute, mirroring the numerical engine's post/compute/`wait_all`
     /// sequence (`spmv_overlapped`): sends are posted up front, each
     /// message's full transfer (latency + drain) then progresses while the
     /// interior work runs, and the wait point only stalls for whatever the
     /// compute did not cover.
-    pub fn halo_exchange_overlapped(&mut self, msgs: &[VirtualMsg], interior: Work) {
-        if msgs.is_empty() {
+    pub fn halo_exchange_overlapped(&mut self, msgs: &PricedMsgs, interior: Work) {
+        if msgs.msgs.is_empty() {
             self.compute(interior);
             return;
         }
-        for m in msgs {
-            self.clock += SEND_OVERHEAD + (m.bytes + HEADER_BYTES) / self.env.net.intra_bw;
+        for m in &msgs.msgs {
+            self.clock += m.send;
         }
         let depart = self.clock;
-        let mut avails = Vec::with_capacity(msgs.len());
-        for m in msgs {
-            let (latency, drain) = self.transfer(m.bytes, m.same_node, m.same_group, m.peer);
+        let mut avails = std::mem::take(&mut self.avails);
+        avails.clear();
+        for m in &msgs.msgs {
+            let (latency, drain) = self.transfer(&m.link);
             avails.push(depart + latency + drain);
         }
         self.compute(interior);
-        for a in avails {
+        for &a in &avails {
             self.clock = self.clock.max(a) + RECV_OVERHEAD;
+        }
+        self.avails = avails;
+    }
+
+    /// Charges one blocking message of `bytes` per tree level in `levels`,
+    /// exchanged with the modeled partner `rank ^ 1`. Tree edges at level
+    /// `k` connect ranks `2^k` apart; under block placement those stay on
+    /// one node while `2^k` is below the ranks-per-node count, which is
+    /// why small jobs on many-core nodes see cheap collectives.
+    fn tree_rounds(&mut self, bytes: f64, levels: impl Iterator<Item = u32>) {
+        let env = &self.env;
+        let bytes = bytes + HEADER_BYTES;
+        let send = SEND_OVERHEAD + bytes / env.net.intra_bw;
+        let link = |same_node| {
+            env.net.link(
+                bytes,
+                same_node,
+                true,
+                env.nic_sharers,
+                self.collective_prefix,
+            )
+        };
+        let (intra, inter) = (link(true), link(false));
+        for level in levels {
+            let link = if (1usize << level) < self.env.nic_sharers {
+                intra
+            } else {
+                inter
+            };
+            let (lat, drain) = self.transfer(&link);
+            self.clock += send + lat + drain + RECV_OVERHEAD;
         }
     }
 
     /// Charges a binomial-tree reduce + broadcast all-reduce of `n` doubles,
     /// mirroring [`crate::SimComm::allreduce`]. The modeled rank pays the
-    /// worst-case tree depth on both phases. Tree edges at level `k`
-    /// connect ranks `2^k` apart; under block placement those stay on one
-    /// node while `2^k` is below the ranks-per-node count, which is why
-    /// small jobs on many-core nodes see cheap collectives.
+    /// worst-case tree depth on both phases.
     pub fn allreduce(&mut self, n: usize) {
         let depth = ceil_log2(self.env.size);
         if depth == 0 {
             return;
         }
-        let bytes = 8.0 * n as f64;
-        for phase_level in 0..2 * depth {
-            let level = phase_level % depth;
-            let same_node = (1usize << level) < self.env.nic_sharers;
-            let (lat, drain) = self.transfer(bytes, same_node, true, self.env.rank ^ 1);
-            self.clock += SEND_OVERHEAD
-                + (bytes + HEADER_BYTES) / self.env.net.intra_bw
-                + lat
-                + drain
-                + RECV_OVERHEAD;
-        }
+        self.tree_rounds(8.0 * n as f64, (0..2 * depth).map(|l| l % depth));
         // Combine flops on the reduce path.
         self.compute(Work::new(
             depth as f64 * n as f64,
@@ -182,13 +248,7 @@ impl VirtualRank {
     /// Charges a dissemination barrier (`ceil(log2 p)` rounds of empty
     /// messages), with the same per-level node locality as [`Self::allreduce`].
     pub fn barrier(&mut self) {
-        let rounds = ceil_log2(self.env.size);
-        for level in 0..rounds {
-            let same_node = (1usize << level) < self.env.nic_sharers;
-            let (lat, drain) = self.transfer(0.0, same_node, true, self.env.rank ^ 1);
-            self.clock +=
-                SEND_OVERHEAD + HEADER_BYTES / self.env.net.intra_bw + lat + drain + RECV_OVERHEAD;
-        }
+        self.tree_rounds(0.0, 0..ceil_log2(self.env.size));
     }
 
     /// Advances the clock without attributing work.
@@ -216,6 +276,162 @@ mod tests {
         }
     }
 
+    /// The virtual rank as it was before message lists were priced: every
+    /// message built its context and went through
+    /// [`NetworkModel::transfer_cost`] from scratch. The oracle the priced
+    /// exchanges must reproduce bitwise.
+    struct PerMessage {
+        env: VirtualEnv,
+        clock: f64,
+        seq: u64,
+    }
+
+    impl PerMessage {
+        fn transfer(
+            &mut self,
+            bytes: f64,
+            same_node: bool,
+            same_group: bool,
+            peer: usize,
+        ) -> (f64, f64) {
+            let ctx = crate::network::MsgContext {
+                bytes: bytes + HEADER_BYTES,
+                same_node,
+                same_group,
+                nic_sharers: self.env.nic_sharers,
+                nodes_active: self.env.nodes_active,
+                jitter_key: (self.env.seed, peer as u64, self.env.rank as u64, self.seq),
+            };
+            self.seq += 1;
+            self.env.net.transfer_cost(ctx)
+        }
+
+        fn halo_exchange(&mut self, msgs: &[VirtualMsg]) {
+            if msgs.is_empty() {
+                return;
+            }
+            for m in msgs {
+                self.clock += SEND_OVERHEAD + (m.bytes + HEADER_BYTES) / self.env.net.intra_bw;
+            }
+            let depart = self.clock;
+            for m in msgs {
+                let (latency, drain) = self.transfer(m.bytes, m.same_node, m.same_group, m.peer);
+                self.clock = self.clock.max(depart + latency) + drain + RECV_OVERHEAD;
+            }
+        }
+
+        fn halo_exchange_overlapped(&mut self, msgs: &[VirtualMsg], interior: Work) {
+            if msgs.is_empty() {
+                self.clock += self.env.compute.time(interior);
+                return;
+            }
+            for m in msgs {
+                self.clock += SEND_OVERHEAD + (m.bytes + HEADER_BYTES) / self.env.net.intra_bw;
+            }
+            let depart = self.clock;
+            let mut avails = Vec::with_capacity(msgs.len());
+            for m in msgs {
+                let (latency, drain) = self.transfer(m.bytes, m.same_node, m.same_group, m.peer);
+                avails.push(depart + latency + drain);
+            }
+            self.clock += self.env.compute.time(interior);
+            for a in avails {
+                self.clock = self.clock.max(a) + RECV_OVERHEAD;
+            }
+        }
+
+        fn allreduce(&mut self, n: usize) {
+            let depth = ceil_log2(self.env.size);
+            if depth == 0 {
+                return;
+            }
+            let bytes = 8.0 * n as f64;
+            for phase_level in 0..2 * depth {
+                let level = phase_level % depth;
+                let same_node = (1usize << level) < self.env.nic_sharers;
+                let (lat, drain) = self.transfer(bytes, same_node, true, self.env.rank ^ 1);
+                self.clock += SEND_OVERHEAD
+                    + (bytes + HEADER_BYTES) / self.env.net.intra_bw
+                    + lat
+                    + drain
+                    + RECV_OVERHEAD;
+            }
+            self.clock += self.env.compute.time(Work::new(
+                depth as f64 * n as f64,
+                depth as f64 * 16.0 * n as f64,
+            ));
+        }
+
+        fn barrier(&mut self) {
+            for level in 0..ceil_log2(self.env.size) {
+                let same_node = (1usize << level) < self.env.nic_sharers;
+                let (lat, drain) = self.transfer(0.0, same_node, true, self.env.rank ^ 1);
+                self.clock += SEND_OVERHEAD
+                    + HEADER_BYTES / self.env.net.intra_bw
+                    + lat
+                    + drain
+                    + RECV_OVERHEAD;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(512))]
+
+        #[test]
+        fn priced_exchanges_match_per_message_pricing(
+            (size, rank_pick, nic_sharers, nodes_active) in (1usize..300, 0usize..300, 1usize..20, 1usize..120),
+            (pick, seed, reduce_n) in (0usize..4, proptest::prelude::any::<u64>(), 1usize..4),
+            raw in proptest::collection::vec(
+                (0usize..300, 0.0f64..1e6, proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
+                0..12,
+            ),
+        ) {
+            let net = match pick {
+                0 => NetworkModel::gigabit_ethernet(),
+                1 => NetworkModel::ten_gig_ethernet_ec2(),
+                2 => NetworkModel::infiniband_ddr(),
+                _ => NetworkModel::ideal(),
+            };
+            let env = VirtualEnv {
+                net,
+                compute: ComputeModel::new(1e9, 4e9),
+                nic_sharers,
+                nodes_active,
+                size,
+                rank: rank_pick % size,
+                seed,
+            };
+            let msgs: Vec<VirtualMsg> = raw
+                .iter()
+                .map(|&(peer, bytes, same_node, same_group)| VirtualMsg {
+                    peer,
+                    bytes,
+                    same_node,
+                    same_group,
+                })
+                .collect();
+            let mut want = PerMessage { env: env.clone(), clock: 0.0, seq: 0 };
+            let mut got = VirtualRank::new(env);
+            let priced = got.price(msgs.iter().copied());
+            let interior = Work::new(3e5, 1e6);
+            for _ in 0..3 {
+                want.halo_exchange(&msgs);
+                got.halo_exchange(&priced);
+                proptest::prop_assert_eq!(got.clock().to_bits(), want.clock.to_bits());
+                want.halo_exchange_overlapped(&msgs, interior);
+                got.halo_exchange_overlapped(&priced, interior);
+                proptest::prop_assert_eq!(got.clock().to_bits(), want.clock.to_bits());
+                want.allreduce(reduce_n);
+                got.allreduce(reduce_n);
+                proptest::prop_assert_eq!(got.clock().to_bits(), want.clock.to_bits());
+                want.barrier();
+                got.barrier();
+                proptest::prop_assert_eq!(got.clock().to_bits(), want.clock.to_bits());
+            }
+        }
+    }
+
     #[test]
     fn ceil_log2_values() {
         assert_eq!(ceil_log2(1), 0);
@@ -235,12 +451,12 @@ mod tests {
     #[test]
     fn halo_exchange_costs_at_least_one_transfer() {
         let mut v = VirtualRank::new(env(8, NetworkModel::gigabit_ethernet()));
-        let msgs = vec![VirtualMsg {
+        let msgs = v.price([VirtualMsg {
             peer: 1,
             bytes: 1e6,
             same_node: false,
             same_group: true,
-        }];
+        }]);
         v.halo_exchange(&msgs);
         // >= latency + bytes / (bw / sharers).
         assert!(
@@ -254,24 +470,23 @@ mod tests {
     fn more_neighbors_cost_more() {
         let one = {
             let mut v = VirtualRank::new(env(27, NetworkModel::gigabit_ethernet()));
-            v.halo_exchange(&[VirtualMsg {
+            let msgs = v.price([VirtualMsg {
                 peer: 1,
                 bytes: 1e5,
                 same_node: false,
                 same_group: true,
             }]);
+            v.halo_exchange(&msgs);
             v.clock()
         };
         let many = {
             let mut v = VirtualRank::new(env(27, NetworkModel::gigabit_ethernet()));
-            let msgs: Vec<_> = (0..26)
-                .map(|p| VirtualMsg {
-                    peer: p,
-                    bytes: 1e5,
-                    same_node: false,
-                    same_group: true,
-                })
-                .collect();
+            let msgs = v.price((0..26).map(|p| VirtualMsg {
+                peer: p,
+                bytes: 1e5,
+                same_node: false,
+                same_group: true,
+            }));
             v.halo_exchange(&msgs);
             v.clock()
         };
@@ -307,13 +522,14 @@ mod tests {
     fn deterministic_replay() {
         let run = || {
             let mut v = VirtualRank::new(env(64, NetworkModel::ten_gig_ethernet_ec2()));
+            let msgs = v.price([VirtualMsg {
+                peer: 3,
+                bytes: 5e4,
+                same_node: false,
+                same_group: true,
+            }]);
             for _ in 0..10 {
-                v.halo_exchange(&[VirtualMsg {
-                    peer: 3,
-                    bytes: 5e4,
-                    same_node: false,
-                    same_group: true,
-                }]);
+                v.halo_exchange(&msgs);
                 v.allreduce(1);
             }
             v.clock()

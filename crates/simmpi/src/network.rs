@@ -15,7 +15,7 @@
 //! and the EC2 assembly "exploits notably fewer hosts hence the smaller
 //! volume of data is exchanged".
 
-use crate::rng::jitter_factor;
+use crate::rng::{hash_prefix, jitter_factor};
 use serde::{Deserialize, Serialize};
 
 /// Context for pricing one message.
@@ -33,6 +33,21 @@ pub struct MsgContext {
     pub nodes_active: usize,
     /// Jitter key: (seed, src, dst, per-pair sequence number).
     pub jitter_key: (u64, u64, u64, u64),
+}
+
+/// One message's route priced by [`NetworkModel::link`]: all of its cost
+/// but the jitter of its sequence number, which [`NetworkModel::link_cost`]
+/// applies.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Link {
+    /// Arrival latency before contention and jitter.
+    latency: f64,
+    /// Drain time (`bytes / bw`) before contention and jitter.
+    drain: f64,
+    /// Endpoints share a node: the copy is neither contended nor jittered.
+    same_node: bool,
+    /// [`hash_prefix`] of `(seed, src, dst)`.
+    jitter_prefix: u64,
 }
 
 /// Parameters of one interconnect fabric.
@@ -94,21 +109,73 @@ impl NetworkModel {
     /// messages of one job.
     #[inline]
     pub(crate) fn transfer_cost_under(&self, ctx: MsgContext, contention: f64) -> (f64, f64) {
-        if ctx.same_node {
-            return (self.latency_intra, ctx.bytes / self.intra_bw);
+        let (seed, src, dst, seq) = ctx.jitter_key;
+        // A same-node message is never jittered, so its pair is not hashed.
+        let prefix = if ctx.same_node {
+            0
+        } else {
+            hash_prefix(seed, src, dst)
+        };
+        let link = self.link(
+            ctx.bytes,
+            ctx.same_node,
+            ctx.same_group,
+            ctx.nic_sharers,
+            prefix,
+        );
+        self.link_cost(&link, seq, contention)
+    }
+
+    /// Prices everything about a message of `bytes` (payload plus header)
+    /// that its sequence number does not change: its route's unscaled
+    /// latency and drain time. `jitter_prefix` is
+    /// [`hash_prefix`]`(seed, src, dst)` of its endpoints.
+    #[inline]
+    pub fn link(
+        &self,
+        bytes: f64,
+        same_node: bool,
+        same_group: bool,
+        nic_sharers: usize,
+        jitter_prefix: u64,
+    ) -> Link {
+        if same_node {
+            return Link {
+                latency: self.latency_intra,
+                drain: bytes / self.intra_bw,
+                same_node,
+                jitter_prefix,
+            };
         }
-        let lat = if ctx.same_group {
+        let latency = if same_group {
             self.latency
         } else {
             self.latency * self.cross_group_lat_mult
         };
-        let mut bw = self.node_bw / ctx.nic_sharers.max(1) as f64;
-        if !ctx.same_group {
+        let mut bw = self.node_bw / nic_sharers.max(1) as f64;
+        if !same_group {
             bw *= self.cross_group_bw_mult;
         }
-        let (seed, src, dst, seq) = ctx.jitter_key;
-        let scale = contention * jitter_factor(seed, src, dst, seq, self.jitter_sigma);
-        (lat * scale, ctx.bytes / bw * scale)
+        Link {
+            latency,
+            drain: bytes / bw,
+            same_node,
+            jitter_prefix,
+        }
+    }
+
+    /// `(arrival latency, drain time)` of the `seq`-th message over `link`
+    /// in a job whose fabric contention is `contention`: the one place a
+    /// message's cost is worked out. An inter-node message scales both
+    /// parts by the contention times its jitter factor; a same-node one
+    /// costs its unscaled copy.
+    #[inline]
+    pub fn link_cost(&self, link: &Link, seq: u64, contention: f64) -> (f64, f64) {
+        if link.same_node {
+            return (link.latency, link.drain);
+        }
+        let scale = contention * jitter_factor(link.jitter_prefix, seq, self.jitter_sigma);
+        (link.latency * scale, link.drain * scale)
     }
 
     /// Total time of one message transferred in isolation (latency +

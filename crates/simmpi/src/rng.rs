@@ -2,7 +2,8 @@
 //!
 //! Jitter must not depend on host thread scheduling, so it is derived by
 //! hashing `(experiment seed, src, dst, per-pair sequence number)` rather
-//! than drawn from a shared stream.
+//! than drawn from a shared stream. The first three coordinates hash to a
+//! per-pair [`hash_prefix`]; one more round adds the sequence number.
 
 /// SplitMix64 finalizer: a high-quality 64-bit mixing function.
 #[inline]
@@ -13,13 +14,26 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The part of [`hash_msg`] that does not depend on the sequence number:
+/// a caller pricing many messages between one pair hashes it once.
+#[inline]
+pub fn hash_prefix(seed: u64, src: u64, dst: u64) -> u64 {
+    let h = splitmix64(seed ^ 0xA076_1D64_78BD_642F);
+    let h = splitmix64(h ^ src.wrapping_mul(0xE703_7ED1_A0B4_28DB));
+    splitmix64(h ^ dst.wrapping_mul(0x8EBC_6AF0_9C88_C6E3))
+}
+
+/// The hash of the `seq`-th message of the pair whose [`hash_prefix`] is
+/// `prefix`: the last round of [`hash_msg`].
+#[inline]
+fn hash_seq(prefix: u64, seq: u64) -> u64 {
+    splitmix64(prefix ^ seq)
+}
+
 /// Hashes a tuple of message coordinates into a uniform `u64`.
 #[inline]
 pub fn hash_msg(seed: u64, src: u64, dst: u64, seq: u64) -> u64 {
-    let mut h = splitmix64(seed ^ 0xA076_1D64_78BD_642F);
-    h = splitmix64(h ^ src.wrapping_mul(0xE703_7ED1_A0B4_28DB));
-    h = splitmix64(h ^ dst.wrapping_mul(0x8EBC_6AF0_9C88_C6E3));
-    splitmix64(h ^ seq)
+    hash_seq(hash_prefix(seed, src, dst), seq)
 }
 
 /// Maps a `u64` to a uniform sample in `[0, 1)`.
@@ -36,12 +50,17 @@ pub fn to_unit(h: u64) -> f64 {
 /// hypervisor interference), otherwise it gets a mild uniform perturbation.
 /// `sigma = 0` yields exactly 1.0. Mean is kept at ~1 so aggregate bandwidth
 /// is unchanged; only variance grows with `sigma`.
+///
+/// The message is named by its pair's [`hash_prefix`] and its sequence
+/// number: the factor of `(seed, src, dst, seq)` is
+/// `jitter_factor(hash_prefix(seed, src, dst), seq, sigma)`, hashed as
+/// [`hash_msg`] hashes it.
 #[inline]
-pub fn jitter_factor(seed: u64, src: u64, dst: u64, seq: u64, sigma: f64) -> f64 {
+pub fn jitter_factor(prefix: u64, seq: u64, sigma: f64) -> f64 {
     if sigma == 0.0 {
         return 1.0;
     }
-    let h = hash_msg(seed, src, dst, seq);
+    let h = hash_seq(prefix, seq);
     let u = to_unit(h);
     let p_spike = 0.02;
     let spike = 1.0 + 8.0 * sigma;
@@ -89,7 +108,7 @@ mod tests {
     #[test]
     fn zero_sigma_means_no_jitter() {
         for seq in 0..100 {
-            assert_eq!(jitter_factor(7, 0, 1, seq, 0.0), 1.0);
+            assert_eq!(jitter_factor(hash_prefix(7, 0, 1), seq, 0.0), 1.0);
         }
     }
 
@@ -98,7 +117,7 @@ mod tests {
         let sigma = 0.3;
         let n = 20_000u64;
         let mean: f64 = (0..n)
-            .map(|s| jitter_factor(11, 3, 5, s, sigma))
+            .map(|s| jitter_factor(hash_prefix(11, 3, 5), s, sigma))
             .sum::<f64>()
             / n as f64;
         assert!((mean - 1.0).abs() < 0.05, "mean = {mean}");
@@ -107,7 +126,7 @@ mod tests {
     #[test]
     fn jitter_is_positive_and_bounded() {
         for s in 0..5000u64 {
-            let j = jitter_factor(3, 1, 2, s, 0.5);
+            let j = jitter_factor(hash_prefix(3, 1, 2), s, 0.5);
             assert!(j > 0.0 && j < 10.0, "j = {j}");
         }
     }
@@ -116,7 +135,7 @@ mod tests {
     fn jitter_has_spikes() {
         let sigma = 0.4;
         let spikes = (0..10_000u64)
-            .filter(|&s| jitter_factor(5, 0, 1, s, sigma) > 2.0)
+            .filter(|&s| jitter_factor(hash_prefix(5, 0, 1), s, sigma) > 2.0)
             .count();
         // ~2% spike probability.
         assert!(spikes > 100 && spikes < 400, "spikes = {spikes}");

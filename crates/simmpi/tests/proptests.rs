@@ -2,12 +2,142 @@
 
 use hetero_simmpi::collectives::ReduceOp;
 use hetero_simmpi::modeled::{VirtualEnv, VirtualMsg, VirtualRank};
-use hetero_simmpi::rng::{jitter_factor, to_unit};
+use hetero_simmpi::rng::{hash_msg, hash_prefix, jitter_factor, splitmix64, to_unit};
 use hetero_simmpi::{
     run_spmd, run_spmd_opts, ClusterTopology, ComputeModel, EngineOpts, FaultPlan, MsgContext,
     NetworkModel, Payload, SimComm, SpmdConfig, Work,
 };
 use proptest::prelude::*;
+
+/// Per-message pricing as it was written before links were priced once:
+/// four hash rounds and the whole network formula for every message. The
+/// oracle the priced path must reproduce bitwise.
+mod per_message {
+    use hetero_simmpi::rng::{splitmix64, to_unit};
+    use hetero_simmpi::NetworkModel;
+
+    pub fn hash_msg(seed: u64, src: u64, dst: u64, seq: u64) -> u64 {
+        let mut h = splitmix64(seed ^ 0xA076_1D64_78BD_642F);
+        h = splitmix64(h ^ src.wrapping_mul(0xE703_7ED1_A0B4_28DB));
+        h = splitmix64(h ^ dst.wrapping_mul(0x8EBC_6AF0_9C88_C6E3));
+        splitmix64(h ^ seq)
+    }
+
+    pub fn jitter_factor(seed: u64, src: u64, dst: u64, seq: u64, sigma: f64) -> f64 {
+        if sigma == 0.0 {
+            return 1.0;
+        }
+        let h = hash_msg(seed, src, dst, seq);
+        let u = to_unit(h);
+        let p_spike = 0.02;
+        let spike = 1.0 + 8.0 * sigma;
+        if u < p_spike {
+            spike
+        } else {
+            let v = to_unit(splitmix64(h));
+            let base = 1.0 + sigma * (v - 0.5);
+            (base - p_spike * (spike - 1.0)).max(0.05)
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub fn transfer_cost(
+        net: &NetworkModel,
+        bytes: f64,
+        same_node: bool,
+        same_group: bool,
+        nic_sharers: usize,
+        nodes_active: usize,
+        (seed, src, dst, seq): (u64, u64, u64, u64),
+    ) -> (f64, f64) {
+        if same_node {
+            return (net.latency_intra, bytes / net.intra_bw);
+        }
+        let lat = if same_group {
+            net.latency
+        } else {
+            net.latency * net.cross_group_lat_mult
+        };
+        let mut bw = net.node_bw / nic_sharers.max(1) as f64;
+        if !same_group {
+            bw *= net.cross_group_bw_mult;
+        }
+        let contention = if nodes_active <= net.switch_radix || net.oversubscription == 0.0 {
+            1.0
+        } else {
+            (nodes_active as f64 / net.switch_radix as f64).powf(net.oversubscription)
+        };
+        let scale = contention * jitter_factor(seed, src, dst, seq, net.jitter_sigma);
+        (lat * scale, bytes / bw * scale)
+    }
+}
+
+fn fabric(pick: usize) -> NetworkModel {
+    match pick {
+        0 => NetworkModel::gigabit_ethernet(),
+        1 => NetworkModel::ten_gig_ethernet_ec2(),
+        2 => NetworkModel::infiniband_ddr(),
+        _ => NetworkModel::ideal(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn a_hash_prefix_then_one_round_is_the_message_hash(
+        seed in any::<u64>(),
+        src in any::<u64>(),
+        dst in any::<u64>(),
+        seq in any::<u64>(),
+    ) {
+        let h = hash_msg(seed, src, dst, seq);
+        prop_assert_eq!(h, splitmix64(hash_prefix(seed, src, dst) ^ seq));
+        prop_assert_eq!(h, per_message::hash_msg(seed, src, dst, seq));
+    }
+
+    #[test]
+    fn a_priced_link_costs_what_per_message_pricing_did(
+        (seed, src, dst, seq) in (any::<u64>(), 0u64..4096, 0u64..4096, any::<u64>()),
+        (bytes, same_node, same_group) in (0.0f64..1e7, any::<bool>(), any::<bool>()),
+        (nic_sharers, nodes, radix) in (0usize..40, 1usize..160, 1usize..64),
+        (pick, sigma, oversubscription) in (
+            0usize..4,
+            prop_oneof![Just(0.0), 0.0f64..0.6],
+            prop_oneof![Just(0.0), 0.0f64..2.0],
+        ),
+    ) {
+        let net = NetworkModel {
+            jitter_sigma: sigma,
+            switch_radix: radix,
+            oversubscription,
+            ..fabric(pick)
+        };
+        let key = (seed, src, dst, seq);
+        let want = per_message::transfer_cost(
+            &net, bytes, same_node, same_group, nic_sharers, nodes, key,
+        );
+        let prefix = hash_prefix(seed, src, dst);
+        prop_assert_eq!(
+            jitter_factor(prefix, seq, sigma).to_bits(),
+            per_message::jitter_factor(seed, src, dst, seq, sigma).to_bits()
+        );
+        let link = net.link(bytes, same_node, same_group, nic_sharers, prefix);
+        let priced = net.link_cost(&link, seq, net.fabric_contention(nodes));
+        let ctx = net.transfer_cost(MsgContext {
+            bytes,
+            same_node,
+            same_group,
+            nic_sharers,
+            nodes_active: nodes,
+            jitter_key: key,
+        });
+        for got in [priced, ctx] {
+            prop_assert_eq!(got.0.to_bits(), want.0.to_bits(), "latency {:?} vs {:?}", got, want);
+            prop_assert_eq!(got.1.to_bits(), want.1.to_bits(), "drain {:?} vs {:?}", got, want);
+        }
+    }
+}
 
 fn cfg(size: usize, seed: u64) -> SpmdConfig {
     SpmdConfig {
@@ -124,7 +254,7 @@ proptest! {
         let n = 4000u64;
         let mut sum = 0.0;
         for s in 0..n {
-            let j = jitter_factor(seed, 1, 2, s, sigma);
+            let j = jitter_factor(hash_prefix(seed, 1, 2), s, sigma);
             prop_assert!(j > 0.0);
             sum += j;
         }
@@ -154,9 +284,9 @@ proptest! {
         };
         let cost = |k: usize| {
             let mut v = VirtualRank::new(env.clone());
-            let msgs: Vec<VirtualMsg> = (0..k)
-                .map(|p| VirtualMsg { peer: p + 1, bytes, same_node: false, same_group: true })
-                .collect();
+            let msgs = v.price(
+                (0..k).map(|p| VirtualMsg { peer: p + 1, bytes, same_node: false, same_group: true }),
+            );
             v.halo_exchange(&msgs);
             v.clock()
         };

@@ -22,6 +22,7 @@ use hetero_hpc::recovery::{execute_resilient, ResilienceSpec};
 use hetero_hpc::run::{execute, Fidelity, RunOutcome, RunRequest};
 use hetero_hpc::scenarios::ScenarioOptions;
 use hetero_platform::catalog;
+use hetero_platform::limits::LimitViolation;
 use hetero_simmpi::EngineKind;
 use hetero_trace::TraceSpec;
 use std::sync::Mutex;
@@ -272,9 +273,10 @@ fn disabled_sharing_touches_no_cache() {
     assert_eq!((prep::cache_stats(), prep::tape_stats()), before);
 }
 
-/// A request that panics while its scenario is built (a zero per-rank
-/// axis has no cells to split) must not take the cache down with it: the
-/// next job still runs.
+/// A scenario build that panics (a zero per-rank axis has no cells to
+/// split) must not take the cache down with it: the next job still runs.
+/// `execute` rejects such a request before it builds anything, so the
+/// build is reached through `prep::scenario_for`.
 #[test]
 fn a_panicking_build_does_not_poison_later_jobs() {
     let _g = lock();
@@ -282,7 +284,13 @@ fn a_panicking_build_does_not_poison_later_jobs() {
         per_rank_axis: 0,
         ..rd_req(EngineKind::default(), 1)
     };
-    let panicked = std::panic::catch_unwind(|| execute(&bad));
+    assert_eq!(
+        execute(&bad).unwrap_err(),
+        LimitViolation::DegenerateRequest {
+            field: "per_rank_axis".to_string()
+        }
+    );
+    let panicked = std::panic::catch_unwind(|| prep::scenario_for(&bad));
     assert!(panicked.is_err(), "the zero axis was supposed to panic");
     execute(&rd_req(EngineKind::default(), 1)).expect("the cache survives the panic");
 }

@@ -6,7 +6,8 @@
 use hetero_fault::{FaultModel, SpotMarket};
 use hetero_hpc::recovery::execute_resilient;
 use hetero_hpc::{execute, App, Fidelity, ResilienceSpec, RunRequest, TraceSpec};
-use hetero_platform::catalog;
+use hetero_platform::limits::LimitViolation;
+use hetero_platform::{catalog, PlatformSpec};
 use hetero_serve::{JobOutcome, ResultCache, ServeConfig, ServeError, ServeHandle};
 use std::fs;
 use std::path::PathBuf;
@@ -230,10 +231,13 @@ fn corrupted_artifact_is_quarantined_and_reexecuted() {
 fn panicking_job_fails_alone_service_survives() {
     let dir = tdir("panic");
     let serve = ServeHandle::open(ServeConfig::new(&dir)).unwrap();
-    // A zero-step app trips the solver's `steps > 0` assert on every rank
-    // — a stand-in for any engine bug.
+    // A platform without cores divides by zero placing the ranks — a
+    // stand-in for any engine bug.
     let poison = RunRequest {
-        app: App::smoke_rd(0),
+        platform: PlatformSpec {
+            cores_per_node: 0,
+            ..catalog::puma()
+        },
         ..rd_req(31)
     };
     let err = serve.submit_wait(&poison).unwrap_err();
@@ -263,6 +267,51 @@ fn limit_violations_are_served_and_cached() {
     let hot = serve.submit_wait(&req).unwrap();
     assert_eq!(outcome_bytes(&cold), outcome_bytes(&hot));
     assert_eq!(serve.metrics().counter("serve.cache.hits"), 1.0);
+    serve.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn degenerate_requests_are_rejected_not_panicked() {
+    let dir = tdir("degenerate");
+    let serve = ServeHandle::open(ServeConfig::new(&dir)).unwrap();
+    let plain = rd_req(41);
+    let resilient = resilient_req(41);
+    for base in [&plain, &resilient] {
+        for (field, req) in [
+            (
+                "ranks",
+                RunRequest {
+                    ranks: 0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "per_rank_axis",
+                RunRequest {
+                    per_rank_axis: 0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "steps",
+                RunRequest {
+                    app: base.app.with_steps(0),
+                    ..base.clone()
+                },
+            ),
+        ] {
+            let out = serve.submit_wait(&req).unwrap();
+            match out.as_ref() {
+                JobOutcome::Rejected(LimitViolation::DegenerateRequest { field: f }) => {
+                    assert_eq!(f, field);
+                }
+                other => panic!("{field} = 0: expected a rejection, got {other:?}"),
+            }
+        }
+    }
+    let m = serve.metrics();
+    assert_eq!(m.counter("serve.jobs.failed"), 0.0);
     serve.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }
