@@ -429,13 +429,12 @@ fn ns_step(r: &mut Replay, s: &PricedSpaces, cfg: &NsConfig) -> PhaseTimes {
     }
     r.halo(p_info);
     let t_solve = r.v.clock();
-    let end = r.v.clock();
 
     PhaseTimes {
         assembly: t_assembly - start,
         precond: t_precond - t_assembly,
         solve: t_solve - t_precond,
-        total: end - start,
+        total: t_solve - start,
     }
 }
 

@@ -120,10 +120,6 @@ impl SimComm {
     /// Synchronizes all ranks (dissemination barrier, `ceil(log2 p)`
     /// rounds). On return every rank's clock is at least the maximum clock
     /// any rank had on entry.
-    ///
-    /// Barriers are also where each rank's trace staging buffer drains
-    /// into the shared sink: every rank is stalled anyway, so the drain's
-    /// wall-time cost never skews a measurement.
     pub fn barrier(&mut self) {
         self.join_collective(Kind::Barrier, Payload::Empty);
     }
@@ -300,7 +296,7 @@ pub(crate) mod oracle {
         out
     }
 
-    /// `SimComm::barrier`: the dissemination rounds, then a trace drain.
+    /// `SimComm::barrier`: the dissemination rounds.
     pub(crate) fn barrier(comm: &mut SimComm) {
         let (t0, b0) = (comm.clock(), comm.stats().bytes_sent);
         // A dead node must be observed even by a size-1 job.
@@ -315,7 +311,6 @@ pub(crate) mod oracle {
             }
         }
         comm.trace_collective("barrier", t0, b0);
-        comm.flush_trace();
     }
 
     /// `SimComm::allgather` / `allgather_usize` as a ring, one payload per
@@ -341,7 +336,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_spmd, run_spmd_with_faults, SpmdConfig};
+    use crate::engine::{run_spmd, run_spmd_opts, EngineOpts, SpmdConfig};
     use crate::fault::FaultPlan;
     use crate::network::NetworkModel;
     use crate::topology::ClusterTopology;
@@ -519,7 +514,7 @@ mod tests {
             node_down_at: vec![f64::INFINITY, 2.5],
             slow_windows: vec![],
         };
-        let out = run_spmd_with_faults(cfg(8), plan, |comm| {
+        let (out, _) = run_spmd_opts(cfg(8), EngineOpts::default(), plan, None, |comm| {
             for _ in 0..10 {
                 comm.compute(Work::new(1e9, 0.0)); // 1 virtual second each
                 let _ = comm.allreduce_scalar(ReduceOp::Sum, 1.0);
@@ -533,10 +528,10 @@ mod tests {
     // ---- the rendezvous against the point-to-point oracle ----
 
     use crate::comm::SimComm;
-    use crate::engine::{run_spmd_inner, EngineOpts};
+    use crate::engine::run_spmd_inner;
     use crate::tape::WorkTape;
     use crate::COOPERATIVE_SUPPORTED;
-    use hetero_trace::{Trace, TraceSink, TraceSpec};
+    use hetero_trace::{Trace, TraceDetail};
     use proptest::prelude::*;
 
     /// One step every rank of a generated program takes.
@@ -702,13 +697,12 @@ mod tests {
         acts: &[Act],
         oracle: bool,
     ) -> Observed {
-        let sink = TraceSink::new(TraceSpec::messages());
         let acts = acts.to_vec();
-        let (res, tape) = run_spmd_inner(
+        let (res, trace, tape) = run_spmd_inner(
             c.clone(),
             opts,
             faults.clone(),
-            Some(sink.clone()),
+            Some(TraceDetail::Messages),
             Some(1 << 22),
             move |comm| play(&acts, oracle, comm),
         );
@@ -720,7 +714,7 @@ mod tests {
                         .collect()
                 })
                 .map_err(|f| (f.node, f.at.to_bits())),
-            jsonl: sink.finish().jsonl(),
+            jsonl: trace.expect("traced").jsonl(),
             tape,
         }
     }
@@ -795,16 +789,15 @@ mod tests {
         faults: &FaultPlan,
         body: impl Fn(&mut SimComm) -> T + Send + Sync,
     ) -> (Result<Vec<crate::RankResult<T>>, crate::RankFailed>, Trace) {
-        let sink = TraceSink::new(TraceSpec::messages());
-        let (res, _) = run_spmd_inner(
+        let (res, trace, _) = run_spmd_inner(
             c.clone(),
             opts,
             faults.clone(),
-            Some(sink.clone()),
+            Some(TraceDetail::Messages),
             None,
             body,
         );
-        (res, sink.finish())
+        (res, trace.expect("traced"))
     }
 
     #[test]

@@ -6,10 +6,10 @@ use crate::fault::{FaultPanic, FaultPlan, RankFailed};
 use crate::network::{MsgContext, NetworkModel};
 use crate::rendezvous::{Arrival, Fate, Kind, Rendezvous, Yield};
 use crate::stats::CommStats;
-use crate::tape::{Op, RankTape, Recorder, TapeSlots};
+use crate::tape::{Op, RankTape, Recorder, TapeBudget};
 use crate::topology::ClusterTopology;
 use crate::work::{ComputeModel, Work};
-use hetero_trace::{EventKind, RankTracer, TraceDetail, TraceSink};
+use hetero_trace::{EventKind, RankTracer, TraceDetail, TraceEvent};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -326,16 +326,16 @@ impl Transfer {
 /// State shared by all ranks of one SPMD job.
 pub(crate) struct SharedComm {
     pub(crate) model: JobModel,
-    /// Trace sink all ranks drain into; `None` disables recording (each
-    /// rank then holds no tracer at all).
-    pub(crate) trace: Option<Arc<TraceSink>>,
+    /// What each rank traces; `None` disables recording (each rank then
+    /// holds no tracer at all).
+    pub(crate) trace: Option<TraceDetail>,
     /// The M:N scheduler when this job runs on the cooperative engine;
     /// `None` under the thread engine. Selects how blocking receives park
     /// (coroutine yield vs condvar wait) and how senders wake them.
     pub(crate) coop: Option<Arc<crate::sched::Scheduler>>,
     /// Work-tape recording; `None` (the default) records nothing, so every
     /// rank then holds no recorder at all.
-    pub(crate) tapes: Option<TapeSlots>,
+    pub(crate) tapes: Option<TapeBudget>,
     mailboxes: Vec<Mailbox>,
     /// Where the symmetric collectives meet (see [`crate::rendezvous`]).
     pub(crate) rendezvous: Rendezvous,
@@ -352,9 +352,9 @@ impl SharedComm {
     pub(crate) fn new(
         config: SpmdConfig,
         faults: FaultPlan,
-        trace: Option<Arc<TraceSink>>,
+        trace: Option<TraceDetail>,
         coop: Option<Arc<crate::sched::Scheduler>>,
-        tapes: Option<TapeSlots>,
+        tapes: Option<TapeBudget>,
     ) -> Arc<Self> {
         let model = JobModel::new(config, faults);
         let mailboxes = (0..model.size).map(|_| Mailbox::default()).collect();
@@ -430,7 +430,7 @@ pub(crate) struct Ledger {
     /// O(size²) across the job (ruinous at 10⁴–10⁵ ranks). Read and bumped
     /// on every send, hence a [`PeerMap`] and not a hash map.
     send_seq: PeerMap<u64>,
-    /// Trace recording handle; `None` when tracing is disabled, so the
+    /// The rank's trace events; `None` when tracing is disabled, so the
     /// disabled fast path is a single `Option` discriminant test. Boxed,
     /// like the recorder, so lending the ledger moves a few words.
     tracer: Option<Box<RankTracer>>,
@@ -563,13 +563,6 @@ impl Ledger {
             }
         }
     }
-
-    /// Drains the staging buffer into the shared sink.
-    pub(crate) fn flush_trace(&mut self) {
-        if let Some(t) = self.tracer.as_mut() {
-            t.flush();
-        }
-    }
 }
 
 /// One rank's handle on the simulated job: point-to-point messaging, virtual
@@ -594,8 +587,7 @@ impl SimComm {
         let ledger = Ledger {
             tracer: shared
                 .trace
-                .as_ref()
-                .map(|sink| Box::new(RankTracer::new(rank as u32, sink.clone()))),
+                .map(|detail| Box::new(RankTracer::new(rank as u32, detail))),
             tape: shared.tapes.as_ref().map(|t| Box::new(t.recorder())),
             ..Ledger::default()
         };
@@ -609,12 +601,14 @@ impl SimComm {
         }
     }
 
-    /// Hands this rank's finished work tape to the job. Called by the
-    /// engine once the rank body has returned.
-    pub(crate) fn finish_tape(&mut self) {
-        if let (Some(t), Some(slots)) = (self.ledger.tape.take(), &self.shared.tapes) {
-            slots.store(self.rank, RankTape::from(*t));
-        }
+    /// What this rank recorded: its trace events and, if it kept one, its
+    /// work tape. The engine takes them once the rank has exited.
+    pub(crate) fn into_records(self) -> (Vec<TraceEvent>, Option<RankTape>) {
+        let Ledger { tracer, tape, .. } = self.ledger;
+        (
+            tracer.map(|t| t.into_events()).unwrap_or_default(),
+            tape.map(|t| RankTape::from(*t)),
+        )
     }
 
     /// Raises [`RankFailed`] (as a typed panic the engine intercepts) once
@@ -1028,7 +1022,7 @@ impl SimComm {
         }
     }
 
-    /// Whether a trace sink is attached to this run.
+    /// Whether this run records a trace.
     #[inline]
     pub fn trace_enabled(&self) -> bool {
         self.ledger.tracer.is_some()
@@ -1063,14 +1057,6 @@ impl SimComm {
         start_bytes: f64,
     ) {
         self.ledger.trace_collective(op, start_clock, start_bytes);
-    }
-
-    /// Drains this rank's staging buffer into the shared sink, as the
-    /// barrier does; the buffer also drains on overflow and when the rank's
-    /// communicator is dropped (normal exit *and* fault/poison unwinds).
-    #[cfg(test)]
-    pub(crate) fn flush_trace(&mut self) {
-        self.ledger.flush_trace();
     }
 }
 

@@ -14,10 +14,10 @@ use crate::fault::{FaultPanic, FaultPlan, RankFailed};
 use crate::network::NetworkModel;
 use crate::sched;
 use crate::stats::CommStats;
-use crate::tape::{TapeSlots, WorkTape};
+use crate::tape::{RankTape, TapeBudget, WorkTape};
 use crate::topology::ClusterTopology;
 use crate::work::ComputeModel;
-use hetero_trace::{Trace, TraceSink, TraceSpec};
+use hetero_trace::{Trace, TraceDetail, TraceEvent, TraceSpec};
 use serde::{Deserialize, Serialize};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
@@ -127,6 +127,29 @@ enum RankOutcome<T> {
     Panic(String),
 }
 
+/// Every rank's result, or the job's earliest node loss.
+type JobResult<T> = Result<Vec<RankResult<T>>, RankFailed>;
+
+/// What the engine keeps of one exited rank: how it ended, its trace
+/// events, and its work tape if it returned with one.
+struct RankExit<T> {
+    outcome: RankOutcome<T>,
+    events: Vec<TraceEvent>,
+    tape: Option<RankTape>,
+}
+
+impl<T> RankExit<T> {
+    /// A rank whose unwind escaped its body's `catch_unwind`, so it handed
+    /// over nothing: `message` keeps the failure diagnosable.
+    fn crashed(message: String) -> Self {
+        RankExit {
+            outcome: RankOutcome::Panic(message),
+            events: Vec::new(),
+            tape: None,
+        }
+    }
+}
+
 /// Best-effort string form of a panic payload, for diagnostics.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
@@ -169,8 +192,16 @@ where
     T: Send,
     F: Fn(&mut SimComm) -> T + Send + Sync,
 {
-    run_spmd_with_faults(config, FaultPlan::none(), f)
-        .expect("a trivial fault plan cannot fail a rank")
+    run_spmd_inner(
+        config,
+        EngineOpts::default(),
+        FaultPlan::none(),
+        None,
+        None,
+        f,
+    )
+    .0
+    .expect("a trivial fault plan cannot fail a rank")
 }
 
 /// Injected node losses and poison-path wakeups are control flow, not
@@ -199,16 +230,25 @@ fn silence_fault_unwinds() {
     });
 }
 
-/// Runs `f` like [`run_spmd`], but under a [`FaultPlan`]: each rank watches
-/// its node's scheduled loss time against its own virtual clock, and the
-/// first (in virtual time, tie-broken by node id) observed loss is returned
-/// as `Err(RankFailed)`.
+/// Runs `f` like [`run_spmd`] under the chosen engine and a [`FaultPlan`],
+/// and, when `trace` is `Some`, records a [`Trace`] (returned as the second
+/// tuple element; `None` skips recording).
 ///
-/// The failure is deterministic regardless of engine or worker pool: every
-/// rank's virtual trajectory is a function of the program and the plan
-/// alone, so *which* ranks observe their node's death — and at what virtual
-/// time — never depends on host scheduling. Ranks blocked on a dead peer
-/// are woken through the poison path and do not count as failures.
+/// Each rank watches its node's scheduled loss time against its own
+/// virtual clock. The failure is deterministic regardless of engine or
+/// worker pool: every rank's virtual trajectory is a function of the
+/// program and the plan alone, so *which* ranks observe their node's death
+/// — and at what virtual time — never depends on host scheduling. Ranks
+/// blocked on a dead peer are woken through the poison path and do not
+/// count as failures.
+///
+/// The trace is a pure function of `(config, faults, f)`, byte-identical
+/// across engines and host thread counts, and it comes back even when the
+/// run fails: a rank unwinds either at its own deterministic node-loss
+/// clock or when a message it waits on provably cannot arrive, and it keeps
+/// the events it recorded before. A failed run's per-rank spans still
+/// describe work the caller will roll back, which is why the recovery layer
+/// keeps only campaign-level events from failed attempts.
 ///
 /// # Errors
 /// Returns the earliest observed node loss (ordered by virtual time, then
@@ -216,60 +256,9 @@ fn silence_fault_unwinds() {
 ///
 /// # Panics
 /// Panics if any rank raises a genuine application panic (fault- and
-/// poison-unwinds excluded), or on the size/capacity violations of
-/// [`run_spmd`].
-pub fn run_spmd_with_faults<T, F>(
-    config: SpmdConfig,
-    faults: FaultPlan,
-    f: F,
-) -> Result<Vec<RankResult<T>>, RankFailed>
-where
-    T: Send,
-    F: Fn(&mut SimComm) -> T + Send + Sync,
-{
-    run_spmd_inner(config, EngineOpts::default(), faults, None, None, f).0
-}
-
-/// Runs `f` like [`run_spmd_with_faults`] with trace recording attached:
-/// every rank stamps events with its virtual clock and the merged
-/// [`Trace`] is returned alongside the result.
-///
-/// The trace is a pure function of `(config, faults, f)` — byte-identical
-/// across engines and host thread counts. That holds even when the run
-/// fails (`Err(RankFailed)`): a rank unwinds either at its own
-/// deterministic node-loss clock or when a message it waits on provably
-/// cannot arrive, both virtual-time-determined conditions. A failed run's
-/// per-rank spans still describe work the caller will roll back, which is
-/// why the recovery layer keeps only campaign-level events from failed
-/// attempts.
-pub fn run_spmd_traced<T, F>(
-    config: SpmdConfig,
-    faults: FaultPlan,
-    spec: TraceSpec,
-    f: F,
-) -> (Result<Vec<RankResult<T>>, RankFailed>, Trace)
-where
-    T: Send,
-    F: Fn(&mut SimComm) -> T + Send + Sync,
-{
-    let (result, trace) = run_spmd_opts(config, EngineOpts::default(), faults, Some(spec), f);
-    (
-        result,
-        trace.expect("a spec was passed, so a trace comes back"),
-    )
-}
-
-/// The fully general entry point: engine selection, fault plan, and
-/// optional tracing in one call. `trace` is `Some` to record a [`Trace`]
-/// (returned as the second tuple element), `None` to skip recording.
-///
-/// # Errors
-/// As [`run_spmd_with_faults`].
-///
-/// # Panics
-/// As [`run_spmd_with_faults`]; additionally panics with a deterministic
-/// report if the program deadlocks under the cooperative engine (the
-/// thread engine would hang instead).
+/// poison-unwinds excluded), on the size/capacity violations of
+/// [`run_spmd`], or with a deterministic report if the program deadlocks
+/// under the cooperative engine (the thread engine would hang instead).
 pub fn run_spmd_opts<T, F>(
     config: SpmdConfig,
     opts: EngineOpts,
@@ -281,14 +270,8 @@ where
     T: Send,
     F: Fn(&mut SimComm) -> T + Send + Sync,
 {
-    match trace {
-        Some(spec) => {
-            let sink = TraceSink::new(spec);
-            let (result, _) = run_spmd_inner(config, opts, faults, Some(sink.clone()), None, f);
-            (result, Some(sink.finish()))
-        }
-        None => (run_spmd_inner(config, opts, faults, None, None, f).0, None),
-    }
+    let (result, trace, _) = run_spmd_inner(config, opts, faults, trace.map(|s| s.detail), None, f);
+    (result, trace)
 }
 
 /// Runs `f` like [`run_spmd`] under the chosen engine, and records every
@@ -308,29 +291,32 @@ where
     T: Send,
     F: Fn(&mut SimComm) -> T + Send + Sync,
 {
-    let (result, tape) = run_spmd_inner(config, opts, FaultPlan::none(), None, Some(tape_bytes), f);
+    let (result, _, tape) =
+        run_spmd_inner(config, opts, FaultPlan::none(), None, Some(tape_bytes), f);
     (
         result.expect("a trivial fault plan cannot fail a rank"),
         tape,
     )
 }
 
-/// Every entry point's engine dispatch. `tape_bytes` is the job's
-/// work-tape budget; `None` records nothing.
+/// Every entry point's engine dispatch. `trace` is what each rank records,
+/// `tape_bytes` the job's work-tape budget; `None` records nothing. Every
+/// rank hands what it recorded to the job once, when it exits, and the job
+/// merges the trace and assembles the tape after the join.
 pub(crate) fn run_spmd_inner<T, F>(
     config: SpmdConfig,
     opts: EngineOpts,
     faults: FaultPlan,
-    trace: Option<Arc<TraceSink>>,
+    trace: Option<TraceDetail>,
     tape_bytes: Option<usize>,
     f: F,
-) -> (Result<Vec<RankResult<T>>, RankFailed>, Option<WorkTape>)
+) -> (JobResult<T>, Option<Trace>, Option<WorkTape>)
 where
     T: Send,
     F: Fn(&mut SimComm) -> T + Send + Sync,
 {
     silence_fault_unwinds();
-    let tapes = tape_bytes.map(|bytes| TapeSlots::new(config.size, bytes));
+    let tapes = tape_bytes.map(|bytes| TapeBudget::new(config.size, bytes));
     let cooperative = opts.engine == EngineKind::Cooperative && COOPERATIVE_SUPPORTED;
     let shared = if cooperative {
         assert!(
@@ -348,31 +334,45 @@ where
         );
         SharedComm::new(config, faults, trace, None, tapes)
     };
-    let result = match &shared.coop {
+    let (exits, deadlock) = match &shared.coop {
         Some(scheduler) => run_cooperative(&shared, scheduler, opts, f),
-        None => run_threads(&shared, f),
+        None => (run_threads(&shared, f), None),
     };
+    let mut outcomes = Vec::with_capacity(exits.len());
+    let mut events = Vec::with_capacity(exits.len());
+    let mut tapes = Vec::with_capacity(exits.len());
+    for exit in exits {
+        outcomes.push(exit.outcome);
+        events.push(exit.events);
+        tapes.push(exit.tape);
+    }
+    let trace = shared.trace.map(|_| Trace::from_ranks(events));
+    let result = collect_outcomes(outcomes, deadlock);
     let tape = match (&result, &shared.tapes) {
-        (Ok(_), Some(slots)) => slots.take(),
+        (Ok(_), Some(budget)) => budget.collect(tapes),
         _ => None,
     };
-    (result, tape)
+    (result, trace, tape)
 }
 
-/// What a rank body's return (or unwind) means for the job. A rank that
-/// returned hands its work tape, if it recorded one, to the job.
-fn rank_outcome<T>(rank: usize, comm: &mut SimComm, out: std::thread::Result<T>) -> RankOutcome<T> {
-    match out {
-        Ok(value) => {
-            comm.finish_tape();
-            RankOutcome::Ok(RankResult {
-                rank,
-                value,
-                clock: comm.clock(),
-                stats: *comm.stats(),
-            })
-        }
+/// How a rank body's return (or unwind) ends the rank: its outcome and what
+/// it recorded. Only a rank that returned hands the job its work tape.
+fn rank_exit<T>(rank: usize, comm: SimComm, out: std::thread::Result<T>) -> RankExit<T> {
+    let outcome = match out {
+        Ok(value) => RankOutcome::Ok(RankResult {
+            rank,
+            value,
+            clock: comm.clock(),
+            stats: *comm.stats(),
+        }),
         Err(payload) => outcome_of_unwind(payload),
+    };
+    let (events, tape) = comm.into_records();
+    let tape = tape.filter(|_| matches!(outcome, RankOutcome::Ok(_)));
+    RankExit {
+        outcome,
+        events,
+        tape,
     }
 }
 
@@ -396,7 +396,7 @@ fn run_cooperative<T, F>(
     scheduler: &sched::Scheduler,
     opts: EngineOpts,
     f: F,
-) -> Result<Vec<RankResult<T>>, RankFailed>
+) -> (Vec<RankExit<T>>, Option<String>)
 where
     T: Send,
     F: Fn(&mut SimComm) -> T + Send + Sync,
@@ -404,7 +404,7 @@ where
     let size = shared.model.size;
     let workers = resolve_workers(opts.workers, size);
 
-    let slots: Vec<Mutex<Option<RankOutcome<T>>>> = (0..size).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<RankExit<T>>>> = (0..size).map(|_| Mutex::new(None)).collect();
     let stacks = sched::context::job_stacks(size, DEFAULT_TASK_STACK_BYTES);
     let mut tasks: Vec<Box<sched::TaskCtl>> = stacks
         .into_iter()
@@ -416,10 +416,10 @@ where
             let body: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                 let mut comm = SimComm::new(rank, shared);
                 let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
-                let outcome = rank_outcome(rank, &mut comm, out);
+                let exit = rank_exit(rank, comm, out);
                 *slot
                     .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(exit);
             });
             // Erasure is sound: every task runs to completion inside the
             // scope below, which the borrows of `f`/`slots`/`shared` outlive.
@@ -439,40 +439,33 @@ where
     });
     drop(table);
 
-    let deadlock = scheduler.deadlock_report();
-    let outcomes: Vec<Option<RankOutcome<T>>> = slots
+    let exits = slots
         .into_iter()
         .zip(tasks.iter_mut())
         .map(|(slot, task)| {
-            Some(
-                match slot
-                    .into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                {
-                    Some(o) => o,
-                    // The body never stored an outcome: an unwind escaped
-                    // its catch_unwind. Propagate the captured payload.
-                    None => RankOutcome::Panic(format!(
+            slot.into_inner()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                // The body never stored an exit: an unwind escaped its
+                // catch_unwind. Propagate the captured payload.
+                .unwrap_or_else(|| {
+                    RankExit::crashed(format!(
                         "rank task crashed: {}",
                         task.crash_message()
                             .unwrap_or_else(|| "no outcome recorded".into())
-                    )),
-                },
-            )
+                    ))
+                })
         })
         .collect();
-    collect_outcomes(outcomes, deadlock)
+    (exits, scheduler.deadlock_report())
 }
 
 /// The legacy engine: one OS thread per rank, condvar-blocked mailboxes.
-fn run_threads<T, F>(shared: &Arc<SharedComm>, f: F) -> Result<Vec<RankResult<T>>, RankFailed>
+fn run_threads<T, F>(shared: &Arc<SharedComm>, f: F) -> Vec<RankExit<T>>
 where
     T: Send,
     F: Fn(&mut SimComm) -> T + Send + Sync,
 {
     let size = shared.model.size;
-    let mut slots: Vec<Option<RankOutcome<T>>> = (0..size).map(|_| None).collect();
-
     std::thread::scope(|scope| {
         let f = &f;
         let handles: Vec<_> = (0..size)
@@ -480,46 +473,42 @@ where
                 scope.spawn(move || {
                     let mut comm = SimComm::new(rank, shared.clone());
                     let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
-                    let outcome = rank_outcome(rank, &mut comm, out);
+                    let exit = rank_exit(rank, comm, out);
                     // Whatever the exit reason, tell blocked receivers this
                     // rank will send nothing more. Failure then cascades
                     // only along real wait-for dependencies, keeping every
                     // survivor's unwind point virtual-time-deterministic.
                     shared.mark_terminated(rank);
-                    outcome
+                    exit
                 })
             })
             .collect();
-        for (rank, h) in handles.into_iter().enumerate() {
-            slots[rank] = Some(h.join().unwrap_or_else(|payload| {
-                // The unwind escaped the body's catch_unwind (it happened
-                // in SimComm setup or teardown); keep the payload so the
-                // failure stays diagnosable.
-                RankOutcome::Panic(format!(
-                    "rank thread crashed: {}",
-                    panic_message(payload.as_ref())
-                ))
-            }));
-        }
-    });
-
-    collect_outcomes(slots, None)
+        handles
+            .into_iter()
+            .map(|h| {
+                // An unwind in SimComm setup or teardown escapes the
+                // body's catch_unwind.
+                h.join().unwrap_or_else(|payload| {
+                    RankExit::crashed(format!(
+                        "rank thread crashed: {}",
+                        panic_message(payload.as_ref())
+                    ))
+                })
+            })
+            .collect()
+    })
 }
 
 /// Folds per-rank outcomes into the engine result. Shared by both engines
 /// so failure precedence is identical: first application panic (by rank),
 /// then earliest injected fault, then a cooperative deadlock report.
-fn collect_outcomes<T>(
-    slots: Vec<Option<RankOutcome<T>>>,
-    deadlock: Option<String>,
-) -> Result<Vec<RankResult<T>>, RankFailed> {
-    let size = slots.len();
-    let mut results = Vec::with_capacity(size);
+fn collect_outcomes<T>(outcomes: Vec<RankOutcome<T>>, deadlock: Option<String>) -> JobResult<T> {
+    let mut results = Vec::with_capacity(outcomes.len());
     let mut first_fault: Option<RankFailed> = None;
     let mut first_panic: Option<(usize, String)> = None;
     let mut poisoned_without_cause = false;
-    for (rank, slot) in slots.into_iter().enumerate() {
-        match slot.expect("every rank produces a result") {
+    for (rank, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
             RankOutcome::Ok(r) => results.push(r),
             RankOutcome::Fault(rf) => {
                 // Earliest loss in virtual time wins; node id breaks ties so
@@ -642,7 +631,7 @@ mod tests {
             node_down_at: vec![f64::INFINITY, 1.0],
             slow_windows: vec![],
         };
-        let out = run_spmd_with_faults(cfg(2), plan, |comm| {
+        let (out, _) = run_spmd_opts(cfg(2), EngineOpts::default(), plan, None, |comm| {
             if comm.rank() == 0 {
                 let _ = comm.recv(1, 3);
             } else {
@@ -664,9 +653,10 @@ mod tests {
             slow_windows: vec![],
         };
         for _ in 0..8 {
-            let out = run_spmd_with_faults(cfg(4), plan.clone(), |comm| {
-                comm.compute(Work::new(10e9, 0.0)); // 10 virtual seconds
-            });
+            let (out, _) =
+                run_spmd_opts(cfg(4), EngineOpts::default(), plan.clone(), None, |comm| {
+                    comm.compute(Work::new(10e9, 0.0)); // 10 virtual seconds
+                });
             let rf = out.unwrap_err();
             assert_eq!((rf.node, rf.at), (2, 0.5));
         }
@@ -681,9 +671,14 @@ mod tests {
             comm.clock()
         };
         let run = || {
-            let (res, trace) =
-                run_spmd_traced(cfg(4), FaultPlan::none(), TraceSpec::messages(), body);
-            (res.unwrap(), trace)
+            let (res, trace) = run_spmd_opts(
+                cfg(4),
+                EngineOpts::default(),
+                FaultPlan::none(),
+                Some(TraceSpec::messages()),
+                body,
+            );
+            (res.unwrap(), trace.unwrap())
         };
         let (res_a, trace_a) = run();
         let (_res_b, trace_b) = run();
@@ -712,6 +707,101 @@ mod tests {
         }
     }
 
+    /// Each rank's events of `trace`, in program order, after checking
+    /// that the rank's sequence numbers run contiguously from 0.
+    fn per_rank(trace: &Trace, size: usize) -> Vec<Vec<TraceEvent>> {
+        let mut ranks = vec![Vec::new(); size];
+        for e in &trace.events {
+            ranks[e.rank as usize].push(*e);
+        }
+        for (rank, events) in ranks.iter_mut().enumerate() {
+            events.sort_by_key(|e| e.seq);
+            for (i, e) in events.iter().enumerate() {
+                assert_eq!(e.seq, i as u64, "rank {rank}'s seq has a gap");
+            }
+        }
+        ranks
+    }
+
+    #[test]
+    fn a_rank_keeps_every_event_it_records() {
+        // Each rank records 2 × 5000 message events, more than any fixed
+        // per-rank buffer of a few thousand would hold.
+        let msgs = 5000;
+        let (res, trace) = run_spmd_opts(
+            cfg(2),
+            EngineOpts::default(),
+            FaultPlan::none(),
+            Some(TraceSpec::messages()),
+            |comm| {
+                let peer = 1 - comm.rank();
+                for i in 0..msgs {
+                    comm.send(peer, i, Payload::Empty);
+                    let _ = comm.recv(peer, i);
+                }
+            },
+        );
+        res.unwrap();
+        let ranks = per_rank(&trace.unwrap(), 2);
+        for events in &ranks {
+            assert_eq!(events.len(), 2 * msgs as usize);
+        }
+    }
+
+    #[test]
+    fn a_felled_job_returns_every_ranks_events_up_to_its_exit() {
+        // Four ranks on four nodes in a ring. Node 2 dies mid-run: rank 2
+        // observes the loss, and rank 3, waiting on rank 2's next message,
+        // is poisoned, and so on around the ring.
+        let mut c = cfg(4);
+        c.topo = ClusterTopology::uniform(4, 1);
+        c.net = NetworkModel::gigabit_ethernet();
+        let body = |comm: &mut SimComm| {
+            let right = (comm.rank() + 1) % comm.size();
+            let left = (comm.rank() + comm.size() - 1) % comm.size();
+            for step in 0..40 {
+                comm.send(right, step, Payload::F64(vec![1.0; 64]));
+                let _ = comm.recv_f64(left, step);
+                comm.compute(Work::new(1e7, 0.0));
+                if step % 8 == 7 {
+                    comm.barrier();
+                }
+            }
+        };
+        let run = |opts: EngineOpts, faults: FaultPlan| {
+            let (res, trace) =
+                run_spmd_opts(c.clone(), opts, faults, Some(TraceSpec::messages()), body);
+            (res.map(|_| ()), trace.unwrap())
+        };
+        let (clean_res, clean) = run(EngineOpts::default(), FaultPlan::none());
+        clean_res.unwrap();
+        let clean = per_rank(&clean, 4);
+        let plan = FaultPlan {
+            node_down_at: vec![f64::INFINITY, f64::INFINITY, 0.2, f64::INFINITY],
+            slow_windows: vec![],
+        };
+        let mut engines = vec![EngineOpts::threads()];
+        if COOPERATIVE_SUPPORTED {
+            engines.extend([EngineOpts::cooperative(1), EngineOpts::cooperative(3)]);
+        }
+        let mut exports = Vec::new();
+        for opts in engines {
+            let (res, trace) = run(opts, plan.clone());
+            let rf = res.unwrap_err();
+            assert_eq!((rf.node, rf.at), (2, 0.2), "{opts:?}");
+            // Every rank, the dead one and the poisoned ones too, kept
+            // what it recorded before it exited: a proper prefix of its
+            // fault-free events.
+            for (rank, events) in per_rank(&trace, 4).iter().enumerate() {
+                assert!(!events.is_empty(), "{opts:?}: rank {rank} lost its events");
+                assert!(events.len() < clean[rank].len(), "{opts:?}: rank {rank}");
+                assert_eq!(events[..], clean[rank][..events.len()], "{opts:?}");
+            }
+            exports.push(trace.jsonl());
+        }
+        assert!(exports.windows(2).all(|w| w[0] == w[1]));
+    }
+
     #[test]
     fn trivial_plan_changes_nothing() {
         let body = |comm: &mut SimComm| {
@@ -719,7 +809,9 @@ mod tests {
             comm.clock()
         };
         let base = run_spmd(cfg(2), body);
-        let faulted = run_spmd_with_faults(cfg(2), FaultPlan::none(), body).unwrap();
+        let (faulted, _) =
+            run_spmd_opts(cfg(2), EngineOpts::default(), FaultPlan::none(), None, body);
+        let faulted = faulted.unwrap();
         assert_eq!(base[0].value, faulted[0].value);
         assert_eq!(base[1].value, faulted[1].value);
     }
@@ -733,7 +825,7 @@ mod tests {
             };
             let mut c = cfg(2);
             c.net = NetworkModel::gigabit_ethernet();
-            let r = run_spmd_with_faults(c, plan, |comm| {
+            let (r, _) = run_spmd_opts(c, EngineOpts::default(), plan, None, |comm| {
                 if comm.rank() == 0 {
                     comm.send(1, 1, Payload::F64(vec![0.0; 100_000]));
                     0.0
@@ -741,8 +833,8 @@ mod tests {
                     let _ = comm.recv_f64(0, 1);
                     comm.clock()
                 }
-            })
-            .unwrap();
+            });
+            let r = r.unwrap();
             r[1].value
         };
         let clean = clock_of(vec![]);

@@ -13,7 +13,7 @@
 //! reaches the scheduled time; it raises [`RankFailed`] (as a typed panic
 //! the engine intercepts), peers blocked in `recv` on a terminated sender
 //! unwind instead of deadlocking, and
-//! [`crate::engine::run_spmd_with_faults`] returns the failure as an error.
+//! [`crate::engine::run_spmd_opts`] returns the failure as an error.
 
 /// A transient network-degradation window in virtual time: messages whose
 /// transfer overlaps the window are slowed by `factor`.

@@ -40,7 +40,7 @@
 //!
 //! Runs can optionally record a deterministic, virtual-clock-stamped trace
 //! (phases, collectives, point-to-point traffic) through
-//! [`engine::run_spmd_traced`]; see the `hetero-trace` crate for the event
+//! [`engine::run_spmd_opts`]; see the `hetero-trace` crate for the event
 //! model and exporters.
 
 // `deny` rather than `forbid`: the coroutine context switch in `sched`
@@ -64,9 +64,8 @@ pub mod work;
 
 pub use comm::{Payload, RecvRequest, SendRequest, SimComm};
 pub use engine::{
-    run_spmd, run_spmd_opts, run_spmd_recorded, run_spmd_traced, run_spmd_with_faults, EngineKind,
-    EngineOpts, RankResult, SpmdConfig, COOPERATIVE_SUPPORTED, DEFAULT_TASK_STACK_BYTES,
-    MAX_REAL_RANKS, MAX_THREAD_RANKS,
+    run_spmd, run_spmd_opts, run_spmd_recorded, EngineKind, EngineOpts, RankResult, SpmdConfig,
+    COOPERATIVE_SUPPORTED, DEFAULT_TASK_STACK_BYTES, MAX_REAL_RANKS, MAX_THREAD_RANKS,
 };
 pub use fault::{FaultPlan, RankFailed, SlowWindow};
 pub use hetero_trace::{Trace, TraceDetail, TraceSpec};

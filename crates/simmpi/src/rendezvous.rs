@@ -8,7 +8,7 @@
 //!
 //! * **Arrive.** Each rank deposits its [`Arrival`] — which collective, its
 //!   epoch, its payload, and its [`Ledger`] (clock, counters, sequence
-//!   numbers, tracer, tape) — and parks: as a `Parked` task under the
+//!   numbers, trace events, tape) — and parks: as a `Parked` task under the
 //!   cooperative engine, on the rendezvous condvar under the thread engine.
 //! * **Evaluate.** When every rank has either arrived or terminated, the
 //!   arrival or termination that completed the set runs [`evaluate`]: a
@@ -305,8 +305,6 @@ enum Step {
     },
     /// Closes the traced span `op`, opened where the previous one closed.
     Span(&'static str),
-    /// Drains the rank's trace staging buffer (the barrier does).
-    Flush,
 }
 
 /// Every rank's schedule of one collective call.
@@ -382,7 +380,6 @@ impl Plan<'_> {
                         })
                     }
                     pc if pc == 2 * rounds + 1 => Some(Step::Span("barrier")),
-                    pc if pc == 2 * rounds + 2 => Some(Step::Flush),
                     _ => None,
                 }
             }
@@ -606,7 +603,6 @@ fn evaluate(model: &JobModel, slots: &mut [Slot], scratch: &mut Scratch) {
                     ledger.trace_collective(op, t0, b0);
                     run[r].mark = (ledger.clock, ledger.stats.bytes_sent);
                 }
-                Step::Flush => ledger.flush_trace(),
             }
             run[r].pc += 1;
         };

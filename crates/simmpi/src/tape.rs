@@ -37,7 +37,7 @@ use crate::fault::FaultPlan;
 use crate::work::Work;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One recorded charge. Sixteen bytes, so a share of `b` bytes holds
 /// `b / 16` ops and interned works together.
@@ -192,22 +192,20 @@ impl From<Recorder> for RankTape {
     }
 }
 
-/// A recording job's shared state: the per-rank share and the finished
-/// tapes.
-pub(crate) struct TapeSlots {
+/// A recording job's shared state: the per-rank share, and the flag the
+/// first rank to give up raises.
+pub(crate) struct TapeBudget {
     share_units: usize,
     abandoned: Arc<AtomicBool>,
-    done: Mutex<Vec<Option<RankTape>>>,
 }
 
-impl TapeSlots {
-    /// Slots for a job of `size` ranks that may hold `budget_bytes` of
+impl TapeBudget {
+    /// The budget of a job of `size` ranks that may hold `budget_bytes` of
     /// tape in all.
     pub(crate) fn new(size: usize, budget_bytes: usize) -> Self {
-        TapeSlots {
+        TapeBudget {
             share_units: budget_bytes / size.max(1) / UNIT_BYTES,
             abandoned: Arc::new(AtomicBool::new(false)),
-            done: Mutex::new((0..size).map(|_| None).collect()),
         }
     }
 
@@ -223,27 +221,16 @@ impl TapeSlots {
         }
     }
 
-    /// Stores `rank`'s finished tape.
-    pub(crate) fn store(&self, rank: usize, tape: RankTape) {
-        self.lock()[rank] = Some(tape);
-    }
-
-    /// The job's tape: every rank's, unless one gave up or never finished.
-    pub(crate) fn take(&self) -> Option<WorkTape> {
+    /// The job's tape from every rank's, in rank order: none if a rank gave
+    /// up or kept no tape.
+    pub(crate) fn collect(&self, ranks: Vec<Option<RankTape>>) -> Option<WorkTape> {
         if self.abandoned.load(Ordering::Relaxed) {
             return None;
         }
-        let ranks = std::mem::take(&mut *self.lock());
         ranks
             .into_iter()
             .collect::<Option<Vec<_>>>()
             .map(|ranks| WorkTape { ranks })
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Option<RankTape>>> {
-        self.done
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 

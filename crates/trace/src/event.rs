@@ -3,7 +3,7 @@
 //! Every event is stamped with the *virtual* clock of the rank that emitted
 //! it — never wall time — so a trace is a pure function of the program, the
 //! platform models, and the seed. Events are `Copy` (no heap payloads) so
-//! recording one is a couple of stores into a preallocated buffer.
+//! recording one is a single `Vec` push.
 
 /// The FEM phases of one solver iteration (the paper's Figs. 4–7 split).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

@@ -12,11 +12,10 @@
 //! The pieces:
 //! - [`event`]: the event vocabulary ([`TraceEvent`], [`EventKind`],
 //!   [`Phase`]) — `Copy` records, no heap payloads.
-//! - [`sink`]: recording plumbing — per-rank [`RankTracer`] staging
-//!   buffers (preallocated, drained at barriers and on overflow) feeding a
-//!   shared [`TraceSink`]; [`Trace`] is the merged result. When tracing is
-//!   off the communicator holds no tracer, so the disabled path is one
-//!   `Option` check.
+//! - [`sink`]: recording — each rank appends to its own [`RankTracer`]
+//!   list, and the job merges the lists into one [`Trace`] once its ranks
+//!   have exited. When tracing is off the communicator holds no tracer, so
+//!   the disabled path is one `Option` check.
 //! - [`metrics`]: [`MetricsRegistry`] — monotonic counters + fixed-bucket
 //!   histograms derived from a finished trace (zero recording overhead).
 //! - [`export`]: JSONL and Chrome `trace_event` JSON writers
@@ -39,4 +38,4 @@ pub use diff::{first_divergence, Divergence};
 pub use event::{cmp_events, EventKind, Phase, TraceEvent, CAMPAIGN_RANK};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use rollup::{rollup as phase_rollup, PhaseRollup};
-pub use sink::{RankTracer, Trace, TraceDetail, TraceSink, TraceSpec};
+pub use sink::{RankTracer, Trace, TraceDetail, TraceSpec};

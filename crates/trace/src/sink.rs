@@ -1,20 +1,16 @@
-//! Recording plumbing: per-rank staging buffers draining into a shared
-//! sink, and the merged [`Trace`] they produce.
+//! Recording: a per-rank event list, and the merged [`Trace`] the job
+//! builds from every rank's list once the ranks have exited.
 //!
-//! The hot path is [`RankTracer::record`]: one bounds check and a `Vec`
-//! push into a buffer preallocated at its full capacity, so steady-state
-//! recording allocates nothing. Buffers drain into the sink when full and
-//! at barriers; the sink merges drained batches under a mutex that is
-//! touched only at drain time, never per event. When tracing is off the
-//! communicator holds no tracer at all, so the disabled path is a single
-//! `Option` test.
+//! The hot path is [`RankTracer::record`], a `Vec` push; a rank's sequence
+//! number is its list's length. Nothing is shared while the job runs, so
+//! recording takes no lock. When tracing is off the communicator holds no
+//! tracer at all, so the disabled path is a single `Option` test.
 
 use crate::event::{cmp_events, EventKind, TraceEvent};
 use crate::export;
 use crate::metrics::MetricsRegistry;
 use crate::rollup::{rollup, PhaseRollup};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex};
 
 /// How much of the stack to record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -33,10 +29,6 @@ pub enum TraceDetail {
 pub struct TraceSpec {
     /// Recording granularity.
     pub detail: TraceDetail,
-    /// Per-rank staging-buffer capacity, in events. Buffers drain to the
-    /// shared sink when full (and at barriers), so this bounds per-rank
-    /// memory, not trace length.
-    pub buffer_events: usize,
 }
 
 impl TraceSpec {
@@ -44,7 +36,6 @@ impl TraceSpec {
     pub fn phases() -> Self {
         TraceSpec {
             detail: TraceDetail::Phases,
-            ..Self::default()
         }
     }
 
@@ -57,7 +48,6 @@ impl TraceSpec {
     pub fn messages() -> Self {
         TraceSpec {
             detail: TraceDetail::Messages,
-            ..Self::default()
         }
     }
 }
@@ -66,136 +56,50 @@ impl Default for TraceSpec {
     fn default() -> Self {
         TraceSpec {
             detail: TraceDetail::Collectives,
-            buffer_events: 4096,
         }
     }
 }
 
-/// The shared collection point all ranks drain into. One per traced run.
-pub struct TraceSink {
-    spec: TraceSpec,
-    merged: Mutex<Vec<TraceEvent>>,
-}
-
-impl TraceSink {
-    /// Creates a sink for one traced run.
-    pub fn new(spec: TraceSpec) -> Arc<Self> {
-        Arc::new(TraceSink {
-            spec,
-            merged: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// The spec this sink was created with.
-    pub fn spec(&self) -> TraceSpec {
-        self.spec
-    }
-
-    /// Moves a rank's staged events into the sink, leaving the staging
-    /// buffer empty but with its capacity intact.
-    pub fn absorb(&self, staged: &mut Vec<TraceEvent>) {
-        if staged.is_empty() {
-            return;
-        }
-        let mut merged = self
-            .merged
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        merged.append(staged);
-    }
-
-    /// Consumes the sink and produces the merged, deterministically ordered
-    /// trace. Call after every rank has drained (the engine drops each
-    /// rank's tracer before joining its thread).
-    pub fn finish(self: Arc<Self>) -> Trace {
-        let mut events = match Arc::try_unwrap(self) {
-            Ok(sink) => sink.merged.into_inner(),
-            Err(arc) => {
-                let mut guard = arc
-                    .merged
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                Ok(std::mem::take(&mut *guard))
-            }
-        }
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-        events.sort_by(cmp_events);
-        Trace { events }
-    }
-}
-
-/// One rank's recording handle: a fixed-capacity staging buffer plus the
-/// per-rank sequence counter that makes the global sort key total.
+/// One rank's recording: its events in program order, each numbered by
+/// its position, which makes the global sort key total.
 pub struct RankTracer {
     rank: u32,
-    seq: u64,
     detail: TraceDetail,
-    /// Staging-buffer capacity in events. Kept separately from
-    /// `staged.capacity()` so the buffer can start unallocated: with tens of
-    /// thousands of ranks, eagerly preallocating 4096 events per rank costs
-    /// hundreds of megabytes before a single event is recorded.
-    cap: usize,
-    staged: Vec<TraceEvent>,
-    sink: Arc<TraceSink>,
+    events: Vec<TraceEvent>,
 }
 
 impl RankTracer {
-    /// Creates the tracer for `rank`. The staging buffer is allocated lazily
-    /// on the first [`Self::record`], so idle tracers cost nothing.
-    pub fn new(rank: u32, sink: Arc<TraceSink>) -> Self {
-        let spec = sink.spec();
+    /// An empty recording for `rank` at `detail`.
+    pub fn new(rank: u32, detail: TraceDetail) -> Self {
         RankTracer {
             rank,
-            seq: 0,
-            detail: spec.detail,
-            cap: spec.buffer_events.max(16),
-            staged: Vec::new(),
-            sink,
+            detail,
+            events: Vec::new(),
         }
     }
 
-    /// Recording granularity (copied out of the spec so the check is a
-    /// register compare, not a pointer chase).
+    /// Recording granularity.
     #[inline]
     pub fn detail(&self) -> TraceDetail {
         self.detail
     }
 
     /// Records one event stamped at virtual time `at` lasting `dur`
-    /// virtual seconds. Allocation-free until the buffer fills.
+    /// virtual seconds.
     #[inline]
     pub fn record(&mut self, at: f64, dur: f64, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        if self.staged.capacity() == 0 {
-            // First event: allocate the full staging buffer once, so
-            // steady-state recording never reallocates.
-            self.staged.reserve_exact(self.cap);
-        } else if self.staged.len() == self.cap {
-            // Drain *before* pushing at capacity so the push itself never
-            // reallocates the staging buffer.
-            self.sink.absorb(&mut self.staged);
-        }
-        self.staged.push(TraceEvent {
+        self.events.push(TraceEvent {
             at,
             dur,
             rank: self.rank,
-            seq,
+            seq: self.events.len() as u64,
             kind,
         });
     }
 
-    /// Drains the staging buffer into the sink. Called at barriers and on
-    /// drop, so a rank that unwinds (fault, poison) still contributes the
-    /// events it recorded before dying.
-    pub fn flush(&mut self) {
-        self.sink.absorb(&mut self.staged);
-    }
-}
-
-impl Drop for RankTracer {
-    fn drop(&mut self) {
-        self.flush();
+    /// The recorded events, in program order.
+    pub fn into_events(self) -> Vec<TraceEvent> {
+        self.events
     }
 }
 
@@ -207,6 +111,17 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// Merges per-rank event lists into one trace in canonical order.
+    pub fn from_ranks(ranks: Vec<Vec<TraceEvent>>) -> Self {
+        let mut events = Vec::with_capacity(ranks.iter().map(Vec::len).sum());
+        for rank in ranks {
+            events.extend(rank);
+        }
+        let mut trace = Trace { events };
+        trace.sort();
+        trace
+    }
+
     /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -288,9 +203,8 @@ mod tests {
 
     #[test]
     fn record_and_finish_orders_by_virtual_time_then_rank() {
-        let sink = TraceSink::new(TraceSpec::default());
-        let mut t1 = RankTracer::new(1, sink.clone());
-        let mut t0 = RankTracer::new(0, sink.clone());
+        let mut t1 = RankTracer::new(1, TraceDetail::Collectives);
+        let mut t0 = RankTracer::new(0, TraceDetail::Collectives);
         // Rank 1 records first in wall time, but its events sort by `at`.
         t1.record(
             2.0,
@@ -309,51 +223,15 @@ mod tests {
             },
         );
         t1.record(1.0, 0.0, EventKind::Solver { step: 0, iters: 3 });
-        drop(t0);
-        drop(t1);
-        let trace = sink.finish();
+        let trace = Trace::from_ranks(vec![t1.into_events(), t0.into_events()]);
         let order: Vec<(f64, u32, u64)> =
             trace.events.iter().map(|e| (e.at, e.rank, e.seq)).collect();
         assert_eq!(order, vec![(1.0, 0, 0), (1.0, 1, 1), (2.0, 1, 0)]);
     }
 
     #[test]
-    fn staging_buffer_spills_without_losing_events() {
-        let sink = TraceSink::new(TraceSpec {
-            detail: TraceDetail::Messages,
-            buffer_events: 16,
-        });
-        let mut t = RankTracer::new(0, sink.clone());
-        for i in 0..100 {
-            t.record(i as f64, 0.0, EventKind::Solver { step: i, iters: 1 });
-        }
-        drop(t);
-        let trace = sink.finish();
-        assert_eq!(trace.len(), 100);
-        // Per-rank seq survives the spill and keeps the order total.
-        for (i, e) in trace.events.iter().enumerate() {
-            assert_eq!(e.seq, i as u64);
-        }
-    }
-
-    #[test]
-    fn dropping_an_unwound_tracer_still_drains() {
-        let sink = TraceSink::new(TraceSpec::default());
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut t = RankTracer::new(3, sink.clone());
-            t.record(0.5, 0.0, EventKind::Revocation { node: 1 });
-            panic!("simulated fault unwind");
-        }));
-        assert!(payload.is_err());
-        let trace = sink.finish();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace.events[0].rank, 3);
-    }
-
-    #[test]
     fn shift_and_campaign_push_keep_order_after_sort() {
-        let sink = TraceSink::new(TraceSpec::default());
-        let mut t = RankTracer::new(0, sink.clone());
+        let mut t = RankTracer::new(0, TraceDetail::Collectives);
         t.record(
             1.0,
             1.0,
@@ -362,8 +240,7 @@ mod tests {
                 bytes: 64.0,
             },
         );
-        drop(t);
-        let mut trace = sink.finish();
+        let mut trace = Trace::from_ranks(vec![t.into_events()]);
         trace.shift(10.0);
         trace.push_campaign(5.0, EventKind::AttemptStart { attempt: 1 });
         trace.push_campaign(5.0, EventKind::Revocation { node: 0 });
