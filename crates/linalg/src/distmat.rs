@@ -165,14 +165,14 @@ impl DistMatrix {
         );
         assert_eq!(y.n_owned(), self.n_owned());
         let rows = self.local.num_rows();
-        let reqs = x.post_ghost_update(&self.plan, comm);
+        let posted = x.post_ghost_update(&self.plan, comm);
         self.local.spmv_rows(
             &self.interior_rows,
             x.as_slice(),
             &mut y.as_mut_slice()[..rows],
         );
         comm.compute(work_costs::spmv(self.interior_nnz));
-        x.finish_ghost_update(&self.plan, reqs, comm);
+        x.finish_ghost_update(&self.plan, posted, comm);
         self.local.spmv_rows(
             &self.boundary_rows,
             x.as_slice(),

@@ -9,8 +9,8 @@
 //! * [`CsrMatrix`] — local compressed-sparse-row storage with a
 //!   duplicate-summing triplet builder (FEM assembly produces triplets);
 //! * [`DistVector`] / [`ExchangePlan`] — row-distributed vectors with ghost
-//!   entries refreshed by neighbour halo exchange over
-//!   [`hetero_simmpi::SimComm`];
+//!   entries refreshed by one neighbour exchange per update
+//!   ([`hetero_simmpi::SimComm::exchange`]);
 //! * [`DistMatrix`] — row-distributed sparse matrices whose SpMV performs
 //!   the ghost update and charges roofline work;
 //! * [`solver`] — preconditioned CG, BiCGStab, and restarted GMRES;

@@ -1,11 +1,17 @@
 //! Row-distributed vectors with ghost entries.
+//!
+//! A ghost update is one [`SimComm::exchange`] over the vector's
+//! [`ExchangePlan`] (or its posted form, [`SimComm::exchange_post`] and
+//! [`SimComm::exchange_wait`], around the overlapped SpMV's interior
+//! rows): the values travel through per-neighbour slots `simmpi` reuses
+//! from one exchange to the next, and the vector layer only supplies the
+//! `copy` charge of gathering and scattering them.
 
 use crate::work_costs;
 use hetero_simmpi::collectives::ReduceOp;
-use hetero_simmpi::{Payload, RecvRequest, SimComm};
+use hetero_simmpi::{PostedExchange, SimComm};
 
-/// Tag space used by halo exchanges (below the collective range).
-const HALO_TAG: u64 = 9_000;
+pub use hetero_simmpi::ExchangePlan;
 
 /// Fixed reduction chunk length. Dot products always sum per-chunk partials
 /// in chunk order — at any thread count, including one — so the result is a
@@ -16,63 +22,6 @@ const REDUCE_CHUNK: usize = 1024;
 /// out across the intra-rank pool. Element-wise results are independent of
 /// the split, so this gates speed only.
 const PAR_ELEMWISE_MIN: usize = 4096;
-
-/// A symmetric halo-exchange plan between a rank and its neighbours.
-///
-/// Local vector layout is `[owned entries | ghost entries]`. For neighbour
-/// `i`, `send_indices[i]` lists owned local slots whose values the neighbour
-/// needs, and `recv_indices[i]` lists the ghost slots filled by its reply.
-/// Plans are built by the FEM DoF map; both sides must list each other and
-/// agree on the interface ordering (guaranteed there by sorting on global
-/// ids).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExchangePlan {
-    /// Neighbour ranks, ascending.
-    pub neighbors: Vec<usize>,
-    /// Per neighbour: owned local indices to send.
-    pub send_indices: Vec<Vec<usize>>,
-    /// Per neighbour: local slots (>= n_owned) to receive into.
-    pub recv_indices: Vec<Vec<usize>>,
-}
-
-impl ExchangePlan {
-    /// A plan with no neighbours (serial runs).
-    pub fn empty() -> Self {
-        ExchangePlan::default()
-    }
-
-    /// Total values sent per exchange.
-    pub fn send_volume(&self) -> usize {
-        self.send_indices.iter().map(Vec::len).sum()
-    }
-
-    /// Total values received per exchange.
-    pub fn recv_volume(&self) -> usize {
-        self.recv_indices.iter().map(Vec::len).sum()
-    }
-
-    /// Validates internal consistency against a vector layout.
-    ///
-    /// # Panics
-    /// Panics if the plan's shape is inconsistent.
-    pub fn validate(&self, n_owned: usize, n_local: usize) {
-        assert_eq!(self.neighbors.len(), self.send_indices.len());
-        assert_eq!(self.neighbors.len(), self.recv_indices.len());
-        assert!(
-            self.neighbors.windows(2).all(|w| w[0] < w[1]),
-            "neighbors must be sorted"
-        );
-        for s in &self.send_indices {
-            assert!(s.iter().all(|&i| i < n_owned), "send indices must be owned");
-        }
-        for r in &self.recv_indices {
-            assert!(
-                r.iter().all(|&i| (n_owned..n_local).contains(&i)),
-                "recv indices must be ghosts"
-            );
-        }
-    }
-}
 
 /// A distributed vector: `n_owned` owned entries followed by ghost copies of
 /// remote entries. Reductions (dot, norms) run over owned entries only and
@@ -248,86 +197,41 @@ impl DistVector {
         self.dot(self, comm).sqrt()
     }
 
-    /// Refreshes ghost entries from their owners according to `plan`.
+    /// Refreshes ghost entries from their owners according to `plan`:
+    /// one [`SimComm::exchange`], which charges a `copy` of each
+    /// neighbour's interface before its send and after its receive.
     ///
     /// All ranks sharing an interface must call this collectively with
     /// mutually consistent plans.
     pub fn update_ghosts(&mut self, plan: &ExchangePlan, comm: &mut SimComm) {
-        // Post all sends first (buffered), then drain receives: the pattern
-        // priced by the network model's overlap assumption.
-        for (i, &nb) in plan.neighbors.iter().enumerate() {
-            let buf: Vec<f64> = plan.send_indices[i]
-                .iter()
-                .map(|&j| self.values[j])
-                .collect();
-            comm.compute(work_costs::copy(buf.len()));
-            comm.send(nb, HALO_TAG, Payload::F64(buf));
-        }
-        for (i, &nb) in plan.neighbors.iter().enumerate() {
-            let buf = comm.recv_f64(nb, HALO_TAG);
-            assert_eq!(
-                buf.len(),
-                plan.recv_indices[i].len(),
-                "halo size mismatch with rank {nb}"
-            );
-            for (&slot, &v) in plan.recv_indices[i].iter().zip(&buf) {
-                self.values[slot] = v;
-            }
-            comm.compute(work_costs::copy(buf.len()));
-        }
+        comm.exchange(plan, &mut self.values, work_costs::copy);
     }
 
     /// Posts the halo exchange of [`Self::update_ghosts`] without completing
-    /// it: gathers and sends interface values to every neighbour, then posts
-    /// one nonblocking receive per neighbour. Transfers progress during any
-    /// compute charged before the matching [`Self::finish_ghost_update`] —
-    /// the overlap the communication-avoiding SpMV exploits.
-    pub fn post_ghost_update(&self, plan: &ExchangePlan, comm: &mut SimComm) -> Vec<RecvRequest> {
-        for (i, &nb) in plan.neighbors.iter().enumerate() {
-            let buf: Vec<f64> = plan.send_indices[i]
-                .iter()
-                .map(|&j| self.values[j])
-                .collect();
-            comm.compute(work_costs::copy(buf.len()));
-            let _ = comm.isend(nb, HALO_TAG, Payload::F64(buf));
-        }
-        plan.neighbors
-            .iter()
-            .map(|&nb| comm.irecv(nb, HALO_TAG))
-            .collect()
+    /// it ([`SimComm::exchange_post`]): gathers and sends interface values
+    /// to every neighbour, then posts one receive per neighbour. Transfers
+    /// progress during any compute charged before the matching
+    /// [`Self::finish_ghost_update`] — the overlap the
+    /// communication-avoiding SpMV exploits.
+    pub fn post_ghost_update(&self, plan: &ExchangePlan, comm: &mut SimComm) -> PostedExchange {
+        comm.exchange_post(plan, &self.values, work_costs::copy)
     }
 
-    /// Completes a halo exchange posted by [`Self::post_ghost_update`],
-    /// scattering the received interface values into their ghost slots.
-    /// After this the ghosts are bitwise what [`Self::update_ghosts`] would
-    /// have produced.
+    /// Completes a halo exchange posted by [`Self::post_ghost_update`]
+    /// ([`SimComm::exchange_wait`]), scattering the received interface
+    /// values into their ghost slots. After this the ghosts are bitwise
+    /// what [`Self::update_ghosts`] would have produced.
     ///
     /// # Panics
-    /// Panics if `reqs` does not match the plan's neighbour count or a
-    /// received halo has the wrong length.
+    /// Panics if `posted` was posted over another plan's neighbour count or
+    /// a received halo has the wrong length.
     pub fn finish_ghost_update(
         &mut self,
         plan: &ExchangePlan,
-        reqs: Vec<RecvRequest>,
+        posted: PostedExchange,
         comm: &mut SimComm,
     ) {
-        assert_eq!(reqs.len(), plan.neighbors.len());
-        let bufs = comm.wait_all(reqs);
-        for ((i, &nb), payload) in plan.neighbors.iter().enumerate().zip(bufs) {
-            let buf = match payload {
-                Payload::F64(v) => v,
-                other => panic!("expected F64 halo from rank {nb}, got {other:?}"),
-            };
-            assert_eq!(
-                buf.len(),
-                plan.recv_indices[i].len(),
-                "halo size mismatch with rank {nb}"
-            );
-            for (&slot, &v) in plan.recv_indices[i].iter().zip(&buf) {
-                self.values[slot] = v;
-            }
-            comm.compute(work_costs::copy(buf.len()));
-        }
+        comm.exchange_wait(plan, posted, &mut self.values, work_costs::copy);
     }
 }
 
@@ -487,6 +391,52 @@ mod tests {
             recv_indices: vec![vec![0]],
         };
         plan.validate(2, 3);
+    }
+
+    #[test]
+    fn a_halo_of_the_wrong_length_names_its_sender() {
+        // Rank 0 sends two values where rank 1's plan receives three, on
+        // both engines and through both forms of the update.
+        use hetero_simmpi::{run_spmd_opts, EngineOpts, FaultPlan, COOPERATIVE_SUPPORTED};
+        let mut engines = vec![EngineOpts::threads()];
+        if COOPERATIVE_SUPPORTED {
+            engines.push(EngineOpts::cooperative(1));
+        }
+        for opts in engines {
+            for posted in [false, true] {
+                let err = std::panic::catch_unwind(|| {
+                    run_spmd_opts(cfg(2), opts, FaultPlan::none(), None, |comm| {
+                        let plan = if comm.rank() == 0 {
+                            ExchangePlan {
+                                neighbors: vec![1],
+                                send_indices: vec![vec![0, 1]],
+                                recv_indices: vec![vec![3]],
+                            }
+                        } else {
+                            ExchangePlan {
+                                neighbors: vec![0],
+                                send_indices: vec![vec![0]],
+                                recv_indices: vec![vec![3, 4, 5]],
+                            }
+                        };
+                        let mut v = DistVector::zeros(3, 3);
+                        if posted {
+                            let p = v.post_ghost_update(&plan, comm);
+                            v.finish_ghost_update(&plan, p, comm);
+                        } else {
+                            v.update_ghosts(&plan, comm);
+                        }
+                    })
+                })
+                .unwrap_err();
+                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                assert!(
+                    msg.starts_with("rank 1 panicked:")
+                        && msg.contains("halo size mismatch with rank 0"),
+                    "{opts:?}, posted {posted}: {msg}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! Property-based tests of the linear-algebra contracts: CSR assembly vs a
-//! dense oracle, SpMV linearity, solver correctness on random SPD systems.
+//! dense oracle, SpMV linearity, solver correctness on random SPD systems,
+//! and the ghost update against the point-to-point loops it replaced.
 
 use hetero_linalg::csr::TripletBuilder;
 use hetero_linalg::precond::{Identity, IluZero, Jacobi, Ssor};
 use hetero_linalg::solver::{bicgstab, cg, gmres, SolveOptions, SolverVariant};
-use hetero_linalg::{DistMatrix, DistVector, ExchangePlan};
-use hetero_simmpi::{run_spmd, ClusterTopology, ComputeModel, NetworkModel, SpmdConfig};
+use hetero_linalg::{work_costs, DistMatrix, DistVector, ExchangePlan};
+use hetero_simmpi::{
+    run_spmd, run_spmd_opts, run_spmd_recorded, ClusterTopology, ComputeModel, EngineOpts,
+    FaultPlan, NetworkModel, Payload, SimComm, SpmdConfig, TraceSpec, Work, WorkTape,
+    COOPERATIVE_SUPPORTED,
+};
 use proptest::prelude::*;
 
 fn serial_cfg() -> SpmdConfig {
@@ -398,4 +403,241 @@ fn overlapped_spmv_bitwise_identity_holds_past_parallel_threshold() {
     assert_eq!(b1, o1);
     assert_eq!(b1, b4);
     assert_eq!(o1, o4);
+}
+
+// ---- the ghost update against the point-to-point oracle ----
+
+/// The ghost update as point-to-point messages, as `DistVector` did it
+/// before the exchange had its own slots: the oracle the exchange must
+/// match in every value, clock, counter, tape op and traced event.
+mod oracle {
+    use super::*;
+
+    const HALO_TAG: u64 = 9_000;
+
+    fn send_all(plan: &ExchangePlan, values: &[f64], comm: &mut SimComm) {
+        for (i, &nb) in plan.neighbors.iter().enumerate() {
+            let buf: Vec<f64> = plan.send_indices[i].iter().map(|&j| values[j]).collect();
+            comm.compute(work_costs::copy(buf.len()));
+            comm.send(nb, HALO_TAG, Payload::F64(buf));
+        }
+    }
+
+    fn scatter(plan: &ExchangePlan, i: usize, buf: &[f64], values: &mut [f64], comm: &mut SimComm) {
+        let nb = plan.neighbors[i];
+        assert_eq!(
+            buf.len(),
+            plan.recv_indices[i].len(),
+            "halo size mismatch with rank {nb}"
+        );
+        for (&slot, &v) in plan.recv_indices[i].iter().zip(buf) {
+            values[slot] = v;
+        }
+        comm.compute(work_costs::copy(buf.len()));
+    }
+
+    pub fn update(plan: &ExchangePlan, values: &mut [f64], comm: &mut SimComm) {
+        send_all(plan, values, comm);
+        for (i, &nb) in plan.neighbors.iter().enumerate() {
+            let buf = comm.recv_f64(nb, HALO_TAG);
+            scatter(plan, i, &buf, values, comm);
+        }
+    }
+
+    pub fn posted(plan: &ExchangePlan, values: &mut [f64], work: Work, comm: &mut SimComm) {
+        send_all(plan, values, comm);
+        let reqs = plan
+            .neighbors
+            .iter()
+            .map(|&nb| comm.irecv(nb, HALO_TAG))
+            .collect();
+        comm.compute(work);
+        for (i, payload) in comm.wait_all(reqs).into_iter().enumerate() {
+            let Payload::F64(buf) = payload else {
+                panic!("expected an F64 halo")
+            };
+            scatter(plan, i, &buf, values, comm);
+        }
+    }
+}
+
+/// Owned entries per rank in a generated halo program.
+const OWNED: usize = 5;
+
+/// One step every rank of a generated halo program takes.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// `reps` blocking ghost updates in a row on plan `plan`.
+    Blocking { plan: usize, reps: usize },
+    /// A posted ghost update on plan `plan` with `flops` of compute under
+    /// the transfers.
+    Posted { plan: usize, flops: u32 },
+    /// Compute only.
+    Compute { flops: u32 },
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0usize..2, 1usize..=3).prop_map(|(plan, reps)| Step::Blocking { plan, reps }),
+        (0usize..2, 1u32..3_000_000).prop_map(|(plan, flops)| Step::Posted { plan, flops }),
+        (1u32..3_000_000).prop_map(|flops| Step::Compute { flops }),
+    ]
+}
+
+/// Per unordered rank pair `(a, b)`, `a < b`, in `(0,1), (0,2), (1,2), …`
+/// order: whether the plan links them, and how many values go `a → b` and
+/// `b → a` (0 is an empty interface).
+type Links = Vec<(bool, usize, usize)>;
+
+/// A generated halo program: rank count, cores per node, fabric, seed, two
+/// plans' links and the steps.
+type HaloCase = (usize, usize, bool, u64, [Links; 2], Vec<Step>);
+
+fn halo_case() -> impl Strategy<Value = HaloCase> {
+    let links = || prop::collection::vec((any::<bool>(), 0usize..4, 0usize..4), 15);
+    (
+        (1usize..=6, 1usize..=3, any::<bool>(), 0u64..1000),
+        (links(), links()),
+        prop::collection::vec(step(), 1..8),
+    )
+        .prop_map(|((ranks, cores, ec2, seed), (a, b), steps)| {
+            (ranks, cores, ec2, seed, [a, b], steps)
+        })
+}
+
+/// Rank `me`'s side of plan `k` of `links`, with its ghosts after those of
+/// the plans before it. Ranks 0 and 1 are neighbours in both plans, so the
+/// two share a pair.
+fn halo_plan(links: &[Links; 2], k: usize, ranks: usize, me: usize) -> ExchangePlan {
+    let mut plan = ExchangePlan::empty();
+    let mut ghost = OWNED + (0..k).map(|j| ghosts(links, j, ranks, me)).sum::<usize>();
+    for nb in (0..ranks).filter(|&nb| nb != me) {
+        let Some((to, from)) = link(&links[k], me, nb) else {
+            continue;
+        };
+        plan.neighbors.push(nb);
+        plan.send_indices
+            .push((0..to).map(|i| (me + 2 * nb + 3 * i) % OWNED).collect());
+        plan.recv_indices.push((ghost..ghost + from).collect());
+        ghost += from;
+    }
+    plan
+}
+
+/// `(values me → nb, values nb → me)` if `links` joins the two ranks.
+fn link(links: &Links, me: usize, nb: usize) -> Option<(usize, usize)> {
+    let (a, b) = (me.min(nb), me.max(nb));
+    let (on, ab, ba) = links[b * (b - 1) / 2 + a];
+    (on || (a, b) == (0, 1)).then_some(if me == a { (ab, ba) } else { (ba, ab) })
+}
+
+/// Ghost entries rank `me` receives into under plan `k`.
+fn ghosts(links: &[Links; 2], k: usize, ranks: usize, me: usize) -> usize {
+    (0..ranks)
+        .filter(|&nb| nb != me)
+        .filter_map(|nb| link(&links[k], me, nb))
+        .map(|(_, from)| from)
+        .sum()
+}
+
+/// Runs `case` on this rank through `DistVector` or (`oracle`) the
+/// point-to-point loops, fingerprinting the ghosts and the clock after
+/// every step.
+fn play_halo(case: &HaloCase, oracle: bool, comm: &mut SimComm) -> Vec<u64> {
+    let (ranks, _, _, _, links, steps) = case;
+    let me = comm.rank();
+    let plans = [0, 1].map(|k| halo_plan(links, k, *ranks, me));
+    let n_local = OWNED + ghosts(links, 0, *ranks, me) + ghosts(links, 1, *ranks, me);
+    for plan in &plans {
+        plan.validate(OWNED, n_local);
+    }
+    let mut v = DistVector::zeros(OWNED, n_local - OWNED);
+    let mut fp = Vec::new();
+    for (s, step) in steps.iter().enumerate() {
+        for (j, x) in v.owned_mut().iter_mut().enumerate() {
+            *x = *x * 0.5 + (me * 10 + j + s) as f64;
+        }
+        match *step {
+            Step::Blocking { plan, reps } => {
+                for _ in 0..reps {
+                    if oracle {
+                        oracle::update(&plans[plan], v.as_mut_slice(), comm);
+                    } else {
+                        v.update_ghosts(&plans[plan], comm);
+                    }
+                }
+            }
+            Step::Posted { plan, flops } => {
+                let work = Work::new(f64::from(flops), 1e3);
+                if oracle {
+                    oracle::posted(&plans[plan], v.as_mut_slice(), work, comm);
+                } else {
+                    let posted = v.post_ghost_update(&plans[plan], comm);
+                    comm.compute(work);
+                    v.finish_ghost_update(&plans[plan], posted, comm);
+                }
+            }
+            Step::Compute { flops } => comm.compute(Work::new(f64::from(flops), 1e4)),
+        }
+        fp.extend(v.as_slice()[OWNED..].iter().map(|x| x.to_bits()));
+        fp.push(comm.clock().to_bits());
+    }
+    fp
+}
+
+/// Every rank's fingerprint, clock bits and counters; the message-level
+/// trace; and the work tape.
+type HaloRun = (Vec<(Vec<u64>, u64, String)>, String, Option<WorkTape>);
+
+fn run_halo(case: &HaloCase, opts: EngineOpts, oracle: bool) -> HaloRun {
+    let (ranks, cores, ec2, seed, _, _) = *case;
+    let cfg = SpmdConfig {
+        size: ranks,
+        topo: ClusterTopology::uniform(ranks.div_ceil(cores), cores),
+        net: if ec2 {
+            NetworkModel::ten_gig_ethernet_ec2()
+        } else {
+            NetworkModel::gigabit_ethernet()
+        },
+        compute: ComputeModel::new(1e9, 4e9),
+        seed,
+    };
+    let body = |comm: &mut SimComm| play_halo(case, oracle, comm);
+    let (res, trace) = run_spmd_opts(
+        cfg.clone(),
+        opts,
+        FaultPlan::none(),
+        Some(TraceSpec::messages()),
+        body,
+    );
+    let (_, tape) = run_spmd_recorded(cfg, opts, 1 << 22, body);
+    let ranks = res
+        .expect("a failure-free job")
+        .into_iter()
+        .map(|r| (r.value, r.clock.to_bits(), format!("{:?}", r.stats)))
+        .collect();
+    (ranks, trace.expect("traced").jsonl(), tape)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random symmetric plans — empty interfaces, three updates in a row on
+    /// one plan, two plans sharing a pair — over random rank counts and
+    /// topologies, blocking and posted: the exchange gives every rank the
+    /// ghosts, clock, counters, tape and message trace of the
+    /// point-to-point loops, on both engines and both pool sizes.
+    #[test]
+    fn ghost_updates_match_the_point_to_point_oracle(case in halo_case()) {
+        let mut engines = vec![EngineOpts::threads()];
+        if COOPERATIVE_SUPPORTED {
+            engines.extend([EngineOpts::cooperative(1), EngineOpts::cooperative(3)]);
+        }
+        for opts in engines {
+            let want = run_halo(&case, opts, true);
+            let got = run_halo(&case, opts, false);
+            prop_assert!(want.2.is_some(), "the oracle's tape fits");
+            prop_assert_eq!(&got, &want, "{:?} on {:?}", opts, case);
+        }
+    }
 }

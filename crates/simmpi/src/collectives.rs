@@ -529,6 +529,7 @@ mod tests {
 
     use crate::comm::SimComm;
     use crate::engine::run_spmd_inner;
+    use crate::exchange::tests::{copy, ring};
     use crate::tape::WorkTape;
     use crate::COOPERATIVE_SUPPORTED;
     use hetero_trace::{Trace, TraceDetail};
@@ -555,8 +556,8 @@ mod tests {
         Halo {
             len: usize,
         },
-        /// A posted receive from the left, a send to the right, compute
-        /// under the transfer, and the wait.
+        /// A posted exchange with both ring neighbours, compute under the
+        /// transfers, and the wait.
         Posted {
             len: usize,
             flops: u32,
@@ -659,13 +660,13 @@ mod tests {
                     v.iter().map(|x| x.to_bits()).collect()
                 }
                 Act::Posted { len, flops } => {
-                    let req = comm.irecv(left, tag);
-                    let _ = comm.isend(right, tag, Payload::F64(mine(len, comm.clock())));
+                    let plan = ring(rank, size, len);
+                    let mut v = mine(len, comm.clock());
+                    v.resize(len * (1 + plan.neighbors.len()), 0.0);
+                    let posted = comm.exchange_post(&plan, &v, copy);
                     comm.compute(Work::new(f64::from(flops), 1e3));
-                    match comm.wait(req) {
-                        Payload::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
-                        other => panic!("{other:?}"),
-                    }
+                    comm.exchange_wait(&plan, posted, &mut v, copy);
+                    v[len..].iter().map(|x| x.to_bits()).collect()
                 }
                 Act::Compute { flops } => {
                     comm.compute(Work::new(f64::from(flops), 1e5));

@@ -1,9 +1,11 @@
 //! The per-rank communicator: typed point-to-point messaging with virtual
-//! clocks.
+//! clocks. Halo traffic does not come through here: it has its own
+//! per-pair slots (see [`crate::exchange`]).
 
 use crate::engine::SpmdConfig;
+use crate::exchange::{Halo, Registry};
 use crate::fault::{FaultPanic, FaultPlan, RankFailed};
-use crate::network::{MsgContext, NetworkModel};
+use crate::network::{Link, MsgContext, NetworkModel, Path};
 use crate::rendezvous::{Arrival, Fate, Kind, Rendezvous, Yield};
 use crate::stats::CommStats;
 use crate::tape::{Op, RankTape, Recorder, TapeBudget};
@@ -45,27 +47,14 @@ impl Payload {
     }
 }
 
-/// Handle for a nonblocking send posted with [`SimComm::isend`].
-///
-/// Sends are buffered (as in the blocking [`SimComm::send`]), so the
-/// operation is already complete when the handle is returned; the handle
-/// exists so call sites read like the MPI post/wait idiom they model.
-#[derive(Debug, Clone, Copy)]
-pub struct SendRequest {
-    /// Destination rank the message was posted to.
-    pub dst: usize,
-    /// Modeled wire bytes of the posted message.
-    pub bytes: f64,
-}
-
 /// Handle for a nonblocking receive posted with [`SimComm::irecv`].
 ///
 /// The handle records the *post time* on this rank's virtual clock; the
-/// matching [`SimComm::wait_all`] (or [`SimComm::wait`]) charges a transfer
-/// that progressed concurrently with whatever compute the rank charged
-/// between post and wait.
+/// matching [`SimComm::wait_all`] charges a transfer that progressed
+/// concurrently with whatever compute the rank charged between post and
+/// wait.
 #[derive(Debug, Clone, Copy)]
-#[must_use = "a posted receive must be completed with wait/wait_all"]
+#[must_use = "a posted receive must be completed with wait_all"]
 pub struct RecvRequest {
     src: usize,
     tag: u64,
@@ -128,14 +117,47 @@ impl<V> PeerMap<V> {
     where
         V: Default,
     {
-        let i = match self.position(peer) {
-            Ok(i) => i,
-            Err(i) => {
-                self.entries.insert(i, (peer, V::default()));
-                i
-            }
-        };
-        &mut self.entries[i].1
+        let mut at = usize::MAX;
+        self.get_or_default_at(peer, &mut at)
+    }
+
+    /// Makes room for `n` entries in all, if there is none yet.
+    pub(crate) fn reserve_for(&mut self, n: usize) {
+        if self.entries.is_empty() {
+            self.entries.reserve_exact(n);
+        }
+    }
+
+    /// [`Self::get_or_default`], looked up at `at` first; `at` is left at
+    /// the entry's position. (A new peer's insert shifts the entries above
+    /// it, so a position is a hint, checked, never trusted.)
+    #[inline]
+    pub(crate) fn get_or_default_at(&mut self, peer: usize, at: &mut usize) -> &mut V
+    where
+        V: Default,
+    {
+        self.get_or_insert_at(peer, at, V::default)
+    }
+
+    /// The value for `peer`, inserted as `make()` on first use, looked up
+    /// as [`Self::get_or_default_at`] does.
+    #[inline]
+    pub(crate) fn get_or_insert_at(
+        &mut self,
+        peer: usize,
+        at: &mut usize,
+        make: impl FnOnce() -> V,
+    ) -> &mut V {
+        if self.entries.get(*at).is_none_or(|e| e.0 != peer) {
+            *at = match self.position(peer) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.entries.insert(i, (peer, make()));
+                    i
+                }
+            };
+        }
+        &mut self.entries[*at].1
     }
 }
 
@@ -152,10 +174,12 @@ impl<V> PeerMap<V> {
 /// Keying the queues by `(src, tag)` instead gives the same matching but a
 /// queue per tag ever seen, and every collective draws a fresh tag: the
 /// structure then grows with a rank's step count. A lane is created on a
-/// source's first message and reused from then on, so a mailbox is bounded
-/// by the rank's peer count.
+/// source's first message and kept, so a mailbox is bounded by the rank's
+/// peer count; a lane that drains gives its buffer back, since the traffic
+/// left on mailboxes (DoF-map requests, rooted collectives) comes once or
+/// seldom per source.
 #[derive(Default)]
-struct Lanes {
+pub(crate) struct Lanes {
     by_src: PeerMap<VecDeque<Envelope>>,
 }
 
@@ -168,7 +192,11 @@ impl Lanes {
     fn pop(&mut self, src: usize, tag: u64) -> Option<Envelope> {
         let lane = self.by_src.get_mut(src)?;
         let at = lane.iter().position(|env| env.tag == tag)?;
-        lane.remove(at)
+        let env = lane.remove(at);
+        if lane.is_empty() {
+            *lane = VecDeque::new();
+        }
+        env
     }
 
     fn has_queued(&self, src: usize, tag: u64) -> bool {
@@ -180,15 +208,16 @@ impl Lanes {
 
 /// One rank's receive side, shared by both engines: the lanes under a
 /// lock (senders are other ranks, possibly on other workers), and the
-/// condvar the thread engine's receivers park on.
+/// condvar the thread engine's receivers park on, in a receive or in an
+/// exchange.
 #[derive(Default)]
-struct Mailbox {
+pub(crate) struct Mailbox {
     lanes: Mutex<Lanes>,
-    cv: Condvar,
+    pub(crate) cv: Condvar,
 }
 
 impl Mailbox {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Lanes> {
+    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, Lanes> {
         self.lanes
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -266,6 +295,14 @@ impl JobModel {
         modeled_bytes: f64,
         depart: f64,
     ) -> Transfer {
+        let link = self.path(src, dst).link(modeled_bytes);
+        self.transfer_over(&link, seq, depart)
+    }
+
+    /// The [`Path`] of messages from `src` to `dst`: everything about
+    /// their price that their size, sequence number and departure do not
+    /// change.
+    pub(crate) fn path(&self, src: usize, dst: usize) -> Path {
         let topo = &self.topo;
         let (src_node, dst_node) = (topo.node_of_rank(src), topo.node_of_rank(dst));
         // Both endpoints' NICs are shared by their node-mates; the busier
@@ -273,15 +310,21 @@ impl JobModel {
         let sharers = topo
             .ranks_on_node(src_node, self.size)
             .max(topo.ranks_on_node(dst_node, self.size));
-        let ctx = MsgContext {
-            bytes: modeled_bytes,
+        self.net.path_of(&MsgContext {
+            bytes: 0.0,
             same_node: src_node == dst_node,
             same_group: topo.group_of_node(src_node) == topo.group_of_node(dst_node),
             nic_sharers: sharers,
             nodes_active: self.nodes_active,
-            jitter_key: (self.seed, src as u64, dst as u64, seq),
-        };
-        let (latency, drain) = self.net.transfer_cost_under(ctx, self.contention);
+            jitter_key: (self.seed, src as u64, dst as u64, 0),
+        })
+    }
+
+    /// Prices the transfer of the `seq`-th message over `link` that
+    /// departed at `depart`.
+    #[inline]
+    pub(crate) fn transfer_over(&self, link: &Link, seq: u64, depart: f64) -> Transfer {
+        let (latency, drain) = self.net.link_cost(link, seq, self.contention);
         // Transient degradation windows stretch the wire portion of the
         // transfer; keyed to the deterministic departure time so both ends
         // of the exchange agree on whether the window applied.
@@ -315,7 +358,7 @@ impl Transfer {
     /// `(clock, avail)` after waiting at `clock` on a receive posted at
     /// `posted`: the message is fully transferred at `avail`, and the
     /// waiter stalls only for what compute since the post did not cover.
-    /// See [`SimComm::wait_all`].
+    /// See [`SimComm::wait_all`] and [`SimComm::exchange_wait`].
     #[inline]
     pub(crate) fn wait(&self, clock: f64, posted: f64, depart: f64) -> (f64, f64) {
         let avail = posted.max(depart + self.latency * self.slow) + self.drain * self.slow;
@@ -337,6 +380,8 @@ pub(crate) struct SharedComm {
     /// rank then holds no recorder at all.
     pub(crate) tapes: Option<TapeBudget>,
     mailboxes: Vec<Mailbox>,
+    /// Every directed pair's halo channel (see [`crate::exchange`]).
+    pub(crate) halo: Registry,
     /// Where the symmetric collectives meet (see [`crate::rendezvous`]).
     pub(crate) rendezvous: Rendezvous,
     /// One flag per rank, raised when that rank has exited (clean return,
@@ -366,6 +411,7 @@ impl SharedComm {
             coop,
             tapes,
             mailboxes,
+            halo: Registry::default(),
             rendezvous,
             terminated,
         })
@@ -400,6 +446,10 @@ impl SharedComm {
 
     pub(crate) fn rank_terminated(&self, rank: usize) -> bool {
         self.terminated[rank].load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn mailbox(&self, rank: usize) -> &Mailbox {
+        &self.mailboxes[rank]
     }
 
     /// Whether a message from `(src, tag)` is queued at `dst`'s mailbox.
@@ -443,7 +493,7 @@ impl Ledger {
     /// Appends `op` to the rank's work tape, if it records one. A rank
     /// that outgrows its share gives up: the job then keeps no tape.
     #[inline]
-    fn record(&mut self, op: Op) {
+    pub(crate) fn record(&mut self, op: Op) {
         if let Some(t) = self.tape.as_mut() {
             if !t.push(op) {
                 self.tape = None;
@@ -469,7 +519,21 @@ impl Ledger {
     /// per-pair sequence number. The clock after it is the message's
     /// departure time.
     pub(crate) fn send(&mut self, model: &JobModel, dst: usize, modeled_bytes: f64) -> u64 {
-        let counter = self.send_seq.get_or_default(dst);
+        let mut at = usize::MAX;
+        self.send_at(model, dst, modeled_bytes, &mut at)
+    }
+
+    /// [`Self::send`], given where `dst`'s sequence counter sat at the
+    /// caller's last send to it (`at`, updated if it has moved).
+    #[inline]
+    pub(crate) fn send_at(
+        &mut self,
+        model: &JobModel,
+        dst: usize,
+        modeled_bytes: f64,
+        at: &mut usize,
+    ) -> u64 {
+        let counter = self.send_seq.get_or_default_at(dst, at);
         let seq = *counter;
         *counter += 1;
         let cost = model.send_cost(modeled_bytes);
@@ -490,10 +554,13 @@ impl Ledger {
         seq
     }
 
+    /// Posts recorded so far: the tape index the next [`Op::Post`] gets.
+    pub(crate) fn posts(&self) -> u32 {
+        self.tape.as_ref().map_or(0, |t| t.posts())
+    }
+
     /// Charges rank `me`'s blocking receive of the `seq`-th message from
-    /// `src`: `modeled_bytes` that departed at `depart`. (A sequence number
-    /// past `u32` means the sender recorded more sends than any share
-    /// holds, so the job keeps no tape and the truncation is never read.)
+    /// `src`: `modeled_bytes` that departed at `depart`.
     pub(crate) fn recv(
         &mut self,
         model: &JobModel,
@@ -503,10 +570,24 @@ impl Ledger {
         modeled_bytes: f64,
         depart: f64,
     ) {
+        let t = model.transfer(src, me, seq, modeled_bytes, depart);
+        self.recv_over(t, src, seq, modeled_bytes, depart);
+    }
+
+    /// Charges a blocking receive of the `seq`-th message from `src`,
+    /// priced as `t`. (A sequence number past `u32` means the sender
+    /// recorded more sends than any share holds, so the job keeps no tape
+    /// and the truncation is never read.)
+    pub(crate) fn recv_over(
+        &mut self,
+        t: Transfer,
+        src: usize,
+        seq: u64,
+        modeled_bytes: f64,
+        depart: f64,
+    ) {
         let before = self.clock;
-        self.clock = model
-            .transfer(src, me, seq, modeled_bytes, depart)
-            .recv(self.clock, depart);
+        self.clock = t.recv(self.clock, depart);
         self.stats.comm_time += self.clock - before;
         self.stats.msgs_received += 1;
         self.stats.bytes_received += modeled_bytes;
@@ -522,6 +603,56 @@ impl Ledger {
                     bytes: modeled_bytes,
                 },
             );
+        }
+    }
+
+    /// Charges the completion of post number `post`, made at `posted`, by
+    /// the `seq`-th message from `src`: `(seq, modeled_bytes, depart)`,
+    /// priced as `t`. Returns the message's `(hidden, exposed)` wire time:
+    /// the part that ran under compute or earlier waits, and the part that
+    /// stalled the waiter.
+    pub(crate) fn wait_over(
+        &mut self,
+        t: Transfer,
+        src: usize,
+        (seq, modeled_bytes, depart): (u64, f64, f64),
+        (posted, post): (f64, u32),
+    ) -> (f64, f64) {
+        let before = self.clock;
+        let avail;
+        (self.clock, avail) = t.wait(before, posted, depart);
+        self.record(Op::Wait {
+            src: src as u32,
+            seq: seq as u32,
+            post,
+        });
+        let wire = avail - depart;
+        let stall = (avail - before).max(0.0);
+        self.stats.comm_time += self.clock - before;
+        self.stats.msgs_received += 1;
+        self.stats.bytes_received += modeled_bytes;
+        if self.trace_detail() == Some(TraceDetail::Messages) {
+            self.trace_span(
+                before,
+                EventKind::RecvMsg {
+                    peer: src as u32,
+                    bytes: modeled_bytes,
+                },
+            );
+        }
+        ((wire - stall).max(0.0), stall)
+    }
+
+    /// Records the [`EventKind::Overlap`] instant of a batch of `msgs`
+    /// completed waits (none for an empty batch), if the detail level
+    /// covers collectives.
+    pub(crate) fn trace_overlap(&mut self, msgs: u32, hidden: f64, exposed: f64) {
+        if msgs > 0 && self.trace_detail() >= Some(TraceDetail::Collectives) {
+            self.trace_instant(EventKind::Overlap {
+                msgs,
+                hidden,
+                exposed,
+            });
         }
     }
 
@@ -565,18 +696,29 @@ impl Ledger {
     }
 }
 
-/// One rank's handle on the simulated job: point-to-point messaging, virtual
-/// clock, and work accounting. Not shareable across threads; each rank owns
+/// One rank's handle on the simulated job: point-to-point messaging, halo
+/// exchanges ([`crate::exchange`]), virtual clock, and work accounting. Not shareable across threads; each rank owns
 /// exactly one.
 pub struct SimComm {
-    rank: usize,
-    shared: Arc<SharedComm>,
-    ledger: Ledger,
+    pub(crate) rank: usize,
+    pub(crate) shared: Arc<SharedComm>,
+    pub(crate) ledger: Ledger,
+    /// This rank's halo channels.
+    pub(crate) halo: Halo,
     coll_epoch: u64,
     /// This rank's topology node and its scheduled death time (cached from
     /// the shared fault plan; `INFINITY` means the node survives).
-    node: usize,
-    down_at: f64,
+    pub(crate) node: usize,
+    pub(crate) down_at: f64,
+}
+
+/// Raises [`RankFailed`] for `node` (as a typed panic the engine
+/// intercepts) once `clock` has reached its loss time `down_at`.
+#[inline]
+pub(crate) fn fail_if_down(clock: f64, down_at: f64, node: usize) {
+    if clock >= down_at {
+        std::panic::panic_any(FaultPanic(RankFailed { node, at: down_at }));
+    }
 }
 
 impl SimComm {
@@ -595,6 +737,7 @@ impl SimComm {
             rank,
             shared,
             ledger,
+            halo: Halo::default(),
             coll_epoch: 0,
             node,
             down_at,
@@ -618,12 +761,7 @@ impl SimComm {
     /// clock itself is deterministic.
     #[inline]
     pub(crate) fn maybe_fail(&self) {
-        if self.ledger.clock >= self.down_at {
-            std::panic::panic_any(FaultPanic(RankFailed {
-                node: self.node,
-                at: self.down_at,
-            }));
-        }
+        fail_if_down(self.ledger.clock, self.down_at, self.node);
     }
 
     /// This rank's id.
@@ -757,7 +895,7 @@ impl SimComm {
     /// cooperative engine, or by a condvar wait under the thread engine.
     /// Either way the rank unwinds (poison panic) only once the sender is
     /// provably gone — a virtual-time-determined condition shared by the
-    /// blocking and nonblocking receive paths.
+    /// blocking and posted receives.
     fn block_for_envelope(&mut self, src: usize, tag: u64) -> Envelope {
         if self.shared.coop.is_some() {
             self.coop_block_for_envelope(src, tag)
@@ -880,27 +1018,17 @@ impl SimComm {
         }
     }
 
-    /// Posts a nonblocking send of `payload` to rank `dst`.
-    ///
-    /// Identical cost and semantics to [`Self::send`] (buffered, so the
-    /// sender never blocks); the returned handle is already complete and
-    /// needs no wait.
-    pub fn isend(&mut self, dst: usize, tag: u64, payload: Payload) -> SendRequest {
-        let bytes = payload.body_bytes() + HEADER_BYTES;
-        self.send_with_modeled_bytes(dst, tag, payload, bytes);
-        SendRequest { dst, bytes }
-    }
-
     /// Posts a nonblocking receive for the next message from `(src, tag)`.
     ///
     /// Free on the virtual clock: the post merely records the current time.
     /// From this instant the transfer progresses *concurrently* with any
-    /// compute the rank charges, until the matching [`Self::wait_all`] /
-    /// [`Self::wait`] completes it.
+    /// compute the rank charges, until the matching [`Self::wait_all`]
+    /// completes it. (Sends are buffered, so a posted send is a
+    /// [`Self::send`].)
     pub fn irecv(&mut self, src: usize, tag: u64) -> RecvRequest {
         assert!(src < self.shared.model.size, "source rank out of range");
         self.maybe_fail();
-        let post = self.ledger.tape.as_ref().map_or(0, |t| t.posts());
+        let post = self.ledger.posts();
         self.ledger.record(Op::Post);
         RecvRequest {
             src,
@@ -908,12 +1036,6 @@ impl SimComm {
             posted: self.ledger.clock,
             post,
         }
-    }
-
-    /// Completes one posted receive. Equivalent to
-    /// `wait_all(vec![req])` returning the single payload.
-    pub fn wait(&mut self, req: RecvRequest) -> Payload {
-        self.wait_all(vec![req]).pop().expect("one request in")
     }
 
     /// Completes posted receives in order, returning their payloads.
@@ -945,52 +1067,23 @@ impl SimComm {
         for req in reqs {
             let env = self.block_for_envelope(req.src, req.tag);
             debug_assert_eq!(env.src, req.src);
-            let ledger = &mut self.ledger;
-            let before = ledger.clock;
-            let avail;
-            (ledger.clock, avail) = self
-                .shared
-                .model
-                .transfer(env.src, self.rank, env.seq, env.modeled_bytes, env.depart)
-                .wait(before, req.posted, env.depart);
-            ledger.record(Op::Wait {
-                src: env.src as u32,
-                seq: env.seq as u32,
-                post: req.post,
-            });
-            // Wire time from departure to full arrival, split into the part
-            // that stalled the waiter (exposed) and the part that ran under
-            // compute or earlier waits (hidden).
-            let wire = avail - env.depart;
-            let stall = (avail - before).max(0.0);
-            exposed += stall;
-            hidden += (wire - stall).max(0.0);
-            ledger.stats.comm_time += ledger.clock - before;
-            ledger.stats.msgs_received += 1;
-            ledger.stats.bytes_received += env.modeled_bytes;
-            if ledger.trace_detail() == Some(TraceDetail::Messages) {
-                ledger.trace_span(
-                    before,
-                    EventKind::RecvMsg {
-                        peer: req.src as u32,
-                        bytes: env.modeled_bytes,
-                    },
-                );
-            }
+            let t = self.shared.model.transfer(
+                env.src,
+                self.rank,
+                env.seq,
+                env.modeled_bytes,
+                env.depart,
+            );
+            let msg = (env.seq, env.modeled_bytes, env.depart);
+            let (h, e) = self
+                .ledger
+                .wait_over(t, env.src, msg, (req.posted, req.post));
+            hidden += h;
+            exposed += e;
             self.maybe_fail();
             out.push(env.payload);
         }
-        if n_msgs > 0 {
-            if let Some(detail) = self.trace_detail() {
-                if detail >= TraceDetail::Collectives {
-                    self.trace_instant(EventKind::Overlap {
-                        msgs: n_msgs,
-                        hidden,
-                        exposed,
-                    });
-                }
-            }
-        }
+        self.ledger.trace_overlap(n_msgs, hidden, exposed);
         out
     }
 
@@ -1063,7 +1156,9 @@ impl SimComm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_spmd, SpmdConfig};
+    use crate::engine::{run_spmd, run_spmd_opts, EngineOpts, SpmdConfig};
+    use crate::exchange::tests::{copy, ring, values};
+    use crate::COOPERATIVE_SUPPORTED;
 
     fn cfg(size: usize) -> SpmdConfig {
         SpmdConfig {
@@ -1072,6 +1167,14 @@ mod tests {
             net: NetworkModel::gigabit_ethernet(),
             compute: ComputeModel::new(1e9, 4e9),
             seed: 42,
+        }
+    }
+
+    /// One rank per node, so every halo crosses the network.
+    fn halo_cfg(size: usize) -> SpmdConfig {
+        SpmdConfig {
+            topo: ClusterTopology::uniform(size, 1),
+            ..cfg(size)
         }
     }
 
@@ -1330,73 +1433,83 @@ mod tests {
         // degenerate to exactly the blocking recv cost.
         let mut c = cfg(2);
         c.topo = ClusterTopology::uniform(2, 1);
-        let body_blocking = |comm: &mut SimComm| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, Payload::F64(vec![1.5; 5000]));
-                (vec![], 0.0)
-            } else {
-                let v = comm.recv_f64(0, 1);
-                (v, comm.clock())
+        let body = |posted: bool| {
+            move |comm: &mut SimComm| {
+                if comm.rank() == 0 {
+                    comm.send(1, 1, Payload::F64(vec![1.5; 5000]));
+                    (vec![], 0)
+                } else {
+                    let v = if posted {
+                        let req = comm.irecv(0, 1);
+                        comm.wait_all(vec![req]).pop().unwrap()
+                    } else {
+                        comm.recv(0, 1)
+                    };
+                    (vec![v], comm.clock().to_bits())
+                }
             }
         };
-        let body_nonblocking = |comm: &mut SimComm| {
-            if comm.rank() == 0 {
-                let _ = comm.isend(1, 1, Payload::F64(vec![1.5; 5000]));
-                (vec![], 0.0)
-            } else {
-                let req = comm.irecv(0, 1);
-                let v = match comm.wait(req) {
-                    Payload::F64(v) => v,
-                    other => panic!("expected F64, got {other:?}"),
-                };
-                (v, comm.clock())
-            }
-        };
-        let a = run_spmd(c.clone(), body_blocking);
-        let b = run_spmd(c, body_nonblocking);
+        let a = run_spmd(c.clone(), body(false));
+        let b = run_spmd(c, body(true));
         assert_eq!(a[1].value, b[1].value);
     }
 
     #[test]
     fn compute_between_post_and_wait_hides_transfer() {
-        let mut c = cfg(2);
-        c.topo = ClusterTopology::uniform(2, 1);
-        let big = Payload::F64(vec![0.25; 200_000]); // ~1.6 MB: drain-dominated
+        let len = 200_000; // ~1.6 MB: drain-dominated
         let overlap_work = Work::new(5e8, 0.0); // 0.5 virtual seconds
-        let blocking = {
-            let big = big.clone();
-            run_spmd(c.clone(), move |comm| {
-                if comm.rank() == 0 {
-                    comm.send(1, 1, big.clone());
-                    0.0
+        let run = |posted: bool| {
+            run_spmd(halo_cfg(2), move |comm| {
+                let plan = ring(comm.rank(), 2, len);
+                let mut v = values(comm.rank(), len, &plan);
+                if posted {
+                    let p = comm.exchange_post(&plan, &v, copy);
+                    comm.compute(overlap_work); // transfer progresses underneath
+                    comm.exchange_wait(&plan, p, &mut v, copy);
                 } else {
-                    let _ = comm.recv(0, 1);
+                    comm.exchange(&plan, &mut v, copy);
                     comm.compute(overlap_work);
-                    comm.clock()
                 }
+                comm.clock()
             })
         };
-        let overlapped = run_spmd(c, move |comm| {
-            if comm.rank() == 0 {
-                let _ = comm.isend(1, 1, big.clone());
-                0.0
-            } else {
-                let req = comm.irecv(0, 1);
-                comm.compute(overlap_work); // transfer progresses underneath
-                let _ = comm.wait(req);
-                comm.clock()
-            }
-        });
-        // Same total work + traffic, but the overlapped schedule finishes
+        let (blocking, overlapped) = (run(false)[1].value, run(true)[1].value);
+        // Same total work and traffic, but the overlapped schedule finishes
         // earlier because the drain ran during the compute.
         assert!(
-            overlapped[1].value < blocking[1].value - 0.01,
-            "overlapped {} vs blocking {}",
-            overlapped[1].value,
-            blocking[1].value
+            overlapped < blocking - 0.01,
+            "overlapped {overlapped} vs blocking {blocking}"
         );
         // And never earlier than the compute alone.
-        assert!(overlapped[1].value >= 0.5);
+        assert!(overlapped >= 0.5);
+    }
+
+    #[test]
+    fn overlapped_clocks_are_deterministic() {
+        let body = |comm: &mut SimComm| {
+            let plan = ring(comm.rank(), comm.size(), 2000);
+            let mut v = values(comm.rank(), 2000, &plan);
+            for _ in 0..4 {
+                let p = comm.exchange_post(&plan, &v, copy);
+                comm.compute(Work::new(1e7, 0.0));
+                comm.exchange_wait(&plan, p, &mut v, copy);
+            }
+            comm.clock().to_bits()
+        };
+        let run = |opts: EngineOpts| {
+            let (res, _) = run_spmd_opts(halo_cfg(4), opts, FaultPlan::none(), None, body);
+            res.unwrap()
+                .into_iter()
+                .map(|r| r.value)
+                .collect::<Vec<_>>()
+        };
+        let first = run(EngineOpts::threads());
+        assert_eq!(run(EngineOpts::threads()), first);
+        if COOPERATIVE_SUPPORTED {
+            for workers in [1, 3] {
+                assert_eq!(run(EngineOpts::cooperative(workers)), first);
+            }
+        }
     }
 
     #[test]
@@ -1412,32 +1525,10 @@ mod tests {
                     })
                     .collect()
             } else {
-                let _ = comm.isend(0, 4, Payload::F64(vec![comm.rank() as f64]));
+                comm.send(0, 4, Payload::F64(vec![comm.rank() as f64]));
                 vec![]
             }
         });
         assert_eq!(r[0].value, vec![2.0, 1.0]);
-    }
-
-    #[test]
-    fn overlapped_clocks_are_deterministic() {
-        let run = || {
-            run_spmd(cfg(4), |comm| {
-                let right = (comm.rank() + 1) % comm.size();
-                let left = (comm.rank() + comm.size() - 1) % comm.size();
-                for _ in 0..4 {
-                    let _ = comm.isend(right, 9, Payload::F64(vec![1.0; 2000]));
-                    let req = comm.irecv(left, 9);
-                    comm.compute(Work::new(1e7, 0.0));
-                    let _ = comm.wait(req);
-                }
-                comm.clock()
-            })
-        };
-        let a = run();
-        let b = run();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.value, y.value);
-        }
     }
 }

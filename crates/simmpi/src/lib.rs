@@ -26,6 +26,9 @@
 //!   symmetric ones (allreduce, barrier, all-gather) run as one rendezvous
 //!   per call: the ranks park, and one evaluator charges every hop of the
 //!   tree to them exactly as the messages would have.
+//! * A halo exchange ([`exchange`]) is one call over per-pair reused
+//!   slots, charged message by message as point-to-point halo traffic
+//!   would be.
 //!
 //! Simulated time is **deterministic**: it depends only on the program's
 //! communication structure, the platform parameters, and an experiment seed
@@ -43,14 +46,16 @@
 //! [`engine::run_spmd_opts`]; see the `hetero-trace` crate for the event
 //! model and exporters.
 
-// `deny` rather than `forbid`: the coroutine context switch in `sched`
-// needs a scoped `unsafe` island; everything else stays unsafe-free.
+// `deny` rather than `forbid`: the coroutine context switch in `sched` and
+// the halo exchange's lock-free slots (`exchange::channel`) need scoped
+// `unsafe` islands; everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collectives;
 pub mod comm;
 pub mod engine;
+pub mod exchange;
 pub mod fault;
 pub mod modeled;
 pub mod network;
@@ -62,11 +67,12 @@ pub mod tape;
 pub mod topology;
 pub mod work;
 
-pub use comm::{Payload, RecvRequest, SendRequest, SimComm};
+pub use comm::{Payload, RecvRequest, SimComm};
 pub use engine::{
     run_spmd, run_spmd_opts, run_spmd_recorded, EngineKind, EngineOpts, RankResult, SpmdConfig,
     COOPERATIVE_SUPPORTED, DEFAULT_TASK_STACK_BYTES, MAX_REAL_RANKS, MAX_THREAD_RANKS,
 };
+pub use exchange::{ExchangePlan, PostedExchange};
 pub use fault::{FaultPlan, RankFailed, SlowWindow};
 pub use hetero_trace::{Trace, TraceDetail, TraceSpec};
 pub use network::{MsgContext, NetworkModel};

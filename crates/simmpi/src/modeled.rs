@@ -172,8 +172,8 @@ impl VirtualRank {
     }
 
     /// Charges a halo exchange whose transfers overlap with `interior`
-    /// compute, mirroring the numerical engine's post/compute/`wait_all`
-    /// sequence (`spmv_overlapped`): sends are posted up front, each
+    /// compute, mirroring the numerical engine's `exchange_post`/compute/
+    /// `exchange_wait` sequence (`spmv_overlapped`): sends are posted up front, each
     /// message's full transfer (latency + drain) then progresses while the
     /// interior work runs, and the wait point only stalls for whatever the
     /// compute did not cover.

@@ -50,6 +50,30 @@ pub struct Link {
     jitter_prefix: u64,
 }
 
+/// A route between two ranks priced by [`NetworkModel::path`]: the
+/// [`Link`] of a message of any size over it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Path {
+    latency: f64,
+    /// Bandwidth the payload drains at.
+    bw: f64,
+    same_node: bool,
+    jitter_prefix: u64,
+}
+
+impl Path {
+    /// The link of a message of `bytes` over this route.
+    #[inline]
+    pub(crate) fn link(&self, bytes: f64) -> Link {
+        Link {
+            latency: self.latency,
+            drain: bytes / self.bw,
+            same_node: self.same_node,
+            jitter_prefix: self.jitter_prefix,
+        }
+    }
+}
+
 /// Parameters of one interconnect fabric.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetworkModel {
@@ -101,29 +125,23 @@ impl NetworkModel {
     /// retransmits) at least as much as throughput loss — the mechanism
     /// behind the steep large-scale degradation in the paper's Figures 4/5.
     pub fn transfer_cost(&self, ctx: MsgContext) -> (f64, f64) {
-        self.transfer_cost_under(ctx, self.fabric_contention(ctx.nodes_active))
+        let contention = self.fabric_contention(ctx.nodes_active);
+        let link = self.path_of(&ctx).link(ctx.bytes);
+        self.link_cost(&link, ctx.jitter_key.3, contention)
     }
 
-    /// [`Self::transfer_cost`] with the fabric contention of
-    /// `ctx.nodes_active` already worked out, for a caller that prices many
-    /// messages of one job.
+    /// The [`Path`] of `ctx`'s message: all of its context but its size,
+    /// its sequence number and the job's node count.
     #[inline]
-    pub(crate) fn transfer_cost_under(&self, ctx: MsgContext, contention: f64) -> (f64, f64) {
-        let (seed, src, dst, seq) = ctx.jitter_key;
+    pub(crate) fn path_of(&self, ctx: &MsgContext) -> Path {
+        let (seed, src, dst, _) = ctx.jitter_key;
         // A same-node message is never jittered, so its pair is not hashed.
         let prefix = if ctx.same_node {
             0
         } else {
             hash_prefix(seed, src, dst)
         };
-        let link = self.link(
-            ctx.bytes,
-            ctx.same_node,
-            ctx.same_group,
-            ctx.nic_sharers,
-            prefix,
-        );
-        self.link_cost(&link, seq, contention)
+        self.path(ctx.same_node, ctx.same_group, ctx.nic_sharers, prefix)
     }
 
     /// Prices everything about a message of `bytes` (payload plus header)
@@ -139,10 +157,24 @@ impl NetworkModel {
         nic_sharers: usize,
         jitter_prefix: u64,
     ) -> Link {
+        self.path(same_node, same_group, nic_sharers, jitter_prefix)
+            .link(bytes)
+    }
+
+    /// [`Self::link`] for a message of any size: the route's unscaled
+    /// latency and the bandwidth its payload drains at.
+    #[inline]
+    pub(crate) fn path(
+        &self,
+        same_node: bool,
+        same_group: bool,
+        nic_sharers: usize,
+        jitter_prefix: u64,
+    ) -> Path {
         if same_node {
-            return Link {
+            return Path {
                 latency: self.latency_intra,
-                drain: bytes / self.intra_bw,
+                bw: self.intra_bw,
                 same_node,
                 jitter_prefix,
             };
@@ -156,9 +188,9 @@ impl NetworkModel {
         if !same_group {
             bw *= self.cross_group_bw_mult;
         }
-        Link {
+        Path {
             latency,
-            drain: bytes / bw,
+            bw,
             same_node,
             jitter_prefix,
         }

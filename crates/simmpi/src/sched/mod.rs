@@ -5,9 +5,10 @@
 //! register context.
 //! Workers pull ranks off a run queue ordered by the minimum
 //! `(virtual_time, rank)` key and resume them with a context switch; a rank
-//! runs until it blocks in `recv`/`wait_all` or parks in a symmetric
-//! collective (the only points where the virtual clock must wait for a
-//! peer), then switches back to the worker.
+//! runs until it blocks in `recv`/`wait_all`, waits in a halo exchange for
+//! a neighbour's deposit, or parks in a symmetric collective (the only
+//! points where the virtual clock must wait for a peer), then switches back
+//! to the worker.
 //!
 //! # Yield protocol (how the lost-wakeup race is impossible)
 //!
@@ -20,6 +21,16 @@
 //! matching `(src, tag)` re-queues it. Since registration and wake both
 //! happen under the one mutex, and the registration re-checks the mailbox,
 //! no message can slip between "queue was empty" and "now I'm asleep".
+//!
+//! A rank waiting in a halo exchange yields `Pending::Exchange` with the
+//! channel it waits on. The worker, under the mutex, raises the channel's
+//! `waiting` flag, fences and re-reads the channel's published count
+//! before recording the rank as `Exchanging` under its sender; a sender
+//! publishes its exchange's deposits, fences, then reads the flags, and
+//! takes the mutex (to re-queue the rank) only for a flag that was up. The
+//! fences are sequentially consistent, so one side sees the other (see
+//! `crate::exchange`): a sender whose receivers are awake never touches
+//! the scheduler at all.
 //!
 //! A rank entering a collective that others have yet to reach parks the
 //! same way (`Pending::Park`): the registration re-checks the collective's
@@ -53,6 +64,7 @@
 pub(crate) mod context;
 
 use crate::comm::SharedComm;
+use crate::exchange::Channel;
 use context::{ctx_swap, init_context, Context, TaskStack};
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -65,6 +77,13 @@ enum Pending {
     /// Sleep until a message from `(src, tag)` can be received (subject to
     /// the worker's registration re-check).
     Block { src: usize, tag: u64, clock: f64 },
+    /// Sleep until `channel`, from `src`, holds a deposit (subject to the
+    /// worker's registration re-check).
+    Exchange {
+        channel: Arc<Channel>,
+        src: usize,
+        clock: f64,
+    },
     /// Sleep until the collective `op` the rank entered is evaluated
     /// (subject to the worker's registration re-check).
     Park {
@@ -80,6 +99,7 @@ enum Pending {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Verdict {
     /// Re-check the mailbox (a message arrived or the sender terminated),
+    /// the exchange channel (a deposit arrived or the sender terminated),
     /// or the rendezvous (the collective was evaluated).
     Retry,
     /// The job is deadlocked; unwind via the poison path.
@@ -95,6 +115,8 @@ enum Status {
     Running,
     /// Asleep waiting on `(src, tag)`; `key` is the frozen clock sort key.
     Blocked { src: usize, tag: u64, key: u64 },
+    /// Asleep in a halo exchange until `src` publishes a deposit.
+    Exchanging { src: usize, key: u64 },
     /// Asleep in the collective `op`, the job's collective number
     /// `generation`, until it is evaluated.
     Parked {
@@ -235,6 +257,17 @@ pub(crate) fn yield_blocked(src: usize, tag: u64, clock: f64) -> Verdict {
     suspend(Pending::Block { src, tag, clock })
 }
 
+/// Task-side wait in a halo exchange: suspends the current coroutine until
+/// `channel`, from `src`, holds a deposit (or `src` terminates), returning
+/// why it was resumed.
+pub(crate) fn yield_exchange(channel: Arc<Channel>, src: usize, clock: f64) -> Verdict {
+    suspend(Pending::Exchange {
+        channel,
+        src,
+        clock,
+    })
+}
+
 /// Task-side park in the collective `op`: suspends the current coroutine
 /// until the rendezvous releases it, returning why. Must be called with no
 /// rendezvous lock held.
@@ -267,10 +300,15 @@ struct SchedState {
     status: Vec<Status>,
     /// Verdict a queued rank will resume with.
     verdicts: Vec<Verdict>,
-    /// `waiters[s]` = ranks currently `Blocked` on sender `s`, so a send or
-    /// termination wakes its dependents in O(dependents), not O(size).
+    /// `waiters[s]` = ranks currently `Blocked` or `Exchanging` on sender
+    /// `s`, so a send or termination wakes its dependents in
+    /// O(dependents), not O(size).
     waiters: Vec<Vec<usize>>,
     running: usize,
+    /// Workers asleep on the condvar, waiting for a runnable rank. A
+    /// wake that finds none skips the condvar, whose notify is a system
+    /// call even with no thread waiting.
+    idle: usize,
     finished: usize,
     deadlock: Option<String>,
     all_done: bool,
@@ -298,6 +336,7 @@ impl Scheduler {
                 verdicts: vec![Verdict::Retry; size],
                 waiters: vec![Vec::new(); size],
                 running: 0,
+                idle: 0,
                 finished: 0,
                 deadlock: None,
                 all_done: false,
@@ -310,6 +349,16 @@ impl Scheduler {
         self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Releases the lock after a rank was queued, waking one idle worker
+    /// if there is one.
+    fn wake_worker(&self, s: MutexGuard<'_, SchedState>) {
+        let idle = s.idle > 0;
+        drop(s);
+        if idle {
+            self.cv.notify_one();
+        }
     }
 
     /// The deterministic deadlock report, if the run deadlocked.
@@ -333,8 +382,23 @@ impl Scheduler {
                 s.status[dst] = Status::Runnable;
                 s.verdicts[dst] = Verdict::Retry;
                 s.run_queue.push(Reverse((key, dst)));
-                drop(s);
-                self.cv.notify_one();
+                self.wake_worker(s);
+            }
+        }
+    }
+
+    /// Sender-side wake of an exchange: if `dst` is asleep in an exchange
+    /// on `src`, re-queue it. Called only when `src`'s exchange found the
+    /// channel's `waiting` flag up after its publishes.
+    pub(crate) fn notify_exchange(&self, src: usize, dst: usize) {
+        let mut s = self.lock();
+        if let Status::Exchanging { src: es, key } = s.status[dst] {
+            if es == src {
+                s.waiters[src].retain(|&r| r != dst);
+                s.status[dst] = Status::Runnable;
+                s.verdicts[dst] = Verdict::Retry;
+                s.run_queue.push(Reverse((key, dst)));
+                self.wake_worker(s);
             }
         }
     }
@@ -360,8 +424,8 @@ impl Scheduler {
                 }
             }
         }
-        drop(s);
-        if woke {
+        if woke && s.idle > 0 {
+            drop(s);
             self.cv.notify_all();
         }
     }
@@ -373,7 +437,7 @@ impl Scheduler {
     fn wake_waiters_locked(s: &mut SchedState, dead: usize) {
         let ws = std::mem::take(&mut s.waiters[dead]);
         for r in ws {
-            if let Status::Blocked { key, .. } = s.status[r] {
+            if let Status::Blocked { key, .. } | Status::Exchanging { key, .. } = s.status[r] {
                 s.status[r] = Status::Runnable;
                 s.verdicts[r] = Verdict::Retry;
                 s.run_queue.push(Reverse((key, r)));
@@ -401,6 +465,7 @@ impl Scheduler {
                 Status::Blocked { src, tag, .. } => {
                     Some((r, format!("recv(src={src}, tag={tag})")))
                 }
+                Status::Exchanging { src, .. } => Some((r, format!("exchange(src={src})"))),
                 Status::Parked { op, .. } => Some((r, op.to_string())),
                 _ => None,
             })
@@ -420,15 +485,20 @@ impl Scheduler {
         }
         s.deadlock = Some(report);
         // Stale `waiters` entries are harmless: every wake re-checks that
-        // the rank is still `Blocked` before touching it.
+        // the rank is still `Blocked` or `Exchanging` before touching it.
         for (r, _) in blocked {
-            if let Status::Blocked { key, .. } | Status::Parked { key, .. } = s.status[r] {
+            if let Status::Blocked { key, .. }
+            | Status::Exchanging { key, .. }
+            | Status::Parked { key, .. } = s.status[r]
+            {
                 s.status[r] = Status::Runnable;
                 s.verdicts[r] = Verdict::Deadlock;
                 s.run_queue.push(Reverse((key, r)));
             }
         }
-        self.cv.notify_all();
+        if s.idle > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// One worker of the pool: pops the min-`(virtual_time, rank)` runnable
@@ -450,10 +520,12 @@ impl Scheduler {
                         s.running += 1;
                         break (rank, s.verdicts[rank]);
                     }
+                    s.idle += 1;
                     s = self
                         .cv
                         .wait(s)
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    s.idle -= 1;
                 }
             };
 
@@ -498,10 +570,38 @@ impl Scheduler {
                         };
                         s.status[rank] = Status::Runnable;
                         s.run_queue.push(Reverse((key, rank)));
-                        drop(s);
-                        self.cv.notify_one();
+                        self.wake_worker(s);
                     } else {
                         s.status[rank] = Status::Blocked { src, tag, key };
+                        s.waiters[src].push(rank);
+                        self.check_deadlock_locked(&mut s);
+                    }
+                }
+                Pending::Exchange {
+                    channel,
+                    src,
+                    clock,
+                } => {
+                    let key = clock_key(clock);
+                    let mut s = self.lock();
+                    s.running -= 1;
+                    // Registration re-check: the deposit (or the sender's
+                    // death, or a deadlock declaration) may have raced the
+                    // yield; in that case the rank stays runnable.
+                    if s.deadlock.is_some()
+                        || channel.sleep_unless_ready()
+                        || shared.rank_terminated(src)
+                    {
+                        s.verdicts[rank] = if s.deadlock.is_some() {
+                            Verdict::Deadlock
+                        } else {
+                            Verdict::Retry
+                        };
+                        s.status[rank] = Status::Runnable;
+                        s.run_queue.push(Reverse((key, rank)));
+                        self.wake_worker(s);
+                    } else {
+                        s.status[rank] = Status::Exchanging { src, key };
                         s.waiters[src].push(rank);
                         self.check_deadlock_locked(&mut s);
                     }
@@ -524,8 +624,7 @@ impl Scheduler {
                         };
                         s.status[rank] = Status::Runnable;
                         s.run_queue.push(Reverse((key, rank)));
-                        drop(s);
-                        self.cv.notify_one();
+                        self.wake_worker(s);
                     } else {
                         s.status[rank] = Status::Parked {
                             op,
@@ -549,8 +648,10 @@ impl Scheduler {
                         s.all_done = true;
                     }
                     self.check_deadlock_locked(&mut s);
-                    drop(s);
-                    self.cv.notify_all();
+                    if s.idle > 0 {
+                        drop(s);
+                        self.cv.notify_all();
+                    }
                 }
             }
         }

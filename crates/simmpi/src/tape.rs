@@ -49,7 +49,8 @@ pub(crate) enum Op {
     Send { dst: u32, bytes: f64 },
     /// A blocking receive of the `seq`-th message from `src` to this rank.
     Recv { src: u32, seq: u32 },
-    /// A nonblocking receive posted (the clock is the post time).
+    /// A receive posted by an exchange's post or by `irecv` (the clock is
+    /// the post time).
     Post,
     /// The completion of post number `post` by the `seq`-th message from
     /// `src`.
@@ -337,6 +338,7 @@ mod tests {
     use super::*;
     use crate::collectives::ReduceOp;
     use crate::engine::{run_spmd, run_spmd_recorded, EngineOpts};
+    use crate::exchange::tests::{copy, ring};
     use crate::network::NetworkModel;
     use crate::topology::ClusterTopology;
     use crate::work::ComputeModel;
@@ -352,8 +354,8 @@ mod tests {
         }
     }
 
-    /// Blocking and posted traffic, collectives, uneven compute and phase
-    /// marks: every kind of op.
+    /// Blocking traffic, a posted exchange, collectives, uneven compute and
+    /// phase marks: every kind of op.
     fn body(comm: &mut SimComm) -> Vec<u64> {
         let (rank, size) = (comm.rank(), comm.size());
         let right = (rank + 1) % size;
@@ -361,10 +363,11 @@ mod tests {
         let mut marks = vec![comm.phase_mark().to_bits()];
         for step in 0..3 {
             comm.compute(Work::new(1e6 * (rank + step + 1) as f64, 3e5));
-            let _ = comm.isend(right, 4, Payload::F64(vec![1.0; 100 * (step + 1)]));
-            let req = comm.irecv(left, 4);
+            let plan = ring(rank, size, 100 * (step + 1));
+            let mut halo = vec![1.0; 100 * (step + 1) * (1 + plan.neighbors.len())];
+            let posted = comm.exchange_post(&plan, &halo, copy);
             comm.compute(Work::new(2e5, 1e5));
-            let _ = comm.wait(req);
+            comm.exchange_wait(&plan, posted, &mut halo, copy);
             comm.send(left, 5, Payload::F64(vec![2.0; 10]));
             let _ = comm.recv(right, 5);
             let _ = comm.allreduce_scalar(ReduceOp::Sum, rank as f64);
