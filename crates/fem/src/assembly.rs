@@ -472,7 +472,7 @@ impl MatrixAssembly {
             }
         }
 
-        let pattern = triplets.symbolic();
+        let (pattern, matrix) = triplets.into_parts();
         self.structure = Some(Arc::new(AssemblyStructure {
             pattern,
             send_idx,
@@ -480,7 +480,7 @@ impl MatrixAssembly {
             ncells,
             owned_block: OnceLock::new(),
         }));
-        DistMatrix::rectangular(triplets.build(), col_map.plan().clone(), col_map.n_owned())
+        DistMatrix::rectangular(matrix, col_map.plan().clone(), col_map.n_owned())
     }
 
     /// One time step's operator, refreshed in place

@@ -17,7 +17,7 @@ use hetero_linalg::{DistVector, ExchangePlan};
 use hetero_mesh::distributed::cells_touching_node;
 use hetero_mesh::{DistributedMesh, Index3, Point3};
 use hetero_simmpi::{Payload, SimComm, Work};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Tag used by the one-time ghost-request protocol.
 const TAG_DOF_REQUEST: u64 = 9_500;
@@ -32,7 +32,6 @@ pub struct DofMap {
     n_owned: usize,
     /// Local -> global dof ids: owned ascending, then ghosts ascending.
     global_ids: Vec<usize>,
-    global_to_local: HashMap<usize, usize>,
     /// Local dof ids of each owned cell's nodes (stride = nodes/element),
     /// cell order matching `DistributedMesh::owned_cells`.
     cell_dofs: Vec<usize>,
@@ -51,60 +50,61 @@ impl DofMap {
     pub fn build(dmesh: &DistributedMesh, order: ElementOrder, comm: &mut SimComm) -> Self {
         let mesh = dmesh.mesh();
         let q = order.q();
-        let (nx, ny, nz) = mesh.cell_dims();
+        let cell_dims = mesh.cell_dims();
+        let (nx, ny, nz) = cell_dims;
         let dof_dims = (q * nx + 1, q * ny + 1, q * nz + 1);
         let npe = order.nodes_per_element();
         let rank = dmesh.rank();
 
         // Global dof ids of one cell, tensor order.
-        let nodes_of_cell = |c: Index3| -> Vec<usize> {
-            let mut out = Vec::with_capacity(npe);
-            for dc in 0..=q {
-                for db in 0..=q {
-                    for da in 0..=q {
-                        let node = Index3::new(q * c.i + da, q * c.j + db, q * c.k + dc);
-                        out.push(node.linear(dof_dims));
-                    }
-                }
-            }
-            out
+        let nodes_of_cell = move |c: Index3| {
+            (0..=q).flat_map(move |dc| {
+                (0..=q).flat_map(move |db| {
+                    (0..=q).map(move |da| {
+                        Index3::new(q * c.i + da, q * c.j + db, q * c.k + dc).linear(dof_dims)
+                    })
+                })
+            })
         };
 
         // 1. Owned dofs: nodes of owned cells whose owner is this rank.
-        let mut owned: BTreeSet<usize> = BTreeSet::new();
         let mut cell_global: Vec<usize> = Vec::with_capacity(dmesh.owned_cells().len() * npe);
         for &cell in dmesh.owned_cells() {
-            for g in nodes_of_cell(mesh.cell_index(cell)) {
-                let node = Index3::from_linear(g, dof_dims);
-                if dmesh.node_owner(q, node) == rank {
-                    owned.insert(g);
-                }
-                cell_global.push(g);
-            }
+            cell_global.extend(nodes_of_cell(mesh.cell_index(cell)));
         }
+        let mut owned = cell_global.clone();
+        owned.sort_unstable();
+        owned.dedup();
+        owned.retain(|&g| dmesh.node_owner(q, Index3::from_linear(g, dof_dims)) == rank);
 
         // 2. Local set: dofs of owned cells plus everything coupled to an
-        //    owned dof (dofs of cells touching an owned dof).
-        let mut local_set: BTreeSet<usize> = cell_global.iter().copied().collect();
+        //    owned dof, i.e. the dofs of the owned cells and of every cell
+        //    touching an owned dof.
+        let mut cells: Vec<usize> = dmesh.owned_cells().to_vec();
         for &g in &owned {
             let node = Index3::from_linear(g, dof_dims);
-            for cell in cells_touching_node(mesh.cell_dims(), q, node) {
-                for h in nodes_of_cell(cell) {
-                    local_set.insert(h);
-                }
-            }
+            cells.extend(
+                cells_touching_node(cell_dims, q, node)
+                    .into_iter()
+                    .map(|c| c.linear(cell_dims)),
+            );
         }
+        cells.sort_unstable();
+        cells.dedup();
+        let mut local: Vec<usize> = Vec::with_capacity(cells.len() * npe);
+        for &c in &cells {
+            local.extend(nodes_of_cell(Index3::from_linear(c, cell_dims)));
+        }
+        local.sort_unstable();
+        local.dedup();
 
-        // 3. Local numbering: owned ascending, then ghosts ascending.
-        let ghosts: Vec<usize> = local_set.difference(&owned).copied().collect();
-        let mut global_ids: Vec<usize> = owned.iter().copied().collect();
-        let n_owned = global_ids.len();
-        global_ids.extend(ghosts.iter().copied());
-        let global_to_local: HashMap<usize, usize> = global_ids
-            .iter()
-            .enumerate()
-            .map(|(l, &g)| (g, l))
-            .collect();
+        // 3. Local numbering: owned ascending, then ghosts ascending (the
+        //    owned set is a subset of the local set).
+        let n_owned = owned.len();
+        let mut global_ids = Vec::with_capacity(local.len());
+        global_ids.extend_from_slice(&owned);
+        let mut owned_iter = owned.iter().peekable();
+        global_ids.extend(local.iter().filter(|g| owned_iter.next_if_eq(g).is_none()));
 
         // 4. Per-dof metadata.
         let mut owners = Vec::with_capacity(global_ids.len());
@@ -112,9 +112,13 @@ impl DofMap {
         let mut coords = Vec::with_capacity(global_ids.len());
         let cell_size = mesh.cell_size();
         let lo = mesh.lo();
-        for &g in &global_ids {
+        for (l, &g) in global_ids.iter().enumerate() {
             let node = Index3::from_linear(g, dof_dims);
-            owners.push(dmesh.node_owner(q, node));
+            owners.push(if l < n_owned {
+                rank
+            } else {
+                dmesh.node_owner(q, node)
+            });
             boundary.push(
                 node.i == 0
                     || node.i + 1 == dof_dims.0
@@ -130,7 +134,11 @@ impl DofMap {
             ));
         }
 
-        let cell_dofs: Vec<usize> = cell_global.iter().map(|g| global_to_local[g]).collect();
+        let local_id = |g: usize| local_id(&global_ids, n_owned, g);
+        let cell_dofs: Vec<usize> = cell_global
+            .iter()
+            .map(|&g| local_id(g).expect("a cell dof is local"))
+            .collect();
 
         // 5. Exchange plan via the request protocol.
         let mut requests: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -155,10 +163,9 @@ impl DofMap {
             let wanted = comm.recv_usize(req, TAG_DOF_REQUEST);
             let locals: Vec<usize> = wanted
                 .iter()
-                .map(|g| {
-                    let l = *global_to_local
-                        .get(g)
-                        .unwrap_or_else(|| panic!("rank {rank} asked for unknown dof {g}"));
+                .map(|&g| {
+                    let l = local_id(g)
+                        .unwrap_or_else(|| panic!("rank {req} asked for unknown dof {g}"));
                     assert!(l < n_owned, "rank {req} requested non-owned dof {g}");
                     l
                 })
@@ -182,7 +189,11 @@ impl DofMap {
                 .map(|r| {
                     requests
                         .get(r)
-                        .map(|gs| gs.iter().map(|g| global_to_local[g]).collect())
+                        .map(|gs| {
+                            gs.iter()
+                                .map(|&g| local_id(g).expect("a requested ghost is local"))
+                                .collect()
+                        })
                         .unwrap_or_default()
                 })
                 .collect(),
@@ -201,7 +212,6 @@ impl DofMap {
             rank,
             n_owned,
             global_ids,
-            global_to_local,
             cell_dofs,
             owners,
             boundary,
@@ -255,7 +265,7 @@ impl DofMap {
     /// Local id of global dof `g`, if present on this rank.
     #[inline]
     pub fn local_id(&self, g: usize) -> Option<usize> {
-        self.global_to_local.get(&g).copied()
+        local_id(&self.global_ids, self.n_owned, g)
     }
 
     /// Owner rank of local dof `l`.
@@ -343,12 +353,24 @@ impl DofMap {
     }
 }
 
+/// Local id of global dof `g` in `global_ids` (owned ascending, then
+/// ghosts ascending): a binary search of each sorted half.
+fn local_id(global_ids: &[usize], n_owned: usize, g: usize) -> Option<usize> {
+    let (owned, ghosts) = global_ids.split_at(n_owned);
+    owned
+        .binary_search(&g)
+        .ok()
+        .or_else(|| ghosts.binary_search(&g).ok().map(|l| n_owned + l))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hetero_mesh::StructuredHexMesh;
-    use hetero_partition::{BlockPartitioner, Partitioner};
+    use hetero_partition::block::near_cubic_factors;
+    use hetero_partition::{BlockPartitioner, Partitioner, RcbPartitioner};
     use hetero_simmpi::{run_spmd, ClusterTopology, ComputeModel, NetworkModel, SpmdConfig};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn cfg(size: usize) -> SpmdConfig {
@@ -511,6 +533,199 @@ mod tests {
                 let back = r[b].iter().find(|&&(t, _, _)| t == a).expect("symmetric");
                 assert_eq!(back.2, s, "send {a}->{b}");
                 assert_eq!(back.1, rx, "recv {a}<-{b}");
+            }
+        }
+    }
+
+    /// The `BTreeSet` construction `DofMap::build` replaced, kept as its
+    /// oracle: node-by-node set inserts, a hash map for global -> local.
+    fn btreeset_build(dmesh: &DistributedMesh, order: ElementOrder, comm: &mut SimComm) -> DofMap {
+        use std::collections::HashMap;
+        let mesh = dmesh.mesh();
+        let q = order.q();
+        let (nx, ny, nz) = mesh.cell_dims();
+        let dof_dims = (q * nx + 1, q * ny + 1, q * nz + 1);
+        let rank = dmesh.rank();
+        let nodes_of_cell = |c: Index3| -> Vec<usize> {
+            let mut out = Vec::new();
+            for dc in 0..=q {
+                for db in 0..=q {
+                    for da in 0..=q {
+                        let node = Index3::new(q * c.i + da, q * c.j + db, q * c.k + dc);
+                        out.push(node.linear(dof_dims));
+                    }
+                }
+            }
+            out
+        };
+        let mut owned: BTreeSet<usize> = BTreeSet::new();
+        let mut cell_global: Vec<usize> = Vec::new();
+        for &cell in dmesh.owned_cells() {
+            for g in nodes_of_cell(mesh.cell_index(cell)) {
+                if dmesh.node_owner(q, Index3::from_linear(g, dof_dims)) == rank {
+                    owned.insert(g);
+                }
+                cell_global.push(g);
+            }
+        }
+        let mut local_set: BTreeSet<usize> = cell_global.iter().copied().collect();
+        for &g in &owned {
+            let node = Index3::from_linear(g, dof_dims);
+            for cell in cells_touching_node(mesh.cell_dims(), q, node) {
+                local_set.extend(nodes_of_cell(cell));
+            }
+        }
+        let mut global_ids: Vec<usize> = owned.iter().copied().collect();
+        let n_owned = global_ids.len();
+        global_ids.extend(local_set.difference(&owned).copied());
+        let global_to_local: HashMap<usize, usize> = global_ids
+            .iter()
+            .enumerate()
+            .map(|(l, &g)| (g, l))
+            .collect();
+        let (cell_size, lo) = (mesh.cell_size(), mesh.lo());
+        let mut owners = Vec::new();
+        let mut boundary = Vec::new();
+        let mut coords = Vec::new();
+        for &g in &global_ids {
+            let node = Index3::from_linear(g, dof_dims);
+            owners.push(dmesh.node_owner(q, node));
+            boundary.push(
+                node.i == 0
+                    || node.i + 1 == dof_dims.0
+                    || node.j == 0
+                    || node.j + 1 == dof_dims.1
+                    || node.k == 0
+                    || node.k + 1 == dof_dims.2,
+            );
+            coords.push(Point3::new(
+                lo.x + cell_size.x * node.i as f64 / q as f64,
+                lo.y + cell_size.y * node.j as f64 / q as f64,
+                lo.z + cell_size.z * node.k as f64 / q as f64,
+            ));
+        }
+        let cell_dofs: Vec<usize> = cell_global.iter().map(|g| global_to_local[g]).collect();
+        let mut requests: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (slot, &g) in global_ids.iter().enumerate().skip(n_owned) {
+            requests.entry(owners[slot]).or_default().push(g);
+        }
+        let my_targets: Vec<usize> = requests.keys().copied().collect();
+        let all_targets = comm.allgather_usize(&my_targets);
+        let requesters: Vec<usize> = all_targets
+            .iter()
+            .enumerate()
+            .filter(|&(r, targets)| r != rank && targets.contains(&rank))
+            .map(|(r, _)| r)
+            .collect();
+        for (&owner, wanted) in &requests {
+            comm.send(owner, TAG_DOF_REQUEST, Payload::Usize(wanted.clone()));
+        }
+        let mut send_map: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for &req in &requesters {
+            let wanted = comm.recv_usize(req, TAG_DOF_REQUEST);
+            send_map.insert(req, wanted.iter().map(|g| global_to_local[g]).collect());
+        }
+        let neighbors: Vec<usize> = requests
+            .keys()
+            .chain(send_map.keys())
+            .copied()
+            .collect::<BTreeSet<usize>>()
+            .into_iter()
+            .collect();
+        let plan = ExchangePlan {
+            neighbors: neighbors.clone(),
+            send_indices: neighbors
+                .iter()
+                .map(|r| send_map.get(r).cloned().unwrap_or_default())
+                .collect(),
+            recv_indices: neighbors
+                .iter()
+                .map(|r| {
+                    requests
+                        .get(r)
+                        .map(|gs| gs.iter().map(|g| global_to_local[g]).collect())
+                        .unwrap_or_default()
+                })
+                .collect(),
+        };
+        DofMap {
+            order,
+            dof_dims,
+            rank,
+            n_owned,
+            global_ids,
+            cell_dofs,
+            owners,
+            boundary,
+            coords,
+            plan,
+        }
+    }
+
+    /// Every field of two maps, coordinates by bits.
+    fn same_map(a: &DofMap, b: &DofMap) -> bool {
+        let bits = |m: &DofMap| -> Vec<[u64; 3]> {
+            m.coords
+                .iter()
+                .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+                .collect()
+        };
+        a.order == b.order
+            && a.dof_dims == b.dof_dims
+            && a.rank == b.rank
+            && a.n_owned == b.n_owned
+            && a.global_ids == b.global_ids
+            && a.cell_dofs == b.cell_dofs
+            && a.owners == b.owners
+            && a.boundary == b.boundary
+            && bits(a) == bits(b)
+            && a.plan == b.plan
+    }
+
+    /// A random structured mesh, a Block or RCB layout of it over 1–8
+    /// ranks, and an element order.
+    fn layout_case() -> impl Strategy<Value = (StructuredHexMesh, Vec<usize>, usize, ElementOrder)>
+    {
+        (
+            1usize..=8,
+            any::<bool>(),
+            (0usize..=3, 0usize..=3, 0usize..=3),
+            prop_oneof![Just(ElementOrder::Q1), Just(ElementOrder::Q2)],
+        )
+            .prop_map(|(p, block, (ex, ey, ez), order)| {
+                let (px, py, pz) = near_cubic_factors(p);
+                let (lo, hi) = (Point3::splat(0.0), Point3::new(1.0, 2.0, 0.5));
+                if block {
+                    let mesh = StructuredHexMesh::new(px + ex, py + ey, pz + ez, lo, hi);
+                    let assignment = BlockPartitioner.partition(&mesh, p);
+                    (mesh, assignment, p, order)
+                } else {
+                    let mesh = StructuredHexMesh::new(2 + ex, 2 + ey, 2 + ez, lo, hi);
+                    let assignment = RcbPartitioner.partition(&mesh, p);
+                    (mesh, assignment, p, order)
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The sorted-vector construction reproduces the `BTreeSet` one:
+        /// numbering, cell dofs, owners, boundary flags, coordinates and
+        /// exchange plan.
+        #[test]
+        fn sorted_vector_build_matches_btreeset_oracle(
+            (mesh, assignment, p, order) in layout_case()
+        ) {
+            let assignment = Arc::new(assignment);
+            let same = run_spmd(cfg(p), move |comm| {
+                let dmesh = DistributedMesh::new(mesh.clone(), Arc::clone(&assignment), comm.rank(), p);
+                let built = DofMap::build(&dmesh, order, comm);
+                let oracle = btreeset_build(&dmesh, order, comm);
+                same_map(&built, &oracle)
+            });
+            for (rank, r) in same.iter().enumerate() {
+                prop_assert!(r.value, "rank {} of {} differs from the oracle", rank, p);
             }
         }
     }

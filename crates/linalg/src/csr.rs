@@ -1,13 +1,20 @@
 //! Local compressed-sparse-row matrices and the triplet assembler.
 //!
 //! Time steppers rebuild the same matrix every step with new values, so
-//! the assembler is split into a *symbolic* phase ([`TripletBuilder::symbolic`],
-//! run once per mesh/partition: sorts the coordinates and freezes the
-//! sparsity pattern plus a triplet-to-slot scatter) and a *numeric* phase
-//! ([`SparsityPattern::numeric`]: scatters a fresh value array into the
-//! frozen pattern without re-sorting). The numeric phase reproduces
-//! [`TripletBuilder::build`] bitwise: the scatter accumulates duplicate
-//! coordinates in exactly the sorted order `build` would sum them.
+//! the assembler has one *symbolic* step, run once per mesh/partition:
+//! [`TripletBuilder::into_parts`] sorts the coordinates once and returns
+//! both the frozen [`SparsityPattern`] (structure plus a triplet-to-slot
+//! scatter) and the first matrix. [`TripletBuilder::build`] and
+//! [`TripletBuilder::symbolic`] are the two halves of that one call. The
+//! *numeric* phase ([`SparsityPattern::numeric`]) scatters a fresh value
+//! array into the frozen pattern without re-sorting; it accumulates
+//! duplicate coordinates in exactly the sorted order `build` sums them.
+//!
+//! The sort element is a 16-byte `(row * num_cols + col, index)` pair
+//! ordered by the key alone. The key orders like the `(row, col)` tuple,
+//! and `sort_unstable` permutes equal keys as a function of the comparison
+//! outcomes only, so the permutation is the one a `(row, col)` tuple sort
+//! gives (`tests::packed_sort_permutation_is_pinned` holds it).
 
 use std::sync::Arc;
 
@@ -37,84 +44,70 @@ pub struct CsrMatrix {
 pub struct TripletBuilder {
     num_rows: usize,
     num_cols: usize,
-    entries: Vec<(usize, usize, f64)>,
+    /// `(row * num_cols + col, insertion index)` per triplet: the sort
+    /// element of [`Self::into_parts`].
+    keys: Vec<(u64, u32)>,
+    /// Values in insertion order.
+    values: Vec<f64>,
 }
 
 impl TripletBuilder {
     /// Creates a builder for a `num_rows x num_cols` matrix.
+    ///
+    /// # Panics
+    /// Panics if `num_rows * num_cols` overflows a `u64` coordinate key.
     pub fn new(num_rows: usize, num_cols: usize) -> Self {
-        TripletBuilder {
-            num_rows,
-            num_cols,
-            entries: Vec::new(),
-        }
+        Self::with_capacity(num_rows, num_cols, 0)
     }
 
     /// Creates a builder with reserved capacity for `cap` triplets.
+    ///
+    /// # Panics
+    /// Panics if `num_rows * num_cols` overflows a `u64` coordinate key.
     pub fn with_capacity(num_rows: usize, num_cols: usize, cap: usize) -> Self {
+        assert!(
+            (num_rows as u64).checked_mul(num_cols as u64).is_some(),
+            "{num_rows} x {num_cols} coordinates overflow a u64 key"
+        );
         TripletBuilder {
             num_rows,
             num_cols,
-            entries: Vec::with_capacity(cap),
+            keys: Vec::with_capacity(cap),
+            values: Vec::with_capacity(cap),
         }
     }
 
     /// Adds `value` at `(row, col)`.
     ///
     /// # Panics
-    /// Panics (in debug builds) if the coordinates are out of range.
+    /// Panics if the coordinates are out of range, or if this is triplet
+    /// 2³² (the scatter indices are `u32`).
     #[inline]
     pub fn add(&mut self, row: usize, col: usize, value: f64) {
-        debug_assert!(
+        assert!(
             row < self.num_rows && col < self.num_cols,
             "({row}, {col}) out of range"
         );
-        self.entries.push((row, col, value));
+        let key = row as u64 * self.num_cols as u64 + col as u64;
+        let index = u32::try_from(self.values.len())
+            .expect("triplet count exceeds the u32 scatter indices");
+        self.keys.push((key, index));
+        self.values.push(value);
     }
 
     /// Number of raw (pre-merge) triplets.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.values.len()
     }
 
     /// Whether no triplets have been added.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.values.is_empty()
     }
 
     /// Builds the CSR matrix, summing duplicate coordinates.
-    pub fn build(mut self) -> CsrMatrix {
-        self.entries.sort_unstable_by_key(|a| (a.0, a.1));
-        let mut row_ptr = Vec::with_capacity(self.num_rows + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0);
-        let mut current_row = 0usize;
-        for (r, c, v) in self.entries {
-            while current_row < r {
-                row_ptr.push(col_idx.len());
-                current_row += 1;
-            }
-            if let (Some(&last_c), true) = (col_idx.last(), row_ptr.len() == r + 1) {
-                if last_c == c && col_idx.len() > *row_ptr.last().unwrap() {
-                    *values.last_mut().unwrap() += v;
-                    continue;
-                }
-            }
-            col_idx.push(c);
-            values.push(v);
-        }
-        while current_row < self.num_rows {
-            row_ptr.push(col_idx.len());
-            current_row += 1;
-        }
-        CsrMatrix {
-            num_rows: self.num_rows,
-            num_cols: self.num_cols,
-            row_ptr,
-            col_idx,
-            values,
-        }
+    pub fn build(self) -> CsrMatrix {
+        self.into_parts().1
     }
 
     /// Freezes this builder's coordinate sequence into a reusable
@@ -122,56 +115,69 @@ impl TripletBuilder {
     /// pattern with [`SparsityPattern::numeric`] and a value array in the
     /// same triplet order to obtain the matrix `build` would have produced.
     pub fn symbolic(&self) -> SparsityPattern {
-        // Tag each coordinate with its insertion index, then sort with the
-        // same key `build` uses. Comparison-based sorting permutes equal
-        // keys as a function of the key sequence alone, so this permutation
-        // is exactly the one `build` applies to the (r, c, v) triplets.
-        let mut tagged: Vec<(usize, usize, usize)> = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(k, &(r, c, _))| (r, c, k))
-            .collect();
-        tagged.sort_unstable_by_key(|a| (a.0, a.1));
+        self.clone().into_parts().0
+    }
 
+    /// Sorts the coordinates once and merges duplicates into both the
+    /// frozen pattern and the matrix of this builder's values.
+    ///
+    /// A stored value is its coordinate's first triplet in sorted order,
+    /// plus each later duplicate in turn: the first assigns rather than
+    /// adding to `0.0`, so a lone `-0.0` stays `-0.0`.
+    pub fn into_parts(mut self) -> (SparsityPattern, CsrMatrix) {
+        self.keys.sort_unstable_by_key(|&(key, _)| key);
+
+        let width = self.num_cols as u64;
         let mut row_ptr = Vec::with_capacity(self.num_rows + 1);
         let mut col_idx = Vec::new();
-        let mut perm = Vec::with_capacity(tagged.len());
-        let mut slot = Vec::with_capacity(tagged.len());
+        let mut stored: Vec<f64> = Vec::new();
+        let mut perm = Vec::with_capacity(self.keys.len());
+        let mut slot = Vec::with_capacity(self.keys.len());
         row_ptr.push(0);
-        let mut current_row = 0usize;
-        for (r, c, k) in tagged {
-            while current_row < r {
+        // Keys of the current row are `row_start..row_start + width`.
+        let mut row_start = 0u64;
+        let mut last_key = None;
+        for &(key, k) in &self.keys {
+            while key >= row_start + width {
                 row_ptr.push(col_idx.len());
-                current_row += 1;
+                row_start += width;
+            }
+            let v = self.values[k as usize];
+            if last_key == Some(key) {
+                *stored.last_mut().expect("a duplicate follows its first") += v;
+            } else {
+                col_idx.push((key - row_start) as usize);
+                stored.push(v);
+                last_key = Some(key);
             }
             perm.push(k);
-            if let (Some(&last_c), true) = (col_idx.last(), row_ptr.len() == r + 1) {
-                if last_c == c && col_idx.len() > *row_ptr.last().unwrap() {
-                    slot.push(col_idx.len() - 1);
-                    continue;
-                }
-            }
-            slot.push(col_idx.len());
-            col_idx.push(c);
+            // At most one slot per triplet, and triplet indices fit a u32.
+            slot.push((col_idx.len() - 1) as u32);
         }
-        while current_row < self.num_rows {
+        while row_ptr.len() <= self.num_rows {
             row_ptr.push(col_idx.len());
-            current_row += 1;
         }
-        SparsityPattern {
+        let pattern = SparsityPattern {
             num_rows: self.num_rows,
             num_cols: self.num_cols,
-            row_ptr: row_ptr.into(),
-            col_idx: col_idx.into(),
+            row_ptr: row_ptr.as_slice().into(),
+            col_idx: col_idx.as_slice().into(),
             perm,
             slot,
-        }
+        };
+        let matrix = CsrMatrix {
+            num_rows: self.num_rows,
+            num_cols: self.num_cols,
+            row_ptr,
+            col_idx,
+            values: stored,
+        };
+        (pattern, matrix)
     }
 }
 
 /// A frozen sparsity pattern plus the triplet-to-slot scatter, produced by
-/// [`TripletBuilder::symbolic`]. Reusing it across time steps skips the
+/// [`TripletBuilder::into_parts`]. Reusing it across time steps skips the
 /// O(nnz log nnz) sort that dominates from-scratch matrix construction.
 #[derive(Debug, Clone)]
 pub struct SparsityPattern {
@@ -183,9 +189,9 @@ pub struct SparsityPattern {
     row_ptr: Arc<[usize]>,
     col_idx: Arc<[usize]>,
     /// Sorted position -> original triplet index.
-    perm: Vec<usize>,
+    perm: Vec<u32>,
     /// Sorted position -> CSR slot (nondecreasing; duplicates share slots).
-    slot: Vec<usize>,
+    slot: Vec<u32>,
 }
 
 impl SparsityPattern {
@@ -223,7 +229,9 @@ impl SparsityPattern {
     /// Numeric phase: scatters `triplet_values` (one value per original
     /// triplet, in insertion order) into the frozen pattern. Bitwise
     /// identical to rebuilding via [`TripletBuilder::build`] with the same
-    /// coordinates and values.
+    /// coordinates and values, except that an entry whose every
+    /// contribution is `-0.0` comes out `0.0` (the scatter adds to a zeroed
+    /// slot where `build` assigns the first contribution).
     ///
     /// # Panics
     /// Panics if `triplet_values.len()` differs from the triplet count the
@@ -263,7 +271,7 @@ impl SparsityPattern {
         );
         values.fill(0.0);
         for (&k, &s) in self.perm.iter().zip(&self.slot) {
-            values[s] += triplet_values[k];
+            values[s as usize] += triplet_values[k as usize];
         }
     }
 }
@@ -664,6 +672,192 @@ mod tests {
             });
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.to_bits(), p.to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn add_rejects_a_row_past_the_end() {
+        let mut b = TripletBuilder::new(2, 3);
+        b.add(2, 0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn add_rejects_a_column_past_the_end() {
+        // (0, 3) would alias (1, 0) in the packed key.
+        let mut b = TripletBuilder::new(2, 3);
+        b.add(0, 3, 1.0);
+    }
+
+    /// `build` as it was before the packed sort: `(row, col, value)`
+    /// triplets sorted by the `(row, col)` tuple and merged in one walk.
+    fn tuple_sort_build(
+        num_rows: usize,
+        num_cols: usize,
+        mut entries: Vec<(usize, usize, f64)>,
+    ) -> CsrMatrix {
+        entries.sort_unstable_by_key(|a| (a.0, a.1));
+        let mut row_ptr = vec![0];
+        let mut col_idx: Vec<usize> = Vec::new();
+        let mut values: Vec<f64> = Vec::new();
+        for (r, c, v) in entries {
+            while row_ptr.len() <= r {
+                row_ptr.push(col_idx.len());
+            }
+            let row_has_entries = col_idx.len() > *row_ptr.last().unwrap();
+            if row_has_entries && col_idx.last() == Some(&c) {
+                *values.last_mut().unwrap() += v;
+            } else {
+                col_idx.push(c);
+                values.push(v);
+            }
+        }
+        while row_ptr.len() <= num_rows {
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix {
+            num_rows,
+            num_cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    #[test]
+    fn merged_build_matches_the_tuple_sort_build_bitwise() {
+        // Eight-way duplicates with signed zeros among them: a lone -0.0
+        // must stay -0.0, and every sum must associate in sorted order.
+        let (rows, cols) = (13, 11);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut ts = Vec::new();
+        for _ in 0..64 {
+            let (r, c) = (next() as usize % rows, next() as usize % cols);
+            for _ in 0..8 {
+                let v = match next() % 4 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => (next() as f64 / 2f64.powi(29)) - 2.0,
+                };
+                ts.push((r, c, v));
+            }
+        }
+        ts.extend([(0, 0, -0.0), (12, 10, -0.0), (12, 10, -0.0), (5, 5, -0.0)]);
+        let mut b = TripletBuilder::new(rows, cols);
+        for &(r, c, v) in &ts {
+            b.add(r, c, v);
+        }
+        let oracle = tuple_sort_build(rows, cols, ts);
+        let (_, merged) = b.clone().into_parts();
+        let built = b.build();
+        for m in [&merged, &built] {
+            assert_eq!(m.row_ptr, oracle.row_ptr);
+            assert_eq!(m.col_idx, oracle.col_idx);
+            let bits = |x: &CsrMatrix| x.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(m), bits(&oracle));
+        }
+        assert_eq!(merged.get(0, 0).to_bits(), (-0.0f64).to_bits());
+    }
+
+    /// Coordinates of the cell-major triplet sequence of a Q2 mass
+    /// structure on an `n^3`-cell cube, one rank: each cell's 27 nodes in
+    /// tensor order, then every (row node, column node) pair.
+    fn q2_mass_coords(n: usize) -> Vec<(usize, usize)> {
+        let nn = 2 * n + 1;
+        let mut out = Vec::with_capacity(n * n * n * 27 * 27);
+        for ck in 0..n {
+            for cj in 0..n {
+                for ci in 0..n {
+                    let mut dofs = Vec::with_capacity(27);
+                    for dc in 0..=2 {
+                        for db in 0..=2 {
+                            for da in 0..=2 {
+                                let (i, j, k) = (2 * ci + da, 2 * cj + db, 2 * ck + dc);
+                                dofs.push(i + nn * (j + nn * k));
+                            }
+                        }
+                    }
+                    for &r in &dofs {
+                        for &c in &dofs {
+                            out.push((r, c));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// FNV-1a over 64-bit words.
+    fn digest(words: impl Iterator<Item = u64>) -> u64 {
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn packed_sort_permutation_is_pinned() {
+        // Pinned from the (row, col) tuple sort that preceded the packed
+        // key. Every golden report digest depends on this permutation: it
+        // fixes the order in which duplicate contributions are summed.
+        let nn = 11;
+        let mut b = TripletBuilder::new(nn * nn * nn, nn * nn * nn);
+        for (r, c) in q2_mass_coords(5) {
+            b.add(r, c, 1.0);
+        }
+        let p = b.symbolic();
+        assert_eq!((p.num_triplets(), p.nnz()), (91_125, 68_921));
+        let perm = digest(p.perm.iter().map(|&k| u64::from(k)));
+        let slot = digest(p.slot.iter().map(|&s| u64::from(s)));
+        assert_eq!(
+            (perm, slot),
+            (0x9363_75b6_d8fa_9823, 0x2857_f577_a8f9_bac7),
+            "sort_unstable now orders equal keys differently: the duplicate \
+             summation order, and with it every golden digest, has moved"
+        );
+    }
+
+    mod props {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The packed `(key, index)` sort permutes the triplets exactly
+            /// as a `(row, col)` tuple sort of `(row, col, index)` does, on
+            /// duplicate-heavy sequences long enough to leave the small-sort
+            /// path.
+            #[test]
+            fn packed_sort_permutation_equals_tuple_sort(
+                rows in 1usize..9,
+                cols in 1usize..9,
+                seq in prop::collection::vec((0usize..64, 0usize..64), 0..1500),
+            ) {
+                let coords: Vec<(usize, usize)> =
+                    seq.iter().map(|&(r, c)| (r % rows, c % cols)).collect();
+                let mut tagged: Vec<(usize, usize, usize)> = coords
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &(r, c))| (r, c, k))
+                    .collect();
+                tagged.sort_unstable_by_key(|a| (a.0, a.1));
+                let mut b = TripletBuilder::new(rows, cols);
+                for &(r, c) in &coords {
+                    b.add(r, c, 1.0);
+                }
+                let p = b.symbolic();
+                let perm: Vec<usize> = p.perm.iter().map(|&k| k as usize).collect();
+                let oracle: Vec<usize> = tagged.iter().map(|t| t.2).collect();
+                prop_assert_eq!(perm, oracle);
+            }
         }
     }
 }
