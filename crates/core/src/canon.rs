@@ -32,6 +32,13 @@
 //! store keeps one in-memory snapshot), and their three members left the
 //! canonical text together with the tag bump. `v1` artifacts on disk are
 //! never looked up again: they are neither read nor quarantined.
+//!
+//! Keys sit on the hot path of every cache hit, so both steps avoid
+//! copies. The canonical text is written field by field into one buffer
+//! sized for a whole request (`fmt::Write`, no string per field), and
+//! [`sha256_hex`] streams: whole 64-byte blocks are compressed straight
+//! from the input, only the tail is padded, in a buffer on the stack, and
+//! the digest is hex-encoded into one preallocated string.
 
 use crate::apps::App;
 use crate::recovery::ResilienceSpec;
@@ -51,6 +58,7 @@ use hetero_platform::spec::AccessKind;
 use hetero_platform::spot::FleetStrategy;
 use hetero_platform::PlatformSpec;
 use hetero_simmpi::{ClusterTopology, ComputeModel, NetworkModel};
+use std::fmt::Write as _;
 
 /// Version tag of the canonical key schema. Doubles as the prefix of every
 /// key string, so a key names the schema that produced it.
@@ -59,10 +67,7 @@ pub const KEY_SCHEMA: &str = "hetero-serve/key/v2";
 /// The content-addressed cache key of a request: the schema tag followed
 /// by the SHA-256 of [`canonical_request`]'s bytes.
 pub fn request_key(req: &RunRequest) -> String {
-    format!(
-        "{KEY_SCHEMA}/{}",
-        sha256_hex(canonical_request(req).as_bytes())
-    )
+    tagged_key(KEY_SCHEMA, &canonical_request(req))
 }
 
 /// The canonical text of a request under [`KEY_SCHEMA`] — the exact bytes
@@ -112,10 +117,16 @@ pub const PREP_KEY_SCHEMA: &str = "hetero-prep/key/v1";
 /// The content-addressed key of a request's prepared scenario: the
 /// schema tag followed by the SHA-256 of [`prep_canonical`]'s bytes.
 pub fn prep_key(req: &RunRequest) -> String {
-    format!(
-        "{PREP_KEY_SCHEMA}/{}",
-        sha256_hex(prep_canonical(req).as_bytes())
-    )
+    tagged_key(PREP_KEY_SCHEMA, &prep_canonical(req))
+}
+
+/// `<schema>/<sha256 of text>`, built in one allocation.
+fn tagged_key(schema: &str, text: &str) -> String {
+    let mut key = String::with_capacity(schema.len() + 1 + 64);
+    key.push_str(schema);
+    key.push('/');
+    push_hex(&mut key, &sha256(text.as_bytes()));
+    key
 }
 
 /// The canonical text of a request's *setup inputs* under
@@ -182,6 +193,39 @@ pub(crate) fn canonical_app(app: &App) -> String {
 /// build environment vendors no crypto crate; the test battery pins the
 /// standard test vectors.
 pub fn sha256_hex(data: &[u8]) -> String {
+    let mut out = String::with_capacity(64);
+    push_hex(&mut out, &sha256(data));
+    out
+}
+
+/// The SHA-256 state after `data`. Whole 64-byte blocks are compressed
+/// straight from `data`; only the tail — the last partial block, the `0x80`
+/// marker and the bit length — is padded, in one or two blocks on the
+/// stack.
+fn sha256(data: &[u8]) -> [u32; 8] {
+    let mut h: [u32; 8] = [
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+        0x5be0cd19,
+    ];
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        compress(&mut h, block);
+    }
+    let rest = blocks.remainder();
+    let mut tail = [0u8; 128];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    let tail_len = if rest.len() < 56 { 64 } else { 128 };
+    let bit_len = (data.len() as u64) * 8;
+    tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
+    for block in tail[..tail_len].chunks_exact(64) {
+        compress(&mut h, block);
+    }
+    h
+}
+
+/// The SHA-256 compression function over one 64-byte block.
+fn compress(h: &mut [u32; 8], chunk: &[u8]) {
     #[rustfmt::skip]
     const K: [u32; 64] = [
         0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -193,60 +237,51 @@ pub fn sha256_hex(data: &[u8]) -> String {
         0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
         0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
     ];
-    let mut h: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    let mut msg = data.to_vec();
-    let bit_len = (data.len() as u64) * 8;
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    let mut w = [0u32; 64];
+    for (wi, word) in w.iter_mut().zip(chunk.chunks_exact(4)) {
+        *wi = u32::from_be_bytes(word.try_into().expect("4-byte chunk"));
     }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-    for chunk in msg.chunks_exact(64) {
-        let mut w = [0u32; 64];
-        for (wi, word) in w.iter_mut().zip(chunk.chunks_exact(4)) {
-            *wi = u32::from_be_bytes(word.try_into().expect("4-byte chunk"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for (ki, wi) in K.iter().zip(w.iter()) {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(*ki)
-                .wrapping_add(*wi);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (hi, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-            *hi = hi.wrapping_add(v);
-        }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
     }
-    let mut out = String::with_capacity(64);
-    for v in h {
-        out.push_str(&format!("{v:08x}"));
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    for (ki, wi) in K.iter().zip(w.iter()) {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = hh
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(*ki)
+            .wrapping_add(*wi);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
     }
-    out
+    for (hi, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        *hi = hi.wrapping_add(v);
+    }
+}
+
+/// Appends the digest `h` as 64 lowercase hex digits.
+fn push_hex(out: &mut String, h: &[u32; 8]) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    for byte in h.iter().flat_map(|v| v.to_be_bytes()) {
+        out.push(HEX[usize::from(byte >> 4)] as char);
+        out.push(HEX[usize::from(byte & 0xf)] as char);
+    }
 }
 
 /// The canonical-text writer. Scalar kinds carry a one-letter type tag so
@@ -259,41 +294,58 @@ struct Canon {
 
 impl Canon {
     fn new() -> Self {
-        Canon { buf: String::new() }
+        // Room for a whole request's text (about 1.2 kB), so the buffer
+        // is allocated once.
+        Canon {
+            buf: String::with_capacity(2048),
+        }
     }
 
     fn finish(self) -> String {
         self.buf
     }
 
+    /// Writes `name=<tag>` — the start of every field.
+    fn field(&mut self, name: &str, tag: &str) {
+        self.buf.push_str(name);
+        self.buf.push('=');
+        self.buf.push_str(tag);
+    }
+
     fn u(&mut self, name: &str, v: u64) {
-        self.buf.push_str(&format!("{name}=i:{v};"));
+        self.field(name, "i:");
+        let _ = write!(self.buf, "{v};");
     }
 
     fn f(&mut self, name: &str, v: f64) {
         // Exact bit pattern: distinguishes -0.0 from 0.0 and never loses
         // precision to decimal formatting.
-        self.buf
-            .push_str(&format!("{name}=f:{:016x};", v.to_bits()));
+        self.field(name, "f:");
+        let _ = write!(self.buf, "{:016x};", v.to_bits());
     }
 
     fn s(&mut self, name: &str, v: &str) {
         // Length prefix keeps adjacent strings unambiguous regardless of
         // their content (`;` or `=` inside a platform key cannot confuse
         // the framing).
-        self.buf.push_str(&format!("{name}=s:{}:{v};", v.len()));
+        self.field(name, "s:");
+        let _ = write!(self.buf, "{}:", v.len());
+        self.buf.push_str(v);
+        self.buf.push(';');
     }
 
     fn lit(&mut self, name: &str, variant: &str) {
-        self.buf.push_str(&format!("{name}=e:{variant};"));
+        self.field(name, "e:");
+        self.buf.push_str(variant);
+        self.buf.push(';');
     }
 
     fn none(&mut self, name: &str) {
-        self.buf.push_str(&format!("{name}=-;"));
+        self.field(name, "-;");
     }
 
     fn group(&mut self, name: &str, f: impl FnOnce(&mut Self)) {
-        self.buf.push_str(&format!("{name}={{"));
+        self.field(name, "{");
         f(self);
         self.buf.push_str("};");
     }
@@ -320,9 +372,9 @@ impl Canon {
     }
 
     fn seq_u(&mut self, name: &str, items: impl Iterator<Item = u64>) {
-        self.buf.push_str(&format!("{name}=["));
+        self.field(name, "[");
         for v in items {
-            self.buf.push_str(&format!("i:{v},"));
+            let _ = write!(self.buf, "i:{v},");
         }
         self.buf.push_str("];");
     }
@@ -575,6 +627,66 @@ mod tests {
             sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
+    }
+
+    #[test]
+    fn sha256_padding_boundaries() {
+        // `n` times `a`: the tail needs one padding block up to 55 bytes
+        // and two from 56, and whole blocks start at 64.
+        #[rustfmt::skip]
+        let vectors = [
+            (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"),
+            (56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"),
+            (63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"),
+            (64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"),
+            (65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"),
+            (119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"),
+            (120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"),
+        ];
+        for (n, digest) in vectors {
+            assert_eq!(sha256_hex(&vec![b'a'; n]), digest, "{n} bytes");
+        }
+        assert_eq!(
+            sha256_hex(&vec![b'a'; 1_000_000]),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        );
+    }
+
+    /// SHA-256 as it was written before the stream: copy the message,
+    /// pad the copy, compress every block of it, one `format!` per word.
+    fn sha256_hex_copy_and_pad(data: &[u8]) -> String {
+        let mut h: [u32; 8] = [
+            0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+            0x5be0cd19,
+        ];
+        let mut msg = data.to_vec();
+        let bit_len = (data.len() as u64) * 8;
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&bit_len.to_be_bytes());
+        for chunk in msg.chunks_exact(64) {
+            compress(&mut h, chunk);
+        }
+        let mut out = String::with_capacity(64);
+        for v in h {
+            out.push_str(&format!("{v:08x}"));
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn streamed_sha256_matches_copy_and_pad(
+            len in 0usize..301,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let data: Vec<u8> = (0..len as u64)
+                .map(|i| (seed.wrapping_mul(i + 1) >> 13) as u8)
+                .collect();
+            proptest::prop_assert_eq!(sha256_hex(&data), sha256_hex_copy_and_pad(&data));
+        }
     }
 
     #[test]

@@ -38,7 +38,9 @@
 //! * **verify on read, quarantine on failure** — schema, key, content hash,
 //!   then the caller's `decode`; a file failing any of them is moved to
 //!   `quarantine/` (bytes kept for diagnosis) and the key is a plain miss
-//!   from then on;
+//!   from then on. An envelope nested deeper than the JSON parser's
+//!   limit (`serde_json::MAX_DEPTH`) fails to parse like any other
+//!   corruption;
 //! * **absence is a miss** — the directory is the only index; a file that
 //!   is not there is [`Lookup::Miss`], nothing else.
 //!
@@ -233,6 +235,16 @@ mod tests {
             .join("quarantine")
             .join(path.file_name().unwrap())
             .exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_deeply_nested_artifact_is_quarantined_not_a_stack_overflow() {
+        let dir = tdir("nested");
+        let store = ArtifactStore::open(&dir).unwrap();
+        fs::write(artifact(&dir), "[".repeat(1 << 20)).unwrap();
+        assert!(matches!(store.get(KEY, text), Lookup::Quarantined));
+        assert!(matches!(store.get(KEY, text), Lookup::Miss));
         let _ = fs::remove_dir_all(&dir);
     }
 

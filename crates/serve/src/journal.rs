@@ -296,6 +296,25 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_record_stops_replay_like_a_torn_one() {
+        let dir = tdir("nested");
+        let path = dir.join("journal.log");
+        let (mut j, _, _) = Journal::open(&path, false).unwrap();
+        j.append_submit(0, "k0", &req()).unwrap();
+        drop(j);
+        // A line whose checksum verifies but whose body is a megabyte of
+        // `[`: the parser refuses it at its depth limit.
+        let mut text = fs::read_to_string(&path).unwrap();
+        text.push_str(&frame(&"[".repeat(1 << 20)));
+        fs::write(&path, text).unwrap();
+        let (_j, pending, next) = Journal::open(&path, false).unwrap();
+        assert_eq!(pending.len(), 1);
+        assert_eq!(pending[0].id, 0);
+        assert_eq!(next, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn compaction_shrinks_the_log_and_preserves_requests() {
         let dir = tdir("compact");
         let path = dir.join("journal.log");

@@ -7,8 +7,9 @@
 //!    cached outcomes never carry traces, and tracing never perturbs the
 //!    measured report) and its canonical key computed;
 //! 2. the **cache** is probed. A verified hit completes the job
-//!    immediately — microseconds, no journal traffic, byte-identical to
-//!    cold execution;
+//!    immediately — about 16 µs of host time for a small modeled job
+//!    (2-vCPU host, release build), half of it the two SHA-256 passes;
+//!    no journal traffic, byte-identical to cold execution;
 //! 3. on a miss the job is **journaled** (`submit` record, durable before
 //!    the job is visible to workers), then either **coalesced** onto an
 //!    already-in-flight execution of the same key or enqueued;

@@ -97,18 +97,26 @@ impl MetricsRegistry {
     }
 
     /// Adds `v` (must be >= 0: counters are monotonic) to counter `name`.
+    /// Allocates the name only when the counter is new.
     pub fn add(&mut self, name: &str, v: f64) {
         debug_assert!(v >= 0.0, "counters are monotonic; got {v} for {name}");
-        *self.counters.entry(name.to_string()).or_insert(0.0) += v;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += v,
+            None => *self.counters.entry(name.to_string()).or_insert(0.0) += v,
+        }
     }
 
     /// Records `x` into histogram `name`, creating it over `bounds` on
-    /// first use.
+    /// first use (the only call that allocates the name).
     pub fn observe(&mut self, name: &str, bounds: &'static [f64], x: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(x);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(x),
+            None => self
+                .histograms
+                .entry(name.to_string())
+                .or_insert_with(|| Histogram::new(bounds))
+                .observe(x),
+        }
     }
 
     /// Counter value (0 when never touched).
@@ -223,6 +231,28 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
     use crate::event::Phase;
+
+    #[test]
+    fn repeated_adds_sum_and_counters_stay_in_name_order() {
+        let mut m = MetricsRegistry::new();
+        for _ in 0..3 {
+            m.add("serve.jobs.submitted", 1.0);
+            m.add("serve.cache.hits", 0.5);
+            m.add("a.first", 2.0);
+        }
+        m.observe("lat", SECONDS_BUCKETS, 1.0);
+        m.observe("lat", SECONDS_BUCKETS, 2.0);
+        let counters: Vec<(&str, f64)> = m.counters().collect();
+        assert_eq!(
+            counters,
+            [
+                ("a.first", 6.0),
+                ("serve.cache.hits", 1.5),
+                ("serve.jobs.submitted", 3.0)
+            ]
+        );
+        assert_eq!(m.histogram("lat").unwrap().count(), 2);
+    }
 
     #[test]
     fn histogram_buckets_and_overflow() {
