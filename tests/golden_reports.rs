@@ -28,7 +28,11 @@
 //!   totals. On a mismatch the test prints the first divergence between
 //!   the engines, if they disagree, and writes each export under
 //!   `target/golden-traces/` for `examples/trace_diff.rs` to compare with
-//!   an export from a commit that passes.
+//!   an export from a commit that passes. Four more, computed at commit
+//!   `19fc608` by the per-rank tracer the work tape later replaced, pin
+//!   what the tape must imply: NS at message detail, RD at phase and at
+//!   collective detail (the detail filters), and pipelined RD (fused
+//!   reductions and `Overlap` batches).
 //!
 //! To re-pin after an *intended* model change, run
 //! `cargo test --test golden_reports -- --nocapture`, copy the printed
@@ -41,6 +45,7 @@ use hetero_hpc::apps::App;
 use hetero_hpc::recovery::{execute_resilient, ResilienceSpec};
 use hetero_hpc::run::{execute, Fidelity, RunRequest};
 use hetero_hpc::{canon, prep};
+use hetero_linalg::SolverVariant;
 use hetero_platform::catalog;
 use hetero_simmpi::EngineKind;
 use hetero_trace::{first_divergence, EventKind, TraceSpec};
@@ -179,8 +184,9 @@ fn resumed_campaign_matches_the_checked_in_digest() {
     assert_eq!(got, GOLDEN_CAMPAIGN, "{:?}", out.stats);
 }
 
-/// `(run, sha256 of its TraceSpec::messages() JSONL export)`.
-const GOLDEN_TRACES: [(&str, &str); 2] = [
+/// `(run, sha256 of its JSONL export)`; every run is traced at
+/// `TraceSpec::messages()` unless its name says otherwise.
+const GOLDEN_TRACES: [(&str, &str); 6] = [
     (
         "rd27",
         "d3c005df8854034e4e72c2865730a5e30f6f16567d5e2fc2541acdfdcadcc68d",
@@ -188,6 +194,22 @@ const GOLDEN_TRACES: [(&str, &str); 2] = [
     (
         "campaign",
         "f6927c94a53e0319366500226cc998a9098bf25166c5e7f8f92056a5a9020e59",
+    ),
+    (
+        "ns8",
+        "32c2940fe681e79be17553bc07cf229a7f48940e03163f09172d8315df46f81f",
+    ),
+    (
+        "rd8_phases",
+        "9e4b54a9d270b25654ac7d32967fe3e4517a69d191a736768f9ef1d88a9d454d",
+    ),
+    (
+        "rd8_collectives",
+        "a798554d723826d850473f5101f4759c48874fc20aaad759e49b6a02d24137ca",
+    ),
+    (
+        "rd8_pipelined",
+        "fc2f698a2fc24bf0519794b6bdcfacf7fe41bdd7de23bd404cdec094da524683",
     ),
 ];
 
@@ -255,6 +277,57 @@ fn message_traces_match_the_checked_in_digests() {
     ]
     .into_iter()
     .filter_map(Result::err)
+    .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// An 8-rank EC2 run of `app` traced at `spec`, with the solver schedule
+/// `variant` when given.
+fn traced8(app: App, spec: TraceSpec, variant: Option<SolverVariant>) -> String {
+    execute(&RunRequest {
+        fidelity: Fidelity::Numerical,
+        seed: 2012,
+        solver_variant: variant,
+        trace: Some(spec),
+        ..RunRequest::new(catalog::ec2(), app, 8, 2)
+    })
+    .expect("traced run executes")
+    .trace
+    .expect("a traced run returns its trace")
+    .jsonl()
+}
+
+/// Every event kind a numerical run emits, and both detail filters below
+/// `Messages`: NS's momentum and pressure solves message by message, RD at
+/// phase and at collective detail, and pipelined RD, whose fused
+/// reductions and posted exchanges emit `allreduce_fused` spans and
+/// `Overlap` instants.
+#[test]
+fn detail_and_variant_traces_match_the_checked_in_digests() {
+    let failures: Vec<String> = [
+        (
+            "ns8",
+            traced8(App::paper_ns(2), TraceSpec::messages(), None),
+        ),
+        (
+            "rd8_phases",
+            traced8(App::paper_rd(3), TraceSpec::phases(), None),
+        ),
+        (
+            "rd8_collectives",
+            traced8(App::paper_rd(3), TraceSpec::collectives(), None),
+        ),
+        (
+            "rd8_pipelined",
+            traced8(
+                App::paper_rd(3),
+                TraceSpec::messages(),
+                Some(SolverVariant::Pipelined),
+            ),
+        ),
+    ]
+    .iter()
+    .filter_map(|(run, jsonl)| check_trace(run, jsonl).err())
     .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
