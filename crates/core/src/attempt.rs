@@ -8,7 +8,8 @@
 //! restart budget allows, each under a sampled fault plan. All of them
 //! reduce through [`critical_rank`] and hand what was measured to
 //! [`outcome`], so a plain, a tape-priced and a fault-injected report can
-//! only differ where their inputs do.
+//! only differ where their inputs do. Tracing takes no path of its own: a
+//! numerical trace is what evaluating the run's work tapes implies.
 
 use crate::apps::App;
 use crate::modeled::{weak_scaling_grid, ModeledRun};
@@ -102,34 +103,54 @@ pub(crate) fn run_attempt(
 
 /// The numerical run of a plain `execute`: failure-free, from the initial
 /// condition, no checkpoints. When the scenario already holds a recorded
-/// run of this app, it is priced on `cfg` from the tape; otherwise the
-/// ranks execute, and an untraced run on a shared scenario records its
-/// tape for the next platform. A traced run always executes.
+/// run of this app, it is priced on `cfg` from the tape, trace and all;
+/// otherwise the ranks execute, and a run on a shared scenario records its
+/// tape for the next platform. A traced run records its whole tape,
+/// whatever its size, and its trace is that tape's evaluation; the
+/// scenario keeps the tape if it fits the scenario's budget.
 pub(crate) fn run_plain(req: &RunRequest, cfg: SpmdConfig, scen: &PreparedScenario) -> Measured {
-    let budget = scen.tape_budget().filter(|_| req.trace.is_none());
+    let budget = scen.tape_budget();
     let key = budget.map(|_| tape_key(req));
     if let Some(run) = key.as_deref().and_then(|k| scen.recorded_run(k)) {
-        let iterations: Vec<Vec<PhaseTimes>> = tape::evaluate(&run.tape, &cfg)
-            .iter()
-            .map(|rank| PhaseRecorder::replay(&rank.marks))
-            .collect();
-        return critical_rank(req, &iterations, &run.numerics, None);
+        return priced(req, &cfg, &run.tape, &run.numerics);
     }
-    let run = execute_ranks(req, cfg, FaultPlan::none(), None, None, budget)
+    let recording = req.trace.map(|_| usize::MAX).or(budget);
+    let run = execute_ranks(req, cfg.clone(), FaultPlan::none(), None, None, recording)
         .expect("a trivial fault plan cannot fail a rank");
-    if let Some(key) = key {
+    let measured = match (&run.tape, req.trace) {
+        (Some(tape), Some(_)) => priced(req, &cfg, tape, &run.numerics),
+        _ => critical_rank(req, &run.iterations, &run.numerics, None),
+    };
+    if let (Some(key), Some(budget)) = (key, budget) {
         let recorded = run
             .tape
-            .map(|tape| RecordedRun::new(tape, run.numerics.clone()));
+            .filter(|tape| tape.bytes() <= budget)
+            .map(|tape| RecordedRun::new(tape, run.numerics));
         scen.store_recorded_run(&key, recorded);
     }
-    critical_rank(req, &run.iterations, &run.numerics, run.trace)
+    measured
+}
+
+/// The critical-rank measurement `tape` implies on `cfg`, with the trace
+/// it implies when the request asks for one.
+fn priced(
+    req: &RunRequest,
+    cfg: &SpmdConfig,
+    tape: &WorkTape,
+    numerics: &[RankNumerics],
+) -> Measured {
+    let (clocks, trace) = tape::evaluate(tape, cfg, req.trace);
+    let iterations: Vec<Vec<PhaseTimes>> = clocks
+        .iter()
+        .map(|rank| PhaseRecorder::replay(&rank.marks))
+        .collect();
+    critical_rank(req, &iterations, numerics, trace)
 }
 
 /// Executes every rank of the application once (see [`run_attempt`]),
-/// recording the job's work tape within `tape_budget` bytes when given
-/// one — which only a failure-free, unresumed, uncheckpointed, untraced
-/// run may ask for.
+/// recording the job's work tape within `tape_budget` bytes (`usize::MAX`:
+/// all of it) when given one — which only a failure-free, unresumed,
+/// uncheckpointed run asks for; without, the engine traces the run.
 fn execute_ranks(
     req: &RunRequest,
     cfg: SpmdConfig,

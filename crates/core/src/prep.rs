@@ -19,11 +19,13 @@
 //!   numerical run of an app also records every rank's work tape
 //!   ([`hetero_simmpi::tape`]) and the numerical outputs no platform
 //!   changes. A later plain run of the same app on any platform, topology,
-//!   cost model or seed is priced from the tape instead of executed. The
+//!   cost model or seed is priced from the tape instead of executed —
+//!   traced or not, since a trace is what evaluating the tape implies. The
 //!   key is the app's canonical text (`tape_key`); a job's tape is bounded
-//!   by `TAPE_BYTES_CAP`, and a scenario keeps at most `FF_MEMO_CAP` of
-//!   them. Traced, fault-injected, resuming and checkpointing runs always
-//!   execute.
+//!   by `TAPE_BYTES_CAP` (a traced run records its whole tape, and the
+//!   scenario keeps it only if it fits), and a scenario keeps at most
+//!   `FF_MEMO_CAP` of them. Fault-injected, resuming and checkpointing
+//!   runs always execute.
 //! * **A fast-forward profile memo** for [`crate::recovery`]: the
 //!   failure-free reference replay `(fleet0, ff)` is a pure
 //!   function of the request minus its cadence/policy/host knobs, so
@@ -70,10 +72,11 @@ const SCENARIO_CACHE_CAP: usize = 8;
 const FF_MEMO_CAP: usize = 64;
 
 /// Bound on the work tape one numerical job records, split evenly across
-/// its ranks. An 8-rank job records ≈ 0.5 MB (RD, Q2, 4³ cells per rank, 4
-/// steps) or ≈ 2.5 MB (NS, 5³ cells, 5 steps: 312 kB of a rank's 512 kB
+/// its ranks. An 8-rank job records ≈ 0.6 MB (RD, Q2, 4³ cells per rank, 4
+/// steps) or ≈ 3.0 MB (NS, 5³ cells, 5 steps: 377 kB of a rank's 512 kB
 /// share); at 512 ranks a share is 8 kB, which the set-up alone outgrows,
-/// so such a job gives up its tape early and keeps none.
+/// so such a job gives up its tape early and keeps none. A traced run's
+/// whole tape is kept only within this bound.
 const TAPE_BYTES_CAP: usize = 4 << 20;
 
 /// The memoized failure-free reference profile of a resilient run: the
@@ -203,7 +206,7 @@ impl PreparedScenario {
     }
 
     /// Keeps what a recording run left under `key`: its run, or, when the
-    /// job gave its tape up, nothing but the count.
+    /// job kept no tape that fits, nothing but the count.
     pub(crate) fn store_recorded_run(&self, key: &str, run: Option<RecordedRun>) {
         let Some(run) = run else {
             TAPES_ABANDONED.fetch_add(1, Ordering::Relaxed);
@@ -325,7 +328,8 @@ pub struct TapeStats {
     pub recorded: u64,
     /// Plain runs priced from a recorded tape instead of executed.
     pub served: u64,
-    /// Recording jobs that gave their tape up (a rank outgrew its share).
+    /// Recording jobs whose tape was not kept: a rank outgrew its share,
+    /// or a traced run's whole tape exceeds `TAPE_BYTES_CAP`.
     pub abandoned: u64,
     /// Bytes of recorded runs alive now.
     pub bytes_held: u64,

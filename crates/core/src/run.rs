@@ -75,10 +75,13 @@ pub struct RunRequest {
     /// [`execute`] path ignores it.
     pub resilience: Option<ResilienceSpec>,
     /// Structured-event tracing — `None` (the default) records nothing and
-    /// costs nothing. With a spec, the numerical engine records per-rank
-    /// phase/collective/message events in virtual time, and the modeled
-    /// engine synthesizes the equivalent phase spans; either way the
-    /// outcome carries a [`Trace`] whose rollup matches `phases` bitwise.
+    /// costs nothing. With a spec, the numerical engine's trace is what
+    /// evaluating the run's work tape implies (per-rank phase, collective
+    /// and message events in virtual time), so a traced run is executed or
+    /// priced from a recorded tape exactly as an untraced one; the modeled
+    /// engine synthesizes the equivalent phase spans. Either way the
+    /// outcome carries a [`Trace`] whose rollup at the request's `discard`
+    /// matches `phases` bitwise.
     pub trace: Option<TraceSpec>,
 }
 
@@ -496,46 +499,54 @@ mod tests {
 
     #[test]
     fn traced_numerical_rollup_matches_report_bitwise() {
-        let base = RunRequest {
-            discard: 1,
-            ..RunRequest::new(catalog::puma(), App::paper_rd(3), 8, 3)
-        };
-        let traced = RunRequest {
-            trace: Some(TraceSpec::messages()),
-            ..base.clone()
-        };
-        let plain = execute(&base).unwrap();
-        let out = execute(&traced).unwrap();
-        assert!(plain.trace.is_none(), "no spec, no trace");
-        // Tracing observes; it must not perturb the run.
-        assert_eq!(out.phases, plain.phases);
-        let trace = out.trace.as_ref().unwrap();
-        assert!(!trace.is_empty());
-        let r = trace.phase_rollup(traced.discard).unwrap();
-        assert_eq!(r.assembly, out.phases.assembly);
-        assert_eq!(r.precond, out.phases.precond);
-        assert_eq!(r.solve, out.phases.solve);
-        assert_eq!(r.total, out.phases.total);
+        // A discard past the 3 steps keeps the last one, in the report and
+        // in the rollup alike.
+        for discard in [1, 7] {
+            let base = RunRequest {
+                discard,
+                ..RunRequest::new(catalog::puma(), App::paper_rd(3), 8, 3)
+            };
+            let traced = RunRequest {
+                trace: Some(TraceSpec::messages()),
+                ..base.clone()
+            };
+            let plain = execute(&base).unwrap();
+            let out = execute(&traced).unwrap();
+            assert!(plain.trace.is_none(), "no spec, no trace");
+            // Tracing observes; it must not perturb the run.
+            assert_eq!(out.phases, plain.phases);
+            let trace = out.trace.as_ref().unwrap();
+            assert!(!trace.is_empty());
+            let r = trace.phase_rollup(traced.discard).unwrap();
+            assert_eq!(r.discard, discard.min(2));
+            assert_eq!(r.assembly, out.phases.assembly);
+            assert_eq!(r.precond, out.phases.precond);
+            assert_eq!(r.solve, out.phases.solve);
+            assert_eq!(r.total, out.phases.total);
+        }
     }
 
     #[test]
     fn modeled_trace_rollup_matches_summarized_phases() {
-        let req = RunRequest {
-            discard: 1,
-            trace: Some(TraceSpec::collectives()),
-            ..RunRequest::new(catalog::ec2(), App::paper_rd(4), 216, 20)
-        };
-        let out = execute(&req).unwrap();
-        assert_eq!(out.fidelity, Fidelity::Modeled);
-        let r = out
-            .trace
-            .as_ref()
-            .unwrap()
-            .phase_rollup(req.discard)
-            .unwrap();
-        assert_eq!(r.assembly, out.phases.assembly);
-        assert_eq!(r.precond, out.phases.precond);
-        assert_eq!(r.solve, out.phases.solve);
-        assert_eq!(r.total, out.phases.total);
+        for discard in [1, 9] {
+            let req = RunRequest {
+                discard,
+                trace: Some(TraceSpec::collectives()),
+                ..RunRequest::new(catalog::ec2(), App::paper_rd(4), 216, 20)
+            };
+            let out = execute(&req).unwrap();
+            assert_eq!(out.fidelity, Fidelity::Modeled);
+            let r = out
+                .trace
+                .as_ref()
+                .unwrap()
+                .phase_rollup(req.discard)
+                .unwrap();
+            assert_eq!(r.discard, discard.min(3));
+            assert_eq!(r.assembly, out.phases.assembly);
+            assert_eq!(r.precond, out.phases.precond);
+            assert_eq!(r.solve, out.phases.solve);
+            assert_eq!(r.total, out.phases.total);
+        }
     }
 }

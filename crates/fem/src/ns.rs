@@ -38,7 +38,7 @@ use hetero_linalg::solver::{
 use hetero_linalg::DistVector;
 use hetero_mesh::DistributedMesh;
 use hetero_simmpi::SimComm;
-use hetero_trace::{EventKind, Phase as TracePhase};
+use hetero_trace::{EventKind, Phase};
 use serde::{Deserialize, Serialize};
 
 /// Krylov method used for the nonsymmetric momentum systems — the choice an
@@ -343,7 +343,7 @@ pub fn solve_ns_with(
 
     for step in (start_step + 1)..=cfg.steps {
         let t = cfg.t0 + step as f64 * cfg.dt;
-        let mut rec = PhaseRecorder::start(comm.phase_mark());
+        let mut rec = PhaseRecorder::start(comm.phase_mark(step, None));
 
         // -- Assembly (ii) --------------------------------------------------
         // Extrapolated advecting field w (all local slots valid: histories
@@ -427,27 +427,11 @@ pub fn solve_ns_with(
                 comm,
             );
         }
-        let seg = rec.mark();
-        rec.end_assembly(comm.phase_mark());
-        comm.trace_span(
-            seg,
-            EventKind::Phase {
-                phase: TracePhase::Assembly,
-                step: step as u32,
-            },
-        );
+        rec.end_assembly(comm.phase_mark(step, Some(Phase::Assembly)));
 
         // -- Preconditioner (iiia) -------------------------------------------
-        let seg = rec.mark();
         let pre_v = cfg.precond_vel.build(&*a_v, vv, comm);
-        rec.end_precond(comm.phase_mark());
-        comm.trace_span(
-            seg,
-            EventKind::Phase {
-                phase: TracePhase::Precond,
-                step: step as u32,
-            },
-        );
+        rec.end_precond(comm.phase_mark(step, Some(Phase::Precond)));
 
         // -- Solve (iiib) ----------------------------------------------------
         // Momentum: three component solves, warm-started.
@@ -541,15 +525,7 @@ pub fn solve_ns_with(
         }
         pressure.axpy(1.0, &phi, comm);
         pressure.update_ghosts(pmap.plan(), comm);
-        let seg = rec.mark();
-        rec.end_solve(comm.phase_mark());
-        comm.trace_span(
-            seg,
-            EventKind::Phase {
-                phase: TracePhase::Solve,
-                step: step as u32,
-            },
-        );
+        rec.end_solve(comm.phase_mark(step, Some(Phase::Solve)));
         comm.trace_instant(EventKind::Solver {
             step: step as u32,
             iters: (vits + stats_p.iterations) as u32,
@@ -559,26 +535,11 @@ pub fn solve_ns_with(
         p_iters.push(stats_p.iterations);
 
         // Rotate velocity history.
-        let seg = rec.mark();
         hist.rotate_right(1);
         for (h, u) in hist[0].iter_mut().zip(&ustar) {
             h.copy_from(u, comm);
         }
-        iterations.push(rec.finish(comm.phase_mark()));
-        comm.trace_span(
-            seg,
-            EventKind::Phase {
-                phase: TracePhase::Other,
-                step: step as u32,
-            },
-        );
-        comm.trace_span(
-            rec.started(),
-            EventKind::Phase {
-                phase: TracePhase::Iteration,
-                step: step as u32,
-            },
-        );
+        iterations.push(rec.finish(comm.phase_mark(step, Some(Phase::Iteration))));
 
         if let Some(obs) = observer.as_mut() {
             let view = NsStepView {

@@ -98,25 +98,13 @@ impl PhaseRecorder {
         self.times
     }
 
-    /// Virtual time the iteration started at.
-    pub fn started(&self) -> f64 {
-        self.start
-    }
-
-    /// Start of the *current* phase segment (the clock passed to the last
-    /// `end_*` call, or the iteration start). Lets callers emit a trace
-    /// span for the segment an `end_*` call is about to close, using the
-    /// exact same boundaries the recorder accumulates.
-    pub fn mark(&self) -> f64 {
-        self.last
-    }
-
     /// Rebuilds a run's per-iteration phase times from the clock readings
     /// its steppers took through `SimComm::phase_mark`, five per step in
     /// the order every stepper takes them: [`Self::start`],
     /// [`Self::end_assembly`], [`Self::end_precond`], [`Self::end_solve`],
     /// [`Self::finish`]. The same methods on the same clocks give the
-    /// same times, bitwise.
+    /// same times, bitwise — and a trace's phase spans run between the same
+    /// readings.
     ///
     /// # Panics
     /// Panics if `marks` is not a whole number of steps.

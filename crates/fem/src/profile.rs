@@ -43,7 +43,8 @@ pub fn stencil_nnz_per_row(order: ElementOrder) -> f64 {
     }
 }
 
-/// Empirical Krylov iteration-count law for the RD solve (CG + Jacobi).
+/// Empirical Krylov iteration-count law for the RD solve (CG + block-ILU(0),
+/// as `App::paper_rd` runs it).
 ///
 /// The RD operator `(alpha/dt - 2/t) M + (1/t^2) K` is mass-dominated for
 /// the paper's time steps, so its condition number — and the iteration
@@ -60,7 +61,8 @@ pub fn ns_velocity_iters(cells_per_axis: usize) -> usize {
     (6.0 + 0.9 * (cells_per_axis as f64).sqrt()).round() as usize
 }
 
-/// Empirical iteration law for the NS pressure-Poisson solve (CG + SSOR):
+/// Empirical iteration law for the NS pressure-Poisson solve (CG +
+/// block-ILU(0), as `App::paper_ns` runs it):
 /// a pure Laplacian, iterations grow ~ linearly in the mesh diameter.
 pub fn ns_pressure_iters(cells_per_axis: usize) -> usize {
     (10.0 + 1.35 * cells_per_axis as f64).round() as usize

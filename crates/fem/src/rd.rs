@@ -24,7 +24,7 @@ use hetero_linalg::solver::{cg, SolveOptions};
 use hetero_linalg::{DistMatrix, DistVector};
 use hetero_mesh::DistributedMesh;
 use hetero_simmpi::SimComm;
-use hetero_trace::{EventKind, Phase as TracePhase};
+use hetero_trace::{EventKind, Phase};
 use serde::{Deserialize, Serialize};
 
 /// Preconditioner selector for the applications.
@@ -226,7 +226,7 @@ pub fn solve_rd_with(
 
     for step in (start_step + 1)..=cfg.steps {
         let t = cfg.t0 + step as f64 * cfg.dt;
-        let mut rec = PhaseRecorder::start(comm.phase_mark());
+        let mut rec = PhaseRecorder::start(comm.phase_mark(step, None));
 
         // -- Assembly (ii): system matrix, history term, source, BCs. The
         // retained operator is refreshed in place (see `assemble_in_place`).
@@ -259,27 +259,11 @@ pub fn solve_rd_with(
         });
         b.axpy(1.0, &source, comm);
         apply_dirichlet(&mut *a, &mut b, &dm, |p| ex.u(p, t), comm);
-        let seg = rec.mark();
-        rec.end_assembly(comm.phase_mark());
-        comm.trace_span(
-            seg,
-            EventKind::Phase {
-                phase: TracePhase::Assembly,
-                step: step as u32,
-            },
-        );
+        rec.end_assembly(comm.phase_mark(step, Some(Phase::Assembly)));
 
         // -- Preconditioner (iiia).
-        let seg = rec.mark();
         let precond = cfg.precond.build(&*a, structure, comm);
-        rec.end_precond(comm.phase_mark());
-        comm.trace_span(
-            seg,
-            EventKind::Phase {
-                phase: TracePhase::Precond,
-                step: step as u32,
-            },
-        );
+        rec.end_precond(comm.phase_mark(step, Some(Phase::Precond)));
 
         // -- Solve (iiib). Warm start from the previous solution.
         u.copy_from(&history[0], comm);
@@ -289,40 +273,17 @@ pub fn solve_rd_with(
             "RD solve failed at step {step}: {stats:?} (t = {t})"
         );
         krylov_iters.push(stats.iterations);
-        let seg = rec.mark();
-        rec.end_solve(comm.phase_mark());
-        comm.trace_span(
-            seg,
-            EventKind::Phase {
-                phase: TracePhase::Solve,
-                step: step as u32,
-            },
-        );
+        rec.end_solve(comm.phase_mark(step, Some(Phase::Solve)));
         comm.trace_instant(EventKind::Solver {
             step: step as u32,
             iters: stats.iterations as u32,
         });
 
         // Rotate history (u's ghosts refreshed for the next history combo).
-        let seg = rec.mark();
         u.update_ghosts(dm.plan(), comm);
         history.rotate_right(1);
         history[0].copy_from(&u, comm);
-        iterations.push(rec.finish(comm.phase_mark()));
-        comm.trace_span(
-            seg,
-            EventKind::Phase {
-                phase: TracePhase::Other,
-                step: step as u32,
-            },
-        );
-        comm.trace_span(
-            rec.started(),
-            EventKind::Phase {
-                phase: TracePhase::Iteration,
-                step: step as u32,
-            },
-        );
+        iterations.push(rec.finish(comm.phase_mark(step, Some(Phase::Iteration))));
 
         if let Some(obs) = observer.as_mut() {
             let view = RdStepView {

@@ -21,6 +21,7 @@
 
 use crate::comm::{Payload, SimComm};
 use crate::rendezvous::{Kind, Yield};
+use crate::tape::{Collective, Op};
 use std::sync::Arc;
 
 /// Tags at or above this value are reserved for collectives.
@@ -127,9 +128,9 @@ impl SimComm {
     /// Reduces `data` element-wise onto the root (binomial tree). Returns
     /// `Some(result)` on the root, `None` elsewhere.
     pub fn reduce(&mut self, root: usize, op: ReduceOp, data: &[f64]) -> Option<Vec<f64>> {
-        let (t0, b0) = (self.clock(), self.stats().bytes_sent);
+        self.ledger.record(Op::Open);
         let out = self.reduce_inner(root, op, data);
-        self.trace_collective("reduce", t0, b0);
+        self.ledger.record(Op::Close(Collective::Reduce));
         out
     }
 
@@ -161,9 +162,9 @@ impl SimComm {
     /// Broadcasts `data` from the root (binomial tree). Every rank returns
     /// the root's vector; non-root inputs are ignored.
     pub fn bcast(&mut self, root: usize, data: Vec<f64>) -> Vec<f64> {
-        let (t0, b0) = (self.clock(), self.stats().bytes_sent);
+        self.ledger.record(Op::Open);
         let out = self.bcast_inner(root, data);
-        self.trace_collective("bcast", t0, b0);
+        self.ledger.record(Op::Close(Collective::Bcast));
         out
     }
 
@@ -227,9 +228,9 @@ impl SimComm {
     /// Gathers every rank's vector on the root (direct sends). Returns
     /// `Some(per-rank vectors)` on the root, `None` elsewhere.
     pub fn gather(&mut self, root: usize, data: &[f64]) -> Option<Vec<Vec<f64>>> {
-        let (t0, b0) = (self.clock(), self.stats().bytes_sent);
+        self.ledger.record(Op::Open);
         let out = self.gather_inner(root, data);
-        self.trace_collective("gather", t0, b0);
+        self.ledger.record(Op::Close(Collective::Gather));
         out
     }
 
@@ -289,16 +290,16 @@ pub(crate) mod oracle {
 
     /// `SimComm::allreduce_vec`: the same tree, traced as one span.
     pub(crate) fn allreduce_vec(comm: &mut SimComm, op: ReduceOp, data: &[f64]) -> Vec<f64> {
-        let (t0, b0) = (comm.clock(), comm.stats().bytes_sent);
+        comm.ledger.record(Op::Open);
         let reduced = comm.reduce_inner(0, op, data);
         let out = comm.bcast_inner(0, reduced.unwrap_or_default());
-        comm.trace_collective("allreduce_fused", t0, b0);
+        comm.ledger.record(Op::Close(Collective::AllreduceFused));
         out
     }
 
     /// `SimComm::barrier`: the dissemination rounds.
     pub(crate) fn barrier(comm: &mut SimComm) {
-        let (t0, b0) = (comm.clock(), comm.stats().bytes_sent);
+        comm.ledger.record(Op::Open);
         // A dead node must be observed even by a size-1 job.
         comm.maybe_fail();
         let size = comm.size();
@@ -310,13 +311,13 @@ pub(crate) mod oracle {
                 let _ = comm.recv(from, tag);
             }
         }
-        comm.trace_collective("barrier", t0, b0);
+        comm.ledger.record(Op::Close(Collective::Barrier));
     }
 
     /// `SimComm::allgather` / `allgather_usize` as a ring, one payload per
     /// hop, every rank keeping its own copy of the table.
     pub(crate) fn allgather(comm: &mut SimComm, data: Payload) -> Vec<Payload> {
-        let (t0, b0) = (comm.clock(), comm.stats().bytes_sent);
+        comm.ledger.record(Op::Open);
         let (size, rank) = (comm.size(), comm.rank());
         let tag = collective_tag(comm.next_collective_epoch(), SLOT_ALLGATHER);
         let mut out = vec![Payload::Empty; size];
@@ -328,7 +329,7 @@ pub(crate) mod oracle {
             carry = comm.recv(left, tag);
             out[(rank + size - s - 1) % size] = carry.clone();
         }
-        comm.trace_collective("allgather", t0, b0);
+        comm.ledger.record(Op::Close(Collective::Allgather));
         out
     }
 }

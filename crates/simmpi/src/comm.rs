@@ -11,7 +11,7 @@ use crate::stats::CommStats;
 use crate::tape::{Op, RankTape, Recorder, TapeBudget};
 use crate::topology::ClusterTopology;
 use crate::work::{ComputeModel, Work};
-use hetero_trace::{EventKind, RankTracer, TraceDetail, TraceEvent};
+use hetero_trace::{EventKind, Phase};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -369,9 +369,6 @@ impl Transfer {
 /// State shared by all ranks of one SPMD job.
 pub(crate) struct SharedComm {
     pub(crate) model: JobModel,
-    /// What each rank traces; `None` disables recording (each rank then
-    /// holds no tracer at all).
-    pub(crate) trace: Option<TraceDetail>,
     /// The M:N scheduler when this job runs on the cooperative engine;
     /// `None` under the thread engine. Selects how blocking receives park
     /// (coroutine yield vs condvar wait) and how senders wake them.
@@ -397,7 +394,6 @@ impl SharedComm {
     pub(crate) fn new(
         config: SpmdConfig,
         faults: FaultPlan,
-        trace: Option<TraceDetail>,
         coop: Option<Arc<crate::sched::Scheduler>>,
         tapes: Option<TapeBudget>,
     ) -> Arc<Self> {
@@ -407,7 +403,6 @@ impl SharedComm {
         let rendezvous = Rendezvous::new();
         Arc::new(SharedComm {
             model,
-            trace,
             coop,
             tapes,
             mailboxes,
@@ -463,14 +458,14 @@ impl SharedComm {
 }
 
 /// The half of one rank's communicator that charges move: its virtual
-/// clock, counters, per-destination sequence numbers, tracer and work-tape
+/// clock, counters, per-destination sequence numbers and work-tape
 /// recorder.
 ///
 /// A rank's own sends, receives and computes charge it through the methods
 /// below. While the rank is parked in a collective it lends its ledger to
 /// the rendezvous, whose evaluator charges the collective's hops to it
-/// through the same methods, so a hop costs, counts, records and traces
-/// exactly what a message of the rank's own would.
+/// through the same methods, so a hop costs, counts and records exactly
+/// what a message of the rank's own would.
 #[derive(Default)]
 pub(crate) struct Ledger {
     pub(crate) clock: f64,
@@ -480,24 +475,33 @@ pub(crate) struct Ledger {
     /// O(size²) across the job (ruinous at 10⁴–10⁵ ranks). Read and bumped
     /// on every send, hence a [`PeerMap`] and not a hash map.
     send_seq: PeerMap<u64>,
-    /// The rank's trace events; `None` when tracing is disabled, so the
-    /// disabled fast path is a single `Option` discriminant test. Boxed,
-    /// like the recorder, so lending the ledger moves a few words.
-    tracer: Option<Box<RankTracer>>,
-    /// Work-tape recorder; like the tracer, `None` unless the job records,
-    /// and dropped for good once this rank outgrows its share.
+    /// Work-tape recorder: `None` unless the job records, and dropped for
+    /// good once this rank outgrows its share. Boxed, so lending the
+    /// ledger moves a few words.
     tape: Option<Box<Recorder>>,
 }
 
 impl Ledger {
-    /// Appends `op` to the rank's work tape, if it records one. A rank
-    /// that outgrows its share gives up: the job then keeps no tape.
+    /// Records on the rank's work tape, if it keeps one, through `push`. A
+    /// rank that outgrows its share gives up: the job then keeps no tape.
+    #[inline]
+    fn keep(&mut self, push: impl FnOnce(&mut Recorder) -> bool) {
+        if self.tape.as_mut().is_some_and(|t| !push(t)) {
+            self.tape = None;
+        }
+    }
+
+    /// Appends `op` to the rank's work tape.
     #[inline]
     pub(crate) fn record(&mut self, op: Op) {
-        if let Some(t) = self.tape.as_mut() {
-            if !t.push(op) {
-                self.tape = None;
-            }
+        self.keep(|t| t.push(op));
+    }
+
+    /// Ends a batch of `waits` completed waits on the tape (an empty batch
+    /// ends none).
+    pub(crate) fn end_batch(&mut self, waits: usize) {
+        if let Some(t) = self.tape.as_mut().filter(|_| waits > 0) {
+            t.end_batch();
         }
     }
 
@@ -508,11 +512,7 @@ impl Ledger {
         self.stats.flops += work.flops;
         self.stats.mem_bytes += work.bytes;
         self.stats.compute_time += dt;
-        if let Some(t) = self.tape.as_mut() {
-            if !t.compute(work) {
-                self.tape = None;
-            }
-        }
+        self.keep(|t| t.compute(work));
     }
 
     /// Charges a send of `modeled_bytes` to `dst` and returns the message's
@@ -545,12 +545,6 @@ impl Ledger {
             dst: dst as u32,
             bytes: modeled_bytes,
         });
-        if self.trace_detail() == Some(TraceDetail::Messages) {
-            self.trace_instant(EventKind::SendMsg {
-                peer: dst as u32,
-                bytes: modeled_bytes,
-            });
-        }
         seq
     }
 
@@ -575,9 +569,8 @@ impl Ledger {
     }
 
     /// Charges a blocking receive of the `seq`-th message from `src`,
-    /// priced as `t`. (A sequence number past `u32` means the sender
-    /// recorded more sends than any share holds, so the job keeps no tape
-    /// and the truncation is never read.)
+    /// priced as `t`. (A tape numbers a pair's messages in `u32`: four
+    /// billion to one peer is past any job this engine runs.)
     pub(crate) fn recv_over(
         &mut self,
         t: Transfer,
@@ -595,104 +588,29 @@ impl Ledger {
             src: src as u32,
             seq: seq as u32,
         });
-        if self.trace_detail() == Some(TraceDetail::Messages) {
-            self.trace_span(
-                before,
-                EventKind::RecvMsg {
-                    peer: src as u32,
-                    bytes: modeled_bytes,
-                },
-            );
-        }
     }
 
     /// Charges the completion of post number `post`, made at `posted`, by
     /// the `seq`-th message from `src`: `(seq, modeled_bytes, depart)`,
-    /// priced as `t`. Returns the message's `(hidden, exposed)` wire time:
-    /// the part that ran under compute or earlier waits, and the part that
-    /// stalled the waiter.
+    /// priced as `t`.
     pub(crate) fn wait_over(
         &mut self,
         t: Transfer,
         src: usize,
         (seq, modeled_bytes, depart): (u64, f64, f64),
         (posted, post): (f64, u32),
-    ) -> (f64, f64) {
+    ) {
         let before = self.clock;
-        let avail;
-        (self.clock, avail) = t.wait(before, posted, depart);
+        self.clock = t.wait(before, posted, depart).0;
         self.record(Op::Wait {
             src: src as u32,
             seq: seq as u32,
             post,
+            last: false,
         });
-        let wire = avail - depart;
-        let stall = (avail - before).max(0.0);
         self.stats.comm_time += self.clock - before;
         self.stats.msgs_received += 1;
         self.stats.bytes_received += modeled_bytes;
-        if self.trace_detail() == Some(TraceDetail::Messages) {
-            self.trace_span(
-                before,
-                EventKind::RecvMsg {
-                    peer: src as u32,
-                    bytes: modeled_bytes,
-                },
-            );
-        }
-        ((wire - stall).max(0.0), stall)
-    }
-
-    /// Records the [`EventKind::Overlap`] instant of a batch of `msgs`
-    /// completed waits (none for an empty batch), if the detail level
-    /// covers collectives.
-    pub(crate) fn trace_overlap(&mut self, msgs: u32, hidden: f64, exposed: f64) {
-        if msgs > 0 && self.trace_detail() >= Some(TraceDetail::Collectives) {
-            self.trace_instant(EventKind::Overlap {
-                msgs,
-                hidden,
-                exposed,
-            });
-        }
-    }
-
-    #[inline]
-    fn trace_detail(&self) -> Option<TraceDetail> {
-        self.tracer.as_ref().map(|t| t.detail())
-    }
-
-    #[inline]
-    fn trace_span(&mut self, start: f64, kind: EventKind) {
-        if let Some(t) = self.tracer.as_mut() {
-            let dur = self.clock - start;
-            t.record(start, dur, kind);
-        }
-    }
-
-    #[inline]
-    fn trace_instant(&mut self, kind: EventKind) {
-        if let Some(t) = self.tracer.as_mut() {
-            t.record(self.clock, 0.0, kind);
-        }
-    }
-
-    /// Records a collective span if the detail level covers collectives.
-    /// `start_clock`/`start_bytes` are the clock and `bytes_sent` counter
-    /// captured on entry to the operation.
-    #[inline]
-    pub(crate) fn trace_collective(
-        &mut self,
-        op: &'static str,
-        start_clock: f64,
-        start_bytes: f64,
-    ) {
-        if let Some(t) = self.tracer.as_mut() {
-            if t.detail() >= TraceDetail::Collectives {
-                let bytes = self.stats.bytes_sent - start_bytes;
-                let dur = self.clock - start_clock;
-                t.record(start_clock, dur, EventKind::Collective { op, bytes });
-            }
-        }
     }
 }
 
@@ -727,9 +645,6 @@ impl SimComm {
         let node = shared.model.topo.node_of_rank(rank);
         let down_at = shared.model.faults.down_time(node);
         let ledger = Ledger {
-            tracer: shared
-                .trace
-                .map(|detail| Box::new(RankTracer::new(rank as u32, detail))),
             tape: shared.tapes.as_ref().map(|t| Box::new(t.recorder())),
             ..Ledger::default()
         };
@@ -744,14 +659,10 @@ impl SimComm {
         }
     }
 
-    /// What this rank recorded: its trace events and, if it kept one, its
-    /// work tape. The engine takes them once the rank has exited.
-    pub(crate) fn into_records(self) -> (Vec<TraceEvent>, Option<RankTape>) {
-        let Ledger { tracer, tape, .. } = self.ledger;
-        (
-            tracer.map(|t| t.into_events()).unwrap_or_default(),
-            tape.map(|t| RankTape::from(*t)),
-        )
+    /// This rank's work tape, if it kept one. The engine takes it once the
+    /// rank has exited.
+    pub(crate) fn into_tape(self) -> Option<RankTape> {
+        self.ledger.tape.map(|t| RankTape::from(*t))
     }
 
     /// Raises [`RankFailed`] (as a typed panic the engine intercepts) once
@@ -782,13 +693,17 @@ impl SimComm {
         self.ledger.clock
     }
 
-    /// The current virtual time, read as a phase boundary: the one clock
-    /// read an application makes that a work tape replays (as a `Mark`).
-    /// Phase timings must come from here, not from [`Self::clock`], for
-    /// a run priced from its tape to report them.
+    /// The current virtual time, read as a phase boundary of time step
+    /// `step` that `closes` the given phase: `None` where the step starts,
+    /// [`Phase::Iteration`] where it ends (closing its `Other` remainder
+    /// too). It is the one clock read an application makes that a work
+    /// tape replays (as a `Mark`), and a trace's phase spans run between
+    /// these reads. Phase timings must come from here, not from
+    /// [`Self::clock`], for a run priced from its tape to report them.
     #[inline]
-    pub fn phase_mark(&mut self) -> f64 {
-        self.ledger.record(Op::Mark);
+    pub fn phase_mark(&mut self, step: usize, closes: Option<Phase>) -> f64 {
+        let step = step as u32;
+        self.ledger.record(Op::Mark { step, closes });
         self.ledger.clock
     }
 
@@ -830,13 +745,11 @@ impl SimComm {
     }
 
     /// Advances the virtual clock by `seconds` without attributing work
-    /// (queue waits, provisioning delays injected by the harness). A work
-    /// tape has no such charge, so a recording rank gives up its tape.
+    /// (checkpoint I/O, delays injected by the harness); a work tape
+    /// records the seconds, so pricing it adds the same.
     pub fn advance(&mut self, seconds: f64) {
         assert!(seconds >= 0.0, "cannot rewind the clock");
-        if let Some(t) = self.ledger.tape.take() {
-            t.abandon();
-        }
+        self.ledger.record(Op::Advance(seconds));
         self.ledger.clock += seconds;
         self.ledger.stats.other_time += seconds;
         self.maybe_fail();
@@ -1057,13 +970,12 @@ impl SimComm {
     /// follows the post this degenerates to exactly the blocking
     /// [`Self::recv`] cost.
     ///
-    /// Emits one [`EventKind::Overlap`] instant (at `Collectives` detail or
-    /// finer) recording the hidden vs exposed split of the batch.
+    /// A trace shows the batch as one [`EventKind::Overlap`] instant (at
+    /// `Collectives` detail or finer): the hidden vs exposed split of its
+    /// transfers.
     pub fn wait_all(&mut self, reqs: Vec<RecvRequest>) -> Vec<Payload> {
         self.maybe_fail();
         let mut out = Vec::with_capacity(reqs.len());
-        let n_msgs = reqs.len() as u32;
-        let (mut hidden, mut exposed) = (0.0f64, 0.0f64);
         for req in reqs {
             let env = self.block_for_envelope(req.src, req.tag);
             debug_assert_eq!(env.src, req.src);
@@ -1075,15 +987,12 @@ impl SimComm {
                 env.depart,
             );
             let msg = (env.seq, env.modeled_bytes, env.depart);
-            let (h, e) = self
-                .ledger
+            self.ledger
                 .wait_over(t, env.src, msg, (req.posted, req.post));
-            hidden += h;
-            exposed += e;
             self.maybe_fail();
             out.push(env.payload);
         }
-        self.ledger.trace_overlap(n_msgs, hidden, exposed);
+        self.ledger.end_batch(out.len());
         out
     }
 
@@ -1100,6 +1009,7 @@ impl SimComm {
     pub(crate) fn join_collective(&mut self, kind: Kind, data: Payload) -> Yield {
         let epoch = self.coll_epoch;
         self.coll_epoch += kind.epochs(self.size());
+        self.ledger.record(Op::Open);
         let arrival = Arrival {
             kind,
             epoch,
@@ -1115,41 +1025,13 @@ impl SimComm {
         }
     }
 
-    /// Whether this run records a trace.
-    #[inline]
-    pub fn trace_enabled(&self) -> bool {
-        self.ledger.tracer.is_some()
-    }
-
-    /// Recording granularity, when tracing is enabled.
-    #[inline]
-    pub fn trace_detail(&self) -> Option<TraceDetail> {
-        self.ledger.trace_detail()
-    }
-
-    /// Records a span from virtual time `start` to the current clock.
-    /// No-op (one branch) when tracing is disabled.
-    #[inline]
-    pub fn trace_span(&mut self, start: f64, kind: EventKind) {
-        self.ledger.trace_span(start, kind);
-    }
-
-    /// Records an instant event at the current clock. No-op (one branch)
-    /// when tracing is disabled.
+    /// Adds the application's event `kind` to the trace, at the current
+    /// clock (solver counts, checkpoint commits). It goes on the work
+    /// tape, so a run priced from the tape reports it too; a run that
+    /// records no tape drops it.
     #[inline]
     pub fn trace_instant(&mut self, kind: EventKind) {
-        self.ledger.trace_instant(kind);
-    }
-
-    /// Records a collective span; see [`Ledger::trace_collective`].
-    #[inline]
-    pub(crate) fn trace_collective(
-        &mut self,
-        op: &'static str,
-        start_clock: f64,
-        start_bytes: f64,
-    ) {
-        self.ledger.trace_collective(op, start_clock, start_bytes);
+        self.ledger.keep(|t| t.instant(kind));
     }
 }
 

@@ -14,10 +14,10 @@ use crate::fault::{FaultPanic, FaultPlan, RankFailed};
 use crate::network::NetworkModel;
 use crate::sched;
 use crate::stats::CommStats;
-use crate::tape::{RankTape, TapeBudget, WorkTape};
+use crate::tape::{self, RankTape, TapeBudget, WorkTape};
 use crate::topology::ClusterTopology;
 use crate::work::ComputeModel;
-use hetero_trace::{Trace, TraceDetail, TraceEvent, TraceSpec};
+use hetero_trace::{Trace, TraceDetail, TraceSpec};
 use serde::{Deserialize, Serialize};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
@@ -130,11 +130,10 @@ enum RankOutcome<T> {
 /// Every rank's result, or the job's earliest node loss.
 type JobResult<T> = Result<Vec<RankResult<T>>, RankFailed>;
 
-/// What the engine keeps of one exited rank: how it ended, its trace
-/// events, and its work tape if it returned with one.
+/// What the engine keeps of one exited rank: how it ended, and its work
+/// tape if it recorded one.
 struct RankExit<T> {
     outcome: RankOutcome<T>,
-    events: Vec<TraceEvent>,
     tape: Option<RankTape>,
 }
 
@@ -144,7 +143,6 @@ impl<T> RankExit<T> {
     fn crashed(message: String) -> Self {
         RankExit {
             outcome: RankOutcome::Panic(message),
-            events: Vec::new(),
             tape: None,
         }
     }
@@ -242,13 +240,15 @@ fn silence_fault_unwinds() {
 /// blocked on a dead peer are woken through the poison path and do not
 /// count as failures.
 ///
-/// The trace is a pure function of `(config, faults, f)`, byte-identical
-/// across engines and host thread counts, and it comes back even when the
-/// run fails: a rank unwinds either at its own deterministic node-loss
-/// clock or when a message it waits on provably cannot arrive, and it keeps
-/// the events it recorded before. A failed run's per-rank spans still
-/// describe work the caller will roll back, which is why the recovery layer
-/// keeps only campaign-level events from failed attempts.
+/// A traced job records every rank's work tape ([`crate::tape`]) without a
+/// bound, and its trace is those tapes' evaluation under `faults`. The
+/// trace is a pure function of `(config, faults, f)`, byte-identical across
+/// engines and host thread counts, and it comes back even when the run
+/// fails: a rank unwinds either at its own deterministic node-loss clock or
+/// when a message it waits on provably cannot arrive, and its tape simply
+/// ends there. A failed run's per-rank spans still describe work the caller
+/// will roll back, which is why the recovery layer keeps only
+/// campaign-level events from failed attempts.
 ///
 /// # Errors
 /// Returns the earliest observed node loss (ordered by virtual time, then
@@ -299,10 +299,11 @@ where
     )
 }
 
-/// Every entry point's engine dispatch. `trace` is what each rank records,
-/// `tape_bytes` the job's work-tape budget; `None` records nothing. Every
-/// rank hands what it recorded to the job once, when it exits, and the job
-/// merges the trace and assembles the tape after the join.
+/// Every entry point's engine dispatch. `tape_bytes` is the job's work-tape
+/// budget, and `trace` the detail of the trace to evaluate from the tapes,
+/// which are then recorded whatever their size; with neither, nothing is
+/// recorded. Every rank hands its tape to the job once, when it exits, and
+/// the job evaluates the trace and assembles the tape after the join.
 pub(crate) fn run_spmd_inner<T, F>(
     config: SpmdConfig,
     opts: EngineOpts,
@@ -316,6 +317,7 @@ where
     F: Fn(&mut SimComm) -> T + Send + Sync,
 {
     silence_fault_unwinds();
+    let tape_bytes = trace.map(|_| usize::MAX).or(tape_bytes);
     let tapes = tape_bytes.map(|bytes| TapeBudget::new(config.size, bytes));
     let cooperative = opts.engine == EngineKind::Cooperative && COOPERATIVE_SUPPORTED;
     let shared = if cooperative {
@@ -325,29 +327,33 @@ where
             config.size
         );
         let scheduler = sched::Scheduler::new(config.size);
-        SharedComm::new(config, faults, trace, Some(scheduler), tapes)
+        SharedComm::new(config, faults, Some(scheduler), tapes)
     } else {
         assert!(
             config.size <= MAX_THREAD_RANKS,
             "{} ranks exceed the thread engine limit ({MAX_THREAD_RANKS}); use the cooperative engine",
             config.size
         );
-        SharedComm::new(config, faults, trace, None, tapes)
+        SharedComm::new(config, faults, None, tapes)
     };
     let (exits, deadlock) = match &shared.coop {
         Some(scheduler) => run_cooperative(&shared, scheduler, opts, f),
         None => (run_threads(&shared, f), None),
     };
-    let mut outcomes = Vec::with_capacity(exits.len());
-    let mut events = Vec::with_capacity(exits.len());
-    let mut tapes = Vec::with_capacity(exits.len());
-    for exit in exits {
-        outcomes.push(exit.outcome);
-        events.push(exit.events);
-        tapes.push(exit.tape);
-    }
-    let trace = shared.trace.map(|_| Trace::from_ranks(events));
+    let (outcomes, tapes): (Vec<_>, Vec<_>) =
+        exits.into_iter().map(|e| (e.outcome, e.tape)).unzip();
     let result = collect_outcomes(outcomes, deadlock);
+    // Past `collect_outcomes` no rank crashed, and a traced job's tapes
+    // are unbounded, so every rank kept one.
+    let trace = trace.map(|detail| {
+        let ranks: Vec<&RankTape> = tapes.iter().flatten().collect();
+        assert_eq!(
+            ranks.len(),
+            shared.model.size,
+            "a traced rank lost its tape"
+        );
+        tape::trace(&ranks, &shared.model, detail)
+    });
     let tape = match (&result, &shared.tapes) {
         (Ok(_), Some(budget)) => budget.collect(tapes),
         _ => None,
@@ -355,8 +361,8 @@ where
     (result, trace, tape)
 }
 
-/// How a rank body's return (or unwind) ends the rank: its outcome and what
-/// it recorded. Only a rank that returned hands the job its work tape.
+/// How a rank body's return (or unwind) ends the rank: its outcome and
+/// what it recorded.
 fn rank_exit<T>(rank: usize, comm: SimComm, out: std::thread::Result<T>) -> RankExit<T> {
     let outcome = match out {
         Ok(value) => RankOutcome::Ok(RankResult {
@@ -367,12 +373,9 @@ fn rank_exit<T>(rank: usize, comm: SimComm, out: std::thread::Result<T>) -> Rank
         }),
         Err(payload) => outcome_of_unwind(payload),
     };
-    let (events, tape) = comm.into_records();
-    let tape = tape.filter(|_| matches!(outcome, RankOutcome::Ok(_)));
     RankExit {
         outcome,
-        events,
-        tape,
+        tape: comm.into_tape(),
     }
 }
 
@@ -550,6 +553,7 @@ mod tests {
     use crate::comm::Payload;
     use crate::fault::SlowWindow;
     use crate::work::Work;
+    use hetero_trace::TraceEvent;
 
     fn cfg(size: usize) -> SpmdConfig {
         SpmdConfig {

@@ -31,9 +31,9 @@
 //! [`NetworkModel::link_cost`](crate::NetworkModel::link_cost), then the
 //! scatter's `copy`. The overlapped form posts the sends, records one
 //! `Post` per neighbour, and completes with the wait charge of
-//! `Transfer::wait`, one `Wait` per neighbour and one `Overlap` instant —
-//! exactly the `send`/`irecv`/`wait_all` sequence the ghost update used to
-//! be.
+//! `Transfer::wait`, one `Wait` per neighbour, the last of which ends the
+//! batch (one `Overlap` instant in a trace) — exactly the
+//! `send`/`irecv`/`wait_all` sequence the ghost update used to be.
 //!
 //! **Two slots suffice, and the bound is checked.** Plans are symmetric,
 //! so in every exchange a rank both sends to and receives from each
@@ -506,7 +506,6 @@ impl SimComm {
         assert_eq!(posted.neighbors, plan.neighbors.len());
         self.maybe_fail();
         let me = self.rank;
-        let (mut hidden, mut exposed) = (0.0f64, 0.0f64);
         let mut at = 0;
         for (&src, post) in plan.neighbors.iter().zip(posted.first_post..) {
             let SimComm {
@@ -523,13 +522,10 @@ impl SimComm {
             let deposit = peer.rx.front();
             let (t, bytes) = priced(&shared.model, &peer.path, deposit);
             let msg = (deposit.seq, bytes, deposit.depart);
-            let (h, e) = ledger.wait_over(t, src, msg, (posted.posted, post));
-            hidden += h;
-            exposed += e;
+            ledger.wait_over(t, src, msg, (posted.posted, post));
             fail_if_down(ledger.clock, *down_at, *node);
         }
-        self.ledger
-            .trace_overlap(plan.neighbors.len() as u32, hidden, exposed);
+        self.ledger.end_batch(plan.neighbors.len());
         let mut at = 0;
         for (&src, slots) in plan.neighbors.iter().zip(&plan.recv_indices) {
             let peer = self.halo.peer(&self.shared, me, src, &mut at);

@@ -41,10 +41,12 @@
 //! [`modeled`]. A run that has executed once can be priced again on other
 //! platforms from its recorded charges without re-executing; see [`tape`].
 //!
-//! Runs can optionally record a deterministic, virtual-clock-stamped trace
+//! Runs can optionally return a deterministic, virtual-clock-stamped trace
 //! (phases, collectives, point-to-point traffic) through
-//! [`engine::run_spmd_opts`]; see the `hetero-trace` crate for the event
-//! model and exporters.
+//! [`engine::run_spmd_opts`]. A trace is a view of the work tape: what
+//! evaluating the run's tape implies ([`tape::evaluate`]), not a
+//! second record. See the `hetero-trace` crate for the event model and
+//! exporters.
 
 // `deny` rather than `forbid`: the coroutine context switch in `sched` and
 // the halo exchange's lock-free slots (`exchange::channel`) need scoped

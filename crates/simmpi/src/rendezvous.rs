@@ -8,7 +8,7 @@
 //!
 //! * **Arrive.** Each rank deposits its [`Arrival`] — which collective, its
 //!   epoch, its payload, and its [`Ledger`] (clock, counters, sequence
-//!   numbers, trace events, tape) — and parks: as a `Parked` task under the
+//!   numbers, tape) — and parks: as a `Parked` task under the
 //!   cooperative engine, on the rendezvous condvar under the thread engine.
 //! * **Evaluate.** When every rank has either arrived or terminated, the
 //!   arrival or termination that completed the set runs [`evaluate`]: a
@@ -16,9 +16,10 @@
 //!   replays the tree schedule hop by hop — the binomial reduce + bcast
 //!   rooted at 0, the dissemination barrier, the ring — through the
 //!   ledger's own send and receive charges. Each hop therefore prices,
-//!   counts, records on the tape and traces exactly what the message would
-//!   have, with its per-pair sequence number and jitter key; values combine
-//!   in the trees' order, so results are bitwise the same.
+//!   counts and records on the tape exactly what the message would have,
+//!   with its per-pair sequence number and jitter key, and the collective's
+//!   `Open`/`Close` ops fall where the trees' would; values combine in the
+//!   trees' order, so results are bitwise the same.
 //! * **Release.** The evaluator advances the rendezvous generation (one
 //!   counter releases every rank that arrived) and wakes the parked ranks
 //!   under one scheduler lock. Each rank takes
@@ -44,6 +45,7 @@ use crate::collectives::{
 };
 use crate::comm::{JobModel, Ledger, Payload, SharedComm, HEADER_BYTES};
 use crate::fault::RankFailed;
+use crate::tape::{Collective, Op};
 use crate::work::Work;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -52,7 +54,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Kind {
     /// Reduce to rank 0 and broadcast back, of `len` values each. `fused`
-    /// (`allreduce_vec`) traces one span instead of a reduce and a bcast.
+    /// (`allreduce_vec`) is one traced collective instead of a reduce and a
+    /// bcast.
     Allreduce {
         op: ReduceOp,
         len: usize,
@@ -303,8 +306,8 @@ enum Step {
     Combine {
         from: usize,
     },
-    /// Closes the traced span `op`, opened where the previous one closed.
-    Span(&'static str),
+    /// Records a collective's `Open` or `Close` on the tape.
+    Tape(Op),
 }
 
 /// Every rank's schedule of one collective call.
@@ -345,10 +348,11 @@ impl Plan<'_> {
                 }
                 pc -= has_parent;
                 if !fused {
-                    if pc == 0 {
-                        return Some(Step::Span("reduce"));
+                    match pc {
+                        0 => return Some(Step::Tape(Op::Close(Collective::Reduce))),
+                        1 => return Some(Step::Tape(Op::Open)),
+                        _ => pc -= 2,
                     }
-                    pc -= 1;
                 }
                 if let (Some(from), 0) = (parent, pc) {
                     let tag = collective_tag(self.epoch + 1, SLOT_BCAST);
@@ -359,7 +363,12 @@ impl Plan<'_> {
                     let to = tree_child(rank, k - 1 - pc);
                     return Some(Step::Send { to, bytes });
                 }
-                (pc == k).then_some(Step::Span(if fused { "allreduce_fused" } else { "bcast" }))
+                let close = if fused {
+                    Collective::AllreduceFused
+                } else {
+                    Collective::Bcast
+                };
+                (pc == k).then_some(Step::Tape(Op::Close(close)))
             }
             Kind::Barrier => {
                 let rounds = dissemination_rounds(size) as usize;
@@ -379,7 +388,7 @@ impl Plan<'_> {
                             }
                         })
                     }
-                    pc if pc == 2 * rounds + 1 => Some(Step::Span("barrier")),
+                    pc if pc == 2 * rounds + 1 => Some(Step::Tape(Op::Close(Collective::Barrier))),
                     _ => None,
                 }
             }
@@ -401,7 +410,7 @@ impl Plan<'_> {
                         }
                     })
                 } else {
-                    (pc == hops).then_some(Step::Span("allgather"))
+                    (pc == hops).then_some(Step::Tape(Op::Close(Collective::Allgather)))
                 }
             }
         }
@@ -419,8 +428,6 @@ struct Msg {
 /// One rank's progress through the evaluator.
 struct Runner {
     pc: usize,
-    /// Clock and `bytes_sent` where the open trace span began.
-    mark: (f64, f64),
     node: usize,
     down_at: f64,
     /// The all-reduce accumulator: the rank's contribution, then partial
@@ -514,7 +521,6 @@ fn evaluate(model: &JobModel, slots: &mut [Slot], scratch: &mut Scratch) {
         let node = model.topo.node_of_rank(rank);
         let mut runner = Runner {
             pc: 0,
-            mark: (0.0, 0.0),
             node,
             down_at: model.faults.down_time(node),
             acc: Vec::new(),
@@ -524,7 +530,6 @@ fn evaluate(model: &JobModel, slots: &mut [Slot], scratch: &mut Scratch) {
         };
         if let Slot::Arrived(a) = slot {
             runner.arrived = true;
-            runner.mark = (a.ledger.clock, a.ledger.stats.bytes_sent);
             if let (Kind::Allreduce { .. }, Payload::F64(v)) = (kind, &mut a.data) {
                 runner.acc = std::mem::take(v);
             }
@@ -598,11 +603,7 @@ fn evaluate(model: &JobModel, slots: &mut [Slot], scratch: &mut Scratch) {
                         break fault();
                     }
                 }
-                Step::Span(op) => {
-                    let (t0, b0) = run[r].mark;
-                    ledger.trace_collective(op, t0, b0);
-                    run[r].mark = (ledger.clock, ledger.stats.bytes_sent);
-                }
+                Step::Tape(op) => ledger.record(op),
             }
             run[r].pc += 1;
         };

@@ -1,4 +1,5 @@
-//! Work tapes: one executed run's charges, priced again on any platform.
+//! Work tapes: one executed run's charges, priced again on any platform,
+//! and the source of the run's trace.
 //!
 //! A rank's virtual clock is a pure function of its own ordered charges and
 //! of the departure times of the messages it receives:
@@ -17,30 +18,40 @@
 //!   [`SimComm::phase_mark`](crate::SimComm::phase_mark).
 //!
 //! So the charges themselves — what a rank computes, sends and receives,
-//! in order — do not depend on the platform or the seed. A failure-free,
-//! untraced job can record them as one tape per rank
-//! ([`crate::engine::run_spmd_recorded`]), and [`evaluate`] prices the
-//! recorded [`WorkTape`] on any [`SpmdConfig`] without running the program:
-//! no coroutines, payloads or mailboxes, a worklist over ranks that is
-//! linear in the number of ops. Every clock update goes through the same
-//! pure charge functions as [`SimComm`](crate::SimComm)'s (`JobModel` and
-//! `Transfer` in `comm`), so each priced clock is the executed clock
-//! bitwise, by construction rather than by approximation.
+//! in order — do not depend on the platform or the seed. A job can record
+//! them as one tape per rank ([`crate::engine::run_spmd_recorded`]), and
+//! [`evaluate`] prices the recorded [`WorkTape`] on any [`SpmdConfig`]
+//! without running the program: no coroutines, payloads or mailboxes, a
+//! worklist over ranks that is linear in the number of ops. Every clock
+//! update goes through the same pure charge functions as
+//! [`SimComm`](crate::SimComm)'s (`JobModel` and `Transfer` in `comm`), so
+//! each priced clock is the executed clock bitwise, by construction rather
+//! than by approximation.
 //!
-//! A tape is bounded: the job's byte budget is split evenly across ranks,
-//! and a rank that outgrows its share stops recording, drops what it holds
-//! and tells the job, which then keeps no tape at all.
+//! **A trace is a view of the tape.** No op stores a clock: every event
+//! follows from one op and the clock evaluation gives it (`SendMsg` and
+//! `RecvMsg` from `Send`, `Recv` and `Wait`, `Overlap` from a batch of
+//! `Wait`s, a collective span from `Open`/`Close`, phase spans from
+//! `Mark`s, application events from `Instant`), and [`evaluate`] emits them
+//! as it prices. A traced job ([`crate::engine::run_spmd_opts`]) records
+//! every rank's tape unbounded, a dying rank's ending where it stopped, and
+//! evaluates them under its own fault plan after the ranks exit.
+//!
+//! An untraced tape is bounded: the job's byte budget is split evenly
+//! across ranks, and a rank that outgrows its share stops recording, drops
+//! what it holds and tells the job, which then keeps no tape at all.
 
 use crate::comm::{JobModel, PeerMap};
 use crate::engine::SpmdConfig;
 use crate::fault::FaultPlan;
 use crate::work::Work;
+use hetero_trace::{EventKind, Phase, Trace, TraceDetail, TraceEvent, TraceSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// One recorded charge. Sixteen bytes, so a share of `b` bytes holds
-/// `b / 16` ops and interned works together.
+/// One recorded charge or boundary. Sixteen bytes, so a share of `b` bytes
+/// holds `b / 16` ops and interned works together.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Op {
     /// A compute charge: an index into the rank's interned works.
@@ -53,15 +64,51 @@ pub(crate) enum Op {
     /// the post time).
     Post,
     /// The completion of post number `post` by the `seq`-th message from
-    /// `src`.
-    Wait { src: u32, seq: u32, post: u32 },
-    /// A phase boundary: the application read the clock.
-    Mark,
+    /// `src`; `last` ends a batch of waits.
+    Wait {
+        src: u32,
+        seq: u32,
+        post: u32,
+        last: bool,
+    },
+    /// A clock advance that charges no work (checkpoint I/O).
+    Advance(f64),
+    /// A phase boundary of time step `step`: the application read the
+    /// clock (see [`SimComm::phase_mark`](crate::SimComm::phase_mark)).
+    Mark { step: u32, closes: Option<Phase> },
+    /// A collective operation begins.
+    Open,
+    /// The collective operation that began last ends.
+    Close(Collective),
+    /// The application's event number `i` of the rank's events.
+    Instant(u32),
 }
 
 /// Size of one tape unit: an [`Op`], or an interned [`Work`].
 const UNIT_BYTES: usize = std::mem::size_of::<Op>();
 const _: () = assert!(UNIT_BYTES == 16 && std::mem::size_of::<Work>() == UNIT_BYTES);
+
+/// The collective operations a trace names: what [`Op::Close`] carries,
+/// an index into [`COLLECTIVE_NAMES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Collective {
+    Reduce,
+    Bcast,
+    Gather,
+    AllreduceFused,
+    Barrier,
+    Allgather,
+}
+
+/// Each [`Collective`]'s name in a trace.
+const COLLECTIVE_NAMES: [&str; 6] = [
+    "reduce",
+    "bcast",
+    "gather",
+    "allreduce_fused",
+    "barrier",
+    "allgather",
+];
 
 /// One rank's recorded charges, in program order.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,11 +116,14 @@ pub(crate) struct RankTape {
     ops: Vec<Op>,
     /// The distinct works the rank charged, indexed by [`Op::Compute`].
     works: Vec<Work>,
+    /// The events the application added, indexed by [`Op::Instant`].
+    events: Vec<EventKind>,
 }
 
 impl RankTape {
     fn bytes(&self) -> usize {
         (self.ops.len() + self.works.len()) * UNIT_BYTES
+            + self.events.len() * std::mem::size_of::<EventKind>()
     }
 }
 
@@ -103,6 +153,7 @@ pub struct RankClock {
 pub(crate) struct Recorder {
     ops: Vec<Op>,
     works: Vec<Work>,
+    events: Vec<EventKind>,
     /// `(flops, bytes)` bit patterns to their index in `works`.
     interned: HashMap<(u64, u64), u32>,
     posts: u32,
@@ -153,14 +204,23 @@ impl Recorder {
         self.push(Op::Compute(index))
     }
 
+    /// Records the application's event `kind`. Events are a few per step,
+    /// so they are held outside the share.
+    pub(crate) fn instant(&mut self, kind: EventKind) -> bool {
+        self.events.push(kind);
+        self.push(Op::Instant(self.events.len() as u32 - 1))
+    }
+
+    /// Marks the last op, the last `Wait` of a batch, as the batch's end.
+    pub(crate) fn end_batch(&mut self) {
+        if let Some(Op::Wait { last, .. }) = self.ops.last_mut() {
+            *last = true;
+        }
+    }
+
     /// Posts recorded so far: the index the next [`Op::Post`] gets.
     pub(crate) fn posts(&self) -> u32 {
         self.posts
-    }
-
-    /// Gives up recording for this rank, and so for the job.
-    pub(crate) fn abandon(self) {
-        self.abandoned.store(true, Ordering::Relaxed);
     }
 
     /// How many of the `wanted` units a full vector may grow by, or
@@ -186,9 +246,11 @@ impl From<Recorder> for RankTape {
     fn from(mut r: Recorder) -> Self {
         r.ops.shrink_to_fit();
         r.works.shrink_to_fit();
+        r.events.shrink_to_fit();
         RankTape {
             ops: r.ops,
             works: r.works,
+            events: r.events,
         }
     }
 }
@@ -202,7 +264,7 @@ pub(crate) struct TapeBudget {
 
 impl TapeBudget {
     /// The budget of a job of `size` ranks that may hold `budget_bytes` of
-    /// tape in all.
+    /// tape in all (`usize::MAX`: no bound).
     pub(crate) fn new(size: usize, budget_bytes: usize) -> Self {
         TapeBudget {
             share_units: budget_bytes / size.max(1) / UNIT_BYTES,
@@ -215,6 +277,7 @@ impl TapeBudget {
         Recorder {
             ops: Vec::new(),
             works: Vec::new(),
+            events: Vec::new(),
             interned: HashMap::new(),
             posts: 0,
             max_units: self.share_units,
@@ -237,7 +300,8 @@ impl TapeBudget {
 
 /// Prices `tape` on `config`, failure-free: every rank's final clock and
 /// phase marks, bitwise what executing the recorded program on `config`
-/// with no faults and no trace would give.
+/// with no faults would give, and, when asked for, the trace at `trace`'s
+/// detail that executing it there records.
 ///
 /// A worklist over ranks: each runs its ops until a receive whose message
 /// has not departed yet, and is resumed when the sender gets there. Linear
@@ -245,12 +309,72 @@ impl TapeBudget {
 ///
 /// # Panics
 /// Panics if `config.size` differs from the tape's rank count, or if the
-/// tape cannot complete (which a tape recorded from a completed job never
-/// does).
-pub fn evaluate(tape: &WorkTape, config: &SpmdConfig) -> Vec<RankClock> {
+/// tape cannot complete (which a recorded tape never does).
+pub fn evaluate(
+    tape: &WorkTape,
+    config: &SpmdConfig,
+    trace: Option<TraceSpec>,
+) -> (Vec<RankClock>, Option<Trace>) {
     let size = tape.ranks.len();
     assert_eq!(config.size, size, "tape recorded for {size} ranks");
+    let ranks: Vec<&RankTape> = tape.ranks.iter().collect();
     let model = JobModel::new(config.clone(), FaultPlan::none());
+    let detail = trace.map(|spec| spec.detail);
+    let (clocks, events) = price(&ranks, &model, detail);
+    (clocks, detail.map(|_| Trace::from_ranks(events)))
+}
+
+/// The trace at `detail` of a job's tapes, one per rank and each ending
+/// where its rank stopped, priced under the job's own `model` (its fault
+/// plan's slow windows included).
+pub(crate) fn trace(tapes: &[&RankTape], model: &JobModel, detail: TraceDetail) -> Trace {
+    Trace::from_ranks(price(tapes, model, Some(detail)).1)
+}
+
+/// What one rank's evaluation implies for its trace, and the state it
+/// needs to say so.
+struct Observer {
+    detail: TraceDetail,
+    rank: u32,
+    events: Vec<TraceEvent>,
+    /// Modeled bytes sent so far: a collective's bytes are the difference
+    /// across it.
+    sent: f64,
+    /// Clock and `sent` where the open collective began.
+    open: (f64, f64),
+    /// Waits, hidden and exposed seconds of the open batch.
+    batch: (u32, f64, f64),
+    /// Clocks of the step's start and of its last mark.
+    step: (f64, f64),
+}
+
+impl Observer {
+    fn emit(&mut self, at: f64, dur: f64, kind: EventKind) {
+        self.events.push(TraceEvent {
+            at,
+            dur,
+            rank: self.rank,
+            seq: self.events.len() as u64,
+            kind,
+        });
+    }
+
+    /// A phase span from the step's last mark to `clock`.
+    fn phase(&mut self, phase: Phase, step: u32, clock: f64) {
+        let from = self.step.1;
+        self.emit(from, clock - from, EventKind::Phase { phase, step });
+        self.step.1 = clock;
+    }
+}
+
+/// Prices `tapes` under `model` and, at `detail`, lists the events each
+/// rank's ops imply, in program order.
+fn price(
+    tapes: &[&RankTape],
+    model: &JobModel,
+    detail: Option<TraceDetail>,
+) -> (Vec<RankClock>, Vec<Vec<TraceEvent>>) {
+    let size = tapes.len();
 
     struct Rank {
         pc: usize,
@@ -259,16 +383,28 @@ pub fn evaluate(tape: &WorkTape, config: &SpmdConfig) -> Vec<RankClock> {
         costs: Vec<f64>,
         posts: Vec<f64>,
         marks: Vec<f64>,
+        obs: Option<Observer>,
     }
-    let mut ranks: Vec<Rank> = tape
-        .ranks
+    let mut ranks: Vec<Rank> = tapes
         .iter()
-        .map(|t| Rank {
+        .enumerate()
+        .map(|(r, t)| Rank {
             pc: 0,
             clock: 0.0,
             costs: t.works.iter().map(|&w| model.compute_cost(w)).collect(),
             posts: Vec::new(),
             marks: Vec::new(),
+            obs: detail.map(|detail| Observer {
+                detail,
+                rank: r as u32,
+                // No op implies more than two events; untouched capacity
+                // costs address space only.
+                events: Vec::with_capacity(t.ops.len()),
+                sent: 0.0,
+                open: (0.0, 0.0),
+                batch: (0, 0.0, 0.0),
+                step: (0.0, 0.0),
+            }),
         })
         .collect();
     // `sent[src]` maps each destination to the `(departure, bytes)` of
@@ -279,37 +415,113 @@ pub fn evaluate(tape: &WorkTape, config: &SpmdConfig) -> Vec<RankClock> {
     let mut runnable: Vec<usize> = (0..size).rev().collect();
 
     while let Some(r) = runnable.pop() {
-        let ops = &tape.ranks[r].ops;
+        let tape = tapes[r];
         let me = &mut ranks[r];
-        while let Some(&op) = ops.get(me.pc) {
+        while let Some(&op) = tape.ops.get(me.pc) {
             match op {
                 Op::Compute(i) => me.clock += me.costs[i as usize],
+                Op::Advance(seconds) => me.clock += seconds,
                 Op::Send { dst, bytes } => {
-                    let dst = dst as usize;
                     me.clock += model.send_cost(bytes);
-                    sent[r].get_or_default(dst).push((me.clock, bytes));
-                    if waiting_on[dst] == Some(r) {
-                        waiting_on[dst] = None;
-                        runnable.push(dst);
+                    sent[r].get_or_default(dst as usize).push((me.clock, bytes));
+                    if waiting_on[dst as usize] == Some(r) {
+                        waiting_on[dst as usize] = None;
+                        runnable.push(dst as usize);
+                    }
+                    if let Some(o) = me.obs.as_mut() {
+                        o.sent += bytes;
+                        if o.detail == TraceDetail::Messages {
+                            o.emit(me.clock, 0.0, EventKind::SendMsg { peer: dst, bytes });
+                        }
                     }
                 }
                 Op::Recv { src, seq } | Op::Wait { src, seq, .. } => {
-                    let src = src as usize;
-                    let Some(&(depart, bytes)) = sent[src].get(r).and_then(|m| m.get(seq as usize))
+                    let Some(&(depart, bytes)) =
+                        sent[src as usize].get(r).and_then(|m| m.get(seq as usize))
                     else {
-                        waiting_on[r] = Some(src);
+                        waiting_on[r] = Some(src as usize);
                         break;
                     };
-                    let t = model.transfer(src, r, u64::from(seq), bytes, depart);
-                    me.clock = match op {
+                    let t = model.transfer(src as usize, r, u64::from(seq), bytes, depart);
+                    let before = me.clock;
+                    let avail = match op {
                         Op::Wait { post, .. } => {
-                            t.wait(me.clock, me.posts[post as usize], depart).0
+                            let avail;
+                            (me.clock, avail) = t.wait(before, me.posts[post as usize], depart);
+                            Some(avail)
                         }
-                        _ => t.recv(me.clock, depart),
+                        _ => {
+                            me.clock = t.recv(before, depart);
+                            None
+                        }
                     };
+                    if let Some(o) = me.obs.as_mut() {
+                        if o.detail == TraceDetail::Messages {
+                            let kind = EventKind::RecvMsg { peer: src, bytes };
+                            o.emit(before, me.clock - before, kind);
+                        }
+                        if let (Some(avail), Op::Wait { last, .. }) = (avail, op) {
+                            // The part of the wire time compute or earlier
+                            // waits covered, and the part that stalled.
+                            let stall = (avail - before).max(0.0);
+                            let (msgs, hidden, exposed) = &mut o.batch;
+                            *msgs += 1;
+                            *hidden += (avail - depart - stall).max(0.0);
+                            *exposed += stall;
+                            if last {
+                                let (msgs, hidden, exposed) = std::mem::take(&mut o.batch);
+                                if o.detail >= TraceDetail::Collectives {
+                                    let kind = EventKind::Overlap {
+                                        msgs,
+                                        hidden,
+                                        exposed,
+                                    };
+                                    o.emit(me.clock, 0.0, kind);
+                                }
+                            }
+                        }
+                    }
                 }
                 Op::Post => me.posts.push(me.clock),
-                Op::Mark => me.marks.push(me.clock),
+                Op::Mark { step, closes } => {
+                    me.marks.push(me.clock);
+                    if let Some(o) = me.obs.as_mut() {
+                        match closes {
+                            None => o.step = (me.clock, me.clock),
+                            Some(Phase::Iteration) => {
+                                o.phase(Phase::Other, step, me.clock);
+                                let start = o.step.0;
+                                let phase = Phase::Iteration;
+                                o.emit(start, me.clock - start, EventKind::Phase { phase, step });
+                            }
+                            Some(phase) => o.phase(phase, step, me.clock),
+                        }
+                    }
+                }
+                Op::Open => {
+                    if let Some(o) = me.obs.as_mut() {
+                        o.open = (me.clock, o.sent);
+                    }
+                }
+                Op::Close(op) => {
+                    if let Some(o) = me
+                        .obs
+                        .as_mut()
+                        .filter(|o| o.detail >= TraceDetail::Collectives)
+                    {
+                        let (start, bytes) = (o.open.0, o.sent - o.open.1);
+                        let kind = EventKind::Collective {
+                            op: COLLECTIVE_NAMES[op as usize],
+                            bytes,
+                        };
+                        o.emit(start, me.clock - start, kind);
+                    }
+                }
+                Op::Instant(i) => {
+                    if let Some(o) = me.obs.as_mut() {
+                        o.emit(me.clock, 0.0, tape.events[i as usize]);
+                    }
+                }
             }
             me.pc += 1;
         }
@@ -317,7 +529,7 @@ pub fn evaluate(tape: &WorkTape, config: &SpmdConfig) -> Vec<RankClock> {
 
     ranks
         .into_iter()
-        .zip(&tape.ranks)
+        .zip(tapes)
         .enumerate()
         .map(|(r, (rank, t))| {
             assert_eq!(
@@ -325,20 +537,22 @@ pub fn evaluate(tape: &WorkTape, config: &SpmdConfig) -> Vec<RankClock> {
                 t.ops.len(),
                 "tape of rank {r} stalls on a message that is never sent"
             );
-            RankClock {
+            let clock = RankClock {
                 clock: rank.clock,
                 marks: rank.marks,
-            }
+            };
+            (clock, rank.obs.map_or_else(Vec::new, |o| o.events))
         })
-        .collect()
+        .unzip()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collectives::ReduceOp;
-    use crate::engine::{run_spmd, run_spmd_recorded, EngineOpts};
+    use crate::engine::{run_spmd, run_spmd_opts, run_spmd_recorded, EngineOpts};
     use crate::exchange::tests::{copy, ring};
+    use crate::fault::SlowWindow;
     use crate::network::NetworkModel;
     use crate::topology::ClusterTopology;
     use crate::work::ComputeModel;
@@ -354,27 +568,56 @@ mod tests {
         }
     }
 
-    /// Blocking traffic, a posted exchange, collectives, uneven compute and
-    /// phase marks: every kind of op.
+    fn platforms(size: usize) -> [SpmdConfig; 4] {
+        [
+            cfg(size, NetworkModel::gigabit_ethernet(), 4, 1),
+            cfg(size, NetworkModel::ten_gig_ethernet_ec2(), 16, 7),
+            cfg(size, NetworkModel::infiniband_ddr(), 2, 2012),
+            cfg(size, NetworkModel::ten_gig_ethernet_ec2(), 1, 99),
+        ]
+    }
+
+    /// Blocking traffic, posted exchanges and receives, symmetric and
+    /// rooted collectives, uneven compute, an uncharged advance, an
+    /// application event and the five phase marks of each step: every
+    /// kind of op. Returns the clock bits of the marks.
     fn body(comm: &mut SimComm) -> Vec<u64> {
         let (rank, size) = (comm.rank(), comm.size());
         let right = (rank + 1) % size;
         let left = (rank + size - 1) % size;
-        let mut marks = vec![comm.phase_mark().to_bits()];
+        let mut marks = Vec::new();
         for step in 0..3 {
+            marks.push(comm.phase_mark(step, None));
             comm.compute(Work::new(1e6 * (rank + step + 1) as f64, 3e5));
+            marks.push(comm.phase_mark(step, Some(Phase::Assembly)));
             let plan = ring(rank, size, 100 * (step + 1));
             let mut halo = vec![1.0; 100 * (step + 1) * (1 + plan.neighbors.len())];
             let posted = comm.exchange_post(&plan, &halo, copy);
             comm.compute(Work::new(2e5, 1e5));
             comm.exchange_wait(&plan, posted, &mut halo, copy);
+            marks.push(comm.phase_mark(step, Some(Phase::Precond)));
             comm.send(left, 5, Payload::F64(vec![2.0; 10]));
             let _ = comm.recv(right, 5);
             let _ = comm.allreduce_scalar(ReduceOp::Sum, rank as f64);
-            marks.push(comm.phase_mark().to_bits());
+            let _ = comm.allreduce_vec(ReduceOp::Max, &[1.0, rank as f64]);
+            marks.push(comm.phase_mark(step, Some(Phase::Solve)));
+            comm.trace_instant(EventKind::Solver {
+                step: step as u32,
+                iters: rank as u32,
+            });
+            comm.send(left, 6, Payload::F64(vec![3.0; 50]));
+            let posted = comm.irecv(right, 6);
+            comm.compute(Work::new(1e5, 0.0));
+            let _ = comm.wait_all(vec![posted]);
+            comm.advance(1e-4 * (rank + 1) as f64);
+            let sum = comm.reduce(0, ReduceOp::Sum, &[1.0]);
+            let _ = comm.bcast(0, sum.unwrap_or_default());
+            let _ = comm.gather(size - 1, &[rank as f64]);
+            let _ = comm.allgather(&[rank as f64]);
+            marks.push(comm.phase_mark(step, Some(Phase::Iteration)));
         }
         comm.barrier();
-        marks
+        marks.into_iter().map(f64::to_bits).collect()
     }
 
     fn recorded(size: usize) -> WorkTape {
@@ -387,15 +630,9 @@ mod tests {
     fn priced_clocks_match_execution_on_every_platform() {
         for size in [1, 2, 5, 8] {
             let tape = recorded(size);
-            for (net, cores, seed) in [
-                (NetworkModel::gigabit_ethernet(), 4, 1),
-                (NetworkModel::ten_gig_ethernet_ec2(), 16, 7),
-                (NetworkModel::infiniband_ddr(), 2, 2012),
-                (NetworkModel::ten_gig_ethernet_ec2(), 1, 99),
-            ] {
-                let c = cfg(size, net, cores, seed);
+            for c in platforms(size) {
                 let executed = run_spmd(c.clone(), body);
-                let priced = evaluate(&tape, &c);
+                let (priced, _) = evaluate(&tape, &c, None);
                 for (e, p) in executed.iter().zip(&priced) {
                     assert_eq!(e.clock.to_bits(), p.clock.to_bits(), "size {size}");
                     let marks: Vec<u64> = p.marks.iter().map(|m| m.to_bits()).collect();
@@ -403,6 +640,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn one_tape_traces_the_run_on_every_platform_at_every_detail() {
+        let tape = recorded(5);
+        for c in platforms(5) {
+            for spec in [
+                TraceSpec::phases(),
+                TraceSpec::collectives(),
+                TraceSpec::messages(),
+            ] {
+                let (res, executed) = run_spmd_opts(
+                    c.clone(),
+                    EngineOpts::threads(),
+                    FaultPlan::none(),
+                    Some(spec),
+                    body,
+                );
+                let (clocks, priced) = evaluate(&tape, &c, Some(spec));
+                assert_eq!(executed, priced, "{spec:?}");
+                for (e, p) in res.unwrap().iter().zip(&clocks) {
+                    assert_eq!(e.clock.to_bits(), p.clock.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_traced_job_prices_its_trace_under_its_own_slow_windows() {
+        let c = cfg(4, NetworkModel::ten_gig_ethernet_ec2(), 2, 3);
+        let faults = FaultPlan {
+            node_down_at: vec![f64::INFINITY; 2],
+            slow_windows: vec![SlowWindow {
+                start: 0.0,
+                end: 1.0,
+                factor: 4.0,
+            }],
+        };
+        let traced = |faults: &FaultPlan| {
+            let (res, trace) = run_spmd_opts(
+                c.clone(),
+                EngineOpts::cooperative(1),
+                faults.clone(),
+                Some(TraceSpec::phases()),
+                body,
+            );
+            (res.unwrap(), trace.unwrap())
+        };
+        let (res, trace) = traced(&faults);
+        // Each step's iteration span ends at the rank's executed finish
+        // mark, which the window slowed.
+        for e in &trace.events {
+            if let EventKind::Phase {
+                phase: Phase::Iteration,
+                step,
+            } = e.kind
+            {
+                let finish = res[e.rank as usize].value[5 * step as usize + 4];
+                assert_eq!((e.at + e.dur).to_bits(), finish);
+            }
+        }
+        assert_ne!(trace, traced(&FaultPlan::none()).1);
     }
 
     #[test]
@@ -427,7 +726,11 @@ mod tests {
     #[test]
     fn a_rank_that_outgrows_its_share_leaves_no_tape() {
         let c = cfg(4, NetworkModel::gigabit_ethernet(), 4, 1);
-        let biggest = recorded(4).ranks.iter().map(RankTape::bytes).max();
+        let biggest = recorded(4)
+            .ranks
+            .iter()
+            .map(|t| (t.ops.len() + t.works.len()) * UNIT_BYTES)
+            .max();
         // Every rank's share is one unit short of the largest rank's need.
         let tight = (biggest.unwrap() - UNIT_BYTES) * 4;
         let (res, tape) = run_spmd_recorded(c.clone(), EngineOpts::cooperative(1), tight, body);
@@ -439,12 +742,20 @@ mod tests {
     }
 
     #[test]
-    fn an_uncharged_clock_advance_gives_up_the_tape() {
+    fn an_advance_is_priced_exactly() {
         let c = cfg(2, NetworkModel::gigabit_ethernet(), 4, 1);
-        let (_, tape) = run_spmd_recorded(c, EngineOpts::cooperative(1), 1 << 20, |comm| {
-            comm.advance(0.5);
-        });
-        assert!(tape.is_none());
+        let advanced = |comm: &mut SimComm| {
+            comm.compute(Work::new(1e6, 0.0));
+            comm.advance(0.1 + 0.2 * comm.rank() as f64);
+            comm.barrier();
+            comm.advance(1.0 / 3.0);
+        };
+        let (res, tape) =
+            run_spmd_recorded(c.clone(), EngineOpts::cooperative(1), 1 << 20, advanced);
+        let (priced, _) = evaluate(&tape.expect("an advance keeps the tape"), &c, None);
+        for (e, p) in res.iter().zip(&priced) {
+            assert_eq!(e.clock.to_bits(), p.clock.to_bits());
+        }
     }
 
     #[test]

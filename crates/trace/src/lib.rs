@@ -12,10 +12,11 @@
 //! The pieces:
 //! - [`event`]: the event vocabulary ([`TraceEvent`], [`EventKind`],
 //!   [`Phase`]) — `Copy` records, no heap payloads.
-//! - [`sink`]: recording — each rank appends to its own [`RankTracer`]
-//!   list, and the job merges the lists into one [`Trace`] once its ranks
-//!   have exited. When tracing is off the communicator holds no tracer, so
-//!   the disabled path is one `Option` check.
+//! - [`sink`]: the merged [`Trace`] and what a request asks to trace
+//!   ([`TraceSpec`]). This crate records nothing while a job runs: a rank
+//!   records its work tape, and a trace is what evaluating the job's tapes
+//!   implies (`hetero_simmpi::tape::evaluate`), merged once in
+//!   canonical order. An untraced run therefore pays nothing for tracing.
 //! - [`metrics`]: [`MetricsRegistry`] — monotonic counters + fixed-bucket
 //!   histograms derived from a finished trace (zero recording overhead).
 //! - [`export`]: JSONL and Chrome `trace_event` JSON writers
@@ -38,4 +39,4 @@ pub use diff::{first_divergence, Divergence};
 pub use event::{cmp_events, EventKind, Phase, TraceEvent, CAMPAIGN_RANK};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use rollup::{rollup as phase_rollup, PhaseRollup};
-pub use sink::{RankTracer, Trace, TraceDetail, TraceSpec};
+pub use sink::{Trace, TraceDetail, TraceSpec};

@@ -23,7 +23,8 @@ use std::fmt::Write;
 pub struct PhaseRollup {
     /// Iterations that survived the discard and were averaged.
     pub steps: usize,
-    /// Warm-up iterations dropped before averaging.
+    /// Warm-up iterations dropped before averaging: the requested discard,
+    /// clamped so that one iteration remains.
     pub discard: usize,
     /// Mean assembly seconds per iteration (critical rank).
     pub assembly: f64,
@@ -96,8 +97,9 @@ impl PhaseRollup {
 }
 
 /// Reduces the phase spans of `events` to mean per-iteration critical-rank
-/// times, discarding the first `discard` iterations. Returns `None` when no
-/// iteration survives.
+/// times, discarding the first `discard` iterations — clamped, as the
+/// report clamps it, so that one always remains. Returns `None` when
+/// `events` hold no phase span.
 pub fn rollup(events: &[TraceEvent], discard: usize) -> Option<PhaseRollup> {
     // (step, rank) -> per-phase accumulated seconds, in the rank's own
     // chronological segment order (events are sorted by (at, rank, seq), so
@@ -131,12 +133,11 @@ pub fn rollup(events: &[TraceEvent], discard: usize) -> Option<PhaseRollup> {
     }
     per_step.push(cur);
 
-    // The paper's discard-and-average, with `summarize`'s exact operation
-    // order: sum in step order, multiply by the reciprocal.
-    let kept = per_step.get(discard.min(per_step.len())..)?;
-    if kept.is_empty() {
-        return None;
-    }
+    // The report's discard rule (at least one step is kept) and the
+    // paper's average, with `summarize`'s exact operation order: sum in
+    // step order, multiply by the reciprocal.
+    let discard = discard.min(per_step.len() - 1);
+    let kept = &per_step[discard..];
     let mut sum = [0.0f64; 5];
     for step in kept {
         for (s, x) in sum.iter_mut().zip(step) {
@@ -206,7 +207,9 @@ mod tests {
         let r = rollup(&events, 1).unwrap();
         assert_eq!(r.steps, 1);
         assert_eq!(r.solve, 1.0);
-        assert!(rollup(&events, 5).is_none());
+        // Discarding every step keeps the last, as the report does.
+        let last = rollup(&events, 5).unwrap();
+        assert_eq!((last.steps, last.discard, last.solve), (1, 1, 1.0));
         assert!(rollup(&[], 0).is_none());
     }
 

@@ -1,10 +1,10 @@
-//! Recording: a per-rank event list, and the merged [`Trace`] the job
-//! builds from every rank's list once the ranks have exited.
+//! The merged [`Trace`] built from every rank's event list, and what a
+//! request asks to trace ([`TraceSpec`]).
 //!
-//! The hot path is [`RankTracer::record`], a `Vec` push; a rank's sequence
-//! number is its list's length. Nothing is shared while the job runs, so
-//! recording takes no lock. When tracing is off the communicator holds no
-//! tracer at all, so the disabled path is a single `Option` test.
+//! Nothing here records while a job runs: a rank records its work tape,
+//! and the per-rank lists are what evaluating the tapes implies (see
+//! `hetero_simmpi::tape`). A rank's sequence numbers are its list's
+//! positions, which makes the merge order total.
 
 use crate::event::{cmp_events, EventKind, TraceEvent};
 use crate::export;
@@ -60,49 +60,6 @@ impl Default for TraceSpec {
     }
 }
 
-/// One rank's recording: its events in program order, each numbered by
-/// its position, which makes the global sort key total.
-pub struct RankTracer {
-    rank: u32,
-    detail: TraceDetail,
-    events: Vec<TraceEvent>,
-}
-
-impl RankTracer {
-    /// An empty recording for `rank` at `detail`.
-    pub fn new(rank: u32, detail: TraceDetail) -> Self {
-        RankTracer {
-            rank,
-            detail,
-            events: Vec::new(),
-        }
-    }
-
-    /// Recording granularity.
-    #[inline]
-    pub fn detail(&self) -> TraceDetail {
-        self.detail
-    }
-
-    /// Records one event stamped at virtual time `at` lasting `dur`
-    /// virtual seconds.
-    #[inline]
-    pub fn record(&mut self, at: f64, dur: f64, kind: EventKind) {
-        self.events.push(TraceEvent {
-            at,
-            dur,
-            rank: self.rank,
-            seq: self.events.len() as u64,
-            kind,
-        });
-    }
-
-    /// The recorded events, in program order.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
-}
-
 /// A merged, deterministically ordered trace.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
@@ -111,13 +68,12 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Merges per-rank event lists into one trace in canonical order.
+    /// Merges per-rank event lists (each in program order, numbered by
+    /// position) into one trace in canonical order.
     pub fn from_ranks(ranks: Vec<Vec<TraceEvent>>) -> Self {
-        let mut events = Vec::with_capacity(ranks.iter().map(Vec::len).sum());
-        for rank in ranks {
-            events.extend(rank);
-        }
-        let mut trace = Trace { events };
+        let mut trace = Trace {
+            events: ranks.concat(),
+        };
         trace.sort();
         trace
     }
@@ -189,8 +145,8 @@ impl Trace {
     }
 
     /// Per-phase rollup reproducing the report's critical-rank +
-    /// discard-and-average reduction. `None` if no complete iteration
-    /// survives the discard.
+    /// discard-and-average reduction, under the report's discard rule.
+    /// `None` if the trace holds no phase span.
     pub fn phase_rollup(&self, discard: usize) -> Option<PhaseRollup> {
         rollup(&self.events, discard)
     }
@@ -201,29 +157,33 @@ mod tests {
     use super::*;
     use crate::event::Phase;
 
+    /// `rank`'s list of `(at, dur, kind)` events, numbered in order.
+    fn events(rank: u32, list: &[(f64, f64, EventKind)]) -> Vec<TraceEvent> {
+        list.iter()
+            .enumerate()
+            .map(|(seq, &(at, dur, kind))| TraceEvent {
+                at,
+                dur,
+                rank,
+                seq: seq as u64,
+                kind,
+            })
+            .collect()
+    }
+
     #[test]
-    fn record_and_finish_orders_by_virtual_time_then_rank() {
-        let mut t1 = RankTracer::new(1, TraceDetail::Collectives);
-        let mut t0 = RankTracer::new(0, TraceDetail::Collectives);
-        // Rank 1 records first in wall time, but its events sort by `at`.
-        t1.record(
-            2.0,
-            0.5,
-            EventKind::Phase {
-                phase: Phase::Solve,
-                step: 0,
-            },
+    fn merge_orders_by_virtual_time_then_rank() {
+        let phase = |phase| EventKind::Phase { phase, step: 0 };
+        // Rank 1's list comes first, but its events sort by `at`.
+        let t1 = events(
+            1,
+            &[
+                (2.0, 0.5, phase(Phase::Solve)),
+                (1.0, 0.0, EventKind::Solver { step: 0, iters: 3 }),
+            ],
         );
-        t0.record(
-            1.0,
-            0.5,
-            EventKind::Phase {
-                phase: Phase::Assembly,
-                step: 0,
-            },
-        );
-        t1.record(1.0, 0.0, EventKind::Solver { step: 0, iters: 3 });
-        let trace = Trace::from_ranks(vec![t1.into_events(), t0.into_events()]);
+        let t0 = events(0, &[(1.0, 0.5, phase(Phase::Assembly))]);
+        let trace = Trace::from_ranks(vec![t1, t0]);
         let order: Vec<(f64, u32, u64)> =
             trace.events.iter().map(|e| (e.at, e.rank, e.seq)).collect();
         assert_eq!(order, vec![(1.0, 0, 0), (1.0, 1, 1), (2.0, 1, 0)]);
@@ -231,16 +191,11 @@ mod tests {
 
     #[test]
     fn shift_and_campaign_push_keep_order_after_sort() {
-        let mut t = RankTracer::new(0, TraceDetail::Collectives);
-        t.record(
-            1.0,
-            1.0,
-            EventKind::Collective {
-                op: "barrier",
-                bytes: 64.0,
-            },
-        );
-        let mut trace = Trace::from_ranks(vec![t.into_events()]);
+        let barrier = EventKind::Collective {
+            op: "barrier",
+            bytes: 64.0,
+        };
+        let mut trace = Trace::from_ranks(vec![events(0, &[(1.0, 1.0, barrier)])]);
         trace.shift(10.0);
         trace.push_campaign(5.0, EventKind::AttemptStart { attempt: 1 });
         trace.push_campaign(5.0, EventKind::Revocation { node: 0 });

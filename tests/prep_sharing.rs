@@ -5,7 +5,7 @@
 //! fast-forward profile memo — across every run with the same
 //! `hetero-prep/key/v1` key; a run that executes builds its own set-up.
 //! These tests drive the same requests four ways (sharing disabled, cold
-//! cache recording the tape, a traced run that executes, warm cache served
+//! cache recording the tape, a traced run and an untraced one, both served
 //! from the tape) across both SPMD engines and intra-rank thread counts 1
 //! and 4, run fault-injected RD and NS campaigns with sharing on and off,
 //! and require the serialized outcome to be byte-identical everywhere. Two
@@ -88,8 +88,8 @@ fn json(out: RunOutcome) -> String {
 /// * sharing disabled, so the run executes under the engine and thread
 ///   count it names and no tape is recorded or served;
 /// * cold cache, which executes too and records the app's work tape;
-/// * traced on the warm scenario: a traced run is never priced from a
-///   tape, so it executes;
+/// * traced on the warm scenario: priced from the cold run's tape like any
+///   other run, its trace being what the tape's evaluation implies;
 /// * warm cache, priced from the cold run's tape.
 fn four_ways(req: &RunRequest) -> [String; 4] {
     let fresh = {
@@ -108,9 +108,9 @@ fn four_ways(req: &RunRequest) -> [String; 4] {
         ..req.clone()
     };
     let traced = json(execute(&traced).unwrap());
-    assert_eq!(prep::tape_stats().served, before.served);
-    let served = json(execute(req).unwrap());
     assert_eq!(prep::tape_stats().served, before.served + 1);
+    let served = json(execute(req).unwrap());
+    assert_eq!(prep::tape_stats().served, before.served + 2);
     [fresh, cold, traced, served]
 }
 

@@ -145,7 +145,7 @@ fn topology_and_cost_overrides_are_served_exactly() {
 }
 
 #[test]
-fn a_traced_request_executes_directly_even_with_a_tape() {
+fn a_traced_request_is_served_from_the_tape() {
     let _g = lock();
     let plain = request(catalog::ellipse(), App::paper_rd(3), 2012);
     record(&plain);
@@ -153,16 +153,38 @@ fn a_traced_request_executes_directly_even_with_a_tape() {
         trace: Some(TraceSpec::messages()),
         ..plain
     };
-    let before = tape_stats();
-    let out = execute(&traced).expect("traced run executes");
-    assert_eq!(
-        tape_stats(),
-        before,
-        "a traced run neither serves nor records"
-    );
+    let out = served(&traced);
     let reference = direct(&traced);
     assert_eq!(json(&out), json(&reference));
-    assert!(out.trace.as_ref().is_some_and(|t| !t.is_empty()));
+    let jsonl = |o: &RunOutcome| {
+        o.trace
+            .as_ref()
+            .expect("a traced run returns its trace")
+            .jsonl()
+    };
+    assert!(!jsonl(&out).is_empty());
+    assert_eq!(jsonl(&out), jsonl(&reference));
+}
+
+#[test]
+fn a_cold_traced_run_keeps_the_tape_its_trace_comes_from() {
+    let _g = lock();
+    let traced = RunRequest {
+        trace: Some(TraceSpec::collectives()),
+        ..request(catalog::puma(), App::paper_ns(2), 2012)
+    };
+    record(&traced);
+    let plain = RunRequest {
+        trace: None,
+        platform: catalog::ec2(),
+        ..traced.clone()
+    };
+    assert_eq!(json(&served(&plain)), json(&direct(&plain)));
+    let traced_again = RunRequest {
+        platform: catalog::ec2(),
+        ..traced
+    };
+    let (out, reference) = (served(&traced_again), direct(&traced_again));
     assert_eq!(out.trace, reference.trace);
 }
 
