@@ -32,6 +32,12 @@
 //! Duplicate submissions coalesce: concurrent requests for the same key
 //! share one in-flight execution.
 //!
+//! A result is handed over once: the first [`ServeHandle::wait`] on a job
+//! id takes the outcome out of the service, and a second one is
+//! [`ServeError::UnknownJob`]. So the service holds only in-flight and
+//! uncollected jobs, however long it runs; a caller that needs an outcome
+//! again keeps its `Arc`.
+//!
 //! ```no_run
 //! use hetero_hpc::{App, RunRequest};
 //! use hetero_platform::catalog;

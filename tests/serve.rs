@@ -113,6 +113,13 @@ fn concurrent_submit_storm_executes_each_unique_key_once() {
         (THREADS * UNIQUE - UNIQUE) as f64,
         "every duplicate submission either hit the cache or coalesced"
     );
+    // Every result was handed over, so the service holds none.
+    assert_eq!(m.counter("serve.jobs.failed"), 0.0);
+    assert_eq!(
+        m.counter("serve.jobs.completed") - m.counter("serve.jobs.collected"),
+        0.0,
+        "results held after every waiter collected"
+    );
 
     Arc::try_unwrap(serve).ok().unwrap().shutdown();
     let _ = fs::remove_dir_all(&dir);
@@ -227,6 +234,47 @@ fn corrupted_artifact_is_quarantined_and_reexecuted() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `wait` on `id` from another thread; panics if it has not returned
+/// within a minute instead of hanging the suite.
+fn wait_promptly(serve: &Arc<ServeHandle>, id: u64) -> Result<Arc<JobOutcome>, ServeError> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let serve = Arc::clone(serve);
+    let waiter = std::thread::spawn(move || tx.send(serve.wait(id)).unwrap());
+    let result = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("wait({id}) blocked"));
+    waiter.join().unwrap();
+    result
+}
+
+#[test]
+fn a_result_is_handed_over_once_and_unknown_ids_fail_at_once() {
+    let dir = tdir("once");
+    let serve = Arc::new(ServeHandle::open(ServeConfig::new(&dir)).unwrap());
+    for id in [0, 12_345, u64::MAX] {
+        assert_eq!(
+            wait_promptly(&serve, id).unwrap_err(),
+            ServeError::UnknownJob(id),
+            "never issued"
+        );
+    }
+    let req = rd_req(41);
+    for pass in ["cold", "hot"] {
+        let id = serve.submit(&req).unwrap();
+        assert!(wait_promptly(&serve, id).is_ok(), "{pass}");
+        assert_eq!(
+            wait_promptly(&serve, id).unwrap_err(),
+            ServeError::UnknownJob(id),
+            "{pass}: already collected"
+        );
+    }
+    let m = serve.metrics();
+    assert_eq!(m.counter("serve.cache.hits"), 1.0, "the second was a hit");
+    assert_eq!(m.counter("serve.jobs.collected"), 2.0);
+    Arc::try_unwrap(serve).ok().unwrap().shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn panicking_job_fails_alone_service_survives() {
     let dir = tdir("panic");
@@ -251,6 +299,11 @@ fn panicking_job_fails_alone_service_survives() {
     let m = serve.metrics();
     assert_eq!(m.counter("serve.jobs.failed"), 1.0);
     assert_eq!(m.counter("serve.jobs.completed"), 1.0);
+    assert_eq!(
+        m.counter("serve.jobs.collected"),
+        2.0,
+        "a failure is handed over too"
+    );
     serve.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

@@ -12,7 +12,7 @@ use hetero_hpc::recovery::execute_resilient;
 use hetero_hpc::{execute, App, ResilienceSpec, RunRequest};
 use hetero_platform::catalog;
 use hetero_serve::journal::fnv1a64;
-use hetero_serve::{JobOutcome, Journal, ResultCache, ServeConfig, ServeHandle};
+use hetero_serve::{JobOutcome, Journal, ResultCache, ServeConfig, ServeError, ServeHandle};
 use std::fs;
 use std::path::PathBuf;
 
@@ -84,6 +84,11 @@ fn replay_finishes_exactly_the_pending_work() {
     let direct_c = JobOutcome::Completed(execute(&req_c).unwrap());
     assert_eq!(outcome_bytes(&out2), outcome_bytes(&direct_c));
     assert_eq!(outcome_bytes(&out3), outcome_bytes(&direct_c));
+    // Recovered ids are collected once, like fresh ones.
+    for id in [1, 2, 3] {
+        assert_eq!(serve.wait(id).unwrap_err(), ServeError::UnknownJob(id));
+    }
+    assert_eq!(serve.wait(0).unwrap_err(), ServeError::UnknownJob(0));
 
     let m = serve.metrics();
     assert_eq!(m.counter("serve.recovered.replayed"), 3.0);
