@@ -19,6 +19,8 @@
 //! under `target/paper-artifacts/`. Host-time measurement lives in the
 //! standalone `benchmark/` package (`BENCHMARK.json`), not here.
 
+#![forbid(unsafe_code)]
+
 /// Writes an artifact file under `target/paper-artifacts/`, creating the
 /// directory as needed. Returns the path written.
 pub fn write_artifact(name: &str, contents: &str) -> std::path::PathBuf {

@@ -36,9 +36,23 @@
 //! Keys sit on the hot path of every cache hit, so both steps avoid
 //! copies. The canonical text is written field by field into one buffer
 //! sized for a whole request (`fmt::Write`, no string per field), and
-//! [`sha256_hex`] streams: whole 64-byte blocks are compressed straight
-//! from the input, only the tail is padded, in a buffer on the stack, and
-//! the digest is hex-encoded into one preallocated string.
+//! the digest streams: whole 64-byte blocks are compressed straight from
+//! the input, only the tail is padded, in a buffer on the stack, and the
+//! digest is hex-encoded into one preallocated string.
+//!
+//! Every SHA-256 of the workspace — [`request_key`], [`prep_key`],
+//! [`sha256_hex`] (the artifact store's body hash, `hetero-plan`'s
+//! stage keys) — runs through one private function, `canon::sha256`,
+//! which has two kernels with identical digests. On x86_64 each call asks
+//! the CPU whether it has the SHA extensions (SHA-NI, with SSSE3 and
+//! SSE4.1) and, if so, compresses on them, five to six times faster than
+//! the portable kernel every other CPU and target runs; no option or
+//! variable chooses. That kernel is this crate's only `unsafe` code: a
+//! function compiled for instructions beyond the build's baseline may be
+//! called only once the CPU has reported them, and its block and state
+//! accesses are raw unaligned 16-byte loads and stores. The crate
+//! therefore denies `unsafe` rather than forbidding it, and allows it in
+//! that one module.
 
 use crate::apps::App;
 use crate::recovery::ResilienceSpec;
@@ -59,6 +73,10 @@ use hetero_platform::spot::FleetStrategy;
 use hetero_platform::PlatformSpec;
 use hetero_simmpi::{ClusterTopology, ComputeModel, NetworkModel};
 use std::fmt::Write as _;
+
+mod sha256;
+
+use sha256::sha256;
 
 /// Version tag of the canonical key schema. Doubles as the prefix of every
 /// key string, so a key names the schema that produced it.
@@ -189,90 +207,12 @@ pub(crate) fn canonical_app(app: &App) -> String {
     c.finish()
 }
 
-/// Lowercase-hex SHA-256 (FIPS 180-4) of `data`. Hand-rolled because the
-/// build environment vendors no crypto crate; the test battery pins the
-/// standard test vectors.
+/// Lowercase-hex SHA-256 (FIPS 180-4) of `data`, computed like every key
+/// of this module (see the module docs for the kernel it runs on).
 pub fn sha256_hex(data: &[u8]) -> String {
     let mut out = String::with_capacity(64);
     push_hex(&mut out, &sha256(data));
     out
-}
-
-/// The SHA-256 state after `data`. Whole 64-byte blocks are compressed
-/// straight from `data`; only the tail — the last partial block, the `0x80`
-/// marker and the bit length — is padded, in one or two blocks on the
-/// stack.
-fn sha256(data: &[u8]) -> [u32; 8] {
-    let mut h: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    let mut blocks = data.chunks_exact(64);
-    for block in &mut blocks {
-        compress(&mut h, block);
-    }
-    let rest = blocks.remainder();
-    let mut tail = [0u8; 128];
-    tail[..rest.len()].copy_from_slice(rest);
-    tail[rest.len()] = 0x80;
-    let tail_len = if rest.len() < 56 { 64 } else { 128 };
-    let bit_len = (data.len() as u64) * 8;
-    tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
-    for block in tail[..tail_len].chunks_exact(64) {
-        compress(&mut h, block);
-    }
-    h
-}
-
-/// The SHA-256 compression function over one 64-byte block.
-fn compress(h: &mut [u32; 8], chunk: &[u8]) {
-    #[rustfmt::skip]
-    const K: [u32; 64] = [
-        0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-        0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-        0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-        0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-        0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-        0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-        0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-        0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-    ];
-    let mut w = [0u32; 64];
-    for (wi, word) in w.iter_mut().zip(chunk.chunks_exact(4)) {
-        *wi = u32::from_be_bytes(word.try_into().expect("4-byte chunk"));
-    }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
-    }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
-    for (ki, wi) in K.iter().zip(w.iter()) {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ (!e & g);
-        let t1 = hh
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(*ki)
-            .wrapping_add(*wi);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let t2 = s0.wrapping_add(maj);
-        hh = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.wrapping_add(t2);
-    }
-    for (hi, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-        *hi = hi.wrapping_add(v);
-    }
 }
 
 /// Appends the digest `h` as 64 lowercase hex digits.
@@ -611,83 +551,6 @@ fn canon_resilience(c: &mut Canon, r: &ResilienceSpec) {
 mod tests {
     use super::*;
     use hetero_platform::catalog;
-
-    #[test]
-    fn sha256_standard_vectors() {
-        assert_eq!(
-            sha256_hex(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            sha256_hex(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        // A two-block message (padding boundary).
-        assert_eq!(
-            sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
-    fn sha256_padding_boundaries() {
-        // `n` times `a`: the tail needs one padding block up to 55 bytes
-        // and two from 56, and whole blocks start at 64.
-        #[rustfmt::skip]
-        let vectors = [
-            (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"),
-            (56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"),
-            (63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"),
-            (64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"),
-            (65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"),
-            (119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"),
-            (120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"),
-        ];
-        for (n, digest) in vectors {
-            assert_eq!(sha256_hex(&vec![b'a'; n]), digest, "{n} bytes");
-        }
-        assert_eq!(
-            sha256_hex(&vec![b'a'; 1_000_000]),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
-    }
-
-    /// SHA-256 as it was written before the stream: copy the message,
-    /// pad the copy, compress every block of it, one `format!` per word.
-    fn sha256_hex_copy_and_pad(data: &[u8]) -> String {
-        let mut h: [u32; 8] = [
-            0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-            0x5be0cd19,
-        ];
-        let mut msg = data.to_vec();
-        let bit_len = (data.len() as u64) * 8;
-        msg.push(0x80);
-        while msg.len() % 64 != 56 {
-            msg.push(0);
-        }
-        msg.extend_from_slice(&bit_len.to_be_bytes());
-        for chunk in msg.chunks_exact(64) {
-            compress(&mut h, chunk);
-        }
-        let mut out = String::with_capacity(64);
-        for v in h {
-            out.push_str(&format!("{v:08x}"));
-        }
-        out
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn streamed_sha256_matches_copy_and_pad(
-            len in 0usize..301,
-            seed in proptest::prelude::any::<u64>(),
-        ) {
-            let data: Vec<u8> = (0..len as u64)
-                .map(|i| (seed.wrapping_mul(i + 1) >> 13) as u8)
-                .collect();
-            proptest::prop_assert_eq!(sha256_hex(&data), sha256_hex_copy_and_pad(&data));
-        }
-    }
 
     #[test]
     fn key_is_deterministic_and_schema_prefixed() {

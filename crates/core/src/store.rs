@@ -312,6 +312,91 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Seeded envelope fuzz: every truncation, 400 rounds of 1–3 bit
+    /// flips, and garbage (including bytes that are not UTF-8) spliced in
+    /// at every field boundary. No mutation may panic `get` or be served
+    /// as anything but the original body; every other outcome quarantines
+    /// exactly the mutated bytes and leaves a plain miss behind.
+    #[test]
+    fn a_mutated_envelope_is_served_intact_or_quarantined() {
+        let dir = tdir("fuzz");
+        let store = ArtifactStore::open(&dir).unwrap();
+        store.put(KEY, BODY).unwrap();
+        let path = artifact(&dir);
+        let quarantined = dir.join("quarantine").join(path.file_name().unwrap());
+        let stored = fs::read(&path).unwrap();
+
+        let mut mutants: Vec<(String, Vec<u8>)> = (0..stored.len())
+            .map(|n| (format!("truncated to {n} bytes"), stored[..n].to_vec()))
+            .collect();
+        let mut rng = 2012u64;
+        let mut next = move || {
+            // SplitMix64.
+            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for round in 0..400 {
+            let mut bytes = stored.clone();
+            let flips = 1 + next() % 3;
+            for _ in 0..flips {
+                let bit = next() as usize % (8 * bytes.len());
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            mutants.push((format!("bit-flip round {round}"), bytes));
+        }
+        const GARBAGE: [&[u8]; 7] = [
+            b" ",
+            b"\0",
+            b"\xff\xfe",
+            b"\xc3\x28",
+            b"\\u0000",
+            b"\"x\":1,",
+            b"}{",
+        ];
+        let boundaries = stored
+            .iter()
+            .enumerate()
+            .filter(|&(_, b)| b"{}[]:,\"".contains(b))
+            .flat_map(|(at, _)| [at, at + 1]);
+        for at in boundaries {
+            for garbage in GARBAGE {
+                let mut bytes = stored[..at].to_vec();
+                bytes.extend_from_slice(garbage);
+                bytes.extend_from_slice(&stored[at..]);
+                mutants.push((format!("{garbage:?} spliced in at byte {at}"), bytes));
+            }
+        }
+
+        let (mut hits, mut quarantines) = (0, 0);
+        for (what, bytes) in &mutants {
+            fs::write(&path, bytes).unwrap();
+            match store.get(KEY, text) {
+                Lookup::Hit(body) => {
+                    assert_eq!(body, BODY, "{what}: served a different body");
+                    hits += 1;
+                }
+                Lookup::Quarantined => {
+                    assert!(
+                        matches!(store.get(KEY, text), Lookup::Miss),
+                        "{what}: no miss after quarantine"
+                    );
+                    assert_eq!(&fs::read(&quarantined).unwrap(), bytes, "{what}");
+                    quarantines += 1;
+                }
+                Lookup::Miss => panic!("{what}: a present artifact read as a miss"),
+            }
+        }
+        // Whitespace between members still verifies; nearly all else fails.
+        assert!(
+            hits > 0 && quarantines > hits,
+            "{hits} hits, {quarantines} quarantines"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn a_body_that_verifies_but_does_not_decode_is_quarantined_once() {
         let dir = tdir("decode");

@@ -7,11 +7,11 @@
 //!    cached outcomes never carry traces, and tracing never perturbs the
 //!    measured report) and its canonical key computed;
 //! 2. the **cache** is probed. A verified hit completes the job
-//!    immediately — 20–23 µs of host time for a small modeled job,
-//!    `submit` and `wait` together (2-vCPU host, release build, best of
-//!    5 × 20 000 hits; the same host read 16 µs in a quieter hour), the
-//!    two SHA-256 passes its largest part; no journal traffic,
-//!    byte-identical to cold execution;
+//!    immediately — 15–18 µs of host time for a small modeled job,
+//!    `submit` and `wait` together (2-vCPU host with SHA extensions,
+//!    release build, best of 5 × 20 000 hits; 24–29 µs on the portable
+//!    SHA-256 kernel); no journal traffic, byte-identical to cold
+//!    execution;
 //! 3. on a miss the job is **journaled** (`submit` record, durable before
 //!    the job is visible to workers), then either **coalesced** onto an
 //!    already-in-flight execution of the same key or enqueued;
@@ -45,7 +45,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// Identifies one accepted submission. Unique within a service lifetime;
@@ -417,9 +417,16 @@ impl ServeHandle {
         self.stop(true);
     }
 
+    /// Also runs from `Drop`, possibly while a panic unwinds, so it must
+    /// not panic: raising a flag and waking every waiter is sound on a
+    /// state a panicking holder left poisoned.
     fn stop(&mut self, abandon: bool) {
         {
-            let mut st = self.shared.state.lock().expect("serve state poisoned");
+            let mut st = self
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             if abandon {
                 st.abandoned = true;
             } else {
@@ -588,6 +595,43 @@ mod tests {
             ServeError::UnknownJob(ids[0])
         );
         serve.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Poisons the state mutex: a thread panics while holding it.
+    fn poison(serve: &ServeHandle) {
+        let shared = Arc::clone(&serve.shared);
+        let holder = std::thread::spawn(move || {
+            let _st = shared.state.lock().unwrap();
+            panic!("a panic under the state lock");
+        });
+        assert!(holder.join().is_err());
+        assert!(serve.shared.state.is_poisoned());
+    }
+
+    #[test]
+    fn dropping_a_handle_with_poisoned_state_stops_it() {
+        let (serve, dir) = open("poisoned");
+        poison(&serve);
+        let shared = Arc::clone(&serve.shared);
+        drop(serve);
+        let st = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(st.draining);
+        drop(st);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dropping_a_handle_with_poisoned_state_while_unwinding_does_not_abort() {
+        let (serve, dir) = open("poisoned-unwind");
+        poison(&serve);
+        // The handle is dropped by the unwind; a second panic there would
+        // abort the process.
+        let unwound = catch_unwind(AssertUnwindSafe(move || {
+            let _serve = serve;
+            panic!("a caller's panic while it owns the handle");
+        }));
+        assert!(unwound.is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

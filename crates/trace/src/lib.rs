@@ -28,6 +28,8 @@
 //! - [`diff`]: [`first_divergence`] — where two JSONL exports first
 //!   differ, with the event's rank, virtual time and context.
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod event;
 pub mod export;

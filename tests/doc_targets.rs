@@ -5,7 +5,8 @@
 //! switches: behaviour is chosen by a request, a plan, or a scoped guard,
 //! never by a variable no type or test matrix shows. The library sources
 //! are also held to one artifact store: publishing by rename and content
-//! hashing happen in `core::store` and nowhere else.
+//! hashing happen in `core::store` and nowhere else; to one SHA-256
+//! implementation; and to the four files where `unsafe` is allowed.
 
 use std::path::{Path, PathBuf};
 
@@ -181,4 +182,79 @@ fn one_artifact_store() {
         assert_eq!(seen, allowed.len(), "files mentioning `{needle}`");
     }
     assert!(found.is_empty(), "a second store:\n{}", found.join("\n"));
+}
+
+/// `unsafe` stays in its islands: the coroutine switch and scheduler of
+/// `simmpi::sched`, the halo slots of `simmpi::exchange`, and the SHA-NI
+/// kernel of `core::canon::sha256`. The two crates holding them deny
+/// `unsafe` elsewhere, and every other library forbids it outright.
+#[test]
+fn unsafe_islands() {
+    const ISLANDS: [&str; 4] = [
+        "crates/simmpi/src/sched/context.rs",
+        "crates/simmpi/src/sched/mod.rs",
+        "crates/simmpi/src/exchange.rs",
+        "crates/core/src/canon/sha256.rs",
+    ];
+    const DENY: [&str; 2] = ["crates/simmpi/src/lib.rs", "crates/core/src/lib.rs"];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut islands = Vec::new();
+    let mut found = Vec::new();
+    let mut libs = 0;
+    for path in library_sources(&root) {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{} is readable: {e}", path.display()));
+        if text.contains("allow(unsafe_code)") {
+            match ISLANDS.iter().find(|file| path.ends_with(file)) {
+                Some(file) => islands.push(*file),
+                None => found.push(format!("{}: allows `unsafe`", path.display())),
+            }
+        }
+        if path.ends_with("src/lib.rs") {
+            libs += 1;
+            let lint = if DENY.iter().any(|file| path.ends_with(file)) {
+                "#![deny(unsafe_code)]"
+            } else {
+                "#![forbid(unsafe_code)]"
+            };
+            if !text.contains(lint) {
+                found.push(format!("{}: lacks `{lint}`", path.display()));
+            }
+        }
+    }
+    islands.sort_unstable();
+    let mut expected = ISLANDS.to_vec();
+    expected.sort_unstable();
+    assert_eq!(islands, expected, "the files allowing `unsafe`");
+    // A scanner that matches nothing would pass vacuously.
+    assert!(libs > DENY.len(), "the scan found {libs} crate roots");
+    assert!(
+        found.is_empty(),
+        "unsafe outside its islands:\n{}",
+        found.join("\n")
+    );
+}
+
+/// One SHA-256: the first round constant appears in one library file,
+/// so no second implementation (and no copy of a kernel) can creep in.
+#[test]
+fn one_sha256() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut sources = library_sources(&root);
+    for krate in std::fs::read_dir(root.join("vendor"))
+        .expect("vendor/ is readable")
+        .filter_map(Result::ok)
+    {
+        rust_sources(&krate.path().join("src"), &mut sources);
+    }
+    let holders: Vec<PathBuf> = sources
+        .into_iter()
+        .filter(|path| {
+            std::fs::read_to_string(path)
+                .unwrap_or_else(|e| panic!("{} is readable: {e}", path.display()))
+                .contains("0x428a2f98")
+        })
+        .collect();
+    assert_eq!(holders.len(), 1, "files holding SHA-256's K: {holders:?}");
+    assert!(holders[0].ends_with("crates/core/src/canon/sha256.rs"));
 }
