@@ -14,12 +14,16 @@
 //! reduction. `tests/model_validation.rs` checks the replay against the
 //! numerical engine at small scale.
 //!
-//! Every step sends the same messages, so a replay prices each space's
-//! halo and shipping lists once for its topology, with their byte sums
-//! ([`VirtualRank::price`]), and each exchange then charges only the
-//! messages' jitter. The traffic a replay reports is a function of the
-//! neighbour lists and the app alone, so its first step is the traffic
-//! probe the platform limits are checked against.
+//! Every step sends the same messages and does the same work, so a replay
+//! prices each space once for its topology and compute model: its halo
+//! and shipping lists with their byte sums ([`VirtualRank::price`]), and
+//! the Krylov loop's compute charges in seconds (SpMV or preconditioner
+//! sweep, the two axpys, the overlapped SpMV's interior and boundary
+//! parts), which it adds with [`VirtualRank::advance`]. The virtual rank
+//! prices each allreduce size once in turn, so a replayed message costs
+//! its jitter hash and its clock update. The traffic a replay reports is a
+//! function of the neighbour lists and the app alone, so its first step is
+//! the traffic probe the platform limits are checked against.
 
 use hetero_fem::element::ElementOrder;
 use hetero_fem::ns::NsConfig;
@@ -106,12 +110,23 @@ struct Exchange {
 }
 
 /// A space as one replay exchanges over it: the closed-form sizes of the
-/// critical rank's share, and its message lists priced once for the
-/// replay's topology.
+/// critical rank's share, its message lists priced once for the replay's
+/// topology, and the compute charges of its Krylov loop priced once for
+/// the replay's compute model, in seconds.
 struct PricedSpace {
     n_owned: f64,
     nnz: f64,
-    boundary_nnz: f64,
+    /// One SpMV, or one preconditioner sweep: 2 flops and 20 bytes per
+    /// stored entry.
+    spmv_s: f64,
+    /// An axpy over the owned dofs.
+    axpy_s: f64,
+    /// An axpy over twice the owned dofs.
+    axpy2_s: f64,
+    /// An overlapped SpMV's rows that need no ghost value.
+    interior_s: f64,
+    /// An overlapped SpMV's rows that wait for the halo.
+    boundary_s: f64,
     /// A ghost update: every neighbour sends its shared values.
     halo: Exchange,
     /// Owner shipping of assembled matrix entries, 24 bytes per element
@@ -130,11 +145,23 @@ struct PricedSpaces {
     q2: PricedSpace,
 }
 
-/// Prices the message lists of one space for the virtual rank `v`, which
-/// replays `rank` placed on `topo`.
+/// The work of an axpy over `n` entries.
+fn axpy_work(n: f64) -> Work {
+    Work::new(2.0 * n, 24.0 * n)
+}
+
+/// The work of an SpMV over `nnz` stored entries.
+fn spmv_work(nnz: f64) -> Work {
+    Work::new(2.0 * nnz, 20.0 * nnz)
+}
+
+/// Prices one space for the virtual rank `v`, which replays `rank` placed
+/// on `topo` and computes at `compute`: its message lists and its Krylov
+/// loop's compute charges.
 fn price_space(
     v: &VirtualRank,
     topo: &ClusterTopology,
+    compute: &ComputeModel,
     rank: usize,
     info: &SpaceInfo,
     order: ElementOrder,
@@ -170,7 +197,11 @@ fn price_space(
     PricedSpace {
         n_owned: info.n_owned,
         nnz: info.nnz,
-        boundary_nnz: info.boundary_nnz,
+        spmv_s: compute.time(spmv_work(info.nnz)),
+        axpy_s: compute.time(axpy_work(info.n_owned)),
+        axpy2_s: compute.time(axpy_work(2.0 * info.n_owned)),
+        interior_s: compute.time(spmv_work(info.nnz - info.boundary_nnz)),
+        boundary_s: compute.time(spmv_work(info.boundary_nnz)),
         halo: exchange(&|_, shared| shared as f64 * 8.0),
         ship_matrix: ship(24.0 * order.nodes_per_element() as f64),
         ship_rhs: ship(16.0),
@@ -204,28 +235,29 @@ impl Replay {
         }
     }
 
+    /// An axpy over `n` entries, priced at the call; the loops charge
+    /// the space's priced axpys instead.
     fn axpy(&mut self, n: f64) {
-        self.v.compute(Work::new(2.0 * n, 24.0 * n));
+        self.v.compute(axpy_work(n));
     }
 
     fn spmv(&mut self, info: &PricedSpace) {
         self.halo(info);
-        self.v.compute(Work::new(2.0 * info.nnz, 20.0 * info.nnz));
+        self.v.advance(info.spmv_s);
     }
 
     /// An overlapped SpMV: the halo transfer progresses while the interior
     /// rows compute; only the boundary rows serialize behind the wait.
     fn spmv_overlapped(&mut self, info: &PricedSpace) {
         self.recv_bytes += info.halo.bytes;
-        let interior = info.nnz - info.boundary_nnz;
         self.v
-            .halo_exchange_overlapped(&info.halo.msgs, Work::new(2.0 * interior, 20.0 * interior));
-        self.v
-            .compute(Work::new(2.0 * info.boundary_nnz, 20.0 * info.boundary_nnz));
+            .halo_exchange_overlapped(&info.halo.msgs, info.interior_s);
+        self.v.advance(info.boundary_s);
     }
 
-    fn sweep(&mut self, nnz: f64) {
-        self.v.compute(Work::new(2.0 * nnz, 20.0 * nnz));
+    /// A preconditioner sweep over the space's stored entries.
+    fn sweep(&mut self, info: &PricedSpace) {
+        self.v.advance(info.spmv_s);
     }
 }
 
@@ -239,40 +271,40 @@ fn replay_cg(r: &mut Replay, info: &PricedSpace, iters: usize, variant: SolverVa
             // Initial residual: spmv + norm + precond + dot.
             r.spmv(info);
             r.allreduce(1);
-            r.sweep(info.nnz);
+            r.sweep(info);
             r.allreduce(1);
             for _ in 0..iters {
                 r.spmv(info);
                 r.allreduce(1); // dot(p, q)
-                r.axpy(2.0 * info.n_owned);
+                r.v.advance(info.axpy2_s);
                 r.allreduce(1); // norm(r)
-                r.sweep(info.nnz); // precond apply
+                r.sweep(info); // precond apply
                 r.allreduce(1); // dot(r, z)
-                r.axpy(info.n_owned);
+                r.v.advance(info.axpy_s);
             }
         }
         SolverVariant::Overlapped => {
             r.spmv_overlapped(info);
             r.allreduce(1);
-            r.sweep(info.nnz);
+            r.sweep(info);
             r.allreduce(1);
             for _ in 0..iters {
                 r.spmv_overlapped(info);
                 r.allreduce(1); // dot(p, q)
-                r.axpy(2.0 * info.n_owned);
-                r.sweep(info.nnz); // precond apply (before the check)
+                r.v.advance(info.axpy2_s);
+                r.sweep(info); // precond apply (before the check)
                 r.allreduce(2); // fused [||r||^2, (r, z)]
-                r.axpy(info.n_owned);
+                r.v.advance(info.axpy_s);
             }
         }
         SolverVariant::Pipelined => {
             // Setup: residual + preconditioned direction + fused triple.
             r.spmv_overlapped(info);
-            r.sweep(info.nnz);
+            r.sweep(info);
             r.spmv_overlapped(info);
             r.allreduce(3);
             for _ in 0..iters {
-                r.sweep(info.nnz); // m = M w
+                r.sweep(info); // m = M w
                 r.spmv_overlapped(info); // n = A m
                 r.axpy(8.0 * info.n_owned); // 4 xpby + 4 axpy recurrences
                 r.allreduce(3); // the single fused reduction
@@ -295,11 +327,11 @@ fn rd_step(r: &mut Replay, s: &PricedSpaces, cfg: &RdConfig) -> PhaseTimes {
     // Assembly (ii): operator, history term, source, Dirichlet.
     r.v.compute(profile::assembly_matrix_work(order, order, 2) * cells);
     r.exchange(&info.ship_matrix);
-    r.axpy(2.0 * info.n_owned); // history combination
+    r.v.advance(info.axpy2_s); // history combination
     r.spmv(info); // mass * history
     r.v.compute(profile::assembly_vector_work(order) * cells);
     r.exchange(&info.ship_rhs);
-    r.axpy(info.n_owned); // b += source
+    r.v.advance(info.axpy_s); // b += source
     r.v.compute(Work::new(2.0 * info.nnz, 40.0 * info.nnz)); // constrain
     let t_assembly = r.v.clock();
 
@@ -345,12 +377,12 @@ fn ns_step(r: &mut Replay, s: &PricedSpaces, cfg: &NsConfig) -> PhaseTimes {
     r.v.compute(profile::assembly_matrix_work(ElementOrder::Q1, ElementOrder::Q1, 1) * cells);
     r.exchange(&p_info.ship_matrix);
     for _ in 0..3 {
-        r.axpy(2.0 * v_info.n_owned); // history combination
+        r.v.advance(v_info.axpy2_s); // history combination
         r.spmv(v_info); // mass * history
                         // grad * pressure: pressure-space halo + rectangular spmv.
         r.halo(p_info);
         r.v.compute(Work::new(2.0 * nnz_grad, 20.0 * nnz_grad));
-        r.axpy(v_info.n_owned);
+        r.v.advance(v_info.axpy_s);
     }
     r.v.compute(Work::new(4.0 * v_info.nnz, 80.0 * v_info.nnz)); // constrain x3
     let t_assembly = r.v.clock();
@@ -381,7 +413,7 @@ fn ns_step(r: &mut Replay, s: &PricedSpaces, cfg: &NsConfig) -> PhaseTimes {
                 } else {
                     r.spmv(v_info);
                 }
-                r.axpy(v_info.n_owned); // Jacobi apply
+                r.v.advance(v_info.axpy_s); // Jacobi apply
             }
             if vel_overlapped {
                 // rho and rhv stay scalar; (t,t)/(t,s) ride one fused pair.
@@ -401,7 +433,7 @@ fn ns_step(r: &mut Replay, s: &PricedSpaces, cfg: &NsConfig) -> PhaseTimes {
     for _ in 0..3 {
         r.halo(v_info);
         r.v.compute(Work::new(2.0 * nnz_grad, 20.0 * nnz_grad));
-        r.axpy(p_info.n_owned);
+        r.v.advance(p_info.axpy_s);
     }
     let p_iters = profile::ns_pressure_iters(s.n_axis);
     match cfg.solve_p.variant {
@@ -411,11 +443,11 @@ fn ns_step(r: &mut Replay, s: &PricedSpaces, cfg: &NsConfig) -> PhaseTimes {
             for _ in 0..p_iters {
                 r.spmv(p_info);
                 r.allreduce(1);
-                r.axpy(2.0 * p_info.n_owned);
+                r.v.advance(p_info.axpy2_s);
                 r.allreduce(1);
-                r.sweep(p_info.nnz);
+                r.sweep(p_info);
                 r.allreduce(1);
-                r.axpy(p_info.n_owned);
+                r.v.advance(p_info.axpy_s);
             }
         }
         variant => replay_cg(r, p_info, p_iters, variant),
@@ -551,8 +583,8 @@ pub(crate) fn run_modeled_prepared(
     let spaces = PricedSpaces {
         cells: spaces.cells,
         n_axis: spaces.n_axis,
-        q1: price_space(&v, topo, rank, &spaces.q1, ElementOrder::Q1),
-        q2: price_space(&v, topo, rank, &spaces.q2, ElementOrder::Q2),
+        q1: price_space(&v, topo, &compute, rank, &spaces.q1, ElementOrder::Q1),
+        q2: price_space(&v, topo, &compute, rank, &spaces.q2, ElementOrder::Q2),
     };
     let mut replay = Replay {
         v,

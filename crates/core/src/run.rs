@@ -249,14 +249,16 @@ pub(crate) fn resolve_fidelity(req: &RunRequest) -> Fidelity {
     }
 }
 
-/// Rejects a request for zero ranks, zero cells along a rank's axis, or
-/// zero time steps: none of them describes a run, so both executors turn
-/// them away before anything is built for them.
+/// Rejects a request for zero ranks, zero cells along a rank's axis, zero
+/// time steps, or a platform without cores per node: none of them
+/// describes a run (ranks cannot be placed on nodes without cores), so
+/// both executors turn them away before anything is built for them.
 pub(crate) fn check_not_degenerate(req: &RunRequest) -> Result<(), LimitViolation> {
     for (field, n) in [
         ("ranks", req.ranks),
         ("per_rank_axis", req.per_rank_axis),
         ("steps", req.app.steps()),
+        ("cores_per_node", req.platform.cores_per_node),
     ] {
         if n == 0 {
             return Err(LimitViolation::DegenerateRequest {
@@ -274,7 +276,8 @@ pub(crate) fn check_not_degenerate(req: &RunRequest) -> Result<(), LimitViolatio
 /// above 125 of the ladder, or a [`RunRequest::topology_override`] with
 /// fewer cores than ranks), launcher failure (ellipse above 512), adapter
 /// volume cap (lagrange above 343). A request for zero ranks, cells per
-/// rank axis or steps is a [`LimitViolation::DegenerateRequest`].
+/// rank axis, steps or cores per node is a
+/// [`LimitViolation::DegenerateRequest`].
 ///
 /// The run takes its scenario from the process-wide cache (a private one
 /// while sharing is disabled — see [`crate::prep`]). Reports are

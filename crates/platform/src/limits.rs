@@ -35,7 +35,8 @@ pub enum LimitViolation {
         cap: f64,
     },
     /// The request asks for none of something every run needs at least
-    /// one of: ranks, cells along a rank's axis, or time steps.
+    /// one of: ranks, cells along a rank's axis, time steps, or cores
+    /// per node.
     DegenerateRequest {
         /// The request field that is zero.
         field: String,

@@ -12,13 +12,19 @@
 //! application: peers are assumed to reach each phase at the same virtual
 //! time (exact under perfect weak scaling, slightly pessimistic otherwise).
 //!
-//! A replay sends the same messages step after step, so a message list is
-//! priced once ([`VirtualRank::price`]) into [`Link`]s — send charge,
-//! unscaled latency and drain, the endpoints' jitter-hash prefix — and the
-//! job's fabric contention is worked out once per rank. Each replayed
-//! message then pays only its sequence number's jitter, through
-//! [`NetworkModel::link_cost`], the arithmetic the numerical engine prices
-//! its messages with.
+//! A replay sends the same messages step after step, so everything about
+//! a message but its sequence number is priced once:
+//! * a halo message list by [`VirtualRank::price`], into [`Link`]s — send
+//!   charge, unscaled latency and drain, the endpoints' jitter-hash prefix;
+//! * an allreduce of each size at its first call: the send charge, the
+//!   off-node link, how many tree levels stay on the node, the clock
+//!   charge of one such level and the combine seconds;
+//! * the job's fabric contention, once per rank.
+//!
+//! Each replayed message then pays only its sequence number's jitter,
+//! through [`NetworkModel::link_cost`] (the arithmetic the numerical engine
+//! prices its messages with), and its clock update; a caller that knows its
+//! compute charges in seconds adds them with [`VirtualRank::advance`].
 
 use crate::comm::{HEADER_BYTES, RECV_OVERHEAD, SEND_OVERHEAD};
 use crate::network::{Link, NetworkModel};
@@ -30,6 +36,18 @@ use crate::work::{ComputeModel, Work};
 pub fn ceil_log2(n: usize) -> u32 {
     assert!(n > 0);
     (n as u64).next_power_of_two().trailing_zeros()
+}
+
+/// `clock.max(t)` as a compare-select. The two agree whenever `clock` is
+/// not NaN, which a virtual clock is not while the model's rates are not:
+/// it starts at zero and only adds charges derived from them.
+#[inline]
+fn later(clock: f64, t: f64) -> f64 {
+    if t > clock {
+        t
+    } else {
+        clock
+    }
 }
 
 /// One modeled halo-exchange message.
@@ -80,6 +98,31 @@ pub struct PricedMsgs {
     msgs: Vec<PricedMsg>,
 }
 
+/// Allreduce sizes a virtual rank keeps priced: `0..REDUCE_SIZES` doubles,
+/// which covers every reduction the replayed solvers make. A larger size
+/// is priced at each call.
+const REDUCE_SIZES: usize = 4;
+
+/// An allreduce of one size priced once for one virtual rank, at its first
+/// call: each of its tree messages is exchanged with the modeled partner
+/// `rank ^ 1`, and only the off-node ones are jittered.
+#[derive(Debug, Clone, Copy)]
+struct PricedReduce {
+    /// The sender's clock advance per message: fixed overhead plus packing.
+    send: f64,
+    /// The link of a tree level whose edges leave the node.
+    inter: Link,
+    /// Tree levels (of `depth`) whose edges stay on the node: level `k`
+    /// connects ranks `2^k` apart, so these are the levels with
+    /// `2^k < nic_sharers`, and they come first.
+    on_node: u32,
+    /// The clock charge of one on-node level: send, latency, drain and
+    /// receive overhead, summed in that order.
+    on_node_charge: f64,
+    /// Combine flops on the reduce path, in seconds.
+    combine: f64,
+}
+
 /// Cost-only replay of one rank's execution.
 #[derive(Debug, Clone)]
 pub struct VirtualRank {
@@ -88,6 +131,11 @@ pub struct VirtualRank {
     contention: f64,
     /// Jitter-hash prefix of the collectives' modeled partner, `rank ^ 1`.
     collective_prefix: u64,
+    /// Binomial-tree depth of the job's collectives, `ceil_log2(size)`.
+    depth: u32,
+    /// The allreduces priced so far, by size. Kept inline: a replay
+    /// allocates nothing for its collectives.
+    reduces: [Option<PricedReduce>; REDUCE_SIZES],
     clock: f64,
     seq: u64,
     /// An overlapped exchange's arrival times, kept between exchanges.
@@ -101,6 +149,8 @@ impl VirtualRank {
         VirtualRank {
             contention: env.net.fabric_contention(env.nodes_active),
             collective_prefix: hash_prefix(env.seed, (env.rank ^ 1) as u64, env.rank as u64),
+            depth: ceil_log2(env.size),
+            reduces: [None; REDUCE_SIZES],
             env,
             clock: 0.0,
             seq: 0,
@@ -142,14 +192,6 @@ impl VirtualRank {
         PricedMsgs { msgs }
     }
 
-    /// `(latency, drain)` of the next message over `link`.
-    #[inline]
-    fn transfer(&mut self, link: &Link) -> (f64, f64) {
-        let cost = self.env.net.link_cost(link, self.seq, self.contention);
-        self.seq += 1;
-        cost
-    }
-
     /// Charges a neighbour halo exchange: post all sends, then drain all
     /// receives (the overlap pattern the FEM ghost update uses). Peers are
     /// assumed to start the exchange at the same virtual time.
@@ -157,56 +199,60 @@ impl VirtualRank {
         if msgs.msgs.is_empty() {
             return;
         }
+        let (net, contention) = (&self.env.net, self.contention);
+        let (mut clock, mut seq) = (self.clock, self.seq);
         // Sends: fixed overhead + packing, serialized on the CPU.
         for m in &msgs.msgs {
-            self.clock += m.send;
+            clock += m.send;
         }
-        let depart = self.clock;
+        let depart = clock;
         // Receives, mirroring `SimComm::recv`: each message becomes
         // available after its latency (peers posted at ~the same time, so
         // latencies overlap), then drains serially through this rank's NIC.
         for m in &msgs.msgs {
-            let (latency, drain) = self.transfer(&m.link);
-            self.clock = self.clock.max(depart + latency) + drain + RECV_OVERHEAD;
+            let (latency, drain) = net.link_cost(&m.link, seq, contention);
+            seq += 1;
+            clock = later(clock, depart + latency) + drain + RECV_OVERHEAD;
         }
+        (self.clock, self.seq) = (clock, seq);
     }
 
     /// Charges a halo exchange whose transfers overlap with `interior`
-    /// compute, mirroring the numerical engine's `exchange_post`/compute/
-    /// `exchange_wait` sequence (`spmv_overlapped`): sends are posted up front, each
-    /// message's full transfer (latency + drain) then progresses while the
-    /// interior work runs, and the wait point only stalls for whatever the
-    /// compute did not cover.
-    pub fn halo_exchange_overlapped(&mut self, msgs: &PricedMsgs, interior: Work) {
+    /// seconds of compute, mirroring the numerical engine's
+    /// `exchange_post`/compute/`exchange_wait` sequence (`spmv_overlapped`):
+    /// sends are posted up front, each message's full transfer (latency +
+    /// drain) then progresses while the interior work runs, and the wait
+    /// point only stalls for whatever the compute did not cover.
+    pub fn halo_exchange_overlapped(&mut self, msgs: &PricedMsgs, interior: f64) {
         if msgs.msgs.is_empty() {
-            self.compute(interior);
+            self.advance(interior);
             return;
         }
+        let (net, contention) = (&self.env.net, self.contention);
+        let (mut clock, mut seq) = (self.clock, self.seq);
         for m in &msgs.msgs {
-            self.clock += m.send;
+            clock += m.send;
         }
-        let depart = self.clock;
-        let mut avails = std::mem::take(&mut self.avails);
+        let depart = clock;
+        let avails = &mut self.avails;
         avails.clear();
         for m in &msgs.msgs {
-            let (latency, drain) = self.transfer(&m.link);
+            let (latency, drain) = net.link_cost(&m.link, seq, contention);
+            seq += 1;
             avails.push(depart + latency + drain);
         }
-        self.compute(interior);
-        for &a in &avails {
-            self.clock = self.clock.max(a) + RECV_OVERHEAD;
+        assert!(interior >= 0.0);
+        clock += interior;
+        for &a in avails.iter() {
+            clock = later(clock, a) + RECV_OVERHEAD;
         }
-        self.avails = avails;
+        (self.clock, self.seq) = (clock, seq);
     }
 
-    /// Charges one blocking message of `bytes` per tree level in `levels`,
-    /// exchanged with the modeled partner `rank ^ 1`. Tree edges at level
-    /// `k` connect ranks `2^k` apart; under block placement those stay on
-    /// one node while `2^k` is below the ranks-per-node count, which is
-    /// why small jobs on many-core nodes see cheap collectives.
-    fn tree_rounds(&mut self, bytes: f64, levels: impl Iterator<Item = u32>) {
+    /// Prices an allreduce of `n` doubles for this rank (`depth > 0`).
+    fn price_reduce(&self, n: usize) -> PricedReduce {
         let env = &self.env;
-        let bytes = bytes + HEADER_BYTES;
+        let bytes = 8.0 * n as f64 + HEADER_BYTES;
         let send = SEND_OVERHEAD + bytes / env.net.intra_bw;
         let link = |same_node| {
             env.net.link(
@@ -217,41 +263,66 @@ impl VirtualRank {
                 self.collective_prefix,
             )
         };
-        let (intra, inter) = (link(true), link(false));
-        for level in levels {
-            let link = if (1usize << level) < self.env.nic_sharers {
-                intra
-            } else {
-                inter
-            };
-            let (lat, drain) = self.transfer(&link);
-            self.clock += send + lat + drain + RECV_OVERHEAD;
+        // An on-node link is never jittered: its cost does not depend on
+        // the sequence number.
+        let (lat, drain) = env.net.link_cost(&link(true), 0, self.contention);
+        let depth = self.depth;
+        PricedReduce {
+            send,
+            inter: link(false),
+            on_node: (0..depth)
+                .take_while(|&level| (1usize << level) < env.nic_sharers)
+                .count() as u32,
+            on_node_charge: send + lat + drain + RECV_OVERHEAD,
+            combine: env.compute.time(Work::new(
+                depth as f64 * n as f64,
+                depth as f64 * 16.0 * n as f64,
+            )),
         }
     }
 
     /// Charges a binomial-tree reduce + broadcast all-reduce of `n` doubles,
     /// mirroring [`crate::SimComm::allreduce`]. The modeled rank pays the
-    /// worst-case tree depth on both phases.
+    /// worst-case tree depth on both phases: one blocking message per tree
+    /// level, exchanged with the modeled partner `rank ^ 1`. Tree edges at
+    /// level `k` connect ranks `2^k` apart; under block placement those
+    /// stay on one node while `2^k` is below the ranks-per-node count,
+    /// which is why small jobs on many-core nodes see cheap collectives.
     pub fn allreduce(&mut self, n: usize) {
-        let depth = ceil_log2(self.env.size);
+        let depth = self.depth;
         if depth == 0 {
             return;
         }
-        self.tree_rounds(8.0 * n as f64, (0..2 * depth).map(|l| l % depth));
-        // Combine flops on the reduce path.
-        self.compute(Work::new(
-            depth as f64 * n as f64,
-            depth as f64 * 16.0 * n as f64,
-        ));
+        let r = match self.reduces.get(n) {
+            Some(Some(r)) => *r,
+            _ => {
+                let r = self.price_reduce(n);
+                if let Some(slot) = self.reduces.get_mut(n) {
+                    *slot = Some(r);
+                }
+                r
+            }
+        };
+        let (net, contention) = (&self.env.net, self.contention);
+        let (mut clock, mut seq) = (self.clock, self.seq);
+        // Reduce, then broadcast: each walks the levels from the bottom.
+        for _ in 0..2 {
+            for _ in 0..r.on_node {
+                clock += r.on_node_charge;
+            }
+            seq += u64::from(r.on_node);
+            for _ in r.on_node..depth {
+                let (lat, drain) = net.link_cost(&r.inter, seq, contention);
+                seq += 1;
+                clock += r.send + lat + drain + RECV_OVERHEAD;
+            }
+        }
+        (self.clock, self.seq) = (clock + r.combine, seq);
     }
 
-    /// Charges a dissemination barrier (`ceil(log2 p)` rounds of empty
-    /// messages), with the same per-level node locality as [`Self::allreduce`].
-    pub fn barrier(&mut self) {
-        self.tree_rounds(0.0, 0..ceil_log2(self.env.size));
-    }
-
-    /// Advances the clock without attributing work.
+    /// Advances the clock by `seconds` of work priced by the caller (for
+    /// instance with [`ComputeModel::time`] once per replay).
+    #[inline]
     pub fn advance(&mut self, seconds: f64) {
         assert!(seconds >= 0.0);
         self.clock += seconds;
@@ -261,6 +332,7 @@ impl VirtualRank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::splitmix64;
     use crate::topology::ClusterTopology;
 
     fn env(size: usize, net: NetworkModel) -> VirtualEnv {
@@ -276,9 +348,10 @@ mod tests {
         }
     }
 
-    /// The virtual rank as it was before message lists were priced: every
-    /// message built its context and went through
-    /// [`NetworkModel::transfer_cost`] from scratch. The oracle the priced
+    /// The virtual rank as it was before message lists and collectives
+    /// were priced: every message built its context and went through
+    /// [`NetworkModel::transfer_cost`] from scratch, and every compute
+    /// charge went through [`ComputeModel::time`]. The oracle the priced
     /// exchanges must reproduce bitwise.
     struct PerMessage {
         env: VirtualEnv,
@@ -361,18 +434,19 @@ mod tests {
                 depth as f64 * 16.0 * n as f64,
             ));
         }
+    }
 
-        fn barrier(&mut self) {
-            for level in 0..ceil_log2(self.env.size) {
-                let same_node = (1usize << level) < self.env.nic_sharers;
-                let (lat, drain) = self.transfer(0.0, same_node, true, self.env.rank ^ 1);
-                self.clock += SEND_OVERHEAD
-                    + HEADER_BYTES / self.env.net.intra_bw
-                    + lat
-                    + drain
-                    + RECV_OVERHEAD;
-            }
+    /// Allreduce sizes 1, 2 and 3, three of each, plus an empty one and
+    /// one past the sizes a virtual rank keeps priced, in the order a
+    /// Fisher–Yates shuffle seeded with `seed` leaves them.
+    fn reduce_order(seed: u64) -> [usize; 11] {
+        let mut order = [1, 2, 3, 1, 2, 3, 1, 2, 3, 0, REDUCE_SIZES + 3];
+        let mut h = seed;
+        for i in (1..order.len()).rev() {
+            h = splitmix64(h);
+            order.swap(i, (h % (i as u64 + 1)) as usize);
         }
+        order
     }
 
     proptest::proptest! {
@@ -380,8 +454,20 @@ mod tests {
 
         #[test]
         fn priced_exchanges_match_per_message_pricing(
-            (size, rank_pick, nic_sharers, nodes_active) in (1usize..300, 0usize..300, 1usize..20, 1usize..120),
-            (pick, seed, reduce_n) in (0usize..4, proptest::prelude::any::<u64>(), 1usize..4),
+            (size, rank_pick, nodes_active) in (1usize..300, 0usize..300, 1usize..120),
+            // Ranks per node: none, few (the on-node tree levels of a
+            // large job are a strict prefix), or more than any job here
+            // has ranks (every level stays on the node).
+            nic_sharers in proptest::prop_oneof![
+                proptest::prelude::Just(0usize),
+                1usize..20,
+                257usize..600,
+            ],
+            (pick, seed, order_seed) in (
+                0usize..4,
+                proptest::prelude::any::<u64>(),
+                proptest::prelude::any::<u64>(),
+            ),
             raw in proptest::collection::vec(
                 (0usize..300, 0.0f64..1e6, proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
                 0..12,
@@ -412,24 +498,45 @@ mod tests {
                 })
                 .collect();
             let mut want = PerMessage { env: env.clone(), clock: 0.0, seq: 0 };
+            let interior = Work::new(3e5, 1e6);
+            let interior_s = env.compute.time(interior);
             let mut got = VirtualRank::new(env);
             let priced = got.price(msgs.iter().copied());
-            let interior = Work::new(3e5, 1e6);
-            for _ in 0..3 {
+            for n in reduce_order(order_seed) {
                 want.halo_exchange(&msgs);
                 got.halo_exchange(&priced);
                 proptest::prop_assert_eq!(got.clock().to_bits(), want.clock.to_bits());
                 want.halo_exchange_overlapped(&msgs, interior);
-                got.halo_exchange_overlapped(&priced, interior);
+                got.halo_exchange_overlapped(&priced, interior_s);
                 proptest::prop_assert_eq!(got.clock().to_bits(), want.clock.to_bits());
-                want.allreduce(reduce_n);
-                got.allreduce(reduce_n);
-                proptest::prop_assert_eq!(got.clock().to_bits(), want.clock.to_bits());
-                want.barrier();
-                got.barrier();
-                proptest::prop_assert_eq!(got.clock().to_bits(), want.clock.to_bits());
+                want.allreduce(n);
+                got.allreduce(n);
+                proptest::prop_assert_eq!(got.clock().to_bits(), want.clock.to_bits(), "allreduce({})", n);
             }
+            proptest::prop_assert_eq!(got.seq, want.seq);
         }
+    }
+
+    #[test]
+    fn on_node_tree_levels_are_the_levels_below_the_node_size() {
+        let split = |size: usize, nic_sharers: usize| {
+            let mut v = VirtualRank::new(VirtualEnv {
+                nic_sharers,
+                ..env(size, NetworkModel::gigabit_ethernet())
+            });
+            v.allreduce(1);
+            v.reduces[1].unwrap().on_node
+        };
+        // A 1000-rank tree has 10 levels; level k stays on the node while
+        // 2^k < nic_sharers.
+        assert_eq!(split(1000, 0), 0);
+        assert_eq!(split(1000, 1), 0);
+        assert_eq!(split(1000, 2), 1);
+        assert_eq!(split(1000, 16), 4);
+        assert_eq!(split(1000, 17), 5);
+        assert_eq!(split(1000, 512), 9);
+        assert_eq!(split(1000, 513), 10);
+        assert_eq!(split(1000, 4096), 10);
     }
 
     #[test]
@@ -514,7 +621,6 @@ mod tests {
     fn single_rank_collectives_are_free() {
         let mut v = VirtualRank::new(env(1, NetworkModel::gigabit_ethernet()));
         v.allreduce(10);
-        v.barrier();
         assert_eq!(v.clock(), 0.0);
     }
 

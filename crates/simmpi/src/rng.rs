@@ -43,6 +43,12 @@ pub fn to_unit(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// [`jitter_factor`]'s spike draw: `to_unit(h) < 0.02` holds exactly when
+/// `h >> 11` is below this, `⌈0.02 · 2^53⌉`. The 53 high bits convert to
+/// `f64` exactly and the scaling by `2^-53` is exact, so the compare on
+/// integers is the compare on units, without the conversion.
+const SPIKE_BELOW: u64 = 180_143_985_094_820;
+
 /// A deterministic multiplicative jitter factor with mean 1.
 ///
 /// Uses a two-point mixture approximating a heavy-tailed delay: with
@@ -60,24 +66,92 @@ pub fn jitter_factor(prefix: u64, seq: u64, sigma: f64) -> f64 {
     if sigma == 0.0 {
         return 1.0;
     }
-    let h = hash_seq(prefix, seq);
-    let u = to_unit(h);
+    jitter_of_hash(hash_seq(prefix, seq), sigma)
+}
+
+/// [`jitter_factor`] of the message whose hash is `h`.
+#[inline]
+fn jitter_of_hash(h: u64, sigma: f64) -> f64 {
     let p_spike = 0.02;
     let spike = 1.0 + 8.0 * sigma;
-    if u < p_spike {
+    // `to_unit(h) < p_spike`.
+    if h >> 11 < SPIKE_BELOW {
         spike
     } else {
         // Uniform in [1 - sigma/2, 1 + sigma/2], shifted slightly down so the
         // overall mean (including spikes) stays close to 1.
         let v = to_unit(splitmix64(h));
         let base = 1.0 + sigma * (v - 0.5);
-        (base - p_spike * (spike - 1.0)).max(0.05)
+        // `j.max(0.05)`, NaN included.
+        let j = base - p_spike * (spike - 1.0);
+        if j > 0.05 {
+            j
+        } else {
+            0.05
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `jitter_of_hash` as it was written before the spike draw compared
+    /// integers: the unit sample against `p_spike`, and `f64::max`.
+    fn jitter_of_hash_by_units(h: u64, sigma: f64) -> f64 {
+        let u = to_unit(h);
+        let p_spike = 0.02;
+        let spike = 1.0 + 8.0 * sigma;
+        if u < p_spike {
+            spike
+        } else {
+            let v = to_unit(splitmix64(h));
+            let base = 1.0 + sigma * (v - 0.5);
+            (base - p_spike * (spike - 1.0)).max(0.05)
+        }
+    }
+
+    #[test]
+    fn the_integer_spike_draw_is_the_unit_one() {
+        assert_eq!(SPIKE_BELOW, (0.02 * (1u64 << 53) as f64).ceil() as u64);
+        let t = SPIKE_BELOW;
+        for (k, spikes) in [(0, true), (t - 1, true), (t, false), (t + 1, false)] {
+            assert_eq!(to_unit(k << 11) < 0.02, spikes, "h >> 11 = {k}");
+            for low in [0, 1, (1 << 11) - 1] {
+                let h = k << 11 | low;
+                for sigma in [0.04, 0.3, 1e3, -0.5, f64::NAN] {
+                    let (got, want) = (jitter_of_hash(h, sigma), jitter_of_hash_by_units(h, sigma));
+                    assert_eq!(got.to_bits(), want.to_bits(), "h = {h:#x}, sigma = {sigma}");
+                    if sigma == 0.3 {
+                        assert_eq!(got == 1.0 + 8.0 * sigma, spikes, "h = {h:#x}");
+                    }
+                }
+            }
+        }
+        // Seeded random messages, with sigma 0 and NaN among the draws.
+        let mut z = 2012;
+        for i in 0..100_000u64 {
+            z = splitmix64(z);
+            let (prefix, seq) = (z, splitmix64(z ^ i) >> (i % 64));
+            let sigma = match i % 5 {
+                0 => 0.0,
+                1 => f64::NAN,
+                2 => 20.0 * to_unit(splitmix64(!z)) - 10.0,
+                _ => to_unit(splitmix64(!z)),
+            };
+            let want = if sigma == 0.0 {
+                1.0
+            } else {
+                jitter_of_hash_by_units(splitmix64(prefix ^ seq), sigma)
+            };
+            let got = jitter_factor(prefix, seq, sigma);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "prefix {prefix:#x} seq {seq} sigma {sigma}"
+            );
+        }
+    }
 
     #[test]
     fn splitmix_is_deterministic_and_mixing() {

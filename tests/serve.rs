@@ -279,14 +279,16 @@ fn a_result_is_handed_over_once_and_unknown_ids_fail_at_once() {
 fn panicking_job_fails_alone_service_survives() {
     let dir = tdir("panic");
     let serve = ServeHandle::open(ServeConfig::new(&dir)).unwrap();
-    // A platform without cores divides by zero placing the ranks — a
-    // stand-in for any engine bug.
+    // A momentum solve allowed one Krylov iteration fails the NS
+    // convergence assertion — a stand-in for any engine bug.
+    let mut app = App::paper_ns(1);
+    if let App::Ns(cfg) = &mut app {
+        cfg.solve_vel.max_iters = 1;
+    }
     let poison = RunRequest {
-        platform: PlatformSpec {
-            cores_per_node: 0,
-            ..catalog::puma()
-        },
-        ..rd_req(31)
+        fidelity: Fidelity::Numerical,
+        seed: 31,
+        ..RunRequest::new(catalog::puma(), app, 1, 2)
     };
     let err = serve.submit_wait(&poison).unwrap_err();
     assert!(
@@ -364,6 +366,42 @@ fn degenerate_requests_are_rejected_not_panicked() {
         }
     }
     let m = serve.metrics();
+    assert_eq!(m.counter("serve.jobs.failed"), 0.0);
+    serve.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_platform_without_cores_is_a_cached_rejection() {
+    let dir = tdir("zero-cores");
+    let serve = ServeHandle::open(ServeConfig::new(&dir)).unwrap();
+    let plain = RunRequest {
+        platform: PlatformSpec {
+            cores_per_node: 0,
+            ..catalog::puma()
+        },
+        ..rd_req(43)
+    };
+    let resilient = RunRequest {
+        platform: PlatformSpec {
+            cores_per_node: 0,
+            ..catalog::ec2()
+        },
+        ..resilient_req(43)
+    };
+    for req in [&plain, &resilient] {
+        let cold = serve.submit_wait(req).unwrap();
+        match cold.as_ref() {
+            JobOutcome::Rejected(LimitViolation::DegenerateRequest { field }) => {
+                assert_eq!(field, "cores_per_node");
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        let hot = serve.submit_wait(req).unwrap();
+        assert_eq!(outcome_bytes(&cold), outcome_bytes(&hot));
+    }
+    let m = serve.metrics();
+    assert_eq!(m.counter("serve.cache.hits"), 2.0);
     assert_eq!(m.counter("serve.jobs.failed"), 0.0);
     serve.shutdown();
     let _ = fs::remove_dir_all(&dir);
