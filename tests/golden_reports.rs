@@ -33,6 +33,8 @@
 //!   what the tape must imply: NS at message detail, RD at phase and at
 //!   collective detail (the detail filters), and pipelined RD (fused
 //!   reductions and `Overlap` batches).
+//! * [`GOLDEN_RD27_REPORT`]: the report of that 27-rank job, computed at
+//!   commit `2dbfb76`, where both engines produced it.
 //!
 //! To re-pin after an *intended* model change, run
 //! `cargo test --test golden_reports -- --nocapture`, copy the printed
@@ -248,14 +250,19 @@ fn check_trace(run: &str, jsonl: &str) -> Result<(), String> {
     ))
 }
 
+/// SHA-256 of the serialized report of [`rd27_request`]; its trace
+/// serializes as `null`.
+const GOLDEN_RD27_REPORT: &str = "31ebbb5809c73a6e4c5dbca6392f43ee9191a53ddebf58720f8139885c619ceb";
+
 #[test]
 fn message_traces_match_the_checked_in_digests() {
     let trace = |engine| {
-        execute(&rd27_request(engine))
-            .expect("traced run executes")
-            .trace
-            .expect("a traced run returns its trace")
-            .jsonl()
+        let out = execute(&rd27_request(engine)).expect("traced run executes");
+        let json = serde_json::to_string(&out).expect("outcome serializes");
+        let report = canon::sha256_hex(json.as_bytes());
+        println!("rd27 report ({engine:?}): {report}");
+        assert_eq!(report, GOLDEN_RD27_REPORT, "{engine:?}");
+        out.trace.expect("a traced run returns its trace").jsonl()
     };
     let coop = trace(EngineKind::Cooperative);
     let threads = trace(EngineKind::Threads);

@@ -5,13 +5,14 @@
 //! one-OS-thread-per-rank engine and the M:N cooperative engine, at every
 //! worker-pool size, with and without injected faults — and the
 //! cooperative engine keeps that guarantee far past the old engine's rank
-//! ceiling.
+//! ceiling. Each compared report is also pinned by its SHA-256
+//! ([`GOLDEN`]), so the pins hold the bytes where no second engine runs.
 
 use hetero_fault::{FaultModel, SpotMarket};
 use hetero_hpc::apps::App;
-use hetero_hpc::prep;
 use hetero_hpc::recovery::{execute_resilient, ResilienceSpec};
 use hetero_hpc::run::{execute, Fidelity, RunRequest};
+use hetero_hpc::{canon, prep};
 use hetero_platform::limits::ExecutionLimits;
 use hetero_platform::{catalog, PlatformSpec};
 use hetero_simmpi::EngineKind;
@@ -31,6 +32,50 @@ fn big_ec2(ranks: usize) -> PlatformSpec {
     p
 }
 
+/// `(run, sha256 of its serialized report)`, computed on the cooperative
+/// engine at commit `2dbfb76`, where the 27- and 216-rank A/Bs below also
+/// held the thread engine to the same bytes. The names are the tests'
+/// runs: `rd1000` and `ns216` are the `#[ignore]`d scale rungs, and
+/// `campaign` is [`faulty_rd_request`] at seed 2012.
+const GOLDEN: [(&str, &str); 6] = [
+    (
+        "rd27",
+        "14235bb991e991b65b7f54d2cb273e8afdc4a36277f12162460146b018a46db6",
+    ),
+    (
+        "rd216",
+        "1504d227cf0b528aed70801fa442b8b43a5d077bad11eb9a508e9da918fe06f2",
+    ),
+    (
+        "rd1000",
+        "3865a4764a3b8fae84a56ad6841f8b83888d63e9517201fedd39e7fff9999ad9",
+    ),
+    (
+        "ns27",
+        "b1cfe29a2f6c3c6961649b9caf1ca089893a48a1c6346a513a8135d7ff34239c",
+    ),
+    (
+        "ns216",
+        "4e0c37b3b57ffa7b77edd54ca14a192b808cf6bf9aeccf1f4fb72fb0277c624e",
+    ),
+    (
+        "campaign",
+        "f2a5e53dafee2bf848d73df01e2dc07733a2fa0bee07b48ad2c1d286f77711ea",
+    ),
+];
+
+/// Asserts that `report`'s digest is the one pinned for `run`.
+fn check_digest(run: &str, report: &str) {
+    let want = GOLDEN
+        .iter()
+        .find(|(name, _)| *name == run)
+        .expect("a pinned run")
+        .1;
+    let got = canon::sha256_hex(report.as_bytes());
+    println!("{run}: {got}");
+    assert_eq!(got, want, "{run} drifted from its checked-in digest");
+}
+
 /// The serialized report of `req`, executed with prepared-scenario sharing
 /// off. A plain numerical run on a shared scenario can be priced from the
 /// work tape of an earlier run of the same app, which would compare one
@@ -39,7 +84,7 @@ fn big_ec2(ranks: usize) -> PlatformSpec {
 fn direct_report(req: &RunRequest) -> String {
     let _off = prep::disable_sharing_scoped();
     let served = prep::tape_stats().served;
-    let report = format!("{:?}", execute(req).unwrap());
+    let report = serde_json::to_string(&execute(req).unwrap()).expect("outcome serializes");
     assert_eq!(prep::tape_stats().served, served, "a tape served the run");
     report
 }
@@ -74,6 +119,7 @@ fn rd_report_identical_across_engines_at_27_ranks() {
             "cooperative engine with {workers} worker(s) diverged from the thread engine"
         );
     }
+    check_digest("rd27", &baseline);
 }
 
 #[test]
@@ -82,16 +128,18 @@ fn rd_report_identical_across_engines_at_216_ranks() {
     let baseline = rd_report(216, 1, EngineKind::Threads, 0);
     assert_eq!(baseline, rd_report(216, 1, EngineKind::Cooperative, 1));
     assert_eq!(baseline, rd_report(216, 1, EngineKind::Cooperative, 4));
+    check_digest("rd216", &baseline);
 }
 
 #[test]
 #[ignore = "scale: minutes of debug-mode wall time; the CI stress job runs this in release with -- --ignored"]
 fn rd_report_identical_across_engines_at_1000_ranks() {
-    // 1000 ranks is the paper's largest configuration and close to the old
-    // engine's practical ceiling; one step keeps the A/B affordable.
-    let baseline = rd_report(1000, 1, EngineKind::Threads, 0);
-    assert_eq!(baseline, rd_report(1000, 1, EngineKind::Cooperative, 1));
+    // 1000 ranks is the paper's largest configuration; one step keeps the
+    // A/B affordable. The digest stands in for the thread engine's 1000 OS
+    // threads.
+    let baseline = rd_report(1000, 1, EngineKind::Cooperative, 1);
     assert_eq!(baseline, rd_report(1000, 1, EngineKind::Cooperative, 4));
+    check_digest("rd1000", &baseline);
 }
 
 #[test]
@@ -104,6 +152,7 @@ fn ns_report_identical_across_engines_at_27_ranks() {
             "cooperative engine with {workers} worker(s) diverged from the thread engine"
         );
     }
+    check_digest("ns27", &baseline);
 }
 
 #[test]
@@ -114,6 +163,7 @@ fn ns_report_identical_across_engines_at_216_ranks() {
     let baseline = ns_report(216, 1, EngineKind::Threads, 0);
     assert_eq!(baseline, ns_report(216, 1, EngineKind::Cooperative, 1));
     assert_eq!(baseline, ns_report(216, 1, EngineKind::Cooperative, 4));
+    check_digest("ns216", &baseline);
 }
 
 /// An RD run on an EC2 spot fleet under a market compressed enough to
@@ -154,11 +204,12 @@ fn fault_injected_campaign_identical_across_engines_and_pools() {
             "the market was supposed to bite: {:?}",
             out.stats
         );
-        format!("{out:?}")
+        serde_json::to_string(&out).expect("campaign outcome serializes")
     };
     let baseline = run(EngineKind::Threads, 0);
     assert_eq!(baseline, run(EngineKind::Cooperative, 1));
     assert_eq!(baseline, run(EngineKind::Cooperative, 4));
+    check_digest("campaign", &baseline);
 }
 
 #[test]
