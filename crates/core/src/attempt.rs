@@ -166,9 +166,7 @@ fn execute_ranks(
 
     // One logical pool shared by all ranks; `install` binds the thread
     // count on the calling thread — the scheduler worker running the rank's
-    // coroutine under the default cooperative engine, the rank's own OS
-    // thread under `EngineKind::Threads` — so it must run inside the rank
-    // closure.
+    // coroutine — so it must run inside the rank closure.
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(req.threads_per_rank.max(1))
         .build()
@@ -231,10 +229,7 @@ fn execute_ranks(
             }
         })
     };
-    let opts = EngineOpts {
-        engine: req.engine,
-        workers: req.sched_workers,
-    };
+    let opts = EngineOpts::cooperative(req.sched_workers);
     // A felled attempt's per-rank spans describe work the rollback
     // discards, so its trace is dropped with it.
     let (results, trace, tape) = match tape_budget {

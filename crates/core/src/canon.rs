@@ -591,7 +591,6 @@ mod tests {
         let threaded = RunRequest {
             threads_per_rank: 4,
             sched_workers: 7,
-            engine: hetero_simmpi::EngineKind::Threads,
             trace: Some(hetero_trace::TraceSpec::messages()),
             ..base.clone()
         };

@@ -56,6 +56,9 @@ pub fn render_weak_scaling(table: &WeakScalingTable) -> String {
                         hetero_platform::limits::LimitViolation::DegenerateRequest { .. } => {
                             "— (empty request)"
                         }
+                        hetero_platform::limits::LimitViolation::SimulatorRankCeiling {
+                            ..
+                        } => "— (simulator rank ceiling)",
                     };
                     out.push_str(&format!(" {reason:^37} |"));
                 }

@@ -8,7 +8,7 @@ use hetero_fem::phase::PhaseTimes;
 use hetero_linalg::SolverVariant;
 use hetero_platform::limits::LimitViolation;
 use hetero_platform::{CostModel, PlatformSpec};
-use hetero_simmpi::{ClusterTopology, EngineKind, SpmdConfig};
+use hetero_simmpi::{ClusterTopology, EngineKind, SpmdConfig, MAX_REAL_RANKS};
 use hetero_trace::{EventKind, Phase as TracePhase, Trace, TraceEvent, TraceSpec};
 use serde::{Deserialize, Serialize, Value};
 
@@ -16,8 +16,8 @@ use serde::{Deserialize, Serialize, Value};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Fidelity {
     /// Real distributed numerics, one simulated rank per coroutine on the
-    /// cooperative scheduler by default (see [`RunRequest::engine`]);
-    /// verifiable against the exact solution.
+    /// M:N scheduler (see [`RunRequest::sched_workers`]); verifiable
+    /// against the exact solution. At most [`MAX_REAL_RANKS`] ranks.
     Numerical,
     /// Analytic replay (paper scale).
     Modeled,
@@ -50,13 +50,13 @@ pub struct RunRequest {
     /// parallelism is bitwise deterministic, so the computed report is
     /// identical at any value; only host wall time changes.
     pub threads_per_rank: usize,
-    /// SPMD engine for the numerical path: the M:N cooperative scheduler
-    /// (the default) or the legacy one-OS-thread-per-rank engine kept for
-    /// A/B pinning. The computed report is bitwise identical either way;
-    /// only host resource usage differs.
+    /// Inert: the numerical path has one engine, the M:N scheduler. The
+    /// field remains because the benchmark package names it, and goes
+    /// with that use; it is in neither cache key, and a request that names
+    /// the retired `Threads` engine still parses.
     pub engine: EngineKind,
-    /// Worker threads for the cooperative scheduler (`0` = auto-size from
-    /// host parallelism). Ignored by the thread engine. Reports are bitwise
+    /// Worker threads of the M:N scheduler that runs the numerical path
+    /// (`0` = auto-size from host parallelism). Reports are bitwise
     /// identical at any pool size.
     pub sched_workers: usize,
     /// Engine selection.
@@ -251,8 +251,10 @@ pub(crate) fn resolve_fidelity(req: &RunRequest) -> Fidelity {
 
 /// Rejects a request for zero ranks, zero cells along a rank's axis, zero
 /// time steps, or a platform without cores per node: none of them
-/// describes a run (ranks cannot be placed on nodes without cores), so
-/// both executors turn them away before anything is built for them.
+/// describes a run (ranks cannot be placed on nodes without cores). Also
+/// rejects a numerical run above [`MAX_REAL_RANKS`], which the simulator
+/// cannot execute. Both executors turn these away before anything is
+/// built for them.
 pub(crate) fn check_not_degenerate(req: &RunRequest) -> Result<(), LimitViolation> {
     for (field, n) in [
         ("ranks", req.ranks),
@@ -266,6 +268,12 @@ pub(crate) fn check_not_degenerate(req: &RunRequest) -> Result<(), LimitViolatio
             });
         }
     }
+    if req.ranks > MAX_REAL_RANKS && resolve_fidelity(req) == Fidelity::Numerical {
+        return Err(LimitViolation::SimulatorRankCeiling {
+            requested: req.ranks,
+            max_ranks: MAX_REAL_RANKS,
+        });
+    }
     Ok(())
 }
 
@@ -277,7 +285,8 @@ pub(crate) fn check_not_degenerate(req: &RunRequest) -> Result<(), LimitViolatio
 /// fewer cores than ranks), launcher failure (ellipse above 512), adapter
 /// volume cap (lagrange above 343). A request for zero ranks, cells per
 /// rank axis, steps or cores per node is a
-/// [`LimitViolation::DegenerateRequest`].
+/// [`LimitViolation::DegenerateRequest`], and a numerical run above
+/// [`MAX_REAL_RANKS`] ranks a [`LimitViolation::SimulatorRankCeiling`].
 ///
 /// The run takes its scenario from the process-wide cache (a private one
 /// while sharing is disabled — see [`crate::prep`]). Reports are
@@ -456,6 +465,27 @@ mod tests {
             };
             assert_eq!(run(5), run(1), "{fidelity:?}");
         }
+    }
+
+    #[test]
+    fn a_numerical_run_above_the_rank_ceiling_is_rejected_before_set_up() {
+        // Nothing is built for the request: a numerical job this size
+        // would map 128 GiB of coroutine stacks.
+        let ec2 = catalog::ec2();
+        let req = RunRequest {
+            fidelity: Fidelity::Numerical,
+            resilience: Some(crate::recovery::ResilienceSpec::on_demand(&ec2)),
+            ..RunRequest::new(ec2, App::paper_rd(2), MAX_REAL_RANKS + 1, 3)
+        };
+        let want = LimitViolation::SimulatorRankCeiling {
+            requested: MAX_REAL_RANKS + 1,
+            max_ranks: MAX_REAL_RANKS,
+        };
+        assert_eq!(execute(&req).unwrap_err(), want);
+        assert_eq!(crate::recovery::execute_resilient(&req).unwrap_err(), want);
+        let text = want.to_string();
+        assert!(text.contains("rank ceiling (131072)"), "{text}");
+        assert!(text.contains("Fidelity::Modeled"), "{text}");
     }
 
     #[test]

@@ -396,13 +396,10 @@ mod tests {
     #[test]
     fn a_halo_of_the_wrong_length_names_its_sender() {
         // Rank 0 sends two values where rank 1's plan receives three, on
-        // both engines and through both forms of the update.
-        use hetero_simmpi::{run_spmd_opts, EngineOpts, FaultPlan, COOPERATIVE_SUPPORTED};
-        let mut engines = vec![EngineOpts::threads()];
-        if COOPERATIVE_SUPPORTED {
-            engines.push(EngineOpts::cooperative(1));
-        }
-        for opts in engines {
+        // one and two workers and through both forms of the update.
+        use hetero_simmpi::{run_spmd_opts, EngineOpts, FaultPlan};
+        for workers in [1, 2] {
+            let opts = EngineOpts::cooperative(workers);
             for posted in [false, true] {
                 let err = std::panic::catch_unwind(|| {
                     run_spmd_opts(cfg(2), opts, FaultPlan::none(), None, |comm| {

@@ -9,7 +9,6 @@ use hetero_linalg::{work_costs, DistMatrix, DistVector, ExchangePlan};
 use hetero_simmpi::{
     run_spmd, run_spmd_opts, run_spmd_recorded, ClusterTopology, ComputeModel, EngineOpts,
     FaultPlan, NetworkModel, Payload, SimComm, SpmdConfig, TraceSpec, Work, WorkTape,
-    COOPERATIVE_SUPPORTED,
 };
 use proptest::prelude::*;
 
@@ -626,14 +625,11 @@ proptest! {
     /// one plan, two plans sharing a pair — over random rank counts and
     /// topologies, blocking and posted: the exchange gives every rank the
     /// ghosts, clock, counters, tape and message trace of the
-    /// point-to-point loops, on both engines and both pool sizes.
+    /// point-to-point loops, on one, three and host-many workers.
     #[test]
     fn ghost_updates_match_the_point_to_point_oracle(case in halo_case()) {
-        let mut engines = vec![EngineOpts::threads()];
-        if COOPERATIVE_SUPPORTED {
-            engines.extend([EngineOpts::cooperative(1), EngineOpts::cooperative(3)]);
-        }
-        for opts in engines {
+        for workers in [1, 3, 0] {
+            let opts = EngineOpts::cooperative(workers);
             let want = run_halo(&case, opts, true);
             let got = run_halo(&case, opts, false);
             prop_assert!(want.2.is_some(), "the oracle's tape fits");

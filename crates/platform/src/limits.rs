@@ -41,6 +41,14 @@ pub enum LimitViolation {
         /// The request field that is zero.
         field: String,
     },
+    /// A numerically executed run asks for more ranks than the simulator
+    /// runs in one job; the modeled engine prices any rank count.
+    SimulatorRankCeiling {
+        /// Ranks requested.
+        requested: usize,
+        /// The simulator's rank ceiling.
+        max_ranks: usize,
+    },
 }
 
 impl std::fmt::Display for LimitViolation {
@@ -66,6 +74,14 @@ impl std::fmt::Display for LimitViolation {
             LimitViolation::DegenerateRequest { field } => {
                 write!(f, "{field} is 0, but a run needs at least one")
             }
+            LimitViolation::SimulatorRankCeiling {
+                requested,
+                max_ranks,
+            } => write!(
+                f,
+                "{requested} ranks exceed the simulator's rank ceiling ({max_ranks}) for a \
+                 numerical run; request Fidelity::Modeled"
+            ),
         }
     }
 }

@@ -532,7 +532,6 @@ mod tests {
     use crate::engine::run_spmd_inner;
     use crate::exchange::tests::{copy, ring};
     use crate::tape::WorkTape;
-    use crate::COOPERATIVE_SUPPORTED;
     use hetero_trace::{Trace, TraceDetail};
     use proptest::prelude::*;
 
@@ -721,12 +720,13 @@ mod tests {
         }
     }
 
-    fn engines() -> Vec<EngineOpts> {
-        let mut all = vec![EngineOpts::threads()];
-        if COOPERATIVE_SUPPORTED {
-            all.extend([EngineOpts::cooperative(1), EngineOpts::cooperative(3)]);
-        }
-        all
+    /// One, three and host-many workers.
+    fn pools() -> [EngineOpts; 3] {
+        [
+            EngineOpts::cooperative(1),
+            EngineOpts::cooperative(3),
+            EngineOpts::default(),
+        ]
     }
 
     fn program_cfg(size: usize, ec2: bool, seed: u64) -> SpmdConfig {
@@ -749,7 +749,7 @@ mod tests {
         /// Random programs mixing the four symmetric collectives with halo
         /// traffic, posted receives and compute give every rank the same
         /// values, clock, counters, tape and trace as the point-to-point
-        /// oracle, on both engines and both pool sizes — also when a node
+        /// oracle, on every pool size — also when a node
         /// dies, at a virtual time drawn inside a random event of the
         /// fault-free run (a message, a collective span), so deaths land
         /// mid-collective.
@@ -766,14 +766,14 @@ mod tests {
             let c = program_cfg(size, ec2, seed);
             let mut faults = FaultPlan::none();
             if kill {
-                let (_, clean) = traced(&c, EngineOpts::threads(), &faults, |comm| play(&acts, true, comm));
+                let (_, clean) = traced(&c, EngineOpts::default(), &faults, |comm| play(&acts, true, comm));
                 if let Some(e) = clean.events.get((pick * clean.len() as f64) as usize) {
                     let mut node_down_at = vec![f64::INFINITY; size.div_ceil(4)];
                     node_down_at[c.topo.node_of_rank(e.rank as usize)] = e.at + e.dur * frac;
                     faults.node_down_at = node_down_at;
                 }
             }
-            for opts in engines() {
+            for opts in pools() {
                 let want = observe(&c, opts, &faults, &acts, true);
                 let got = observe(&c, opts, &faults, &acts, false);
                 if let Some(d) = hetero_trace::first_divergence(&want.jsonl, &got.jsonl) {
@@ -812,7 +812,7 @@ mod tests {
         // which already sent the broadcast, goes on to a side effect.
         let mut c = cfg(2);
         c.topo = ClusterTopology::uniform(2, 1);
-        let (_, clean) = traced(&c, EngineOpts::threads(), &FaultPlan::none(), |comm| {
+        let (_, clean) = traced(&c, EngineOpts::default(), &FaultPlan::none(), |comm| {
             comm.allreduce_scalar(ReduceOp::Sum, 1.0)
         });
         let leaf: Vec<_> = clean.events.iter().filter(|e| e.rank == 1).collect();
@@ -828,7 +828,7 @@ mod tests {
             node_down_at: vec![f64::INFINITY, 0.5 * (sent.at + got.at + got.dur)],
             slow_windows: vec![],
         };
-        for opts in engines() {
+        for opts in pools() {
             let run = |oracle: bool| {
                 let effects = Mutex::new(Vec::new());
                 let (res, trace) = traced(&c, opts, &faults, |comm| {
@@ -878,7 +878,7 @@ mod tests {
 
     #[test]
     fn a_rank_that_never_joins_poisons_the_job_as_before() {
-        for opts in engines() {
+        for opts in pools() {
             let text = |oracle: bool| {
                 panic_text(move || {
                     let (res, _) =
@@ -906,7 +906,7 @@ mod tests {
 
     #[test]
     fn ranks_entering_different_collectives_panic_naming_both() {
-        for opts in engines() {
+        for opts in pools() {
             let text = panic_text(move || {
                 let (res, _) =
                     crate::run_spmd_opts(cfg(3), opts, FaultPlan::none(), None, |comm| {

@@ -14,7 +14,7 @@ use crate::work::{ComputeModel, Work};
 use hetero_trace::{EventKind, Phase};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Fixed CPU-side cost of posting a send (buffer packing setup).
 pub(crate) const SEND_OVERHEAD: f64 = 0.4e-6;
@@ -206,14 +206,11 @@ impl Lanes {
     }
 }
 
-/// One rank's receive side, shared by both engines: the lanes under a
-/// lock (senders are other ranks, possibly on other workers), and the
-/// condvar the thread engine's receivers park on, in a receive or in an
-/// exchange.
+/// One rank's receive side: the lanes under a lock (senders are other
+/// ranks, possibly on other workers).
 #[derive(Default)]
 pub(crate) struct Mailbox {
     lanes: Mutex<Lanes>,
-    pub(crate) cv: Condvar,
 }
 
 impl Mailbox {
@@ -369,10 +366,8 @@ impl Transfer {
 /// State shared by all ranks of one SPMD job.
 pub(crate) struct SharedComm {
     pub(crate) model: JobModel,
-    /// The M:N scheduler when this job runs on the cooperative engine;
-    /// `None` under the thread engine. Selects how blocking receives park
-    /// (coroutine yield vs condvar wait) and how senders wake them.
-    pub(crate) coop: Option<Arc<crate::sched::Scheduler>>,
+    /// The M:N scheduler the ranks block in and are woken through.
+    pub(crate) sched: crate::sched::Scheduler,
     /// Work-tape recording; `None` (the default) records nothing, so every
     /// rank then holds no recorder at all.
     pub(crate) tapes: Option<TapeBudget>,
@@ -394,7 +389,7 @@ impl SharedComm {
     pub(crate) fn new(
         config: SpmdConfig,
         faults: FaultPlan,
-        coop: Option<Arc<crate::sched::Scheduler>>,
+        sched: crate::sched::Scheduler,
         tapes: Option<TapeBudget>,
     ) -> Arc<Self> {
         let model = JobModel::new(config, faults);
@@ -403,7 +398,7 @@ impl SharedComm {
         let rendezvous = Rendezvous::new();
         Arc::new(SharedComm {
             model,
-            coop,
+            sched,
             tapes,
             mailboxes,
             halo: Registry::default(),
@@ -412,39 +407,19 @@ impl SharedComm {
         })
     }
 
-    /// Records that `rank`'s thread has exited (for any reason), completes
-    /// an open collective it was the last rank missing from, and wakes
-    /// every blocked receiver so those waiting on this rank can re-check.
-    /// All of the rank's sends happen-before this store, so a receiver that
-    /// observes the flag and still finds its queue empty knows the message
-    /// will never arrive. Thread engine only: the condvar broadcast is
-    /// O(size), which the cooperative engine replaces with a targeted
-    /// scheduler wake (see [`Self::mark_terminated_quiet`]).
+    /// Raises `rank`'s termination flag, completing an open collective it
+    /// was the last rank missing from. All of the rank's sends
+    /// happen-before this store, and the worker calls this *before* waking
+    /// the dead rank's waiters through the scheduler, so a woken receiver
+    /// that still finds its queue empty can safely conclude the message
+    /// will never come.
     pub(crate) fn mark_terminated(&self, rank: usize) {
-        self.terminated[rank].store(true, Ordering::SeqCst);
-        self.rank_gone();
-        for m in &self.mailboxes {
-            let _guard = m.lock();
-            m.cv.notify_all();
-        }
-    }
-
-    /// Raises `rank`'s termination flag (completing an open collective it
-    /// was the last rank missing from) without any condvar traffic. The
-    /// cooperative worker calls this *before* waking the dead rank's
-    /// waiters through the scheduler, so a woken receiver that still finds
-    /// its queue empty can safely conclude the message will never come.
-    pub(crate) fn mark_terminated_quiet(&self, rank: usize) {
         self.terminated[rank].store(true, Ordering::SeqCst);
         self.rank_gone();
     }
 
     pub(crate) fn rank_terminated(&self, rank: usize) -> bool {
         self.terminated[rank].load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn mailbox(&self, rank: usize) -> &Mailbox {
-        &self.mailboxes[rank]
     }
 
     /// Whether a message from `(src, tag)` is queued at `dst`'s mailbox.
@@ -791,37 +766,21 @@ impl SimComm {
             src: self.rank,
             tag,
         };
-        let mailbox = &self.shared.mailboxes[dst];
-        mailbox.lock().push(env);
-        // Wake the receiver *after* releasing the mailbox lock: under the
-        // cooperative engine this takes the scheduler lock, and the only
-        // permitted nesting is scheduler → mailbox (worker side), never the
-        // reverse.
-        match &self.shared.coop {
-            Some(sched) => sched.notify_send(self.rank, dst, tag),
-            None => mailbox.cv.notify_all(),
-        }
+        self.shared.mailboxes[dst].lock().push(env);
+        // Wake the receiver *after* releasing the mailbox lock: this takes
+        // the scheduler lock, and the only permitted nesting is scheduler →
+        // mailbox (worker side), never the reverse.
+        self.shared.sched.notify_send(self.rank, dst, tag);
     }
 
-    /// Blocks until a message from `(src, tag)` is queued, then pops it —
-    /// by yielding this rank's coroutine to the M:N scheduler under the
-    /// cooperative engine, or by a condvar wait under the thread engine.
-    /// Either way the rank unwinds (poison panic) only once the sender is
-    /// provably gone — a virtual-time-determined condition shared by the
-    /// blocking and posted receives.
+    /// Blocks until a message from `(src, tag)` is queued, then pops it.
+    /// This is the yield point: the coroutine parks with its current
+    /// virtual clock as its run-queue key; the worker registers the block
+    /// (re-checking the mailbox under the scheduler lock, so no wakeup can
+    /// be lost) and runs other ranks. The rank unwinds (poison panic) only
+    /// once the sender is provably gone — a virtual-time-determined
+    /// condition shared by the blocking and posted receives.
     fn block_for_envelope(&mut self, src: usize, tag: u64) -> Envelope {
-        if self.shared.coop.is_some() {
-            self.coop_block_for_envelope(src, tag)
-        } else {
-            self.thread_block_for_envelope(src, tag)
-        }
-    }
-
-    /// Cooperative-engine blocking: this is the yield point. The coroutine
-    /// parks with its current virtual clock as its run-queue key; the
-    /// worker registers the block (re-checking the mailbox under the
-    /// scheduler lock, so no wakeup can be lost) and runs other ranks.
-    fn coop_block_for_envelope(&mut self, src: usize, tag: u64) -> Envelope {
         loop {
             {
                 let mut lanes = self.shared.mailboxes[self.rank].lock();
@@ -854,41 +813,8 @@ impl SimComm {
         }
     }
 
-    /// Thread-engine blocking: a condvar wait on this rank's mailbox.
-    fn thread_block_for_envelope(&mut self, src: usize, tag: u64) -> Envelope {
-        let mailbox = &self.shared.mailboxes[self.rank];
-        let mut lanes = mailbox.lock();
-        loop {
-            if let Some(env) = lanes.pop(src, tag) {
-                return env;
-            }
-            // Unwind only when the *sender* is provably gone: whether a
-            // message is ever sent is a pure function of virtual time
-            // (senders die at deterministic clock readings), so every
-            // survivor's unwind point — and everything it commits before
-            // unwinding — is deterministic too. A global poison flag
-            // here would race host scheduling.
-            if self.shared.rank_terminated(src) {
-                // The terminated store is ordered after all of src's
-                // sends; one last look under the lock catches a final
-                // message that raced the flag.
-                if let Some(env) = lanes.pop(src, tag) {
-                    return env;
-                }
-                panic!(
-                    "job poisoned: rank {} waited on ({src}, {tag}) but the sender is gone",
-                    self.rank
-                );
-            }
-            lanes = mailbox
-                .cv
-                .wait(lanes)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Receives the next message from `src` with `tag`, blocking the host
-    /// thread until it arrives. The virtual clock advances to the message's
+    /// Receives the next message from `src` with `tag`, blocking this rank
+    /// until it arrives. The virtual clock advances to the message's
     /// modeled arrival time (if later than now) plus a receive overhead.
     pub fn recv(&mut self, src: usize, tag: u64) -> Payload {
         assert!(src < self.shared.model.size, "source rank out of range");
@@ -1040,7 +966,6 @@ mod tests {
     use super::*;
     use crate::engine::{run_spmd, run_spmd_opts, EngineOpts, SpmdConfig};
     use crate::exchange::tests::{copy, ring, values};
-    use crate::COOPERATIVE_SUPPORTED;
 
     fn cfg(size: usize) -> SpmdConfig {
         SpmdConfig {
@@ -1385,12 +1310,10 @@ mod tests {
                 .map(|r| r.value)
                 .collect::<Vec<_>>()
         };
-        let first = run(EngineOpts::threads());
-        assert_eq!(run(EngineOpts::threads()), first);
-        if COOPERATIVE_SUPPORTED {
-            for workers in [1, 3] {
-                assert_eq!(run(EngineOpts::cooperative(workers)), first);
-            }
+        let first = run(EngineOpts::cooperative(1));
+        assert_eq!(run(EngineOpts::cooperative(1)), first);
+        for workers in [3, 0] {
+            assert_eq!(run(EngineOpts::cooperative(workers)), first);
         }
     }
 

@@ -1,13 +1,10 @@
-//! The SPMD execution engines: an M:N cooperative scheduler (default) and
-//! the legacy one-OS-thread-per-rank engine kept for A/B pinning.
+//! The SPMD execution engine: an M:N cooperative scheduler that multiplexes
+//! ranks as stackful coroutines onto a fixed worker pool (see
+//! `crate::sched` and `DESIGN.md` §9), up to [`MAX_REAL_RANKS`] ranks.
 //!
-//! Both engines execute the same rank bodies over the same [`SimComm`]
-//! plumbing, and every result is a pure function of `(config, faults, f)`,
-//! so reports are byte-identical across engines and across worker-pool
-//! sizes. The cooperative engine multiplexes ranks as stackful coroutines
-//! onto a fixed worker pool (see `crate::sched` and `DESIGN.md` §9),
-//! which removes per-rank thread spawn/teardown and raises the real-engine
-//! ceiling from [`MAX_THREAD_RANKS`] to [`MAX_REAL_RANKS`].
+//! Every result is a pure function of `(config, faults, f)`, so reports are
+//! byte-identical across worker-pool sizes; checked-in digests pin them
+//! across commits.
 
 use crate::comm::{SharedComm, SimComm};
 use crate::fault::{FaultPanic, FaultPlan, RankFailed};
@@ -22,13 +19,9 @@ use serde::{Deserialize, Serialize};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 
-/// Upper bound on simulated ranks under the cooperative engine; beyond
-/// this, use the analytic engine in [`crate::modeled`] instead.
+/// Upper bound on the simulated ranks of one job; beyond this, use the
+/// analytic engine in [`crate::modeled`] instead.
 pub const MAX_REAL_RANKS: usize = 131_072;
-
-/// Upper bound on ranks under the legacy thread-per-rank engine, which
-/// spends a real OS thread (and its stack) per rank.
-pub const MAX_THREAD_RANKS: usize = 4096;
 
 /// Coroutine stack size of every rank. This is address space: a job's
 /// stacks are mapped together when it starts and unmapped when it returns
@@ -38,50 +31,50 @@ pub const MAX_THREAD_RANKS: usize = 4096;
 /// yield (canary check), it does not fault.
 pub const DEFAULT_TASK_STACK_BYTES: usize = 1 << 20;
 
-/// Whether this build can run the cooperative engine (the context switch is
-/// implemented for the System-V flavours of x86_64 and aarch64). Elsewhere
-/// engine selection silently falls back to the thread engine.
-pub const COOPERATIVE_SUPPORTED: bool = cfg!(all(
+// The context switch (`sched::context`) is implemented for the System-V
+// flavours of x86_64 and aarch64 only, and there is no other engine.
+#[cfg(not(all(
     not(target_os = "windows"),
     any(target_arch = "x86_64", target_arch = "aarch64")
-));
+)))]
+compile_error!("hetero-simmpi runs ranks as coroutines: it needs x86_64 or aarch64, not Windows");
 
-/// Which SPMD engine executes the ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// The SPMD engine. There is one, the M:N scheduler; the type remains
+/// only for the inert `RunRequest::engine` field, which goes once the
+/// benchmark package stops naming it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum EngineKind {
     /// M:N scheduler: ranks are cooperative tasks on a fixed worker pool.
     #[default]
     Cooperative,
-    /// Legacy engine: one OS thread per rank.
-    Threads,
 }
 
-/// Engine selection and tuning for one SPMD run.
+/// Reads `"Cooperative"` and the retired `"Threads"` alike: a request
+/// journaled when two engines existed named either, and both produced
+/// byte-identical reports, so both mean the one engine.
+impl Deserialize for EngineKind {
+    fn deserialize_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        match value.as_str() {
+            Some("Cooperative" | "Threads") => Ok(EngineKind::Cooperative),
+            _ => Err(serde::Error::new(format!(
+                "invalid encoding for enum EngineKind: {value:?}"
+            ))),
+        }
+    }
+}
+
+/// Tuning of one SPMD run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineOpts {
-    /// Engine choice. [`EngineKind::Cooperative`] falls back to threads on
-    /// targets where [`COOPERATIVE_SUPPORTED`] is false.
-    pub engine: EngineKind,
-    /// Cooperative worker-pool size; 0 picks the host parallelism. Results
-    /// are byte-identical at any value. Ignored by the thread engine.
+    /// Worker-pool size; 0 picks the host parallelism. Results are
+    /// byte-identical at any value.
     pub workers: usize,
 }
 
 impl EngineOpts {
-    /// Cooperative engine with an explicit worker-pool size (0 = auto).
+    /// An explicit worker-pool size (0 = auto).
     pub fn cooperative(workers: usize) -> Self {
-        EngineOpts {
-            engine: EngineKind::Cooperative,
-            workers,
-        }
-    }
-
-    /// The legacy thread-per-rank engine.
-    pub fn threads() -> Self {
-        EngineOpts {
-            engine: EngineKind::Threads,
-            ..Self::default()
-        }
+        EngineOpts { workers }
     }
 }
 
@@ -157,7 +150,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic>".into())
 }
 
-/// Maps an unwound rank body to its outcome (shared by both engines).
+/// Maps an unwound rank body to its outcome.
 fn outcome_of_unwind<T>(payload: Box<dyn std::any::Any + Send>) -> RankOutcome<T> {
     if let Some(fp) = payload.downcast_ref::<FaultPanic>() {
         // Injected node loss; peers blocked on this rank's messages unwind
@@ -175,16 +168,17 @@ fn outcome_of_unwind<T>(payload: Box<dyn std::any::Any + Send>) -> RankOutcome<T
     }
 }
 
-/// Runs `f` as an SPMD program on `config.size` simulated ranks under the
-/// default engine, and returns the per-rank results ordered by rank.
+/// Runs `f` as an SPMD program on `config.size` simulated ranks, and
+/// returns the per-rank results ordered by rank.
 ///
 /// The closure receives the rank's [`SimComm`]; ranks coordinate only
 /// through it. Virtual time is deterministic for a fixed `config`.
 ///
 /// # Panics
 /// Panics if any rank panics (the first panic is propagated; blocked peers
-/// are woken and unwound), or if `config.size` exceeds the engine's rank
-/// limit or the topology's core capacity.
+/// are woken and unwound), if the program deadlocks (with a deterministic
+/// report), or if `config.size` exceeds [`MAX_REAL_RANKS`] or the
+/// topology's core capacity.
 pub fn run_spmd<T, F>(config: SpmdConfig, f: F) -> Vec<RankResult<T>>
 where
     T: Send,
@@ -228,13 +222,13 @@ fn silence_fault_unwinds() {
     });
 }
 
-/// Runs `f` like [`run_spmd`] under the chosen engine and a [`FaultPlan`],
+/// Runs `f` like [`run_spmd`] on a worker pool of `opts` and under a [`FaultPlan`],
 /// and, when `trace` is `Some`, records a [`Trace`] (returned as the second
 /// tuple element; `None` skips recording).
 ///
 /// Each rank watches its node's scheduled loss time against its own
-/// virtual clock. The failure is deterministic regardless of engine or
-/// worker pool: every rank's virtual trajectory is a function of the
+/// virtual clock. The failure is deterministic regardless of the worker
+/// pool: every rank's virtual trajectory is a function of the
 /// program and the plan alone, so *which* ranks observe their node's death
 /// — and at what virtual time — never depends on host scheduling. Ranks
 /// blocked on a dead peer are woken through the poison path and do not
@@ -243,7 +237,7 @@ fn silence_fault_unwinds() {
 /// A traced job records every rank's work tape ([`crate::tape`]) without a
 /// bound, and its trace is those tapes' evaluation under `faults`. The
 /// trace is a pure function of `(config, faults, f)`, byte-identical across
-/// engines and host thread counts, and it comes back even when the run
+/// worker pools and host thread counts, and it comes back even when the run
 /// fails: a rank unwinds either at its own deterministic node-loss clock or
 /// when a message it waits on provably cannot arrive, and its tape simply
 /// ends there. A failed run's per-rank spans still describe work the caller
@@ -257,8 +251,7 @@ fn silence_fault_unwinds() {
 /// # Panics
 /// Panics if any rank raises a genuine application panic (fault- and
 /// poison-unwinds excluded), on the size/capacity violations of
-/// [`run_spmd`], or with a deterministic report if the program deadlocks
-/// under the cooperative engine (the thread engine would hang instead).
+/// [`run_spmd`], or with a deterministic report if the program deadlocks.
 pub fn run_spmd_opts<T, F>(
     config: SpmdConfig,
     opts: EngineOpts,
@@ -274,7 +267,7 @@ where
     (result, trace)
 }
 
-/// Runs `f` like [`run_spmd`] under the chosen engine, and records every
+/// Runs `f` like [`run_spmd`] on a worker pool of `opts`, and records every
 /// rank's work tape ([`crate::tape`]) within `tape_bytes` for the whole
 /// job, split evenly across ranks. The tape comes back only if every rank's
 /// fit in its share; recording never changes a result.
@@ -299,7 +292,7 @@ where
     )
 }
 
-/// Every entry point's engine dispatch. `tape_bytes` is the job's work-tape
+/// Every entry point's body. `tape_bytes` is the job's work-tape
 /// budget, and `trace` the detail of the trace to evaluate from the tapes,
 /// which are then recorded whatever their size; with neither, nothing is
 /// recorded. Every rank hands its tape to the job once, when it exits, and
@@ -316,30 +309,17 @@ where
     T: Send,
     F: Fn(&mut SimComm) -> T + Send + Sync,
 {
+    assert!(
+        config.size <= MAX_REAL_RANKS,
+        "{} ranks exceed the engine limit ({MAX_REAL_RANKS}); use hetero_simmpi::modeled",
+        config.size
+    );
     silence_fault_unwinds();
     let tape_bytes = trace.map(|_| usize::MAX).or(tape_bytes);
     let tapes = tape_bytes.map(|bytes| TapeBudget::new(config.size, bytes));
-    let cooperative = opts.engine == EngineKind::Cooperative && COOPERATIVE_SUPPORTED;
-    let shared = if cooperative {
-        assert!(
-            config.size <= MAX_REAL_RANKS,
-            "{} ranks exceed the cooperative engine limit ({MAX_REAL_RANKS}); use hetero_simmpi::modeled",
-            config.size
-        );
-        let scheduler = sched::Scheduler::new(config.size);
-        SharedComm::new(config, faults, Some(scheduler), tapes)
-    } else {
-        assert!(
-            config.size <= MAX_THREAD_RANKS,
-            "{} ranks exceed the thread engine limit ({MAX_THREAD_RANKS}); use the cooperative engine",
-            config.size
-        );
-        SharedComm::new(config, faults, None, tapes)
-    };
-    let (exits, deadlock) = match &shared.coop {
-        Some(scheduler) => run_cooperative(&shared, scheduler, opts, f),
-        None => (run_threads(&shared, f), None),
-    };
+    let scheduler = sched::Scheduler::new(config.size);
+    let shared = SharedComm::new(config, faults, scheduler, tapes);
+    let (exits, deadlock) = run_cooperative(&shared, opts, f);
     let (outcomes, tapes): (Vec<_>, Vec<_>) =
         exits.into_iter().map(|e| (e.outcome, e.tape)).unzip();
     let result = collect_outcomes(outcomes, deadlock);
@@ -393,10 +373,9 @@ fn resolve_workers(requested: usize, size: usize) -> usize {
     w.clamp(1, size.max(1))
 }
 
-/// The M:N engine: ranks as stackful coroutines on a fixed worker pool.
+/// Runs the ranks as stackful coroutines on a fixed worker pool.
 fn run_cooperative<T, F>(
     shared: &Arc<SharedComm>,
-    scheduler: &sched::Scheduler,
     opts: EngineOpts,
     f: F,
 ) -> (Vec<RankExit<T>>, Option<String>)
@@ -404,6 +383,7 @@ where
     T: Send,
     F: Fn(&mut SimComm) -> T + Send + Sync,
 {
+    let scheduler = &shared.sched;
     let size = shared.model.size;
     let workers = resolve_workers(opts.workers, size);
 
@@ -462,49 +442,9 @@ where
     (exits, scheduler.deadlock_report())
 }
 
-/// The legacy engine: one OS thread per rank, condvar-blocked mailboxes.
-fn run_threads<T, F>(shared: &Arc<SharedComm>, f: F) -> Vec<RankExit<T>>
-where
-    T: Send,
-    F: Fn(&mut SimComm) -> T + Send + Sync,
-{
-    let size = shared.model.size;
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..size)
-            .map(|rank| {
-                scope.spawn(move || {
-                    let mut comm = SimComm::new(rank, shared.clone());
-                    let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
-                    let exit = rank_exit(rank, comm, out);
-                    // Whatever the exit reason, tell blocked receivers this
-                    // rank will send nothing more. Failure then cascades
-                    // only along real wait-for dependencies, keeping every
-                    // survivor's unwind point virtual-time-deterministic.
-                    shared.mark_terminated(rank);
-                    exit
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                // An unwind in SimComm setup or teardown escapes the
-                // body's catch_unwind.
-                h.join().unwrap_or_else(|payload| {
-                    RankExit::crashed(format!(
-                        "rank thread crashed: {}",
-                        panic_message(payload.as_ref())
-                    ))
-                })
-            })
-            .collect()
-    })
-}
-
-/// Folds per-rank outcomes into the engine result. Shared by both engines
-/// so failure precedence is identical: first application panic (by rank),
-/// then earliest injected fault, then a cooperative deadlock report.
+/// Folds per-rank outcomes into the engine result. Failure precedence:
+/// first application panic (by rank), then earliest injected fault, then
+/// the deadlock report.
 fn collect_outcomes<T>(outcomes: Vec<RankOutcome<T>>, deadlock: Option<String>) -> JobResult<T> {
     let mut results = Vec::with_capacity(outcomes.len());
     let mut first_fault: Option<RankFailed> = None;
@@ -784,12 +724,12 @@ mod tests {
             node_down_at: vec![f64::INFINITY, f64::INFINITY, 0.2, f64::INFINITY],
             slow_windows: vec![],
         };
-        let mut engines = vec![EngineOpts::threads()];
-        if COOPERATIVE_SUPPORTED {
-            engines.extend([EngineOpts::cooperative(1), EngineOpts::cooperative(3)]);
-        }
         let mut exports = Vec::new();
-        for opts in engines {
+        for opts in [
+            EngineOpts::cooperative(1),
+            EngineOpts::cooperative(3),
+            EngineOpts::default(),
+        ] {
             let (res, trace) = run(opts, plan.clone());
             let rf = res.unwrap_err();
             assert_eq!((rf.node, rf.at), (2, 0.2), "{opts:?}");
@@ -856,8 +796,6 @@ mod tests {
         assert_eq!(missed, clean);
     }
 
-    // ---- cooperative-engine specifics ----
-
     /// A small communication-heavy body whose result depends on real data
     /// movement, virtual clocks, and jitter.
     fn ring_body(comm: &mut SimComm) -> (f64, f64) {
@@ -873,12 +811,9 @@ mod tests {
         (acc, comm.clock())
     }
 
+    /// One worker against several: the name predates the single engine.
     #[test]
     fn engines_agree_bitwise() {
-        if !COOPERATIVE_SUPPORTED {
-            eprintln!("skipping: target lacks the M:N context switch");
-            return;
-        }
         let mut c = cfg(12);
         c.net = NetworkModel::ten_gig_ethernet_ec2();
         c.topo = ClusterTopology::uniform(3, 4);
@@ -890,15 +825,15 @@ mod tests {
                 .map(|r| (r.value, r.clock.to_bits()))
                 .collect::<Vec<_>>()
         };
-        let threads = run(EngineOpts::threads());
-        for workers in [1, 2, 4, 7] {
-            assert_eq!(run(EngineOpts::cooperative(workers)), threads);
+        let one = run(EngineOpts::cooperative(1));
+        for workers in [2, 4, 7, 0] {
+            assert_eq!(run(EngineOpts::cooperative(workers)), one, "{workers}");
         }
     }
 
     #[test]
-    fn cooperative_runs_past_the_thread_rank_limit() {
-        let size = MAX_THREAD_RANKS + 904; // 5000 ranks
+    fn a_5000_rank_ring_completes() {
+        let size = 5000;
         let mut c = cfg(size);
         c.topo = ClusterTopology::uniform(size.div_ceil(16), 16);
         let r = run_spmd(c, |comm| {
@@ -952,6 +887,7 @@ mod tests {
         assert_eq!(report(), report());
     }
 
+    /// One worker against several: the name predates the single engine.
     #[test]
     fn faulted_runs_agree_across_engines_and_pools() {
         let plan = FaultPlan {
@@ -969,10 +905,10 @@ mod tests {
             let (res, _) = run_spmd_opts(c.clone(), opts, plan.clone(), None, ring_body);
             res.unwrap_err()
         };
-        let t = run(EngineOpts::threads());
-        for workers in [1, 3] {
+        let one = run(EngineOpts::cooperative(1));
+        for workers in [3, 0] {
             let c = run(EngineOpts::cooperative(workers));
-            assert_eq!((c.node, c.at.to_bits()), (t.node, t.at.to_bits()));
+            assert_eq!((c.node, c.at.to_bits()), (one.node, one.at.to_bits()));
         }
     }
 

@@ -46,16 +46,14 @@
 //! completed) panics instead of overwriting one; that check is what makes
 //! the lock-free slots sound.
 //!
-//! **No lost wakeup.** A receiver that finds its slot empty sleeps: under
-//! the cooperative engine its worker registers it, under the scheduler
-//! lock, as waiting in an exchange on that sender; under the thread engine
-//! it waits on its mailbox's condvar. Either way the sleeper raises the
-//! channel's `waiting` flag, fences, and re-reads the published count. A
-//! sender publishes all of an exchange's deposits, fences once, and then
-//! reads (and clears) each channel's flag. The two fences are sequentially
-//! consistent, so one of them comes first: either the sleeper's re-read
-//! sees the deposit and it does not sleep, or the sender sees the flag and
-//! wakes it. A sender therefore takes a lock only when its receiver is
+//! **No lost wakeup.** A receiver that finds its slot empty sleeps: its
+//! worker registers it, under the scheduler lock, as waiting in an
+//! exchange on that sender. The sleeper raises the channel's `waiting`
+//! flag, fences, and re-reads the published count. A sender publishes all
+//! of an exchange's deposits, fences once, and then reads (and clears)
+//! each channel's flag. The two fences are sequentially consistent, so one
+//! of them comes first: either the sleeper's re-read sees the deposit and
+//! it does not sleep, or the sender sees the flag and wakes it. A sender therefore takes a lock only when its receiver is
 //! actually asleep on it. A receiver whose sender has terminated with the
 //! slot still empty is poisoned there, as a receive from a dead rank is.
 
@@ -574,7 +572,7 @@ impl SimComm {
                 .take_waiter();
             at += 1;
             if waiter {
-                self.shared.wake_exchange(me, dst);
+                self.shared.sched.notify_exchange(me, dst);
             }
         }
     }
@@ -582,68 +580,30 @@ impl SimComm {
 
 impl SharedComm {
     /// Returns once `channel` (from `src` to `me`) holds a deposit,
-    /// sleeping until it does: a cooperative yield registered under the
-    /// scheduler lock, or a condvar wait on `me`'s mailbox under the
-    /// thread engine.
+    /// sleeping until it does: a coroutine yield registered under the
+    /// scheduler lock.
     ///
     /// # Panics
     /// Poisons `me` once `src` has terminated with nothing published, or
-    /// when the cooperative engine declares a deadlock.
+    /// when the scheduler declares a deadlock.
     fn await_deposit(&self, me: usize, src: usize, rx: &Rx, clock: f64) {
-        let gone = || -> ! {
-            panic!("job poisoned: rank {me} waited in exchange(src={src}) but the sender is gone")
-        };
-        if self.coop.is_some() {
-            loop {
-                if rx.channel().ready() {
-                    return;
-                }
-                // `src`'s deposits happen-before its termination flag.
-                if self.rank_terminated(src) {
-                    if rx.channel().ready() {
-                        return;
-                    }
-                    gone();
-                }
-                if crate::sched::yield_exchange(std::sync::Arc::clone(rx.channel()), src, clock)
-                    == crate::sched::Verdict::Deadlock
-                {
-                    panic!(
-                        "job poisoned: deadlock victim rank {me} blocked in exchange(src={src})"
-                    );
-                }
-            }
-        }
-        let mailbox = self.mailbox(me);
-        let mut guard = mailbox.lock();
         loop {
             if rx.channel().ready() {
                 return;
             }
+            // `src`'s deposits happen-before its termination flag.
             if self.rank_terminated(src) {
                 if rx.channel().ready() {
                     return;
                 }
-                gone();
+                panic!(
+                    "job poisoned: rank {me} waited in exchange(src={src}) but the sender is gone"
+                );
             }
-            if rx.channel().sleep_unless_ready() {
-                return;
-            }
-            guard = mailbox
-                .cv
-                .wait(guard)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Wakes `dst`, asleep in an exchange on `src`'s channel.
-    fn wake_exchange(&self, src: usize, dst: usize) {
-        match &self.coop {
-            Some(sched) => sched.notify_exchange(src, dst),
-            None => {
-                let mailbox = self.mailbox(dst);
-                let _guard = mailbox.lock();
-                mailbox.cv.notify_all();
+            if crate::sched::yield_exchange(std::sync::Arc::clone(rx.channel()), src, clock)
+                == crate::sched::Verdict::Deadlock
+            {
+                panic!("job poisoned: deadlock victim rank {me} blocked in exchange(src={src})");
             }
         }
     }
@@ -653,7 +613,7 @@ impl SharedComm {
 pub(crate) mod tests {
     use super::*;
     use crate::engine::{run_spmd, run_spmd_opts, EngineOpts, SpmdConfig};
-    use crate::{ClusterTopology, ComputeModel, FaultPlan, NetworkModel, COOPERATIVE_SUPPORTED};
+    use crate::{ClusterTopology, ComputeModel, FaultPlan, NetworkModel};
 
     fn cfg(size: usize) -> SpmdConfig {
         SpmdConfig {
@@ -791,9 +751,6 @@ pub(crate) mod tests {
 
     #[test]
     fn an_asymmetric_plan_ends_in_a_deadlock_report_not_a_hang() {
-        if !COOPERATIVE_SUPPORTED {
-            return;
-        }
         // Rank 0 exchanges with rank 1; rank 1's plan lists nobody, and it
         // goes on to a barrier that rank 0 never reaches.
         for workers in [1, 2] {
@@ -828,15 +785,12 @@ pub(crate) mod tests {
 
     #[test]
     fn a_worker_pool_loses_no_channel_and_no_wakeup() {
-        // Seventeen ranks on three workers (and on threads) meet their
+        // Seventeen ranks on two, three and seventeen workers meet their
         // neighbours' channels for the first time concurrently, then sleep
         // and wake on them between collectives.
         for seed in 0..30 {
-            for opts in [
-                EngineOpts::threads(),
-                EngineOpts::cooperative(2),
-                EngineOpts::cooperative(3),
-            ] {
+            for workers in [2, 3, 17] {
+                let opts = EngineOpts::cooperative(workers);
                 let c = SpmdConfig { seed, ..cfg(17) };
                 let (res, _) = run_spmd_opts(c, opts, FaultPlan::none(), None, |comm| {
                     for k in 0..20 {

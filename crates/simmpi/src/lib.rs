@@ -12,9 +12,9 @@
 //! * Each MPI rank runs as a cooperatively scheduled stackful coroutine
 //!   executing the *actual* application code on real data
 //!   ([`engine::run_spmd`]); an M:N scheduler multiplexes up to
-//!   [`engine::MAX_REAL_RANKS`] ranks onto a fixed worker pool. The legacy
-//!   one-OS-thread-per-rank engine remains available for A/B pinning
-//!   ([`engine::EngineKind::Threads`]).
+//!   [`engine::MAX_REAL_RANKS`] ranks onto a fixed worker pool. It is the
+//!   only engine, so the crate builds only where its context switch exists
+//!   (x86_64 and aarch64, not Windows).
 //! * Each rank carries a **virtual clock** (seconds of simulated platform
 //!   time). Computation advances it through a roofline model
 //!   ([`work::ComputeModel`]); messages advance it through a latency /
@@ -33,8 +33,8 @@
 //! Simulated time is **deterministic**: it depends only on the program's
 //! communication structure, the platform parameters, and an experiment seed
 //! (jitter is hash-derived per message) — never on host scheduling or
-//! wall-clock. Running the same experiment twice gives bitwise-identical
-//! timings, which the test suite exploits.
+//! wall-clock. Running the same experiment twice, on any worker pool, gives
+//! bitwise-identical timings, which the test suite exploits.
 //!
 //! For configurations too large to execute numerically (the paper's
 //! 1000-rank runs) the same cost formulas are evaluated analytically; see
@@ -72,7 +72,7 @@ pub mod work;
 pub use comm::{Payload, RecvRequest, SimComm};
 pub use engine::{
     run_spmd, run_spmd_opts, run_spmd_recorded, EngineKind, EngineOpts, RankResult, SpmdConfig,
-    COOPERATIVE_SUPPORTED, DEFAULT_TASK_STACK_BYTES, MAX_REAL_RANKS, MAX_THREAD_RANKS,
+    DEFAULT_TASK_STACK_BYTES, MAX_REAL_RANKS,
 };
 pub use exchange::{ExchangePlan, PostedExchange};
 pub use fault::{FaultPlan, RankFailed, SlowWindow};

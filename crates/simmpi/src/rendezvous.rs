@@ -8,8 +8,7 @@
 //!
 //! * **Arrive.** Each rank deposits its [`Arrival`] — which collective, its
 //!   epoch, its payload, and its [`Ledger`] (clock, counters, sequence
-//!   numbers, tape) — and parks: as a `Parked` task under the
-//!   cooperative engine, on the rendezvous condvar under the thread engine.
+//!   numbers, tape) — and parks as a `Parked` task of the scheduler.
 //! * **Evaluate.** When every rank has either arrived or terminated, the
 //!   arrival or termination that completed the set runs [`evaluate`]: a
 //!   worklist over ranks, in the style of [`crate::tape::evaluate`], that
@@ -48,7 +47,7 @@ use crate::fault::RankFailed;
 use crate::tape::{Collective, Op};
 use crate::work::Work;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Which symmetric collective a rank entered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,11 +157,9 @@ struct Table {
 /// rank reaches the next one only after taking its release from this one.
 pub(crate) struct Rendezvous {
     table: Mutex<Table>,
-    /// Where the thread engine's parked ranks wait.
-    cv: Condvar,
     /// Collectives evaluated so far. A rank that arrived at collective `g`
     /// (counting from 0) is released once this exceeds `g`; the
-    /// cooperative scheduler's park registration reads it.
+    /// scheduler's park registration reads it.
     generation: AtomicU64,
 }
 
@@ -175,7 +172,6 @@ impl Rendezvous {
                 gone: 0,
                 scratch: Scratch::default(),
             }),
-            cv: Condvar::new(),
             generation: AtomicU64::new(0),
         }
     }
@@ -232,7 +228,8 @@ impl SharedComm {
             self.complete(t);
         } else {
             drop(t);
-            if !self.park(generation, op, clock) {
+            if crate::sched::yield_parked(op, clock, generation) == crate::sched::Verdict::Deadlock
+            {
                 return Release {
                     ledger: self.rendezvous.withdraw(rank),
                     outcome: Err(Fate::Panic(format!(
@@ -261,29 +258,7 @@ impl SharedComm {
         t.arrived = 0;
         let generation = self.rendezvous.generation.fetch_add(1, Ordering::SeqCst);
         drop(t);
-        match &self.coop {
-            Some(sched) => sched.wake_parked(generation),
-            None => self.rendezvous.cv.notify_all(),
-        }
-    }
-
-    /// Waits until collective `generation` is evaluated (`true`) or, under
-    /// the cooperative engine, the rank is resumed as a deadlock victim
-    /// (`false`). The thread engine hangs on a deadlock, as its receives
-    /// do.
-    fn park(&self, generation: u64, op: &'static str, clock: f64) -> bool {
-        let rv = &self.rendezvous;
-        if self.coop.is_none() {
-            let mut t = rv.lock();
-            while !rv.is_released(generation) {
-                t = rv
-                    .cv
-                    .wait(t)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            return true;
-        }
-        crate::sched::yield_parked(op, clock, generation) == crate::sched::Verdict::Retry
+        self.sched.wake_parked(generation);
     }
 }
 

@@ -50,10 +50,9 @@
 //! [`MAX_REAL_RANKS`](crate::engine::MAX_REAL_RANKS) four times that.
 //!
 //! Only the System-V-flavoured targets the workspace actually runs on are
-//! supported (`x86_64` and `aarch64` on non-Windows). The engine checks
-//! [`super::super::engine::COOPERATIVE_SUPPORTED`] and falls back to the
-//! thread-per-rank engine elsewhere, so nothing here is reached on other
-//! targets.
+//! supported (`x86_64` and `aarch64` on non-Windows); the engine is the
+//! only way to run ranks, so `crate::engine` makes any other target a
+//! build error.
 //!
 //! # Safety argument
 //!
@@ -76,13 +75,8 @@ const REG_COUNT: usize = 7; // rsp, rbx, rbp, r12..r15
 /// Number of saved registers in a [`Context`].
 #[cfg(target_arch = "aarch64")]
 const REG_COUNT: usize = 21; // sp, x19..x30, d8..d15
-/// Placeholder so the types compile on targets without a switch
-/// implementation; the engine never selects the cooperative path there.
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-const REG_COUNT: usize = 1;
 
 /// Register index holding the stack pointer.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 const REG_SP: usize = 0;
 /// Register index that carries the task-control-block pointer into the
 /// entry trampoline (a callee-saved register the trampoline moves into the
@@ -118,7 +112,6 @@ impl Context {
     }
 }
 
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 unsafe extern "C" {
     /// Saves the current callee-saved register file into `save` and resumes
     /// the execution captured in `restore`. Returns when something later
@@ -144,16 +137,8 @@ unsafe extern "C" {
 /// pointers must be valid and distinct, and the target stack must be live
 /// and unused by any other thread.
 #[inline]
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 pub(crate) unsafe fn ctx_swap(save: *mut Context, restore: *const Context) {
     unsafe { hetero_simmpi_ctx_swap(save, restore) }
-}
-
-/// Stub for targets without a switch implementation; unreachable because
-/// the engine never selects the cooperative path there.
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-pub(crate) unsafe fn ctx_swap(_save: *mut Context, _restore: *const Context) {
-    unreachable!("cooperative engine is not supported on this target")
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -333,10 +318,6 @@ pub(crate) fn job_stacks(count: usize, bytes: usize) -> Vec<TaskStack> {
 /// Builds the initial context of a fresh task on `stack`: the first swap
 /// into it enters the assembly trampoline, which calls
 /// `hetero_simmpi_task_entry(ctl)`.
-#[cfg_attr(
-    not(any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(unused_variables, unused_mut)
-)]
 pub(crate) fn init_context(stack: &TaskStack, ctl: *mut ()) -> Context {
     let mut ctx = Context::new();
     let top = stack.top();

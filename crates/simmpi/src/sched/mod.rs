@@ -56,8 +56,7 @@
 //! blocked ranks in rank order, and resumes every blocked rank with
 //! [`Verdict::Deadlock`]. Each victim unwinds through the normal poison
 //! path (running its destructors, so no coroutine stack is dropped with
-//! live frames), and the engine re-raises the report. The thread engine
-//! would simply hang on the same program.
+//! live frames), and the engine re-raises the report.
 
 #![allow(unsafe_code)]
 
@@ -323,12 +322,12 @@ pub(crate) struct Scheduler {
 
 impl Scheduler {
     /// Creates the scheduler with every rank runnable at virtual time 0.
-    pub(crate) fn new(size: usize) -> Arc<Self> {
+    pub(crate) fn new(size: usize) -> Self {
         let mut run_queue = BinaryHeap::with_capacity(size);
         for rank in 0..size {
             run_queue.push(Reverse((clock_key(0.0), rank)));
         }
-        Arc::new(Scheduler {
+        Scheduler {
             size,
             state: Mutex::new(SchedState {
                 run_queue,
@@ -342,7 +341,7 @@ impl Scheduler {
                 all_done: false,
             }),
             cv: Condvar::new(),
-        })
+        }
     }
 
     fn lock(&self) -> MutexGuard<'_, SchedState> {
@@ -638,7 +637,7 @@ impl Scheduler {
                     // Raise the termination flag *before* waking waiters so
                     // a woken receiver that still finds its queue empty can
                     // safely conclude the message will never come.
-                    shared.mark_terminated_quiet(rank);
+                    shared.mark_terminated(rank);
                     let mut s = self.lock();
                     s.running -= 1;
                     s.status[rank] = Status::Finished;

@@ -653,7 +653,7 @@ mod tests {
             ] {
                 let (res, executed) = run_spmd_opts(
                     c.clone(),
-                    EngineOpts::threads(),
+                    EngineOpts::default(),
                     FaultPlan::none(),
                     Some(spec),
                     body,
@@ -710,9 +710,9 @@ mod tests {
         let plain = run_spmd(c.clone(), body);
         let mut tapes = Vec::new();
         for opts in [
-            EngineOpts::threads(),
             EngineOpts::cooperative(1),
             EngineOpts::cooperative(3),
+            EngineOpts::default(),
         ] {
             let (res, tape) = run_spmd_recorded(c.clone(), opts, 1 << 20, body);
             for (a, b) in plain.iter().zip(&res) {

@@ -378,7 +378,7 @@ fn run_rounds(rounds: &[Round], comm: &mut SimComm) -> Vec<u64> {
     fp
 }
 
-/// Fingerprints of all ranks under the given engine options.
+/// Fingerprints of all ranks on the given worker pool.
 fn fingerprint(cfg: &SpmdConfig, opts: EngineOpts, rounds: &[Round]) -> Vec<(Vec<u64>, u64)> {
     let rounds = rounds.to_vec();
     let (res, _) = run_spmd_opts(cfg.clone(), opts, FaultPlan::none(), None, move |comm| {
@@ -394,8 +394,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random interleavings of sends, recvs, and collectives over random
-    /// rank counts produce the identical message order and final clocks on
-    /// the thread engine and on the cooperative engine at every pool size.
+    /// rank counts produce the identical message order and final clocks at
+    /// every pool size (the name predates the single engine).
     #[test]
     fn random_programs_agree_across_engines_and_pools(
         size in 2usize..12,
@@ -403,10 +403,10 @@ proptest! {
         rounds in prop::collection::vec(round_strategy(), 1..6),
     ) {
         let c = cfg(size, seed);
-        let threads = fingerprint(&c, EngineOpts::threads(), &rounds);
-        for workers in [1usize, 4] {
-            let coop = fingerprint(&c, EngineOpts::cooperative(workers), &rounds);
-            prop_assert_eq!(&coop, &threads,
+        let one = fingerprint(&c, EngineOpts::cooperative(1), &rounds);
+        for workers in [3usize, 0] {
+            let pool = fingerprint(&c, EngineOpts::cooperative(workers), &rounds);
+            prop_assert_eq!(&pool, &one,
                 "pool of {} diverged on {:?}", workers, rounds);
         }
     }
@@ -427,8 +427,8 @@ enum MailOp {
     Pop { src: usize, tag: u64 },
     /// `src` is asked to post under `tag` and rank 0 receives from
     /// `(src, tag)` at once: the receive usually finds nothing queued yet
-    /// and parks, which under the cooperative engine goes through the
-    /// scheduler's `has_queued` re-check and the sender's wake.
+    /// and parks, which goes through the scheduler's `has_queued` re-check
+    /// and the sender's wake.
     PostAndPop { src: usize, tag: u64 },
 }
 
@@ -521,14 +521,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random post/receive sequences over 6 sources and 5 tags deliver the
-    /// same messages in the same order as a FIFO per `(src, tag)`, on both
-    /// engines.
+    /// same messages in the same order as a FIFO per `(src, tag)`, at every
+    /// pool size.
     #[test]
     fn mailbox_matches_a_fifo_per_source_and_tag(
         ops in prop::collection::vec(mail_op_strategy(), 1..80),
     ) {
         let (script, expected) = reference_mailbox(&ops);
-        for opts in [EngineOpts::threads(), EngineOpts::cooperative(1), EngineOpts::cooperative(3)] {
+        for opts in [EngineOpts::cooperative(1), EngineOpts::cooperative(3), EngineOpts::default()] {
             let script = script.clone();
             let (res, _) = run_spmd_opts(
                 cfg(MAIL_SOURCES + 1, 5),
@@ -544,9 +544,9 @@ proptest! {
 }
 
 #[test]
-fn random_program_agrees_across_pools_past_the_thread_ceiling() {
-    // The same property at a rank count the thread engine refuses
-    // (> 4096): pool sizes cannot change anything observable.
+fn random_program_agrees_across_pools_at_4523_ranks() {
+    // The same property at thousands of ranks: pool sizes cannot change
+    // anything observable.
     let size = 4523;
     let c = SpmdConfig {
         size,
@@ -562,8 +562,12 @@ fn random_program_agrees_across_pools_past_the_thread_ceiling() {
         Round::Allreduce,
     ];
     let one = fingerprint(&c, EngineOpts::cooperative(1), &rounds);
-    let four = fingerprint(&c, EngineOpts::cooperative(4), &rounds);
-    assert_eq!(one, four);
+    for workers in [3, 0] {
+        assert_eq!(
+            one,
+            fingerprint(&c, EngineOpts::cooperative(workers), &rounds)
+        );
+    }
 }
 
 /// Runs `f` on a fresh thread and panics if it does not finish within

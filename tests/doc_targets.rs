@@ -6,7 +6,8 @@
 //! never by a variable no type or test matrix shows. The library sources
 //! are also held to one artifact store: publishing by rename and content
 //! hashing happen in `core::store` and nowhere else; to one SHA-256
-//! implementation; and to the four files where `unsafe` is allowed.
+//! implementation; to one SPMD engine; and to the four files where
+//! `unsafe` is allowed.
 
 use std::path::{Path, PathBuf};
 
@@ -257,4 +258,60 @@ fn one_sha256() {
         .collect();
     assert_eq!(holders.len(), 1, "files holding SHA-256's K: {holders:?}");
     assert!(holders[0].ends_with("crates/core/src/canon/sha256.rs"));
+}
+
+/// The M:N scheduler is the one SPMD engine: no rank blocks on a condition
+/// variable outside `simmpi::sched` (whose workers idle on one), and the
+/// thread-per-rank engine's entry points are gone from the workspace. The
+/// names are spelled in pieces so that this file does not match itself.
+#[test]
+fn one_engine() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |path: &Path| {
+        std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("{} is readable: {e}", path.display()))
+    };
+    let simmpi = root.join("crates/simmpi/src");
+    let mut sources = Vec::new();
+    rust_sources(&simmpi, &mut sources);
+    assert!(!sources.is_empty(), "the scan found no simmpi source");
+    let condvar = ["Cond", "var"].concat();
+    let mut found: Vec<String> = sources
+        .iter()
+        .filter(|path| !path.starts_with(simmpi.join("sched")) && read(path).contains(&condvar))
+        .map(|path| format!("{condvar} in {}", path.display()))
+        .collect();
+
+    let mut sources = Vec::new();
+    rust_sources(&root.join("tests"), &mut sources);
+    for krate in std::fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .filter_map(Result::ok)
+    {
+        for part in ["src", "tests", "benches", "examples"] {
+            let dir = krate.path().join(part);
+            if dir.is_dir() {
+                rust_sources(&dir, &mut sources);
+            }
+        }
+    }
+    let retired = [
+        ["MAX_THREAD", "_RANKS"].concat(),
+        ["EngineOpts::", "threads"].concat(),
+        ["run_", "threads"].concat(),
+        ["EngineKind::", "Threads"].concat(),
+        ["COOPERATIVE", "_SUPPORTED"].concat(),
+    ];
+    for path in &sources {
+        let text = read(path);
+        for name in &retired {
+            if text.contains(name.as_str()) {
+                found.push(format!("{name} in {}", path.display()));
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "a second engine's code is back: {found:?}"
+    );
 }

@@ -12,8 +12,8 @@ use hetero_hpc::prep;
 use hetero_hpc::run::{execute, Fidelity, RunRequest};
 use hetero_platform::catalog;
 use hetero_simmpi::{
-    run_spmd, ClusterTopology, ComputeModel, EngineKind, NetworkModel, SimComm, SpmdConfig,
-    COOPERATIVE_SUPPORTED, DEFAULT_TASK_STACK_BYTES,
+    run_spmd, ClusterTopology, ComputeModel, NetworkModel, SimComm, SpmdConfig,
+    DEFAULT_TASK_STACK_BYTES,
 };
 use std::time::{Duration, Instant};
 
@@ -35,7 +35,6 @@ fn back_to_back_jobs_do_not_grow_the_resident_set() {
     // coroutine stacks.
     let request = RunRequest {
         fidelity: Fidelity::Numerical,
-        engine: EngineKind::Cooperative,
         sched_workers: 1,
         ..RunRequest::new(catalog::ec2(), App::smoke_rd(3), 128, 2)
     };
@@ -106,10 +105,6 @@ fn child_overflows_a_coroutine_stack() {
 
 #[test]
 fn a_rank_that_overflows_its_stack_aborts_the_process() {
-    if !COOPERATIVE_SUPPORTED {
-        eprintln!("skipping: target lacks the M:N context switch");
-        return;
-    }
     let child = std::process::Command::new(std::env::current_exe().expect("own path"))
         .args([
             "--exact",

@@ -1,7 +1,7 @@
 //! Checked-in golden reports: the value-level pin *across* commits.
 //!
 //! Every other byte-identity suite compares two runs of one commit
-//! (threads, engines, workers, cache states), so a change that moved every
+//! (threads, workers, cache states), so a change that moved every
 //! number consistently would pass them all. These constants are
 //! `canon::sha256_hex` of serialized outcomes: any drift in a factor, a
 //! solution, a Krylov count, a virtual clock or a charged byte changes a
@@ -22,11 +22,12 @@
 //! * [`GOLDEN_TRACES`]: SHA-256 of the message-level JSONL trace of two
 //!   runs, computed at commit `95b3ab7`, when the symmetric collectives
 //!   were still point-to-point trees: a 27-rank job (non-power-of-two
-//!   trees), checked on both engines, and [`campaign_request`] traced at
-//!   message detail. Every send, receive and collective span of every rank
-//!   is in them, so they pin *where* virtual time went, not only the
-//!   totals. On a mismatch the test prints the first divergence between
-//!   the engines, if they disagree, and writes each export under
+//!   trees), checked on one scheduler worker and on host-many, and
+//!   [`campaign_request`] traced at message detail. Every send, receive
+//!   and collective span of every rank is in them, so they pin *where*
+//!   virtual time went, not only the totals. On a mismatch the test prints
+//!   the first divergence between the pools, if they disagree, and writes
+//!   each export under
 //!   `target/golden-traces/` for `examples/trace_diff.rs` to compare with
 //!   an export from a commit that passes. Four more, computed at commit
 //!   `19fc608` by the per-rank tracer the work tape later replaced, pin
@@ -34,7 +35,8 @@
 //!   collective detail (the detail filters), and pipelined RD (fused
 //!   reductions and `Overlap` batches).
 //! * [`GOLDEN_RD27_REPORT`]: the report of that 27-rank job, computed at
-//!   commit `2dbfb76`, where both engines produced it.
+//!   commit `2dbfb76`, where both the thread-per-rank engine and the M:N
+//!   scheduler produced it.
 //!
 //! To re-pin after an *intended* model change, run
 //! `cargo test --test golden_reports -- --nocapture`, copy the printed
@@ -49,7 +51,6 @@ use hetero_hpc::run::{execute, Fidelity, RunRequest};
 use hetero_hpc::{canon, prep};
 use hetero_linalg::SolverVariant;
 use hetero_platform::catalog;
-use hetero_simmpi::EngineKind;
 use hetero_trace::{first_divergence, EventKind, TraceSpec};
 
 /// `(platform, app, sha256 of the report JSON)`.
@@ -217,11 +218,11 @@ const GOLDEN_TRACES: [(&str, &str); 6] = [
 
 /// Two steps of RD on 27 ranks of EC2 (3 x 3 x 3 blocks of 2^3 cells):
 /// every tree in it has a non-power-of-two rank count.
-fn rd27_request(engine: EngineKind) -> RunRequest {
+fn rd27_request(sched_workers: usize) -> RunRequest {
     RunRequest {
         fidelity: Fidelity::Numerical,
         seed: 2012,
-        engine,
+        sched_workers,
         trace: Some(TraceSpec::messages()),
         ..RunRequest::new(catalog::ec2(), App::paper_rd(2), 27, 2)
     }
@@ -256,18 +257,18 @@ const GOLDEN_RD27_REPORT: &str = "31ebbb5809c73a6e4c5dbca6392f43ee9191a53ddebf58
 
 #[test]
 fn message_traces_match_the_checked_in_digests() {
-    let trace = |engine| {
-        let out = execute(&rd27_request(engine)).expect("traced run executes");
+    let trace = |workers| {
+        let out = execute(&rd27_request(workers)).expect("traced run executes");
         let json = serde_json::to_string(&out).expect("outcome serializes");
         let report = canon::sha256_hex(json.as_bytes());
-        println!("rd27 report ({engine:?}): {report}");
-        assert_eq!(report, GOLDEN_RD27_REPORT, "{engine:?}");
+        println!("rd27 report ({workers} workers): {report}");
+        assert_eq!(report, GOLDEN_RD27_REPORT, "{workers} workers");
         out.trace.expect("a traced run returns its trace").jsonl()
     };
-    let coop = trace(EngineKind::Cooperative);
-    let threads = trace(EngineKind::Threads);
-    if let Some(d) = first_divergence(&coop, &threads) {
-        println!("cooperative (a) vs thread (b) engine: {d}");
+    let one = trace(1);
+    let many = trace(0);
+    if let Some(d) = first_divergence(&one, &many) {
+        println!("one worker (a) vs host-many (b): {d}");
     }
     let campaign = execute_resilient(&RunRequest {
         trace: Some(TraceSpec::messages()),
@@ -278,8 +279,8 @@ fn message_traces_match_the_checked_in_digests() {
     .expect("a traced campaign returns its trace")
     .jsonl();
     let failures: Vec<String> = [
-        check_trace("rd27", &coop),
-        check_trace("rd27", &threads).map_err(|e| format!("thread engine: {e}")),
+        check_trace("rd27", &one),
+        check_trace("rd27", &many).map_err(|e| format!("host-many workers: {e}")),
         check_trace("campaign", &campaign),
     ]
     .into_iter()

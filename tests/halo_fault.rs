@@ -7,7 +7,7 @@
 //! The pins are the job's [`RankFailed`], every rank's last virtual
 //! instant (where the dead ranks stopped and each survivor was poisoned:
 //! the receive, wait or collective hop it could not complete) and the
-//! message-level trace, on both engines.
+//! message-level trace, on one, three and host-many scheduler workers.
 //!
 //! The digests were computed before the halo exchange moved from
 //! mailboxes to per-pair slots, so they pin that the move changed no
@@ -22,7 +22,7 @@ use hetero_mesh::{DistributedMesh, Point3, StructuredHexMesh};
 use hetero_partition::{BlockPartitioner, Partitioner};
 use hetero_simmpi::{
     run_spmd_opts, ClusterTopology, ComputeModel, EngineOpts, FaultPlan, NetworkModel, RankFailed,
-    SpmdConfig, Trace, TraceSpec, COOPERATIVE_SUPPORTED,
+    SpmdConfig, Trace, TraceSpec,
 };
 use std::sync::Arc;
 
@@ -102,17 +102,10 @@ fn last_instants(trace: &Trace) -> String {
         .collect()
 }
 
-fn engines() -> Vec<EngineOpts> {
-    let mut engines = vec![EngineOpts::threads()];
-    if COOPERATIVE_SUPPORTED {
-        engines.extend([EngineOpts::cooperative(1), EngineOpts::cooperative(3)]);
-    }
-    engines
-}
-
 #[test]
 fn a_node_lost_mid_halo_fails_the_job_at_the_pinned_points() {
-    for opts in engines() {
+    for workers in [1, 3, 0] {
+        let opts = EngineOpts::cooperative(workers);
         let (res, trace) = run(opts);
         let failed = res.expect_err("node 1 dies before the job ends");
         assert_eq!((failed.node, failed.at), (1, DOWN_AT), "{opts:?}");

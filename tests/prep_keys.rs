@@ -174,7 +174,8 @@ fn swept_coordinates_share_one_preparation() {
             ..fixture_rd()
         },
         RunRequest {
-            engine: EngineKind::Threads,
+            threads_per_rank: 2,
+            sched_workers: 1,
             ..fixture_rd()
         },
         RunRequest {

@@ -6,8 +6,8 @@
 //! `hetero-prep/key/v1` key; a run that executes builds its own set-up.
 //! These tests drive the same requests four ways (sharing disabled, cold
 //! cache recording the tape, a traced run and an untraced one, both served
-//! from the tape) across both SPMD engines and intra-rank thread counts 1
-//! and 4, run fault-injected RD and NS campaigns with sharing on and off,
+//! from the tape) across scheduler pools of 1 and 3 workers and
+//! intra-rank thread counts 1 and 4, run fault-injected RD and NS campaigns with sharing on and off,
 //! and require the serialized outcome to be byte-identical everywhere. Two
 //! modeled sweeps pin the locality the process-wide cache relies on: a
 //! `ranks`-outer ladder wider than the cache, and a cadence sweep. The
@@ -23,7 +23,6 @@ use hetero_hpc::run::{execute, Fidelity, RunOutcome, RunRequest};
 use hetero_hpc::scenarios::ScenarioOptions;
 use hetero_platform::catalog;
 use hetero_platform::limits::LimitViolation;
-use hetero_simmpi::EngineKind;
 use hetero_trace::TraceSpec;
 use std::sync::Mutex;
 
@@ -37,10 +36,10 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn rd_req(engine: EngineKind, threads_per_rank: usize) -> RunRequest {
+fn rd_req(sched_workers: usize, threads_per_rank: usize) -> RunRequest {
     RunRequest {
         fidelity: Fidelity::Numerical,
-        engine,
+        sched_workers,
         threads_per_rank,
         ..RunRequest::new(catalog::ec2(), App::paper_rd(3), 8, 3)
     }
@@ -85,7 +84,7 @@ fn json(out: RunOutcome) -> String {
 /// Executes `req` four ways and returns the serialized outcomes (the
 /// `serde_json` bytes, which leave a trace out):
 ///
-/// * sharing disabled, so the run executes under the engine and thread
+/// * sharing disabled, so the run executes on the worker pool and thread
 ///   count it names and no tape is recorded or served;
 /// * cold cache, which executes too and records the app's work tape;
 /// * traced on the warm scenario: priced from the cold run's tape like any
@@ -118,11 +117,11 @@ fn four_ways(req: &RunRequest) -> [String; 4] {
 fn rd_reports_are_byte_identical_shared_vs_fresh() {
     let _g = lock();
     // One report for the whole matrix: sharing must not break what the
-    // determinism battery already guarantees for engines and threads.
+    // determinism battery already guarantees for worker pools and threads.
     let mut reports = Vec::new();
-    for engine in [EngineKind::Cooperative, EngineKind::Threads] {
+    for workers in [1, 3] {
         for threads in [1, 4] {
-            reports.extend(four_ways(&rd_req(engine, threads)));
+            reports.extend(four_ways(&rd_req(workers, threads)));
         }
     }
     for (i, r) in reports.iter().enumerate() {
@@ -186,7 +185,7 @@ fn seed_sweep_builds_one_scenario_and_hits_thereafter() {
     for seed in 0..4 {
         let req = RunRequest {
             seed,
-            ..rd_req(EngineKind::default(), 1)
+            ..rd_req(0, 1)
         };
         execute(&req).unwrap();
     }
@@ -266,10 +265,10 @@ fn disabled_sharing_touches_no_cache() {
     let _g = lock();
     let _off = prep::disable_sharing_scoped();
     assert!(!prep::sharing_enabled());
-    assert!(prep::scenario_for(&rd_req(EngineKind::default(), 1)).is_none());
+    assert!(prep::scenario_for(&rd_req(0, 1)).is_none());
     let before = (prep::cache_stats(), prep::tape_stats());
-    execute(&rd_req(EngineKind::default(), 1)).unwrap();
-    execute(&rd_req(EngineKind::default(), 1)).unwrap();
+    execute(&rd_req(0, 1)).unwrap();
+    execute(&rd_req(0, 1)).unwrap();
     assert_eq!((prep::cache_stats(), prep::tape_stats()), before);
 }
 
@@ -282,7 +281,7 @@ fn a_panicking_build_does_not_poison_later_jobs() {
     let _g = lock();
     let bad = RunRequest {
         per_rank_axis: 0,
-        ..rd_req(EngineKind::default(), 1)
+        ..rd_req(0, 1)
     };
     assert_eq!(
         execute(&bad).unwrap_err(),
@@ -292,5 +291,5 @@ fn a_panicking_build_does_not_poison_later_jobs() {
     );
     let panicked = std::panic::catch_unwind(|| prep::scenario_for(&bad));
     assert!(panicked.is_err(), "the zero axis was supposed to panic");
-    execute(&rd_req(EngineKind::default(), 1)).expect("the cache survives the panic");
+    execute(&rd_req(0, 1)).expect("the cache survives the panic");
 }

@@ -1,12 +1,11 @@
-//! The M:N cooperative-scheduler battery.
+//! The M:N scheduler battery.
 //!
-//! Pins the tentpole guarantee of the cooperative engine: the serialized
-//! report of any numerical run is **byte-identical** between the legacy
-//! one-OS-thread-per-rank engine and the M:N cooperative engine, at every
-//! worker-pool size, with and without injected faults — and the
-//! cooperative engine keeps that guarantee far past the old engine's rank
-//! ceiling. Each compared report is also pinned by its SHA-256
-//! ([`GOLDEN`]), so the pins hold the bytes where no second engine runs.
+//! Pins the scheduler's guarantee: the serialized report of a numerical
+//! run is **byte-identical** at every worker-pool size, with and without
+//! injected faults, up to thousands of ranks — and equal to a checked-in
+//! digest ([`GOLDEN`]) that a one-OS-thread-per-rank engine also produced,
+//! while one existed. The test names still say "across engines" for that
+//! reference.
 
 use hetero_fault::{FaultModel, SpotMarket};
 use hetero_hpc::apps::App;
@@ -15,7 +14,6 @@ use hetero_hpc::run::{execute, Fidelity, RunRequest};
 use hetero_hpc::{canon, prep};
 use hetero_platform::limits::ExecutionLimits;
 use hetero_platform::{catalog, PlatformSpec};
-use hetero_simmpi::EngineKind;
 
 fn ncpu() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -32,10 +30,10 @@ fn big_ec2(ranks: usize) -> PlatformSpec {
     p
 }
 
-/// `(run, sha256 of its serialized report)`, computed on the cooperative
-/// engine at commit `2dbfb76`, where the 27- and 216-rank A/Bs below also
-/// held the thread engine to the same bytes. The names are the tests'
-/// runs: `rd1000` and `ns216` are the `#[ignore]`d scale rungs, and
+/// `(run, sha256 of its serialized report)`, computed on the M:N
+/// scheduler at commit `2dbfb76`, where the 27- and 216-rank runs of the
+/// thread-per-rank engine produced the same bytes. The names are the
+/// tests' runs: `rd1000` and `ns216` are the `#[ignore]`d scale rungs, and
 /// `campaign` is [`faulty_rd_request`] at seed 2012.
 const GOLDEN: [(&str, &str); 6] = [
     (
@@ -79,8 +77,7 @@ fn check_digest(run: &str, report: &str) {
 /// The serialized report of `req`, executed with prepared-scenario sharing
 /// off. A plain numerical run on a shared scenario can be priced from the
 /// work tape of an earlier run of the same app, which would compare one
-/// engine's tape with itself; here every run executes on the engine and
-/// pool it names.
+/// pool's tape with itself; here every run executes on the pool it names.
 fn direct_report(req: &RunRequest) -> String {
     let _off = prep::disable_sharing_scoped();
     let served = prep::tape_stats().served;
@@ -89,21 +86,19 @@ fn direct_report(req: &RunRequest) -> String {
     report
 }
 
-/// The serialized report of a numerical RD run under the given engine.
-fn rd_report(ranks: usize, steps: usize, engine: EngineKind, workers: usize) -> String {
+/// The serialized report of a numerical RD run on `workers` workers.
+fn rd_report(ranks: usize, steps: usize, workers: usize) -> String {
     direct_report(&RunRequest {
         fidelity: Fidelity::Numerical,
-        engine,
         sched_workers: workers,
         ..RunRequest::new(catalog::ec2(), App::paper_rd(steps), ranks, 3)
     })
 }
 
-/// The serialized report of a numerical NS run under the given engine.
-fn ns_report(ranks: usize, steps: usize, engine: EngineKind, workers: usize) -> String {
+/// The serialized report of a numerical NS run on `workers` workers.
+fn ns_report(ranks: usize, steps: usize, workers: usize) -> String {
     direct_report(&RunRequest {
         fidelity: Fidelity::Numerical,
-        engine,
         sched_workers: workers,
         ..RunRequest::new(catalog::ec2(), App::paper_ns(steps), ranks, 3)
     })
@@ -111,12 +106,12 @@ fn ns_report(ranks: usize, steps: usize, engine: EngineKind, workers: usize) -> 
 
 #[test]
 fn rd_report_identical_across_engines_at_27_ranks() {
-    let baseline = rd_report(27, 2, EngineKind::Threads, 0);
-    for workers in [1, 4, ncpu()] {
+    let baseline = rd_report(27, 2, 1);
+    for workers in [4, ncpu()] {
         assert_eq!(
             baseline,
-            rd_report(27, 2, EngineKind::Cooperative, workers),
-            "cooperative engine with {workers} worker(s) diverged from the thread engine"
+            rd_report(27, 2, workers),
+            "{workers} workers diverged from one"
         );
     }
     check_digest("rd27", &baseline);
@@ -125,9 +120,8 @@ fn rd_report_identical_across_engines_at_27_ranks() {
 #[test]
 fn rd_report_identical_across_engines_at_216_ranks() {
     // The paper's mid rung; one step keeps the debug-mode A/B affordable.
-    let baseline = rd_report(216, 1, EngineKind::Threads, 0);
-    assert_eq!(baseline, rd_report(216, 1, EngineKind::Cooperative, 1));
-    assert_eq!(baseline, rd_report(216, 1, EngineKind::Cooperative, 4));
+    let baseline = rd_report(216, 1, 1);
+    assert_eq!(baseline, rd_report(216, 1, 4));
     check_digest("rd216", &baseline);
 }
 
@@ -135,21 +129,20 @@ fn rd_report_identical_across_engines_at_216_ranks() {
 #[ignore = "scale: minutes of debug-mode wall time; the CI stress job runs this in release with -- --ignored"]
 fn rd_report_identical_across_engines_at_1000_ranks() {
     // 1000 ranks is the paper's largest configuration; one step keeps the
-    // A/B affordable. The digest stands in for the thread engine's 1000 OS
-    // threads.
-    let baseline = rd_report(1000, 1, EngineKind::Cooperative, 1);
-    assert_eq!(baseline, rd_report(1000, 1, EngineKind::Cooperative, 4));
+    // A/B affordable.
+    let baseline = rd_report(1000, 1, 1);
+    assert_eq!(baseline, rd_report(1000, 1, 4));
     check_digest("rd1000", &baseline);
 }
 
 #[test]
 fn ns_report_identical_across_engines_at_27_ranks() {
-    let baseline = ns_report(27, 2, EngineKind::Threads, 0);
-    for workers in [1, 4, ncpu()] {
+    let baseline = ns_report(27, 2, 1);
+    for workers in [4, ncpu()] {
         assert_eq!(
             baseline,
-            ns_report(27, 2, EngineKind::Cooperative, workers),
-            "cooperative engine with {workers} worker(s) diverged from the thread engine"
+            ns_report(27, 2, workers),
+            "{workers} workers diverged from one"
         );
     }
     check_digest("ns27", &baseline);
@@ -160,20 +153,19 @@ fn ns_report_identical_across_engines_at_27_ranks() {
 fn ns_report_identical_across_engines_at_216_ranks() {
     // The heavier app (four solves per step) at the paper's mid rung; one
     // step keeps the A/B affordable.
-    let baseline = ns_report(216, 1, EngineKind::Threads, 0);
-    assert_eq!(baseline, ns_report(216, 1, EngineKind::Cooperative, 1));
-    assert_eq!(baseline, ns_report(216, 1, EngineKind::Cooperative, 4));
+    let baseline = ns_report(216, 1, 1);
+    assert_eq!(baseline, ns_report(216, 1, 4));
     check_digest("ns216", &baseline);
 }
 
 /// An RD run on an EC2 spot fleet under a market compressed enough to
 /// revoke nodes inside the tiny virtual duration of an 8-rank test run —
 /// the same campaign the determinism suite pins across thread counts,
-/// here pinned across *engines* and worker pools. This re-covers the
+/// here pinned across worker pools. This re-covers the
 /// felled-attempt teardown race fixed when resilience landed: a revoked
 /// node's ranks unwind mid-collective while their peers still hold
 /// mailbox locks.
-fn faulty_rd_request(seed: u64, engine: EngineKind, workers: usize) -> RunRequest {
+fn faulty_rd_request(seed: u64, workers: usize) -> RunRequest {
     let ec2 = catalog::ec2();
     let mut spec = ResilienceSpec::spot_with_restart(&ec2, 1.0, 1, 50);
     spec.faults = FaultModel {
@@ -187,7 +179,6 @@ fn faulty_rd_request(seed: u64, engine: EngineKind, workers: usize) -> RunReques
     };
     RunRequest {
         fidelity: Fidelity::Numerical,
-        engine,
         sched_workers: workers,
         seed,
         resilience: Some(spec),
@@ -197,8 +188,8 @@ fn faulty_rd_request(seed: u64, engine: EngineKind, workers: usize) -> RunReques
 
 #[test]
 fn fault_injected_campaign_identical_across_engines_and_pools() {
-    let run = |engine: EngineKind, workers: usize| -> String {
-        let out = execute_resilient(&faulty_rd_request(2012, engine, workers)).unwrap();
+    let run = |workers: usize| -> String {
+        let out = execute_resilient(&faulty_rd_request(2012, workers)).unwrap();
         assert!(
             out.stats.faults_injected >= 1,
             "the market was supposed to bite: {:?}",
@@ -206,23 +197,21 @@ fn fault_injected_campaign_identical_across_engines_and_pools() {
         );
         serde_json::to_string(&out).expect("campaign outcome serializes")
     };
-    let baseline = run(EngineKind::Threads, 0);
-    assert_eq!(baseline, run(EngineKind::Cooperative, 1));
-    assert_eq!(baseline, run(EngineKind::Cooperative, 4));
+    let baseline = run(1);
+    assert_eq!(baseline, run(4));
+    assert_eq!(baseline, run(ncpu()));
     check_digest("campaign", &baseline);
 }
 
 #[test]
 #[ignore = "scale: minutes of debug-mode wall time; the CI stress job runs this in release with -- --ignored"]
 fn big_rd_run_at_8192_ranks_is_pool_independent() {
-    // The acceptance bar: a real numerical RD run at 8192 ranks — double
-    // the old thread engine's 4096-rank ceiling — completes on the
-    // cooperative engine, and its serialized report is byte-identical
-    // whether one worker or four drive the coroutines.
+    // The acceptance bar: a real numerical RD run at 8192 ranks completes,
+    // and its serialized report is byte-identical whether one worker or
+    // four drive the coroutines.
     let run = |workers: usize| -> String {
         direct_report(&RunRequest {
             fidelity: Fidelity::Numerical,
-            engine: EngineKind::Cooperative,
             sched_workers: workers,
             ..RunRequest::new(big_ec2(8192), App::paper_rd(1), 8192, 2)
         })
@@ -254,12 +243,11 @@ fn big_rd_run_at_8192_ranks_is_pool_independent() {
 #[ignore = "scale: minutes of debug-mode wall time; the CI stress job runs this in release with -- --ignored"]
 fn weak_scaling_extends_to_20_cubed_ranks() {
     // The paper's weak-scaling ladder stops at 10^3 = 1000 ranks; the
-    // cooperative engine extends the same experiment to the 20^3 = 8000
+    // scheduler extends the same experiment to the 20^3 = 8000
     // rung with real numerics. Verification stays at discretization
     // accuracy, so the extended rung is a genuine solve, not a replay.
     let req = RunRequest {
         fidelity: Fidelity::Numerical,
-        engine: EngineKind::Cooperative,
         ..RunRequest::new(big_ec2(8000), App::paper_rd(1), 8000, 2)
     };
     let out = execute(&req).unwrap();

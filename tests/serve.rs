@@ -6,6 +6,7 @@
 use hetero_fault::{FaultModel, SpotMarket};
 use hetero_hpc::recovery::execute_resilient;
 use hetero_hpc::{execute, App, Fidelity, ResilienceSpec, RunRequest, TraceSpec};
+use hetero_platform::limits::ExecutionLimits;
 use hetero_platform::limits::LimitViolation;
 use hetero_platform::{catalog, PlatformSpec};
 use hetero_serve::{JobOutcome, ResultCache, ServeConfig, ServeError, ServeHandle};
@@ -315,13 +316,30 @@ fn limit_violations_are_served_and_cached() {
     let dir = tdir("limits");
     let serve = ServeHandle::open(ServeConfig::new(&dir)).unwrap();
     // puma cannot run 216 ranks — the paper's capacity failure mode, as
-    // deterministic (and as cacheable) as a successful run.
-    let req = RunRequest::new(catalog::puma(), App::paper_rd(2), 216, 20);
-    let cold = serve.submit_wait(&req).unwrap();
-    assert!(matches!(cold.as_ref(), JobOutcome::Rejected(_)));
-    let hot = serve.submit_wait(&req).unwrap();
-    assert_eq!(outcome_bytes(&cold), outcome_bytes(&hot));
-    assert_eq!(serve.metrics().counter("serve.cache.hits"), 1.0);
+    // deterministic (and as cacheable) as a successful run. Nor can the
+    // simulator execute a numerical job above its rank ceiling, which a
+    // request reaches by raising its own platform's capacity.
+    let capacity = RunRequest::new(catalog::puma(), App::paper_rd(2), 216, 20);
+    let ranks = hetero_simmpi::MAX_REAL_RANKS + 1;
+    let mut big = catalog::ec2();
+    big.max_nodes = ranks.div_ceil(big.cores_per_node);
+    big.limits = ExecutionLimits::capacity_only(big.max_nodes * big.cores_per_node);
+    let ceiling = RunRequest {
+        fidelity: Fidelity::Numerical,
+        ..RunRequest::new(big, App::paper_rd(2), ranks, 3)
+    };
+    for req in [&capacity, &ceiling] {
+        let cold = serve.submit_wait(req).unwrap();
+        assert!(matches!(cold.as_ref(), JobOutcome::Rejected(_)), "{cold:?}");
+        let hot = serve.submit_wait(req).unwrap();
+        assert_eq!(outcome_bytes(&cold), outcome_bytes(&hot));
+    }
+    let cold = serve.submit_wait(&ceiling).unwrap();
+    assert!(matches!(
+        cold.as_ref(),
+        JobOutcome::Rejected(LimitViolation::SimulatorRankCeiling { .. })
+    ));
+    assert_eq!(serve.metrics().counter("serve.cache.hits"), 3.0);
     serve.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

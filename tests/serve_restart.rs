@@ -279,3 +279,40 @@ fn previous_generation_bytes_replay_and_miss_without_damage() {
     assert!(!dir.join("cache").join("quarantine").exists());
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A journal written while a thread-per-rank engine existed beside the M:N
+/// scheduler can name it. Both produced byte-identical reports, so
+/// `"engine":"Threads"` reads as the one engine. A record that failed to
+/// parse would end the replay there and drop every pending job after it.
+#[test]
+fn a_journaled_thread_engine_request_replays_and_runs() {
+    let dir = tdir("threads-engine");
+    let (threads_req, next_req) = (rd_req(55), rd_req(56));
+    let json = serde_json::to_string(&threads_req).unwrap();
+    let (cooperative, threads) = (r#""engine":"Cooperative""#, r#""engine":"Threads""#);
+    assert!(json.contains(cooperative));
+    let mut log = String::new();
+    for (id, req, json) in [
+        (0, &threads_req, json.replacen(cooperative, threads, 1)),
+        (1, &next_req, serde_json::to_string(&next_req).unwrap()),
+    ] {
+        let key = request_key(req);
+        let body = format!(r#"{{"type":"submit","job":{id},"key":"{key}","request":{json}}}"#);
+        log.push_str(&format!("{:016x} {body}\n", fnv1a64(body.as_bytes())));
+    }
+    assert!(log.contains(threads));
+    fs::write(dir.join("journal.log"), log).unwrap();
+
+    let serve = ServeHandle::open(ServeConfig::new(&dir)).unwrap();
+    assert_eq!(serve.recovered_jobs(), vec![0, 1], "both records replay");
+    for (id, req) in [(0, &threads_req), (1, &next_req)] {
+        let direct = JobOutcome::Completed(execute(req).unwrap());
+        assert_eq!(
+            outcome_bytes(&serve.wait(id).unwrap()),
+            outcome_bytes(&direct),
+            "job {id}"
+        );
+    }
+    serve.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -1,17 +1,16 @@
-//! Stress and soak coverage for the M:N cooperative engine — `#[ignore]`d
-//! by default (a dedicated CI job runs them with `-- --ignored`) so the
+//! Stress and soak coverage for the M:N scheduler — `#[ignore]`d by
+//! default (a dedicated CI job runs them with `-- --ignored`) so the
 //! ordinary test wall stays fast.
 //!
 //! The interesting claims at this scale are *resource* claims: 32768
-//! coroutine ranks must actually complete (the old thread engine refused
-//! above 4096), inside a wall-clock budget, without resident memory
-//! exploding — a job's stack slab is mapped fresh and unmapped with the
+//! coroutine ranks must actually complete inside a wall-clock budget,
+//! without resident memory exploding — a job's stack slab is mapped fresh and unmapped with the
 //! job, so a mostly-idle rank's stack costs the few pages it touches
 //! while the job runs and nothing afterwards.
 
 use hetero_simmpi::{
-    run_spmd_opts, ClusterTopology, ComputeModel, EngineKind, EngineOpts, FaultPlan, NetworkModel,
-    Payload, SpmdConfig,
+    run_spmd_opts, ClusterTopology, ComputeModel, EngineOpts, FaultPlan, NetworkModel, Payload,
+    SpmdConfig,
 };
 use std::time::{Duration, Instant};
 
@@ -88,39 +87,25 @@ fn soak_32768_rank_cooperative_smoke_within_budget() {
 #[ignore = "soak: peak-RSS comparison; run with -- --ignored"]
 #[cfg(target_os = "linux")]
 fn rss_at_32768_cooperative_ranks_stays_sane() {
-    // Run the *thread* engine at 1000 ranks first to establish that the
-    // measurement machinery works, then the cooperative engine at 32x that
-    // scale. VmHWM is a process-lifetime high-water mark, so the final
-    // reading bounds the cooperative run too: 32768 ranks must fit in a
-    // budget a thread-per-rank design could not meet (32768 OS threads
-    // at the default 8 MiB stack reservation would ask for 256 GiB of
-    // address space and tens of GiB resident just for stacks and kernel
+    // A 1000-rank job first, at the paper's largest rank count: its peak
+    // shows the measurement works, and the allocator has then freed a
+    // set of coroutine stacks (glibc raises its mmap threshold when it
+    // does), so the big job meets it in the state every job after a
+    // process's first does. VmHWM is a process-lifetime high-water mark,
+    // so the final reading bounds the 32768-rank run: it must fit in a
+    // budget a thread-per-rank design could not meet (32768 OS threads at
+    // the default 8 MiB stack reservation would ask for 256 GiB of address
+    // space and tens of GiB resident just for stacks and kernel
     // bookkeeping).
     let (res, _) = run_spmd_opts(
         big_cfg(1000),
-        EngineOpts {
-            engine: EngineKind::Threads,
-            ..EngineOpts::default()
-        },
-        FaultPlan::none(),
-        None,
-        neighbour_body,
-    );
-    assert_eq!(res.expect("no faults planned").len(), 1000);
-    let after_threads = status_bytes("VmHWM:");
-
-    // One small cooperative job first, so the allocator has already freed
-    // a set of coroutine stacks (glibc raises its mmap threshold when it
-    // does) and the big job meets it in the state every job after a
-    // process's first does.
-    let (res, _) = run_spmd_opts(
-        big_cfg(64),
         EngineOpts::default(),
         FaultPlan::none(),
         None,
         neighbour_body,
     );
-    assert_eq!(res.expect("no faults planned").len(), 64);
+    assert_eq!(res.expect("no faults planned").len(), 1000);
+    let after_small = status_bytes("VmHWM:");
     let rss_before = status_bytes("VmRSS:");
 
     let (res, _) = run_spmd_opts(
@@ -131,11 +116,11 @@ fn rss_at_32768_cooperative_ranks_stays_sane() {
         neighbour_body,
     );
     assert_eq!(res.expect("no faults planned").len(), 32768);
-    let after_coop = status_bytes("VmHWM:");
+    let after_big = status_bytes("VmHWM:");
     let rss_after = status_bytes("VmRSS:");
     eprintln!(
-        "VmHWM after 1000 thread ranks {after_threads}, after 32768 cooperative ranks \
-         {after_coop}; VmRSS {rss_before} before the cooperative job, {rss_after} after"
+        "VmHWM after 1000 ranks {after_small}, after 32768 ranks {after_big}; VmRSS \
+         {rss_before} before the 32768-rank job, {rss_after} after"
     );
 
     // 32768 x 1 MiB stacks are 32 GiB of *virtual* space; a rank is
@@ -145,9 +130,9 @@ fn rss_at_32768_cooperative_ranks_stays_sane() {
     // Linux host, three runs within 0.1 MiB of each other).
     let budget = 590u64 << 20;
     assert!(
-        after_coop < budget,
-        "peak RSS {after_coop} exceeds {budget} after the 32768-rank run \
-         (thread engine at 1000 ranks peaked at {after_threads})"
+        after_big < budget,
+        "peak RSS {after_big} exceeds {budget} after the 32768-rank run \
+         (1000 ranks peaked at {after_small})"
     );
     // The stacks belong to the job: its slab is unmapped when it returns,
     // not parked in the allocator for the next job to fragment.
