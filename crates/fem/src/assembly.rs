@@ -208,15 +208,16 @@ where
 }
 
 /// The cached structure of a repeated matrix assembly: the sparsity
-/// pattern (with its triplet scatter permutation) plus the structural
-/// index batches shipped to each neighbour.
+/// pattern (with its triplet scatter permutation) plus the wire size of
+/// the structural index batch shipped to each neighbour.
 ///
 /// Immutable once built, so it can be `Arc`-shared across the assemblies
 /// and steps of one run that use the same `(row_map, col_map)` pair.
 pub struct AssemblyStructure {
     pattern: SparsityPattern,
-    /// Per plan-neighbour `(global row, global col)` pairs sent each call.
-    send_idx: Vec<Vec<usize>>,
+    /// Per plan-neighbour modeled bytes of the `(global row, global col)`
+    /// batch the first call sent; every later call is priced the same.
+    send_idx_bytes: Vec<f64>,
     /// Per plan-neighbour received-value counts.
     recv_counts: Vec<usize>,
     ncells: usize,
@@ -244,9 +245,10 @@ impl AssemblyStructure {
     /// The numeric half of every assembly after the first: concatenates the
     /// chunks' owned-row values in cell order, ships each neighbour its
     /// remote values and appends the values received — the triplet order
-    /// the pattern's scatter expects. The same index batches are still
-    /// shipped alongside the values, so the wire traffic — and hence the
-    /// simulated assembly time — matches the first call exactly.
+    /// the pattern's scatter expects. The receivers cached where the index
+    /// batches land, so each is sent as an empty message priced at the
+    /// batch's size: the wire traffic — and hence the simulated assembly
+    /// time — matches the first call exactly.
     fn gather_values(
         &self,
         row_map: &DofMap,
@@ -267,14 +269,14 @@ impl AssemblyStructure {
                 dst.append(src);
             }
         }
-        for ((&nb, idx), vals) in neighbors.iter().zip(&self.send_idx).zip(send_vals) {
-            comm.send(nb, TAG_MAT_IDX, Payload::Usize(idx.clone()));
+        for ((&nb, &idx_bytes), vals) in neighbors.iter().zip(&self.send_idx_bytes).zip(send_vals) {
+            comm.send_with_modeled_bytes(nb, TAG_MAT_IDX, Payload::Empty, idx_bytes);
             comm.send(nb, TAG_MAT_VAL, Payload::F64(vals));
         }
         for (&nb, &count) in neighbors.iter().zip(&self.recv_counts) {
-            let idx = comm.recv_usize(nb, TAG_MAT_IDX);
+            let idx = comm.recv(nb, TAG_MAT_IDX);
+            assert_eq!(idx, Payload::Empty, "a cached index batch carries no data");
             let vals = comm.recv_f64(nb, TAG_MAT_VAL);
-            assert_eq!(idx.len(), 2 * vals.len());
             assert_eq!(
                 vals.len(),
                 count,
@@ -427,13 +429,12 @@ impl MatrixAssembly {
 
         // Ship remote contributions: one (possibly empty) batch per plan
         // neighbour, both directions.
-        for (i, &nb) in neighbors.iter().enumerate() {
-            comm.send(nb, TAG_MAT_IDX, Payload::Usize(send_idx[i].clone()));
-            comm.send(
-                nb,
-                TAG_MAT_VAL,
-                Payload::F64(std::mem::take(&mut send_vals[i])),
-            );
+        let mut send_idx_bytes = Vec::with_capacity(neighbors.len());
+        for ((&nb, idx), vals) in neighbors.iter().zip(send_idx).zip(send_vals) {
+            let idx = Payload::Usize(idx);
+            send_idx_bytes.push(idx.wire_bytes());
+            comm.send(nb, TAG_MAT_IDX, idx);
+            comm.send(nb, TAG_MAT_VAL, Payload::F64(vals));
         }
         let received: Vec<(Vec<usize>, Vec<f64>)> = neighbors
             .iter()
@@ -475,7 +476,7 @@ impl MatrixAssembly {
         let (pattern, matrix) = triplets.into_parts();
         self.structure = Some(Arc::new(AssemblyStructure {
             pattern,
-            send_idx,
+            send_idx_bytes,
             recv_counts,
             ncells,
             owned_block: OnceLock::new(),
@@ -697,6 +698,7 @@ pub fn constrain_system_multi(
                 let (cols, vals) = local.row(r);
                 let mut shift = 0.0;
                 for (&c, &v) in cols.iter().zip(vals) {
+                    let c = c as usize;
                     if mask[c] {
                         shift += v * values[c];
                     }
@@ -717,7 +719,7 @@ pub fn constrain_system_multi(
         } else {
             let (cols, vals) = local.row_values_mut(r);
             for (i, &c) in cols.iter().enumerate() {
-                if mask[c] {
+                if mask[c as usize] {
                     vals[i] = 0.0;
                 }
             }

@@ -15,6 +15,14 @@
 //! and `sort_unstable` permutes equal keys as a function of the comparison
 //! outcomes only, so the permutation is the one a `(row, col)` tuple sort
 //! gives (`tests::packed_sort_permutation_is_pinned` holds it).
+//!
+//! A matrix's structure never changes after the symbolic step, so it is
+//! stored once per sparsity pattern: `row_ptr` and `col_idx` are
+//! `Arc`-shared by the pattern, every matrix built from it and the
+//! preconditioners' analysis of it ([`crate::precond::OwnedBlockSymbolic`]),
+//! and a matrix owns only its values. Column indices are `u32` (a local
+//! block has far fewer than 2³² columns; [`TripletBuilder::with_capacity`]
+//! checks it), so a stored entry costs 8 bytes of value plus 4 of column.
 
 use std::sync::Arc;
 
@@ -33,8 +41,9 @@ const SPMV_CHUNK_ROWS: usize = 512;
 pub struct CsrMatrix {
     num_rows: usize,
     num_cols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    /// Shared with the [`SparsityPattern`] the matrix was built from.
+    row_ptr: Arc<[usize]>,
+    col_idx: Arc<[u32]>,
     values: Vec<f64>,
 }
 
@@ -55,7 +64,8 @@ impl TripletBuilder {
     /// Creates a builder for a `num_rows x num_cols` matrix.
     ///
     /// # Panics
-    /// Panics if `num_rows * num_cols` overflows a `u64` coordinate key.
+    /// Panics if a column index would not fit a `u32`, or if
+    /// `num_rows * num_cols` overflows a `u64` coordinate key.
     pub fn new(num_rows: usize, num_cols: usize) -> Self {
         Self::with_capacity(num_rows, num_cols, 0)
     }
@@ -63,8 +73,13 @@ impl TripletBuilder {
     /// Creates a builder with reserved capacity for `cap` triplets.
     ///
     /// # Panics
-    /// Panics if `num_rows * num_cols` overflows a `u64` coordinate key.
+    /// Panics if a column index would not fit a `u32`, or if
+    /// `num_rows * num_cols` overflows a `u64` coordinate key.
     pub fn with_capacity(num_rows: usize, num_cols: usize, cap: usize) -> Self {
+        assert!(
+            num_cols as u64 <= u64::from(u32::MAX) + 1,
+            "{num_cols} columns overflow the u32 column indices"
+        );
         assert!(
             (num_rows as u64).checked_mul(num_cols as u64).is_some(),
             "{num_rows} x {num_cols} coordinates overflow a u64 key"
@@ -124,13 +139,18 @@ impl TripletBuilder {
     /// A stored value is its coordinate's first triplet in sorted order,
     /// plus each later duplicate in turn: the first assigns rather than
     /// adding to `0.0`, so a lone `-0.0` stays `-0.0`.
+    ///
+    /// The matrix shares the pattern's `row_ptr` and `col_idx`.
     pub fn into_parts(mut self) -> (SparsityPattern, CsrMatrix) {
         self.keys.sort_unstable_by_key(|&(key, _)| key);
 
         let width = self.num_cols as u64;
+        // Exact capacities: the stored values stay with the first matrix.
+        let dups = self.keys.windows(2).filter(|w| w[0].0 == w[1].0).count();
+        let nnz = self.keys.len() - dups;
         let mut row_ptr = Vec::with_capacity(self.num_rows + 1);
-        let mut col_idx = Vec::new();
-        let mut stored: Vec<f64> = Vec::new();
+        let mut col_idx: Vec<u32> = Vec::with_capacity(nnz);
+        let mut stored: Vec<f64> = Vec::with_capacity(nnz);
         let mut perm = Vec::with_capacity(self.keys.len());
         let mut slot = Vec::with_capacity(self.keys.len());
         row_ptr.push(0);
@@ -146,7 +166,8 @@ impl TripletBuilder {
             if last_key == Some(key) {
                 *stored.last_mut().expect("a duplicate follows its first") += v;
             } else {
-                col_idx.push((key - row_start) as usize);
+                // `with_capacity` checked that every column fits a u32.
+                col_idx.push((key - row_start) as u32);
                 stored.push(v);
                 last_key = Some(key);
             }
@@ -160,18 +181,12 @@ impl TripletBuilder {
         let pattern = SparsityPattern {
             num_rows: self.num_rows,
             num_cols: self.num_cols,
-            row_ptr: row_ptr.as_slice().into(),
-            col_idx: col_idx.as_slice().into(),
+            row_ptr: row_ptr.into(),
+            col_idx: col_idx.into(),
             perm,
             slot,
         };
-        let matrix = CsrMatrix {
-            num_rows: self.num_rows,
-            num_cols: self.num_cols,
-            row_ptr,
-            col_idx,
-            values: stored,
-        };
+        let matrix = pattern.with_values(stored);
         (pattern, matrix)
     }
 }
@@ -183,11 +198,12 @@ impl TripletBuilder {
 pub struct SparsityPattern {
     num_rows: usize,
     num_cols: usize,
-    /// `Arc`'d so the preconditioners' symbolic analysis of this pattern
-    /// ([`crate::precond::OwnedBlockSymbolic`]) shares the arrays instead
+    /// `Arc`'d so every matrix built from this pattern and the
+    /// preconditioners' symbolic analysis of it
+    /// ([`crate::precond::OwnedBlockSymbolic`]) share the arrays instead
     /// of copying them.
     row_ptr: Arc<[usize]>,
-    col_idx: Arc<[usize]>,
+    col_idx: Arc<[u32]>,
     /// Sorted position -> original triplet index.
     perm: Vec<u32>,
     /// Sorted position -> CSR slot (nondecreasing; duplicates share slots).
@@ -222,16 +238,31 @@ impl SparsityPattern {
 
     /// The shared CSR structure arrays `(row_ptr, col_idx)`.
     #[inline]
-    pub(crate) fn structure(&self) -> (&Arc<[usize]>, &Arc<[usize]>) {
+    pub(crate) fn structure(&self) -> (&Arc<[usize]>, &Arc<[u32]>) {
         (&self.row_ptr, &self.col_idx)
     }
 
+    /// A matrix of this pattern holding `values` (one per stored entry),
+    /// sharing the pattern's structure arrays.
+    fn with_values(&self, values: Vec<f64>) -> CsrMatrix {
+        debug_assert_eq!(values.len(), self.col_idx.len());
+        CsrMatrix {
+            num_rows: self.num_rows,
+            num_cols: self.num_cols,
+            row_ptr: Arc::clone(&self.row_ptr),
+            col_idx: Arc::clone(&self.col_idx),
+            values,
+        }
+    }
+
     /// Numeric phase: scatters `triplet_values` (one value per original
-    /// triplet, in insertion order) into the frozen pattern. Bitwise
-    /// identical to rebuilding via [`TripletBuilder::build`] with the same
-    /// coordinates and values, except that an entry whose every
-    /// contribution is `-0.0` comes out `0.0` (the scatter adds to a zeroed
-    /// slot where `build` assigns the first contribution).
+    /// triplet, in insertion order) into the frozen pattern. The matrix
+    /// shares the pattern's `row_ptr` and `col_idx` and allocates only its
+    /// value array. Bitwise identical to rebuilding via
+    /// [`TripletBuilder::build`] with the same coordinates and values,
+    /// except that an entry whose every contribution is `-0.0` comes out
+    /// `0.0` (the scatter adds to a zeroed slot where `build` assigns the
+    /// first contribution).
     ///
     /// # Panics
     /// Panics if `triplet_values.len()` differs from the triplet count the
@@ -239,13 +270,7 @@ impl SparsityPattern {
     pub fn numeric(&self, triplet_values: &[f64]) -> CsrMatrix {
         let mut values = vec![0.0; self.col_idx.len()];
         self.numeric_into(triplet_values, &mut values);
-        CsrMatrix {
-            num_rows: self.num_rows,
-            num_cols: self.num_cols,
-            row_ptr: self.row_ptr.to_vec(),
-            col_idx: self.col_idx.to_vec(),
-            values,
-        }
+        self.with_values(values)
     }
 
     /// The allocation-free numeric phase: scatters `triplet_values` into an
@@ -253,7 +278,7 @@ impl SparsityPattern {
     /// (obtained via [`CsrMatrix::values_mut`]). The scatter runs in the
     /// same sorted order as [`Self::numeric`], so the refreshed values are
     /// bitwise identical to a full rebuild — without reallocating the value
-    /// array or recloning the pattern.
+    /// array.
     ///
     /// # Panics
     /// Panics if `triplet_values.len()` differs from the triplet count the
@@ -282,8 +307,8 @@ impl CsrMatrix {
         CsrMatrix {
             num_rows,
             num_cols,
-            row_ptr: vec![0; num_rows + 1],
-            col_idx: Vec::new(),
+            row_ptr: vec![0; num_rows + 1].into(),
+            col_idx: Arc::new([]),
             values: Vec::new(),
         }
     }
@@ -306,9 +331,10 @@ impl CsrMatrix {
         self.values.len()
     }
 
-    /// The CSR structure arrays `(row_ptr, col_idx)`.
+    /// The CSR structure arrays `(row_ptr, col_idx)`, shared with the
+    /// pattern the matrix was built from.
     #[inline]
-    pub(crate) fn structure(&self) -> (&[usize], &[usize]) {
+    pub(crate) fn structure(&self) -> (&Arc<[usize]>, &Arc<[u32]>) {
         (&self.row_ptr, &self.col_idx)
     }
 
@@ -320,7 +346,7 @@ impl CsrMatrix {
 
     /// The `(columns, values)` of row `r`.
     #[inline]
-    pub fn row(&self, r: usize) -> (&[usize], &[f64]) {
+    pub fn row(&self, r: usize) -> (&[u32], &[f64]) {
         let lo = self.row_ptr[r];
         let hi = self.row_ptr[r + 1];
         (&self.col_idx[lo..hi], &self.values[lo..hi])
@@ -337,7 +363,7 @@ impl CsrMatrix {
 
     /// Mutable values of row `r` (column structure is fixed).
     #[inline]
-    pub fn row_values_mut(&mut self, r: usize) -> (&[usize], &mut [f64]) {
+    pub fn row_values_mut(&mut self, r: usize) -> (&[u32], &mut [f64]) {
         let lo = self.row_ptr[r];
         let hi = self.row_ptr[r + 1];
         (&self.col_idx[lo..hi], &mut self.values[lo..hi])
@@ -347,7 +373,7 @@ impl CsrMatrix {
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {
         let (cols, vals) = self.row(r);
-        match cols.binary_search(&c) {
+        match cols.binary_search_by(|&col| (col as usize).cmp(&c)) {
             Ok(i) => vals[i],
             Err(_) => 0.0,
         }
@@ -402,7 +428,7 @@ impl CsrMatrix {
         let (cols, vals) = self.row(r);
         let mut acc = 0.0;
         for (&c, &v) in cols.iter().zip(vals.iter()) {
-            acc += v * x[c];
+            acc += v * x[c as usize];
         }
         acc
     }
@@ -430,7 +456,7 @@ impl CsrMatrix {
         let hi = self.row_ptr[r + 1];
         let mut found = false;
         for i in lo..hi {
-            if self.col_idx[i] == r {
+            if self.col_idx[i] as usize == r {
                 self.values[i] = diag;
                 found = true;
             } else {
@@ -444,7 +470,9 @@ impl CsrMatrix {
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.num_rows).flat_map(move |r| {
             let (cols, vals) = self.row(r);
-            cols.iter().zip(vals).map(move |(&c, &v)| (r, c, v))
+            cols.iter()
+                .zip(vals)
+                .map(move |(&c, &v)| (r, c as usize, v))
         })
     }
 
@@ -690,6 +718,19 @@ mod tests {
         b.add(0, 3, 1.0);
     }
 
+    #[test]
+    #[should_panic(expected = "overflow the u32 column indices")]
+    fn a_column_past_u32_max_is_rejected() {
+        // Column 2^32 would not fit the stored u32 index.
+        TripletBuilder::new(1, (1usize << 32) + 1);
+    }
+
+    #[test]
+    fn the_last_u32_column_is_accepted() {
+        let b = TripletBuilder::new(1, 1usize << 32);
+        assert!(b.is_empty());
+    }
+
     /// `build` as it was before the packed sort: `(row, col, value)`
     /// triplets sorted by the `(row, col)` tuple and merged in one walk.
     fn tuple_sort_build(
@@ -699,17 +740,17 @@ mod tests {
     ) -> CsrMatrix {
         entries.sort_unstable_by_key(|a| (a.0, a.1));
         let mut row_ptr = vec![0];
-        let mut col_idx: Vec<usize> = Vec::new();
+        let mut col_idx: Vec<u32> = Vec::new();
         let mut values: Vec<f64> = Vec::new();
         for (r, c, v) in entries {
             while row_ptr.len() <= r {
                 row_ptr.push(col_idx.len());
             }
             let row_has_entries = col_idx.len() > *row_ptr.last().unwrap();
-            if row_has_entries && col_idx.last() == Some(&c) {
+            if row_has_entries && col_idx.last() == Some(&(c as u32)) {
                 *values.last_mut().unwrap() += v;
             } else {
-                col_idx.push(c);
+                col_idx.push(c as u32);
                 values.push(v);
             }
         }
@@ -719,8 +760,8 @@ mod tests {
         CsrMatrix {
             num_rows,
             num_cols,
-            row_ptr,
-            col_idx,
+            row_ptr: row_ptr.into(),
+            col_idx: col_idx.into(),
             values,
         }
     }

@@ -53,7 +53,7 @@ impl DistMatrix {
         let mut interior_nnz = 0usize;
         for r in 0..local.num_rows() {
             let (cols, _) = local.row(r);
-            if cols.iter().all(|&c| c < col_n_owned) {
+            if cols.iter().all(|&c| (c as usize) < col_n_owned) {
                 interior_nnz += cols.len();
                 interior_rows.push(r);
             } else {

@@ -50,12 +50,15 @@ impl SweepLevels {
     /// depends on the rows `col_idx[deps(i)]`, all visited before it.
     fn new(
         order: impl ExactSizeIterator<Item = usize>,
-        col_idx: &[usize],
+        col_idx: &[u32],
         deps: impl Fn(usize) -> Range<usize>,
     ) -> Self {
         let mut level_of = vec![0usize; order.len()];
         for i in order {
-            let deepest = col_idx[deps(i)].iter().map(|&c| level_of[c] + 1).max();
+            let deepest = col_idx[deps(i)]
+                .iter()
+                .map(|&c| level_of[c as usize] + 1)
+                .max();
             level_of[i] = deepest.unwrap_or(0);
         }
         Self::group(&level_of)
@@ -108,13 +111,13 @@ impl SweepLevels {
 /// columns, so the block's row `i` is the leading run of the source row:
 /// the block is addressed by *source* slots — `row_ptr[i]..row_end[i]` into
 /// the source `col_idx` and value arrays — and adds only per-row pointers
-/// to the structure arrays, which an analysis of a [`SparsityPattern`]
-/// shares with the pattern rather than copies.
+/// to the structure arrays, which the analysis shares with the pattern or
+/// matrix it was made from rather than copies.
 #[derive(Debug)]
 pub struct OwnedBlockSymbolic {
     /// The source structure: owned rows x local columns.
     row_ptr: Arc<[usize]>,
-    col_idx: Arc<[usize]>,
+    col_idx: Arc<[u32]>,
     /// One past the slot of each row's last owned column.
     row_end: Vec<usize>,
     /// Slot of each row's diagonal entry.
@@ -141,18 +144,18 @@ impl OwnedBlockSymbolic {
     /// Panics if a row stores no diagonal entry.
     pub fn of_matrix(a: &CsrMatrix) -> Self {
         let (row_ptr, col_idx) = a.structure();
-        Self::analyze(row_ptr.into(), col_idx.into())
+        Self::analyze(Arc::clone(row_ptr), Arc::clone(col_idx))
     }
 
-    fn analyze(row_ptr: Arc<[usize]>, col_idx: Arc<[usize]>) -> Self {
+    fn analyze(row_ptr: Arc<[usize]>, col_idx: Arc<[u32]>) -> Self {
         let n = row_ptr.len() - 1;
         let mut row_end = Vec::with_capacity(n);
         let mut diag = Vec::with_capacity(n);
         for i in 0..n {
             let cols = &col_idx[row_ptr[i]..row_ptr[i + 1]];
-            let owned = &cols[..cols.partition_point(|&c| c < n)];
+            let owned = &cols[..cols.partition_point(|&c| (c as usize) < n)];
             // A row without a stored diagonal has no pivot to divide by.
-            let d = owned.binary_search(&i).unwrap_or_else(|_| {
+            let d = owned.binary_search(&(i as u32)).unwrap_or_else(|_| {
                 panic!("zero pivot at row {i}: zero diagonal entry (the diagonal is not stored)")
             });
             row_end.push(row_ptr[i] + owned.len());
@@ -204,13 +207,17 @@ impl OwnedBlockSymbolic {
     }
 
     /// A copy of `a`'s values — already in the slot order the analysis
-    /// addresses them by; ghost slots ride along unread.
+    /// addresses them by; ghost slots ride along unread. A matrix built from
+    /// the analysed pattern shares its structure arrays, so the check is
+    /// two pointer comparisons; other matrices are compared entry by entry.
     ///
     /// # Panics
     /// Panics if `a` does not have exactly the sparsity that was analysed.
     fn checked_values(&self, a: &CsrMatrix) -> Vec<f64> {
+        let (row_ptr, col_idx) = a.structure();
+        let shared = Arc::ptr_eq(row_ptr, &self.row_ptr) && Arc::ptr_eq(col_idx, &self.col_idx);
         assert!(
-            a.structure() == (&self.row_ptr[..], &self.col_idx[..]),
+            shared || (row_ptr[..] == self.row_ptr[..] && col_idx[..] == self.col_idx[..]),
             "matrix sparsity differs from the symbolic analysis"
         );
         a.values().to_vec()
@@ -222,7 +229,7 @@ impl OwnedBlockSymbolic {
     #[inline]
     fn subtract_row(&self, mut acc: f64, slots: Range<usize>, vals: &[f64], z: &[f64]) -> f64 {
         for (&c, &v) in self.col_idx[slots.clone()].iter().zip(&vals[slots]) {
-            acc -= v * z[c];
+            acc -= v * z[c as usize];
         }
         acc
     }
@@ -413,21 +420,21 @@ impl IluZero {
         let mut w = vec![0.0f64; n];
         for i in 0..n {
             for p in s.row(i) {
-                w[s.col_idx[p]] = f[p];
+                w[s.col_idx[p] as usize] = f[p];
             }
             // k ascending over row i's lower columns; rows k < i are final.
             for pk in s.lower(i) {
-                let k = s.col_idx[pk];
+                let k = s.col_idx[pk] as usize;
                 let lik = w[k] / f[s.diag[k]];
                 w[k] = lik;
                 // a_ij -= l_ik * a_kj for j > k, j ascending.
                 let upper_k = s.upper(k);
                 for (&j, &akj) in s.col_idx[upper_k.clone()].iter().zip(&f[upper_k]) {
-                    w[j] -= lik * akj;
+                    w[j as usize] -= lik * akj;
                 }
             }
             for p in s.row(i) {
-                f[p] = w[s.col_idx[p]];
+                f[p] = w[s.col_idx[p] as usize];
             }
             assert!(f[s.diag[i]] != 0.0, "zero pivot at row {i}");
         }
@@ -670,14 +677,16 @@ mod tests {
 
     fn set(m: &mut CsrMatrix, r: usize, c: usize, v: f64) {
         let (cols, vals) = m.row_values_mut(r);
-        let i = cols.binary_search(&c).expect("entry exists in sparsity");
+        let i = cols
+            .binary_search(&(c as u32))
+            .expect("entry exists in sparsity");
         vals[i] = v;
     }
 
     fn reference_ilu0(a: &CsrMatrix) -> CsrMatrix {
         let mut f = restrict_to_owned(a);
         for i in 0..f.num_rows() {
-            let cols_i: Vec<usize> = f.row(i).0.to_vec();
+            let cols_i: Vec<usize> = f.row(i).0.iter().map(|&c| c as usize).collect();
             for &k in cols_i.iter().filter(|&&k| k < i) {
                 let pivot = f.get(k, k);
                 assert!(pivot != 0.0, "zero pivot at row {k}");
@@ -687,8 +696,8 @@ mod tests {
                     let (ck, vk) = f.row(k);
                     ck.iter()
                         .zip(vk)
-                        .filter(|(&c, _)| c > k)
-                        .map(|(&c, &v)| (c, v))
+                        .filter(|(&c, _)| c as usize > k)
+                        .map(|(&c, &v)| (c as usize, v))
                         .collect()
                 };
                 for (j, akj) in row_k {
@@ -710,6 +719,7 @@ mod tests {
             let (cols, vals) = f.row(i);
             let mut acc = r[i];
             for (&c, &v) in cols.iter().zip(vals) {
+                let c = c as usize;
                 if c < i {
                     acc -= v * z[c];
                 }
@@ -720,6 +730,7 @@ mod tests {
             let (cols, vals) = f.row(i);
             let mut acc = z[i];
             for (&c, &v) in cols.iter().zip(vals) {
+                let c = c as usize;
                 if c > i {
                     acc -= v * z[c];
                 }
@@ -739,6 +750,7 @@ mod tests {
             let (cols, vals) = local.row(i);
             let mut acc = r[i];
             for (&c, &v) in cols.iter().zip(vals) {
+                let c = c as usize;
                 if c < i {
                     acc -= v * z[c];
                 }
@@ -752,6 +764,7 @@ mod tests {
             let (cols, vals) = local.row(i);
             let mut acc = z[i];
             for (&c, &v) in cols.iter().zip(vals) {
+                let c = c as usize;
                 if c > i {
                     acc -= v * z[c];
                 }
@@ -913,7 +926,7 @@ mod tests {
             oracle.iter().map(|(_, c, v)| (c, v)).unzip();
         let s = &ilu.symbolic;
         let block_slots: Vec<usize> = (0..n).flat_map(|i| s.row(i)).collect();
-        let cols: Vec<usize> = block_slots.iter().map(|&p| s.col_idx[p]).collect();
+        let cols: Vec<usize> = block_slots.iter().map(|&p| s.col_idx[p] as usize).collect();
         let factors: Vec<f64> = block_slots.iter().map(|&p| ilu.factors[p]).collect();
         assert_eq!(s.nnz(), owned_nnz);
         assert_eq!(cols, oracle_cols);
@@ -994,6 +1007,39 @@ mod tests {
         assert_eq!(from_pattern.nnz, from_matrix.nnz);
         assert_eq!(from_pattern.forward.levels, from_matrix.forward.levels);
         assert_eq!(from_pattern.backward.levels, from_matrix.backward.levels);
+    }
+
+    #[test]
+    fn one_structure_is_shared_by_the_pattern_its_matrices_and_the_analysis() {
+        let case = BlockCase {
+            n: 30,
+            ghosts: 2,
+            half_bandwidth: 3,
+            symmetric: false,
+            pattern_seed: 5,
+        };
+        let a = random_block(case, 2);
+        let mut b = TripletBuilder::new(a.n_owned(), a.n_local());
+        for (r, c, v) in a.local().iter() {
+            b.add(r, c, v);
+        }
+        let values: Vec<f64> = a.local().iter().map(|(_, _, v)| 2.0 * v).collect();
+        let (pattern, first) = b.into_parts();
+        let (row_ptr, col_idx) = pattern.structure();
+        let analysis = OwnedBlockSymbolic::from_pattern(&pattern);
+        let of_first = OwnedBlockSymbolic::of_matrix(&first);
+        let numeric = [pattern.numeric(&values), pattern.numeric(&values)];
+        let matrices = [&first, &numeric[0], &numeric[1]];
+        for m in matrices {
+            let (rp, ci) = m.structure();
+            assert!(Arc::ptr_eq(rp, row_ptr) && Arc::ptr_eq(ci, col_idx));
+        }
+        for s in [&analysis, &of_first] {
+            assert!(Arc::ptr_eq(&s.row_ptr, row_ptr) && Arc::ptr_eq(&s.col_idx, col_idx));
+        }
+        // One allocation: the pattern, both analyses and the three matrices.
+        assert_eq!(Arc::strong_count(col_idx), 3 + matrices.len());
+        assert_eq!(analysis.checked_values(&numeric[1]), numeric[1].values());
     }
 
     #[test]

@@ -296,7 +296,7 @@ proptest! {
         a.set_dirichlet_row(row, 1.0);
         let (cols, vals) = a.row(row);
         for (&c, &v) in cols.iter().zip(vals) {
-            prop_assert_eq!(v, if c == row { 1.0 } else { 0.0 });
+            prop_assert_eq!(v, if c as usize == row { 1.0 } else { 0.0 });
         }
     }
 

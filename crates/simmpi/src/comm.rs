@@ -45,6 +45,12 @@ impl Payload {
             Payload::Empty => 0.0,
         }
     }
+
+    /// Modeled size of the whole message, header included: what
+    /// [`SimComm::send`] prices this payload at.
+    pub fn wire_bytes(&self) -> f64 {
+        self.body_bytes() + HEADER_BYTES
+    }
 }
 
 /// Handle for a nonblocking receive posted with [`SimComm::irecv`].
@@ -735,8 +741,8 @@ impl SimComm {
     /// Non-blocking (infinite buffering, like a buffered MPI send). The
     /// sender pays a small CPU overhead plus a packing cost.
     pub fn send(&mut self, dst: usize, tag: u64, payload: Payload) {
-        let body = payload.body_bytes();
-        self.send_with_modeled_bytes(dst, tag, payload, body + HEADER_BYTES);
+        let bytes = payload.wire_bytes();
+        self.send_with_modeled_bytes(dst, tag, payload, bytes);
     }
 
     /// Sends `payload` but prices it as `modeled_bytes` on the wire. Used by

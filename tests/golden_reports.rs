@@ -52,6 +52,18 @@ use hetero_hpc::{canon, prep};
 use hetero_linalg::SolverVariant;
 use hetero_platform::catalog;
 use hetero_trace::{first_divergence, EventKind, TraceSpec};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Held by every test of this file for as long as it executes jobs. The
+/// prepared-scenario cache, its sharing switch and `prep::tape_stats()`
+/// are process-wide, so a test that counts the runs served from a tape,
+/// or turns sharing off, must not overlap another test's runs.
+static EXECUTING: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the others still run and report.
+    EXECUTING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// `(platform, app, sha256 of the report JSON)`.
 const GOLDEN: [(&str, &str, &str); 4] = [
@@ -103,6 +115,7 @@ fn digest(req: &RunRequest) -> String {
 
 #[test]
 fn reports_match_the_checked_in_digests() {
+    let _serial = serial();
     let mut drifted = Vec::new();
     for &(platform, app, want) in &GOLDEN {
         let req = golden_request(platform, app);
@@ -164,6 +177,7 @@ fn campaign_request() -> RunRequest {
 
 #[test]
 fn resumed_campaign_matches_the_checked_in_digest() {
+    let _serial = serial();
     let out = execute_resilient(&campaign_request()).expect("campaign executes");
     // The pin is only worth having if the run really resumed from durable
     // state: at least one rollback must land on a checkpointed step.
@@ -257,6 +271,9 @@ const GOLDEN_RD27_REPORT: &str = "31ebbb5809c73a6e4c5dbca6392f43ee9191a53ddebf58
 
 #[test]
 fn message_traces_match_the_checked_in_digests() {
+    let _serial = serial();
+    // Both pool sizes execute: neither run is priced from the other's tape.
+    let _off = prep::disable_sharing_scoped();
     let trace = |workers| {
         let out = execute(&rd27_request(workers)).expect("traced run executes");
         let json = serde_json::to_string(&out).expect("outcome serializes");
@@ -312,6 +329,7 @@ fn traced8(app: App, spec: TraceSpec, variant: Option<SolverVariant>) -> String 
 /// `Overlap` instants.
 #[test]
 fn detail_and_variant_traces_match_the_checked_in_digests() {
+    let _serial = serial();
     let failures: Vec<String> = [
         (
             "ns8",
