@@ -164,70 +164,60 @@ fn execute_ranks(
     let mesh = StructuredHexMesh::new(cells.0, cells.1, cells.2, Point3::ZERO, Point3::splat(1.0));
     let assignment = Arc::new(BlockLayout::new(cells, factors).assignment());
 
-    // One logical pool shared by all ranks; `install` binds the thread
-    // count on the calling thread — the scheduler worker running the rank's
-    // coroutine — so it must run inside the rank closure.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(req.threads_per_rank.max(1))
-        .build()
-        .expect("the vendored pool builder cannot fail");
-
     let body = |comm: &mut SimComm| {
-        pool.install(|| {
-            let dmesh = DistributedMesh::new(
-                mesh.clone(),
-                Arc::clone(&assignment),
-                comm.rank(),
-                req.ranks,
-            );
-            match &req.app {
-                App::Rd(c) => {
-                    let mut obs = |view: &RdStepView<'_>, comm: &mut SimComm| {
-                        if let Some(ck) = checkpoint {
-                            ck.rd_step(c, view, comm);
-                        }
-                    };
-                    let resume = match resume {
-                        Some(ResumeState::Rd(r)) => Some(r),
-                        _ => None,
-                    };
-                    let r = solve_rd_with(&dmesh, c, resume, Some(&mut obs), comm);
-                    RankOut {
-                        iterations: r.iterations,
-                        numerics: RankNumerics {
-                            kiters: r.krylov_iters.iter().sum::<usize>() as f64
-                                / r.krylov_iters.len() as f64,
-                            linf: r.linf_error,
-                            l2: r.l2_error,
-                            bytes: comm.stats().bytes_received,
-                        },
+        let dmesh = DistributedMesh::new(
+            mesh.clone(),
+            Arc::clone(&assignment),
+            comm.rank(),
+            req.ranks,
+        );
+        match &req.app {
+            App::Rd(c) => {
+                let mut obs = |view: &RdStepView<'_>, comm: &mut SimComm| {
+                    if let Some(ck) = checkpoint {
+                        ck.rd_step(c, view, comm);
                     }
-                }
-                App::Ns(c) => {
-                    let mut obs = |view: &NsStepView<'_>, comm: &mut SimComm| {
-                        if let Some(ck) = checkpoint {
-                            ck.ns_step(c, view, comm);
-                        }
-                    };
-                    let resume = match resume {
-                        Some(ResumeState::Ns(r)) => Some(r),
-                        _ => None,
-                    };
-                    let r = solve_ns_with(&dmesh, c, resume, Some(&mut obs), comm);
-                    let total_k: usize =
-                        r.vel_iters.iter().sum::<usize>() + r.p_iters.iter().sum::<usize>();
-                    RankOut {
-                        iterations: r.iterations,
-                        numerics: RankNumerics {
-                            kiters: total_k as f64 / r.vel_iters.len() as f64,
-                            linf: r.vel_linf_error,
-                            l2: r.vel_l2_error,
-                            bytes: comm.stats().bytes_received,
-                        },
-                    }
+                };
+                let resume = match resume {
+                    Some(ResumeState::Rd(r)) => Some(r),
+                    _ => None,
+                };
+                let r = solve_rd_with(&dmesh, c, resume, Some(&mut obs), comm);
+                RankOut {
+                    iterations: r.iterations,
+                    numerics: RankNumerics {
+                        kiters: r.krylov_iters.iter().sum::<usize>() as f64
+                            / r.krylov_iters.len() as f64,
+                        linf: r.linf_error,
+                        l2: r.l2_error,
+                        bytes: comm.stats().bytes_received,
+                    },
                 }
             }
-        })
+            App::Ns(c) => {
+                let mut obs = |view: &NsStepView<'_>, comm: &mut SimComm| {
+                    if let Some(ck) = checkpoint {
+                        ck.ns_step(c, view, comm);
+                    }
+                };
+                let resume = match resume {
+                    Some(ResumeState::Ns(r)) => Some(r),
+                    _ => None,
+                };
+                let r = solve_ns_with(&dmesh, c, resume, Some(&mut obs), comm);
+                let total_k: usize =
+                    r.vel_iters.iter().sum::<usize>() + r.p_iters.iter().sum::<usize>();
+                RankOut {
+                    iterations: r.iterations,
+                    numerics: RankNumerics {
+                        kiters: total_k as f64 / r.vel_iters.len() as f64,
+                        linf: r.vel_linf_error,
+                        l2: r.vel_l2_error,
+                        bytes: comm.stats().bytes_received,
+                    },
+                }
+            }
+        }
     };
     let opts = EngineOpts::cooperative(req.sched_workers);
     // A felled attempt's per-rank spans describe work the rollback

@@ -14,9 +14,9 @@
 //!
 //! What the key covers — and what it deliberately omits — follows the
 //! repo's determinism batteries: computed reports are byte-identical
-//! across `threads_per_rank`, `engine`, and `sched_workers` (host-only
-//! knobs), and a request's `trace` spec never perturbs the measured
-//! report, so none of them participate. Display-only strings
+//! across `sched_workers` (a host-only knob), `threads_per_rank` and
+//! `engine` are inert, and a request's `trace` spec never perturbs the
+//! measured report, so none of them participate. Display-only strings
 //! (`PlatformSpec::description`, `cpu_model`, `CostModel::note`,
 //! `NetworkModel::name`) are likewise omitted; every number that feeds the
 //! virtual clocks — and the platform `key`, which the outcome echoes — is
@@ -585,8 +585,9 @@ mod tests {
 
     #[test]
     fn host_only_knobs_do_not_change_the_key() {
-        // The determinism batteries pin reports bitwise across these, so
-        // the cache may legally serve across them.
+        // The determinism batteries pin reports bitwise across worker
+        // pools and traces, and `threads_per_rank` is inert, so the cache
+        // may legally serve across them.
         let base = RunRequest::new(catalog::puma(), App::paper_rd(3), 8, 3);
         let threaded = RunRequest {
             threads_per_rank: 4,

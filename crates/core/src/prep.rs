@@ -42,7 +42,7 @@
 //! **Determinism.** Every shared artifact is immutable, and every reuse
 //! path either prices the recorded charges through the engine's own clock
 //! arithmetic or memoizes the result of a pure function — so reports are
-//! byte-identical to execution at every worker-pool size and thread count.
+//! byte-identical to execution at every worker-pool size.
 //! Disabling sharing ([`disable_sharing_scoped`]) can therefore only lose
 //! speed, never change a result: every run still gets a scenario, just a
 //! private one that is built for it, counted nowhere, records nothing,

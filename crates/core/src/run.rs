@@ -45,10 +45,11 @@ pub struct RunRequest {
     pub seed: u64,
     /// Warm-up iterations discarded from averages (the paper discards 5).
     pub discard: usize,
-    /// Intra-rank threads for the numerical engine's kernels (assembly,
-    /// SpMV, reductions, preconditioner sweeps). The fixed-chunk
-    /// parallelism is bitwise deterministic, so the computed report is
-    /// identical at any value; only host wall time changes.
+    /// Inert: a rank is one coroutine on one scheduler worker and runs its
+    /// kernels serially, as an MPI process on one core does. The field
+    /// remains because the benchmark package names it, and goes with that
+    /// use; it is in neither cache key, and a journaled request that
+    /// carries any value still parses.
     pub threads_per_rank: usize,
     /// Inert: the numerical path has one engine, the M:N scheduler. The
     /// field remains because the benchmark package names it, and goes

@@ -13,14 +13,11 @@
 //! (see [`crate::profile`]), because a general-geometry code — like the
 //! paper's — recomputes them per cell.
 //!
-//! The cell loop is parallel across the rank's installed rayon pool:
-//! cells are integrated in fixed-size chunks into per-chunk staging
-//! buffers that are merged in chunk order, so the assembled values are
-//! bitwise identical to a serial walk at any thread count (DESIGN.md
-//! "Threading model & determinism"). [`MatrixAssembly`] additionally
-//! caches the symbolic structure (sparsity pattern + scatter permutation)
-//! across time steps, so BDF2 stepping stops re-sorting triplets every
-//! step.
+//! One serial walk over the owned cells writes each cell's entries, in
+//! cell order, straight into the triplet (or value) buffer and the
+//! per-neighbour remote buffers. [`MatrixAssembly`] additionally caches the
+//! symbolic structure (sparsity pattern + scatter permutation) across time
+//! steps, so BDF2 stepping stops re-sorting triplets every step.
 
 use crate::dofmap::DofMap;
 use crate::element::ElementOrder;
@@ -37,12 +34,6 @@ const TAG_MAT_IDX: u64 = 9_600;
 const TAG_MAT_VAL: u64 = 9_601;
 const TAG_VEC_IDX: u64 = 9_602;
 const TAG_VEC_VAL: u64 = 9_603;
-
-/// Cells per parallel assembly chunk. Chunk boundaries depend only on the
-/// cell count — never on the thread count — and per-chunk staging buffers
-/// are merged in chunk order (= cell order), so the assembled triplet
-/// sequence is identical to a serial cell walk at any pool size.
-const ASSEMBLY_CHUNK_CELLS: usize = 32;
 
 /// Precomputed element matrices for a uniform brick cell of size
 /// `(hx, hy, hz)`, stored row-major `npe x npe` (or `npe_row x npe_col` for
@@ -124,89 +115,6 @@ pub fn gradient_kernel(
     out
 }
 
-/// Per-chunk staging buffers produced by one parallel assembly task:
-/// local triplet entries plus per-plan-neighbour remote contributions,
-/// all in cell order within the chunk.
-struct MatChunk {
-    /// Owned-row triplet coordinates (structural pass only).
-    coords: Vec<(usize, usize)>,
-    /// Owned-row triplet values.
-    vals: Vec<f64>,
-    /// Per plan-neighbour `(global row, global col)` pairs (structural
-    /// pass only).
-    remote_idx: Vec<Vec<usize>>,
-    /// Per plan-neighbour remote values.
-    remote_vals: Vec<Vec<f64>>,
-}
-
-/// Integrates all owned cells in fixed-size chunks (parallel across the
-/// installed rayon pool) and returns the per-chunk staging buffers in
-/// chunk order. Concatenating them reproduces the serial cell walk
-/// exactly, at any thread count.
-fn integrate_matrix_chunks<F>(
-    row_map: &DofMap,
-    col_map: &DofMap,
-    rank: usize,
-    record_structure: bool,
-    cell_matrix: &F,
-) -> Vec<MatChunk>
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    let nr = row_map.order().nodes_per_element();
-    let nc = col_map.order().nodes_per_element();
-    let ncells = row_map.num_cells();
-    let neighbors = &row_map.plan().neighbors;
-    let nchunks = ncells.div_ceil(ASSEMBLY_CHUNK_CELLS);
-    rayon::fixed::map_tasks(nchunks, |chunk| {
-        let begin = chunk * ASSEMBLY_CHUNK_CELLS;
-        let end = (begin + ASSEMBLY_CHUNK_CELLS).min(ncells);
-        let mut local = vec![0.0; nr * nc];
-        let mut out = MatChunk {
-            coords: Vec::with_capacity(if record_structure {
-                (end - begin) * nr * nc
-            } else {
-                0
-            }),
-            vals: Vec::with_capacity((end - begin) * nr * nc),
-            remote_idx: vec![Vec::new(); neighbors.len()],
-            remote_vals: vec![Vec::new(); neighbors.len()],
-        };
-        for i in begin..end {
-            local.fill(0.0);
-            cell_matrix(i, &mut local);
-            let rows = row_map.cell_dofs(i);
-            let cols = col_map.cell_dofs(i);
-            for (a, &r_loc) in rows.iter().enumerate() {
-                let owner = row_map.owner(r_loc);
-                if owner == rank {
-                    debug_assert!(r_loc < row_map.n_owned());
-                    for (b, &c_loc) in cols.iter().enumerate() {
-                        if record_structure {
-                            out.coords.push((r_loc, c_loc));
-                        }
-                        out.vals.push(local[a * nc + b]);
-                    }
-                } else {
-                    let nb = neighbors
-                        .iter()
-                        .position(|&n| n == owner)
-                        .expect("contribution shipped to a non-neighbour rank");
-                    let gr = row_map.global_id(r_loc);
-                    for (b, &c_loc) in cols.iter().enumerate() {
-                        if record_structure {
-                            out.remote_idx[nb].push(gr);
-                            out.remote_idx[nb].push(col_map.global_id(c_loc));
-                        }
-                        out.remote_vals[nb].push(local[a * nc + b]);
-                    }
-                }
-            }
-        }
-        out
-    })
-}
-
 /// The cached structure of a repeated matrix assembly: the sparsity
 /// pattern (with its triplet scatter permutation) plus the wire size of
 /// the structural index batch shipped to each neighbour.
@@ -218,6 +126,10 @@ pub struct AssemblyStructure {
     /// Per plan-neighbour modeled bytes of the `(global row, global col)`
     /// batch the first call sent; every later call is priced the same.
     send_idx_bytes: Vec<f64>,
+    /// Per plan-neighbour sent-value counts: later calls allocate their send
+    /// buffers exactly, since buffers grown by doubling left enough spare
+    /// capacity across a 512-rank job to raise its resident set.
+    send_counts: Vec<usize>,
     /// Per plan-neighbour received-value counts.
     recv_counts: Vec<usize>,
     ncells: usize,
@@ -240,52 +152,6 @@ impl AssemblyStructure {
             self.owned_block
                 .get_or_init(|| Arc::new(OwnedBlockSymbolic::from_pattern(&self.pattern))),
         )
-    }
-
-    /// The numeric half of every assembly after the first: concatenates the
-    /// chunks' owned-row values in cell order, ships each neighbour its
-    /// remote values and appends the values received — the triplet order
-    /// the pattern's scatter expects. The receivers cached where the index
-    /// batches land, so each is sent as an empty message priced at the
-    /// batch's size: the wire traffic — and hence the simulated assembly
-    /// time — matches the first call exactly.
-    fn gather_values(
-        &self,
-        row_map: &DofMap,
-        comm: &mut SimComm,
-        chunks: Vec<MatChunk>,
-    ) -> Vec<f64> {
-        assert_eq!(
-            self.ncells,
-            row_map.num_cells(),
-            "cached assembly reused with a different mesh partition"
-        );
-        let neighbors = &row_map.plan().neighbors;
-        let mut tvals = Vec::with_capacity(self.pattern.num_triplets());
-        let mut send_vals: Vec<Vec<f64>> = vec![Vec::new(); neighbors.len()];
-        for mut ch in chunks {
-            tvals.append(&mut ch.vals);
-            for (dst, src) in send_vals.iter_mut().zip(&mut ch.remote_vals) {
-                dst.append(src);
-            }
-        }
-        for ((&nb, &idx_bytes), vals) in neighbors.iter().zip(&self.send_idx_bytes).zip(send_vals) {
-            comm.send_with_modeled_bytes(nb, TAG_MAT_IDX, Payload::Empty, idx_bytes);
-            comm.send(nb, TAG_MAT_VAL, Payload::F64(vals));
-        }
-        for (&nb, &count) in neighbors.iter().zip(&self.recv_counts) {
-            let idx = comm.recv(nb, TAG_MAT_IDX);
-            assert_eq!(idx, Payload::Empty, "a cached index batch carries no data");
-            let vals = comm.recv_f64(nb, TAG_MAT_VAL);
-            assert_eq!(
-                vals.len(),
-                count,
-                "cached assembly structure changed between calls"
-            );
-            tvals.extend_from_slice(&vals);
-        }
-        assert_eq!(tvals.len(), self.pattern.num_triplets());
-        tvals
     }
 
     /// A newly allocated operator holding the gathered `tvals`.
@@ -367,68 +233,114 @@ impl MatrixAssembly {
         cell_matrix: F,
     ) -> DistMatrix
     where
-        F: Fn(usize, &mut [f64]) + Sync,
+        F: Fn(usize, &mut [f64]),
     {
-        let chunks = self.integrate(row_map, col_map, comm, &cell_matrix);
         match &self.structure {
-            None => self.assemble_first(row_map, col_map, comm, chunks),
-            Some(s) => s.fresh_matrix(col_map, &s.gather_values(row_map, comm, chunks)),
+            None => self.assemble_first(row_map, col_map, comm, &cell_matrix),
+            Some(s) => {
+                let tvals = self.gather_values(s, row_map, col_map, comm, &cell_matrix);
+                s.fresh_matrix(col_map, &tvals)
+            }
         }
     }
 
-    /// The cell walk both builders share: integrates every owned cell
-    /// (recording coordinates only while no structure is cached yet) and
-    /// charges the quadrature + scatter cost of the cells integrated.
+    /// The cell walk both builders share: integrates every owned cell in
+    /// cell order, handing each owned-row entry to `owned(row, col, value)`
+    /// and every other one to `remote(neighbour, row, col, value)` (local
+    /// ids; `neighbour` indexes the row map's plan), then charges the
+    /// quadrature + scatter cost of the cells integrated.
     fn integrate<F>(
         &self,
         row_map: &DofMap,
         col_map: &DofMap,
         comm: &mut SimComm,
         cell_matrix: &F,
-    ) -> Vec<MatChunk>
-    where
-        F: Fn(usize, &mut [f64]) + Sync,
+        mut owned: impl FnMut(usize, usize, f64),
+        mut remote: impl FnMut(usize, usize, usize, f64),
+    ) where
+        F: Fn(usize, &mut [f64]),
     {
         assert_eq!(
             row_map.num_cells(),
             col_map.num_cells(),
             "maps must share the mesh partition"
         );
-        let chunks = integrate_matrix_chunks(
-            row_map,
-            col_map,
-            comm.rank(),
-            self.structure.is_none(),
-            cell_matrix,
-        );
+        let rank = comm.rank();
+        let nc = col_map.order().nodes_per_element();
+        let neighbors = &row_map.plan().neighbors;
+        let mut local = vec![0.0; row_map.order().nodes_per_element() * nc];
+        for i in 0..row_map.num_cells() {
+            local.fill(0.0);
+            cell_matrix(i, &mut local);
+            let cols = col_map.cell_dofs(i);
+            for (&r_loc, row) in row_map.cell_dofs(i).iter().zip(local.chunks_exact(nc)) {
+                let owner = row_map.owner(r_loc);
+                if owner == rank {
+                    debug_assert!(r_loc < row_map.n_owned());
+                    for (&c_loc, &v) in cols.iter().zip(row) {
+                        owned(r_loc, c_loc, v);
+                    }
+                } else {
+                    let nb = neighbors
+                        .iter()
+                        .position(|&n| n == owner)
+                        .expect("contribution shipped to a non-neighbour rank");
+                    for (&c_loc, &v) in cols.iter().zip(row) {
+                        remote(nb, r_loc, c_loc, v);
+                    }
+                }
+            }
+        }
         comm.compute(
             profile::assembly_matrix_work(row_map.order(), col_map.order(), self.charged_ops)
                 * row_map.num_cells() as f64,
         );
-        chunks
     }
 
     /// First call: full symbolic + numeric build, caching the structure.
-    fn assemble_first(
+    fn assemble_first<F>(
         &mut self,
         row_map: &DofMap,
         col_map: &DofMap,
         comm: &mut SimComm,
-        mut chunks: Vec<MatChunk>,
-    ) -> DistMatrix {
+        cell_matrix: &F,
+    ) -> DistMatrix
+    where
+        F: Fn(usize, &mut [f64]),
+    {
         let ncells = row_map.num_cells();
         let neighbors = &row_map.plan().neighbors;
+        // Owned-row triplets in cell order, then the received ones in
+        // neighbour order. Every cell entry is an owned triplet or a
+        // shipped one, so the walk fits the cells' entry count; the
+        // received triplets are reserved exactly once their count is
+        // known, since an estimate they exceeded would double a
+        // multi-megabyte buffer on every symbolic assembly.
+        let cell_entries =
+            row_map.order().nodes_per_element() * col_map.order().nodes_per_element();
+        let mut triplets = TripletBuilder::with_capacity(
+            row_map.n_owned(),
+            col_map.n_local(),
+            ncells * cell_entries,
+        );
         let mut send_idx: Vec<Vec<usize>> = vec![Vec::new(); neighbors.len()];
         let mut send_vals: Vec<Vec<f64>> = vec![Vec::new(); neighbors.len()];
-        for ch in &mut chunks {
-            for nb in 0..neighbors.len() {
-                send_idx[nb].append(&mut ch.remote_idx[nb]);
-                send_vals[nb].append(&mut ch.remote_vals[nb]);
-            }
-        }
+        self.integrate(
+            row_map,
+            col_map,
+            comm,
+            cell_matrix,
+            |r, c, v| triplets.add(r, c, v),
+            |nb, r, c, v| {
+                send_idx[nb].push(row_map.global_id(r));
+                send_idx[nb].push(col_map.global_id(c));
+                send_vals[nb].push(v);
+            },
+        );
 
         // Ship remote contributions: one (possibly empty) batch per plan
         // neighbour, both directions.
+        let send_counts = send_vals.iter().map(Vec::len).collect();
         let mut send_idx_bytes = Vec::with_capacity(neighbors.len());
         for ((&nb, idx), vals) in neighbors.iter().zip(send_idx).zip(send_vals) {
             let idx = Payload::Usize(idx);
@@ -444,19 +356,7 @@ impl MatrixAssembly {
             })
             .collect();
 
-        // Owned-row triplets in cell order, then the received ones in
-        // neighbour order. The triplet buffer is sized for both up front:
-        // an estimate exceeded by the received triplets would double a
-        // multi-megabyte buffer on every symbolic assembly.
-        let total = chunks.iter().map(|ch| ch.vals.len()).sum::<usize>()
-            + received.iter().map(|(_, vals)| vals.len()).sum::<usize>();
-        let mut triplets =
-            TripletBuilder::with_capacity(row_map.n_owned(), col_map.n_local(), total);
-        for ch in chunks {
-            for (&(r, c), &v) in ch.coords.iter().zip(&ch.vals) {
-                triplets.add(r, c, v);
-            }
-        }
+        triplets.reserve(received.iter().map(|(_, vals)| vals.len()).sum());
         let mut recv_counts = Vec::with_capacity(neighbors.len());
         for (idx, vals) in received {
             assert_eq!(idx.len(), 2 * vals.len());
@@ -477,11 +377,69 @@ impl MatrixAssembly {
         self.structure = Some(Arc::new(AssemblyStructure {
             pattern,
             send_idx_bytes,
+            send_counts,
             recv_counts,
             ncells,
             owned_block: OnceLock::new(),
         }));
         DistMatrix::rectangular(matrix, col_map.plan().clone(), col_map.n_owned())
+    }
+
+    /// The numeric half of every assembly after the first: walks the cells
+    /// into the owned-row values (cell order) and each neighbour's remote
+    /// values, ships those and appends the values received — the triplet
+    /// order the cached pattern's scatter expects. The receivers cached
+    /// where the index batches land, so each is sent as an empty message
+    /// priced at the batch's size: the wire traffic — and hence the
+    /// simulated assembly time — matches the first call exactly.
+    fn gather_values<F>(
+        &self,
+        s: &AssemblyStructure,
+        row_map: &DofMap,
+        col_map: &DofMap,
+        comm: &mut SimComm,
+        cell_matrix: &F,
+    ) -> Vec<f64>
+    where
+        F: Fn(usize, &mut [f64]),
+    {
+        assert_eq!(
+            s.ncells,
+            row_map.num_cells(),
+            "cached assembly reused with a different mesh partition"
+        );
+        let neighbors = &row_map.plan().neighbors;
+        let mut tvals = Vec::with_capacity(s.pattern.num_triplets());
+        let mut send_vals: Vec<Vec<f64>> = s
+            .send_counts
+            .iter()
+            .map(|&n| Vec::with_capacity(n))
+            .collect();
+        self.integrate(
+            row_map,
+            col_map,
+            comm,
+            cell_matrix,
+            |_, _, v| tvals.push(v),
+            |nb, _, _, v| send_vals[nb].push(v),
+        );
+        for ((&nb, &idx_bytes), vals) in neighbors.iter().zip(&s.send_idx_bytes).zip(send_vals) {
+            comm.send_with_modeled_bytes(nb, TAG_MAT_IDX, Payload::Empty, idx_bytes);
+            comm.send(nb, TAG_MAT_VAL, Payload::F64(vals));
+        }
+        for (&nb, &count) in neighbors.iter().zip(&s.recv_counts) {
+            let idx = comm.recv(nb, TAG_MAT_IDX);
+            assert_eq!(idx, Payload::Empty, "a cached index batch carries no data");
+            let vals = comm.recv_f64(nb, TAG_MAT_VAL);
+            assert_eq!(
+                vals.len(),
+                count,
+                "cached assembly structure changed between calls"
+            );
+            tvals.extend_from_slice(&vals);
+        }
+        assert_eq!(tvals.len(), s.pattern.num_triplets());
+        tvals
     }
 
     /// One time step's operator, refreshed in place
@@ -497,7 +455,7 @@ impl MatrixAssembly {
         cell_matrix: F,
     ) -> (&mut DistMatrix, &AssemblyStructure)
     where
-        F: Fn(usize, &mut [f64]) + Sync,
+        F: Fn(usize, &mut [f64]),
     {
         self.assemble_in_place(row_map, col_map, comm, cell_matrix);
         (
@@ -510,15 +468,15 @@ impl MatrixAssembly {
     /// so solve-heavy steps skip the global CSR rebuild entirely — no
     /// value-array allocation, no pattern `row_ptr`/`col_idx` clones, no
     /// exchange-plan clone, no interior/boundary row rescan. Per-cell local
-    /// matrices flow from the chunked integration straight into the live
+    /// matrices flow from the cell walk straight into the live
     /// value buffer through the frozen sorted scatter
     /// ([`SparsityPattern::numeric_into`]).
     ///
-    /// The cell chunking, the per-neighbour wire traffic, and the charged
+    /// The cell walk, the per-neighbour wire traffic, and the charged
     /// quadrature work are exactly those of [`Self::assemble`], and the
     /// scatter accumulates in the same sorted order, so the refreshed
     /// operator — and every simulated clock — is bitwise identical to a
-    /// fresh build at any thread count. Callers may constrain the
+    /// fresh build. Callers may constrain the
     /// returned matrix freely (Dirichlet row/column surgery); the next
     /// refresh overwrites every stored value.
     pub fn assemble_in_place<F>(
@@ -529,13 +487,14 @@ impl MatrixAssembly {
         cell_matrix: F,
     ) -> &mut DistMatrix
     where
-        F: Fn(usize, &mut [f64]) + Sync,
+        F: Fn(usize, &mut [f64]),
     {
-        let chunks = self.integrate(row_map, col_map, comm, &cell_matrix);
         match self.structure.as_deref() {
-            None => self.retained = Some(self.assemble_first(row_map, col_map, comm, chunks)),
+            None => {
+                self.retained = Some(self.assemble_first(row_map, col_map, comm, &cell_matrix));
+            }
             Some(s) => {
-                let tvals = s.gather_values(row_map, comm, chunks);
+                let tvals = self.gather_values(s, row_map, col_map, comm, &cell_matrix);
                 match &mut self.retained {
                     Some(m) => s.pattern.numeric_into(&tvals, m.local_mut().values_mut()),
                     // Structure preloaded (shared from another assembly
@@ -562,73 +521,41 @@ pub fn assemble_matrix<F>(
     cell_matrix: F,
 ) -> DistMatrix
 where
-    F: Fn(usize, &mut [f64]) + Sync,
+    F: Fn(usize, &mut [f64]),
 {
     MatrixAssembly::new(charged_ops).assemble(row_map, col_map, comm, cell_matrix)
 }
 
 /// Assembles a distributed vector: `cell_vector(i, out)` fills the `npe`
 /// local load vector of the `i`-th owned cell. Collective, like
-/// [`assemble_matrix`], and chunk-parallel the same way: per-chunk
-/// staging merged in cell order keeps the accumulation order — and the
-/// floating-point result — identical at any thread count.
+/// [`assemble_matrix`]: one walk in cell order adds owned-row entries
+/// straight into the vector and collects the rest per neighbour.
 pub fn assemble_vector<F>(dm: &DofMap, comm: &mut SimComm, cell_vector: F) -> DistVector
 where
-    F: Fn(usize, &mut [f64]) + Sync,
+    F: Fn(usize, &mut [f64]),
 {
-    struct VecChunk {
-        rows: Vec<usize>,
-        vals: Vec<f64>,
-        remote_idx: Vec<Vec<usize>>,
-        remote_vals: Vec<Vec<f64>>,
-    }
-
     let rank = comm.rank();
-    let npe = dm.order().nodes_per_element();
     let ncells = dm.num_cells();
     let neighbors = &dm.plan().neighbors;
-    let nchunks = ncells.div_ceil(ASSEMBLY_CHUNK_CELLS);
-    let chunks = rayon::fixed::map_tasks(nchunks, |chunk| {
-        let begin = chunk * ASSEMBLY_CHUNK_CELLS;
-        let end = (begin + ASSEMBLY_CHUNK_CELLS).min(ncells);
-        let mut local = vec![0.0; npe];
-        let mut out = VecChunk {
-            rows: Vec::with_capacity((end - begin) * npe),
-            vals: Vec::with_capacity((end - begin) * npe),
-            remote_idx: vec![Vec::new(); neighbors.len()],
-            remote_vals: vec![Vec::new(); neighbors.len()],
-        };
-        for i in begin..end {
-            local.fill(0.0);
-            cell_vector(i, &mut local);
-            for (a, &r_loc) in dm.cell_dofs(i).iter().enumerate() {
-                let owner = dm.owner(r_loc);
-                if owner == rank {
-                    out.rows.push(r_loc);
-                    out.vals.push(local[a]);
-                } else {
-                    let nb = neighbors
-                        .iter()
-                        .position(|&n| n == owner)
-                        .expect("contribution shipped to a non-neighbour rank");
-                    out.remote_idx[nb].push(dm.global_id(r_loc));
-                    out.remote_vals[nb].push(local[a]);
-                }
-            }
-        }
-        out
-    });
-
     let mut out = dm.new_vector();
     let mut send_idx: Vec<Vec<usize>> = vec![Vec::new(); neighbors.len()];
     let mut send_vals: Vec<Vec<f64>> = vec![Vec::new(); neighbors.len()];
-    for mut ch in chunks {
-        for (&r, &v) in ch.rows.iter().zip(&ch.vals) {
-            out.owned_mut()[r] += v;
-        }
-        for nb in 0..neighbors.len() {
-            send_idx[nb].append(&mut ch.remote_idx[nb]);
-            send_vals[nb].append(&mut ch.remote_vals[nb]);
+    let mut local = vec![0.0; dm.order().nodes_per_element()];
+    for i in 0..ncells {
+        local.fill(0.0);
+        cell_vector(i, &mut local);
+        for (&r_loc, &v) in dm.cell_dofs(i).iter().zip(&local) {
+            let owner = dm.owner(r_loc);
+            if owner == rank {
+                out.owned_mut()[r_loc] += v;
+            } else {
+                let nb = neighbors
+                    .iter()
+                    .position(|&n| n == owner)
+                    .expect("contribution shipped to a non-neighbour rank");
+                send_idx[nb].push(dm.global_id(r_loc));
+                send_vals[nb].push(v);
+            }
         }
     }
     comm.compute(profile::assembly_vector_work(dm.order()) * ncells as f64);
@@ -759,7 +686,10 @@ mod tests {
     use hetero_linalg::solver::{cg, SolveOptions};
     use hetero_mesh::{DistributedMesh, StructuredHexMesh};
     use hetero_partition::{BlockPartitioner, Partitioner};
-    use hetero_simmpi::{run_spmd, ClusterTopology, ComputeModel, NetworkModel, SpmdConfig};
+    use hetero_simmpi::{
+        run_spmd, run_spmd_opts, ClusterTopology, ComputeModel, EngineOpts, FaultPlan,
+        NetworkModel, SpmdConfig,
+    };
     use std::sync::Arc;
 
     fn cfg(size: usize) -> SpmdConfig {
@@ -778,13 +708,27 @@ mod tests {
         order: ElementOrder,
         f: impl Fn(&DofMap, &mut SimComm) -> T + Send + Sync,
     ) -> Vec<T> {
+        run_fem_on(0, n, p, order, f)
+    }
+
+    /// [`run_fem`] on `workers` scheduler worker threads (0 = auto).
+    fn run_fem_on<T: Send + 'static>(
+        workers: usize,
+        n: usize,
+        p: usize,
+        order: ElementOrder,
+        f: impl Fn(&DofMap, &mut SimComm) -> T + Send + Sync,
+    ) -> Vec<T> {
         let mesh = StructuredHexMesh::unit_cube(n);
         let assignment = Arc::new(BlockPartitioner.partition(&mesh, p));
-        run_spmd(cfg(p), move |comm| {
+        let opts = EngineOpts::cooperative(workers);
+        run_spmd_opts(cfg(p), opts, FaultPlan::none(), None, move |comm| {
             let dmesh = DistributedMesh::new(mesh.clone(), Arc::clone(&assignment), comm.rank(), p);
             let dm = DofMap::build(&dmesh, order, comm);
             f(&dm, comm)
         })
+        .0
+        .expect("a trivial fault plan cannot fail a rank")
         .into_iter()
         .map(|r| r.value)
         .collect()
@@ -1024,73 +968,63 @@ mod tests {
 
     #[test]
     fn in_place_assembly_is_bitwise_identical_across_thread_counts() {
-        // The refresh path reuses the same fixed-chunk cell loop, so its
-        // scattered values are a function of the data alone.
+        // The refresh path ships remote values between ranks every step;
+        // its scattered values are a function of the data alone, whatever
+        // the number of scheduler worker threads interleaving the ranks.
         let order = ElementOrder::Q1;
-        let bits = |threads: usize| -> Vec<Vec<Vec<u64>>> {
-            run_fem(4, 2, order, move |dm, comm| {
+        let bits = |workers: usize| -> Vec<Vec<Vec<u64>>> {
+            run_fem_on(workers, 4, 2, order, move |dm, comm| {
                 let kern = scalar_kernels(order, Point3::splat(0.25));
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                pool.install(|| {
-                    let mut asm = MatrixAssembly::new(2);
-                    let mut out = Vec::new();
-                    for step in 0..2 {
-                        let mc = 2.0 + step as f64;
-                        let a = asm.assemble_in_place(dm, dm, comm, |_i, vals| {
-                            for (o, (m, k)) in
-                                vals.iter_mut().zip(kern.mass.iter().zip(&kern.stiffness))
-                            {
-                                *o = mc * m + 0.25 * k;
-                            }
-                        });
-                        out.push(
-                            a.local()
-                                .iter()
-                                .map(|(_, _, x)| x.to_bits())
-                                .collect::<Vec<u64>>(),
-                        );
-                    }
-                    out
-                })
+                let mut asm = MatrixAssembly::new(2);
+                let mut out = Vec::new();
+                for step in 0..2 {
+                    let mc = 2.0 + step as f64;
+                    let a = asm.assemble_in_place(dm, dm, comm, |_i, vals| {
+                        for (o, (m, k)) in
+                            vals.iter_mut().zip(kern.mass.iter().zip(&kern.stiffness))
+                        {
+                            *o = mc * m + 0.25 * k;
+                        }
+                    });
+                    out.push(
+                        a.local()
+                            .iter()
+                            .map(|(_, _, x)| x.to_bits())
+                            .collect::<Vec<u64>>(),
+                    );
+                }
+                out
             })
         };
-        let serial = bits(1);
-        for t in [2usize, 4] {
-            assert_eq!(serial, bits(t), "threads = {t}");
+        let one = bits(1);
+        for workers in [2usize, 4] {
+            assert_eq!(one, bits(workers), "workers = {workers}");
         }
     }
 
     #[test]
     fn assembly_is_bitwise_identical_across_thread_counts() {
-        // Chunk merging in cell order makes the parallel cell loop exactly
-        // reproduce the serial walk, whatever the installed pool size.
+        // Matrix and vector assembly exchange off-rank contributions; the
+        // assembled values do not depend on how many scheduler worker
+        // threads interleave the ranks.
         let order = ElementOrder::Q1;
-        let bits = |threads: usize| -> Vec<Vec<u64>> {
-            run_fem(5, 2, order, move |dm, comm| {
+        let bits = |workers: usize| -> Vec<Vec<u64>> {
+            run_fem_on(workers, 5, 2, order, move |dm, comm| {
                 let kern = scalar_kernels(order, Point3::splat(0.2));
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                pool.install(|| {
-                    let a = assemble_matrix(dm, dm, comm, 1, |_i, out| {
-                        out.copy_from_slice(&kern.stiffness);
-                    });
-                    let v = assemble_vector(dm, comm, |_i, out| {
-                        out.copy_from_slice(&kern.load);
-                    });
-                    let mut out: Vec<u64> = a.local().iter().map(|(_, _, x)| x.to_bits()).collect();
-                    out.extend(v.owned().iter().map(|x| x.to_bits()));
-                    out
-                })
+                let a = assemble_matrix(dm, dm, comm, 1, |_i, out| {
+                    out.copy_from_slice(&kern.stiffness);
+                });
+                let v = assemble_vector(dm, comm, |_i, out| {
+                    out.copy_from_slice(&kern.load);
+                });
+                let mut out: Vec<u64> = a.local().iter().map(|(_, _, x)| x.to_bits()).collect();
+                out.extend(v.owned().iter().map(|x| x.to_bits()));
+                out
             })
         };
-        let serial = bits(1);
-        for t in [2usize, 4] {
-            assert_eq!(serial, bits(t), "threads = {t}");
+        let one = bits(1);
+        for workers in [2usize, 4] {
+            assert_eq!(one, bits(workers), "workers = {workers}");
         }
     }
 

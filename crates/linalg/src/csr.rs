@@ -26,14 +26,6 @@
 
 use std::sync::Arc;
 
-/// Minimum row count before [`CsrMatrix::spmv`] fans out across the
-/// intra-rank thread pool. Row results are independent of the split, so
-/// this threshold affects speed only, never values.
-const PAR_SPMV_MIN_ROWS: usize = 256;
-
-/// Rows per parallel chunk in [`CsrMatrix::spmv`].
-const SPMV_CHUNK_ROWS: usize = 512;
-
 /// A local sparse matrix in CSR format. Rows are this rank's owned rows;
 /// columns address the rank's local vector space (owned entries followed by
 /// ghosts).
@@ -90,6 +82,12 @@ impl TripletBuilder {
             keys: Vec::with_capacity(cap),
             values: Vec::with_capacity(cap),
         }
+    }
+
+    /// Reserves room for exactly `additional` more triplets.
+    pub fn reserve(&mut self, additional: usize) {
+        self.keys.reserve_exact(additional);
+        self.values.reserve_exact(additional);
     }
 
     /// Adds `value` at `(row, col)`.
@@ -380,24 +378,12 @@ impl CsrMatrix {
     }
 
     /// `y = A * x`. `x` must have `num_cols` entries, `y` gets `num_rows`.
-    ///
-    /// Large matrices fan the row loop out across the intra-rank thread
-    /// pool; each row's dot product is computed identically either way, so
-    /// the result is bitwise independent of the thread count.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.num_cols);
         assert_eq!(y.len(), self.num_rows);
-        if self.num_rows < PAR_SPMV_MIN_ROWS || rayon::current_num_threads() <= 1 {
-            for (r, out) in y.iter_mut().enumerate() {
-                *out = self.row_dot(r, x);
-            }
-            return;
+        for (r, out) in y.iter_mut().enumerate() {
+            *out = self.row_dot(r, x);
         }
-        rayon::fixed::for_each_chunk_mut(y, SPMV_CHUNK_ROWS, |_chunk, start, rows| {
-            for (j, out) in rows.iter_mut().enumerate() {
-                *out = self.row_dot(start + j, x);
-            }
-        });
     }
 
     /// `y[r] = (A x)[r]` for each listed row, leaving other entries of `y`
@@ -407,17 +393,8 @@ impl CsrMatrix {
     pub fn spmv_rows(&self, rows: &[usize], x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.num_cols);
         assert_eq!(y.len(), self.num_rows);
-        if rows.len() < PAR_SPMV_MIN_ROWS || rayon::current_num_threads() <= 1 {
-            for &r in rows {
-                y[r] = self.row_dot(r, x);
-            }
-            return;
-        }
-        // Scattered output slots prevent handing out disjoint &mut chunks of
-        // `y`; compute per-row values in task order, then scatter serially.
-        let vals = rayon::fixed::map_tasks(rows.len(), |i| self.row_dot(rows[i], x));
-        for (&r, v) in rows.iter().zip(vals) {
-            y[r] = v;
+        for &r in rows {
+            y[r] = self.row_dot(r, x);
         }
     }
 
@@ -664,43 +641,6 @@ mod tests {
         let mut b = TripletBuilder::new(2, 2);
         b.add(0, 0, 1.0);
         b.symbolic().numeric(&[1.0, 2.0]);
-    }
-
-    #[test]
-    fn spmv_is_identical_serial_and_parallel() {
-        // Big enough to clear the parallel threshold.
-        let n = 40usize;
-        let mut b = TripletBuilder::new(n * n, n * n);
-        for i in 0..n * n {
-            b.add(i, i, 4.0);
-            if i >= n {
-                b.add(i, i - n, -1.0);
-            }
-            if i + n < n * n {
-                b.add(i, i + n, -1.0);
-            }
-        }
-        let a = b.build();
-        let x: Vec<f64> = (0..n * n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut serial = vec![0.0; n * n];
-        let mut parallel = vec![0.0; n * n];
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| {
-                a.spmv(&x, &mut serial);
-            });
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| {
-                a.spmv(&x, &mut parallel);
-            });
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.to_bits(), p.to_bits());
-        }
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //! Time steppers rebuild SSOR and ILU(0) every step on a sparsity that never
 //! changes, so — like assembly (`crate::csr`) — both are split into a
 //! *symbolic* phase ([`OwnedBlockSymbolic`]: where each row's owned block
-//! and diagonal sit in the source structure, and the dependency levels of
-//! both triangular sweeps; computed once per sparsity and `Arc`-shared by
-//! every factor made from it) and a *numeric* phase (copy the matrix's
-//! values, then one allocation-free IKJ sweep). The numeric phase performs,
-//! per row, exactly the floating-point operations of the textbook get/set
-//! loop kept as the test oracle below, in the same order, so factors are
-//! bitwise independent of the split.
+//! and diagonal sit in the source structure; computed once per sparsity and
+//! `Arc`-shared by every factor made from it) and a *numeric* phase (copy
+//! the matrix's values, then one allocation-free IKJ sweep). The numeric
+//! phase performs, per row, exactly the floating-point operations of the
+//! textbook get/set loop kept as the test oracle below, in the same order,
+//! so factors are bitwise independent of the split. The triangular sweeps
+//! visit rows in natural order (ascending forward, descending backward), so
+//! every row reads only rows the sweep has already finished.
 
 use crate::csr::{CsrMatrix, SparsityPattern};
 use crate::distmat::DistMatrix;
@@ -25,79 +26,6 @@ use crate::work_costs;
 use hetero_simmpi::SimComm;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Minimum rows in one dependency level before a triangular sweep fans the
-/// level out across the intra-rank pool. Rows within a level never read
-/// each other, and each row's update reproduces the serial sweep's
-/// arithmetic exactly, so the threshold affects speed only, never values.
-const PAR_LEVEL_MIN: usize = 128;
-
-/// Minimum length before the Jacobi apply parallelizes (element-wise, so
-/// also value-neutral).
-const PAR_JACOBI_MIN: usize = 4096;
-
-/// Rows of a triangular sweep grouped into dependency levels: every row
-/// depends only on rows in strictly earlier groups, so a level can be
-/// computed in parallel from a snapshot taken before the level starts.
-#[derive(Debug)]
-struct SweepLevels {
-    levels: Vec<Vec<usize>>,
-}
-
-impl SweepLevels {
-    /// Levels of a sweep that visits the rows in `order` (ascending for the
-    /// forward sweep, descending for the backward one), where row `i`
-    /// depends on the rows `col_idx[deps(i)]`, all visited before it.
-    fn new(
-        order: impl ExactSizeIterator<Item = usize>,
-        col_idx: &[u32],
-        deps: impl Fn(usize) -> Range<usize>,
-    ) -> Self {
-        let mut level_of = vec![0usize; order.len()];
-        for i in order {
-            let deepest = col_idx[deps(i)]
-                .iter()
-                .map(|&c| level_of[c as usize] + 1)
-                .max();
-            level_of[i] = deepest.unwrap_or(0);
-        }
-        Self::group(&level_of)
-    }
-
-    fn group(level_of: &[usize]) -> Self {
-        let depth = level_of.iter().max().map_or(0, |&m| m + 1);
-        let mut levels = vec![Vec::new(); depth];
-        for (i, &lv) in level_of.iter().enumerate() {
-            levels[lv].push(i);
-        }
-        SweepLevels { levels }
-    }
-
-    /// Runs the sweep: for each level in dependency order, replaces `z[i]`
-    /// with `row_value(i, z)` for every row `i` in the level. `row_value`
-    /// must not read same-level rows (guaranteed by construction), so the
-    /// parallel and serial paths produce bitwise identical results.
-    fn run<F>(&self, z: &mut [f64], row_value: F)
-    where
-        F: Fn(usize, &[f64]) -> f64 + Sync,
-    {
-        for level in &self.levels {
-            if level.len() >= PAR_LEVEL_MIN && rayon::current_num_threads() > 1 {
-                let computed = {
-                    let snapshot: &[f64] = z;
-                    rayon::fixed::map_tasks(level.len(), |t| row_value(level[t], snapshot))
-                };
-                for (&i, v) in level.iter().zip(computed) {
-                    z[i] = v;
-                }
-            } else {
-                for &i in level {
-                    z[i] = row_value(i, z);
-                }
-            }
-        }
-    }
-}
 
 /// The symbolic phase of [`Ssor`] and [`IluZero`]: everything about a local
 /// block's owned×owned submatrix that depends on its sparsity alone.
@@ -124,8 +52,6 @@ pub struct OwnedBlockSymbolic {
     diag: Vec<usize>,
     /// Stored entries of the block (ghost couplings excluded).
     nnz: usize,
-    forward: SweepLevels,
-    backward: SweepLevels,
 }
 
 impl OwnedBlockSymbolic {
@@ -162,16 +88,12 @@ impl OwnedBlockSymbolic {
             diag.push(row_ptr[i] + d);
         }
         let nnz = row_end.iter().zip(&row_ptr[..n]).map(|(e, s)| e - s).sum();
-        let forward = SweepLevels::new(0..n, &col_idx, |i| row_ptr[i]..diag[i]);
-        let backward = SweepLevels::new((0..n).rev(), &col_idx, |i| diag[i] + 1..row_end[i]);
         OwnedBlockSymbolic {
             row_ptr,
             col_idx,
             row_end,
             diag,
             nnz,
-            forward,
-            backward,
         }
     }
 
@@ -288,17 +210,8 @@ impl Jacobi {
 impl Preconditioner for Jacobi {
     fn apply(&self, r: &DistVector, z: &mut DistVector, comm: &mut SimComm) {
         let n = self.inv_diag.len();
-        let rs = r.owned();
-        if n >= PAR_JACOBI_MIN && rayon::current_num_threads() > 1 {
-            rayon::fixed::for_each_chunk_mut(&mut z.owned_mut()[..n], 1024, |_chunk, start, zs| {
-                for (j, zi) in zs.iter_mut().enumerate() {
-                    *zi = rs[start + j] * self.inv_diag[start + j];
-                }
-            });
-        } else {
-            for ((zi, ri), di) in z.owned_mut().iter_mut().zip(rs).zip(&self.inv_diag) {
-                *zi = ri * di;
-            }
+        for ((zi, ri), di) in z.owned_mut().iter_mut().zip(r.owned()).zip(&self.inv_diag) {
+            *zi = ri * di;
         }
         comm.compute(work_costs::scale(n));
     }
@@ -356,17 +269,17 @@ impl Preconditioner for Ssor {
         let zs = &mut z.owned_mut()[..n];
         let rs = r.owned();
         // Forward sweep: (D + L) y = r.
-        s.forward.run(zs, |i, zv| {
-            s.subtract_row(rs[i], s.lower(i), vals, zv) / vals[s.diag[i]]
-        });
+        for i in 0..n {
+            zs[i] = s.subtract_row(rs[i], s.lower(i), vals, zs) / vals[s.diag[i]];
+        }
         // Scale by D.
         for (zi, &d) in zs.iter_mut().zip(&s.diag) {
             *zi *= vals[d];
         }
         // Backward sweep: (D + U) z = D y.
-        s.backward.run(zs, |i, zv| {
-            s.subtract_row(zv[i], s.upper(i), vals, zv) / vals[s.diag[i]]
-        });
+        for i in (0..n).rev() {
+            zs[i] = s.subtract_row(zs[i], s.upper(i), vals, zs) / vals[s.diag[i]];
+        }
         comm.compute(work_costs::sweep(2 * s.nnz()));
     }
 
@@ -450,15 +363,17 @@ impl Preconditioner for IluZero {
     fn apply(&self, r: &DistVector, z: &mut DistVector, comm: &mut SimComm) {
         let s = &*self.symbolic;
         let f = &self.factors[..];
-        let zs = &mut z.owned_mut()[..s.num_rows()];
+        let n = s.num_rows();
+        let zs = &mut z.owned_mut()[..n];
         let rs = r.owned();
         // Forward: L y = r (unit diagonal).
-        s.forward
-            .run(zs, |i, zv| s.subtract_row(rs[i], s.lower(i), f, zv));
+        for i in 0..n {
+            zs[i] = s.subtract_row(rs[i], s.lower(i), f, zs);
+        }
         // Backward: U z = y.
-        s.backward.run(zs, |i, zv| {
-            s.subtract_row(zv[i], s.upper(i), f, zv) / f[s.diag[i]]
-        });
+        for i in (0..n).rev() {
+            zs[i] = s.subtract_row(zs[i], s.upper(i), f, zs) / f[s.diag[i]];
+        }
         comm.compute(work_costs::sweep(s.nnz()));
     }
 
@@ -888,20 +803,15 @@ mod tests {
         DistVector::from_values(values, n)
     }
 
-    /// `apply` under an intra-rank pool of `threads`.
-    fn apply_with_pool(
+    /// `m.apply(r)`'s owned bits.
+    fn apply_bits(
         m: &dyn Preconditioner,
         r: &DistVector,
         a: &DistMatrix,
-        threads: usize,
         comm: &mut SimComm,
     ) -> Vec<u64> {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
         let mut z = a.new_vector();
-        pool.install(|| m.apply(r, &mut z, comm));
+        m.apply(r, &mut z, comm);
         bits(z.owned())
     }
 
@@ -912,8 +822,7 @@ mod tests {
     }
 
     /// Everything the split must preserve, checked on one block against
-    /// the oracle: factor bits, apply bits at pools 1 and 4, and every
-    /// virtual-clock charge.
+    /// the oracle: factor bits, apply bits and every virtual-clock charge.
     fn assert_matches_oracle(a: &DistMatrix, comm: &mut SimComm) {
         let n = a.n_owned();
         let owned_nnz = a.local().iter().filter(|&(_, c, _)| c < n).count();
@@ -933,19 +842,17 @@ mod tests {
         assert_eq!(bits(&factors), bits(&oracle_vals), "ILU(0) factors");
 
         let t0 = comm.clock();
-        let z1 = apply_with_pool(&ilu, &r, a, 1, comm);
+        let z = apply_bits(&ilu, &r, a, comm);
         assert_charged(comm, t0, work_costs::sweep(owned_nnz));
-        assert_eq!(z1, bits(&reference_ilu0_apply(&oracle, r.owned())));
-        assert_eq!(z1, apply_with_pool(&ilu, &r, a, 4, comm), "ILU(0) pools");
+        assert_eq!(z, bits(&reference_ilu0_apply(&oracle, r.owned())), "ILU(0)");
 
         let t0 = comm.clock();
         let ssor = Ssor::new(a, comm);
         assert_charged(comm, t0, work_costs::copy(owned_nnz));
         let t0 = comm.clock();
-        let z1 = apply_with_pool(&ssor, &r, a, 1, comm);
+        let z = apply_bits(&ssor, &r, a, comm);
         assert_charged(comm, t0, work_costs::sweep(2 * owned_nnz));
-        assert_eq!(z1, bits(&reference_ssor_apply(a.local(), r.owned())));
-        assert_eq!(z1, apply_with_pool(&ssor, &r, a, 4, comm), "SSOR pools");
+        assert_eq!(z, bits(&reference_ssor_apply(a.local(), r.owned())), "SSOR");
     }
 
     use proptest::prelude::*;
@@ -1005,8 +912,6 @@ mod tests {
         assert_eq!(from_pattern.row_end, from_matrix.row_end);
         assert_eq!(from_pattern.diag, from_matrix.diag);
         assert_eq!(from_pattern.nnz, from_matrix.nnz);
-        assert_eq!(from_pattern.forward.levels, from_matrix.forward.levels);
-        assert_eq!(from_pattern.backward.levels, from_matrix.backward.levels);
     }
 
     #[test]
@@ -1044,10 +949,10 @@ mod tests {
 
     #[test]
     fn oracle_identity_holds_past_the_parallel_level_threshold() {
-        // Rows couple only to the row half the block away, so each sweep
-        // has two levels of `n / 2 >= PAR_LEVEL_MIN` rows: the pool-of-4
-        // applies really fan out.
-        let n = 2 * (PAR_LEVEL_MIN + 22);
+        // Rows couple only to the row half the block away, so each sweep's
+        // dependencies form two levels of `n / 2` rows: the natural-order
+        // sweeps must still reproduce the oracle's applies bit for bit.
+        let n = 300;
         run_spmd(cfg(), move |comm| {
             let mut b = TripletBuilder::new(n, n + 1);
             for i in 0..n {
@@ -1059,10 +964,6 @@ mod tests {
                 }
             }
             let a = DistMatrix::new(b.build(), ExchangePlan::empty());
-            let symbolic = OwnedBlockSymbolic::of_matrix(a.local());
-            for sweep in [&symbolic.forward, &symbolic.backward] {
-                assert!(sweep.levels.iter().any(|l| l.len() >= PAR_LEVEL_MIN));
-            }
             assert_matches_oracle(&a, comm);
         });
     }

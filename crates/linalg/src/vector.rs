@@ -13,15 +13,24 @@ use hetero_simmpi::{PostedExchange, SimComm};
 
 pub use hetero_simmpi::ExchangePlan;
 
-/// Fixed reduction chunk length. Dot products always sum per-chunk partials
-/// in chunk order — at any thread count, including one — so the result is a
-/// function of the data alone, never of the installed pool size.
+/// Fixed reduction chunk length. Dot products sum per-chunk partials in
+/// chunk order ([`chunked_sum`]), so the result is a function of the data
+/// alone and [`fused_dots`] can share the chunk boundaries.
 const REDUCE_CHUNK: usize = 1024;
 
-/// Minimum owned length before element-wise updates (axpy, xpby, scale) fan
-/// out across the intra-rank pool. Element-wise results are independent of
-/// the split, so this gates speed only.
-const PAR_ELEMWISE_MIN: usize = 4096;
+/// The sum over `[0, n)` as `REDUCE_CHUNK`-sized partials
+/// `chunk_sum(start, end)`, combined left to right in chunk order.
+fn chunked_sum(n: usize, chunk_sum: impl Fn(usize, usize) -> f64) -> f64 {
+    if n == 0 {
+        return 0.0;
+    }
+    (0..n.div_ceil(REDUCE_CHUNK))
+        .map(|i| {
+            let start = i * REDUCE_CHUNK;
+            chunk_sum(start, (start + REDUCE_CHUNK).min(n))
+        })
+        .sum()
+}
 
 /// A distributed vector: `n_owned` owned entries followed by ghost copies of
 /// remote entries. Reductions (dot, norms) run over owned entries only and
@@ -99,27 +108,12 @@ impl DistVector {
     }
 
     /// `self += alpha * x` over owned entries (ghosts are refreshed lazily
-    /// by the next exchange). Element-wise, so parallel and serial runs are
-    /// bitwise identical.
+    /// by the next exchange).
     pub fn axpy(&mut self, alpha: f64, x: &DistVector, comm: &mut SimComm) {
         assert_eq!(self.n_owned, x.n_owned);
         let n = self.n_owned;
-        let xs = &x.values[..n];
-        if n >= PAR_ELEMWISE_MIN && rayon::current_num_threads() > 1 {
-            rayon::fixed::for_each_chunk_mut(
-                &mut self.values[..n],
-                REDUCE_CHUNK,
-                |_chunk, start, ys| {
-                    let len = ys.len();
-                    for (a, b) in ys.iter_mut().zip(&xs[start..start + len]) {
-                        *a += alpha * b;
-                    }
-                },
-            );
-        } else {
-            for (a, b) in self.values[..n].iter_mut().zip(xs) {
-                *a += alpha * b;
-            }
+        for (a, b) in self.values[..n].iter_mut().zip(&x.values[..n]) {
+            *a += alpha * b;
         }
         comm.compute(work_costs::axpy(n));
     }
@@ -129,22 +123,8 @@ impl DistVector {
     pub fn xpby(&mut self, x: &DistVector, beta: f64, comm: &mut SimComm) {
         assert_eq!(self.n_owned, x.n_owned);
         let n = self.n_owned;
-        let xs = &x.values[..n];
-        if n >= PAR_ELEMWISE_MIN && rayon::current_num_threads() > 1 {
-            rayon::fixed::for_each_chunk_mut(
-                &mut self.values[..n],
-                REDUCE_CHUNK,
-                |_chunk, start, ys| {
-                    let len = ys.len();
-                    for (a, b) in ys.iter_mut().zip(&xs[start..start + len]) {
-                        *a = b + beta * *a;
-                    }
-                },
-            );
-        } else {
-            for (a, b) in self.values[..n].iter_mut().zip(xs) {
-                *a = b + beta * *a;
-            }
+        for (a, b) in self.values[..n].iter_mut().zip(&x.values[..n]) {
+            *a = b + beta * *a;
         }
         comm.compute(work_costs::axpy(n));
     }
@@ -152,16 +132,8 @@ impl DistVector {
     /// Scales owned entries by `alpha`.
     pub fn scale(&mut self, alpha: f64, comm: &mut SimComm) {
         let n = self.n_owned;
-        if n >= PAR_ELEMWISE_MIN && rayon::current_num_threads() > 1 {
-            rayon::fixed::for_each_chunk_mut(&mut self.values[..n], REDUCE_CHUNK, |_c, _s, ys| {
-                for a in ys {
-                    *a *= alpha;
-                }
-            });
-        } else {
-            for a in &mut self.values[..n] {
-                *a *= alpha;
-            }
+        for a in &mut self.values[..n] {
+            *a *= alpha;
         }
         comm.compute(work_costs::scale(n));
     }
@@ -169,8 +141,7 @@ impl DistVector {
     /// Global dot product (owned entries + all-reduce).
     ///
     /// The local part is a fixed-chunk reduction: per-chunk partial sums
-    /// combined in chunk order, so the value is bitwise identical at any
-    /// intra-rank thread count.
+    /// combined in chunk order.
     pub fn dot(&self, other: &DistVector, comm: &mut SimComm) -> f64 {
         let local = self.dot_local(other, comm);
         comm.allreduce_scalar(ReduceOp::Sum, local)
@@ -185,7 +156,7 @@ impl DistVector {
         let n = self.n_owned;
         let a = &self.values[..n];
         let b = &other.values[..n];
-        let local = rayon::fixed::chunked_sum(n, REDUCE_CHUNK, |s, e| {
+        let local = chunked_sum(n, |s, e| {
             a[s..e].iter().zip(&b[s..e]).map(|(x, y)| x * y).sum()
         });
         comm.compute(work_costs::dot(n));
@@ -248,7 +219,7 @@ impl DistVector {
 /// it from memory k times. Each pair's partial still sums its chunk
 /// partials in chunk order (and each chunk partial is the same zipped
 /// sequential fold [`DistVector::dot_local`] computes), so every value is
-/// bitwise what k separate `dot_local` calls produce, at any thread count.
+/// bitwise what k separate `dot_local` calls produce.
 /// The virtual-time charge is identical too: one `dot(n)` per pair, in
 /// pair order.
 pub fn fused_dots(pairs: &[(&DistVector, &DistVector)], comm: &mut SimComm) -> Vec<f64> {

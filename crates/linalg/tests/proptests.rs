@@ -71,8 +71,8 @@ fn banded_partition() -> impl Strategy<Value = BandedCase> {
 }
 
 /// Runs blocking and overlapped SpMV on the banded case across `p` ranks
-/// with an intra-rank pool of `threads`, returning the two global results.
-fn banded_spmv_both_ways(case: &BandedCase, threads: usize) -> (Vec<f64>, Vec<f64>) {
+/// on `workers` scheduler workers, returning the two global results.
+fn banded_spmv_both_ways(case: &BandedCase, workers: usize) -> (Vec<f64>, Vec<f64>) {
     let (p, bw, sizes, band, xv) = case.clone();
     let spmd = SpmdConfig {
         size: p,
@@ -81,7 +81,8 @@ fn banded_spmv_both_ways(case: &BandedCase, threads: usize) -> (Vec<f64>, Vec<f6
         compute: ComputeModel::new(1e9, 4e9),
         seed: 11,
     };
-    let results = run_spmd(spmd, move |comm| {
+    let opts = EngineOpts::cooperative(workers);
+    let (results, _) = run_spmd_opts(spmd, opts, FaultPlan::none(), None, move |comm| {
         let rank = comm.rank();
         let first: usize = sizes[..rank].iter().sum();
         let n_per = sizes[rank];
@@ -137,25 +138,19 @@ fn banded_spmv_both_ways(case: &BandedCase, threads: usize) -> (Vec<f64>, Vec<f6
                 .push((first + n_per..first + n_per + k).map(local_of).collect());
         }
         let a = DistMatrix::new(bld.build(), plan);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        pool.install(|| {
-            let mut x1 = a.new_vector();
-            x1.owned_mut().copy_from_slice(&xv[first..first + n_per]);
-            let mut x2 = a.new_vector();
-            x2.owned_mut().copy_from_slice(&xv[first..first + n_per]);
-            let mut y1 = a.new_vector();
-            let mut y2 = a.new_vector();
-            a.spmv(&mut x1, &mut y1, comm);
-            a.spmv_overlapped(&mut x2, &mut y2, comm);
-            (y1.owned().to_vec(), y2.owned().to_vec())
-        })
+        let mut x1 = a.new_vector();
+        x1.owned_mut().copy_from_slice(&xv[first..first + n_per]);
+        let mut x2 = a.new_vector();
+        x2.owned_mut().copy_from_slice(&xv[first..first + n_per]);
+        let mut y1 = a.new_vector();
+        let mut y2 = a.new_vector();
+        a.spmv(&mut x1, &mut y1, comm);
+        a.spmv_overlapped(&mut x2, &mut y2, comm);
+        (y1.owned().to_vec(), y2.owned().to_vec())
     });
     let mut blocking = Vec::new();
     let mut overlapped = Vec::new();
-    for r in results {
+    for r in results.expect("a trivial fault plan cannot fail a rank") {
         blocking.extend(r.value.0);
         overlapped.extend(r.value.1);
     }
@@ -320,15 +315,15 @@ proptest! {
 
     /// Overlapped SpMV is bitwise-identical to blocking SpMV on random
     /// banded matrices under random contiguous partitions, and the result
-    /// does not depend on the intra-rank thread count.
+    /// does not depend on the scheduler's worker count.
     #[test]
     fn overlapped_spmv_is_bitwise_identical_on_random_partitions(case in banded_partition()) {
         let (b1, o1) = banded_spmv_both_ways(&case, 1);
-        let (b4, o4) = banded_spmv_both_ways(&case, 4);
-        for (((b, o), b_mt), o_mt) in b1.iter().zip(&o1).zip(&b4).zip(&o4) {
+        let (b2, o2) = banded_spmv_both_ways(&case, 2);
+        for (((b, o), b_mt), o_mt) in b1.iter().zip(&o1).zip(&b2).zip(&o2) {
             prop_assert_eq!(b.to_bits(), o.to_bits(), "overlapped vs blocking");
-            prop_assert_eq!(b.to_bits(), b_mt.to_bits(), "blocking across threads");
-            prop_assert_eq!(o.to_bits(), o_mt.to_bits(), "overlapped across threads");
+            prop_assert_eq!(b.to_bits(), b_mt.to_bits(), "blocking across workers");
+            prop_assert_eq!(o.to_bits(), o_mt.to_bits(), "overlapped across workers");
         }
     }
 
@@ -384,9 +379,9 @@ proptest! {
     }
 }
 
-/// A partition big enough that the interior sweep crosses the parallel
-/// threshold, so the overlapped path is exercised with real intra-rank
-/// parallelism (not the serial fallback).
+/// Two ranks of 300 rows each, so the overlapped SpMV's interior sweep runs
+/// hundreds of rows while the halo is in flight, on one and on four
+/// scheduler workers.
 #[test]
 fn overlapped_spmv_bitwise_identity_holds_past_parallel_threshold() {
     let p = 2usize;

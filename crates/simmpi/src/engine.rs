@@ -811,9 +811,9 @@ mod tests {
         (acc, comm.clock())
     }
 
-    /// One worker against several: the name predates the single engine.
+    /// One worker against several.
     #[test]
-    fn engines_agree_bitwise() {
+    fn worker_pools_agree_bitwise() {
         let mut c = cfg(12);
         c.net = NetworkModel::ten_gig_ethernet_ec2();
         c.topo = ClusterTopology::uniform(3, 4);
@@ -887,9 +887,9 @@ mod tests {
         assert_eq!(report(), report());
     }
 
-    /// One worker against several: the name predates the single engine.
+    /// One worker against several.
     #[test]
-    fn faulted_runs_agree_across_engines_and_pools() {
+    fn faulted_runs_agree_across_worker_pools() {
         let plan = FaultPlan {
             node_down_at: vec![f64::INFINITY, f64::INFINITY, 0.02, f64::INFINITY],
             slow_windows: vec![SlowWindow {

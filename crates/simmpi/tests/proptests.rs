@@ -395,9 +395,9 @@ proptest! {
 
     /// Random interleavings of sends, recvs, and collectives over random
     /// rank counts produce the identical message order and final clocks at
-    /// every pool size (the name predates the single engine).
+    /// every pool size.
     #[test]
-    fn random_programs_agree_across_engines_and_pools(
+    fn random_programs_agree_across_worker_pools(
         size in 2usize..12,
         seed in 0u64..1000,
         rounds in prop::collection::vec(round_strategy(), 1..6),

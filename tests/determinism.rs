@@ -1,6 +1,7 @@
 //! Reproducibility guarantees: same seed -> bitwise identical results, in
-//! both engines, despite real multithreading in the numerical one — and
-//! despite injected faults in the resilient path.
+//! both fidelities, whatever the number of scheduler worker threads the
+//! numerical one runs on — and despite injected faults in the resilient
+//! path.
 
 use hetero_fault::{FaultModel, SpotMarket};
 use hetero_hpc::apps::App;
@@ -11,8 +12,9 @@ use hetero_hpc::scenarios::{table2, ScenarioOptions};
 use hetero_platform::catalog;
 
 /// An RD run on an EC2 spot fleet under a market compressed enough to
-/// revoke nodes inside the tiny virtual duration of an 8-rank test run.
-fn faulty_rd_request(seed: u64, threads_per_rank: usize) -> RunRequest {
+/// revoke nodes inside the tiny virtual duration of an 8-rank test run, on
+/// `sched_workers` scheduler workers (0 = auto).
+fn faulty_rd_request(seed: u64, sched_workers: usize) -> RunRequest {
     let ec2 = catalog::ec2();
     let mut spec = ResilienceSpec::spot_with_restart(&ec2, 1.0, 1, 50);
     spec.faults = FaultModel {
@@ -26,7 +28,7 @@ fn faulty_rd_request(seed: u64, threads_per_rank: usize) -> RunRequest {
     };
     RunRequest {
         fidelity: Fidelity::Numerical,
-        threads_per_rank,
+        sched_workers,
         seed,
         resilience: Some(spec),
         ..RunRequest::new(ec2, App::paper_rd(6), 8, 3)
@@ -36,7 +38,7 @@ fn faulty_rd_request(seed: u64, threads_per_rank: usize) -> RunRequest {
 /// Executes `req` with prepared-scenario sharing off. A plain numerical
 /// run on a shared scenario can be priced from the work tape of an earlier
 /// run of the same app, which would compare a tape with itself; here every
-/// run executes, under the engine, pool and thread count it names.
+/// run executes, on the worker pool it names.
 fn execute_direct(req: &RunRequest) -> RunOutcome {
     let _off = prep::disable_sharing_scoped();
     let served = prep::tape_stats().served;
@@ -62,32 +64,14 @@ fn numerical_engine_is_deterministic_across_runs() {
 }
 
 #[test]
-fn report_is_bitwise_identical_across_intra_rank_thread_counts() {
-    // The Fig-4-style RD scenario computed with explicit rayon pool sizes
-    // 1 and 4 (wired through RunRequest, not the environment) must produce
-    // byte-identical serialized reports: the fixed-chunk kernels make the
-    // numerics a function of the data alone, never the thread count.
-    let run = |threads: usize| -> String {
-        let req = RunRequest {
-            fidelity: Fidelity::Numerical,
-            threads_per_rank: threads,
-            ..RunRequest::new(catalog::ec2(), App::paper_rd(3), 8, 3)
-        };
-        format!("{:?}", execute_direct(&req))
-    };
-    let serial = run(1);
-    let parallel = run(4);
-    assert_eq!(serial, parallel);
-}
-
-#[test]
 fn ns_report_is_bitwise_identical_across_thread_counts() {
-    // Same guarantee for the heavier NS pipeline: four solves per step,
-    // cached momentum/pressure assemblies, SSOR level sweeps.
-    let run = |threads: usize| -> String {
+    // The heavier NS pipeline — four solves per step, cached
+    // momentum/pressure assemblies, SSOR sweeps — on one and on four
+    // scheduler worker threads: byte-identical serialized reports.
+    let run = |workers: usize| -> String {
         let req = RunRequest {
             fidelity: Fidelity::Numerical,
-            threads_per_rank: threads,
+            sched_workers: workers,
             ..RunRequest::new(catalog::ec2(), App::paper_ns(2), 8, 3)
         };
         format!("{:?}", execute_direct(&req))
@@ -135,9 +119,10 @@ fn fault_injected_report_is_bitwise_identical_across_thread_counts() {
     // Spot revocations fell nodes mid-run and the campaign recovers through
     // checkpoints and re-acquisition — yet the full serialized report
     // (campaign stats, phases, costs, error norms) is a function of the
-    // seed alone, never of the intra-rank thread count or host scheduling.
-    let run = |threads: usize| -> String {
-        let out = execute_resilient(&faulty_rd_request(2012, threads)).unwrap();
+    // seed alone, never of the scheduler's worker threads or host
+    // scheduling.
+    let run = |workers: usize| -> String {
+        let out = execute_resilient(&faulty_rd_request(2012, workers)).unwrap();
         assert!(
             out.stats.faults_injected >= 1,
             "the market was supposed to bite: {:?}",
@@ -153,7 +138,7 @@ fn fault_injected_report_is_deterministic_per_seed() {
     // A different seed samples a different market and crash stream: the
     // report changes, but each seed's report reproduces bitwise.
     let run = |seed: u64| -> String {
-        let out = execute_resilient(&faulty_rd_request(seed, 1)).unwrap();
+        let out = execute_resilient(&faulty_rd_request(seed, 0)).unwrap();
         format!("{out:?}")
     };
     assert_eq!(run(7), run(7));

@@ -119,10 +119,7 @@ fn library_sources(root: &Path) -> Vec<PathBuf> {
 #[test]
 fn no_environment_switches() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut sources = library_sources(&root);
-    // The vendored thread pool is the one dependency whose behaviour a
-    // run's thread count goes through.
-    rust_sources(&root.join("vendor/rayon/src"), &mut sources);
+    let sources = library_sources(&root);
     assert!(!sources.is_empty(), "the scan found no library source");
 
     let mut found = Vec::new();
@@ -314,4 +311,42 @@ fn one_engine() {
         found.is_empty(),
         "a second engine's code is back: {found:?}"
     );
+}
+
+/// A rank is one coroutine that runs its kernels serially, as an MPI
+/// process on one core does: the library code of the numerical crates
+/// spawns no threads of its own and the vendored thread pool is gone. The names are spelled
+/// in pieces so that this file does not match itself.
+#[test]
+fn single_threaded_ranks() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut found = Vec::new();
+    let pool = ["vendor/", "ray", "on"].concat();
+    if root.join(&pool).exists() {
+        found.push(format!("{pool} exists"));
+    }
+    let threading = [
+        ["ray", "on"].concat(),
+        ["ThreadPool", "Builder"].concat(),
+        ["current_num", "_threads"].concat(),
+        ["thread::", "scope"].concat(),
+    ];
+    for krate in ["linalg", "fem", "core"] {
+        let mut sources = Vec::new();
+        rust_sources(&root.join("crates").join(krate).join("src"), &mut sources);
+        assert!(!sources.is_empty(), "the scan found no {krate} source");
+        for path in sources {
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{} is readable: {e}", path.display()));
+            // Unit tests may drive a component from several threads (the
+            // artifact store's concurrent writers); the library may not.
+            let library = text.split("#[cfg(test)]\nmod tests").next().unwrap_or("");
+            for name in &threading {
+                if library.contains(name.as_str()) {
+                    found.push(format!("{name} in {}", path.display()));
+                }
+            }
+        }
+    }
+    assert!(found.is_empty(), "intra-rank threading is back: {found:?}");
 }

@@ -3,15 +3,18 @@
 //! A counting global allocator keeps the bytes live at each instant and
 //! their high-water mark. The job is the NS half of the benchmark's
 //! `fem_sweep_8r` sweep, run cold (empty prepared-scenario cache) on one
-//! scheduler worker and one thread per rank, so the allocation sequence is
-//! a function of the code alone: the peak is the same in every run, and a
-//! change that stores more per sparse-matrix entry, or copies a structure
-//! it could share, fails here without a stopwatch.
+//! scheduler worker, so the allocation sequence is a function of the code
+//! alone: the peak is the same in every run, and a change that stores
+//! more per sparse-matrix entry, or copies a structure it could share,
+//! fails here without a stopwatch.
 //!
-//! Peak measured when the budget was set: 52 775 341 bytes, in release and
+//! Peak measured when the budget was set: 51 792 509 bytes, in release and
 //! debug builds alike (CSR columns as `u32`, one structure per sparsity
-//! pattern). The same job read 81 459 653 bytes with `usize` columns and a
-//! structure copy per matrix.
+//! pattern, serial cell walks writing straight into the triplet buffer and
+//! into exactly sized send buffers, no dependency levels). The same job
+//! read 52 775 341 bytes with per-chunk assembly staging and level-ordered
+//! sweeps, and 81 459 653 bytes with `usize` columns and a structure copy
+//! per matrix.
 //! This binary holds one test, so no other test's allocations overlap it.
 
 use hetero_hpc::{execute, prep, App, Fidelity, RunRequest};
@@ -20,7 +23,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// About 10 % above the measured peak.
-const HEAP_BUDGET_BYTES: usize = 58_000_000;
+const HEAP_BUDGET_BYTES: usize = 57_000_000;
 
 /// [`System`], counting live bytes and their high-water mark.
 struct Counting;
@@ -87,7 +90,6 @@ fn a_cold_8_rank_ns_job_stays_inside_its_heap_budget() {
         discard: 1,
         fidelity: Fidelity::Numerical,
         sched_workers: 1,
-        threads_per_rank: 1,
         ..RunRequest::new(catalog::ec2(), App::paper_ns(5), 8, 5)
     };
     prep::clear_cache();

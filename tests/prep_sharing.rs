@@ -6,9 +6,8 @@
 //! `hetero-prep/key/v1` key; a run that executes builds its own set-up.
 //! These tests drive the same requests four ways (sharing disabled, cold
 //! cache recording the tape, a traced run and an untraced one, both served
-//! from the tape) across scheduler pools of 1 and 3 workers and
-//! intra-rank thread counts 1 and 4, run fault-injected RD and NS campaigns with sharing on and off,
-//! and require the serialized outcome to be byte-identical everywhere. Two
+//! from the tape) across scheduler pools of 1 and 3 workers, run
+//! fault-injected RD and NS campaigns with sharing on and off, and require the serialized outcome to be byte-identical everywhere. Two
 //! modeled sweeps pin the locality the process-wide cache relies on: a
 //! `ranks`-outer ladder wider than the cache, and a cadence sweep. The
 //! golden key fixtures live in `tests/prep_keys.rs`, the tape battery in
@@ -36,19 +35,18 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn rd_req(sched_workers: usize, threads_per_rank: usize) -> RunRequest {
+fn rd_req(sched_workers: usize) -> RunRequest {
     RunRequest {
         fidelity: Fidelity::Numerical,
         sched_workers,
-        threads_per_rank,
         ..RunRequest::new(catalog::ec2(), App::paper_rd(3), 8, 3)
     }
 }
 
-fn ns_req(threads_per_rank: usize) -> RunRequest {
+fn ns_req(sched_workers: usize) -> RunRequest {
     RunRequest {
         fidelity: Fidelity::Numerical,
-        threads_per_rank,
+        sched_workers,
         ..RunRequest::new(catalog::ec2(), App::paper_ns(2), 8, 3)
     }
 }
@@ -56,7 +54,7 @@ fn ns_req(threads_per_rank: usize) -> RunRequest {
 /// The fault-injected fixture of `tests/determinism.rs` and
 /// `tests/resilience.rs`: an EC2 spot market compressed enough to revoke
 /// nodes inside the run.
-fn faulty_request(app: App, seed: u64, threads_per_rank: usize) -> RunRequest {
+fn faulty_request(app: App, seed: u64, sched_workers: usize) -> RunRequest {
     let ec2 = catalog::ec2();
     let mut spec = ResilienceSpec::spot_with_restart(&ec2, 1.0, 1, 50);
     spec.faults = FaultModel {
@@ -70,7 +68,7 @@ fn faulty_request(app: App, seed: u64, threads_per_rank: usize) -> RunRequest {
     };
     RunRequest {
         fidelity: Fidelity::Numerical,
-        threads_per_rank,
+        sched_workers,
         seed,
         resilience: Some(spec),
         ..RunRequest::new(ec2, app, 8, 3)
@@ -84,8 +82,8 @@ fn json(out: RunOutcome) -> String {
 /// Executes `req` four ways and returns the serialized outcomes (the
 /// `serde_json` bytes, which leave a trace out):
 ///
-/// * sharing disabled, so the run executes on the worker pool and thread
-///   count it names and no tape is recorded or served;
+/// * sharing disabled, so the run executes on the worker pool it names and
+///   no tape is recorded or served;
 /// * cold cache, which executes too and records the app's work tape;
 /// * traced on the warm scenario: priced from the cold run's tape like any
 ///   other run, its trace being what the tape's evaluation implies;
@@ -117,12 +115,10 @@ fn four_ways(req: &RunRequest) -> [String; 4] {
 fn rd_reports_are_byte_identical_shared_vs_fresh() {
     let _g = lock();
     // One report for the whole matrix: sharing must not break what the
-    // determinism battery already guarantees for worker pools and threads.
+    // determinism battery already guarantees for worker pools.
     let mut reports = Vec::new();
     for workers in [1, 3] {
-        for threads in [1, 4] {
-            reports.extend(four_ways(&rd_req(workers, threads)));
-        }
+        reports.extend(four_ways(&rd_req(workers)));
     }
     for (i, r) in reports.iter().enumerate() {
         assert_eq!(r, &reports[0], "report {i} diverged");
@@ -133,8 +129,8 @@ fn rd_reports_are_byte_identical_shared_vs_fresh() {
 fn ns_reports_are_byte_identical_shared_vs_fresh() {
     let _g = lock();
     let mut reports = Vec::new();
-    for threads in [1, 4] {
-        reports.extend(four_ways(&ns_req(threads)));
+    for workers in [1, 3] {
+        reports.extend(four_ways(&ns_req(workers)));
     }
     for (i, r) in reports.iter().enumerate() {
         assert_eq!(r, &reports[0], "report {i} diverged");
@@ -148,8 +144,8 @@ fn fault_injected_resilient_reports_are_byte_identical_shared_vs_fresh() {
     let _g = lock();
     for (app, seed) in [(App::paper_rd(6), 7), (App::paper_ns(4), 97)] {
         let mut reports = Vec::new();
-        for threads in [1, 4] {
-            let req = faulty_request(app.clone(), seed, threads);
+        for workers in [1, 3] {
+            let req = faulty_request(app.clone(), seed, workers);
             let fresh = {
                 let _off = prep::disable_sharing_scoped();
                 let out = execute_resilient(&req).unwrap();
@@ -183,10 +179,7 @@ fn seed_sweep_builds_one_scenario_and_hits_thereafter() {
     prep::clear_cache();
     let (builds0, hits0, _) = prep::cache_stats();
     for seed in 0..4 {
-        let req = RunRequest {
-            seed,
-            ..rd_req(0, 1)
-        };
+        let req = RunRequest { seed, ..rd_req(0) };
         execute(&req).unwrap();
     }
     let (builds1, hits1, _) = prep::cache_stats();
@@ -265,10 +258,10 @@ fn disabled_sharing_touches_no_cache() {
     let _g = lock();
     let _off = prep::disable_sharing_scoped();
     assert!(!prep::sharing_enabled());
-    assert!(prep::scenario_for(&rd_req(0, 1)).is_none());
+    assert!(prep::scenario_for(&rd_req(0)).is_none());
     let before = (prep::cache_stats(), prep::tape_stats());
-    execute(&rd_req(0, 1)).unwrap();
-    execute(&rd_req(0, 1)).unwrap();
+    execute(&rd_req(0)).unwrap();
+    execute(&rd_req(0)).unwrap();
     assert_eq!((prep::cache_stats(), prep::tape_stats()), before);
 }
 
@@ -281,7 +274,7 @@ fn a_panicking_build_does_not_poison_later_jobs() {
     let _g = lock();
     let bad = RunRequest {
         per_rank_axis: 0,
-        ..rd_req(0, 1)
+        ..rd_req(0)
     };
     assert_eq!(
         execute(&bad).unwrap_err(),
@@ -291,5 +284,5 @@ fn a_panicking_build_does_not_poison_later_jobs() {
     );
     let panicked = std::panic::catch_unwind(|| prep::scenario_for(&bad));
     assert!(panicked.is_err(), "the zero axis was supposed to panic");
-    execute(&rd_req(0, 1)).expect("the cache survives the panic");
+    execute(&rd_req(0)).expect("the cache survives the panic");
 }

@@ -4,8 +4,7 @@
 //! run is **byte-identical** at every worker-pool size, with and without
 //! injected faults, up to thousands of ranks — and equal to a checked-in
 //! digest ([`GOLDEN`]) that a one-OS-thread-per-rank engine also produced,
-//! while one existed. The test names still say "across engines" for that
-//! reference.
+//! while one existed.
 
 use hetero_fault::{FaultModel, SpotMarket};
 use hetero_hpc::apps::App;
@@ -105,7 +104,7 @@ fn ns_report(ranks: usize, steps: usize, workers: usize) -> String {
 }
 
 #[test]
-fn rd_report_identical_across_engines_at_27_ranks() {
+fn rd_report_identical_across_worker_pools_at_27_ranks() {
     let baseline = rd_report(27, 2, 1);
     for workers in [4, ncpu()] {
         assert_eq!(
@@ -118,7 +117,7 @@ fn rd_report_identical_across_engines_at_27_ranks() {
 }
 
 #[test]
-fn rd_report_identical_across_engines_at_216_ranks() {
+fn rd_report_identical_across_worker_pools_at_216_ranks() {
     // The paper's mid rung; one step keeps the debug-mode A/B affordable.
     let baseline = rd_report(216, 1, 1);
     assert_eq!(baseline, rd_report(216, 1, 4));
@@ -127,7 +126,7 @@ fn rd_report_identical_across_engines_at_216_ranks() {
 
 #[test]
 #[ignore = "scale: minutes of debug-mode wall time; the CI stress job runs this in release with -- --ignored"]
-fn rd_report_identical_across_engines_at_1000_ranks() {
+fn rd_report_identical_across_worker_pools_at_1000_ranks() {
     // 1000 ranks is the paper's largest configuration; one step keeps the
     // A/B affordable.
     let baseline = rd_report(1000, 1, 1);
@@ -136,7 +135,7 @@ fn rd_report_identical_across_engines_at_1000_ranks() {
 }
 
 #[test]
-fn ns_report_identical_across_engines_at_27_ranks() {
+fn ns_report_identical_across_worker_pools_at_27_ranks() {
     let baseline = ns_report(27, 2, 1);
     for workers in [4, ncpu()] {
         assert_eq!(
@@ -150,7 +149,7 @@ fn ns_report_identical_across_engines_at_27_ranks() {
 
 #[test]
 #[ignore = "scale: minutes of debug-mode wall time; the CI stress job runs this in release with -- --ignored"]
-fn ns_report_identical_across_engines_at_216_ranks() {
+fn ns_report_identical_across_worker_pools_at_216_ranks() {
     // The heavier app (four solves per step) at the paper's mid rung; one
     // step keeps the A/B affordable.
     let baseline = ns_report(216, 1, 1);
@@ -160,8 +159,8 @@ fn ns_report_identical_across_engines_at_216_ranks() {
 
 /// An RD run on an EC2 spot fleet under a market compressed enough to
 /// revoke nodes inside the tiny virtual duration of an 8-rank test run —
-/// the same campaign the determinism suite pins across thread counts,
-/// here pinned across worker pools. This re-covers the
+/// the same campaign the determinism suite pins, here across three worker
+/// pools. This re-covers the
 /// felled-attempt teardown race fixed when resilience landed: a revoked
 /// node's ranks unwind mid-collective while their peers still hold
 /// mailbox locks.
@@ -187,7 +186,7 @@ fn faulty_rd_request(seed: u64, workers: usize) -> RunRequest {
 }
 
 #[test]
-fn fault_injected_campaign_identical_across_engines_and_pools() {
+fn fault_injected_campaign_identical_across_worker_pools() {
     let run = |workers: usize| -> String {
         let out = execute_resilient(&faulty_rd_request(2012, workers)).unwrap();
         assert!(

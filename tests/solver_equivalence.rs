@@ -9,10 +9,11 @@ use hetero_hpc::run::{execute, Fidelity, RunRequest};
 use hetero_linalg::SolverVariant;
 use hetero_platform::catalog;
 
-fn rd_numerical(variant: Option<SolverVariant>, threads: usize) -> RunRequest {
+/// An 8-rank RD run on `sched_workers` scheduler workers (0 = auto).
+fn rd_numerical(variant: Option<SolverVariant>, sched_workers: usize) -> RunRequest {
     RunRequest {
         fidelity: Fidelity::Numerical,
-        threads_per_rank: threads,
+        sched_workers,
         solver_variant: variant,
         discard: 1,
         ..RunRequest::new(catalog::ec2(), App::paper_rd(3), 8, 3)
@@ -23,8 +24,8 @@ fn rd_numerical(variant: Option<SolverVariant>, threads: usize) -> RunRequest {
 fn blocking_override_is_the_identity() {
     // `Some(Blocking)` must be indistinguishable from `None`: the override
     // is folded into the app config, not a separate code path.
-    let a = execute(&rd_numerical(None, 1)).unwrap();
-    let b = execute(&rd_numerical(Some(SolverVariant::Blocking), 1)).unwrap();
+    let a = execute(&rd_numerical(None, 0)).unwrap();
+    let b = execute(&rd_numerical(Some(SolverVariant::Blocking), 0)).unwrap();
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
@@ -32,8 +33,8 @@ fn blocking_override_is_the_identity() {
 fn overlapped_rd_values_match_blocking_bitwise() {
     // Same iterates, same iteration counts, same errors — only the
     // simulated communication schedule (and hence phase times) may move.
-    let a = execute(&rd_numerical(None, 1)).unwrap();
-    let b = execute(&rd_numerical(Some(SolverVariant::Overlapped), 1)).unwrap();
+    let a = execute(&rd_numerical(None, 0)).unwrap();
+    let b = execute(&rd_numerical(Some(SolverVariant::Overlapped), 0)).unwrap();
     let (va, vb) = (a.verification.unwrap(), b.verification.unwrap());
     assert_eq!(va.linf.to_bits(), vb.linf.to_bits());
     assert_eq!(va.l2.to_bits(), vb.l2.to_bits());
@@ -60,10 +61,11 @@ fn overlapped_ns_values_match_blocking_bitwise() {
 
 #[test]
 fn overlapped_report_is_bitwise_identical_across_thread_counts() {
-    // The overlapped path reuses the same fixed-chunk kernels, so the
-    // whole serialized report is still a function of the data alone.
-    let run = |threads: usize| -> String {
-        let out = execute(&rd_numerical(Some(SolverVariant::Overlapped), threads)).unwrap();
+    // The overlapped path posts its halo exchanges around the interior
+    // rows; on one and on four scheduler worker threads the whole
+    // serialized report is still a function of the data alone.
+    let run = |workers: usize| -> String {
+        let out = execute(&rd_numerical(Some(SolverVariant::Overlapped), workers)).unwrap();
         format!("{out:?}")
     };
     assert_eq!(run(1), run(4));
@@ -71,8 +73,8 @@ fn overlapped_report_is_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn pipelined_rd_tracks_blocking_accuracy_and_iterations() {
-    let a = execute(&rd_numerical(None, 1)).unwrap();
-    let p = execute(&rd_numerical(Some(SolverVariant::Pipelined), 1)).unwrap();
+    let a = execute(&rd_numerical(None, 0)).unwrap();
+    let p = execute(&rd_numerical(Some(SolverVariant::Pipelined), 0)).unwrap();
     let (va, vp) = (a.verification.unwrap(), p.verification.unwrap());
     // Pipelined CG reassociates the recurrences: same accuracy class, not
     // bitwise.

@@ -1,5 +1,5 @@
 //! Guarantees of the structured-event trace layer: byte-identical exports
-//! across intra-rank thread counts, seed sensitivity, conservation of
+//! across scheduler worker-thread counts, seed sensitivity, conservation of
 //! traced time against the reported wall time, campaign-level fault
 //! events, and a truly zero-cost disabled path.
 
@@ -11,10 +11,11 @@ use hetero_hpc::TraceSpec;
 use hetero_platform::catalog;
 use hetero_trace::{EventKind, Phase, CAMPAIGN_RANK};
 
-fn traced_rd(seed: u64, threads_per_rank: usize) -> RunRequest {
+/// A traced 8-rank RD run on `sched_workers` scheduler workers (0 = auto).
+fn traced_rd(seed: u64, sched_workers: usize) -> RunRequest {
     RunRequest {
         fidelity: Fidelity::Numerical,
-        threads_per_rank,
+        sched_workers,
         seed,
         discard: 1,
         trace: Some(TraceSpec::messages()),
@@ -23,8 +24,9 @@ fn traced_rd(seed: u64, threads_per_rank: usize) -> RunRequest {
 }
 
 /// An RD run on an EC2 spot fleet under a market compressed enough to
-/// revoke nodes inside the tiny virtual duration of an 8-rank test run.
-fn faulty_rd(seed: u64, threads_per_rank: usize) -> RunRequest {
+/// revoke nodes inside the tiny virtual duration of an 8-rank test run, on
+/// `sched_workers` scheduler workers (0 = auto).
+fn faulty_rd(seed: u64, sched_workers: usize) -> RunRequest {
     let ec2 = catalog::ec2();
     let mut spec = ResilienceSpec::spot_with_restart(&ec2, 1.0, 1, 50);
     spec.faults = FaultModel {
@@ -38,7 +40,7 @@ fn faulty_rd(seed: u64, threads_per_rank: usize) -> RunRequest {
     };
     RunRequest {
         fidelity: Fidelity::Numerical,
-        threads_per_rank,
+        sched_workers,
         seed,
         resilience: Some(spec),
         trace: Some(TraceSpec::collectives()),
@@ -49,10 +51,10 @@ fn faulty_rd(seed: u64, threads_per_rank: usize) -> RunRequest {
 #[test]
 fn jsonl_trace_is_byte_identical_across_thread_counts() {
     // Events are stamped with virtual time and ordered by (at, rank, seq);
-    // host scheduling and the intra-rank pool size never leak in, so the
-    // serialized trace is a pure function of (program, platform, seed).
-    let export = |threads: usize| {
-        let out = execute(&traced_rd(2012, threads)).unwrap();
+    // host scheduling and the scheduler's worker count never leak in, so
+    // the serialized trace is a pure function of (program, platform, seed).
+    let export = |workers: usize| {
+        let out = execute(&traced_rd(2012, workers)).unwrap();
         let t = out.trace.expect("tracing was requested");
         (t.jsonl(), t.chrome_json())
     };
@@ -71,7 +73,7 @@ fn jsonl_trace_is_distinct_per_seed_and_reproducible() {
         let req = RunRequest {
             seed,
             ranks: 27,
-            ..traced_rd(seed, 1)
+            ..traced_rd(seed, 0)
         };
         execute(&req)
             .unwrap()
@@ -88,7 +90,7 @@ fn traced_phase_durations_conserve_the_iteration_wall_time() {
     // For every (rank, step): assembly + precond + solve + other spans sum
     // to the enclosing iteration span within 1e-12 relative — no traced
     // time is lost and none is invented.
-    let out = execute(&traced_rd(2012, 1)).unwrap();
+    let out = execute(&traced_rd(2012, 0)).unwrap();
     let trace = out.trace.as_ref().unwrap();
     let mut named = std::collections::BTreeMap::new();
     let mut iteration = std::collections::BTreeMap::new();
@@ -121,7 +123,7 @@ fn traced_phase_durations_conserve_the_iteration_wall_time() {
 
 #[test]
 fn chrome_export_is_valid_json_whose_phase_spans_match_the_report() {
-    let out = execute(&traced_rd(2012, 1)).unwrap();
+    let out = execute(&traced_rd(2012, 0)).unwrap();
     let trace = out.trace.as_ref().unwrap();
     let v: serde_json::Value = serde_json::from_str(&trace.chrome_json()).unwrap();
     let events = v["traceEvents"].as_array().expect("traceEvents array");
@@ -166,7 +168,7 @@ fn chrome_export_is_valid_json_whose_phase_spans_match_the_report() {
 
 #[test]
 fn disabled_sink_records_nothing_and_perturbs_nothing() {
-    let on = traced_rd(2012, 1);
+    let on = traced_rd(2012, 0);
     let off = RunRequest {
         trace: None,
         ..on.clone()
@@ -186,7 +188,7 @@ fn disabled_sink_records_nothing_and_perturbs_nothing() {
 
 #[test]
 fn campaign_trace_records_the_recovery_story() {
-    let out = execute_resilient(&faulty_rd(2012, 1)).unwrap();
+    let out = execute_resilient(&faulty_rd(2012, 0)).unwrap();
     assert!(
         out.stats.faults_injected >= 1,
         "the market was supposed to bite"
@@ -228,8 +230,8 @@ fn resilient_trace_is_byte_identical_across_thread_counts() {
     // at its node-loss clock, or when an awaited message provably cannot
     // arrive), and felled attempts contribute only campaign-level events —
     // the exported trace stays a function of the seed alone.
-    let export = |threads: usize| {
-        let out = execute_resilient(&faulty_rd(2012, threads)).unwrap();
+    let export = |workers: usize| {
+        let out = execute_resilient(&faulty_rd(2012, workers)).unwrap();
         out.trace.expect("tracing was requested").jsonl()
     };
     assert_eq!(export(1), export(4));
