@@ -40,7 +40,7 @@ fn main() {
     let trace = cell.trace.as_ref().expect("tracing was requested");
     write_artifact("fig4_ec2_trace.chrome.json", &trace.chrome_json());
 
-    println!("=== numerical cross-check (threaded engine, 8 ranks x 10^3 cells) ===\n");
+    println!("=== numerical cross-check (M:N scheduler, 8 ranks x 10^3 cells) ===\n");
     for platform in catalog::all_platforms() {
         let req = RunRequest {
             fidelity: Fidelity::Numerical,

@@ -42,7 +42,7 @@ fn main() {
         t(27, "puma").unwrap()
     );
 
-    println!("\n=== numerical cross-check (threaded engine, 8 ranks x 5^3 cells) ===\n");
+    println!("\n=== numerical cross-check (M:N scheduler, 8 ranks x 5^3 cells) ===\n");
     let req = RunRequest {
         fidelity: Fidelity::Numerical,
         discard: 1,

@@ -76,7 +76,7 @@ use std::fmt::Write as _;
 
 mod sha256;
 
-use sha256::sha256;
+pub(crate) use sha256::sha256;
 
 /// Version tag of the canonical key schema. Doubles as the prefix of every
 /// key string, so a key names the schema that produced it.

@@ -41,16 +41,23 @@
 //!   from then on. An envelope nested deeper than the JSON parser's
 //!   limit (`serde_json::MAX_DEPTH`) fails to parse like any other
 //!   corruption;
+//! * **every probe reads the file** — a caller that kept the
+//!   [`ArtifactDigest`] of bytes it saw verified and decoded may ask
+//!   [`get_if_changed`](ArtifactStore::get_if_changed), which still reads
+//!   and hashes the whole file but skips the parse when the digest of the
+//!   key and the bytes just read equals that one. Those bytes passed the
+//!   full check before, and the check is a pure function of the key and
+//!   the bytes, so nothing is served that the check would refuse;
 //! * **absence is a miss** — the directory is the only index; a file that
 //!   is not there is [`Lookup::Miss`], nothing else.
 //!
 //! [`crate::prep`]'s prepared-scenario cache is *not* a store: it holds
 //! live `Arc`s in memory, persists nothing and verifies nothing.
 
-use crate::canon::sha256_hex;
+use crate::canon::{sha256, sha256_hex};
 use serde_json::{json, Value};
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -66,6 +73,46 @@ pub enum Lookup<T> {
     Miss,
     /// An artifact existed but failed verification and was quarantined.
     Quarantined,
+}
+
+/// What [`ArtifactStore::get_if_changed`] found.
+#[derive(Debug)]
+pub enum Probe<T> {
+    /// The file holds the very bytes behind the caller's digest; they were
+    /// not parsed again.
+    Unchanged,
+    /// A verified, decoded artifact and the digest of the bytes it came
+    /// from.
+    Hit(T, ArtifactDigest),
+    /// No artifact for this key.
+    Miss,
+    /// An artifact existed but failed verification and was quarantined.
+    Quarantined,
+}
+
+/// The SHA-256 of a key and of the exact artifact bytes one probe read
+/// under it. Only a probe makes one, so holding one means those bytes
+/// passed the full check for that key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArtifactDigest([u32; 8]);
+
+/// The file stem of a key in binary, the 32 bytes its 64 hex digits spell:
+/// a compact handle for callers that index what they learned per artifact.
+/// Keys whose stems differ only in the case of their hex digits share one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Stem([u8; 32]);
+
+impl Stem {
+    /// The stem of `key`; `None` for a key the store refuses.
+    pub fn of(key: &str) -> Option<Stem> {
+        let hex = file_stem(key)?.as_bytes();
+        let nibble = |b: u8| (b as char).to_digit(16).expect("a checked hex digit") as u8;
+        let mut stem = [0u8; 32];
+        for (byte, pair) in stem.iter_mut().zip(hex.chunks_exact(2)) {
+            *byte = nibble(pair[0]) << 4 | nibble(pair[1]);
+        }
+        Some(Stem(stem))
+    }
 }
 
 /// A directory of verified, atomically published artifacts.
@@ -89,22 +136,52 @@ impl ArtifactStore {
     /// Probes for `key`; an artifact found is verified and then decoded by
     /// `decode`, and one that fails either is quarantined.
     pub fn get<T>(&self, key: &str, decode: impl FnOnce(&str) -> Option<T>) -> Lookup<T> {
+        match self.get_if_changed(key, None, decode) {
+            Probe::Hit(hit, _) => Lookup::Hit(hit),
+            Probe::Miss => Lookup::Miss,
+            Probe::Quarantined => Lookup::Quarantined,
+            Probe::Unchanged => unreachable!("`Unchanged` answers a digest, and none was given"),
+        }
+    }
+
+    /// [`get`](ArtifactStore::get), except that the artifact is not parsed
+    /// when the digest of `key` and the bytes read equals `seen`:
+    /// [`Probe::Unchanged`]. The whole file is read and hashed either way.
+    pub fn get_if_changed<T>(
+        &self,
+        key: &str,
+        seen: Option<&ArtifactDigest>,
+        decode: impl FnOnce(&str) -> Option<T>,
+    ) -> Probe<T> {
         let Some(stem) = file_stem(key) else {
-            return Lookup::Miss;
+            return Probe::Miss;
         };
         let path = self.artifact_path(stem);
-        let hit = match fs::read_to_string(&path) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Lookup::Miss,
-            read => read.ok().and_then(|text| {
-                let envelope = serde_json::from_str(&text).ok()?;
-                decode(verified_body(&envelope, key)?)
-            }),
+        // The digest covers the key's length, the key and then the file,
+        // so bytes that verified under one key never pass for another.
+        let mut bytes = Vec::with_capacity(8 + key.len());
+        bytes.extend_from_slice(&(key.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(key.as_bytes());
+        let head = bytes.len();
+        let hit = match File::open(&path).and_then(|mut file| file.read_to_end(&mut bytes)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Probe::Miss,
+            Err(_) => None,
+            Ok(_) => {
+                let digest = ArtifactDigest(sha256(&bytes));
+                if seen == Some(&digest) {
+                    return Probe::Unchanged;
+                }
+                std::str::from_utf8(&bytes[head..]).ok().and_then(|text| {
+                    let envelope = serde_json::from_str(text).ok()?;
+                    Some((decode(verified_body(&envelope, key)?)?, digest))
+                })
+            }
         };
         match hit {
-            Some(hit) => Lookup::Hit(hit),
+            Some((hit, digest)) => Probe::Hit(hit, digest),
             None => {
                 self.quarantine(&path, stem);
-                Lookup::Quarantined
+                Probe::Quarantined
             }
         }
     }
@@ -395,6 +472,47 @@ mod tests {
             "{hits} hits, {quarantines} quarantines"
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_digest_skips_the_parse_only_for_the_bytes_and_key_it_came_from() {
+        let dir = tdir("digest");
+        let store = ArtifactStore::open(&dir).unwrap();
+        store.put(KEY, BODY).unwrap();
+        let Probe::Hit(body, digest) = store.get_if_changed(KEY, None, text) else {
+            panic!("expected a hit");
+        };
+        assert_eq!(body, BODY);
+        let unparsed = |_: &str| -> Option<String> { panic!("parsed unchanged bytes") };
+        assert!(matches!(
+            store.get_if_changed(KEY, Some(&digest), unparsed),
+            Probe::Unchanged
+        ));
+        // The same file under a key of another tag is verified, and refused.
+        let retagged = KEY.replace("key/v2", "key/v9");
+        assert_eq!(Stem::of(&retagged), Stem::of(KEY));
+        assert!(matches!(
+            store.get_if_changed(&retagged, Some(&digest), text),
+            Probe::Quarantined
+        ));
+        // New bytes for the key: decoded, under a new digest.
+        store.put(KEY, "{}").unwrap();
+        match store.get_if_changed(KEY, Some(&digest), text) {
+            Probe::Hit(body, new) => assert!(body == "{}" && new != digest),
+            other => panic!("expected a hit, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stem_is_the_binary_of_its_hex_digits() {
+        let Some(Stem(stem)) = Stem::of(KEY) else {
+            panic!("a valid key has a stem");
+        };
+        assert_eq!(stem[30..], [0x0a, 0xbc]);
+        assert!(stem[..30].iter().all(|&b| b == 0));
+        assert_eq!(Stem::of(&KEY.to_uppercase()), Stem::of(KEY));
+        assert_eq!(Stem::of("../x"), None);
     }
 
     #[test]

@@ -248,25 +248,32 @@ pub fn solve_ns_with(
     // Constant operators, assembled once. Each space pair shares one
     // symbolic structure, so the three gradients (and divergences) reuse
     // the structure of their first assembly — cached calls are
-    // traffic-identical and bitwise-pinned, see `MatrixAssembly`.
+    // traffic-identical and bitwise-pinned, see `MatrixAssembly`. The
+    // gradient and divergence assemblies are never refreshed, so they (and
+    // their patterns' scatter arrays) are dropped once the three operators
+    // exist.
     let mut mass_asm = MatrixAssembly::new(1);
     let mass_v = mass_asm.assemble(&vmap, &vmap, comm, |_i, out| {
         out.copy_from_slice(&kern_v.mass)
     });
-    let mut grad_asm = MatrixAssembly::new(1);
-    let grad: Vec<_> = (0..3)
-        .map(|d| {
-            let gk = gradient_kernel(cfg.vel_order, cfg.p_order, d, h);
-            grad_asm.assemble(&vmap, &pmap, comm, |_i, out| out.copy_from_slice(&gk))
-        })
-        .collect();
-    let mut div_asm = MatrixAssembly::new(1);
-    let div: Vec<_> = (0..3)
-        .map(|d| {
-            let dk = gradient_kernel(cfg.p_order, cfg.vel_order, d, h);
-            div_asm.assemble(&pmap, &vmap, comm, |_i, out| out.copy_from_slice(&dk))
-        })
-        .collect();
+    let grad: Vec<_> = {
+        let mut asm = MatrixAssembly::new(1);
+        (0..3)
+            .map(|d| {
+                let gk = gradient_kernel(cfg.vel_order, cfg.p_order, d, h);
+                asm.assemble(&vmap, &pmap, comm, |_i, out| out.copy_from_slice(&gk))
+            })
+            .collect()
+    };
+    let div: Vec<_> = {
+        let mut asm = MatrixAssembly::new(1);
+        (0..3)
+            .map(|d| {
+                let dk = gradient_kernel(cfg.p_order, cfg.vel_order, d, h);
+                asm.assemble(&pmap, &vmap, comm, |_i, out| out.copy_from_slice(&dk))
+            })
+            .collect()
+    };
     // Lumped velocity mass (row sums = load vector entries).
     let lumped = assemble_vector(&vmap, comm, |_i, out| out.copy_from_slice(&kern_v.load));
 

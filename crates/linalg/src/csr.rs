@@ -257,10 +257,9 @@ impl SparsityPattern {
     /// triplet, in insertion order) into the frozen pattern. The matrix
     /// shares the pattern's `row_ptr` and `col_idx` and allocates only its
     /// value array. Bitwise identical to rebuilding via
-    /// [`TripletBuilder::build`] with the same coordinates and values,
-    /// except that an entry whose every contribution is `-0.0` comes out
-    /// `0.0` (the scatter adds to a zeroed slot where `build` assigns the
-    /// first contribution).
+    /// [`TripletBuilder::build`] with the same coordinates and values:
+    /// each entry is assigned its first contribution in sorted order and
+    /// then adds the rest, so a lone `-0.0` stays `-0.0`.
     ///
     /// # Panics
     /// Panics if `triplet_values.len()` differs from the triplet count the
@@ -292,7 +291,10 @@ impl SparsityPattern {
             self.col_idx.len(),
             "destination does not match the pattern's stored-entry count"
         );
-        values.fill(0.0);
+        // `-0.0` is the exact identity of addition (`-0.0 + x` is `x` bit
+        // for bit, `±0.0` included), so adding every contribution to it
+        // assigns each slot its first one, as `into_parts` does.
+        values.fill(-0.0);
         for (&k, &s) in self.perm.iter().zip(&self.slot) {
             values[s as usize] += triplet_values[k as usize];
         }
@@ -745,6 +747,39 @@ mod tests {
             assert_eq!(bits(m), bits(&oracle));
         }
         assert_eq!(merged.get(0, 0).to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn numeric_keeps_signed_zeros_like_build() {
+        // Lone -0.0, duplicated -0.0, -0.0 then +0.0 (and the reverse), and
+        // a nonzero among zeros.
+        let ts = [
+            (0, 0, -0.0),
+            (1, 1, -0.0),
+            (1, 1, -0.0),
+            (2, 0, -0.0),
+            (2, 0, 0.0),
+            (2, 2, 0.0),
+            (2, 2, -0.0),
+            (0, 2, -0.0),
+            (0, 2, 1.5),
+            (0, 2, -0.0),
+        ];
+        let mut b = TripletBuilder::new(3, 3);
+        for &(r, c, v) in &ts {
+            b.add(r, c, v);
+        }
+        let pattern = b.symbolic();
+        let values: Vec<f64> = ts.iter().map(|t| t.2).collect();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let built = b.build();
+        assert_eq!(built.get(0, 0).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(built.get(1, 1).to_bits(), (-0.0f64).to_bits());
+        let numeric = pattern.numeric(&values);
+        assert_eq!(bits(&numeric.values), bits(&built.values));
+        let mut into = vec![f64::NAN; pattern.nnz()];
+        pattern.numeric_into(&values, &mut into);
+        assert_eq!(bits(&into), bits(&built.values));
     }
 
     /// Coordinates of the cell-major triplet sequence of a Q2 mass

@@ -62,7 +62,7 @@ impl PlatformSpec {
         ClusterTopology::uniform(nodes, self.cores_per_node)
     }
 
-    /// SPMD configuration for the threaded engine.
+    /// SPMD configuration for the numerical engine (the M:N scheduler).
     pub fn spmd_config(&self, ranks: usize, seed: u64) -> SpmdConfig {
         SpmdConfig {
             size: ranks,

@@ -27,7 +27,9 @@
 //!   own content. Because every engine in the workspace is a pure
 //!   function of the request, a cache hit returns a byte-identical
 //!   outcome at microsecond latency; artifacts that fail verification are
-//!   quarantined, never served and never fatal.
+//!   quarantined, never served and never fatal. Every hit re-reads and
+//!   re-hashes its artifact, but bytes the cache has already verified and
+//!   decoded are not parsed again.
 //!
 //! Duplicate submissions coalesce: concurrent requests for the same key
 //! share one in-flight execution.

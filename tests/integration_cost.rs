@@ -169,7 +169,7 @@ fn fig6_mix_converges_toward_full_at_large_sizes() {
 
 #[test]
 fn numerical_engine_supports_placement_group_fleets() {
-    // The threaded engine must also run on a spot-mix topology (Table II's
+    // The numerical engine must also run on a spot-mix topology (Table II's
     // configuration), producing the same verified numerics at a slightly
     // different simulated time.
     use hetero_hpc::apps::App;

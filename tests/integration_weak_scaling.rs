@@ -182,7 +182,7 @@ fn modeled_ladder_is_deterministic() {
 
 #[test]
 fn numerical_smoke_ladder_runs_end_to_end() {
-    // The whole fig4 pipeline also works with the threaded numerical engine
+    // The whole fig4 pipeline also works with the numerical engine
     // at smoke scale.
     let opts = ScenarioOptions {
         per_rank_axis: 3,

@@ -1,4 +1,4 @@
-//! Pins the analytic (modeled) engine to the threaded numerical engine:
+//! Pins the analytic (modeled) engine to the numerical engine:
 //! same sizes, same platforms, the simulated times must agree. This is the
 //! license for using the modeled engine at the paper's 1000-rank scale.
 
@@ -121,7 +121,7 @@ fn engines_rank_platforms_identically() {
 #[test]
 fn modeled_traffic_estimate_is_in_range_of_measured() {
     // The limit checks (lagrange's IB cap) rely on the modeled traffic
-    // estimate; it must be the right order of magnitude vs the threaded
+    // estimate; it must be the right order of magnitude vs the numerical
     // engine's actual accounting.
     let base = RunRequest {
         discard: 0,
