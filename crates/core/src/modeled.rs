@@ -1,7 +1,7 @@
 //! The analytic (modeled) execution engine for paper-scale runs.
 //!
 //! Replays the per-iteration communication/computation sequence of
-//! [`hetero_fem::rd::solve_rd`] / [`hetero_fem::ns::solve_ns`] on a
+//! [`hetero_fem::rd::solve_rd`] / [`hetero_fem::ns::solve_ns_with`] on a
 //! [`hetero_simmpi::modeled::VirtualRank`], using
 //!
 //! * the real [`BlockLayout`] partition topology (neighbour sets and shared

@@ -120,7 +120,8 @@ mod tests {
     use super::*;
     use hetero_fem::element::ElementOrder;
     use hetero_mesh::{DistributedMesh, StructuredHexMesh};
-    use hetero_partition::{BlockPartitioner, Partitioner, RcbPartitioner};
+    use hetero_partition::block::near_cubic_factors;
+    use hetero_partition::BlockLayout;
     use hetero_simmpi::{run_spmd, ClusterTopology, ComputeModel, NetworkModel, SpmdConfig};
     use std::sync::Arc;
 
@@ -136,11 +137,12 @@ mod tests {
 
     #[test]
     fn capture_then_restore_roundtrips_across_partitions() {
-        // Capture on a block partition, restore on an RCB partition: the
-        // field must survive the re-distribution exactly.
+        // Capture on the near-cubic blocks, restore on x slabs: the field
+        // must survive the re-distribution exactly.
         let mesh = StructuredHexMesh::unit_cube(4);
-        let block = Arc::new(BlockPartitioner.partition(&mesh, 4));
-        let rcb = Arc::new(RcbPartitioner.partition(&mesh, 4));
+        let block =
+            Arc::new(BlockLayout::new(mesh.cell_dims(), near_cubic_factors(4)).assignment());
+        let slabs = Arc::new(BlockLayout::new(mesh.cell_dims(), (4, 1, 1)).assignment());
         let f = |p: hetero_mesh::Point3| 1.0 + p.x + 2.0 * p.y * p.z;
 
         let results = run_spmd(cfg(4), move |comm| {
@@ -157,7 +159,7 @@ mod tests {
                 snap
             };
 
-            let d2 = DistributedMesh::new(mesh.clone(), Arc::clone(&rcb), comm.rank(), 4);
+            let d2 = DistributedMesh::new(mesh.clone(), Arc::clone(&slabs), comm.rank(), 4);
             let m2 = DofMap::build(&d2, ElementOrder::Q2, comm);
             let v2 = snap.restore("u", &m2, comm);
             m2.nodal_linf_error(&v2, f, comm)

@@ -509,27 +509,10 @@ impl MatrixAssembly {
     }
 }
 
-/// Assembles a distributed matrix once — a [`MatrixAssembly`] without
-/// structure reuse. See [`MatrixAssembly::assemble`] for the contract;
-/// the simulated cost charged is the full per-cell quadrature work for
-/// the operator class given by `charged_ops`.
-pub fn assemble_matrix<F>(
-    row_map: &DofMap,
-    col_map: &DofMap,
-    comm: &mut SimComm,
-    charged_ops: usize,
-    cell_matrix: F,
-) -> DistMatrix
-where
-    F: Fn(usize, &mut [f64]),
-{
-    MatrixAssembly::new(charged_ops).assemble(row_map, col_map, comm, cell_matrix)
-}
-
 /// Assembles a distributed vector: `cell_vector(i, out)` fills the `npe`
 /// local load vector of the `i`-th owned cell. Collective, like
-/// [`assemble_matrix`]: one walk in cell order adds owned-row entries
-/// straight into the vector and collects the rest per neighbour.
+/// [`MatrixAssembly::assemble`]: one walk in cell order adds owned-row
+/// entries straight into the vector and collects the rest per neighbour.
 pub fn assemble_vector<F>(dm: &DofMap, comm: &mut SimComm, cell_vector: F) -> DistVector
 where
     F: Fn(usize, &mut [f64]),
@@ -685,7 +668,8 @@ mod tests {
     use hetero_linalg::precond::Identity;
     use hetero_linalg::solver::{cg, SolveOptions};
     use hetero_mesh::{DistributedMesh, StructuredHexMesh};
-    use hetero_partition::{BlockPartitioner, Partitioner};
+    use hetero_partition::block::near_cubic_factors;
+    use hetero_partition::BlockLayout;
     use hetero_simmpi::{
         run_spmd, run_spmd_opts, ClusterTopology, ComputeModel, EngineOpts, FaultPlan,
         NetworkModel, SpmdConfig,
@@ -720,7 +704,8 @@ mod tests {
         f: impl Fn(&DofMap, &mut SimComm) -> T + Send + Sync,
     ) -> Vec<T> {
         let mesh = StructuredHexMesh::unit_cube(n);
-        let assignment = Arc::new(BlockPartitioner.partition(&mesh, p));
+        let assignment =
+            Arc::new(BlockLayout::new(mesh.cell_dims(), near_cubic_factors(p)).assignment());
         let opts = EngineOpts::cooperative(workers);
         run_spmd_opts(cfg(p), opts, FaultPlan::none(), None, move |comm| {
             let dmesh = DistributedMesh::new(mesh.clone(), Arc::clone(&assignment), comm.rank(), p);
@@ -790,7 +775,7 @@ mod tests {
                 let r = run_fem(3, p, order, move |dm, comm| {
                     let mesh_h = Point3::splat(1.0 / 3.0);
                     let kern = scalar_kernels(order, mesh_h);
-                    let m = assemble_matrix(dm, dm, comm, 1, |_i, out| {
+                    let m = MatrixAssembly::new(1).assemble(dm, dm, comm, |_i, out| {
                         out.copy_from_slice(&kern.mass);
                     });
                     let local_total: f64 = m.local().iter().map(|(_, _, v)| v).sum();
@@ -814,13 +799,14 @@ mod tests {
         let n = 4;
         let action = |p: usize| -> Vec<f64> {
             let mesh = StructuredHexMesh::unit_cube(n);
-            let assignment = Arc::new(BlockPartitioner.partition(&mesh, p));
+            let assignment =
+                Arc::new(BlockLayout::new(mesh.cell_dims(), near_cubic_factors(p)).assignment());
             let results = run_spmd(cfg(p), move |comm| {
                 let dmesh =
                     DistributedMesh::new(mesh.clone(), Arc::clone(&assignment), comm.rank(), p);
                 let dm = DofMap::build(&dmesh, order, comm);
                 let kern = scalar_kernels(order, mesh.cell_size());
-                let a = assemble_matrix(&dm, &dm, comm, 1, |_i, out| {
+                let a = MatrixAssembly::new(1).assemble(&dm, &dm, comm, |_i, out| {
                     out.copy_from_slice(&kern.stiffness);
                 });
                 let mut x = dm.interpolate(|pt| (3.1 * pt.x).sin() + pt.y * pt.z);
@@ -853,7 +839,8 @@ mod tests {
         let n = 2;
         let build = |p: usize| -> Vec<f64> {
             let mesh = StructuredHexMesh::unit_cube(n);
-            let assignment = Arc::new(BlockPartitioner.partition(&mesh, p));
+            let assignment =
+                Arc::new(BlockLayout::new(mesh.cell_dims(), near_cubic_factors(p)).assignment());
             let results = run_spmd(cfg(p), move |comm| {
                 let dmesh =
                     DistributedMesh::new(mesh.clone(), Arc::clone(&assignment), comm.rank(), p);
@@ -890,7 +877,7 @@ mod tests {
             let r = run_fem(3, p, ElementOrder::Q1, move |dm, comm| {
                 let h = Point3::splat(1.0 / 3.0);
                 let kern = scalar_kernels(ElementOrder::Q1, h);
-                let mut a = assemble_matrix(dm, dm, comm, 1, |_i, out| {
+                let mut a = MatrixAssembly::new(1).assemble(dm, dm, comm, |_i, out| {
                     out.copy_from_slice(&kern.stiffness);
                 });
                 let mut b = dm.new_vector();
@@ -926,7 +913,7 @@ mod tests {
                 }
             };
             let cached = asm.assemble(dm, dm, comm, cell);
-            let scratch = assemble_matrix(dm, dm, comm, 2, cell);
+            let scratch = MatrixAssembly::new(2).assemble(dm, dm, comm, cell);
             let (a, b) = (cached.local(), scratch.local());
             assert_eq!(a.nnz(), b.nnz());
             for ((r1, c1, v1), (r2, c2, v2)) in a.iter().zip(b.iter()) {
@@ -951,7 +938,7 @@ mod tests {
                         *o = mc * m + kc * k;
                     }
                 };
-                let scratch = assemble_matrix(dm, dm, comm, 2, cell);
+                let scratch = MatrixAssembly::new(2).assemble(dm, dm, comm, cell);
                 let retained = asm.assemble_in_place(dm, dm, comm, cell);
                 let (a, b) = (retained.local(), scratch.local());
                 assert_eq!(a.nnz(), b.nnz());
@@ -1011,7 +998,7 @@ mod tests {
         let bits = |workers: usize| -> Vec<Vec<u64>> {
             run_fem_on(workers, 5, 2, order, move |dm, comm| {
                 let kern = scalar_kernels(order, Point3::splat(0.2));
-                let a = assemble_matrix(dm, dm, comm, 1, |_i, out| {
+                let a = MatrixAssembly::new(1).assemble(dm, dm, comm, |_i, out| {
                     out.copy_from_slice(&kern.stiffness);
                 });
                 let v = assemble_vector(dm, comm, |_i, out| {
@@ -1032,7 +1019,7 @@ mod tests {
     fn constrain_preserves_symmetry() {
         run_fem(2, 1, ElementOrder::Q1, |dm, comm| {
             let kern = scalar_kernels(ElementOrder::Q1, Point3::splat(0.5));
-            let mut a = assemble_matrix(dm, dm, comm, 1, |_i, out| {
+            let mut a = MatrixAssembly::new(1).assemble(dm, dm, comm, |_i, out| {
                 out.copy_from_slice(&kern.stiffness);
             });
             let mut b = dm.new_vector();

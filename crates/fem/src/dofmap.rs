@@ -250,12 +250,6 @@ impl DofMap {
         self.dof_dims.0 * self.dof_dims.1 * self.dof_dims.2
     }
 
-    /// Global lattice dimensions.
-    #[inline]
-    pub fn dof_dims(&self) -> (usize, usize, usize) {
-        self.dof_dims
-    }
-
     /// Global id of local dof `l`.
     #[inline]
     pub fn global_id(&self, l: usize) -> usize {
@@ -368,7 +362,7 @@ mod tests {
     use super::*;
     use hetero_mesh::StructuredHexMesh;
     use hetero_partition::block::near_cubic_factors;
-    use hetero_partition::{BlockPartitioner, Partitioner, RcbPartitioner};
+    use hetero_partition::BlockLayout;
     use hetero_simmpi::{run_spmd, ClusterTopology, ComputeModel, NetworkModel, SpmdConfig};
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -390,7 +384,8 @@ mod tests {
         f: impl Fn(&DofMap, &mut SimComm) -> T + Send + Sync,
     ) -> Vec<T> {
         let mesh = StructuredHexMesh::unit_cube(n);
-        let assignment = Arc::new(BlockPartitioner.partition(&mesh, p));
+        let assignment =
+            Arc::new(BlockLayout::new(mesh.cell_dims(), near_cubic_factors(p)).assignment());
         let results = run_spmd(cfg(p), move |comm| {
             let dmesh = DistributedMesh::new(mesh.clone(), Arc::clone(&assignment), comm.rank(), p);
             let dm = DofMap::build(&dmesh, order, comm);
@@ -682,8 +677,8 @@ mod tests {
             && a.plan == b.plan
     }
 
-    /// A random structured mesh, a Block or RCB layout of it over 1–8
-    /// ranks, and an element order.
+    /// A random structured mesh, a block layout or a scrambled assignment
+    /// of it over 1–8 ranks, and an element order.
     fn layout_case() -> impl Strategy<Value = (StructuredHexMesh, Vec<usize>, usize, ElementOrder)>
     {
         (
@@ -697,11 +692,16 @@ mod tests {
                 let (lo, hi) = (Point3::splat(0.0), Point3::new(1.0, 2.0, 0.5));
                 if block {
                     let mesh = StructuredHexMesh::new(px + ex, py + ey, pz + ez, lo, hi);
-                    let assignment = BlockPartitioner.partition(&mesh, p);
+                    let assignment =
+                        BlockLayout::new(mesh.cell_dims(), near_cubic_factors(p)).assignment();
                     (mesh, assignment, p, order)
                 } else {
+                    // A scrambled assignment: ragged interfaces, and ranks
+                    // whose cells touch only at edges or corners.
                     let mesh = StructuredHexMesh::new(2 + ex, 2 + ey, 2 + ez, lo, hi);
-                    let assignment = RcbPartitioner.partition(&mesh, p);
+                    let assignment = (0..mesh.num_cells())
+                        .map(|c| (c * 2654435761) % p)
+                        .collect();
                     (mesh, assignment, p, order)
                 }
             })

@@ -30,7 +30,7 @@ impl ElementOrder {
 
     /// Nodes per axis (`q + 1`).
     #[inline]
-    pub fn nodes_per_axis(self) -> usize {
+    fn nodes_per_axis(self) -> usize {
         self.q() + 1
     }
 
@@ -48,7 +48,7 @@ impl ElementOrder {
     }
 
     /// 1-D shape function `a` (of `q+1`) at `x` in `[0,1]`.
-    pub fn shape_1d(self, a: usize, x: f64) -> f64 {
+    fn shape_1d(self, a: usize, x: f64) -> f64 {
         match self {
             ElementOrder::Q1 => match a {
                 0 => 1.0 - x,
@@ -66,7 +66,7 @@ impl ElementOrder {
     }
 
     /// Derivative of the 1-D shape function `a` at `x`.
-    pub fn dshape_1d(self, a: usize, x: f64) -> f64 {
+    fn dshape_1d(self, a: usize, x: f64) -> f64 {
         match self {
             ElementOrder::Q1 => match a {
                 0 => -1.0,
@@ -84,7 +84,7 @@ impl ElementOrder {
 
     /// Decomposes a local node index into per-axis indices `(a, b, c)`.
     #[inline]
-    pub fn node_abc(self, local: usize) -> (usize, usize, usize) {
+    fn node_abc(self, local: usize) -> (usize, usize, usize) {
         let n = self.nodes_per_axis();
         debug_assert!(local < n * n * n);
         (local % n, (local / n) % n, local / (n * n))
@@ -111,18 +111,20 @@ impl ElementOrder {
             na * nb * self.dshape_1d(c, z),
         ]
     }
-
-    /// Reference coordinates of local node `local`.
-    pub fn node_point(self, local: usize) -> [f64; 3] {
-        let (a, b, c) = self.node_abc(local);
-        let q = self.q() as f64;
-        [a as f64 / q, b as f64 / q, c as f64 / q]
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    impl ElementOrder {
+        /// Reference coordinates of local node `local`.
+        pub(crate) fn node_point(self, local: usize) -> [f64; 3] {
+            let (a, b, c) = self.node_abc(local);
+            let q = self.q() as f64;
+            [a as f64 / q, b as f64 / q, c as f64 / q]
+        }
+    }
 
     const ORDERS: [ElementOrder; 2] = [ElementOrder::Q1, ElementOrder::Q2];
 

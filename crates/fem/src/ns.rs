@@ -222,11 +222,6 @@ fn add_convection(
     }
 }
 
-/// Runs the NS application. Collective over all ranks of `comm`.
-pub fn solve_ns(dmesh: &DistributedMesh, cfg: &NsConfig, comm: &mut SimComm) -> NsReport {
-    solve_ns_with(dmesh, cfg, None, None, comm)
-}
-
 /// Runs the NS application, optionally resuming from checkpointed state
 /// and/or observing each completed step (the fault-tolerance entry point).
 /// Collective over all ranks of `comm`.
@@ -586,7 +581,8 @@ pub fn solve_ns_with(
 mod tests {
     use super::*;
     use hetero_mesh::StructuredHexMesh;
-    use hetero_partition::{BlockPartitioner, Partitioner};
+    use hetero_partition::block::near_cubic_factors;
+    use hetero_partition::BlockLayout;
     use hetero_simmpi::{run_spmd, ClusterTopology, ComputeModel, NetworkModel, SpmdConfig};
     use std::sync::Arc;
 
@@ -602,10 +598,11 @@ mod tests {
 
     fn run_ns(n: usize, p: usize, ns_cfg: NsConfig) -> Vec<NsReport> {
         let mesh = StructuredHexMesh::unit_cube(n);
-        let assignment = Arc::new(BlockPartitioner.partition(&mesh, p));
+        let assignment =
+            Arc::new(BlockLayout::new(mesh.cell_dims(), near_cubic_factors(p)).assignment());
         run_spmd(cfg(p), move |comm| {
             let dmesh = DistributedMesh::new(mesh.clone(), Arc::clone(&assignment), comm.rank(), p);
-            solve_ns(&dmesh, &ns_cfg, comm)
+            solve_ns_with(&dmesh, &ns_cfg, None, None, comm)
         })
         .into_iter()
         .map(|r| r.value)
@@ -732,7 +729,8 @@ mod tests {
     fn ns_is_heavier_than_rd_per_iteration() {
         use crate::rd::{solve_rd, RdConfig};
         let mesh = StructuredHexMesh::unit_cube(3);
-        let assignment = Arc::new(BlockPartitioner.partition(&mesh, 2));
+        let assignment =
+            Arc::new(BlockLayout::new(mesh.cell_dims(), near_cubic_factors(2)).assignment());
         let r = run_spmd(cfg(2), move |comm| {
             let dmesh = DistributedMesh::new(mesh.clone(), Arc::clone(&assignment), comm.rank(), 2);
             let rd = solve_rd(
@@ -743,12 +741,14 @@ mod tests {
                 },
                 comm,
             );
-            let ns = solve_ns(
+            let ns = solve_ns_with(
                 &dmesh,
                 &NsConfig {
                     steps: 2,
                     ..NsConfig::default()
                 },
+                None,
+                None,
                 comm,
             );
             (rd.iterations[1].total, ns.iterations[1].total)
@@ -792,7 +792,8 @@ mod tests {
     fn resumed_ns_run_reproduces_the_trajectory_bitwise() {
         use hetero_simmpi::collectives::ReduceOp;
         let mesh = StructuredHexMesh::unit_cube(2);
-        let assignment = Arc::new(BlockPartitioner.partition(&mesh, 2));
+        let assignment =
+            Arc::new(BlockLayout::new(mesh.cell_dims(), near_cubic_factors(2)).assignment());
         let ns_cfg = NsConfig {
             steps: 4,
             ..NsConfig::default()

@@ -313,7 +313,8 @@ pub fn solve_rd_with(
 mod tests {
     use super::*;
     use hetero_mesh::StructuredHexMesh;
-    use hetero_partition::{BlockPartitioner, Partitioner};
+    use hetero_partition::block::near_cubic_factors;
+    use hetero_partition::BlockLayout;
     use hetero_simmpi::{run_spmd, ClusterTopology, ComputeModel, NetworkModel, SpmdConfig};
     use std::sync::Arc;
 
@@ -329,7 +330,8 @@ mod tests {
 
     fn run_rd(n: usize, p: usize, rd_cfg: RdConfig) -> Vec<RdReport> {
         let mesh = StructuredHexMesh::unit_cube(n);
-        let assignment = Arc::new(BlockPartitioner.partition(&mesh, p));
+        let assignment =
+            Arc::new(BlockLayout::new(mesh.cell_dims(), near_cubic_factors(p)).assignment());
         run_spmd(cfg(p), move |comm| {
             let dmesh = DistributedMesh::new(mesh.clone(), Arc::clone(&assignment), comm.rank(), p);
             solve_rd(&dmesh, &rd_cfg, comm)
@@ -457,7 +459,8 @@ mod tests {
         // bitwise identical to the uninterrupted run (rollback may lose
         // time, never accuracy).
         let mesh = StructuredHexMesh::unit_cube(3);
-        let assignment = Arc::new(BlockPartitioner.partition(&mesh, 2));
+        let assignment =
+            Arc::new(BlockLayout::new(mesh.cell_dims(), near_cubic_factors(2)).assignment());
         let rd_cfg = RdConfig {
             steps: 6,
             ..RdConfig::default()

@@ -27,7 +27,7 @@ fn mesh_triplets(n: usize, o: ElementOrder, c1: f64, c2: f64) -> (TripletBuilder
             for ci in 0..n {
                 let dofs: Vec<usize> = (0..npe)
                     .map(|l| {
-                        let (a, b, c) = o.node_abc(l);
+                        let (a, b, c) = (l % (q + 1), l / (q + 1) % (q + 1), l / (q + 1).pow(2));
                         node(q * ci + a, q * cj + b, q * ck + c)
                     })
                     .collect();
@@ -77,8 +77,11 @@ proptest! {
     ) {
         // p(x,y,z) = c0 + c1 x + c2 y + c3 z is in both spaces.
         let f = |p: [f64; 3]| c[0] + c[1] * p[0] + c[2] * p[1] + c[3] * p[2];
+        // Local nodes in tensor order, x fastest, on the lattice {0, 1/q, .., 1}.
+        let (n, q) = (o.q() + 1, o.q() as f64);
+        let node = |i: usize| [(i % n) as f64 / q, (i / n % n) as f64 / q, (i / (n * n)) as f64 / q];
         let interp: f64 = (0..o.nodes_per_element())
-            .map(|i| f(o.node_point(i)) * o.shape(i, x, y, z))
+            .map(|i| f(node(i)) * o.shape(i, x, y, z))
             .sum();
         prop_assert!((interp - f([x, y, z])).abs() < 1e-11);
     }

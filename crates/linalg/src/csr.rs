@@ -454,11 +454,6 @@ impl CsrMatrix {
                 .map(move |(&c, &v)| (r, c as usize, v))
         })
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -557,12 +552,6 @@ mod tests {
         let sum: f64 = a.iter().map(|(_, _, v)| v).sum();
         assert_eq!(sum, 2.0); // 3*2 - 4*1
         assert_eq!(a.iter().count(), 7);
-    }
-
-    #[test]
-    fn frobenius() {
-        let a = small();
-        assert!((a.frobenius_norm() - (3.0 * 4.0 + 4.0 * 1.0f64).sqrt()).abs() < 1e-14);
     }
 
     #[test]

@@ -133,19 +133,6 @@ impl DistMatrix {
         DistVector::zeros(self.col_n_owned, self.n_local() - self.col_n_owned)
     }
 
-    /// Rows with no ghost columns (ascending), computable while the halo
-    /// exchange is in flight.
-    #[inline]
-    pub fn interior_rows(&self) -> &[usize] {
-        &self.interior_rows
-    }
-
-    /// Rows referencing at least one ghost column (ascending).
-    #[inline]
-    pub fn boundary_rows(&self) -> &[usize] {
-        &self.boundary_rows
-    }
-
     /// `y = A x` with the halo exchange overlapped by interior work: posts
     /// the interface sends and receives, evaluates the interior rows while
     /// the transfers progress, completes the exchange, then evaluates the
@@ -322,12 +309,9 @@ mod tests {
                     plan.recv_indices.push(vec![local_of(first + n_per)]);
                 }
                 let a = DistMatrix::new(b.build(), plan);
-                assert_eq!(
-                    a.interior_rows().len() + a.boundary_rows().len(),
-                    a.n_owned()
-                );
+                assert_eq!(a.interior_rows.len() + a.boundary_rows.len(), a.n_owned());
                 if size > 1 {
-                    assert!(!a.boundary_rows().is_empty());
+                    assert!(!a.boundary_rows.is_empty());
                 }
                 let mut x1 = a.new_vector();
                 for (i, v) in x1.owned_mut().iter_mut().enumerate() {

@@ -68,7 +68,7 @@ impl OwnedBlockSymbolic {
     ///
     /// # Panics
     /// Panics if a row stores no diagonal entry.
-    pub fn of_matrix(a: &CsrMatrix) -> Self {
+    fn of_matrix(a: &CsrMatrix) -> Self {
         let (row_ptr, col_idx) = a.structure();
         Self::analyze(Arc::clone(row_ptr), Arc::clone(col_idx))
     }
@@ -817,7 +817,7 @@ mod tests {
 
     /// The clock moved from `t0` by exactly the roofline time of `work`.
     fn assert_charged(comm: &SimComm, t0: f64, work: hetero_simmpi::Work) {
-        let want = t0 + comm.compute_model().time(work);
+        let want = t0 + cfg().compute.time(work);
         assert_eq!(comm.clock().to_bits(), want.to_bits());
     }
 
@@ -948,7 +948,7 @@ mod tests {
     }
 
     #[test]
-    fn oracle_identity_holds_past_the_parallel_level_threshold() {
+    fn oracle_identity_holds_on_a_two_level_sweep() {
         // Rows couple only to the row half the block away, so each sweep's
         // dependencies form two levels of `n / 2` rows: the natural-order
         // sweeps must still reproduce the oracle's applies bit for bit.

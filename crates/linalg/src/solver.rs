@@ -137,8 +137,9 @@ fn spmv_variant(
 
 /// Preconditioned conjugate gradients for SPD systems. Solves `A x = b`
 /// starting from the incoming `x`. Dispatches on `opts.variant`:
-/// `Pipelined` runs [`cg_pipelined`]; the other two run the classic
-/// iteration with blocking or overlapped communication.
+/// `Pipelined` runs the pipelined recurrences (one fused all-reduce per
+/// iteration); the other two run the classic iteration with blocking or
+/// overlapped communication.
 pub fn cg(
     a: &DistMatrix,
     b: &DistVector,
@@ -251,7 +252,7 @@ fn cg_classic(
 /// reduction traffic, and every SpMV overlaps its halo exchange.
 /// Mathematically equivalent to [`cg`]; the recurrences round differently
 /// in floating point, so iteration counts can drift by an iteration or two.
-pub fn cg_pipelined(
+fn cg_pipelined(
     a: &DistMatrix,
     b: &DistVector,
     x: &mut DistVector,

@@ -151,7 +151,7 @@ impl DistVector {
     /// local reduction as [`Self::dot`], *without* the all-reduce. Batch
     /// several partials through [`fused_dots`] (one `allreduce_vec`) so k
     /// inner products cost a single collective.
-    pub fn dot_local(&self, other: &DistVector, comm: &mut SimComm) -> f64 {
+    fn dot_local(&self, other: &DistVector, comm: &mut SimComm) -> f64 {
         assert_eq!(self.n_owned, other.n_owned);
         let n = self.n_owned;
         let a = &self.values[..n];
@@ -218,7 +218,7 @@ impl DistVector {
 /// several pairs, and the per-pair sweep of the old implementation reloaded
 /// it from memory k times. Each pair's partial still sums its chunk
 /// partials in chunk order (and each chunk partial is the same zipped
-/// sequential fold [`DistVector::dot_local`] computes), so every value is
+/// sequential fold `DistVector::dot_local` computes), so every value is
 /// bitwise what k separate `dot_local` calls produce.
 /// The virtual-time charge is identical too: one `dot(n)` per pair, in
 /// pair order.

@@ -383,7 +383,7 @@ proptest! {
 /// hundreds of rows while the halo is in flight, on one and on four
 /// scheduler workers.
 #[test]
-fn overlapped_spmv_bitwise_identity_holds_past_parallel_threshold() {
+fn overlapped_spmv_bitwise_identity_holds_on_long_interior_sweeps() {
     let p = 2usize;
     let n_per = 300usize;
     let n: usize = p * n_per;

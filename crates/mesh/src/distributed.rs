@@ -3,13 +3,13 @@
 //! In the paper's applications the global mesh is split by ParMETIS so that
 //! "each process takes care only of a subset of the global mesh"; matrix rows
 //! for interface nodes receive contributions from several processes and are
-//! combined over MPI. [`DistributedMesh`] captures exactly the information a
-//! rank needs for that: its owned cells, the ranks it shares interface nodes
-//! with, and a deterministic ownership rule for shared lattice nodes.
+//! combined over MPI. [`DistributedMesh`] holds what a rank reads for that:
+//! its owned cells and a deterministic ownership rule for shared lattice
+//! nodes. The DoF map finds the neighbours it exchanges with from the nodes'
+//! owners.
 
 use crate::hex::StructuredHexMesh;
 use crate::point::Index3;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Returns the cells of a structured mesh that contain the node `node` of the
@@ -61,15 +61,12 @@ pub struct DistributedMesh {
     mesh: StructuredHexMesh,
     assignment: Arc<Vec<usize>>,
     rank: usize,
-    num_parts: usize,
     owned_cells: Vec<usize>,
-    /// For each neighbouring rank (sorted ascending), the corner-lattice
-    /// nodes shared with it (sorted ascending linear corner ids).
-    interface_corners: BTreeMap<usize, Vec<usize>>,
 }
 
 impl DistributedMesh {
-    /// Builds the view of `rank` under the given cell-to-rank `assignment`.
+    /// Builds the view of `rank` under the given cell-to-rank `assignment`
+    /// over `num_parts` ranks.
     ///
     /// # Panics
     /// Panics if `assignment.len() != mesh.num_cells()`, if `rank >=
@@ -95,34 +92,11 @@ impl DistributedMesh {
             .filter(|&c| assignment[c] == rank)
             .collect();
 
-        // Every corner of an owned cell that is also touched by a foreign
-        // cell is an interface corner shared with that foreign rank.
-        let mut interface: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-        let cell_dims = mesh.cell_dims();
-        for &cell in &owned_cells {
-            let ci = mesh.cell_index(cell);
-            for corner_id in mesh.cell_corners(ci) {
-                let corner = mesh.corner_index(corner_id);
-                for touching in cells_touching_node(cell_dims, 1, corner) {
-                    let part = assignment[mesh.cell_id(touching)];
-                    if part != rank {
-                        interface.entry(part).or_default().insert(corner_id);
-                    }
-                }
-            }
-        }
-        let interface_corners = interface
-            .into_iter()
-            .map(|(r, set)| (r, set.into_iter().collect()))
-            .collect();
-
         DistributedMesh {
             mesh,
             assignment,
             rank,
-            num_parts,
             owned_cells,
-            interface_corners,
         }
     }
 
@@ -138,48 +112,10 @@ impl DistributedMesh {
         self.rank
     }
 
-    /// Total number of parts in the partition.
-    #[inline]
-    pub fn num_parts(&self) -> usize {
-        self.num_parts
-    }
-
     /// Linear ids of the cells owned by this rank, ascending.
     #[inline]
     pub fn owned_cells(&self) -> &[usize] {
         &self.owned_cells
-    }
-
-    /// Rank owning a given cell.
-    #[inline]
-    pub fn cell_owner(&self, cell: usize) -> usize {
-        self.assignment[cell]
-    }
-
-    /// The full cell-to-rank assignment (shared across ranks).
-    #[inline]
-    pub fn assignment(&self) -> &Arc<Vec<usize>> {
-        &self.assignment
-    }
-
-    /// Ranks this rank shares interface corners with, ascending.
-    pub fn neighbors(&self) -> impl Iterator<Item = usize> + '_ {
-        self.interface_corners.keys().copied()
-    }
-
-    /// Number of neighbouring ranks.
-    #[inline]
-    pub fn num_neighbors(&self) -> usize {
-        self.interface_corners.len()
-    }
-
-    /// Corner-lattice nodes shared with `neighbor` (sorted). Empty slice if
-    /// `neighbor` is not adjacent.
-    pub fn shared_corners(&self, neighbor: usize) -> &[usize] {
-        self.interface_corners
-            .get(&neighbor)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
     }
 
     /// Owner rank of a lattice node of order `q`, under the smallest-cell-id
@@ -192,18 +128,6 @@ impl DistributedMesh {
             .min()
             .expect("every lattice node touches at least one cell");
         self.assignment[min_cell]
-    }
-
-    /// Whether this rank owns the given lattice node of order `q`.
-    #[inline]
-    pub fn owns_node(&self, q: usize, node: Index3) -> bool {
-        self.node_owner(q, node) == self.rank
-    }
-
-    /// Total number of interface corners (counted once per neighbour,
-    /// i.e. a proxy for this rank's halo-exchange volume).
-    pub fn interface_corner_count(&self) -> usize {
-        self.interface_corners.values().map(Vec::len).sum()
     }
 }
 
@@ -254,13 +178,26 @@ mod tests {
         let (mesh, asg) = two_slab_partition(4);
         let d0 = DistributedMesh::new(mesh.clone(), Arc::clone(&asg), 0, 2);
         let d1 = DistributedMesh::new(mesh, asg, 1, 2);
+        assert_eq!((d0.rank(), d1.rank()), (0, 1));
         assert_eq!(d0.owned_cells().len(), 32);
         assert_eq!(d1.owned_cells().len(), 32);
-        assert_eq!(d0.neighbors().collect::<Vec<_>>(), vec![1]);
-        assert_eq!(d1.neighbors().collect::<Vec<_>>(), vec![0]);
-        // Interface = the x = 1/2 corner plane: 5*5 = 25 corners.
-        assert_eq!(d0.shared_corners(1).len(), 25);
-        assert_eq!(d0.shared_corners(1), d1.shared_corners(0));
+        assert!(d0
+            .owned_cells()
+            .iter()
+            .all(|&c| d0.mesh().cell_index(c).i < 2));
+        assert!(d1
+            .owned_cells()
+            .iter()
+            .all(|&c| d1.mesh().cell_index(c).i >= 2));
+        // The x = 1/2 corner plane (5*5 = 25 corners) is the interface: the
+        // lower slab owns it, and the upper slab owns the rest of its half.
+        let owned_by = |d: &DistributedMesh, r: usize| {
+            (0..125)
+                .filter(|&id| d.node_owner(1, Index3::from_linear(id, (5, 5, 5))) == r)
+                .count()
+        };
+        assert_eq!(owned_by(&d0, 0), 3 * 25);
+        assert_eq!(owned_by(&d1, 1), 2 * 25);
     }
 
     #[test]
@@ -285,7 +222,6 @@ mod tests {
         // Corner (2, j, k) lies on the interface plane; the smallest touching
         // cell id has i = 1, which belongs to rank 0.
         assert_eq!(d0.node_owner(1, Index3::new(2, 1, 1)), 0);
-        assert!(d0.owns_node(1, Index3::new(2, 1, 1)));
         // Node strictly inside the upper slab is owned by rank 1.
         assert_eq!(d0.node_owner(1, Index3::new(3, 1, 1)), 1);
     }
@@ -295,9 +231,14 @@ mod tests {
         let mesh = StructuredHexMesh::unit_cube(3);
         let asg = Arc::new(vec![0usize; mesh.num_cells()]);
         let d = DistributedMesh::new(mesh, asg, 0, 1);
-        assert_eq!(d.num_neighbors(), 0);
-        assert_eq!(d.interface_corner_count(), 0);
         assert_eq!(d.owned_cells().len(), 27);
+        // It owns every node of both lattices, so it shares none.
+        for q in [1usize, 2] {
+            let dims = (3 * q + 1, 3 * q + 1, 3 * q + 1);
+            for id in 0..dims.0 * dims.1 * dims.2 {
+                assert_eq!(d.node_owner(q, Index3::from_linear(id, dims)), 0);
+            }
+        }
     }
 
     #[test]

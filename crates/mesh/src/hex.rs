@@ -3,40 +3,11 @@
 use crate::point::{Index3, Point3};
 use serde::{Deserialize, Serialize};
 
-/// One of the six axis-aligned boundary faces of the box domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum BoundaryFace {
-    /// `x = lo.x`.
-    XLo,
-    /// `x = hi.x`.
-    XHi,
-    /// `y = lo.y`.
-    YLo,
-    /// `y = hi.y`.
-    YHi,
-    /// `z = lo.z`.
-    ZLo,
-    /// `z = hi.z`.
-    ZHi,
-}
-
-impl BoundaryFace {
-    /// All six faces, in the fixed order `XLo, XHi, YLo, YHi, ZLo, ZHi`.
-    pub const ALL: [BoundaryFace; 6] = [
-        BoundaryFace::XLo,
-        BoundaryFace::XHi,
-        BoundaryFace::YLo,
-        BoundaryFace::YHi,
-        BoundaryFace::ZLo,
-        BoundaryFace::ZHi,
-    ];
-}
-
 /// A structured mesh of `nx * ny * nz` hexahedral cells over the box
 /// `[lo, hi]`.
 ///
-/// Cells and geometric corner nodes are addressed either by [`Index3`]
-/// lattice indices or by linearized ids (x fastest). The mesh is uniform:
+/// Cells are addressed either by [`Index3`] lattice indices or by
+/// linearized ids (x fastest). The mesh is uniform:
 /// every cell is an identical axis-aligned brick of size
 /// `((hi-lo).x/nx, (hi-lo).y/ny, (hi-lo).z/nz)` — matching the paper's cube
 /// test domain reticulations (`20^3 … 200^3` elements).
@@ -75,22 +46,10 @@ impl StructuredHexMesh {
         (self.nx, self.ny, self.nz)
     }
 
-    /// Corner-node counts per axis (`cells + 1`).
-    #[inline]
-    pub fn corner_dims(&self) -> (usize, usize, usize) {
-        (self.nx + 1, self.ny + 1, self.nz + 1)
-    }
-
     /// Total number of cells.
     #[inline]
     pub fn num_cells(&self) -> usize {
         self.nx * self.ny * self.nz
-    }
-
-    /// Total number of geometric corner nodes.
-    #[inline]
-    pub fn num_corners(&self) -> usize {
-        (self.nx + 1) * (self.ny + 1) * (self.nz + 1)
     }
 
     /// Lower corner of the box.
@@ -135,122 +94,10 @@ impl StructuredHexMesh {
         Index3::from_linear(id, self.cell_dims())
     }
 
-    /// Linear corner-node id of lattice index `c`.
-    #[inline]
-    pub fn corner_id(&self, c: Index3) -> usize {
-        c.linear(self.corner_dims())
-    }
-
-    /// Lattice index of linear corner-node id `id`.
-    #[inline]
-    pub fn corner_index(&self, id: usize) -> Index3 {
-        Index3::from_linear(id, self.corner_dims())
-    }
-
-    /// Coordinates of corner node `c`.
-    #[inline]
-    pub fn corner_point(&self, c: Index3) -> Point3 {
-        let s = self.cell_size();
-        Point3::new(
-            self.lo.x + s.x * c.i as f64,
-            self.lo.y + s.y * c.j as f64,
-            self.lo.z + s.z * c.k as f64,
-        )
-    }
-
-    /// Barycenter of cell `c`.
-    #[inline]
-    pub fn cell_center(&self, c: Index3) -> Point3 {
-        let s = self.cell_size();
-        Point3::new(
-            self.lo.x + s.x * (c.i as f64 + 0.5),
-            self.lo.y + s.y * (c.j as f64 + 0.5),
-            self.lo.z + s.z * (c.k as f64 + 0.5),
-        )
-    }
-
-    /// The 8 corner-node ids of cell `c`, in tensor-product order: corner
-    /// `(a,b,c)` of the unit reference cube maps to slot `a + 2b + 4c`.
-    pub fn cell_corners(&self, c: Index3) -> [usize; 8] {
-        let mut out = [0usize; 8];
-        let mut slot = 0;
-        for dk in 0..2 {
-            for dj in 0..2 {
-                for di in 0..2 {
-                    out[slot] = self.corner_id(Index3::new(c.i + di, c.j + dj, c.k + dk));
-                    slot += 1;
-                }
-            }
-        }
-        out
-    }
-
-    /// Volume of one cell.
-    #[inline]
-    pub fn cell_volume(&self) -> f64 {
-        let s = self.cell_size();
-        s.x * s.y * s.z
-    }
-
-    /// Whether corner node `c` lies on the domain boundary.
-    #[inline]
-    pub fn corner_on_boundary(&self, c: Index3) -> bool {
-        c.i == 0 || c.i == self.nx || c.j == 0 || c.j == self.ny || c.k == 0 || c.k == self.nz
-    }
-
-    /// The boundary faces containing corner node `c` (empty for interior
-    /// nodes; up to three for box corners).
-    pub fn corner_boundary_faces(&self, c: Index3) -> Vec<BoundaryFace> {
-        let mut faces = Vec::new();
-        if c.i == 0 {
-            faces.push(BoundaryFace::XLo);
-        }
-        if c.i == self.nx {
-            faces.push(BoundaryFace::XHi);
-        }
-        if c.j == 0 {
-            faces.push(BoundaryFace::YLo);
-        }
-        if c.j == self.ny {
-            faces.push(BoundaryFace::YHi);
-        }
-        if c.k == 0 {
-            faces.push(BoundaryFace::ZLo);
-        }
-        if c.k == self.nz {
-            faces.push(BoundaryFace::ZHi);
-        }
-        faces
-    }
-
-    /// Whether cell `c` touches the domain boundary.
-    #[inline]
-    pub fn cell_on_boundary(&self, c: Index3) -> bool {
-        c.i == 0
-            || c.i + 1 == self.nx
-            || c.j == 0
-            || c.j + 1 == self.ny
-            || c.k == 0
-            || c.k + 1 == self.nz
-    }
-
     /// Iterates over all cell lattice indices in linear order.
     pub fn cells(&self) -> impl Iterator<Item = Index3> + '_ {
         let dims = self.cell_dims();
         (0..self.num_cells()).map(move |lin| Index3::from_linear(lin, dims))
-    }
-
-    /// Iterates over all corner lattice indices in linear order.
-    pub fn corners(&self) -> impl Iterator<Item = Index3> + '_ {
-        let dims = self.corner_dims();
-        (0..self.num_corners()).map(move |lin| Index3::from_linear(lin, dims))
-    }
-
-    /// Number of boundary corner nodes (closed form).
-    pub fn num_boundary_corners(&self) -> usize {
-        let (px, py, pz) = self.corner_dims();
-        let interior = px.saturating_sub(2) * py.saturating_sub(2) * pz.saturating_sub(2);
-        px * py * pz - interior
     }
 }
 
@@ -262,9 +109,7 @@ mod tests {
     fn unit_cube_counts() {
         let m = StructuredHexMesh::unit_cube(4);
         assert_eq!(m.num_cells(), 64);
-        assert_eq!(m.num_corners(), 125);
         assert_eq!(m.cell_dims(), (4, 4, 4));
-        assert_eq!(m.corner_dims(), (5, 5, 5));
     }
 
     #[test]
@@ -275,68 +120,16 @@ mod tests {
         assert!((s.y - 0.25).abs() < 1e-15);
         assert!((s.z - 0.125).abs() < 1e-15);
         assert!((m.h() - 0.5).abs() < 1e-15);
-        assert!((m.cell_volume() - 0.5 * 0.25 * 0.125).abs() < 1e-15);
     }
 
     #[test]
     fn corner_points_span_box() {
-        let m = StructuredHexMesh::unit_cube(3);
-        assert_eq!(m.corner_point(Index3::new(0, 0, 0)), Point3::ZERO);
-        let top = m.corner_point(Index3::new(3, 3, 3));
-        assert!((top - Point3::splat(1.0)).norm() < 1e-15);
-    }
-
-    #[test]
-    fn cell_corners_tensor_order() {
-        let m = StructuredHexMesh::unit_cube(2);
-        let corners = m.cell_corners(Index3::new(0, 0, 0));
-        // corner grid is 3x3x3; slot a + 2b + 4c must be node (a, b, c).
-        assert_eq!(corners[0], m.corner_id(Index3::new(0, 0, 0)));
-        assert_eq!(corners[1], m.corner_id(Index3::new(1, 0, 0)));
-        assert_eq!(corners[2], m.corner_id(Index3::new(0, 1, 0)));
-        assert_eq!(corners[3], m.corner_id(Index3::new(1, 1, 0)));
-        assert_eq!(corners[4], m.corner_id(Index3::new(0, 0, 1)));
-        assert_eq!(corners[7], m.corner_id(Index3::new(1, 1, 1)));
-    }
-
-    #[test]
-    fn adjacent_cells_share_four_corners() {
-        let m = StructuredHexMesh::unit_cube(3);
-        let a: std::collections::HashSet<_> =
-            m.cell_corners(Index3::new(0, 0, 0)).into_iter().collect();
-        let b: std::collections::HashSet<_> =
-            m.cell_corners(Index3::new(1, 0, 0)).into_iter().collect();
-        assert_eq!(a.intersection(&b).count(), 4);
-    }
-
-    #[test]
-    fn boundary_classification() {
-        let m = StructuredHexMesh::unit_cube(4);
-        assert!(m.corner_on_boundary(Index3::new(0, 2, 2)));
-        assert!(m.corner_on_boundary(Index3::new(4, 4, 4)));
-        assert!(!m.corner_on_boundary(Index3::new(2, 2, 2)));
-        assert!(m.cell_on_boundary(Index3::new(0, 1, 1)));
-        assert!(!m.cell_on_boundary(Index3::new(1, 2, 2)));
-    }
-
-    #[test]
-    fn corner_boundary_faces_at_box_corner() {
-        let m = StructuredHexMesh::unit_cube(2);
-        let faces = m.corner_boundary_faces(Index3::new(0, 0, 2));
-        assert_eq!(faces.len(), 3);
-        assert!(faces.contains(&BoundaryFace::XLo));
-        assert!(faces.contains(&BoundaryFace::YLo));
-        assert!(faces.contains(&BoundaryFace::ZHi));
-        assert!(m.corner_boundary_faces(Index3::new(1, 1, 1)).is_empty());
-    }
-
-    #[test]
-    fn boundary_corner_count_matches_enumeration() {
-        for n in [1usize, 2, 3, 5] {
-            let m = StructuredHexMesh::unit_cube(n);
-            let brute = m.corners().filter(|&c| m.corner_on_boundary(c)).count();
-            assert_eq!(m.num_boundary_corners(), brute, "n = {n}");
-        }
+        // The last corner of the lattice lands on the box's upper corner.
+        let m = StructuredHexMesh::new(3, 4, 5, Point3::new(-1.0, 0.5, 2.0), Point3::splat(3.0));
+        let s = m.cell_size();
+        let (nx, ny, nz) = m.cell_dims();
+        let top = m.lo() + Point3::new(s.x * nx as f64, s.y * ny as f64, s.z * nz as f64);
+        assert!((top - m.hi()).norm_sq() < 1e-28);
     }
 
     #[test]

@@ -10,15 +10,14 @@
 //!
 //! * [`Point3`] / [`Index3`] — geometric and lattice primitives;
 //! * [`StructuredHexMesh`] — an `nx x ny x nz` hexahedral mesh over an
-//!   axis-aligned box, with cell/corner indexing, boundary queries, and
-//!   corner connectivity;
+//!   axis-aligned box, with cell indexing and geometry;
 //! * [`DistributedMesh`] — the view a single rank holds after partitioning:
-//!   owned cells, neighbouring ranks, and shared-interface footprints;
-//! * [`quality::load_imbalance`] — the paper's load-balance criterion.
+//!   its owned cells and the owner of every shared lattice node.
 //!
 //! Element *order* (Q1 trilinear vs Q2 triquadratic) is a property of the FEM
 //! discretization, not of the geometry, so degree-of-freedom lattices live in
-//! `hetero-fem`; this crate deals in cells and geometric corners only.
+//! `hetero-fem`; this crate deals in cells, and in lattice nodes only to
+//! say which rank owns one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,8 +25,7 @@
 pub mod distributed;
 pub mod hex;
 pub mod point;
-pub mod quality;
 
 pub use distributed::DistributedMesh;
-pub use hex::{BoundaryFace, StructuredHexMesh};
+pub use hex::StructuredHexMesh;
 pub use point::{Index3, Point3};

@@ -59,12 +59,6 @@ impl Point3 {
         self.dot(self)
     }
 
-    /// Euclidean norm.
-    #[inline]
-    pub fn norm(self) -> f64 {
-        self.norm_sq().sqrt()
-    }
-
     /// Component-wise minimum.
     #[inline]
     pub fn min(self, other: Point3) -> Point3 {
@@ -205,22 +199,6 @@ impl Index3 {
             _ => panic!("axis out of range: {axis}"),
         }
     }
-
-    /// The 6 face-neighbouring indices that stay inside `dims`, in the fixed
-    /// order `-x, +x, -y, +y, -z, +z` (absent neighbours skipped).
-    pub fn face_neighbors(self, dims: (usize, usize, usize)) -> impl Iterator<Item = Index3> {
-        let Index3 { i, j, k } = self;
-        let (nx, ny, nz) = dims;
-        let candidates = [
-            (i > 0).then(|| Index3::new(i - 1, j, k)),
-            (i + 1 < nx).then(|| Index3::new(i + 1, j, k)),
-            (j > 0).then(|| Index3::new(i, j - 1, k)),
-            (j + 1 < ny).then(|| Index3::new(i, j + 1, k)),
-            (k > 0).then(|| Index3::new(i, j, k - 1)),
-            (k + 1 < nz).then(|| Index3::new(i, j, k + 1)),
-        ];
-        candidates.into_iter().flatten()
-    }
 }
 
 #[cfg(test)]
@@ -243,7 +221,6 @@ mod tests {
     fn dot_and_norm() {
         let a = Point3::new(1.0, 2.0, 2.0);
         assert_eq!(a.norm_sq(), 9.0);
-        assert_eq!(a.norm(), 3.0);
         assert_eq!(a.dot(Point3::new(1.0, 0.0, 0.0)), 1.0);
     }
 
@@ -292,21 +269,6 @@ mod tests {
         assert_eq!(Index3::new(1, 0, 0).linear(dims), 1);
         assert_eq!(Index3::new(0, 1, 0).linear(dims), 10);
         assert_eq!(Index3::new(0, 0, 1).linear(dims), 100);
-    }
-
-    #[test]
-    fn face_neighbors_interior_has_six() {
-        let n: Vec<_> = Index3::new(1, 1, 1).face_neighbors((3, 3, 3)).collect();
-        assert_eq!(n.len(), 6);
-    }
-
-    #[test]
-    fn face_neighbors_corner_has_three() {
-        let n: Vec<_> = Index3::new(0, 0, 0).face_neighbors((3, 3, 3)).collect();
-        assert_eq!(n.len(), 3);
-        assert!(n.contains(&Index3::new(1, 0, 0)));
-        assert!(n.contains(&Index3::new(0, 1, 0)));
-        assert!(n.contains(&Index3::new(0, 0, 1)));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Structured block decomposition with closed-form layout queries.
 
-use crate::Partitioner;
-use hetero_mesh::{Index3, StructuredHexMesh};
+use hetero_mesh::Index3;
 
 /// Splits `n` items into `p` contiguous chunks as evenly as possible.
 /// Chunk `a` covers `[start(a), start(a+1))` with `start(a) = floor(a*n/p)`.
@@ -87,17 +86,6 @@ impl BlockLayout {
         BlockLayout { cells, parts }
     }
 
-    /// Layout for `num_parts` near-cubic blocks of `mesh`.
-    pub fn for_mesh(mesh: &StructuredHexMesh, num_parts: usize) -> Self {
-        BlockLayout::new(mesh.cell_dims(), near_cubic_factors(num_parts))
-    }
-
-    /// The part grid `(px, py, pz)`.
-    #[inline]
-    pub fn part_dims(&self) -> (usize, usize, usize) {
-        self.parts
-    }
-
     /// The cell grid `(nx, ny, nz)`.
     #[inline]
     pub fn cell_dims(&self) -> (usize, usize, usize) {
@@ -112,19 +100,19 @@ impl BlockLayout {
 
     /// Block lattice index of `rank`.
     #[inline]
-    pub fn block_of_rank(&self, rank: usize) -> Index3 {
+    fn block_of_rank(&self, rank: usize) -> Index3 {
         Index3::from_linear(rank, self.parts)
     }
 
     /// Rank of block `b`.
     #[inline]
-    pub fn rank_of_block(&self, b: Index3) -> usize {
+    fn rank_of_block(&self, b: Index3) -> usize {
         b.linear(self.parts)
     }
 
     /// Rank owning cell `c`.
     #[inline]
-    pub fn rank_of_cell(&self, c: Index3) -> usize {
+    fn rank_of_cell(&self, c: Index3) -> usize {
         let b = Index3::new(
             chunk_of(c.i, self.cells.0, self.parts.0),
             chunk_of(c.j, self.cells.1, self.parts.1),
@@ -134,7 +122,7 @@ impl BlockLayout {
     }
 
     /// Half-open cell ranges `[lo, hi)` per axis of `rank`'s block.
-    pub fn cell_ranges(&self, rank: usize) -> [(usize, usize); 3] {
+    fn cell_ranges(&self, rank: usize) -> [(usize, usize); 3] {
         let b = self.block_of_rank(rank);
         [
             (
@@ -153,7 +141,7 @@ impl BlockLayout {
     }
 
     /// Block extent (cells per axis) of `rank`.
-    pub fn block_extent(&self, rank: usize) -> (usize, usize, usize) {
+    fn block_extent(&self, rank: usize) -> (usize, usize, usize) {
         let r = self.cell_ranges(rank);
         (r[0].1 - r[0].0, r[1].1 - r[1].0, r[2].1 - r[2].0)
     }
@@ -225,24 +213,21 @@ impl BlockLayout {
     }
 }
 
-/// [`Partitioner`] wrapper around [`BlockLayout`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BlockPartitioner;
-
-impl Partitioner for BlockPartitioner {
-    fn partition(&self, mesh: &StructuredHexMesh, num_parts: usize) -> Vec<usize> {
-        BlockLayout::for_mesh(mesh, num_parts).assignment()
-    }
-
-    fn name(&self) -> &'static str {
-        "block"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetero_mesh::quality::load_imbalance;
+    use hetero_mesh::StructuredHexMesh;
+
+    /// Largest part size over the mean: the paper's load measure, "the
+    /// number of mesh elements assigned to each process".
+    fn imbalance(assignment: &[usize], parts: usize) -> f64 {
+        let mut counts = vec![0usize; parts];
+        for &p in assignment {
+            counts[p] += 1;
+        }
+        let max = counts.iter().copied().max().unwrap_or(0);
+        max as f64 * parts as f64 / assignment.len() as f64
+    }
 
     #[test]
     fn factors_of_cubes_are_cubic() {
@@ -283,7 +268,7 @@ mod tests {
     #[test]
     fn assignment_consistent_with_rank_of_cell() {
         let mesh = StructuredHexMesh::unit_cube(6);
-        let l = BlockLayout::for_mesh(&mesh, 8);
+        let l = BlockLayout::new(mesh.cell_dims(), near_cubic_factors(8));
         let asg = l.assignment();
         for cell in mesh.cells() {
             assert_eq!(asg[mesh.cell_id(cell)], l.rank_of_cell(cell));
@@ -292,11 +277,9 @@ mod tests {
 
     #[test]
     fn perfect_cube_partition_is_balanced() {
-        let mesh = StructuredHexMesh::unit_cube(20);
-        let asg = BlockPartitioner.partition(&mesh, 8);
-        assert_eq!(load_imbalance(&asg, 8), 1.0);
+        let l = BlockLayout::new((20, 20, 20), near_cubic_factors(8));
+        assert_eq!(imbalance(&l.assignment(), 8), 1.0);
         // Each rank owns a 10^3 block.
-        let l = BlockLayout::for_mesh(&mesh, 8);
         for r in 0..8 {
             assert_eq!(l.cells_in_rank(r), 1000);
         }
@@ -304,10 +287,9 @@ mod tests {
 
     #[test]
     fn uneven_partition_is_nearly_balanced() {
-        let mesh = StructuredHexMesh::unit_cube(7);
-        let asg = BlockPartitioner.partition(&mesh, 8);
+        let l = BlockLayout::new((7, 7, 7), near_cubic_factors(8));
         // 343 cells over 8 parts: block extents 3 or 4 per axis.
-        assert!(load_imbalance(&asg, 8) < 1.55);
+        assert!(imbalance(&l.assignment(), 8) < 1.55);
     }
 
     #[test]

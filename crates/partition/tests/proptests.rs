@@ -1,9 +1,8 @@
-//! Property-based tests of the partitioners' contracts.
+//! Property-based tests of the block layout's contracts.
 
-use hetero_mesh::quality::load_imbalance;
 use hetero_mesh::StructuredHexMesh;
 use hetero_partition::block::near_cubic_factors;
-use hetero_partition::{BlockLayout, BlockPartitioner, Partitioner, RcbPartitioner};
+use hetero_partition::BlockLayout;
 use proptest::prelude::*;
 
 fn mesh_and_parts() -> impl Strategy<Value = (usize, usize)> {
@@ -29,29 +28,33 @@ proptest! {
 
     #[test]
     fn every_partitioner_is_valid_and_bounded((n, p) in mesh_and_parts()) {
+        // Every factorisation of `p` that fits the grid, not only the
+        // near-cubic one: slabs, pencils and permuted factors.
         let mesh = StructuredHexMesh::unit_cube(n);
-        let partitioners: Vec<Box<dyn Partitioner>> =
-            vec![Box::new(BlockPartitioner), Box::new(RcbPartitioner)];
-        for part in partitioners {
-            // Block layouts need the part grid to fit the cell grid.
-            if part.name() == "block" {
-                let f = near_cubic_factors(p);
-                if f.2 > n {
+        for px in (1..=p).filter(|d| p.is_multiple_of(*d)) {
+            for py in (1..=p / px).filter(|d| (p / px).is_multiple_of(*d)) {
+                let pz = p / px / py;
+                if px.max(py).max(pz) > n {
                     continue;
                 }
+                let asg = BlockLayout::new(mesh.cell_dims(), (px, py, pz)).assignment();
+                check_valid(&asg, mesh.num_cells(), p)?;
+                let mut counts = vec![0usize; p];
+                for &part in &asg {
+                    counts[part] += 1;
+                }
+                let imb = counts.iter().max().unwrap() * p;
+                prop_assert!(imb as f64 <= 2.5 * asg.len() as f64, "({px}, {py}, {pz})");
             }
-            let asg = part.partition(&mesh, p);
-            check_valid(&asg, mesh.num_cells(), p)?;
-            let imb = load_imbalance(&asg, p);
-            prop_assert!(imb <= 2.5, "{}: imbalance {imb}", part.name());
         }
     }
 
     #[test]
     fn partitioners_are_deterministic((n, p) in mesh_and_parts()) {
-        let mesh = StructuredHexMesh::unit_cube(n);
-        let a = RcbPartitioner.partition(&mesh, p);
-        let b = RcbPartitioner.partition(&mesh, p);
+        let f = near_cubic_factors(p);
+        prop_assume!(f.2 <= n);
+        let a = BlockLayout::new((n, n, n), f).assignment();
+        let b = BlockLayout::new((n, n, n), f).assignment();
         prop_assert_eq!(a, b);
     }
 
@@ -64,9 +67,20 @@ proptest! {
         let layout = BlockLayout::new((nx, ny, nz), (px, py, pz));
         let total: usize = (0..layout.num_parts()).map(|r| layout.cells_in_rank(r)).sum();
         prop_assert_eq!(total, nx * ny * nz);
-        // Chunked splitting keeps per-axis extents within 1 of each other.
+        // Each rank's cells fill a box, and chunked splitting keeps per-axis
+        // extents within 1 of each other.
+        let asg = layout.assignment();
         for r in 0..layout.num_parts() {
-            let (a, b, c) = layout.block_extent(r);
+            let (mut lo, mut hi) = ([usize::MAX; 3], [0usize; 3]);
+            for (id, _) in asg.iter().enumerate().filter(|&(_, &part)| part == r) {
+                let ijk = [id % nx, id / nx % ny, id / (nx * ny)];
+                for axis in 0..3 {
+                    lo[axis] = lo[axis].min(ijk[axis]);
+                    hi[axis] = hi[axis].max(ijk[axis] + 1);
+                }
+            }
+            let (a, b, c) = (hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]);
+            prop_assert_eq!(a * b * c, layout.cells_in_rank(r));
             prop_assert!(a >= nx / px && a <= nx.div_ceil(px));
             prop_assert!(b >= ny / py && b <= ny.div_ceil(py));
             prop_assert!(c >= nz / pz && c <= nz.div_ceil(pz));
@@ -80,11 +94,28 @@ proptest! {
     ) {
         let f = near_cubic_factors(p);
         prop_assume!(f.2 <= n);
-        let mesh = StructuredHexMesh::unit_cube(n);
-        let layout = BlockLayout::for_mesh(&mesh, p);
+        let layout = BlockLayout::new((n, n, n), f);
         let asg = layout.assignment();
-        for cell in mesh.cells() {
-            prop_assert_eq!(asg[mesh.cell_id(cell)], layout.rank_of_cell(cell));
+        // The ranks a rank's cells touch (sharing at least a corner) in the
+        // expanded assignment are its closed-form node neighbours.
+        for r in 0..p {
+            prop_assert_eq!(asg.iter().filter(|&&part| part == r).count(), layout.cells_in_rank(r));
+            let mut touched = std::collections::BTreeSet::new();
+            for (id, _) in asg.iter().enumerate().filter(|&(_, &part)| part == r) {
+                let (i, j, k) = ((id % n) as i64, (id / n % n) as i64, (id / (n * n)) as i64);
+                for (di, dj, dk) in (0..27).map(|d| (d % 3 - 1, d / 3 % 3 - 1, d / 9 - 1)) {
+                    let (a, b, c) = (i + di, j + dj, k + dk);
+                    let n = n as i64;
+                    if (0..n).contains(&a) && (0..n).contains(&b) && (0..n).contains(&c) {
+                        let other = asg[(a + n * (b + n * c)) as usize];
+                        if other != r {
+                            touched.insert(other);
+                        }
+                    }
+                }
+            }
+            let closed: Vec<usize> = layout.node_neighbors(r, 1).iter().map(|&(s, _)| s).collect();
+            prop_assert_eq!(touched.into_iter().collect::<Vec<_>>(), closed);
         }
     }
 

@@ -155,7 +155,8 @@ mod tests {
         assert_eq!(f.len(), 63);
         assert_eq!(f.spot_count(), 0);
         assert!((f.hourly_cost() - 63.0 * 2.40).abs() < 1e-9);
-        assert_eq!(f.topology(16).groups_in_use(63), 1);
+        let topo = f.topology(16);
+        assert!((0..63).all(|n| topo.group_of_node(n) == 0));
     }
 
     #[test]
@@ -235,7 +236,9 @@ mod tests {
             9,
         );
         let topo = f.topology(16);
-        assert_eq!(topo.groups_in_use(8), 4);
+        let groups: std::collections::BTreeSet<usize> =
+            (0..8).map(|n| topo.group_of_node(n)).collect();
+        assert_eq!(groups.len(), 4);
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! Collective operations.
 //!
-//! The algorithms are the classic binomial-tree / dissemination / ring
-//! schemes, so collective cost *emerges* from the network model: on a
-//! high-latency fabric an allreduce over `p` ranks costs ~`2 ceil(log2 p)`
-//! latencies — exactly the term that hurts the Krylov solve phase on EC2 in
-//! the paper.
+//! The algorithms are the classic binomial-tree and ring schemes, so
+//! collective cost *emerges* from the network model: on a high-latency
+//! fabric an allreduce over `p` ranks costs ~`2 ceil(log2 p)` latencies —
+//! exactly the term that hurts the Krylov solve phase on EC2 in the paper.
 //!
 //! The symmetric collectives — [`SimComm::allreduce`] (and its scalar and
-//! fused forms), [`SimComm::barrier`] and [`SimComm::allgather`] — are one
-//! rendezvous per call: the ranks park, and one evaluator prices every hop
-//! of the tree through the same charges a message pays (see
-//! `crate::rendezvous`). The rooted [`SimComm::reduce`], [`SimComm::bcast`]
-//! and [`SimComm::gather`] let ranks leave early, so they stay
-//! point-to-point messages. Both read the tree partners defined here.
+//! fused forms) and [`SimComm::allgather_usize`] — are one rendezvous per
+//! call: the ranks park, and one evaluator prices every hop of the tree
+//! through the same charges a message pays (see `crate::rendezvous`). The
+//! rooted [`SimComm::bcast`] and [`SimComm::gather`] let ranks leave early,
+//! so they stay point-to-point messages. Both read the tree partners
+//! defined here.
 //!
 //! Every collective consumes *epochs* of the reserved tag space; all ranks
 //! must call collectives in the same order (standard MPI semantics). A
@@ -29,7 +28,6 @@ pub const COLLECTIVE_TAG_BASE: u64 = 1 << 40;
 const SLOTS_PER_EPOCH: u64 = 8;
 pub(crate) const SLOT_REDUCE: u64 = 0;
 pub(crate) const SLOT_BCAST: u64 = 1;
-pub(crate) const SLOT_BARRIER: u64 = 2;
 const SLOT_GATHER: u64 = 3;
 pub(crate) const SLOT_ALLGATHER: u64 = 4;
 
@@ -69,19 +67,6 @@ pub(crate) fn tree_parent(rel: usize) -> Option<usize> {
     (rel != 0).then(|| rel & (rel - 1))
 }
 
-/// Rounds of the dissemination barrier over `size` ranks: `ceil(log2
-/// size)`.
-pub(crate) fn dissemination_rounds(size: usize) -> u32 {
-    usize::BITS - (size.max(1) - 1).leading_zeros()
-}
-
-/// `(to, from)`: whom `rank` signals and whom it hears from in `round` of
-/// the dissemination barrier.
-pub(crate) fn dissemination_partners(rank: usize, size: usize, round: usize) -> (usize, usize) {
-    let step = 1usize << round;
-    ((rank + step) % size, (rank + size - step) % size)
-}
-
 /// Element-wise reduction operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
@@ -118,47 +103,6 @@ impl ReduceOp {
 }
 
 impl SimComm {
-    /// Synchronizes all ranks (dissemination barrier, `ceil(log2 p)`
-    /// rounds). On return every rank's clock is at least the maximum clock
-    /// any rank had on entry.
-    pub fn barrier(&mut self) {
-        self.join_collective(Kind::Barrier, Payload::Empty);
-    }
-
-    /// Reduces `data` element-wise onto the root (binomial tree). Returns
-    /// `Some(result)` on the root, `None` elsewhere.
-    pub fn reduce(&mut self, root: usize, op: ReduceOp, data: &[f64]) -> Option<Vec<f64>> {
-        self.ledger.record(Op::Open);
-        let out = self.reduce_inner(root, op, data);
-        self.ledger.record(Op::Close(Collective::Reduce));
-        out
-    }
-
-    fn reduce_inner(&mut self, root: usize, op: ReduceOp, data: &[f64]) -> Option<Vec<f64>> {
-        let size = self.size();
-        assert!(root < size);
-        let tag = collective_tag(self.next_collective_epoch(), SLOT_REDUCE);
-        let rel = (self.rank() + size - root) % size;
-        let mut acc = data.to_vec();
-        for i in 0..tree_fanout(rel, size) as usize {
-            let child = (tree_child(rel, i) + root) % size;
-            let other = self.recv_f64(child, tag);
-            op.apply(&mut acc, &other);
-            // Combining costs real flops.
-            self.compute(crate::work::Work::new(
-                acc.len() as f64,
-                16.0 * acc.len() as f64,
-            ));
-        }
-        match tree_parent(rel) {
-            Some(parent) => {
-                self.send((parent + root) % size, tag, Payload::F64(acc));
-                None
-            }
-            None => Some(acc),
-        }
-    }
-
     /// Broadcasts `data` from the root (binomial tree). Every rank returns
     /// the root's vector; non-root inputs are ignored.
     pub fn bcast(&mut self, root: usize, data: Vec<f64>) -> Vec<f64> {
@@ -254,22 +198,12 @@ impl SimComm {
         }
     }
 
-    /// All-gather (ring algorithm): every rank's vector, indexed by rank.
-    /// The table is one allocation shared by every rank of the job.
-    pub fn allgather(&mut self, data: &[f64]) -> Arc<[Vec<f64>]> {
-        let kind = Kind::Allgather { usize: false };
-        match self.join_collective(kind, Payload::F64(data.to_vec())) {
-            Yield::F64s(table) => table,
-            _ => unreachable!("an allgather yields a table"),
-        }
-    }
-
-    /// All-gather of index vectors (used for DoF-map setup), carried as
-    /// indices: every value comes back exactly. Priced like
-    /// [`Self::allgather`] of as many `f64`s.
+    /// All-gather (ring algorithm) of index vectors, used for DoF-map
+    /// setup: every rank's vector, indexed by rank, each value exact. A
+    /// block is priced as as many `f64`s. The table is one allocation
+    /// shared by every rank of the job.
     pub fn allgather_usize(&mut self, data: &[usize]) -> Arc<[Vec<usize>]> {
-        let kind = Kind::Allgather { usize: true };
-        match self.join_collective(kind, Payload::Usize(data.to_vec())) {
+        match self.join_collective(Kind::Allgather, Payload::Usize(data.to_vec())) {
             Yield::Usizes(table) => table,
             _ => unreachable!("an allgather_usize yields a table"),
         }
@@ -282,40 +216,68 @@ impl SimComm {
 pub(crate) mod oracle {
     use super::*;
 
+    /// Reduces `data` element-wise onto the root (binomial tree), traced as
+    /// a `reduce` span. Returns `Some(result)` on the root, `None`
+    /// elsewhere.
+    pub(crate) fn reduce(
+        comm: &mut SimComm,
+        root: usize,
+        op: ReduceOp,
+        data: &[f64],
+    ) -> Option<Vec<f64>> {
+        comm.ledger.record(Op::Open);
+        let out = reduce_inner(comm, root, op, data);
+        comm.ledger.record(Op::Close(Collective::Reduce));
+        out
+    }
+
+    fn reduce_inner(
+        comm: &mut SimComm,
+        root: usize,
+        op: ReduceOp,
+        data: &[f64],
+    ) -> Option<Vec<f64>> {
+        let size = comm.size();
+        assert!(root < size);
+        let tag = collective_tag(comm.next_collective_epoch(), SLOT_REDUCE);
+        let rel = (comm.rank() + size - root) % size;
+        let mut acc = data.to_vec();
+        for i in 0..tree_fanout(rel, size) as usize {
+            let child = (tree_child(rel, i) + root) % size;
+            let other = comm.recv_f64(child, tag);
+            op.apply(&mut acc, &other);
+            // Combining costs real flops.
+            comm.compute(crate::work::Work::new(
+                acc.len() as f64,
+                16.0 * acc.len() as f64,
+            ));
+        }
+        match tree_parent(rel) {
+            Some(parent) => {
+                comm.send((parent + root) % size, tag, Payload::F64(acc));
+                None
+            }
+            None => Some(acc),
+        }
+    }
+
     /// `SimComm::allreduce` as a reduce to rank 0 and a broadcast.
     pub(crate) fn allreduce(comm: &mut SimComm, op: ReduceOp, data: &[f64]) -> Vec<f64> {
-        let reduced = comm.reduce(0, op, data);
+        let reduced = reduce(comm, 0, op, data);
         comm.bcast(0, reduced.unwrap_or_default())
     }
 
     /// `SimComm::allreduce_vec`: the same tree, traced as one span.
     pub(crate) fn allreduce_vec(comm: &mut SimComm, op: ReduceOp, data: &[f64]) -> Vec<f64> {
         comm.ledger.record(Op::Open);
-        let reduced = comm.reduce_inner(0, op, data);
+        let reduced = reduce_inner(comm, 0, op, data);
         let out = comm.bcast_inner(0, reduced.unwrap_or_default());
         comm.ledger.record(Op::Close(Collective::AllreduceFused));
         out
     }
 
-    /// `SimComm::barrier`: the dissemination rounds.
-    pub(crate) fn barrier(comm: &mut SimComm) {
-        comm.ledger.record(Op::Open);
-        // A dead node must be observed even by a size-1 job.
-        comm.maybe_fail();
-        let size = comm.size();
-        if size > 1 {
-            let tag = collective_tag(comm.next_collective_epoch(), SLOT_BARRIER);
-            for round in 0..dissemination_rounds(size) as usize {
-                let (to, from) = dissemination_partners(comm.rank(), size, round);
-                comm.send(to, tag, Payload::Empty);
-                let _ = comm.recv(from, tag);
-            }
-        }
-        comm.ledger.record(Op::Close(Collective::Barrier));
-    }
-
-    /// `SimComm::allgather` / `allgather_usize` as a ring, one payload per
-    /// hop, every rank keeping its own copy of the table.
+    /// `SimComm::allgather_usize` as a ring, one payload per hop, every
+    /// rank keeping its own copy of the table.
     pub(crate) fn allgather(comm: &mut SimComm, data: Payload) -> Vec<Payload> {
         comm.ledger.record(Op::Open);
         let (size, rank) = (comm.size(), comm.rank());
@@ -383,7 +345,9 @@ mod tests {
 
     #[test]
     fn reduce_only_root_gets_result() {
-        let r = run_spmd(cfg(6), |comm| comm.reduce(2, ReduceOp::Sum, &[1.0]));
+        let r = run_spmd(cfg(6), |comm| {
+            oracle::reduce(comm, 2, ReduceOp::Sum, &[1.0])
+        });
         for res in &r {
             if res.rank == 2 {
                 assert_eq!(res.value, Some(vec![6.0]));
@@ -411,16 +375,16 @@ mod tests {
     }
 
     #[test]
-    fn barrier_aligns_clocks() {
+    fn allreduce_aligns_clocks() {
         let r = run_spmd(cfg(4), |comm| {
-            // Rank 3 does heavy compute before the barrier.
+            // Rank 3 does heavy compute before the allreduce.
             if comm.rank() == 3 {
                 comm.compute(crate::work::Work::new(5e9, 0.0));
             }
-            comm.barrier();
+            let _ = comm.allreduce_scalar(ReduceOp::Sum, 1.0);
             comm.clock()
         });
-        // Everyone's post-barrier clock is at least rank 3's compute time.
+        // Everyone's clock after it is at least rank 3's compute time.
         for res in &r {
             assert!(res.value >= 5.0, "rank {} clock {}", res.rank, res.value);
         }
@@ -439,11 +403,11 @@ mod tests {
     #[test]
     fn allgather_returns_everyones_data() {
         for p in [1usize, 2, 4, 7] {
-            let r = run_spmd(cfg(p), |comm| comm.allgather(&[comm.rank() as f64]));
+            let r = run_spmd(cfg(p), |comm| comm.allgather_usize(&[comm.rank(); 2]));
             for res in &r {
                 assert_eq!(res.value.len(), p);
                 for (i, v) in res.value.iter().enumerate() {
-                    assert_eq!(v, &vec![i as f64], "p = {p}, rank {}", res.rank);
+                    assert_eq!(v, &vec![i; 2], "p = {p}, rank {}", res.rank);
                 }
             }
         }
@@ -471,7 +435,7 @@ mod tests {
 
     #[test]
     fn allgather_table_is_shared_by_the_job() {
-        let r = run_spmd(cfg(5), |comm| comm.allgather(&[comm.rank() as f64]));
+        let r = run_spmd(cfg(5), |comm| comm.allgather_usize(&[comm.rank()]));
         assert!(r.windows(2).all(|w| Arc::ptr_eq(&w[0].value, &w[1].value)));
     }
 
@@ -479,13 +443,13 @@ mod tests {
     fn consecutive_collectives_do_not_interfere() {
         let r = run_spmd(cfg(4), |comm| {
             let a = comm.allreduce_scalar(ReduceOp::Sum, 1.0);
-            comm.barrier();
+            let m = comm.allreduce_vec(ReduceOp::Max, &[comm.rank() as f64]);
             let b = comm.allreduce_scalar(ReduceOp::Sum, 2.0);
-            let c = comm.allgather(&[comm.rank() as f64]);
-            (a, b, c.len())
+            let c = comm.allgather_usize(&[comm.rank()]);
+            (a, m[0], b, c.len())
         });
         for res in &r {
-            assert_eq!(res.value, (4.0, 8.0, 4));
+            assert_eq!(res.value, (4.0, 3.0, 8.0, 4));
         }
     }
 
@@ -545,11 +509,7 @@ mod tests {
         AllreduceVec {
             len: usize,
         },
-        Barrier,
         Allgather {
-            len: usize,
-        },
-        AllgatherUsize {
             len: usize,
         },
         /// Blocking sends to both ring neighbours, then receives.
@@ -571,9 +531,7 @@ mod tests {
         prop_oneof![
             (0usize..3, 0usize..4).prop_map(|(op, len)| Act::Allreduce { op, len }),
             (0usize..4).prop_map(|len| Act::AllreduceVec { len }),
-            Just(Act::Barrier),
             (0usize..3).prop_map(|len| Act::Allgather { len }),
-            (0usize..3).prop_map(|len| Act::AllgatherUsize { len }),
             (1usize..40).prop_map(|len| Act::Halo { len }),
             (1usize..40, 1u32..5_000_000).prop_map(|(len, flops)| Act::Posted { len, flops }),
             (1u32..20_000_000).prop_map(|flops| Act::Compute { flops }),
@@ -614,30 +572,7 @@ mod tests {
                     };
                     v.iter().map(|x| x.to_bits()).collect()
                 }
-                Act::Barrier => {
-                    if oracle {
-                        oracle::barrier(comm);
-                    } else {
-                        comm.barrier();
-                    }
-                    Vec::new()
-                }
                 Act::Allgather { len } => {
-                    let data = mine(len + rank % 3, comm.clock());
-                    let table: Vec<Vec<f64>> = if oracle {
-                        oracle::allgather(comm, Payload::F64(data))
-                            .into_iter()
-                            .map(|p| match p {
-                                Payload::F64(v) => v,
-                                other => panic!("{other:?}"),
-                            })
-                            .collect()
-                    } else {
-                        comm.allgather(&data).to_vec()
-                    };
-                    table.iter().flatten().map(|x| x.to_bits()).collect()
-                }
-                Act::AllgatherUsize { len } => {
                     let data = vec![usize::MAX - rank; len + rank % 2];
                     let table: Vec<Vec<usize>> = if oracle {
                         oracle::allgather(comm, Payload::Usize(data))
@@ -746,7 +681,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Random programs mixing the four symmetric collectives with halo
+        /// Random programs mixing the three symmetric collectives with halo
         /// traffic, posted receives and compute give every rank the same
         /// values, clock, counters, tape and trace as the point-to-point
         /// oracle, on every pool size — also when a node
@@ -911,7 +846,7 @@ mod tests {
                 let (res, _) =
                     crate::run_spmd_opts(cfg(3), opts, FaultPlan::none(), None, |comm| {
                         if comm.rank() == 0 {
-                            comm.barrier();
+                            let _ = comm.allgather_usize(&[0]);
                         } else {
                             let _ = comm.allreduce_scalar(ReduceOp::Sum, 1.0);
                         }
@@ -920,7 +855,7 @@ mod tests {
             });
             assert_eq!(
                 text,
-                "rank 0 panicked: collective mismatch: rank 0 entered barrier at epoch 0 \
+                "rank 0 panicked: collective mismatch: rank 0 entered allgather_usize at epoch 0 \
                  but rank 1 entered allreduce(Sum, 1 values) at epoch 0",
                 "{opts:?}"
             );

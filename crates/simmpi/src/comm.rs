@@ -32,7 +32,7 @@ pub enum Payload {
     F64(Vec<f64>),
     /// A vector of indices (DoF maps, sizes...).
     Usize(Vec<usize>),
-    /// No data; used by barriers and synthetic traffic.
+    /// No data; a signal, or synthetic traffic with modeled bytes.
     Empty,
 }
 
@@ -706,12 +706,6 @@ impl SimComm {
         &self.shared.model.net
     }
 
-    /// The compute model in force.
-    #[inline]
-    pub fn compute_model(&self) -> &ComputeModel {
-        &self.shared.model.compute
-    }
-
     /// Nodes occupied by this job.
     #[inline]
     pub fn nodes_active(&self) -> usize {
@@ -940,7 +934,7 @@ impl SimComm {
     /// the collective's hops met (see [`crate::rendezvous`]).
     pub(crate) fn join_collective(&mut self, kind: Kind, data: Payload) -> Yield {
         let epoch = self.coll_epoch;
-        self.coll_epoch += kind.epochs(self.size());
+        self.coll_epoch += kind.epochs();
         self.ledger.record(Op::Open);
         let arrival = Arrival {
             kind,

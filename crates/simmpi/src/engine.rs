@@ -611,7 +611,7 @@ mod tests {
         let body = |comm: &mut SimComm| {
             comm.compute(Work::new(1e9, 0.0));
             let _ = comm.allreduce_scalar(crate::collectives::ReduceOp::Sum, 1.0);
-            comm.barrier();
+            let _ = comm.allgather_usize(&[comm.rank()]);
             comm.clock()
         };
         let run = || {
@@ -636,10 +636,13 @@ mod tests {
         assert_eq!(trace_a, sorted);
         // Collectives and p2p traffic both made it in.
         use hetero_trace::EventKind;
-        assert!(trace_a
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Collective { op: "barrier", .. })));
+        assert!(trace_a.events.iter().any(|e| matches!(
+            e.kind,
+            EventKind::Collective {
+                op: "allgather",
+                ..
+            }
+        )));
         assert!(trace_a
             .events
             .iter()
@@ -708,7 +711,7 @@ mod tests {
                 let _ = comm.recv_f64(left, step);
                 comm.compute(Work::new(1e7, 0.0));
                 if step % 8 == 7 {
-                    comm.barrier();
+                    let _ = comm.allreduce_scalar(crate::collectives::ReduceOp::Sum, 1.0);
                 }
             }
         };

@@ -89,16 +89,6 @@ impl ExchangePlan {
         ExchangePlan::default()
     }
 
-    /// Total values sent per exchange.
-    pub fn send_volume(&self) -> usize {
-        self.send_indices.iter().map(Vec::len).sum()
-    }
-
-    /// Total values received per exchange.
-    pub fn recv_volume(&self) -> usize {
-        self.recv_indices.iter().map(Vec::len).sum()
-    }
-
     /// Validates internal consistency against a vector layout.
     ///
     /// # Panics
@@ -752,7 +742,7 @@ pub(crate) mod tests {
     #[test]
     fn an_asymmetric_plan_ends_in_a_deadlock_report_not_a_hang() {
         // Rank 0 exchanges with rank 1; rank 1's plan lists nobody, and it
-        // goes on to a barrier that rank 0 never reaches.
+        // goes on to an allreduce that rank 0 never reaches.
         for workers in [1, 2] {
             let err = std::panic::catch_unwind(|| {
                 run_spmd_opts(
@@ -768,7 +758,7 @@ pub(crate) mod tests {
                         };
                         let mut v = values(comm.rank(), 4, &plan);
                         comm.exchange(&plan, &mut v, copy);
-                        comm.barrier();
+                        let _ = comm.allreduce_scalar(crate::collectives::ReduceOp::Sum, 1.0);
                     },
                 )
             })
@@ -779,7 +769,7 @@ pub(crate) mod tests {
                 msg.contains("rank 0 waits on exchange(src=1);"),
                 "got: {msg}"
             );
-            assert!(msg.contains("rank 1 waits on barrier;"), "got: {msg}");
+            assert!(msg.contains("rank 1 waits on allreduce;"), "got: {msg}");
         }
     }
 

@@ -30,7 +30,7 @@ pub struct SlowWindow {
 impl SlowWindow {
     /// Whether the window covers virtual time `t`.
     #[inline]
-    pub fn covers(&self, t: f64) -> bool {
+    fn covers(&self, t: f64) -> bool {
         t >= self.start && t < self.end
     }
 }
@@ -55,11 +55,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Whether the plan can affect a run at all.
-    pub fn is_trivial(&self) -> bool {
-        self.node_down_at.iter().all(|t| !t.is_finite()) && self.slow_windows.is_empty()
-    }
-
     /// When `node` is scheduled to die (`INFINITY` if never).
     #[inline]
     pub fn down_time(&self, node: usize) -> f64 {
@@ -67,18 +62,6 @@ impl FaultPlan {
             .get(node)
             .copied()
             .unwrap_or(f64::INFINITY)
-    }
-
-    /// The earliest scheduled node loss among the first `nodes_in_use`
-    /// nodes, if any is finite.
-    pub fn earliest_down(&self, nodes_in_use: usize) -> Option<(usize, f64)> {
-        self.node_down_at
-            .iter()
-            .take(nodes_in_use)
-            .copied()
-            .enumerate()
-            .filter(|(_, t)| t.is_finite())
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
     }
 
     /// The degradation factor in force at virtual time `t` (1.0 outside
@@ -122,23 +105,9 @@ mod tests {
     #[test]
     fn default_plan_is_trivial() {
         let p = FaultPlan::none();
-        assert!(p.is_trivial());
         assert_eq!(p.down_time(0), f64::INFINITY);
         assert_eq!(p.down_time(99), f64::INFINITY);
-        assert!(p.earliest_down(8).is_none());
         assert_eq!(p.slow_factor(1.0), 1.0);
-    }
-
-    #[test]
-    fn earliest_down_prefers_time_then_node() {
-        let p = FaultPlan {
-            node_down_at: vec![f64::INFINITY, 5.0, 3.0, 3.0],
-            slow_windows: vec![],
-        };
-        assert_eq!(p.earliest_down(4), Some((2, 3.0)));
-        // Only the nodes actually in use count.
-        assert_eq!(p.earliest_down(2), Some((1, 5.0)));
-        assert!(p.earliest_down(1).is_none());
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //!   bandwidth / NIC-sharing / fabric-contention / jitter model
 //!   ([`network::NetworkModel`]).
 //! * Collectives ([`collectives`]) are priced as modeled point-to-point
-//!   messages (binomial trees, dissemination barrier, ring), so their cost
-//!   emerges from the same network parameters the paper varies. The
-//!   symmetric ones (allreduce, barrier, all-gather) run as one rendezvous
-//!   per call: the ranks park, and one evaluator charges every hop of the
-//!   tree to them exactly as the messages would have.
+//!   messages (binomial trees, ring), so their cost emerges from the same
+//!   network parameters the paper varies. The symmetric ones (allreduce,
+//!   all-gather) run as one rendezvous per call: the ranks park, and one
+//!   evaluator charges every hop of the tree to them exactly as the
+//!   messages would have.
 //! * A halo exchange ([`exchange`]) is one call over per-pair reused
 //!   slots, charged message by message as point-to-point halo traffic
 //!   would be.
@@ -77,7 +77,7 @@ pub use engine::{
 pub use exchange::{ExchangePlan, PostedExchange};
 pub use fault::{FaultPlan, RankFailed, SlowWindow};
 pub use hetero_trace::{Trace, TraceDetail, TraceSpec};
-pub use network::{MsgContext, NetworkModel};
+pub use network::NetworkModel;
 pub use stats::CommStats;
 pub use tape::WorkTape;
 pub use topology::ClusterTopology;

@@ -33,7 +33,7 @@ use crate::work::{ComputeModel, Work};
 
 /// Smallest `d` with `2^d >= n`.
 #[inline]
-pub fn ceil_log2(n: usize) -> u32 {
+fn ceil_log2(n: usize) -> u32 {
     assert!(n > 0);
     (n as u64).next_power_of_two().trailing_zeros()
 }

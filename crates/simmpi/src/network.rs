@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 /// Context for pricing one message.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MsgContext {
+pub(crate) struct MsgContext {
     /// Modeled payload size in bytes.
     pub bytes: f64,
     /// Endpoints share a node.
@@ -111,25 +111,6 @@ impl NetworkModel {
         }
     }
 
-    /// Prices one message as `(arrival latency, drain time)`.
-    ///
-    /// * **arrival latency** — time until the first byte is available at
-    ///   the receiver's adapter; concurrent messages overlap on this part;
-    /// * **drain time** — time to pull the payload through the receiver's
-    ///   NIC share; a rank's inbound messages serialize on this part, which
-    ///   is what makes the bulk assembly exchange so expensive on slow
-    ///   fabrics.
-    ///
-    /// Fabric contention multiplies *both* parts for inter-node traffic:
-    /// congested Ethernet fabrics suffer latency inflation (incast queueing,
-    /// retransmits) at least as much as throughput loss — the mechanism
-    /// behind the steep large-scale degradation in the paper's Figures 4/5.
-    pub fn transfer_cost(&self, ctx: MsgContext) -> (f64, f64) {
-        let contention = self.fabric_contention(ctx.nodes_active);
-        let link = self.path_of(&ctx).link(ctx.bytes);
-        self.link_cost(&link, ctx.jitter_key.3, contention)
-    }
-
     /// The [`Path`] of `ctx`'s message: all of its context but its size,
     /// its sequence number and the job's node count.
     #[inline]
@@ -198,9 +179,20 @@ impl NetworkModel {
 
     /// `(arrival latency, drain time)` of the `seq`-th message over `link`
     /// in a job whose fabric contention is `contention`: the one place a
-    /// message's cost is worked out. An inter-node message scales both
-    /// parts by the contention times its jitter factor; a same-node one
-    /// costs its unscaled copy.
+    /// message's cost is worked out.
+    ///
+    /// * **arrival latency** — time until the first byte is available at
+    ///   the receiver's adapter; concurrent messages overlap on this part;
+    /// * **drain time** — time to pull the payload through the receiver's
+    ///   NIC share; a rank's inbound messages serialize on this part, which
+    ///   is what makes the bulk assembly exchange so expensive on slow
+    ///   fabrics.
+    ///
+    /// An inter-node message scales both parts by the contention times its
+    /// jitter factor: congested Ethernet fabrics suffer latency inflation
+    /// (incast queueing, retransmits) at least as much as throughput loss —
+    /// the mechanism behind the steep large-scale degradation in the
+    /// paper's Figures 4/5. A same-node one costs its unscaled copy.
     #[inline]
     pub fn link_cost(&self, link: &Link, seq: u64, contention: f64) -> (f64, f64) {
         if link.same_node {
@@ -208,13 +200,6 @@ impl NetworkModel {
         }
         let scale = contention * jitter_factor(link.jitter_prefix, seq, self.jitter_sigma);
         (link.latency * scale, link.drain * scale)
-    }
-
-    /// Total time of one message transferred in isolation (latency +
-    /// drain).
-    pub fn transfer_time(&self, ctx: MsgContext) -> f64 {
-        let (lat, drain) = self.transfer_cost(ctx);
-        lat + drain
     }
 
     /// Gigabit Ethernet as found on `puma`/`ellipse` (2006-era department
@@ -289,8 +274,24 @@ impl NetworkModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    impl NetworkModel {
+        /// `(arrival latency, drain time)` of one message priced from its
+        /// whole context at once, as the per-message oracles price it.
+        pub(crate) fn transfer_cost(&self, ctx: MsgContext) -> (f64, f64) {
+            let contention = self.fabric_contention(ctx.nodes_active);
+            let link = self.path_of(&ctx).link(ctx.bytes);
+            self.link_cost(&link, ctx.jitter_key.3, contention)
+        }
+
+        /// Total time of one message transferred in isolation.
+        fn transfer_time(&self, ctx: MsgContext) -> f64 {
+            let (lat, drain) = self.transfer_cost(ctx);
+            lat + drain
+        }
+    }
 
     fn ctx(bytes: f64) -> MsgContext {
         MsgContext {

@@ -1,7 +1,7 @@
 //! The symmetric collectives as one rendezvous per call.
 //!
-//! In `allreduce`, `allreduce_vec`, `barrier` and `allgather` no rank can
-//! leave before every rank has entered, so running them as point-to-point
+//! In `allreduce`, `allreduce_vec` and `allgather_usize` no rank can leave
+//! before every rank has entered, so running them as point-to-point
 //! trees buys no concurrency: each call would cost `2(p − 1)` messages,
 //! mailbox locks and coroutine switches only to let the ranks wait for one
 //! another. Instead:
@@ -13,7 +13,7 @@
 //!   arrival or termination that completed the set runs [`evaluate`]: a
 //!   worklist over ranks, in the style of [`crate::tape::evaluate`], that
 //!   replays the tree schedule hop by hop — the binomial reduce + bcast
-//!   rooted at 0, the dissemination barrier, the ring — through the
+//!   rooted at 0, or the ring — through the
 //!   ledger's own send and receive charges. Each hop therefore prices,
 //!   counts and records on the tape exactly what the message would have,
 //!   with its per-pair sequence number and jitter key, and the collective's
@@ -39,8 +39,8 @@
 //! rank.
 
 use crate::collectives::{
-    collective_tag, dissemination_partners, dissemination_rounds, tree_child, tree_fanout,
-    tree_parent, ReduceOp, SLOT_ALLGATHER, SLOT_BARRIER, SLOT_BCAST, SLOT_REDUCE,
+    collective_tag, tree_child, tree_fanout, tree_parent, ReduceOp, SLOT_ALLGATHER, SLOT_BCAST,
+    SLOT_REDUCE,
 };
 use crate::comm::{JobModel, Ledger, Payload, SharedComm, HEADER_BYTES};
 use crate::fault::RankFailed;
@@ -60,10 +60,8 @@ pub(crate) enum Kind {
         len: usize,
         fused: bool,
     },
-    /// The dissemination barrier.
-    Barrier,
-    /// The ring all-gather of `f64`s, or (`usize`) of indices.
-    Allgather { usize: bool },
+    /// The ring all-gather of indices.
+    Allgather,
 }
 
 impl Kind {
@@ -72,20 +70,16 @@ impl Kind {
         match self {
             Kind::Allreduce { fused: false, .. } => "allreduce",
             Kind::Allreduce { fused: true, .. } => "allreduce_vec",
-            Kind::Barrier => "barrier",
-            Kind::Allgather { usize: false } => "allgather",
-            Kind::Allgather { usize: true } => "allgather_usize",
+            Kind::Allgather => "allgather_usize",
         }
     }
 
-    /// Collective epochs (tag blocks) the call consumes on a job of `size`
-    /// ranks: the reduce and the bcast take one each, and a one-rank
-    /// barrier sends nothing and takes none.
-    pub(crate) fn epochs(self, size: usize) -> u64 {
+    /// Collective epochs (tag blocks) the call consumes: the reduce and
+    /// the bcast take one each.
+    pub(crate) fn epochs(self) -> u64 {
         match self {
             Kind::Allreduce { .. } => 2,
-            Kind::Barrier => u64::from(size > 1),
-            Kind::Allgather { .. } => 1,
+            Kind::Allgather => 1,
         }
     }
 
@@ -94,7 +88,7 @@ impl Kind {
             Kind::Allreduce { op, len, .. } => {
                 format!("{}({op:?}, {len} values) at epoch {epoch}", self.name())
             }
-            _ => format!("{} at epoch {epoch}", self.name()),
+            Kind::Allgather => format!("{} at epoch {epoch}", self.name()),
         }
     }
 }
@@ -112,12 +106,8 @@ pub(crate) struct Arrival {
 pub(crate) enum Yield {
     /// An all-reduce's result.
     Values(Vec<f64>),
-    /// An all-gather's table of `f64`s.
-    F64s(Arc<[Vec<f64>]>),
     /// An all-gather's table of indices.
     Usizes(Arc<[Vec<usize>]>),
-    /// A barrier's.
-    Done,
 }
 
 /// How a rank leaves a collective it did not complete.
@@ -265,9 +255,6 @@ impl SharedComm {
 /// One hop of a rank's schedule in a symmetric collective.
 #[derive(Debug, Clone, Copy)]
 enum Step {
-    /// The barrier's entry check: a dead node is observed even by a rank
-    /// with nothing to send.
-    Check,
     Send {
         to: usize,
         bytes: f64,
@@ -345,29 +332,7 @@ impl Plan<'_> {
                 };
                 (pc == k).then_some(Step::Tape(Op::Close(close)))
             }
-            Kind::Barrier => {
-                let rounds = dissemination_rounds(size) as usize;
-                match pc {
-                    0 => Some(Step::Check),
-                    pc if pc <= 2 * rounds => {
-                        let (to, from) = dissemination_partners(rank, size, (pc - 1) / 2);
-                        Some(if pc % 2 == 1 {
-                            Step::Send {
-                                to,
-                                bytes: HEADER_BYTES,
-                            }
-                        } else {
-                            Step::Recv {
-                                from,
-                                tag: collective_tag(self.epoch, SLOT_BARRIER),
-                            }
-                        })
-                    }
-                    pc if pc == 2 * rounds + 1 => Some(Step::Tape(Op::Close(Collective::Barrier))),
-                    _ => None,
-                }
-            }
-            Kind::Allgather { .. } => {
+            Kind::Allgather => {
                 let hops = 2 * (size - 1);
                 if pc < hops {
                     // At round s, forward the block that originated at
@@ -479,7 +444,7 @@ fn evaluate(model: &JobModel, slots: &mut [Slot], scratch: &mut Scratch) {
         block_bytes,
     } = scratch;
     block_bytes.clear();
-    if let Kind::Allgather { .. } = kind {
+    if kind == Kind::Allgather {
         block_bytes.extend(slots.iter().map(|s| match s {
             Slot::Arrived(a) => a.data.body_bytes() + HEADER_BYTES,
             _ => 0.0,
@@ -525,11 +490,6 @@ fn evaluate(model: &JobModel, slots: &mut [Slot], scratch: &mut Scratch) {
             let (node, down_at) = (run[r].node, run[r].down_at);
             let fault = || Stop::Died(Fate::Fault(RankFailed { node, at: down_at }));
             match step {
-                Step::Check => {
-                    if ledger.clock >= down_at {
-                        break fault();
-                    }
-                }
                 Step::Send { to, bytes } => {
                     if ledger.clock >= down_at {
                         break fault();
@@ -612,15 +572,7 @@ fn evaluate(model: &JobModel, slots: &mut [Slot], scratch: &mut Scratch) {
             }
             None
         }
-        Kind::Barrier => Some(Yield::Done),
-        Kind::Allgather { usize: false } => Some(Yield::F64s(gathered(slots, |p| match p {
-            Payload::F64(v) => v,
-            _ => Vec::new(),
-        }))),
-        Kind::Allgather { usize: true } => Some(Yield::Usizes(gathered(slots, |p| match p {
-            Payload::Usize(v) => v,
-            _ => Vec::new(),
-        }))),
+        Kind::Allgather => Some(Yield::Usizes(gathered(slots))),
     };
     release(slots, |rank| match (run[rank].fate.take(), &shared) {
         (Some(fate), _) => Err(fate),
@@ -633,11 +585,14 @@ fn evaluate(model: &JobModel, slots: &mut [Slot], scratch: &mut Scratch) {
 /// arrival. (Only a rank that received every block completes, so a
 /// completed rank never reads the empty block of a rank that did not
 /// arrive.)
-fn gathered<T>(slots: &mut [Slot], block: impl Fn(Payload) -> Vec<T>) -> Arc<[Vec<T>]> {
+fn gathered(slots: &mut [Slot]) -> Arc<[Vec<usize>]> {
     slots
         .iter_mut()
         .map(|s| match s {
-            Slot::Arrived(a) => block(std::mem::replace(&mut a.data, Payload::Empty)),
+            Slot::Arrived(a) => match std::mem::replace(&mut a.data, Payload::Empty) {
+                Payload::Usize(v) => v,
+                _ => Vec::new(),
+            },
             _ => Vec::new(),
         })
         .collect()

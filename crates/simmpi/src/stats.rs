@@ -44,16 +44,6 @@ impl CommStats {
         self.comm_time += other.comm_time;
         self.other_time += other.other_time;
     }
-
-    /// Fraction of accounted time spent communicating (0 when idle).
-    pub fn comm_fraction(&self) -> f64 {
-        let total = self.compute_time + self.comm_time;
-        if total == 0.0 {
-            0.0
-        } else {
-            self.comm_time / total
-        }
-    }
 }
 
 #[cfg(test)]
@@ -79,17 +69,5 @@ mod tests {
         assert_eq!(a.bytes_sent, 150.0);
         assert_eq!(a.compute_time, 1.0);
         assert_eq!(a.comm_time, 0.5);
-    }
-
-    #[test]
-    fn comm_fraction_bounds() {
-        let idle = CommStats::default();
-        assert_eq!(idle.comm_fraction(), 0.0);
-        let busy = CommStats {
-            compute_time: 3.0,
-            comm_time: 1.0,
-            ..Default::default()
-        };
-        assert!((busy.comm_fraction() - 0.25).abs() < 1e-12);
     }
 }

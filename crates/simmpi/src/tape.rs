@@ -96,19 +96,11 @@ pub(crate) enum Collective {
     Bcast,
     Gather,
     AllreduceFused,
-    Barrier,
     Allgather,
 }
 
 /// Each [`Collective`]'s name in a trace.
-const COLLECTIVE_NAMES: [&str; 6] = [
-    "reduce",
-    "bcast",
-    "gather",
-    "allreduce_fused",
-    "barrier",
-    "allgather",
-];
+const COLLECTIVE_NAMES: [&str; 5] = ["reduce", "bcast", "gather", "allreduce_fused", "allgather"];
 
 /// One rank's recorded charges, in program order.
 #[derive(Debug, Clone, PartialEq)]
@@ -610,13 +602,13 @@ mod tests {
             comm.compute(Work::new(1e5, 0.0));
             let _ = comm.wait_all(vec![posted]);
             comm.advance(1e-4 * (rank + 1) as f64);
-            let sum = comm.reduce(0, ReduceOp::Sum, &[1.0]);
+            let sum = crate::collectives::oracle::reduce(comm, 0, ReduceOp::Sum, &[1.0]);
             let _ = comm.bcast(0, sum.unwrap_or_default());
             let _ = comm.gather(size - 1, &[rank as f64]);
-            let _ = comm.allgather(&[rank as f64]);
+            let _ = comm.allgather_usize(&[rank]);
             marks.push(comm.phase_mark(step, Some(Phase::Iteration)));
         }
-        comm.barrier();
+        let _ = comm.allreduce_scalar(ReduceOp::Max, 0.0);
         marks.into_iter().map(f64::to_bits).collect()
     }
 
@@ -747,7 +739,7 @@ mod tests {
         let advanced = |comm: &mut SimComm| {
             comm.compute(Work::new(1e6, 0.0));
             comm.advance(0.1 + 0.2 * comm.rank() as f64);
-            comm.barrier();
+            let _ = comm.allreduce_scalar(ReduceOp::Sum, 1.0);
             comm.advance(1.0 / 3.0);
         };
         let (res, tape) =

@@ -111,15 +111,6 @@ impl ClusterTopology {
             (total_ranks - lo).min(self.cores_per_node)
         }
     }
-
-    /// Number of distinct placement groups among the first `nodes` nodes.
-    pub fn groups_in_use(&self, nodes: usize) -> usize {
-        let mut seen = std::collections::BTreeSet::new();
-        for &g in self.groups.iter().take(nodes) {
-            seen.insert(g);
-        }
-        seen.len()
-    }
 }
 
 #[cfg(test)]
@@ -169,15 +160,14 @@ mod tests {
         assert_eq!(t.group_of_node(5), 1);
         assert!(t.same_group(0, 15)); // same node 0
         assert!(!t.same_group(0, 16)); // node 0 (group 0) vs node 1 (group 1)
-        assert_eq!(t.groups_in_use(8), 4);
-        assert_eq!(t.groups_in_use(2), 2);
-        assert_eq!(t.groups_in_use(1), 1);
+        let groups: Vec<usize> = (0..8).map(|n| t.group_of_node(n)).collect();
+        assert_eq!(groups, [0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
     fn uniform_is_single_group() {
         let t = ClusterTopology::uniform(10, 2);
-        assert_eq!(t.groups_in_use(10), 1);
+        assert!((0..10).all(|n| t.group_of_node(n) == 0));
         assert!(t.same_group(0, 19));
     }
 }

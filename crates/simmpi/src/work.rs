@@ -39,16 +39,6 @@ impl Work {
     pub fn flops(f: f64) -> Self {
         Work { flops: f, bytes: f }
     }
-
-    /// Arithmetic intensity (flops per byte); infinite for byte-free work.
-    #[inline]
-    pub fn intensity(&self) -> f64 {
-        if self.bytes == 0.0 {
-            f64::INFINITY
-        } else {
-            self.flops / self.bytes
-        }
-    }
 }
 
 impl Add for Work {
@@ -116,13 +106,6 @@ impl ComputeModel {
     pub fn time(&self, work: Work) -> f64 {
         (work.flops / self.flops_per_sec).max(work.bytes / self.mem_bw)
     }
-
-    /// The arithmetic intensity (flops/byte) at which a kernel transitions
-    /// from memory-bound to compute-bound.
-    #[inline]
-    pub fn ridge_intensity(&self) -> f64 {
-        self.flops_per_sec / self.mem_bw
-    }
 }
 
 #[cfg(test)]
@@ -142,8 +125,11 @@ mod tests {
 
     #[test]
     fn intensity() {
-        assert_eq!(Work::new(8.0, 4.0).intensity(), 2.0);
-        assert_eq!(Work::new(8.0, 0.0).intensity(), f64::INFINITY);
+        // Below the ridge (4 flops/byte) work is memory-bound; byte-free
+        // work has infinite intensity and is compute-bound.
+        let m = ComputeModel::new(2e9, 5e8);
+        assert_eq!(m.time(Work::new(8.0, 4.0)), 4.0 / 5e8);
+        assert_eq!(m.time(Work::new(8.0, 0.0)), 8.0 / 2e9);
     }
 
     #[test]
@@ -164,9 +150,8 @@ mod tests {
 
     #[test]
     fn ridge_point() {
+        // At intensity 4 = 2e9 / 5e8, exactly the ridge, both bounds agree.
         let m = ComputeModel::new(2e9, 5e8);
-        assert_eq!(m.ridge_intensity(), 4.0);
-        // Exactly at the ridge, both bounds agree.
         let w = Work::new(4e8, 1e8);
         assert!((m.time(w) - 0.2).abs() < 1e-12);
     }

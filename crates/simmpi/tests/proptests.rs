@@ -4,8 +4,8 @@ use hetero_simmpi::collectives::ReduceOp;
 use hetero_simmpi::modeled::{VirtualEnv, VirtualMsg, VirtualRank};
 use hetero_simmpi::rng::{hash_msg, hash_prefix, jitter_factor, splitmix64, to_unit};
 use hetero_simmpi::{
-    run_spmd, run_spmd_opts, ClusterTopology, ComputeModel, EngineOpts, FaultPlan, MsgContext,
-    NetworkModel, Payload, SimComm, SpmdConfig, Work,
+    run_spmd, run_spmd_opts, ClusterTopology, ComputeModel, EngineOpts, FaultPlan, NetworkModel,
+    Payload, SimComm, SpmdConfig, Work,
 };
 use proptest::prelude::*;
 
@@ -124,18 +124,8 @@ proptest! {
         );
         let link = net.link(bytes, same_node, same_group, nic_sharers, prefix);
         let priced = net.link_cost(&link, seq, net.fabric_contention(nodes));
-        let ctx = net.transfer_cost(MsgContext {
-            bytes,
-            same_node,
-            same_group,
-            nic_sharers,
-            nodes_active: nodes,
-            jitter_key: key,
-        });
-        for got in [priced, ctx] {
-            prop_assert_eq!(got.0.to_bits(), want.0.to_bits(), "latency {:?} vs {:?}", got, want);
-            prop_assert_eq!(got.1.to_bits(), want.1.to_bits(), "drain {:?} vs {:?}", got, want);
-        }
+        prop_assert_eq!(priced.0.to_bits(), want.0.to_bits(), "latency {:?} vs {:?}", priced, want);
+        prop_assert_eq!(priced.1.to_bits(), want.1.to_bits(), "drain {:?} vs {:?}", priced, want);
     }
 }
 
@@ -211,7 +201,7 @@ proptest! {
         let body = move |comm: &mut hetero_simmpi::SimComm| {
             for _ in 0..3 {
                 let _ = comm.allreduce_scalar(ReduceOp::Sum, comm.rank() as f64);
-                comm.barrier();
+                let _ = comm.allgather_usize(&[comm.rank()]);
             }
             comm.clock()
         };
@@ -230,15 +220,12 @@ proptest! {
         nodes in 1usize..64,
     ) {
         let net = NetworkModel::gigabit_ethernet();
-        let ctx = |bytes: f64| MsgContext {
-            bytes,
-            same_node: false,
-            same_group: true,
-            nic_sharers: sharers,
-            nodes_active: nodes,
-            jitter_key: (1, 2, 3, 4),
+        let time = |bytes: f64| {
+            let link = net.link(bytes, false, true, sharers, hash_prefix(1, 2, 3));
+            let (lat, drain) = net.link_cost(&link, 4, net.fabric_contention(nodes));
+            lat + drain
         };
-        prop_assert!(net.transfer_time(ctx(b1 + extra)) > net.transfer_time(ctx(b1)));
+        prop_assert!(time(b1 + extra) > time(b1));
     }
 
     #[test]
@@ -325,8 +312,8 @@ enum Round {
     ReverseShift { tag: u64, len: usize },
     /// A scalar sum allreduce.
     Allreduce,
-    /// A dissemination barrier.
-    Barrier,
+    /// A ring all-gather of one index per rank.
+    Allgather,
     /// Local compute (advances the virtual clock without traffic).
     Compute { flops: u64 },
 }
@@ -336,7 +323,7 @@ fn round_strategy() -> impl Strategy<Value = Round> {
         (0u64..5, 1usize..64).prop_map(|(tag, len)| Round::RingShift { tag, len }),
         (0u64..5, 1usize..64).prop_map(|(tag, len)| Round::ReverseShift { tag, len }),
         Just(Round::Allreduce),
-        Just(Round::Barrier),
+        Just(Round::Allgather),
         (1u64..50_000_000).prop_map(|flops| Round::Compute { flops }),
     ]
 }
@@ -369,7 +356,10 @@ fn run_rounds(rounds: &[Round], comm: &mut SimComm) -> Vec<u64> {
                 let s = comm.allreduce_scalar(ReduceOp::Sum, comm.rank() as f64 + 0.5);
                 fp.push(s.to_bits());
             }
-            Round::Barrier => comm.barrier(),
+            Round::Allgather => {
+                let table = comm.allgather_usize(&[comm.rank() * 3 + 1]);
+                fp.extend(table.iter().flatten().map(|&x| x as u64));
+            }
             Round::Compute { flops } => comm.compute(Work::new(flops as f64, 1e6)),
         }
         fp.push(comm.clock().to_bits());

@@ -70,7 +70,7 @@ pub enum EventKind {
     /// One collective operation (span): `bytes` is the wire volume this
     /// rank sent inside it.
     Collective {
-        /// Operation name (`"barrier"`, `"reduce"`, `"bcast"`, ...).
+        /// Operation name (`"reduce"`, `"bcast"`, `"allgather"`, ...).
         op: &'static str,
         /// Modeled bytes this rank sent during the operation.
         bytes: f64,

@@ -13,7 +13,8 @@ use hetero_fem::exact::RdExact;
 use hetero_fem::rd::{solve_rd, RdConfig};
 use hetero_hpc::snapshot::Snapshot;
 use hetero_mesh::{DistributedMesh, StructuredHexMesh};
-use hetero_partition::{BlockPartitioner, Partitioner, RcbPartitioner};
+use hetero_partition::block::near_cubic_factors;
+use hetero_partition::BlockLayout;
 use hetero_platform::catalog;
 use hetero_simmpi::run_spmd;
 use std::sync::Arc;
@@ -28,13 +29,15 @@ fn main() {
     };
     let t_checkpoint = cfg.t0 + cfg.steps as f64 * cfg.dt;
 
-    // Phase 1: run on `puma` with a block partition and checkpoint.
+    // Phase 1: run on `puma` with the near-cubic 2 x 2 x 2 blocks and
+    // checkpoint.
     let puma = catalog::puma();
-    let block = Arc::new(BlockPartitioner.partition(&mesh, ranks));
+    let block =
+        Arc::new(BlockLayout::new(mesh.cell_dims(), near_cubic_factors(ranks)).assignment());
     let mesh1 = mesh.clone();
     let cfg1 = cfg.clone();
     println!(
-        "phase 1: running RD on puma (block partition), checkpointing at t = {t_checkpoint} ..."
+        "phase 1: running RD on puma (2 x 2 x 2 blocks), checkpointing at t = {t_checkpoint} ..."
     );
     let results = run_spmd(puma.spmd_config(ranks, 1), move |comm| {
         let dmesh = DistributedMesh::new(mesh1.clone(), Arc::clone(&block), comm.rank(), ranks);
@@ -56,13 +59,13 @@ fn main() {
     println!("  checkpoint size on disk: {} bytes", on_disk.len());
     let restored = Snapshot::from_json(&on_disk).expect("checkpoint parses");
 
-    // Phase 2: restore on `ec2` with an RCB partition and verify.
+    // Phase 2: restore on `ec2` with 4 x 2 x 1 pencils and verify.
     let ec2 = catalog::ec2();
-    let rcb = Arc::new(RcbPartitioner.partition(&mesh, ranks));
+    let pencils = Arc::new(BlockLayout::new(mesh.cell_dims(), (4, 2, 1)).assignment());
     let mesh2 = mesh.clone();
-    println!("phase 2: restoring on ec2 (RCB partition) ...");
+    println!("phase 2: restoring on ec2 (4 x 2 x 1 pencils) ...");
     let results = run_spmd(ec2.spmd_config(ranks, 2), move |comm| {
-        let dmesh = DistributedMesh::new(mesh2.clone(), Arc::clone(&rcb), comm.rank(), ranks);
+        let dmesh = DistributedMesh::new(mesh2.clone(), Arc::clone(&pencils), comm.rank(), ranks);
         let dm = DofMap::build(&dmesh, ElementOrder::Q2, comm);
         let u = restored.restore("u", &dm, comm);
         dm.nodal_linf_error(&u, |p| RdExact.u(p, t_checkpoint), comm)
@@ -70,5 +73,5 @@ fn main() {
     let err2 = results[0].value;
     println!("  restored-field error vs exact solution: {err2:.2e}");
     assert!(err2 < 1e-10, "restore must be lossless");
-    println!("\nOK: the checkpoint survived a change of platform AND partitioner.");
+    println!("\nOK: the checkpoint survived a change of platform AND decomposition.");
 }

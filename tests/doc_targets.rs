@@ -350,3 +350,162 @@ fn single_threaded_ranks() {
     }
     assert!(found.is_empty(), "intra-rank threading is back: {found:?}");
 }
+
+/// `text` with every `//` comment (doc comments included) cut from its line.
+fn without_comments(text: &str) -> String {
+    text.lines()
+        .map(|line| line.find("//").map_or(line, |at| &line[..at]))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// `text` without its `#[cfg(test)]` items and its `use` declarations: what
+/// calls something, as opposed to what tests or re-exports it.
+fn calling_code(text: &str) -> String {
+    const TEST_ITEM: &str = "#[cfg(test)]";
+    let text = without_comments(text);
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text.as_str();
+    while let Some(at) = rest.find(TEST_ITEM) {
+        out.push_str(&rest[..at]);
+        // The item ends at a `;` outside braces or at the brace that closes
+        // its body.
+        let mut depth = 0usize;
+        let mut end = rest.len();
+        for (i, c) in rest[at + TEST_ITEM.len()..].char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' if depth == 1 => {
+                    end = at + TEST_ITEM.len() + i + 1;
+                    break;
+                }
+                '}' => depth = depth.saturating_sub(1),
+                ';' if depth == 0 => {
+                    end = at + TEST_ITEM.len() + i + 1;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        rest = &rest[end..];
+    }
+    out.push_str(rest);
+    let mut code = String::with_capacity(out.len());
+    let mut in_use = false;
+    for line in out.lines() {
+        let trimmed = line.trim_start();
+        let starts_use = ["use ", "pub use ", "pub(crate) use "]
+            .iter()
+            .any(|p| trimmed.starts_with(p));
+        if starts_use || in_use {
+            in_use = !line.contains(';');
+            continue;
+        }
+        code.push_str(line);
+        code.push('\n');
+    }
+    code
+}
+
+/// Whether `name` occurs in `text` as a whole identifier.
+fn names(text: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.match_indices(name)
+        .any(|(at, _)| !text[..at].ends_with(ident) && !text[at + name.len()..].starts_with(ident))
+}
+
+/// The layers below `core` stand in for what the paper's applications
+/// reach through LifeV and Trilinos, so their public surface is what the
+/// program calls. A `pub fn` in the library code of `simmpi`, `linalg`,
+/// `mesh`, `fem` or `partition` must be named by non-test code in another
+/// file: a workspace crate's `src`, `benches` or `examples`, the root
+/// `examples/`, or `benchmark/src`. Comments, `use` declarations and
+/// `#[cfg(test)]` items name nothing. The match is textual, so a name that
+/// means something else elsewhere passes; what it catches is an API that
+/// only its own tests call.
+#[test]
+fn no_test_only_api() {
+    /// `(file, function)` pairs that only tests call, each with its reason.
+    const ALLOWED: [(&str, &str); 1] = [
+        // The zero-cost fabric, which test crates put in place of a real
+        // network so that what they assert on is compute and logic alone.
+        ("crates/simmpi/src/network.rs", "ideal"),
+    ];
+    const LAYERS: [&str; 5] = ["simmpi", "linalg", "mesh", "fem", "partition"];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut callers = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .filter_map(Result::ok)
+    {
+        for part in ["src", "benches", "examples"] {
+            let dir = krate.path().join(part);
+            if dir.is_dir() {
+                rust_sources(&dir, &mut callers);
+            }
+        }
+    }
+    rust_sources(&root.join("examples"), &mut callers);
+    rust_sources(&root.join("benchmark/src"), &mut callers);
+    let code: Vec<(PathBuf, String)> = callers
+        .into_iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{} is readable: {e}", path.display()));
+            (path, calling_code(&text))
+        })
+        .collect();
+
+    let mut scanned = 0;
+    let mut unused = Vec::new();
+    for (path, text) in &code {
+        let Some(layer) = LAYERS
+            .iter()
+            .find(|layer| path.starts_with(root.join("crates").join(layer).join("src")))
+        else {
+            continue;
+        };
+        let public = |at: usize| {
+            ["pub ", "pub const ", "pub unsafe "]
+                .iter()
+                .any(|q| text[..at].ends_with(q))
+        };
+        for (at, _) in text.match_indices("fn ").filter(|&(at, _)| public(at)) {
+            let name: String = text[at + "fn ".len()..]
+                .chars()
+                .take_while(|&c| c.is_ascii_alphanumeric() || c == '_')
+                .collect();
+            scanned += 1;
+            if !code
+                .iter()
+                .any(|(other, text)| other != path && names(text, &name))
+            {
+                let file = path.strip_prefix(&root).unwrap_or(path).display();
+                unused.push((format!("{file}"), name, *layer));
+            }
+        }
+    }
+    // A scanner that matches nothing would pass vacuously.
+    assert!(scanned > 100, "the scan found {scanned} public functions");
+
+    let mut found = Vec::new();
+    for (file, name, layer) in &unused {
+        if !ALLOWED.iter().any(|&(f, n)| file.ends_with(f) && n == name) {
+            found.push(format!("{layer}: {file}: `pub fn {name}`"));
+        }
+    }
+    for (file, name) in ALLOWED {
+        if !unused
+            .iter()
+            .any(|(f, n, _)| f.ends_with(file) && n == name)
+        {
+            found.push(format!("{file}: `{name}` is allowed but has a caller now"));
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "public functions that only tests call (give each a caller, make it \
+         private, or delete it):\n{}",
+        found.join("\n")
+    );
+}

@@ -19,7 +19,8 @@ use hetero_fem::rd::{solve_rd, RdConfig};
 use hetero_hpc::canon::sha256_hex;
 use hetero_linalg::solver::{SolveOptions, SolverVariant};
 use hetero_mesh::{DistributedMesh, Point3, StructuredHexMesh};
-use hetero_partition::{BlockPartitioner, Partitioner};
+use hetero_partition::block::near_cubic_factors;
+use hetero_partition::BlockLayout;
 use hetero_simmpi::{
     run_spmd_opts, ClusterTopology, ComputeModel, EngineOpts, FaultPlan, NetworkModel, RankFailed,
     SpmdConfig, Trace, TraceSpec,
@@ -65,7 +66,8 @@ fn rd() -> RdConfig {
 /// Runs the job under `opts`.
 fn run(opts: EngineOpts) -> (Result<Vec<f64>, RankFailed>, Trace) {
     let mesh = StructuredHexMesh::new(6, 6, 6, Point3::ZERO, Point3::splat(1.0));
-    let assignment = Arc::new(BlockPartitioner.partition(&mesh, RANKS));
+    let assignment =
+        Arc::new(BlockLayout::new(mesh.cell_dims(), near_cubic_factors(RANKS)).assignment());
     let faults = FaultPlan {
         node_down_at: vec![f64::INFINITY, DOWN_AT, f64::INFINITY, f64::INFINITY],
         slow_windows: vec![],

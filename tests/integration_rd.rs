@@ -2,7 +2,7 @@
 //! stack: mesh -> partition -> DoF maps -> distributed assembly -> Krylov
 //! solve -> platform timing/cost, on all four simulated platforms.
 
-use hetero_fem::assembly::{apply_dirichlet, assemble_matrix, assemble_vector, scalar_kernels};
+use hetero_fem::assembly::{apply_dirichlet, assemble_vector, scalar_kernels, MatrixAssembly};
 use hetero_fem::dofmap::DofMap;
 use hetero_fem::element::ElementOrder;
 use hetero_fem::quadrature::GaussRule3d;
@@ -11,7 +11,8 @@ use hetero_hpc::run::{execute, Fidelity, RunRequest};
 use hetero_linalg::precond::Jacobi;
 use hetero_linalg::solver::{cg, SolveOptions};
 use hetero_mesh::{DistributedMesh, Point3, StructuredHexMesh};
-use hetero_partition::{BlockPartitioner, Partitioner};
+use hetero_partition::block::near_cubic_factors;
+use hetero_partition::BlockLayout;
 use hetero_platform::catalog;
 use hetero_simmpi::{run_spmd, ClusterTopology, ComputeModel, NetworkModel, SpmdConfig};
 use std::sync::Arc;
@@ -73,7 +74,8 @@ fn manufactured_poisson_converges_at_second_order() {
 
     let solve_on = |n: usize| -> f64 {
         let mesh = StructuredHexMesh::unit_cube(n);
-        let assignment = Arc::new(BlockPartitioner.partition(&mesh, 8));
+        let assignment =
+            Arc::new(BlockLayout::new(mesh.cell_dims(), near_cubic_factors(8)).assignment());
         let cfg = SpmdConfig {
             size: 8,
             topo: ClusterTopology::uniform(2, 4),
@@ -86,7 +88,7 @@ fn manufactured_poisson_converges_at_second_order() {
             let dm = DofMap::build(&dmesh, ElementOrder::Q1, comm);
             let h = mesh.cell_size();
             let kern = scalar_kernels(ElementOrder::Q1, h);
-            let mut a = assemble_matrix(&dm, &dm, comm, 1, |_i, out| {
+            let mut a = MatrixAssembly::new(1).assemble(&dm, &dm, comm, |_i, out| {
                 out.copy_from_slice(&kern.stiffness);
             });
             // Per-cell quadrature of the spatially varying forcing.
@@ -94,7 +96,12 @@ fn manufactured_poisson_converges_at_second_order() {
             let owned: Vec<usize> = dmesh.owned_cells().to_vec();
             let mut b = assemble_vector(&dm, comm, |i, out| {
                 let cell = mesh.cell_index(owned[i]);
-                let origin = mesh.corner_point(cell);
+                let lo = mesh.lo();
+                let origin = Point3::new(
+                    lo.x + h.x * cell.i as f64,
+                    lo.y + h.y * cell.j as f64,
+                    lo.z + h.z * cell.k as f64,
+                );
                 for (qp, &w) in rule.points.iter().zip(&rule.weights) {
                     let x = Point3::new(
                         origin.x + qp[0] * h.x,
@@ -147,9 +154,9 @@ fn rd_q1_and_q2_agree_on_this_exact_solution() {
 }
 
 #[test]
-fn partitioner_choice_does_not_change_the_numbers() {
-    // RCB and block partitions give bitwise different layouts but the same
-    // converged solution error.
+fn decomposition_choice_does_not_change_the_numbers() {
+    // Near-cubic blocks and x-major pencils give bitwise different layouts
+    // but the same converged solution error.
     let mesh = StructuredHexMesh::unit_cube(4);
     let run_with = |assignment: Vec<usize>| -> f64 {
         let assignment = Arc::new(assignment);
@@ -175,7 +182,10 @@ fn partitioner_choice_does_not_change_the_numbers() {
         });
         results[0].value
     };
-    let block = run_with(BlockPartitioner.partition(&mesh, 8));
-    let rcb = run_with(hetero_partition::RcbPartitioner.partition(&mesh, 8));
-    assert!((block - rcb).abs() < 1e-9, "block {block} vs rcb {rcb}");
+    let block = run_with(BlockLayout::new(mesh.cell_dims(), near_cubic_factors(8)).assignment());
+    let pencils = run_with(BlockLayout::new(mesh.cell_dims(), (4, 2, 1)).assignment());
+    assert!(
+        (block - pencils).abs() < 1e-9,
+        "block {block} vs pencils {pencils}"
+    );
 }
