@@ -95,14 +95,6 @@ impl App {
             }
         }
     }
-
-    /// The solver variant of the primary (most iteration-heavy) solve.
-    pub fn solver_variant(&self) -> SolverVariant {
-        match self {
-            App::Rd(c) => c.solve.variant,
-            App::Ns(c) => c.solve_vel.variant,
-        }
-    }
 }
 
 #[cfg(test)]

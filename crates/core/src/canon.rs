@@ -9,7 +9,7 @@
 //! every field is emitted under a string-literal name in a fixed order,
 //! floats are emitted as their exact IEEE-754 bit patterns, and the golden
 //! fixtures in `tests/serve_keys.rs` pin the resulting bytes. Changing the
-//! encoding intentionally means bumping [`KEY_SCHEMA`] — which retires the
+//! encoding intentionally means bumping `KEY_SCHEMA` — which retires the
 //! old cache generation explicitly rather than corrupting it silently.
 //!
 //! What the key covers — and what it deliberately omits — follows the
@@ -80,7 +80,7 @@ pub(crate) use sha256::sha256;
 
 /// Version tag of the canonical key schema. Doubles as the prefix of every
 /// key string, so a key names the schema that produced it.
-pub const KEY_SCHEMA: &str = "hetero-serve/key/v2";
+const KEY_SCHEMA: &str = "hetero-serve/key/v2";
 
 /// The content-addressed cache key of a request: the schema tag followed
 /// by the SHA-256 of [`canonical_request`]'s bytes.
@@ -88,7 +88,7 @@ pub fn request_key(req: &RunRequest) -> String {
     tagged_key(KEY_SCHEMA, &canonical_request(req))
 }
 
-/// The canonical text of a request under [`KEY_SCHEMA`] — the exact bytes
+/// The canonical text of a request under `KEY_SCHEMA` — the exact bytes
 /// [`request_key`] hashes. Human-readable on purpose: a key mismatch
 /// debugs by diffing two of these.
 pub fn canonical_request(req: &RunRequest) -> String {
@@ -129,11 +129,11 @@ pub fn canonical_request(req: &RunRequest) -> String {
 }
 
 /// Version tag of the prepared-scenario sub-key schema (see
-/// `crate::prep`). Like [`KEY_SCHEMA`], it prefixes every key it produces.
-pub const PREP_KEY_SCHEMA: &str = "hetero-prep/key/v1";
+/// `crate::prep`). Like `KEY_SCHEMA`, it prefixes every key it produces.
+const PREP_KEY_SCHEMA: &str = "hetero-prep/key/v1";
 
 /// The content-addressed key of a request's prepared scenario: the
-/// schema tag followed by the SHA-256 of [`prep_canonical`]'s bytes.
+/// schema tag followed by the SHA-256 of `prep_canonical`'s bytes.
 pub fn prep_key(req: &RunRequest) -> String {
     tagged_key(PREP_KEY_SCHEMA, &prep_canonical(req))
 }
@@ -148,7 +148,7 @@ fn tagged_key(schema: &str, text: &str) -> String {
 }
 
 /// The canonical text of a request's *setup inputs* under
-/// [`PREP_KEY_SCHEMA`] — the exact bytes [`prep_key`] hashes.
+/// `PREP_KEY_SCHEMA` — the exact bytes [`prep_key`] hashes.
 ///
 /// The key guards what a [`crate::prep::PreparedScenario`] holds: the
 /// modeled space views, pure functions of the mesh spec, the
@@ -162,7 +162,7 @@ fn tagged_key(schema: &str, text: &str) -> String {
 /// (`threads_per_rank`, `engine`, `sched_workers`, `trace`): instances
 /// that differ only in those share one preparation. The golden fixtures
 /// in `tests/prep_keys.rs` pin both the bytes and the exclusions.
-pub fn prep_canonical(req: &RunRequest) -> String {
+fn prep_canonical(req: &RunRequest) -> String {
     let (f, cells) = crate::modeled::weak_scaling_grid(req.ranks, req.per_rank_axis);
     let mut c = Canon::new();
     c.s("schema", PREP_KEY_SCHEMA);

@@ -9,9 +9,7 @@
 //! given campaign length.
 
 use crate::apps::App;
-use crate::recovery::{execute_resilient, ResilienceSpec};
 use crate::run::{execute, RunOutcome, RunRequest};
-use hetero_fault::RecoveryStats;
 use hetero_platform::limits::LimitViolation;
 use hetero_platform::provision::{environment_of, plan};
 use hetero_platform::PlatformSpec;
@@ -39,26 +37,18 @@ pub struct ExpenseFactor {
 }
 
 impl ExpenseFactor {
-    /// Total dollars to run a campaign of `iterations` iterations,
-    /// amortizing provisioning effort at `rate_per_hour`.
-    pub fn campaign_dollars(&self, iterations: usize, rate_per_hour: f64) -> f64 {
-        self.provisioning_hours * rate_per_hour + self.dollars_per_iteration * iterations as f64
-    }
-
-    /// Total seconds from deciding to run to having `iterations` results
-    /// (provisioning at one man ~ wall-clock, plus queue wait, plus
-    /// compute).
-    pub fn campaign_seconds(&self, iterations: usize) -> f64 {
-        self.provisioning_hours * 3600.0
-            + self.wait_seconds
-            + self.seconds_per_iteration * iterations as f64
-    }
-
-    /// A single comparable index: campaign dollars plus time monetized at
-    /// `rate_per_hour` (lower is better).
+    /// A single comparable index for a campaign of `iterations` iterations
+    /// (lower is better): its dollars, with provisioning effort amortized at
+    /// `rate_per_hour`, plus its time monetized at the same rate. The time
+    /// runs from deciding to run to having the results: provisioning at
+    /// one man ~ wall-clock, plus queue wait, plus compute.
     pub fn index(&self, iterations: usize, rate_per_hour: f64) -> f64 {
-        self.campaign_dollars(iterations, rate_per_hour)
-            + self.campaign_seconds(iterations) / 3600.0 * rate_per_hour
+        let dollars = self.provisioning_hours * rate_per_hour
+            + self.dollars_per_iteration * iterations as f64;
+        let seconds = self.provisioning_hours * 3600.0
+            + self.wait_seconds
+            + self.seconds_per_iteration * iterations as f64;
+        dollars + seconds / 3600.0 * rate_per_hour
     }
 }
 
@@ -89,63 +79,6 @@ pub fn characterize(
         provisioning_hours,
         wait_seconds: outcome.queue_wait_seconds,
         outcome,
-    })
-}
-
-/// [`ExpenseFactor`] under faults: the same four axes, but every
-/// per-iteration figure is the campaign *expectation* — waits, backoff,
-/// lost work, and checkpoint I/O are all charged.
-#[derive(Debug, Clone)]
-pub struct ResilientExpense {
-    /// Campaign accounting across all attempts.
-    pub stats: RecoveryStats,
-    /// Spot nodes the first attempt's fleet held.
-    pub first_attempt_spot_nodes: usize,
-    /// The four-axis factor, with the expected (fault-inclusive) figures on
-    /// the performance and cost axes. `None` when the restart budget ran
-    /// out — the campaign delivered no result at any price.
-    pub factor: Option<ExpenseFactor>,
-}
-
-/// Characterizes one (platform, app, ranks) configuration under a fault
-/// model and recovery policy, charging the full campaign (re-acquisition
-/// waits, backoff, rolled-back work, checkpoint I/O) into the expense axes.
-///
-/// # Errors
-/// Propagates the platform's execution-limit violations — checked before
-/// the attempt loop, so an infeasible size never retries.
-pub fn characterize_resilient(
-    platform: &PlatformSpec,
-    app: App,
-    ranks: usize,
-    per_rank_axis: usize,
-    seed: u64,
-    spec: ResilienceSpec,
-) -> Result<ResilientExpense, LimitViolation> {
-    let steps = app.steps().max(1) as f64;
-    let req = RunRequest {
-        seed,
-        resilience: Some(spec),
-        ..RunRequest::new(platform.clone(), app, ranks, per_rank_axis)
-    };
-    let out = execute_resilient(&req)?;
-    let provisioning_hours = environment_of(&platform.key)
-        .and_then(|env| plan(&env).ok())
-        .map(|p| p.total_hours())
-        .unwrap_or(0.0);
-    let stats = out.stats;
-    let factor = out.outcome.map(|outcome| ExpenseFactor {
-        platform: platform.key.clone(),
-        seconds_per_iteration: (stats.total_seconds - stats.wait_seconds) / steps,
-        dollars_per_iteration: stats.total_dollars / steps,
-        provisioning_hours,
-        wait_seconds: stats.wait_seconds,
-        outcome,
-    });
-    Ok(ResilientExpense {
-        stats: out.stats,
-        first_attempt_spot_nodes: out.first_attempt_spot_nodes,
-        factor,
     })
 }
 
@@ -189,45 +122,6 @@ mod tests {
         let short = ec2.index(10, r) / 10.0;
         let long = ec2.index(100_000, r) / 100_000.0;
         assert!(long < short / 10.0);
-    }
-
-    #[test]
-    fn resilient_spot_expense_beats_on_demand_at_small_scale() {
-        let ec2 = catalog::ec2();
-        let plain = factor(&ec2, 64);
-        let spec = ResilienceSpec::spot_with_restart(&ec2, 1.0, 8, 40);
-        let r = characterize_resilient(&ec2, App::paper_rd(2), 64, 20, 7, spec).unwrap();
-        let f = r.factor.expect("calm market: campaign completes");
-        assert!(r.stats.completed);
-        assert!(r.first_attempt_spot_nodes > 0);
-        // Expected spot dollars (waits and risk included) still undercut the
-        // failure-free on-demand price at this scale.
-        assert!(
-            f.dollars_per_iteration < plain.dollars_per_iteration,
-            "spot {} vs od {}",
-            f.dollars_per_iteration,
-            plain.dollars_per_iteration
-        );
-    }
-
-    #[test]
-    fn exhausted_campaign_has_no_expense_factor() {
-        use hetero_fault::{FaultModel, SpotMarket};
-        let ec2 = catalog::ec2();
-        let mut spec = ResilienceSpec::spot_with_restart(&ec2, 1.0, 1, 2);
-        spec.faults = FaultModel {
-            crashes: None,
-            spot: Some(SpotMarket {
-                epoch_seconds: 1e-4,
-                spike_probability: 1.0,
-                ..SpotMarket::ec2_like(1.0)
-            }),
-            degradation: None,
-        };
-        let r = characterize_resilient(&ec2, App::paper_rd(2), 8, 3, 7, spec).unwrap();
-        assert!(!r.stats.completed);
-        assert!(r.factor.is_none());
-        assert!(r.stats.total_dollars > 0.0, "failed attempts still bill");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   the attempt), charges the write to every rank's virtual clock, and
 //!   resumes the solver **bitwise** from the last durable checkpoint, and
 //! * the modeled path replays the identical campaign analytically through
-//!   [`hetero_fault::replay_campaign`] for paper-scale rank counts.
+//!   [`hetero_fault::replay_campaign_observed`] for paper-scale rank counts.
 //!
 //! Everything — market epochs, crash times, checkpoint instants, restart
 //! waits — is hash-derived from the experiment seed, so the same seed gives
@@ -153,7 +153,7 @@ impl Deserialize for ResilienceOutcome {
 /// Seed for restart attempt `attempt` (0 = the initial launch). Each
 /// attempt re-samples the market, the crash process, and the network
 /// jitter under an independent hash stream.
-pub fn attempt_seed(seed: u64, attempt: usize) -> u64 {
+fn attempt_seed(seed: u64, attempt: usize) -> u64 {
     splitmix64(seed ^ (attempt as u64).wrapping_mul(0xA076_1D64_78BD_642F))
 }
 
@@ -165,7 +165,7 @@ fn global_dofs(order: ElementOrder, ranks: usize, per_rank_axis: usize) -> f64 {
 
 /// Bytes one durable checkpoint of `app`'s full resume state occupies (the
 /// dense global fields rank 0 writes through the shared store).
-pub fn state_bytes(app: &App, ranks: usize, per_rank_axis: usize) -> f64 {
+fn state_bytes(app: &App, ranks: usize, per_rank_axis: usize) -> f64 {
     match app {
         App::Rd(c) => global_dofs(c.order, ranks, per_rank_axis) * c.bdf.steps() as f64 * 8.0,
         App::Ns(c) => {

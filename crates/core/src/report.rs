@@ -6,7 +6,6 @@ use crate::scenarios::{
 };
 use hetero_platform::catalog;
 use hetero_platform::cost::Billing;
-use hetero_trace::Trace;
 
 fn fmt_time(t: f64) -> String {
     if t >= 100.0 {
@@ -69,16 +68,12 @@ pub fn render_weak_scaling(table: &WeakScalingTable) -> String {
     out
 }
 
-/// Renders the per-phase rollup table recomputed from a structured trace:
-/// the span-level view behind the Fig. 4 assembly/precond/solve split, plus
-/// the unattributed remainder of each iteration. Returns `None` when the
-/// trace holds no phase span that survives the discard.
-pub fn render_phase_rollup(trace: &Trace, discard: usize) -> Option<String> {
-    trace.phase_rollup(discard).map(|r| r.render())
-}
-
-/// Per-phase rollup for a traced run. Returns `None` when the run was not
-/// traced (the request's `trace` was `None`) or recorded no phase spans.
+/// Renders the per-phase rollup table recomputed from a traced run's
+/// structured trace: the span-level view behind the Fig. 4
+/// assembly/precond/solve split, plus the unattributed remainder of each
+/// iteration. Returns `None` when the run was not traced (the request's
+/// `trace` was `None`) or its trace holds no phase span that survives the
+/// discard.
 ///
 /// The rollup is recomputed purely from span records, yet matches the
 /// outcome's reported [`PhaseTimes`](hetero_fem::phase::PhaseTimes)
@@ -88,7 +83,8 @@ pub fn outcome_phase_rollup(outcome: &RunOutcome, discard: usize) -> Option<Stri
     outcome
         .trace
         .as_ref()
-        .and_then(|t| render_phase_rollup(t, discard))
+        .and_then(|t| t.phase_rollup(discard))
+        .map(|r| r.render())
 }
 
 /// Renders a weak-scaling figure as CSV

@@ -26,9 +26,9 @@ pub enum Fidelity {
 }
 
 /// Auto switches to the modeled engine above this rank count...
-pub const AUTO_MAX_NUMERICAL_RANKS: usize = 27;
+const AUTO_MAX_NUMERICAL_RANKS: usize = 27;
 /// ...or above this per-rank mesh edge.
-pub const AUTO_MAX_NUMERICAL_AXIS: usize = 5;
+const AUTO_MAX_NUMERICAL_AXIS: usize = 5;
 
 /// A run request: application x platform x size.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -113,18 +113,12 @@ impl RunRequest {
     /// through the ordinary `SolveOptions` path.
     pub(crate) fn normalized(&self) -> RunRequest {
         RunRequest {
-            app: self.resolved_app(),
+            app: match self.solver_variant {
+                Some(v) => self.app.with_solver_variant(v),
+                None => self.app.clone(),
+            },
             solver_variant: None,
             ..self.clone()
-        }
-    }
-
-    /// The app with [`RunRequest::solver_variant`] applied (identity when
-    /// it is `None`).
-    pub fn resolved_app(&self) -> App {
-        match self.solver_variant {
-            Some(v) => self.app.with_solver_variant(v),
-            None => self.app.clone(),
         }
     }
 }

@@ -236,7 +236,7 @@ pub struct CostCurve {
 /// appending the "ec2 mix" cost-aware curve (real mixed-fleet prices, which
 /// converge toward the full-price curve once spot capacity runs out — the
 /// paper's observation).
-pub fn cost_curves(table: &WeakScalingTable, opts: &ScenarioOptions) -> Vec<CostCurve> {
+fn cost_curves(table: &WeakScalingTable, opts: &ScenarioOptions) -> Vec<CostCurve> {
     let mut curves: Vec<CostCurve> = Vec::new();
     for platform in catalog::all_platforms() {
         let mut points = Vec::new();
@@ -594,21 +594,10 @@ pub struct SolverVariantRow {
     pub times: [f64; 3],
 }
 
-/// The solve-phase time of one solver-variant what-if cell (see
-/// [`uncapped_cell`]).
-pub fn solver_variant_cell(
-    platform: &PlatformSpec,
-    ranks: usize,
-    variant: SolverVariant,
-    opts: &ScenarioOptions,
-) -> f64 {
-    let app = App::paper_rd(opts.steps).with_solver_variant(variant);
-    uncapped_cell(platform, &app, ranks, opts).solve
-}
-
 /// The solver-schedule comparison behind EXPERIMENTS.md's "Communication
 /// overlap" table: every catalog platform crossed with `ranks_list` and the
-/// three solver schedules.
+/// three solver schedules, each cell the solve-phase time of an
+/// [`uncapped_cell`].
 pub fn solver_variants(ranks_list: &[usize], opts: &ScenarioOptions) -> Vec<SolverVariantRow> {
     let variants = [
         SolverVariant::Blocking,
@@ -618,7 +607,10 @@ pub fn solver_variants(ranks_list: &[usize], opts: &ScenarioOptions) -> Vec<Solv
     let mut rows = Vec::new();
     for p in catalog::all_platforms() {
         for &ranks in ranks_list {
-            let times = variants.map(|v| solver_variant_cell(&p, ranks, v, opts));
+            let times = variants.map(|v| {
+                let app = App::paper_rd(opts.steps).with_solver_variant(v);
+                uncapped_cell(&p, &app, ranks, opts).solve
+            });
             rows.push(SolverVariantRow {
                 platform: p.key.clone(),
                 ranks,

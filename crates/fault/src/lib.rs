@@ -41,7 +41,5 @@ pub mod timeline;
 pub use event::{FaultEvent, FaultKind};
 pub use policy::{Backoff, RecoveryMode, ResiliencePolicy};
 pub use process::{CrashProcess, DegradationModel, FaultModel, SpotMarket};
-pub use replay::{
-    replay_campaign, replay_campaign_observed, AttemptEnv, CampaignEvent, RecoveryStats,
-};
+pub use replay::{replay_campaign_observed, AttemptEnv, CampaignEvent, RecoveryStats};
 pub use timeline::FaultTimeline;

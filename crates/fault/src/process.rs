@@ -38,8 +38,8 @@ pub struct SpotMarket {
     /// Probability per epoch of a demand spike that sends the price past
     /// any reasonable bid.
     pub spike_probability: f64,
-    /// Capacity pool redraw range (inclusive), in nodes — mirrors
-    /// `platform::spot::SPOT_CAPACITY_RANGE`.
+    /// Capacity pool redraw range (inclusive), in nodes — the pool
+    /// `platform::spot` draws fleets from.
     pub capacity_range: (usize, usize),
 }
 
@@ -57,21 +57,6 @@ impl SpotMarket {
         }
     }
 
-    /// The market price during `epoch`, $/node-hour. Spikes multiply the
-    /// base by 2–8x; calm epochs wander in [0.65, 1.35]x.
-    pub fn price_at(&self, epoch: u64, seed: u64) -> f64 {
-        let spike = to_unit(hash_msg(seed, SALT_SPIKE, epoch, 0)) < self.spike_probability;
-        let u = to_unit(hash_msg(seed, SALT_FACTOR, epoch, 0));
-        let factor = if spike { 2.0 + 6.0 * u } else { 0.65 + 0.7 * u };
-        self.base_price * factor
-    }
-
-    /// The spot capacity pool during `epoch`, nodes.
-    pub fn capacity_at(&self, epoch: u64, seed: u64) -> usize {
-        let (lo, hi) = self.capacity_range;
-        lo + (to_unit(hash_msg(seed, SALT_CAPACITY, epoch, 0)) * (hi - lo + 1) as f64) as usize
-    }
-
     /// Virtual time of the first revocation for a fleet holding
     /// `spot_nodes` spot nodes, or `None` if the market never revokes
     /// within the scan horizon (or the fleet holds no spot capacity).
@@ -80,13 +65,22 @@ impl SpotMarket {
     /// scanning starts at epoch 1. The revocation lands at a hash-derived
     /// offset inside the epoch, so events do not pile up on epoch
     /// boundaries.
+    ///
+    /// Each epoch redraws the price (spikes multiply the base by 2–8x,
+    /// calm epochs wander in [0.65, 1.35]x) and the capacity pool.
     pub fn first_revocation(&self, spot_nodes: usize, seed: u64) -> Option<f64> {
         if spot_nodes == 0 {
             return None;
         }
+        let (lo, hi) = self.capacity_range;
         (1..=MAX_EPOCHS).find_map(|epoch| {
-            let revoked = self.price_at(epoch, seed) > self.max_bid
-                || self.capacity_at(epoch, seed) < spot_nodes;
+            let spike = to_unit(hash_msg(seed, SALT_SPIKE, epoch, 0)) < self.spike_probability;
+            let u = to_unit(hash_msg(seed, SALT_FACTOR, epoch, 0));
+            let factor = if spike { 2.0 + 6.0 * u } else { 0.65 + 0.7 * u };
+            let revoked = self.base_price * factor > self.max_bid || {
+                let u = to_unit(hash_msg(seed, SALT_CAPACITY, epoch, 0));
+                lo + ((u * (hi - lo + 1) as f64) as usize) < spot_nodes
+            };
             revoked.then(|| {
                 let frac = to_unit(hash_msg(seed, SALT_SUB_EPOCH, epoch, 0));
                 (epoch as f64 + frac) * self.epoch_seconds
@@ -104,18 +98,16 @@ pub struct CrashProcess {
 }
 
 impl CrashProcess {
-    /// The first crash time of `node`, virtual seconds (inverse-CDF sample
-    /// of the exponential distribution).
-    pub fn node_crash_time(&self, node: usize, seed: u64) -> f64 {
-        let u = to_unit(hash_msg(seed, SALT_CRASH, node as u64, 0));
-        -self.node_mtbf_hours * 3600.0 * (1.0 - u).ln()
-    }
-
     /// The earliest crash among `nodes` nodes within `horizon` seconds:
-    /// `(node, time)`, or `None` if every node outlives the horizon.
+    /// `(node, time)`, or `None` if every node outlives the horizon. Each
+    /// node's first crash time is an inverse-CDF sample of the exponential
+    /// distribution.
     pub fn first_crash(&self, nodes: usize, horizon: f64, seed: u64) -> Option<(usize, f64)> {
         (0..nodes)
-            .map(|n| (n, self.node_crash_time(n, seed)))
+            .map(|n| {
+                let u = to_unit(hash_msg(seed, SALT_CRASH, n as u64, 0));
+                (n, -self.node_mtbf_hours * 3600.0 * (1.0 - u).ln())
+            })
             .filter(|&(_, t)| t < horizon)
             .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
     }
@@ -222,8 +214,12 @@ mod tests {
         let c = CrashProcess {
             node_mtbf_hours: 100.0,
         };
+        // Each seed's one-node fleet draws that node's first crash time.
         let n = 4000;
-        let mean = (0..n).map(|node| c.node_crash_time(node, 5)).sum::<f64>() / n as f64;
+        let mean = (0..n)
+            .map(|seed| c.first_crash(1, f64::INFINITY, seed).unwrap().1)
+            .sum::<f64>()
+            / n as f64;
         let expected = 100.0 * 3600.0;
         assert!(
             (mean - expected).abs() / expected < 0.1,

@@ -108,20 +108,10 @@ pub enum CampaignEvent {
 /// exact virtual time (a checkpoint interrupted by the fault is not
 /// durable). Billing covers run time only; waits and backoff are unbilled
 /// wall-clock.
-pub fn replay_campaign(
-    step_seconds: &[f64],
-    checkpoint_seconds: f64,
-    policy: &ResiliencePolicy,
-    env_for: impl FnMut(usize) -> AttemptEnv,
-) -> RecoveryStats {
-    replay_campaign_observed(step_seconds, checkpoint_seconds, policy, env_for, |_| {})
-}
-
-/// [`replay_campaign`] with a hook that observes every campaign-level
-/// incident (attempt launches, durable checkpoint commits, faults,
-/// rollbacks, billing) as the replay walks the timeline. The stats are
-/// identical to the unobserved replay — observation never changes the
-/// accounting.
+///
+/// `observe` sees every campaign-level incident (attempt launches, durable
+/// checkpoint commits, faults, rollbacks, billing) as the replay walks the
+/// timeline. Observation never changes the accounting.
 pub fn replay_campaign_observed(
     step_seconds: &[f64],
     checkpoint_seconds: f64,
@@ -236,6 +226,16 @@ pub fn replay_campaign_observed(
 mod tests {
     use super::*;
     use crate::policy::Backoff;
+
+    /// The replay with no observer.
+    fn replay_campaign(
+        step_seconds: &[f64],
+        checkpoint_seconds: f64,
+        policy: &ResiliencePolicy,
+        env_for: impl FnMut(usize) -> AttemptEnv,
+    ) -> RecoveryStats {
+        replay_campaign_observed(step_seconds, checkpoint_seconds, policy, env_for, |_| {})
+    }
 
     fn steps(n: usize, each: f64) -> Vec<f64> {
         vec![each; n]

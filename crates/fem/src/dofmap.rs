@@ -27,8 +27,6 @@ const TAG_DOF_REQUEST: u64 = 9_500;
 pub struct DofMap {
     order: ElementOrder,
     dof_dims: (usize, usize, usize),
-    /// This rank's id (used by assembly to split owned vs shipped rows).
-    pub(crate) rank: usize,
     n_owned: usize,
     /// Local -> global dof ids: owned ascending, then ghosts ascending.
     global_ids: Vec<usize>,
@@ -209,7 +207,6 @@ impl DofMap {
         DofMap {
             order,
             dof_dims,
-            rank,
             n_owned,
             global_ids,
             cell_dofs,
@@ -224,12 +221,6 @@ impl DofMap {
     #[inline]
     pub fn order(&self) -> ElementOrder {
         self.order
-    }
-
-    /// The rank whose view this is.
-    #[inline]
-    pub fn rank(&self) -> usize {
-        self.rank
     }
 
     /// Owned DoF count on this rank.
@@ -646,7 +637,6 @@ mod tests {
         DofMap {
             order,
             dof_dims,
-            rank,
             n_owned,
             global_ids,
             cell_dofs,
@@ -667,7 +657,6 @@ mod tests {
         };
         a.order == b.order
             && a.dof_dims == b.dof_dims
-            && a.rank == b.rank
             && a.n_owned == b.n_owned
             && a.global_ids == b.global_ids
             && a.cell_dofs == b.cell_dofs

@@ -170,7 +170,7 @@ proptest! {
         // order, bitwise-equal values) — this is what lets the BDF2 time
         // loops reuse one pattern across steps.
         let (builder, vals) = mesh_triplets(n, o, c1, c2);
-        let pattern = builder.symbolic();
+        let pattern = builder.clone().into_parts().0;
         let rebuilt = pattern.numeric(&vals);
         let built = builder.build();
         prop_assert_eq!(&rebuilt, &built);

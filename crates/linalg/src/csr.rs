@@ -4,11 +4,11 @@
 //! the assembler has one *symbolic* step, run once per mesh/partition:
 //! [`TripletBuilder::into_parts`] sorts the coordinates once and returns
 //! both the frozen [`SparsityPattern`] (structure plus a triplet-to-slot
-//! scatter) and the first matrix. [`TripletBuilder::build`] and
-//! [`TripletBuilder::symbolic`] are the two halves of that one call. The
-//! *numeric* phase ([`SparsityPattern::numeric`]) scatters a fresh value
-//! array into the frozen pattern without re-sorting; it accumulates
-//! duplicate coordinates in exactly the sorted order `build` sums them.
+//! scatter) and the first matrix; [`TripletBuilder::build`] keeps the
+//! matrix alone. The *numeric* phase ([`SparsityPattern::numeric`])
+//! scatters a fresh value array into the frozen pattern without
+//! re-sorting; it accumulates duplicate coordinates in exactly the sorted
+//! order `build` sums them.
 //!
 //! The sort element is a 16-byte `(row * num_cols + col, index)` pair
 //! ordered by the key alone. The key orders like the `(row, col)` tuple,
@@ -121,14 +121,6 @@ impl TripletBuilder {
     /// Builds the CSR matrix, summing duplicate coordinates.
     pub fn build(self) -> CsrMatrix {
         self.into_parts().1
-    }
-
-    /// Freezes this builder's coordinate sequence into a reusable
-    /// [`SparsityPattern`]. The builder's values are ignored; pair the
-    /// pattern with [`SparsityPattern::numeric`] and a value array in the
-    /// same triplet order to obtain the matrix `build` would have produced.
-    pub fn symbolic(&self) -> SparsityPattern {
-        self.clone().into_parts().0
     }
 
     /// Sorts the coordinates once and merges duplicates into both the
@@ -599,7 +591,7 @@ mod tests {
             for &(r, c, v) in &ts {
                 b.add(r, c, v);
             }
-            let pattern = b.symbolic();
+            let pattern = b.clone().into_parts().0;
             let values: Vec<f64> = ts.iter().map(|t| t.2).collect();
             let from_pattern = pattern.numeric(&values);
             let from_scratch = b.build();
@@ -614,7 +606,7 @@ mod tests {
         for &(r, c, v) in &ts {
             b.add(r, c, v);
         }
-        let pattern = b.symbolic();
+        let pattern = b.clone().into_parts().0;
         assert_eq!(pattern.num_triplets(), ts.len());
         for scale in [1.0, -0.5, 3.25] {
             let values: Vec<f64> = ts.iter().map(|t| t.2 * scale).collect();
@@ -631,7 +623,7 @@ mod tests {
     fn numeric_rejects_wrong_value_count() {
         let mut b = TripletBuilder::new(2, 2);
         b.add(0, 0, 1.0);
-        b.symbolic().numeric(&[1.0, 2.0]);
+        b.into_parts().0.numeric(&[1.0, 2.0]);
     }
 
     #[test]
@@ -758,7 +750,7 @@ mod tests {
         for &(r, c, v) in &ts {
             b.add(r, c, v);
         }
-        let pattern = b.symbolic();
+        let pattern = b.clone().into_parts().0;
         let values: Vec<f64> = ts.iter().map(|t| t.2).collect();
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let built = b.build();
@@ -817,7 +809,7 @@ mod tests {
         for (r, c) in q2_mass_coords(5) {
             b.add(r, c, 1.0);
         }
-        let p = b.symbolic();
+        let p = b.into_parts().0;
         assert_eq!((p.num_triplets(), p.nnz()), (91_125, 68_921));
         let perm = digest(p.perm.iter().map(|&k| u64::from(k)));
         let slot = digest(p.slot.iter().map(|&s| u64::from(s)));
@@ -858,7 +850,7 @@ mod tests {
                 for &(r, c) in &coords {
                     b.add(r, c, 1.0);
                 }
-                let p = b.symbolic();
+                let p = b.into_parts().0;
                 let perm: Vec<usize> = p.perm.iter().map(|&k| k as usize).collect();
                 let oracle: Vec<usize> = tagged.iter().map(|t| t.2).collect();
                 prop_assert_eq!(perm, oracle);

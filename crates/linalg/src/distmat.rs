@@ -82,12 +82,6 @@ impl DistMatrix {
         &mut self.local
     }
 
-    /// The halo plan.
-    #[inline]
-    pub fn plan(&self) -> &ExchangePlan {
-        &self.plan
-    }
-
     /// Owned rows.
     #[inline]
     pub fn n_owned(&self) -> usize {
@@ -227,7 +221,7 @@ mod tests {
                         b.add(r, local_of(g + 1), -1.0);
                     }
                 }
-                let mut plan = ExchangePlan::empty();
+                let mut plan = ExchangePlan::default();
                 let mut add_neighbor = |nb: usize, send_local: usize, ghost_global: usize| {
                     plan.neighbors.push(nb);
                     plan.send_indices.push(vec![send_local]);
@@ -297,7 +291,7 @@ mod tests {
                         b.add(r, local_of(g + 1), -1.0);
                     }
                 }
-                let mut plan = ExchangePlan::empty();
+                let mut plan = ExchangePlan::default();
                 if rank > 0 {
                     plan.neighbors.push(rank - 1);
                     plan.send_indices.push(vec![0]);
@@ -337,7 +331,7 @@ mod tests {
             let mut b = TripletBuilder::new(2, 2);
             b.add(0, 0, 1.0);
             b.add(1, 1, 1.0);
-            let a = DistMatrix::new(b.build(), ExchangePlan::empty());
+            let a = DistMatrix::new(b.build(), ExchangePlan::default());
             let mut x = a.new_vector();
             x.fill(3.0);
             let mut y = a.new_vector();

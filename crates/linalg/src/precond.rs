@@ -410,7 +410,7 @@ mod tests {
                 b.add(i, i + 1, -1.0);
             }
         }
-        DistMatrix::new(b.build(), ExchangePlan::empty())
+        DistMatrix::new(b.build(), ExchangePlan::default())
     }
 
     #[test]
@@ -498,7 +498,7 @@ mod tests {
             b.add(1, 1, 4.0);
             b.add(0, 2, -1.0); // ghost coupling
                                // Plan is empty because this is a single-rank test of structure.
-            let a = DistMatrix::new(b.build(), ExchangePlan::empty());
+            let a = DistMatrix::new(b.build(), ExchangePlan::default());
             let m = IluZero::new(&a, comm);
             let r = DistVector::from_values(vec![4.0, 8.0, 0.0], 2);
             let mut z = a.new_vector();
@@ -514,7 +514,7 @@ mod tests {
             let mut b = TripletBuilder::new(2, 2);
             b.add(0, 0, 1.0);
             b.add(1, 1, 0.0);
-            let a = DistMatrix::new(b.build(), ExchangePlan::empty());
+            let a = DistMatrix::new(b.build(), ExchangePlan::default());
             let _ = Jacobi::new(&a, comm);
         });
     }
@@ -529,7 +529,7 @@ mod tests {
             for (r, c) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
                 b.add(r, c, 1.0);
             }
-            let a = DistMatrix::new(b.build(), ExchangePlan::empty());
+            let a = DistMatrix::new(b.build(), ExchangePlan::default());
             let _ = IluZero::new(&a, comm);
         });
     }
@@ -543,7 +543,7 @@ mod tests {
             let mut b = TripletBuilder::new(2, 2);
             b.add(0, 0, 2.0);
             b.add(1, 0, 1.0);
-            let a = DistMatrix::new(b.build(), ExchangePlan::empty());
+            let a = DistMatrix::new(b.build(), ExchangePlan::default());
             let _ = IluZero::new(&a, comm);
         });
     }
@@ -555,7 +555,7 @@ mod tests {
             let mut b = TripletBuilder::new(2, 2);
             b.add(0, 0, 2.0);
             b.add(1, 0, 1.0);
-            let a = DistMatrix::new(b.build(), ExchangePlan::empty());
+            let a = DistMatrix::new(b.build(), ExchangePlan::default());
             let _ = Ssor::new(&a, comm);
         });
     }
@@ -567,7 +567,7 @@ mod tests {
             let mut b = TripletBuilder::new(2, 2);
             b.add(0, 0, 1.0);
             b.add(1, 1, 0.0);
-            let a = DistMatrix::new(b.build(), ExchangePlan::empty());
+            let a = DistMatrix::new(b.build(), ExchangePlan::default());
             let _ = Ssor::new(&a, comm);
         });
     }
@@ -790,7 +790,7 @@ mod tests {
         for (r, c, v) in entries {
             b.add(r, c, v);
         }
-        DistMatrix::new(b.build(), ExchangePlan::empty())
+        DistMatrix::new(b.build(), ExchangePlan::default())
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -905,7 +905,7 @@ mod tests {
         for (r, c, v) in a.local().iter() {
             b.add(r, c, v);
         }
-        let from_pattern = OwnedBlockSymbolic::from_pattern(&b.symbolic());
+        let from_pattern = OwnedBlockSymbolic::from_pattern(&b.clone().into_parts().0);
         let from_matrix = OwnedBlockSymbolic::of_matrix(a.local());
         assert_eq!(from_pattern.row_ptr, from_matrix.row_ptr);
         assert_eq!(from_pattern.col_idx, from_matrix.col_idx);
@@ -963,7 +963,7 @@ mod tests {
                     b.add(i, n, 0.5); // ghost coupling
                 }
             }
-            let a = DistMatrix::new(b.build(), ExchangePlan::empty());
+            let a = DistMatrix::new(b.build(), ExchangePlan::default());
             assert_matches_oracle(&a, comm);
         });
     }
@@ -990,7 +990,7 @@ mod tests {
             }
             assert_eq!(a.local().get(5, 11), 0.0, "(5, 11) is outside the band");
             b.add(5, 11, 0.25);
-            let other = DistMatrix::new(b.build(), ExchangePlan::empty());
+            let other = DistMatrix::new(b.build(), ExchangePlan::default());
             let _ = IluZero::with_symbolic(symbolic, &other, comm);
         });
     }

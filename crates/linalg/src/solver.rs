@@ -756,7 +756,7 @@ mod tests {
                 b.add(i, i + 1, -1.0);
             }
         }
-        DistMatrix::new(b.build(), ExchangePlan::empty())
+        DistMatrix::new(b.build(), ExchangePlan::default())
     }
 
     fn check_solution(x: &DistVector, expected: &[f64], tol: f64) {
@@ -828,7 +828,7 @@ mod tests {
                     bld.add(i, i + 1, -1.0);
                 }
             }
-            let a = DistMatrix::new(bld.build(), ExchangePlan::empty());
+            let a = DistMatrix::new(bld.build(), ExchangePlan::default());
             let expected: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
             let mut xe = DistVector::from_values(expected.clone(), n);
             let mut b = a.new_vector();
@@ -855,7 +855,7 @@ mod tests {
                     bld.add(i, i + 1, -1.0);
                 }
             }
-            let a = DistMatrix::new(bld.build(), ExchangePlan::empty());
+            let a = DistMatrix::new(bld.build(), ExchangePlan::default());
             let expected: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
             let mut xe = DistVector::from_values(expected.clone(), n);
             let mut b = a.new_vector();
@@ -938,7 +938,7 @@ mod tests {
                         bld.add(r, local_of(g + 1), -1.0);
                     }
                 }
-                let mut plan = ExchangePlan::empty();
+                let mut plan = ExchangePlan::default();
                 if rank > 0 {
                     plan.neighbors.push(rank - 1);
                     plan.send_indices.push(vec![0]);
@@ -1010,7 +1010,7 @@ mod tests {
                         bld.add(r, local_of(g + 1), -1.0);
                     }
                 }
-                let mut plan = ExchangePlan::empty();
+                let mut plan = ExchangePlan::default();
                 if rank > 0 {
                     plan.neighbors.push(rank - 1);
                     plan.send_indices.push(vec![0]);
@@ -1069,7 +1069,7 @@ mod tests {
                 bld.add(r, local_of(g + 1), -1.0);
             }
         }
-        let mut plan = ExchangePlan::empty();
+        let mut plan = ExchangePlan::default();
         if rank > 0 {
             plan.neighbors.push(rank - 1);
             plan.send_indices.push(vec![0]);

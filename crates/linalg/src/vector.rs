@@ -411,7 +411,7 @@ mod tests {
     fn empty_plan_is_noop() {
         run_spmd(cfg(1), |comm| {
             let mut v = DistVector::from_values(vec![1.0], 1);
-            v.update_ghosts(&ExchangePlan::empty(), comm);
+            v.update_ghosts(&ExchangePlan::default(), comm);
             assert_eq!(v.owned(), &[1.0]);
         });
     }

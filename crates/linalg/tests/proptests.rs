@@ -121,7 +121,7 @@ fn banded_spmv_both_ways(case: &BandedCase, workers: usize) -> (Vec<f64>, Vec<f6
                 bld.add(r, local_of(j), entry(g, j));
             }
         }
-        let mut plan = ExchangePlan::empty();
+        let mut plan = ExchangePlan::default();
         if rank > 0 {
             let k = bw.min(first); // ghosts we hold from the previous rank
             plan.neighbors.push(rank - 1);
@@ -167,7 +167,7 @@ fn dense_to_dist(a: &[Vec<f64>]) -> DistMatrix {
             }
         }
     }
-    DistMatrix::new(b.build(), ExchangePlan::empty())
+    DistMatrix::new(b.build(), ExchangePlan::default())
 }
 
 proptest! {
@@ -503,7 +503,7 @@ fn halo_case() -> impl Strategy<Value = HaloCase> {
 /// the plans before it. Ranks 0 and 1 are neighbours in both plans, so the
 /// two share a pair.
 fn halo_plan(links: &[Links; 2], k: usize, ranks: usize, me: usize) -> ExchangePlan {
-    let mut plan = ExchangePlan::empty();
+    let mut plan = ExchangePlan::default();
     let mut ghost = OWNED + (0..k).map(|j| ghosts(links, j, ranks, me)).sum::<usize>();
     for nb in (0..ranks).filter(|&nb| nb != me) {
         let Some((to, from)) = link(&links[k], me, nb) else {

@@ -58,12 +58,6 @@ impl StructuredHexMesh {
         self.lo
     }
 
-    /// Upper corner of the box.
-    #[inline]
-    pub fn hi(&self) -> Point3 {
-        self.hi
-    }
-
     /// Edge lengths of a single cell.
     #[inline]
     pub fn cell_size(&self) -> Point3 {
@@ -73,13 +67,6 @@ impl StructuredHexMesh {
             d.y / self.ny as f64,
             d.z / self.nz as f64,
         )
-    }
-
-    /// Characteristic mesh size `h` (largest cell edge).
-    #[inline]
-    pub fn h(&self) -> f64 {
-        let s = self.cell_size();
-        s.x.max(s.y).max(s.z)
     }
 
     /// Linear cell id of lattice index `c`.
@@ -119,7 +106,6 @@ mod tests {
         assert!((s.x - 0.5).abs() < 1e-15);
         assert!((s.y - 0.25).abs() < 1e-15);
         assert!((s.z - 0.125).abs() < 1e-15);
-        assert!((m.h() - 0.5).abs() < 1e-15);
     }
 
     #[test]
@@ -129,7 +115,7 @@ mod tests {
         let s = m.cell_size();
         let (nx, ny, nz) = m.cell_dims();
         let top = m.lo() + Point3::new(s.x * nx as f64, s.y * ny as f64, s.z * nz as f64);
-        assert!((top - m.hi()).norm_sq() < 1e-28);
+        assert!((top - Point3::splat(3.0)).norm_sq() < 1e-28);
     }
 
     #[test]

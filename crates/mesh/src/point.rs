@@ -40,16 +40,6 @@ impl Point3 {
         self.x * other.x + self.y * other.y + self.z * other.z
     }
 
-    /// Cross product with `other`.
-    #[inline]
-    pub fn cross(self, other: Point3) -> Point3 {
-        Point3 {
-            x: self.y * other.z - self.z * other.y,
-            y: self.z * other.x - self.x * other.z,
-            z: self.x * other.y - self.y * other.x,
-        }
-    }
-
     /// Squared Euclidean norm `x^2 + y^2 + z^2`.
     ///
     /// This quantity is the spatial factor of the paper's reaction-diffusion
@@ -57,40 +47,6 @@ impl Point3 {
     #[inline]
     pub fn norm_sq(self) -> f64 {
         self.dot(self)
-    }
-
-    /// Component-wise minimum.
-    #[inline]
-    pub fn min(self, other: Point3) -> Point3 {
-        Point3::new(
-            self.x.min(other.x),
-            self.y.min(other.y),
-            self.z.min(other.z),
-        )
-    }
-
-    /// Component-wise maximum.
-    #[inline]
-    pub fn max(self, other: Point3) -> Point3 {
-        Point3::new(
-            self.x.max(other.x),
-            self.y.max(other.y),
-            self.z.max(other.z),
-        )
-    }
-
-    /// Returns the coordinate along `axis` (0 = x, 1 = y, 2 = z).
-    ///
-    /// # Panics
-    /// Panics if `axis > 2`.
-    #[inline]
-    pub fn coord(self, axis: usize) -> f64 {
-        match axis {
-            0 => self.x,
-            1 => self.y,
-            2 => self.z,
-            _ => panic!("axis out of range: {axis}"),
-        }
     }
 }
 
@@ -185,20 +141,6 @@ impl Index3 {
         let k = lin / (dims.0 * dims.1);
         Index3 { i, j, k }
     }
-
-    /// Returns the index along `axis` (0 = i, 1 = j, 2 = k).
-    ///
-    /// # Panics
-    /// Panics if `axis > 2`.
-    #[inline]
-    pub fn coord(self, axis: usize) -> usize {
-        match axis {
-            0 => self.i,
-            1 => self.j,
-            2 => self.k,
-            _ => panic!("axis out of range: {axis}"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -225,36 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_is_orthogonal() {
-        let a = Point3::new(1.0, 2.0, 3.0);
-        let b = Point3::new(-2.0, 0.5, 4.0);
-        let c = a.cross(b);
-        assert!(c.dot(a).abs() < 1e-12);
-        assert!(c.dot(b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cross_right_handed() {
-        let x = Point3::new(1.0, 0.0, 0.0);
-        let y = Point3::new(0.0, 1.0, 0.0);
-        assert_eq!(x.cross(y), Point3::new(0.0, 0.0, 1.0));
-    }
-
-    #[test]
-    fn coord_accessor() {
-        let a = Point3::new(7.0, 8.0, 9.0);
-        assert_eq!(a.coord(0), 7.0);
-        assert_eq!(a.coord(1), 8.0);
-        assert_eq!(a.coord(2), 9.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "axis out of range")]
-    fn coord_accessor_panics() {
-        Point3::ZERO.coord(3);
-    }
-
-    #[test]
     fn index_linearization_roundtrip() {
         let dims = (3, 4, 5);
         for lin in 0..(3 * 4 * 5) {
@@ -269,13 +181,5 @@ mod tests {
         assert_eq!(Index3::new(1, 0, 0).linear(dims), 1);
         assert_eq!(Index3::new(0, 1, 0).linear(dims), 10);
         assert_eq!(Index3::new(0, 0, 1).linear(dims), 100);
-    }
-
-    #[test]
-    fn min_max_componentwise() {
-        let a = Point3::new(1.0, 5.0, -2.0);
-        let b = Point3::new(3.0, 0.0, 0.0);
-        assert_eq!(a.min(b), Point3::new(1.0, 0.0, -2.0));
-        assert_eq!(a.max(b), Point3::new(3.0, 5.0, 0.0));
     }
 }

@@ -15,7 +15,7 @@
 //! Artifacts are cached under a content-addressed key derived from the
 //! existing `core::canon` machinery: each run instance's key hashes the
 //! [canonical request text](hetero_hpc::canon::canonical_request) under the
-//! versioned [`STAGE_SCHEMA`] tag, and report/compare keys hash their
+//! versioned `STAGE_SCHEMA` tag, and report/compare keys hash their
 //! template plus their dependencies' keys — so a cached report is valid
 //! exactly when every transitive input is unchanged. The cache directory is
 //! a [`hetero_hpc::store::ArtifactStore`] — the store `hetero-serve` keeps
@@ -52,7 +52,7 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Version tag of the stage-artifact key schema. Bump it to retire a cache
 /// generation explicitly (see `core::canon`'s argument: a stale key must
 /// miss, never alias).
-pub const STAGE_SCHEMA: &str = "hetero-plan/stage/v1";
+const STAGE_SCHEMA: &str = "hetero-plan/stage/v1";
 
 /// An execution failure, attributed to a stage instance.
 #[derive(Debug, Clone)]
@@ -252,7 +252,7 @@ pub fn execute_plan(rp: &ResolvedPlan, opts: &ExecOptions) -> Result<PlanOutcome
 /// Content-addressed keys for every instance, computed *before* execution
 /// from the plan alone (report/compare keys fold in their dependencies'
 /// keys, in instance order).
-pub fn instance_keys(rp: &ResolvedPlan) -> Result<Vec<String>, ExecError> {
+fn instance_keys(rp: &ResolvedPlan) -> Result<Vec<String>, ExecError> {
     let mut keys: Vec<Option<String>> = vec![None; rp.instances.len()];
     for &i in &rp.topo {
         let inst = &rp.instances[i];

@@ -57,18 +57,6 @@ pub struct ResolvedPlan {
     pub topo: Vec<usize>,
 }
 
-impl ResolvedPlan {
-    /// The instances of the stage named `name`, in sweep order.
-    pub fn instances_of(&self, name: &str) -> Vec<usize> {
-        let Some(stage) = self.plan.stages.iter().position(|s| s.name == name) else {
-            return Vec::new();
-        };
-        (0..self.instances.len())
-            .filter(|&i| self.instances[i].stage == stage)
-            .collect()
-    }
-}
-
 /// Resolves a plan: validates references, expands sweeps, builds the DAG.
 pub fn resolve(plan: Plan) -> Result<ResolvedPlan, TomlError> {
     // Stage names must be unique; needs must reference known stages and
@@ -295,6 +283,14 @@ mod tests {
         resolve(extract(&parse(doc)?)?)
     }
 
+    /// The instances of the stage named `name`, in sweep order.
+    fn instances_of(r: &ResolvedPlan, name: &str) -> Vec<usize> {
+        let stage = r.plan.stages.iter().position(|s| s.name == name).unwrap();
+        (0..r.instances.len())
+            .filter(|&i| r.instances[i].stage == stage)
+            .collect()
+    }
+
     const BASE: &str = r#"
 [plan]
 name = "t"
@@ -335,14 +331,14 @@ needs = ["go"]
     fn shared_axis_matching_narrows_deps() {
         let r = resolved(BASE).expect("valid");
         // go[ranks=8,platform=*] depends only on part[ranks=8].
-        for &i in &r.instances_of("go") {
+        for &i in &instances_of(&r, "go") {
             let inst = &r.instances[i];
             assert_eq!(inst.deps.len(), 1);
             let dep = &r.instances[inst.deps[0]];
             assert_eq!(dep.coord(Axis::Ranks), inst.coord(Axis::Ranks));
         }
         // The report fans in over every run instance.
-        let rep = r.instances_of("render")[0];
+        let rep = instances_of(&r, "render")[0];
         assert_eq!(r.instances[rep].deps.len(), 4);
     }
 

@@ -2,7 +2,7 @@
 //! byte-identically, worker count never changes the outcome, and corrupt or
 //! stale entries are quarantined and re-executed instead of being trusted.
 
-use hetero_plan::exec::{execute_plan, instance_keys, ExecOptions, PlanOutcome};
+use hetero_plan::exec::{execute_plan, ExecOptions, PlanOutcome};
 use hetero_plan::load_str;
 use hetero_plan::resolver::ResolvedPlan;
 use std::path::{Path, PathBuf};
@@ -97,7 +97,8 @@ fn corrupt_and_stale_entries_are_quarantined_by_re_execution() {
     let opts = cached_opts(&dir);
     let first = execute_plan(&rp, &opts).expect("first run");
 
-    let keys = instance_keys(&rp).expect("keys");
+    // The content-addressed keys the run stored its artifacts under.
+    let keys: Vec<&str> = first.results.iter().map(|r| r.key.as_str()).collect();
     let path_of = |i: usize| {
         let hash = keys[i].rsplit('/').next().expect("hash suffix");
         dir.join(format!("{hash}.json"))

@@ -82,7 +82,7 @@ pub fn ellipse() -> PlatformSpec {
 /// Aggregate per-iteration fabric volume (bytes) above which lagrange's
 /// InfiniBand adapters hit their configured cap. Calibrated to sit between
 /// the paper's working 343-rank runs and the failing 512-rank runs.
-pub const LAGRANGE_IB_VOLUME_CAP: f64 = 2.6e9;
+const LAGRANGE_IB_VOLUME_CAP: f64 = 2.6e9;
 
 /// `lagrange`: the CILEA HPC cluster (once #136 on the TOP500). HP blades
 /// with 2 x 6-core Xeon X5660, 24 GB RAM, InfiniBand 4X DDR, PBS Pro,

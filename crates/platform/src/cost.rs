@@ -50,13 +50,6 @@ impl CostModel {
             } => rate * ranks.div_ceil(cores_per_node) as f64 * hours,
         }
     }
-
-    /// Effective dollars per core-hour at a given rank count (captures the
-    /// whole-node billing penalty for under-filled nodes).
-    pub fn effective_core_hour_rate(&self, ranks: usize) -> f64 {
-        assert!(ranks > 0);
-        self.cost(ranks, 3600.0) / ranks as f64
-    }
 }
 
 #[cfg(test)]
@@ -117,10 +110,12 @@ mod tests {
     #[test]
     fn effective_rate_penalizes_underfilled_nodes() {
         let m = node_billed();
+        // Dollars per core-hour at a given rank count.
+        let per_core_hour = |ranks: usize| m.cost(ranks, 3600.0) / ranks as f64;
         // A single rank pays the whole 16-core instance: 2.40/core-h.
-        assert!((m.effective_core_hour_rate(1) - 2.40).abs() < 1e-12);
+        assert!((per_core_hour(1) - 2.40).abs() < 1e-12);
         // A full instance amortizes to 15 c/core-h (the paper's figure).
-        assert!((m.effective_core_hour_rate(16) - 0.15).abs() < 1e-12);
-        assert!((m.effective_core_hour_rate(1000) - 63.0 * 2.40 / 1000.0).abs() < 1e-12);
+        assert!((per_core_hour(16) - 0.15).abs() < 1e-12);
+        assert!((per_core_hour(1000) - 63.0 * 2.40 / 1000.0).abs() < 1e-12);
     }
 }

@@ -44,8 +44,8 @@ pub enum Pkg {
 }
 
 impl Pkg {
-    /// All packages in a valid install order base set.
-    pub const ALL: [Pkg; 13] = [
+    /// All packages, in a valid install order.
+    const ALL: [Pkg; 13] = [
         Pkg::BuildTools,
         Pkg::Autotools,
         Pkg::Gcc,
@@ -60,52 +60,6 @@ impl Pkg {
         Pkg::Trilinos,
         Pkg::LifeV,
     ];
-
-    /// Build-time dependencies.
-    pub fn deps(self) -> &'static [Pkg] {
-        match self {
-            Pkg::BuildTools | Pkg::Gcc => &[],
-            Pkg::Autotools | Pkg::Gfortran => &[Pkg::BuildTools],
-            Pkg::CMake => &[Pkg::Gcc, Pkg::BuildTools],
-            Pkg::Mpi => &[Pkg::Gcc, Pkg::BuildTools],
-            Pkg::BlasLapack => &[Pkg::Gcc, Pkg::Gfortran, Pkg::BuildTools],
-            Pkg::Boost => &[Pkg::Gcc, Pkg::BuildTools],
-            Pkg::Hdf5 => &[Pkg::Mpi, Pkg::Gcc, Pkg::BuildTools],
-            Pkg::ParMetis => &[Pkg::Mpi, Pkg::Gcc, Pkg::BuildTools],
-            Pkg::SuiteSparse => &[Pkg::BlasLapack, Pkg::Gcc, Pkg::BuildTools],
-            Pkg::Trilinos => &[Pkg::BlasLapack, Pkg::Mpi, Pkg::CMake, Pkg::Gcc],
-            Pkg::LifeV => &[
-                Pkg::Trilinos,
-                Pkg::ParMetis,
-                Pkg::SuiteSparse,
-                Pkg::Hdf5,
-                Pkg::Boost,
-                Pkg::Mpi,
-                Pkg::Autotools,
-                Pkg::Gcc,
-            ],
-        }
-    }
-
-    /// Man-hours for an experienced developer to build this package from
-    /// source in user space (configure + compile + install + smoke test).
-    pub fn source_build_hours(self) -> f64 {
-        match self {
-            Pkg::BuildTools => 1.0,
-            Pkg::Autotools => 0.5,
-            Pkg::Gcc => 4.0, // bootstrap from source: last resort
-            Pkg::Gfortran => 1.0,
-            Pkg::CMake => 0.5,
-            Pkg::Mpi => 1.5,
-            Pkg::BlasLapack => 1.25, // GotoBLAS2 + LAPACK
-            Pkg::Boost => 1.0,
-            Pkg::Hdf5 => 0.75,
-            Pkg::ParMetis => 0.5,
-            Pkg::SuiteSparse => 0.75,
-            Pkg::Trilinos => 2.5,
-            Pkg::LifeV => 0.5, // the team's own Makefile-driven build
-        }
-    }
 
     /// Display name.
     pub fn name(self) -> &'static str {
@@ -154,9 +108,23 @@ impl Action {
             Action::Preinstalled => 0.0,
             Action::VendorLibrary(_) => 0.25,
             Action::PackageManager => 0.1,
-            Action::SourceBuild => pkg
-                .expect("source builds are per package")
-                .source_build_hours(),
+            // Configure, compile, install and smoke-test in user space, by
+            // an experienced developer.
+            Action::SourceBuild => match pkg.expect("source builds are per package") {
+                Pkg::BuildTools => 1.0,
+                Pkg::Autotools => 0.5,
+                Pkg::Gcc => 4.0, // bootstrap from source: last resort
+                Pkg::Gfortran => 1.0,
+                Pkg::CMake => 0.5,
+                Pkg::Mpi => 1.5,
+                Pkg::BlasLapack => 1.25, // GotoBLAS2 + LAPACK
+                Pkg::Boost => 1.0,
+                Pkg::Hdf5 => 0.75,
+                Pkg::ParMetis => 0.5,
+                Pkg::SuiteSparse => 0.75,
+                Pkg::Trilinos => 2.5,
+                Pkg::LifeV => 0.5, // the team's own Makefile-driven build
+            },
             Action::AdminRequest(_) => 0.5,
             Action::SystemConfig(_) => 0.5,
             Action::SgeLiaison => 0.5,
@@ -311,13 +279,6 @@ impl ProvisionPlan {
         0.0 + self.steps.iter().map(|s| s.hours).sum::<f64>()
     }
 
-    /// Steps that actually cost effort (not already-preinstalled no-ops).
-    pub fn work_steps(&self) -> impl Iterator<Item = &PlanStep> {
-        self.steps
-            .iter()
-            .filter(|s| s.action != Action::Preinstalled)
-    }
-
     /// Renders a human-readable plan.
     pub fn render(&self) -> String {
         let mut out = format!("Provisioning plan for {}\n", self.platform);
@@ -441,51 +402,6 @@ pub fn plan(env: &PlatformEnvironment) -> Result<ProvisionPlan, PlanError> {
     })
 }
 
-/// The paper's Section VIII future-work direction, made concrete:
-/// "Use of third party software to address mundane, repeatable tasks (e.g.
-/// DoIt) or predefined images for IaaS (StarCluster, OpenFOAM-on-EC2)
-/// could significantly reduce this cost."
-///
-/// Once a platform has been provisioned once, the effort can be *banked*:
-/// on IaaS the whole environment is saved as a private machine image whose
-/// re-instantiation is minutes of work; on conventional clusters the
-/// user-space installation tree persists, leaving only per-run
-/// housekeeping. [`plan_with_prepared_environment`] returns the plan for
-/// the *second and subsequent* campaigns.
-pub fn plan_with_prepared_environment(
-    env: &PlatformEnvironment,
-) -> Result<ProvisionPlan, PlanError> {
-    // The first campaign must have been plannable at all.
-    let _ = plan(env)?;
-    let mut steps = Vec::new();
-    if env.root_package_manager {
-        // IaaS: launch instances from the saved private image, refresh the
-        // run-specific host list / keys.
-        steps.push(PlanStep {
-            item: "instantiate preconditioned image".into(),
-            action: Action::SystemConfig("launch instances from the private AMI".into()),
-            hours: 0.25,
-        });
-        steps.push(PlanStep {
-            item: "run-specific host configuration".into(),
-            action: Action::SystemConfig("regenerate the mpiexec hosts list".into()),
-            hours: 0.25,
-        });
-    } else if !env.preinstalled.contains(&Pkg::LifeV) {
-        // Conventional cluster: the `$HOME` installation tree persists;
-        // only environment sanity checks remain.
-        steps.push(PlanStep {
-            item: "reuse user-space installation".into(),
-            action: Action::SystemConfig("verify module/paths still resolve".into()),
-            hours: 0.25,
-        });
-    }
-    Ok(ProvisionPlan {
-        platform: format!("{} (prepared)", env.key),
-        steps,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,12 +410,58 @@ mod tests {
         plan(&environment_of(key).unwrap()).unwrap()
     }
 
+    /// Build-time dependencies: the DAG that `Pkg::ALL` and every plan
+    /// must order.
+    fn deps(pkg: Pkg) -> &'static [Pkg] {
+        match pkg {
+            Pkg::BuildTools | Pkg::Gcc => &[],
+            Pkg::Autotools | Pkg::Gfortran => &[Pkg::BuildTools],
+            Pkg::CMake => &[Pkg::Gcc, Pkg::BuildTools],
+            Pkg::Mpi => &[Pkg::Gcc, Pkg::BuildTools],
+            Pkg::BlasLapack => &[Pkg::Gcc, Pkg::Gfortran, Pkg::BuildTools],
+            Pkg::Boost => &[Pkg::Gcc, Pkg::BuildTools],
+            Pkg::Hdf5 => &[Pkg::Mpi, Pkg::Gcc, Pkg::BuildTools],
+            Pkg::ParMetis => &[Pkg::Mpi, Pkg::Gcc, Pkg::BuildTools],
+            Pkg::SuiteSparse => &[Pkg::BlasLapack, Pkg::Gcc, Pkg::BuildTools],
+            Pkg::Trilinos => &[Pkg::BlasLapack, Pkg::Mpi, Pkg::CMake, Pkg::Gcc],
+            Pkg::LifeV => &[
+                Pkg::Trilinos,
+                Pkg::ParMetis,
+                Pkg::SuiteSparse,
+                Pkg::Hdf5,
+                Pkg::Boost,
+                Pkg::Mpi,
+                Pkg::Autotools,
+                Pkg::Gcc,
+            ],
+        }
+    }
+
     #[test]
     fn pkg_all_is_a_topological_order() {
         for (i, pkg) in Pkg::ALL.iter().enumerate() {
-            for dep in pkg.deps() {
+            for dep in deps(*pkg) {
                 let j = Pkg::ALL.iter().position(|p| p == dep).unwrap();
                 assert!(j < i, "{dep:?} must precede {pkg:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_platform_plan_is_dependency_ordered() {
+        for key in ["puma", "ellipse", "lagrange", "ec2"] {
+            let p = plan_for(key);
+            // If both a package and one of its dependencies appear as steps,
+            // the dependency comes first.
+            let pos = |name: &str| p.steps.iter().position(|s| s.item == name);
+            for pkg in Pkg::ALL {
+                if let Some(i) = pos(pkg.name()) {
+                    for dep in deps(pkg) {
+                        if let Some(j) = pos(dep.name()) {
+                            assert!(j < i, "{key}: {} must precede {}", dep.name(), pkg.name());
+                        }
+                    }
+                }
             }
         }
     }
@@ -508,7 +470,7 @@ mod tests {
     fn home_platform_needs_no_work() {
         let p = plan_for("puma");
         assert_eq!(p.total_hours(), 0.0, "{}", p.render());
-        assert_eq!(p.work_steps().count(), 0);
+        assert!(p.steps.is_empty());
     }
 
     #[test]
@@ -618,47 +580,5 @@ mod tests {
         let text = p.render();
         assert!(text.contains("Trilinos"));
         assert!(text.contains("TOTAL"));
-    }
-
-    #[test]
-    fn prepared_images_slash_repeat_effort() {
-        // Section VIII: predefined images "could significantly reduce this
-        // cost". The second EC2 campaign costs minutes, not a day.
-        let env = environment_of("ec2").unwrap();
-        let first = plan(&env).unwrap().total_hours();
-        let repeat = plan_with_prepared_environment(&env).unwrap();
-        assert!(repeat.total_hours() <= 0.5, "{}", repeat.render());
-        assert!(first / repeat.total_hours() > 15.0);
-        assert!(repeat.steps.iter().any(|s| s.item.contains("image")));
-    }
-
-    #[test]
-    fn prepared_cluster_reuses_the_home_tree() {
-        let env = environment_of("ellipse").unwrap();
-        let repeat = plan_with_prepared_environment(&env).unwrap();
-        assert!(repeat.total_hours() <= 0.25 + 1e-12);
-        // The home platform has nothing to redo at all.
-        let home = plan_with_prepared_environment(&environment_of("puma").unwrap()).unwrap();
-        assert_eq!(home.total_hours(), 0.0);
-    }
-
-    #[test]
-    fn prepared_plan_requires_a_satisfiable_first_plan() {
-        let env = PlatformEnvironment {
-            key: "bare".into(),
-            preinstalled: vec![],
-            vendor_blas: None,
-            root_package_manager: false,
-            pkg_manager_has: vec![],
-            scratch_sufficient: true,
-            scratch_fix: None,
-            scheduler: SchedulerKind::PbsTorque,
-            iaas_setup: vec![],
-            support: "none".into(),
-        };
-        assert!(matches!(
-            plan_with_prepared_environment(&env),
-            Err(PlanError::Unsatisfiable(Pkg::Gcc))
-        ));
     }
 }

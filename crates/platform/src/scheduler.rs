@@ -24,11 +24,6 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Whether the scheduler natively supports parallel jobs.
-    pub fn native_parallel(self) -> bool {
-        matches!(self, SchedulerKind::PbsTorque | SchedulerKind::PbsPro)
-    }
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -91,14 +86,6 @@ impl QueueModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn native_parallel_flags() {
-        assert!(SchedulerKind::PbsTorque.native_parallel());
-        assert!(SchedulerKind::PbsPro.native_parallel());
-        assert!(!SchedulerKind::SgeSerialOnly.native_parallel());
-        assert!(!SchedulerKind::DirectShell.native_parallel());
-    }
 
     #[test]
     fn wait_grows_with_nodes() {

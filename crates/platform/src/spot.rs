@@ -53,7 +53,7 @@ pub struct FleetAllocation {
 /// alone — modeled as a finite spot capacity drawn from this range, so a
 /// 63-instance fleet always needs an on-demand top-up (the convergence of
 /// the "mix" and "full" cost curves at large sizes in Figures 6/7).
-pub const SPOT_CAPACITY_RANGE: (usize, usize) = (40, 60);
+const SPOT_CAPACITY_RANGE: (usize, usize) = (40, 60);
 
 /// Acquires `nodes` cc2.8xlarge instances under `strategy`. Deterministic
 /// per (strategy, nodes, seed).

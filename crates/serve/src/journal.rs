@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 /// FNV-1a 64-bit over `data` — the journal's line checksum. Not
 /// cryptographic (the cache's artifacts carry SHA-256); it only needs to
 /// catch torn writes and bit rot on a line the service itself wrote.
-pub fn fnv1a64(data: &[u8]) -> u64 {
+fn fnv1a64(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {
         h ^= u64::from(b);
@@ -57,7 +57,6 @@ pub struct PendingJob {
 /// The append-only journal file plus its write handle.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
     file: File,
     fsync: bool,
 }
@@ -93,20 +92,7 @@ impl Journal {
         fs::rename(&tmp, path)?;
 
         let file = OpenOptions::new().append(true).open(path)?;
-        Ok((
-            Journal {
-                path: path.to_path_buf(),
-                file,
-                fsync,
-            },
-            pending,
-            next_id,
-        ))
-    }
-
-    /// Path of the journal file.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok((Journal { file, fsync }, pending, next_id))
     }
 
     /// Appends a `submit` record: the service now owes this job a result.

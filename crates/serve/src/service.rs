@@ -160,8 +160,6 @@ struct State {
     draining: bool,
     /// Set by `kill`: stop accepting, abandon the queue, exit.
     abandoned: bool,
-    /// Jobs replayed from the journal at startup.
-    recovered: Vec<JobId>,
 }
 
 impl State {
@@ -239,7 +237,8 @@ pub struct ServeHandle {
 impl ServeHandle {
     /// Opens the service over `config.dir`: replays the journal, re-acks
     /// pending jobs whose results are already cached, re-enqueues the
-    /// rest, and starts the worker pool.
+    /// rest, and starts the worker pool. A replayed job keeps the id its
+    /// submission returned, so [`wait`](ServeHandle::wait) collects it.
     ///
     /// # Errors
     /// Propagates filesystem errors from the journal or cache.
@@ -260,11 +259,9 @@ impl ServeHandle {
             next_job,
             draining: false,
             abandoned: false,
-            recovered: Vec::with_capacity(replayed.len()),
         };
         for PendingJob { id, request, .. } in replayed {
             st.metrics.add("serve.recovered.replayed", 1.0);
-            st.recovered.push(id);
             // Re-derive the key instead of trusting the journaled one: a
             // record written under a retired key schema must neither look
             // up nor store into that generation.
@@ -376,18 +373,6 @@ impl ServeHandle {
     pub fn submit_wait(&self, request: &RunRequest) -> Result<Arc<JobOutcome>, ServeError> {
         let id = self.submit(request)?;
         self.wait(id)
-    }
-
-    /// Job ids replayed from the journal at startup (both re-acked-from-
-    /// cache and re-enqueued). Each can be collected by one
-    /// [`wait`](ServeHandle::wait), like the id of a fresh submission.
-    pub fn recovered_jobs(&self) -> Vec<JobId> {
-        self.shared
-            .state
-            .lock()
-            .expect("serve state poisoned")
-            .recovered
-            .clone()
     }
 
     /// A snapshot of the service counters (`serve.cache.*`,

@@ -24,7 +24,7 @@ use crate::tape::{Collective, Op};
 use std::sync::Arc;
 
 /// Tags at or above this value are reserved for collectives.
-pub const COLLECTIVE_TAG_BASE: u64 = 1 << 40;
+const COLLECTIVE_TAG_BASE: u64 = 1 << 40;
 const SLOTS_PER_EPOCH: u64 = 8;
 pub(crate) const SLOT_REDUCE: u64 = 0;
 pub(crate) const SLOT_BCAST: u64 = 1;

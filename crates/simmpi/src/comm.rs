@@ -694,24 +694,6 @@ impl SimComm {
         &self.ledger.stats
     }
 
-    /// The cluster topology this job runs on.
-    #[inline]
-    pub fn topology(&self) -> &ClusterTopology {
-        &self.shared.model.topo
-    }
-
-    /// The network model in force.
-    #[inline]
-    pub fn network(&self) -> &NetworkModel {
-        &self.shared.model.net
-    }
-
-    /// Nodes occupied by this job.
-    #[inline]
-    pub fn nodes_active(&self) -> usize {
-        self.shared.model.nodes_active
-    }
-
     /// Advances the virtual clock by the roofline time of `work` and records
     /// the counters. This is how application kernels charge their cost.
     pub fn compute(&mut self, work: Work) {

@@ -29,7 +29,7 @@ pub const MAX_REAL_RANKS: usize = 131_072;
 /// stack it touches — typically three or four — and only while its job
 /// runs. A rank that needs more than this aborts the process at its next
 /// yield (canary check), it does not fault.
-pub const DEFAULT_TASK_STACK_BYTES: usize = 1 << 20;
+const DEFAULT_TASK_STACK_BYTES: usize = 1 << 20;
 
 // The context switch (`sched::context`) is implemented for the System-V
 // flavours of x86_64 and aarch64 only, and there is no other engine.

@@ -84,11 +84,6 @@ pub struct ExchangePlan {
 }
 
 impl ExchangePlan {
-    /// A plan with no neighbours (serial runs).
-    pub fn empty() -> Self {
-        ExchangePlan::default()
-    }
-
     /// Validates internal consistency against a vector layout.
     ///
     /// # Panics
@@ -754,7 +749,7 @@ pub(crate) mod tests {
                         let plan = if comm.rank() == 0 {
                             ring(0, 2, 4)
                         } else {
-                            ExchangePlan::empty()
+                            ExchangePlan::default()
                         };
                         let mut v = values(comm.rank(), 4, &plan);
                         comm.exchange(&plan, &mut v, copy);

@@ -72,7 +72,7 @@ pub mod work;
 pub use comm::{Payload, RecvRequest, SimComm};
 pub use engine::{
     run_spmd, run_spmd_opts, run_spmd_recorded, EngineKind, EngineOpts, RankResult, SpmdConfig,
-    DEFAULT_TASK_STACK_BYTES, MAX_REAL_RANKS,
+    MAX_REAL_RANKS,
 };
 pub use exchange::{ExchangePlan, PostedExchange};
 pub use fault::{FaultPlan, RankFailed, SlowWindow};

@@ -223,8 +223,7 @@ const CANARY_BYTES: usize = 64;
 const CANARY_FILL: u8 = 0x5A;
 
 /// Most stacks carved from one allocation. A full chunk of
-/// [`DEFAULT_TASK_STACK_BYTES`](crate::engine::DEFAULT_TASK_STACK_BYTES)
-/// stacks is 64 MiB — above the 32 MiB ceiling of glibc's adaptive mmap
+/// `engine::DEFAULT_TASK_STACK_BYTES` stacks is 64 MiB — above the 32 MiB ceiling of glibc's adaptive mmap
 /// threshold, so it is a mapping of its own however many jobs the process
 /// has run — while one allocation for a whole 32 768-rank job (32 GiB)
 /// would be refused by heuristic overcommit.

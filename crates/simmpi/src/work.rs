@@ -20,24 +20,10 @@ pub struct Work {
 }
 
 impl Work {
-    /// No work.
-    pub const ZERO: Work = Work {
-        flops: 0.0,
-        bytes: 0.0,
-    };
-
     /// Creates a work quantity.
     #[inline]
     pub const fn new(flops: f64, bytes: f64) -> Self {
         Work { flops, bytes }
-    }
-
-    /// Pure floating-point work with an assumed 1 byte of traffic per flop
-    /// (a typical FEM/SpMV balance; callers with better estimates should use
-    /// [`Work::new`]).
-    #[inline]
-    pub fn flops(f: f64) -> Self {
-        Work { flops: f, bytes: f }
     }
 }
 
@@ -159,7 +145,7 @@ mod tests {
     #[test]
     fn zero_work_is_free() {
         let m = ComputeModel::new(1e9, 1e9);
-        assert_eq!(m.time(Work::ZERO), 0.0);
+        assert_eq!(m.time(Work::default()), 0.0);
     }
 
     #[test]

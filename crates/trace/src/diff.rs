@@ -10,7 +10,7 @@
 use std::fmt;
 
 /// Lines of context shown before and after the first difference.
-pub const CONTEXT_LINES: usize = 3;
+const CONTEXT_LINES: usize = 3;
 
 /// The first line at which two JSONL exports differ.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,9 +23,9 @@ pub struct Divergence {
     pub rank: Option<String>,
     /// The event's virtual time on that line, read like `rank`.
     pub at: Option<f64>,
-    /// Up to [`CONTEXT_LINES`] lines before it, which both exports share.
+    /// Up to three lines before it, which both exports share.
     pub before: Vec<String>,
-    /// The differing line and up to [`CONTEXT_LINES`] after it, in the
+    /// The differing line and up to three lines after it, in the
     /// first export (empty past its end).
     pub a: Vec<String>,
     /// The same for the second export.

@@ -45,15 +45,6 @@ impl Phase {
             Phase::Iteration => 4,
         }
     }
-
-    /// All phases, in `index` order.
-    pub const ALL: [Phase; 5] = [
-        Phase::Assembly,
-        Phase::Precond,
-        Phase::Solve,
-        Phase::Other,
-        Phase::Iteration,
-    ];
 }
 
 /// What happened. Span-like kinds carry their duration on the enclosing

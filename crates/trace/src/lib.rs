@@ -39,6 +39,6 @@ pub mod sink;
 
 pub use diff::{first_divergence, Divergence};
 pub use event::{cmp_events, EventKind, Phase, TraceEvent, CAMPAIGN_RANK};
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use rollup::{rollup as phase_rollup, PhaseRollup};
 pub use sink::{Trace, TraceDetail, TraceSpec};

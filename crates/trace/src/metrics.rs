@@ -11,17 +11,17 @@ use std::fmt::Write;
 
 /// Fixed bucket bounds (upper edges, seconds) for phase-duration
 /// histograms: 100 µs to 100 s, decade-spaced.
-pub const SECONDS_BUCKETS: &[f64] = &[1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0];
+const SECONDS_BUCKETS: &[f64] = &[1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0];
 /// Fixed bucket bounds (upper edges, bytes) for volume histograms:
 /// 1 KiB to 1 GiB, ~decade-spaced.
-pub const BYTES_BUCKETS: &[f64] = &[1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9];
+const BYTES_BUCKETS: &[f64] = &[1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9];
 /// Fixed bucket bounds for per-step Krylov iteration counts.
-pub const ITERS_BUCKETS: &[f64] = &[5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0];
+const ITERS_BUCKETS: &[f64] = &[5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0];
 
 /// A fixed-bucket histogram (cumulative-style buckets plus an overflow
 /// bucket, a count, and a sum — enough to recover means and tails).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
+struct Histogram {
     bounds: &'static [f64],
     counts: Vec<u64>,
     count: u64,
@@ -31,7 +31,7 @@ pub struct Histogram {
 impl Histogram {
     /// An empty histogram over `bounds` (upper bucket edges, ascending;
     /// one extra overflow bucket is appended).
-    pub fn new(bounds: &'static [f64]) -> Self {
+    fn new(bounds: &'static [f64]) -> Self {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
         Histogram {
             bounds,
@@ -42,7 +42,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn observe(&mut self, x: f64) {
+    fn observe(&mut self, x: f64) {
         let idx = self
             .bounds
             .iter()
@@ -51,35 +51,6 @@ impl Histogram {
         self.counts[idx] += 1;
         self.count += 1;
         self.sum += x;
-    }
-
-    /// Upper bucket edges.
-    pub fn bounds(&self) -> &[f64] {
-        self.bounds
-    }
-
-    /// Per-bucket counts; the last entry is the overflow bucket.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean observation, or 0 for an empty histogram.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
     }
 }
 
@@ -122,11 +93,6 @@ impl MetricsRegistry {
     /// Counter value (0 when never touched).
     pub fn counter(&self, name: &str) -> f64 {
         self.counters.get(name).copied().unwrap_or(0.0)
-    }
-
-    /// Histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// All counters, in name order.
@@ -251,18 +217,19 @@ mod tests {
                 ("serve.jobs.submitted", 3.0)
             ]
         );
-        assert_eq!(m.histogram("lat").unwrap().count(), 2);
+        assert!(m.render_text().contains("histogram lat: count=2 sum=3 "));
     }
 
     #[test]
     fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(&[1.0, 10.0]);
+        let mut m = MetricsRegistry::new();
         for x in [0.5, 1.0, 5.0, 100.0] {
-            h.observe(x);
+            m.observe("h", &[1.0, 10.0], x);
         }
-        assert_eq!(h.bucket_counts(), &[2, 1, 1]);
-        assert_eq!(h.count(), 4);
-        assert!((h.sum() - 106.5).abs() < 1e-12);
+        assert_eq!(
+            m.render_text(),
+            "histogram h: count=4 sum=106.5 buckets=[2 1 1]\n"
+        );
     }
 
     #[test]
@@ -301,8 +268,9 @@ mod tests {
         assert_eq!(m.counter("comm.reduce.calls"), 1.0);
         assert_eq!(m.counter("comm.reduce.bytes"), 72.0);
         assert_eq!(m.counter("phase.solve.seconds_total"), 0.25);
-        let h = m.histogram("solver.iters_per_step").unwrap();
-        assert_eq!(h.count(), 1);
+        assert!(m
+            .render_text()
+            .contains("histogram solver.iters_per_step: count=1 "));
     }
 
     #[test]

@@ -11,11 +11,12 @@ use hetero_hpc::apps::App;
 use hetero_hpc::prep;
 use hetero_hpc::run::{execute, Fidelity, RunRequest};
 use hetero_platform::catalog;
-use hetero_simmpi::{
-    run_spmd, ClusterTopology, ComputeModel, NetworkModel, SimComm, SpmdConfig,
-    DEFAULT_TASK_STACK_BYTES,
-};
+use hetero_simmpi::{run_spmd, ClusterTopology, ComputeModel, NetworkModel, SimComm, SpmdConfig};
 use std::time::{Duration, Instant};
+
+/// The coroutine stack of every rank, spelled here rather than imported so
+/// that a change to the engine's stack size shows in this file.
+const TASK_STACK_BYTES: usize = 1 << 20;
 
 /// Current resident set of this process in bytes (`VmRSS`).
 fn resident_bytes() -> u64 {
@@ -96,7 +97,7 @@ fn child_overflows_a_coroutine_stack() {
     // parks instead of unwinding.
     run_spmd(config, move |comm| {
         if comm.rank() == size - 1 {
-            descend(DEFAULT_TASK_STACK_BYTES * 5 / 4 / 4096, comm);
+            descend(TASK_STACK_BYTES * 5 / 4 / 4096, comm);
         } else {
             let _ = comm.recv(size - 1, 2);
         }

@@ -1,6 +1,6 @@
 //! Cost-analysis shape checks: Table II and Figures 6/7.
 
-use hetero_hpc::scenarios::{cost_curves, fig4, fig5, table2, ScenarioOptions};
+use hetero_hpc::scenarios::{fig4, fig6, fig7, table2, ScenarioOptions};
 use hetero_platform::catalog;
 
 fn opts() -> ScenarioOptions {
@@ -71,8 +71,7 @@ fn fig6_whole_node_billing_penalizes_small_jobs() {
     // "As Amazon charges the users for the entire machine, this price
     // increases if not all cores are utilized, as shown on both charts for
     // two first cases."
-    let table = fig4(&opts());
-    let curves = cost_curves(&table, &opts());
+    let (table, curves) = fig6(&opts());
     let ec2 = curves.iter().find(|c| c.label == "ec2").unwrap();
     let effective_rate = |ranks: usize| {
         let (_, cost) = ec2.points.iter().find(|&&(r, _)| r == ranks).unwrap();
@@ -85,8 +84,7 @@ fn fig6_whole_node_billing_penalizes_small_jobs() {
 
 #[test]
 fn fig6_cheapest_platform_at_small_scale_is_the_home_cluster() {
-    let table = fig4(&opts());
-    let curves = cost_curves(&table, &opts());
+    let (_, curves) = fig6(&opts());
     let cost_at = |label: &str, ranks: usize| -> f64 {
         curves
             .iter()
@@ -117,8 +115,7 @@ fn fig7_ec2_mix_beats_the_home_cluster_for_ns() {
     // on-premise cluster and is faster as well" (with the cost-aware spot
     // strategy).
     let o = opts();
-    let table = fig5(&o);
-    let curves = cost_curves(&table, &o);
+    let (table, curves) = fig7(&o);
     let mix = curves.iter().find(|c| c.label == "ec2 mix").unwrap();
     for ranks in [27usize, 64, 125] {
         let (_, mix_cost) = mix.points.iter().find(|&&(r, _)| r == ranks).unwrap();
@@ -147,8 +144,7 @@ fn fig6_mix_converges_toward_full_at_large_sizes() {
     // not impossible ... this is apparent in the convergence of the mix and
     // regular curves."
     let o = opts();
-    let table = fig4(&o);
-    let curves = cost_curves(&table, &o);
+    let (_, curves) = fig6(&o);
     let full = curves.iter().find(|c| c.label == "ec2").unwrap();
     let mix = curves.iter().find(|c| c.label == "ec2 mix").unwrap();
     let ratio_at = |ranks: usize| -> f64 {

@@ -2,7 +2,7 @@
 
 use hetero_hpc::report::render_table1;
 use hetero_hpc::scenarios::table1;
-use hetero_platform::provision::{environment_of, plan, Action, Pkg};
+use hetero_platform::provision::{environment_of, plan, Action};
 
 #[test]
 fn effort_totals_match_section_vi() {
@@ -63,25 +63,6 @@ fn remediations_match_table_is_colored_cells() {
         sysconfigs >= 4,
         "ssh keys, ports, partition, image: {sysconfigs}"
     );
-}
-
-#[test]
-fn every_platform_plan_is_dependency_ordered() {
-    for key in ["puma", "ellipse", "lagrange", "ec2"] {
-        let p = plan(&environment_of(key).unwrap()).unwrap();
-        // If both a package and one of its dependencies appear as steps,
-        // the dependency comes first.
-        let pos = |name: &str| p.steps.iter().position(|s| s.item == name);
-        for pkg in Pkg::ALL {
-            if let Some(i) = pos(pkg.name()) {
-                for dep in pkg.deps() {
-                    if let Some(j) = pos(dep.name()) {
-                        assert!(j < i, "{key}: {} must precede {}", dep.name(), pkg.name());
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //!
 //! 1. **Byte pins.** The exact canonical text of hand-constructed RD and
 //!    NS requests, every number a literal. If the encoding ever changes,
-//!    these fail and force a deliberate [`PREP_KEY_SCHEMA`] bump instead
+//!    these fail and force a deliberate `PREP_KEY_SCHEMA` bump instead
 //!    of silently aliasing unrelated preparations.
 //! 2. **Exclusion pins.** The prep key must cover *only* what the
 //!    prepared artifacts are functions of (mesh spec, discretization
@@ -14,14 +14,12 @@
 //!    rank count would alias different partitions. Both directions are
 //!    pinned: excluded coordinates provably do not move the key, setup
 //!    coordinates provably do.
-//!
-//! [`PREP_KEY_SCHEMA`]: hetero_hpc::canon::PREP_KEY_SCHEMA
 
 use hetero_fem::bdf::BdfOrder;
 use hetero_fem::element::ElementOrder;
 use hetero_fem::ns::{MomentumSolver, NsConfig};
 use hetero_fem::rd::{PrecondKind, RdConfig};
-use hetero_hpc::canon::{prep_canonical, prep_key, sha256_hex, PREP_KEY_SCHEMA};
+use hetero_hpc::canon::{prep_key, sha256_hex};
 use hetero_hpc::{App, Fidelity, ResilienceSpec, RunRequest, TraceSpec};
 use hetero_linalg::{SolveOptions, SolverVariant};
 use hetero_platform::catalog;
@@ -111,25 +109,22 @@ partition={partitioner=e:block;parts_x=i:2;parts_y=i:2;parts_z=i:2;};";
 
 #[test]
 fn golden_rd_canonical_text_and_key() {
-    assert_eq!(prep_canonical(&fixture_rd()), RD_CANONICAL);
     assert_eq!(
         prep_key(&fixture_rd()),
-        format!("{PREP_KEY_SCHEMA}/{}", sha256_hex(RD_CANONICAL.as_bytes()))
+        format!("hetero-prep/key/v1/{}", sha256_hex(RD_CANONICAL.as_bytes()))
     );
 }
 
 #[test]
 fn golden_ns_canonical_text_and_key() {
-    assert_eq!(prep_canonical(&fixture_ns()), NS_CANONICAL);
     assert_eq!(
         prep_key(&fixture_ns()),
-        format!("{PREP_KEY_SCHEMA}/{}", sha256_hex(NS_CANONICAL.as_bytes()))
+        format!("hetero-prep/key/v1/{}", sha256_hex(NS_CANONICAL.as_bytes()))
     );
 }
 
 #[test]
 fn schema_tag_is_pinned_and_prefixes_every_key() {
-    assert_eq!(PREP_KEY_SCHEMA, "hetero-prep/key/v1");
     assert!(prep_key(&fixture_rd()).starts_with("hetero-prep/key/v1/"));
 }
 
@@ -263,8 +258,12 @@ fn setup_coordinates_split_the_key() {
 /// seed, operator-path overrides, and host knobs cannot have leaked in.
 #[test]
 fn canonical_text_names_no_excluded_coordinate() {
-    for req in [fixture_rd(), fixture_ns()] {
-        let text = prep_canonical(&req);
+    for (req, text) in [(fixture_rd(), RD_CANONICAL), (fixture_ns(), NS_CANONICAL)] {
+        // The text is the one the fixture's key hashes.
+        assert_eq!(
+            prep_key(&req),
+            format!("hetero-prep/key/v1/{}", sha256_hex(text.as_bytes()))
+        );
         for forbidden in [
             "platform",
             "seed",

@@ -5,10 +5,8 @@
 //! canonical encoder names every field with a string literal in a fixed
 //! order, renaming or reordering Rust fields cannot change these strings
 //! — and if the encoding itself is ever changed, these tests fail,
-//! forcing a deliberate [`KEY_SCHEMA`] bump instead of a silent cache
+//! forcing a deliberate `KEY_SCHEMA` bump instead of a silent cache
 //! corruption.
-//!
-//! [`KEY_SCHEMA`]: hetero_hpc::canon::KEY_SCHEMA
 
 use hetero_fault::{
     Backoff, CrashProcess, DegradationModel, FaultModel, RecoveryMode, ResiliencePolicy, SpotMarket,
@@ -17,7 +15,7 @@ use hetero_fem::bdf::BdfOrder;
 use hetero_fem::element::ElementOrder;
 use hetero_fem::ns::{MomentumSolver, NsConfig};
 use hetero_fem::rd::{PrecondKind, RdConfig};
-use hetero_hpc::canon::{canonical_request, request_key, KEY_SCHEMA};
+use hetero_hpc::canon::{canonical_request, request_key};
 use hetero_hpc::{App, Fidelity, ResilienceSpec, RunRequest};
 use hetero_linalg::{SolveOptions, SolverVariant};
 use hetero_platform::cost::{Billing, CostModel};
@@ -224,7 +222,7 @@ fn key_is_schema_prefixed_hash_of_canonical_text() {
     assert_eq!(
         request_key(&req),
         format!(
-            "{KEY_SCHEMA}/{}",
+            "hetero-serve/key/v2/{}",
             hetero_hpc::canon::sha256_hex(canonical_request(&req).as_bytes())
         )
     );
